@@ -1,11 +1,10 @@
-"""Shared plumbing: deterministic parallel maps, seeded generators, JSON helpers."""
+"""Shared plumbing: error types, seeded generators, JSON and CSV helpers."""
 
 from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Iterable, Sequence
 
 import numpy as np
 
@@ -36,23 +35,6 @@ class NumericError(OsclabError):
 def rng_from_seed(seed: int) -> np.random.Generator:
     """Counter-based (Philox) generator; reproducible and cheap to split."""
     return np.random.Generator(np.random.Philox(seed))
-
-
-def parallel_map(fn: Callable[[Any], Any], items: Sequence[Any], workers: int = 1) -> list:
-    """Map with a fixed output order regardless of scheduling.
-
-    Results are placed by input index, so reports built from them are
-    byte-identical across worker counts.
-    """
-    items = list(items)
-    if workers <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    out: list = [None] * len(items)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = {pool.submit(fn, it): i for i, it in enumerate(items)}
-        for fut, i in futures.items():
-            out[i] = fut.result()
-    return out
 
 
 def _jsonable(obj: Any) -> Any:

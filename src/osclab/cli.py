@@ -27,6 +27,7 @@ from osclab._support import ParameterError, dump_csv, dump_json, format_float, r
 from osclab.cubes import Cube, sample_disjoint_families
 from osclab.functionals import (
     Coeffs,
+    ConditionReport,
     ConstantFunctional,
     DilationSeries,
     ExpandedPoincare,
@@ -36,7 +37,7 @@ from osclab.functionals import (
     eta_alternative,
     tilde_expand,
 )
-from osclab.grid import Field, lp_average, make_field
+from osclab.grid import Field, _is_pow2, make_field
 from osclab.operators import (
     EllipticOperator,
     audit_family,
@@ -57,7 +58,7 @@ from osclab.verify import (
     verify_strong,
     verify_weak_improvement,
 )
-from osclab.weights import Weight, default_cube_sample, ones_weight, rh_subset_check, weight_report
+from osclab.weights import Weight, ones_weight, rh_subset_check, weight_report
 
 
 # ---------------------------------------------------------------------------
@@ -65,8 +66,12 @@ from osclab.weights import Weight, default_cube_sample, ones_weight, rh_subset_c
 # ---------------------------------------------------------------------------
 
 
-def _is_pow2(x: int) -> bool:
-    return x >= 1 and (x & (x - 1)) == 0
+#: every top-level config key the pipeline reads
+CONFIG_KEYS = frozenset({
+    "name", "dimension", "resolution_ladder", "seed", "field", "family", "functional",
+    "exponents", "weight", "cube_sample", "profile", "variant", "harnesses",
+    "condition_families", "k_max", "good_lambda", "bmo", "epi",
+})
 
 
 @dataclass
@@ -98,10 +103,18 @@ class ExperimentConfig:
         return int(self.data.get("seed", 0))
 
     @property
-    def workers(self) -> int:
-        return int(self.data.get("workers", 1))
+    def harnesses(self) -> list[str]:
+        return self.data.get("harnesses", ["weak"])
 
     def validate(self) -> None:
+        unknown = sorted(set(self.data) - CONFIG_KEYS)
+        if unknown:
+            raise ParameterError(f"unknown config key(s): {', '.join(unknown)}")
+        if not isinstance(self.harnesses, list) or not all(isinstance(h, str) for h in self.harnesses):
+            raise ParameterError(f"harnesses must be a list of names, got {self.harnesses!r}")
+        unknown = sorted(set(self.harnesses) - set(HARNESSES))
+        if unknown:
+            raise ParameterError(f"unknown harness(es): {', '.join(unknown)}")
         for m in self.ladder:
             if not _is_pow2(m):
                 raise ParameterError(f"resolution_ladder: {m} is not a power of two")
@@ -111,7 +124,7 @@ class ExperimentConfig:
         q0 = _parse_inf(fam.get("q0", "inf"))
         q = float(expo.get("q", 2.0))
         theorem_harnesses = {"weak", "strong", "exponential", "good-lambda", "pair-dq"}
-        if theorem_harnesses & set(self.data.get("harnesses", [])):
+        if theorem_harnesses & set(self.harnesses):
             if not (p0 < q < q0):
                 raise ParameterError(
                     f"exponents must satisfy p0 < q < q0, got p0={p0}, q={q}, q0={q0}"
@@ -239,7 +252,7 @@ def build_profile(cfg: ExperimentConfig, family, m: int):
     probes = _probe_fields(cfg.dimension, m, cfg.seed + 17)
     prof = measure_offdiagonal(
         family, probes, cubes, k_max=int(spec.get("k_max", 6)),
-        pair_levels=int(spec.get("pair_levels", 1)), workers=cfg.workers,
+        pair_levels=int(spec.get("pair_levels", 1)),
     )
     prof.probe_spec["dimension"] = cfg.dimension
     lo, hi = spec.get("fit_range", [3, 6])
@@ -374,6 +387,201 @@ def _dinf_for(cfg: ExperimentConfig, rung: Rung):
     return estimate_condition(rung.hypothesis, "Dinf", cube_pairs=pairs, seed=cfg.seed)
 
 
+@dataclass
+class HarnessContext:
+    """What a harness reads: the config, the built rungs and their profiles.
+
+    ``condition`` is the summability report shared by the harnesses in
+    ``NEEDS_CONDITION``; the weak harness leaves its per-cube rows in
+    ``rows_weak`` for ``rows_weak.csv``.
+    """
+
+    cfg: ExperimentConfig
+    rungs: list
+    profiles: dict
+    q: float
+    condition: Optional[ConditionReport] = None
+    rows_weak: Optional[list] = None
+
+
+def _hypothesis(ctx: HarnessContext) -> tuple[dict, bool]:
+    target = ctx.rungs[-1]
+    rep = check_hypothesis(target.family, target.field, target.hypothesis,
+                           target.cube_sample, k_max=int(ctx.cfg.get("k_max", 3)))
+    return {"hypothesis": rep.to_dict()}, math.isfinite(rep.constant)
+
+
+def _weak(ctx: HarnessContext) -> tuple[dict, bool]:
+    rep = verify_weak_improvement(ctx.rungs, ctx.q, ctx.condition)
+    entry = rep.to_dict()
+    entry["csv"] = "rows_weak.csv"
+    ctx.rows_weak = rep.rows
+    return {"weak": entry}, rep.passed
+
+
+def _strong(ctx: HarnessContext) -> tuple[dict, bool]:
+    r = float(ctx.cfg.get("exponents", {}).get("r", (ctx.rungs[0].family.p0 + ctx.q) / 2))
+    rep = verify_strong(ctx.rungs, ctx.q, r, ctx.condition)
+    return {"strong": rep.to_dict()}, rep.passed
+
+
+def _exponential(ctx: HarnessContext) -> tuple[dict, bool]:
+    dinf = _dinf_for(ctx.cfg, ctx.rungs[0])
+    exp_rungs = [
+        Rung(r.m, r.field, r.family, r.hypothesis,
+             exponential_denominator(r.hypothesis, ctx.profiles[r.m]),
+             r.cube_sample, r.weight)
+        for r in ctx.rungs
+    ]
+    rep = verify_exponential(exp_rungs, dinf)
+    return {"dinf": dinf.to_dict(), "exponential": rep.to_dict()}, rep.passed
+
+
+def _good_lambda(ctx: HarnessContext) -> tuple[dict, bool]:
+    cfg = ctx.cfg
+    gl = cfg.get("good_lambda", {})
+    q_cube = Cube.from_dict(gl.get("cube", {"anchor": [0.25] * cfg.dimension, "side": 0.25}))
+    rep = verify_good_lambda(ctx.rungs[-1], q_cube, float(gl.get("s", 4.0)),
+                             float(gl.get("lam", 0.5)), ctx.q, int(gl.get("t_points", 20)))
+    return {"good_lambda": rep.to_dict()}, rep.passed
+
+
+def _bmo(ctx: HarnessContext) -> tuple[dict, bool]:
+    cfg = ctx.cfg
+    bmo = cfg.get("bmo", {})
+    ps = [float(p) for p in bmo.get("ps", [1.0, 2.0, 4.0])]
+    s_exp = float(bmo.get("s", 8.0))
+    seeds = bmo.get("field_seeds", [31, 32, 33, 34, 35])
+    per_op = {}
+    passed = True
+    for op_name, ladder in bmo.get("operators", {"identity": cfg.ladder}).items():
+        op_rungs = []
+        for m in ladder:
+            family = build_family(
+                {**cfg["family"], "operator": {"kind": op_name, **bmo.get("operator_params", {})}},
+                cfg.dimension, m)
+            fields = [make_field("log-distance", cfg.dimension, m, center=0.5)] + [
+                make_field("random-smooth", cfg.dimension, m, seed=sd, band=6)
+                for sd in seeds[1:]
+            ]
+            op_rungs.append(BmoRung(m, family, fields))
+        rep = verify_bmo_equivalence(op_rungs, ps, s_exp, float(bmo.get("alpha", 0.0)))
+        per_op[op_name] = rep.to_dict()
+        passed &= rep.passed
+    return {"bmo": per_op}, passed
+
+
+def _pair_dq(ctx: HarnessContext) -> tuple[dict, bool]:
+    cfg = ctx.cfg
+    target = ctx.rungs[0]
+    if not isinstance(target.hypothesis, ExpandedPoincare):
+        raise ParameterError("pair-dq harness requires an expanded-poincare functional")
+    if target.partner is None:
+        raise ParameterError("pair-dq harness requires the pair variant")
+    tilde = tilde_expand(target.hypothesis, ctx.profiles[target.m]).collapse()
+    epi = cfg.get("epi", {})
+    root = Cube.from_dict(epi.get("root", {"anchor": [0.0] * cfg.dimension, "side": 0.5}))
+    fams = sample_disjoint_families(
+        root, int(epi.get("families", 200)), cfg.seed, target.m,
+        field_values=np.abs(target.field.values),
+    )
+    rep = estimate_condition(tilde, "pair", r=ctx.q, mu=target.weight,
+                             families=fams, partner=target.partner, seed=cfg.seed)
+    return {"pair_dq": rep.to_dict()}, rep.passed
+
+
+def _hyp_k(ctx: HarnessContext) -> tuple[dict, bool]:
+    target = ctx.rungs[0]
+    epi = ctx.cfg.get("epi", {})
+    bound = float(epi.get("bound_factor", 8.0))
+    rep = check_hypothesis(target.family, target.field, target.hypothesis,
+                           target.cube_sample, k_max=int(epi.get("k_max", 3)))
+    factor = math.inf if rep.k0_constant == 0 else rep.constant / rep.k0_constant
+    ok = math.isfinite(factor) and factor <= bound
+    return {"hyp_k": {
+        "k0_constant": rep.k0_constant,
+        "all_k_constant": rep.constant,
+        "factor": factor,
+        "bound": bound,
+        "passed": ok,
+    }}, ok
+
+
+def _weighted_identity(ctx: HarnessContext) -> tuple[dict, bool]:
+    target = ctx.rungs[0]
+    r_plain = Rung(target.m, target.field, target.family, target.hypothesis,
+                   target.denominator, target.cube_sample, None)
+    r_ones = Rung(target.m, target.field, target.family, target.hypothesis,
+                  target.denominator, target.cube_sample,
+                  ones_weight(ctx.cfg.dimension, target.m))
+    rep_plain = verify_weak_improvement([r_plain], ctx.q, ctx.condition)
+    rep_ones = verify_weak_improvement([r_ones], ctx.q, ctx.condition)
+    rows_equal = all(
+        a[2] == b[2] and a[3] == b[3] and a[4] == b[4]
+        for a, b in zip(rep_plain.rows, rep_ones.rows)
+    )
+    bitwise = rows_equal and rep_plain.conclusion_constant == rep_ones.conclusion_constant
+    return {"weighted_identity": {
+        "bitwise_equal": bool(bitwise),
+        "conclusion_constant": rep_plain.conclusion_constant,
+        "passed": bool(bitwise),
+    }}, bitwise
+
+
+def _rh_sets(ctx: HarnessContext) -> tuple[dict, bool]:
+    cfg = ctx.cfg
+    target = ctx.rungs[-1]
+    if target.weight is None:
+        raise ParameterError("rh-sets harness requires a weight")
+    rng = rng_from_seed(cfg.seed + 41)
+    m = target.m
+    worst = 0.0
+    checked = 0
+    for q_cube in target.cube_sample[:16]:
+        my_cells = np.zeros((m,) * cfg.dimension, dtype=bool)
+        my_cells[np.ix_(*q_cube.cell_arrays(m))] = True
+        idx = np.flatnonzero(my_cells.ravel())
+        for _ in range(4):
+            k = int(rng.integers(1, idx.size + 1))
+            pick = rng.choice(idx, size=k, replace=False)
+            e = np.zeros(m ** cfg.dimension, dtype=bool)
+            e[pick] = True
+            lhs, rhs = rh_subset_check(target.weight, q_cube, e.reshape((m,) * cfg.dimension), 2.0)
+            worst = max(worst, lhs / rhs if rhs > 0 else math.inf)
+            checked += 1
+    ok = worst <= 1.0 + 1e-9
+    return {"rh_sets": {"checked": checked, "worst_ratio": worst, "passed": ok}}, ok
+
+
+def _weight_report(ctx: HarnessContext) -> tuple[dict, bool]:
+    cfg = ctx.cfg
+    target = ctx.rungs[-1]
+    if target.weight is None:
+        raise ParameterError("weight-report harness requires a weight")
+    sample = make_cube_sample(cfg.dimension, target.m, 8, 16, cfg.seed)
+    rep = weight_report(target.weight, [1.0, 1.5, 2.0, 4.0], sample, cfg.seed)
+    return {"weight": rep.to_dict()}, all(math.isfinite(v) for v in rep.ap.values())
+
+
+#: harness name -> fn(ctx) -> (entries for report["harnesses"], passed), in run order
+HARNESSES = {
+    "hypothesis": _hypothesis,
+    "weak": _weak,
+    "strong": _strong,
+    "exponential": _exponential,
+    "good-lambda": _good_lambda,
+    "bmo": _bmo,
+    "pair-dq": _pair_dq,
+    "hyp-k": _hyp_k,
+    "weighted-identity": _weighted_identity,
+    "rh-sets": _rh_sets,
+    "weight-report": _weight_report,
+}
+
+#: harnesses that read the shared summability condition report
+NEEDS_CONDITION = {"weak", "strong", "weighted-identity"}
+
+
 def run_pipeline(cfg: ExperimentConfig) -> tuple[dict, dict]:
     """Execute the configured stages; returns (report dict, timing dict)."""
     timing: dict = {}
@@ -398,171 +606,30 @@ def run_pipeline(cfg: ExperimentConfig) -> tuple[dict, dict]:
     report["audit"] = audit_family(small.family, probes, pairs).to_dict()
     timing["audit"] = time.perf_counter() - t0
 
-    harnesses = cfg.get("harnesses", ["weak"])
-    expo = cfg.get("exponents", {})
-    q = float(expo.get("q", 2.0))
+    selected = set(cfg.harnesses)
+    ctx = HarnessContext(cfg, rungs, profiles, float(cfg.get("exponents", {}).get("q", 2.0)))
     results: dict = {}
     passed = True
 
     t0 = time.perf_counter()
-    condition = None
-    if {"weak", "strong", "weighted-identity"} & set(harnesses):
-        condition = _condition_for(cfg, rungs[0], q)
-        results["condition"] = condition.to_dict()
+    if NEEDS_CONDITION & selected:
+        ctx.condition = _condition_for(cfg, rungs[0], ctx.q)
+        results["condition"] = ctx.condition.to_dict()
     timing["conditions"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    if "hypothesis" in harnesses:
-        rep = check_hypothesis(rungs[-1].family, rungs[-1].field, rungs[-1].hypothesis,
-                               rungs[-1].cube_sample, k_max=int(cfg.get("k_max", 3)))
-        results["hypothesis"] = rep.to_dict()
-        passed &= math.isfinite(rep.constant)
-    if "weak" in harnesses:
-        rep = verify_weak_improvement(rungs, q, condition)
-        results["weak"] = rep.to_dict()
-        results["weak"]["csv"] = "rows_weak.csv"
-        report["_rows_weak"] = rep.rows
-        passed &= rep.passed
-    if "strong" in harnesses:
-        r = float(expo.get("r", (rungs[0].family.p0 + q) / 2))
-        rep = verify_strong(rungs, q, r, condition)
-        results["strong"] = rep.to_dict()
-        passed &= rep.passed
-    if "exponential" in harnesses:
-        dinf = _dinf_for(cfg, rungs[0])
-        results["dinf"] = dinf.to_dict()
-        exp_rungs = [
-            Rung(r.m, r.field, r.family, r.hypothesis,
-                 exponential_denominator(r.hypothesis, profiles[r.m]),
-                 r.cube_sample, r.weight)
-            for r in rungs
-        ]
-        rep = verify_exponential(exp_rungs, dinf)
-        results["exponential"] = rep.to_dict()
-        passed &= rep.passed
-    if "good-lambda" in harnesses:
-        gl = cfg.get("good_lambda", {})
-        target = rungs[-1]
-        q_cube = Cube.from_dict(gl.get("cube", {"anchor": [0.25] * cfg.dimension, "side": 0.25}))
-        rep = verify_good_lambda(target, q_cube, float(gl.get("s", 4.0)),
-                                 float(gl.get("lam", 0.5)), q,
-                                 int(gl.get("t_points", 20)))
-        results["good_lambda"] = rep.to_dict()
-        passed &= rep.passed
-    if "bmo" in harnesses:
-        results["bmo"] = {}
-        bmo = cfg.get("bmo", {})
-        ps = [float(p) for p in bmo.get("ps", [1.0, 2.0, 4.0])]
-        s_exp = float(bmo.get("s", 8.0))
-        seeds = bmo.get("field_seeds", [31, 32, 33, 34, 35])
-        for op_name, ladder in bmo.get("operators", {"identity": cfg.ladder}).items():
-            op_rungs = []
-            for m in ladder:
-                family = build_family(
-                    {**cfg["family"], "operator": {"kind": op_name, **bmo.get("operator_params", {})}},
-                    cfg.dimension, m)
-                fields = [make_field("log-distance", cfg.dimension, m, center=0.5)] + [
-                    make_field("random-smooth", cfg.dimension, m, seed=sd, band=6)
-                    for sd in seeds[1:]
-                ]
-                op_rungs.append(BmoRung(m, family, fields))
-            rep = verify_bmo_equivalence(op_rungs, ps, s_exp, float(bmo.get("alpha", 0.0)))
-            results["bmo"][op_name] = rep.to_dict()
-            passed &= rep.passed
-    if "pair-dq" in harnesses:
-        target = rungs[0]
-        if not isinstance(target.hypothesis, ExpandedPoincare):
-            raise ParameterError("pair-dq harness requires an expanded-poincare functional")
-        if target.partner is None:
-            raise ParameterError("pair-dq harness requires the pair variant")
-        tilde = tilde_expand(target.hypothesis, profiles[target.m]).collapse()
-        bar = target.partner
-        epi = cfg.get("epi", {})
-        root = Cube.from_dict(epi.get("root", {"anchor": [0.0] * cfg.dimension, "side": 0.5}))
-        fams = sample_disjoint_families(
-            root, int(epi.get("families", 200)), cfg.seed, target.m,
-            field_values=np.abs(target.field.values),
-        )
-        rep = estimate_condition(tilde, "pair", r=q, mu=target.weight,
-                                 families=fams, partner=bar, seed=cfg.seed)
-        results["pair_dq"] = rep.to_dict()
-        passed &= rep.passed
-    if "hyp-k" in harnesses:
-        target = rungs[0]
-        epi = cfg.get("epi", {})
-        bound = float(epi.get("bound_factor", 8.0))
-        rep = check_hypothesis(target.family, target.field, target.hypothesis,
-                               target.cube_sample, k_max=int(epi.get("k_max", 3)))
-        factor = math.inf if rep.k0_constant == 0 else rep.constant / rep.k0_constant
-        ok = math.isfinite(factor) and factor <= bound
-        results["hyp_k"] = {
-            "k0_constant": rep.k0_constant,
-            "all_k_constant": rep.constant,
-            "factor": factor,
-            "bound": bound,
-            "passed": ok,
-        }
-        passed &= ok
-    if "weighted-identity" in harnesses:
-        target = rungs[0]
-        r_plain = Rung(target.m, target.field, target.family, target.hypothesis,
-                       target.denominator, target.cube_sample, None)
-        r_ones = Rung(target.m, target.field, target.family, target.hypothesis,
-                      target.denominator, target.cube_sample,
-                      ones_weight(cfg.dimension, target.m))
-        rep_plain = verify_weak_improvement([r_plain], q, condition)
-        rep_ones = verify_weak_improvement([r_ones], q, condition)
-        rows_equal = all(
-            a[2] == b[2] and a[3] == b[3] and a[4] == b[4]
-            for a, b in zip(rep_plain.rows, rep_ones.rows)
-        )
-        bitwise = rows_equal and rep_plain.conclusion_constant == rep_ones.conclusion_constant
-        results["weighted_identity"] = {
-            "bitwise_equal": bool(bitwise),
-            "conclusion_constant": rep_plain.conclusion_constant,
-            "passed": bool(bitwise),
-        }
-        passed &= bitwise
-    if "rh-sets" in harnesses:
-        target = rungs[-1]
-        if target.weight is None:
-            raise ParameterError("rh-sets harness requires a weight")
-        rep_rh = _rh_sets_report(target, cfg)
-        results["rh_sets"] = rep_rh
-        passed &= rep_rh["passed"]
-    if "weight-report" in harnesses:
-        target = rungs[-1]
-        if target.weight is None:
-            raise ParameterError("weight-report harness requires a weight")
-        sample = default_cube_sample(cfg.dimension, target.m, cfg.seed, min_cells=8)
-        rep_w = weight_report(target.weight, [1.0, 1.5, 2.0, 4.0], sample, cfg.seed)
-        results["weight"] = rep_w.to_dict()
-        passed &= all(math.isfinite(v) for v in rep_w.ap.values())
+    for name, harness in HARNESSES.items():
+        if name in selected:
+            entries, ok = harness(ctx)
+            results.update(entries)
+            passed &= ok
     timing["harnesses"] = time.perf_counter() - t0
 
+    if ctx.rows_weak is not None:
+        report["_rows_weak"] = ctx.rows_weak
     report["harnesses"] = results
     report["passed"] = bool(passed)
     return report, timing
-
-
-def _rh_sets_report(rung: Rung, cfg: ExperimentConfig) -> dict:
-    rng = rng_from_seed(cfg.seed + 41)
-    m = rung.m
-    worst = 0.0
-    checked = 0
-    for q_cube in rung.cube_sample[:16]:
-        my_cells = np.zeros((m,) * cfg.dimension, dtype=bool)
-        my_cells[np.ix_(*q_cube.cell_arrays(m))] = True
-        idx = np.flatnonzero(my_cells.ravel())
-        for _ in range(4):
-            k = int(rng.integers(1, idx.size + 1))
-            pick = rng.choice(idx, size=k, replace=False)
-            e = np.zeros(m ** cfg.dimension, dtype=bool)
-            e[pick] = True
-            lhs, rhs = rh_subset_check(rung.weight, q_cube, e.reshape((m,) * cfg.dimension), 2.0)
-            worst = max(worst, lhs / rhs if rhs > 0 else math.inf)
-            checked += 1
-    return {"checked": checked, "worst_ratio": worst, "passed": worst <= 1.0 + 1e-9}
 
 
 # ---------------------------------------------------------------------------
@@ -622,25 +689,33 @@ def profile_svg(profile_dict: dict) -> str:
     return "\n".join(parts) + "\n"
 
 
+def _write_atomic(path: str, text: str) -> None:
+    """All-or-nothing write: stage next to ``path``, then rename over it."""
+    tmp = path + ".tmp"
+    with open(tmp, "w") as fh:
+        fh.write(text)
+    os.replace(tmp, path)
+
+
 def emit_outputs(report: dict, out_dir: str, formats: set[str]) -> list[str]:
-    """Write artifacts for a finished report; bytes depend only on its content."""
+    """Write artifacts for a finished report; bytes depend only on its content.
+
+    The report is not modified.  Its ``_rows_weak`` entry feeds
+    ``rows_weak.csv`` and is left out of ``report.json``.
+    """
     if not report:
         raise ParameterError("nothing to emit")
     os.makedirs(out_dir, exist_ok=True)
     written = []
 
     def put(name: str, text: str) -> None:
-        # all-or-nothing per artifact: stage then rename
         path = os.path.join(out_dir, name)
-        tmp = path + ".tmp"
-        with open(tmp, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
+        _write_atomic(path, text)
         written.append(path)
 
-    rows_weak = report.pop("_rows_weak", None)
+    rows_weak = report.get("_rows_weak")
     if "json" in formats:
-        put("report.json", dump_json(report))
+        put("report.json", dump_json({k: v for k, v in report.items() if k != "_rows_weak"}))
     if "csv" in formats:
         for m, prof in report.get("profiles", {}).items():
             ks = sorted(set(prof["alpha"]) | set((prof.get("beta") or {})), key=int)
@@ -673,8 +748,7 @@ def run_experiment(config_path: str, out_dir: str, overrides: Optional[list[str]
         with open(path, "rb") as fh:
             digest = hashlib.sha256(fh.read()).hexdigest()
         manifest.artifacts.append({"name": os.path.basename(path), "sha256": digest})
-    with open(os.path.join(out_dir, "manifest.json"), "w") as fh:
-        fh.write(dump_json(manifest.to_dict()))
+    _write_atomic(os.path.join(out_dir, "manifest.json"), dump_json(manifest.to_dict()))
     return manifest, report
 
 
@@ -696,7 +770,6 @@ def _common_args(sub):
                      metavar="KEY=VALUE", help="dotted-path config override")
     sub.add_argument("--resolution", type=int, default=None,
                      help="replace the resolution ladder by a single value")
-    sub.add_argument("--workers", type=int, default=None, help="parallel workers")
 
 
 def _resolve_config(args) -> tuple[str, list[str]]:
@@ -712,8 +785,6 @@ def _resolve_config(args) -> tuple[str, list[str]]:
         overrides.append(f"seed={args.seed}")
     if args.resolution is not None:
         overrides.append(f"resolution_ladder=[{args.resolution}]")
-    if args.workers is not None:
-        overrides.append(f"workers={args.workers}")
     return path, overrides
 
 

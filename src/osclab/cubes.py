@@ -9,6 +9,7 @@ exactly representable in binary floating point and snapping is loss-free.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
@@ -73,14 +74,6 @@ class Cube:
 
     def cell_count(self, m: int) -> int:
         return self.cells_per_axis(m) ** self.dimension
-
-    def contains_point(self, x: Sequence[float]) -> bool:
-        if self.side >= 1.0:
-            return True
-        for a, xi in zip(self.anchor, x):
-            if ((xi - a) % 1.0) >= self.side:
-                return False
-        return True
 
     def contains_cube(self, other: "Cube") -> bool:
         """Torus interval containment per axis (exact up to lattice tolerance)."""
@@ -198,12 +191,6 @@ class DyadicGrid:
             out.append(Cube(anchor, side))
         return out
 
-    def levels(self) -> list[list[Cube]]:
-        return [self.level(g) for g in range(self.depth + 1)]
-
-    def child_side(self) -> float:
-        return self.root.side / (2 ** self.depth)
-
 
 def dyadic_adapted_grid(q: Cube, depth: int, m: int) -> DyadicGrid:
     """Levels 0..depth of the dyadic children of ``q``; tiling is exact by construction."""
@@ -229,41 +216,46 @@ def torus_grid_adapted_to(q: Cube, m: int) -> DyadicGrid:
 # ---------------------------------------------------------------------------
 
 
-def _box_prefix(mask: np.ndarray) -> np.ndarray:
-    p = mask.astype(np.int64)
-    for ax in range(mask.ndim):
-        p = np.cumsum(p, axis=ax)
-    pad = np.zeros(tuple(s + 1 for s in mask.shape), dtype=np.int64)
-    pad[tuple(slice(1, None) for _ in mask.shape)] = p
-    return pad
+class SummedAreaTable:
+    """Exact sums of a periodic cell array over wrapped boxes (Crow, SIGGRAPH 1984).
 
+    The table holds the cumulative sums of ``values`` along every axis with a
+    leading zero slice, so a box that does not cross the seam costs 2^n reads
+    and a wrapped box splits into at most 2^n such pieces.  Boolean and
+    integer arrays are summed in int64 and give exact Python ints; real arrays
+    are summed in float64 and give Python floats.
+    """
 
-def _box_count(prefix: np.ndarray, lo: tuple[int, ...], hi: tuple[int, ...]) -> int:
-    """Number of true cells in the axis-aligned box [lo, hi) (no wrapping)."""
-    n = len(lo)
-    total = 0
-    for corner in np.ndindex(*(2,) * n):
-        idx = tuple(hi[i] if corner[i] else lo[i] for i in range(n))
-        sign = (-1) ** (n - sum(corner))
-        total += sign * int(prefix[idx])
-    return total
+    def __init__(self, values: np.ndarray):
+        values = np.asarray(values)
+        dtype = np.result_type(values.dtype, np.int64)
+        sums = values
+        for ax in range(values.ndim):
+            sums = np.cumsum(sums, axis=ax, dtype=dtype)
+        self.m = values.shape[0]
+        self.table = np.zeros(tuple(s + 1 for s in values.shape), dtype=dtype)
+        self.table[(slice(1, None),) * values.ndim] = sums
 
+    def box_sum(self, lo: Sequence[int], size: int):
+        """Sum over the wrapped box prod_i [lo_i, lo_i + size) mod m, for size <= m.
 
-def _wrapped_count(prefix: np.ndarray, m: int, lo: tuple[int, ...], size: int) -> int:
-    """Count of true cells in the wrapped box prod_i [lo_i, lo_i + size) mod m."""
-    runs_per_axis = []
-    for l in lo:
-        l %= m
-        if l + size <= m:
-            runs_per_axis.append([(l, l + size)])
-        else:
-            runs_per_axis.append([(l, m), (0, l + size - m)])
-    total = 0
-    for combo in np.ndindex(*(len(r) for r in runs_per_axis)):
-        lo_c = tuple(runs_per_axis[i][combo[i]][0] for i in range(len(lo)))
-        hi_c = tuple(runs_per_axis[i][combo[i]][1] for i in range(len(lo)))
-        total += _box_count(prefix, lo_c, hi_c)
-    return total
+        Each unwrapped piece is summed over its corners before the pieces are
+        added, which fixes the floating-point summation order.
+        """
+        m = self.m
+        runs = []
+        for l in lo:
+            l %= m
+            runs.append([(l, m), (0, l + size - m)] if l + size > m else [(l, l + size)])
+        n = len(runs)
+        total = 0
+        for piece in itertools.product(*runs):
+            part = 0
+            for corner in itertools.product((0, 1), repeat=n):
+                idx = tuple(run[c] for run, c in zip(piece, corner))
+                part += (-1) ** (n - sum(corner)) * self.table[idx].item()
+            total += part
+        return total
 
 
 def _dilated4_bounds(lo: int, c: int) -> tuple[int, int]:
@@ -303,21 +295,20 @@ def whitney_decompose(omega: np.ndarray, grid: DyadicGrid) -> list[Cube]:
     rolled = omega
     for ax, a in enumerate(anchor_cells):
         rolled = np.roll(rolled, -a, axis=ax)
-    prefix = _box_prefix(rolled)
+    table = SummedAreaTable(rolled)
 
     min_cells = max(1, m // (2 ** grid.depth))
     collected: list[tuple[tuple[int, ...], int]] = []
 
     def descend_dilated(lo: tuple[int, ...], c: int) -> None:
-        vol = c ** n
-        inside = _box_count(prefix, lo, tuple(l + c for l in lo))
+        inside = table.box_sum(lo, c)
         if inside == 0:
             return
         if 4 * c < m:
             d_lo_hi = [_dilated4_bounds(l, c) for l in lo]
             size = d_lo_hi[0][1]
             d_lo = tuple(x[0] for x in d_lo_hi)
-            if _wrapped_count(prefix, m, d_lo, size) == size ** n:
+            if table.box_sum(d_lo, size) == size ** n:
                 collected.append((lo, c))
                 return
         if c > min_cells:
@@ -334,10 +325,10 @@ def whitney_decompose(omega: np.ndarray, grid: DyadicGrid) -> list[Cube]:
     remainder = rolled & ~covered
 
     if remainder.any():
-        rem_prefix = _box_prefix(remainder)
+        rem_table = SummedAreaTable(remainder)
 
         def descend_plain(lo: tuple[int, ...], c: int) -> None:
-            inside = _box_count(rem_prefix, lo, tuple(l + c for l in lo))
+            inside = rem_table.box_sum(lo, c)
             if inside == 0:
                 return
             if inside == c ** n:

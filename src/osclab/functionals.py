@@ -92,11 +92,6 @@ class Coeffs:
             out[k] = max(out[k], out[k + 1])
         return Coeffs("table", values=out)
 
-    def describe(self) -> dict:
-        if self.kind == "callable":
-            return {"kind": "callable"}
-        return {"kind": self.kind, **{k: v for k, v in self.params.items()}}
-
 
 # ---------------------------------------------------------------------------
 # functional kinds

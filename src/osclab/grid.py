@@ -81,9 +81,6 @@ class Field:
     def torus(self) -> Cube:
         return full_torus(self.dimension)
 
-    def map(self, fn) -> "Field":
-        return Field(fn(self.values))
-
     # -- I/O ----------------------------------------------------------------
 
     def save(self, path_base: str, fmt: str = "bin") -> list[str]:

@@ -29,7 +29,6 @@ from osclab._support import (
     DataError,
     NumericError,
     ParameterError,
-    parallel_map,
     rng_from_seed,
 )
 from osclab.cubes import Cube, Dilation, dilate
@@ -371,9 +370,6 @@ class OffDiagonalProfile:
             return 0.0
         return float(self.beta.get(k, 0.0))
 
-    def k_range(self) -> list[int]:
-        return sorted(self.alpha)
-
     def fit(self, ks: Sequence[int]) -> tuple[float, float, float]:
         """Least squares of log alpha_k against 4^k; residual is normalized by
         the spread of the log data."""
@@ -404,10 +400,6 @@ class OffDiagonalProfile:
             "probe_spec": self.probe_spec,
             "fit": {"log_c": self.fit_log_c, "rate": self.fit_rate, "residual": self.fit_residual},
         }
-
-    def csv_rows(self) -> list[tuple]:
-        ks = sorted(set(self.alpha) | set(self.beta or {}))
-        return [(k, self.alpha_at(k), self.beta_at(k)) for k in ks]
 
 
 @dataclass
@@ -446,9 +438,6 @@ class OscillationFamily:
     def sidelength_only(self) -> bool:
         return self.kind == "semigroup"
 
-    def _resolution_of(self, f: Field) -> int:
-        return f.resolution
-
     def apply_B(self, f: Field, q: Cube) -> Field:
         m = f.resolution
         if self.kind == "classical-average":
@@ -462,11 +451,7 @@ class OscillationFamily:
             two_q = dilate(q, 2.0, m).cube
             out[np.ix_(*two_q.cell_arrays(m))] -= avg
             return Field(out)
-        g = f
-        t = q.side ** 2
-        for _ in range(self.big_n):
-            g = Field(g.values - semigroup_apply(self.operator, t, g, self.dt).values)
-        return g
+        return self.apply_B_scale(f, q.side)
 
     def apply_A(self, f: Field, q: Cube) -> Field:
         return Field(f.values - self.apply_B(f, q).values)
@@ -531,7 +516,6 @@ def measure_offdiagonal(
     cube_sample: Sequence[Cube],
     k_max: int = 6,
     pair_levels: int = 1,
-    workers: int = 1,
 ) -> OffDiagonalProfile:
     """Empirical decay entries for the family on annulus-supported probes.
 
@@ -558,9 +542,7 @@ def measure_offdiagonal(
     def dil(q: Cube, factor: float) -> Dilation:
         return dilate(q, factor, m) if factor > 1 else Dilation(q, False)
 
-    def work(q: Cube) -> tuple[dict, dict]:
-        loc_a: dict[int, float] = {}
-        loc_b: dict[int, float] = {}
+    for q in cube_sample:
         two_q = dil(q, 2.0)
         four_q = dil(q, 4.0)
         # on-diagonal entry
@@ -572,7 +554,7 @@ def measure_offdiagonal(
                 lhs = lp_average(family.apply_A(masked, q), two_q.cube, q0)
                 rhs = lp_average(masked, rhs_cube, p0)
                 if rhs > 0:
-                    loc_a[2] = max(loc_a.get(2, 0.0), lhs / rhs)
+                    bump(alpha, 2, lhs / rhs)
         # far-field entries
         for k in range(3, k_max + 1):
             outer = dil(q, 2.0 ** k)
@@ -586,7 +568,7 @@ def measure_offdiagonal(
                     lhs = lp_average(family.apply_A(p, q), target, q0)
                     rhs = lp_average(p, outer.cube, p0)
                     if rhs > 0:
-                        loc_a[k] = max(loc_a.get(k, 0.0), lhs / rhs)
+                        bump(alpha, k, lhs / rhs)
         # lower-scale entries on nested pairs
         for level in range(1, pair_levels + 1):
             side = q.side / (2 ** level)
@@ -610,15 +592,7 @@ def measure_offdiagonal(
                     lhs = lp_average(g, two_r.cube, q0)
                     rhs = lp_average(p, outer.cube, p0)
                     if rhs > 0:
-                        loc_b[k] = max(loc_b.get(k, 0.0), lhs / rhs)
-        return loc_a, loc_b
-
-    results = parallel_map(work, list(cube_sample), workers)
-    for loc_a, loc_b in results:
-        for k, v in loc_a.items():
-            bump(alpha, k, v)
-        for k, v in loc_b.items():
-            bump(beta, k, v)
+                        bump(beta, k, lhs / rhs)
 
     spec = {
         "probes": len(probes),

@@ -229,9 +229,6 @@ class VerifyReport:
             "extras": self.extras,
         }
 
-    def csv_rows(self) -> list[tuple]:
-        return self.rows
-
 
 def _conclusion_sweep(
     rung: Rung,
@@ -328,20 +325,17 @@ def verify_strong(
     for rung in rungs:
         hyp_rep = check_hypothesis(rung.family, rung.field, rung.hypothesis, rung.cube_sample, 2)
         hyp = max(hyp, hyp_rep.constant)
-        get_b = _b_field_cache(rung.family, rung.field)
-        best = 0.0
-        for q_cube in rung.cube_sample:
-            bf = get_b(q_cube)
+
+        def strong_norm(bf: Field, q_cube: Cube) -> float:
+            nonlocal worst_gap
             strong = lp_average(bf, q_cube, r, rung.weight)
             weak = weak_lq_norm(bf, q_cube, q, rung.weight)
             worst_gap = max(worst_gap, strong - factor * weak)
-            two_q = dilate(q_cube, 2.0, rung.m)
-            den = rung.denominator.eval(q_cube)
-            ratio = math.inf if (den == 0.0 and strong > 0.0) else (strong / den if den else 0.0)
-            flags = int(two_q.saturated) | (2 * int(cube_wraps(two_q.cube)))
-            rows.append((rung.m, q_cube.to_dict(), strong, den, ratio, flags))
-            best = max(best, ratio)
+            return strong
+
+        best, rung_rows = _conclusion_sweep(rung, strong_norm)
         per_res[rung.m] = best
+        rows.extend(rung_rows)
     scale = max((row[2] for row in rows), default=1.0) or 1.0
     kolmogorov_ok = worst_gap <= 1e-10 * scale
     return VerifyReport(

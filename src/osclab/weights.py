@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from osclab._support import DataError, ParameterError, rng_from_seed
-from osclab.cubes import Cube
+from osclab.cubes import Cube, SummedAreaTable
 from osclab.grid import Field
 
 
@@ -31,7 +31,7 @@ class Weight:
             raise DataError("weight density must be real")
         if not np.all(self.density.values > 0):
             raise DataError("weight density must be strictly positive")
-        object.__setattr__(self, "_prefix", _prefix_table(self.density.values))
+        object.__setattr__(self, "_masses", SummedAreaTable(self.density.values))
 
     @property
     def resolution(self) -> int:
@@ -44,9 +44,7 @@ class Weight:
     def mass(self, q: Cube) -> float:
         """w(Q) = integral of the density over the cube (cell sums, exact)."""
         m = self.resolution
-        lo = q.anchor_cells(m)
-        c = q.cells_per_axis(m)
-        raw = _wrapped_box_sum(getattr(self, "_prefix"), m, lo, c)
+        raw = self._masses.box_sum(q.anchor_cells(m), q.cells_per_axis(m))
         return raw * self.density.cell_volume
 
     def mass_of_cells(self, mask: np.ndarray) -> float:
@@ -58,37 +56,6 @@ class Weight:
 
 def ones_weight(dimension: int, m: int) -> Weight:
     return Weight(Field(np.ones((m,) * dimension)))
-
-
-def _prefix_table(vals: np.ndarray) -> np.ndarray:
-    p = vals.astype(np.float64)
-    for ax in range(vals.ndim):
-        p = np.cumsum(p, axis=ax)
-    pad = np.zeros(tuple(s + 1 for s in vals.shape))
-    pad[tuple(slice(1, None) for _ in vals.shape)] = p
-    return pad
-
-
-def _box_sum(prefix: np.ndarray, lo: tuple[int, ...], hi: tuple[int, ...]) -> float:
-    n = len(lo)
-    total = 0.0
-    for corner in np.ndindex(*(2,) * n):
-        idx = tuple(hi[i] if corner[i] else lo[i] for i in range(n))
-        total += ((-1) ** (n - sum(corner))) * float(prefix[idx])
-    return total
-
-
-def _wrapped_box_sum(prefix: np.ndarray, m: int, lo: Sequence[int], size: int) -> float:
-    runs = []
-    for l in lo:
-        l %= m
-        runs.append([(l, min(l + size, m))] + ([(0, l + size - m)] if l + size > m else []))
-    total = 0.0
-    for combo in np.ndindex(*(len(r) for r in runs)):
-        lo_c = tuple(runs[i][combo[i]][0] for i in range(len(lo)))
-        hi_c = tuple(runs[i][combo[i]][1] for i in range(len(lo)))
-        total += _box_sum(prefix, lo_c, hi_c)
-    return total
 
 
 @dataclass
@@ -226,23 +193,3 @@ def rh_subset_check(
     frac = subset_mask.sum() / q.cell_count(m)
     rhs = c * float(frac) ** (1.0 / pprime)
     return lhs, rhs
-
-
-def default_cube_sample(dimension: int, m: int, seed: int = 0, min_cells: int = 4) -> list[Cube]:
-    """Dyadic cubes of >= min_cells per axis plus a few seeded off-dyadic cubes."""
-    cubes = []
-    side_cells = m
-    while side_cells >= min_cells:
-        side = side_cells / m
-        step = side_cells
-        for idx in np.ndindex(*(m // step,) * dimension):
-            anchor = tuple(i * step / m for i in idx)
-            cubes.append(Cube(anchor, side))
-        side_cells //= 2
-    rng = rng_from_seed(seed)
-    h = 1.0 / m
-    for _ in range(16):
-        c = int(2 ** rng.integers(int(math.log2(min_cells)), int(math.log2(m))))
-        anchor = tuple(int(rng.integers(0, m)) * h for _ in range(dimension))
-        cubes.append(Cube(anchor, c * h))
-    return cubes

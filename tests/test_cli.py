@@ -88,24 +88,29 @@ def test_repeat_runs_byte_identical(tmp_path):
     assert read_artifacts(str(tmp_path / "a")) == read_artifacts(str(tmp_path / "b"))
 
 
-def test_runs_byte_identical_across_worker_counts(tmp_path):
-    base = ["resolution_ladder=[64]", "cube_sample.off_dyadic=4"]
-    run_experiment(bundled_config_path("classical-jn"), str(tmp_path / "w1"), base + ["workers=1"])
-    run_experiment(bundled_config_path("classical-jn"), str(tmp_path / "w2"), base + ["workers=2"])
-    a = read_artifacts(str(tmp_path / "w1"))
-    b = read_artifacts(str(tmp_path / "w2"))
-    # the workers knob lives inside the recorded config; strip it before comparing
-    ra = json.loads(a.pop("report.json"))
-    rb = json.loads(b.pop("report.json"))
-    ra["config"].pop("workers")
-    rb["config"].pop("workers")
-    assert ra == rb
-    assert a == b
+@pytest.mark.parametrize(
+    "override, offender",
+    [('harnesses=["weka"]', "weka"), ("varient=local", "varient"), ("workers=2", "workers")],
+)
+def test_config_rejects_unknown_keys_and_harnesses(override, offender):
+    with pytest.raises(ParameterError, match=offender):
+        ExperimentConfig.load(bundled_config_path("classical-jn"), [override])
 
 
 def test_emit_refuses_empty_report(tmp_path):
     with pytest.raises(ParameterError):
         emit_outputs({}, str(tmp_path), {"json"})
+
+
+def test_emit_outputs_leaves_report_intact(tmp_path):
+    report = {"passed": True, "_rows_weak": [(64, {"anchor": [0.0], "side": 0.5}, 1.0, 2.0, 0.5, 0)]}
+    for out in ("first", "second"):
+        files = emit_outputs(report, str(tmp_path / out), {"json", "csv"})
+        assert sorted(os.path.basename(f) for f in files) == ["report.json", "rows_weak.csv"]
+        with open(tmp_path / out / "report.json") as fh:
+            assert "_rows_weak" not in json.load(fh)
+    assert "_rows_weak" in report
+    assert read_artifacts(str(tmp_path / "first")) == read_artifacts(str(tmp_path / "second"))
 
 
 def test_emit_json_only_single_file(tmp_path):

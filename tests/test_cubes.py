@@ -9,6 +9,7 @@ from osclab._support import DomainError, ParameterError
 from osclab.cubes import (
     Cube,
     DisjointFamily,
+    SummedAreaTable,
     dilate,
     dyadic_adapted_grid,
     dyadic_dilations,
@@ -134,6 +135,39 @@ def test_adapted_grid_1d_depth3_cells_match():
 def test_adapted_grid_rejects_overdeep():
     with pytest.raises(ParameterError):
         dyadic_adapted_grid(Cube((0.0,), 0.25), 3, 16)  # 4 cells / 2^3 < 1
+
+
+# ---------------------------------------------------------------------------
+# Wrapped box sums
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("dim, m", [(1, 64), (2, 16)])
+def test_box_sums_match_brute_force(dim, m):
+    # anchors range over [-2m, 2m), as whitney_decompose passes them for
+    # dilated boxes near the seam and Weight.mass for anchors in [0, m)
+    rng = np.random.default_rng(dim)
+    arrays = {
+        "bool": rng.random((m,) * dim) < 0.4,
+        "int": rng.integers(0, 4, size=(m,) * dim),
+        "float": rng.random((m,) * dim) + 0.1,
+    }
+    tables = {kind: SummedAreaTable(values) for kind, values in arrays.items()}
+    seen = set()
+    for _ in range(300):
+        size = int(rng.integers(1, m + 1))
+        lo = tuple(int(v) for v in rng.integers(-2 * m, 2 * m, size=dim))
+        seen.update({"neg" for l in lo if l < 0} | {"high" for l in lo if l >= m}
+                    | {"seam" for l in lo if l % m + size > m})
+        ix = np.ix_(*[(np.arange(size) + l) % m for l in lo])
+        for kind, values in arrays.items():
+            got = tables[kind].box_sum(lo, size)
+            want = values[ix].sum()
+            if kind == "float":
+                assert isinstance(got, float) and abs(got - want) <= 1e-12 * want, (lo, size)
+            else:
+                assert isinstance(got, int) and got == int(want), (kind, lo, size)
+    assert seen == {"neg", "high", "seam"}
 
 
 # ---------------------------------------------------------------------------

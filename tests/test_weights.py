@@ -8,10 +8,10 @@ import pytest
 from osclab._support import DataError, ParameterError
 from osclab.cubes import Cube, full_torus
 from osclab.grid import Field, make_field
+from osclab.verify import make_cube_sample
 from osclab.weights import (
     Weight,
     ap_constant_on_cube,
-    default_cube_sample,
     ones_weight,
     rh_constant_on_cube,
     rh_subset_check,
@@ -52,7 +52,7 @@ def test_mass_wraps_around_torus():
 
 def test_unit_weight_constants_are_one():
     w = ones_weight(1, 32)
-    sample = default_cube_sample(1, 32, seed=1)
+    sample = make_cube_sample(1, 32, min_cells=4, off_dyadic=16, seed=1)
     rep = weight_report(w, [1.0, 2.0, 3.0], sample, seed=2)
     for v in rep.ap.values():
         assert v == pytest.approx(1.0, abs=1e-12)
@@ -65,7 +65,7 @@ def test_power_weight_a1_stable_under_refinement():
     consts = []
     for m in (128, 256):
         w = power_weight(m)
-        sample = default_cube_sample(1, m, seed=0, min_cells=8)
+        sample = make_cube_sample(1, m, min_cells=8, off_dyadic=16, seed=0)
         consts.append(max(ap_constant_on_cube(w, q, 1.0) for q in sample))
     assert all(np.isfinite(c) for c in consts)
     assert max(consts) / min(consts) < 2.0
@@ -73,7 +73,7 @@ def test_power_weight_a1_stable_under_refinement():
 
 def test_spike_ap_constants_decreasing_in_p():
     w = spike_weight(32)
-    sample = default_cube_sample(1, 32, seed=3)
+    sample = make_cube_sample(1, 32, min_cells=4, off_dyadic=16, seed=3)
     rep = weight_report(w, [1.0, 1.5, 2.0, 4.0], sample, seed=3)
     ps = sorted(rep.ap)
     vals = [rep.ap[p] for p in ps]
@@ -84,7 +84,7 @@ def test_spike_ap_constants_decreasing_in_p():
 
 def test_rh_constants_nondecreasing_in_p():
     w = spike_weight(32)
-    sample = default_cube_sample(1, 32, seed=3)
+    sample = make_cube_sample(1, 32, min_cells=4, off_dyadic=16, seed=3)
     rep = weight_report(w, [1.5, 2.0, 4.0], sample, seed=3)
     ps = sorted(rep.rh)
     vals = [rep.rh[p] for p in ps]
@@ -95,7 +95,7 @@ def test_rh_constants_nondecreasing_in_p():
 def test_a1_left_comparison_inequality():
     # |S|/|Q| <= A1 * w(S)/w(Q) on sampled subcubes of sampled cubes
     w = power_weight(64)
-    sample = default_cube_sample(1, 64, seed=5, min_cells=8)
+    sample = make_cube_sample(1, 64, min_cells=8, off_dyadic=16, seed=5)
     a1 = max(ap_constant_on_cube(w, q, 1.0) for q in sample)
     m = 64
     for q in sample[:12]:
@@ -167,6 +167,6 @@ def test_rh_subset_holds_across_random_subsets():
 
 def test_report_serialization():
     w = ones_weight(1, 16)
-    rep = weight_report(w, [2.0], default_cube_sample(1, 16, seed=0), seed=0)
+    rep = weight_report(w, [2.0], make_cube_sample(1, 16, min_cells=4, off_dyadic=16, seed=0), seed=0)
     d = rep.to_dict()
     assert set(d) >= {"ap", "rh", "theta", "cubes_sampled", "seed"}
