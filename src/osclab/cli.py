@@ -639,7 +639,8 @@ def run_pipeline(cfg: ExperimentConfig) -> tuple[dict, dict]:
 
 def profile_svg(profile_dict: dict) -> str:
     """Self-contained SVG of log10 alpha_k against k with the fitted model."""
-    alpha = {int(k): v for k, v in profile_dict["alpha"].items() if v > 0}
+    # float() reads the "nan"/"inf" strings that report.json stores for non-finite values
+    alpha = {int(k): float(v) for k, v in profile_dict["alpha"].items() if float(v) > 0}
     fit = profile_dict.get("fit", {})
     width, height, pad = 640, 400, 50
     ks = sorted(alpha)
@@ -670,9 +671,9 @@ def profile_svg(profile_dict: dict) -> str:
         parts.append(
             f"<circle cx='{format_float(sx(k))}' cy='{format_float(sy(logs[k]))}' r='4' fill='steelblue'/>"
         )
-    rate = fit.get("rate")
-    log_c = fit.get("log_c")
-    if rate is not None and not (rate != rate):  # not NaN
+    rate = float(fit.get("rate", math.nan))
+    log_c = float(fit.get("log_c", math.nan))
+    if math.isfinite(rate):
         fit_pts = []
         for k in ks:
             model = (log_c - rate * 4.0 ** k) / math.log(10.0)

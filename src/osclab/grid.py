@@ -285,18 +285,25 @@ def _lr_quasi_average(f: Field, q: Cube, r: float, w: WeightLike) -> float:
 # anchored window comes from a roll-doubling box sum, and the supremum over
 # the windows containing a given cell is a sliding max over c anchors, again
 # by roll doubling.  Both reductions are fixed binary trees, hence exact
-# reproducibility.
+# reproducibility.  They act on the trailing ``dimension`` axes only, so a
+# stack of fields (one per exponent, say) is reduced in one call; leading
+# axes are batch axes.
 
 
-def _box_sum_double(s: np.ndarray, k: int) -> np.ndarray:
-    for ax in range(s.ndim):
+def _grid_axes(a: np.ndarray, dimension: Optional[int]) -> range:
+    n = a.ndim if dimension is None else dimension
+    return range(a.ndim - n, a.ndim)
+
+
+def _box_sum_double(s: np.ndarray, k: int, dimension: Optional[int] = None) -> np.ndarray:
+    for ax in _grid_axes(s, dimension):
         s = s + np.roll(s, -k, axis=ax)
     return s
 
 
-def _anchor_max(a: np.ndarray, c: int) -> np.ndarray:
+def _anchor_max(a: np.ndarray, c: int, dimension: Optional[int] = None) -> np.ndarray:
     out = a
-    for ax in range(a.ndim):
+    for ax in _grid_axes(a, dimension):
         u, k = out, 1
         while k < c:
             u = np.maximum(u, np.roll(u, k, axis=ax))
@@ -305,25 +312,30 @@ def _anchor_max(a: np.ndarray, c: int) -> np.ndarray:
     return out
 
 
-def sliding_cube_means(g: np.ndarray, c: int) -> np.ndarray:
-    """Mean of g over the c-cell cube anchored at each cell (wrapped)."""
+def sliding_cube_means(g: np.ndarray, c: int, dimension: Optional[int] = None) -> np.ndarray:
+    """Mean of g over the c-cell cube anchored at each cell (wrapped).
+
+    The cube spans the trailing ``dimension`` axes (all axes by default).
+    """
+    n = g.ndim if dimension is None else dimension
     s, k = g, 1
     while k < c:
-        s = _box_sum_double(s, k)
+        s = _box_sum_double(s, k, n)
         k *= 2
-    return s / float(c ** g.ndim)
+    return s / float(c ** n)
 
 
-def scale_sweep_max(per_scale) -> np.ndarray:
+def scale_sweep_max(per_scale, dimension: Optional[int] = None) -> np.ndarray:
     """Pointwise max over scales of per-scale anchored stats lifted to cells.
 
     ``per_scale`` yields (c, anchored_array) pairs where anchored_array[a] is
     the statistic of the cube of c cells anchored at a; the result at cell x
-    is the max of the statistic over all admissible cubes containing x.
+    is the max of the statistic over all admissible cubes containing x.  The
+    cubes span the trailing ``dimension`` axes (all axes by default).
     """
     out = None
     for c, arr in per_scale:
-        lifted = _anchor_max(arr, c)
+        lifted = _anchor_max(arr, c, dimension)
         out = lifted if out is None else np.maximum(out, lifted)
     return out
 

@@ -24,6 +24,7 @@ from typing import Optional, Sequence
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from numpy.lib.stride_tricks import sliding_window_view
 
 from osclab._support import (
     DataError,
@@ -698,36 +699,49 @@ def audit_family(
 # ---------------------------------------------------------------------------
 
 
-def _window_indices(m: int, c: int) -> np.ndarray:
-    return (np.arange(m)[:, None] + np.arange(c)[None, :]) % m
+# Anchored windows are gathered in blocks of at most this many samples (or one
+# window, when a single window is larger), so memory stays bounded instead of
+# growing as m^n c^n with the scale.
+_WINDOW_BLOCK = 1 << 16
 
 
-def _anchored_oscillation_power(f: Field, c: int, p: float) -> np.ndarray:
-    """mean_Q |f - f_Q|^p per anchored window of c cells (positional families)."""
+def _anchored_deviations(f: Field, c: int):
+    """Yield (anchor index, |f - f_Q|) for blocks of anchored c-cell windows Q.
+
+    The deviations of one window form one contiguous row, so a row mean is
+    the same pairwise sum as the mean over that window alone.
+    """
     vals = f.values
-    m = f.resolution
-    if f.dimension == 1:
-        win = vals[_window_indices(m, c)]
-        mu = win.mean(axis=1, keepdims=True)
-        return np.power(np.abs(win - mu), p).mean(axis=1)
-    out = np.empty_like(vals, dtype=float)
-    for anchor in np.ndindex(*vals.shape):
-        ix = np.ix_(*[(np.arange(c) + a) % m for a in anchor])
-        block = vals[ix]
-        out[anchor] = np.power(np.abs(block - block.mean()), p).mean()
-    return out
+    n, m = f.dimension, f.resolution
+    size = c ** n
+    windows = sliding_window_view(np.pad(vals, [(0, c - 1)] * n, mode="wrap"), (c,) * n)
+    rows = max(1, _WINDOW_BLOCK // size)
+    for lead in np.ndindex(*(m,) * (n - 1)):
+        for a in range(0, m, rows):
+            ix = lead + (slice(a, a + rows),)
+            win = np.ascontiguousarray(windows[ix]).reshape(-1, size)
+            yield ix, np.abs(win - win.mean(axis=1, keepdims=True))
 
 
-def sharp_maximal(family: OscillationFamily, f: Field, p: float, alpha: float = 0.0) -> Field:
+def sharp_maximal(
+    family: OscillationFamily, f: Field, p: float | Sequence[float], alpha: float = 0.0
+) -> Field | list[Field]:
     """Pointwise sup over admissible cubes of |Q|^{-alpha/n} (mean_Q |B_Q f|^p)^{1/p}.
 
     Admissible cubes are those of the restricted maximal-function family.
     With alpha = 0 the sup-norm of the result is the oscillation BMO seminorm
     of f for this family; positive alpha gives the Lipschitz-scale variant.
+
+    ``p`` is one exponent or a sequence of them; a sequence returns one field
+    per exponent, in order, from a single sweep over the scales: each B_Q f
+    (or window deviation) is computed once and raised to every exponent.
     """
-    if not (family.p0 <= p and (p < family.q0 or p == family.p0)):
-        raise ParameterError(f"p={p} outside [{family.p0}, {family.q0})")
-    m = f.resolution
+    single = np.ndim(p) == 0
+    ps = [float(p)] if single else [float(x) for x in p]
+    for x in ps:
+        if not (family.p0 <= x and (x < family.q0 or x == family.p0)):
+            raise ParameterError(f"p={x} outside [{family.p0}, {family.q0})")
+    m, n = f.resolution, f.dimension
 
     def scales():
         c = 1
@@ -735,14 +749,18 @@ def sharp_maximal(family: OscillationFamily, f: Field, p: float, alpha: float = 
             side = c / m
             weight = side ** (-alpha) if alpha else 1.0
             if family.sidelength_only:
-                g = np.power(np.abs(family.apply_B_scale(f, side).values), p)
-                stat = sliding_cube_means(g, c)
+                dev = np.abs(family.apply_B_scale(f, side).values)
+                stat = sliding_cube_means(np.stack([np.power(dev, x) for x in ps]), c, n)
             else:
-                stat = _anchored_oscillation_power(f, c, p)
-            yield c, weight * np.power(stat, 1.0 / p)
+                stat = np.empty((len(ps),) + f.values.shape)
+                for ix, dev in _anchored_deviations(f, c):
+                    for j, x in enumerate(ps):
+                        stat[j][ix] = np.power(dev, x).mean(axis=1)
+            yield c, np.stack([weight * np.power(s, 1.0 / x) for s, x in zip(stat, ps)])
             c *= 2
 
-    return Field(scale_sweep_max(scales()))
+    best = scale_sweep_max(scales(), n)
+    return Field(best[0]) if single else [Field(b) for b in best]
 
 
 def bmo_seminorm(family: OscillationFamily, f: Field, p: float, alpha: float = 0.0) -> float:

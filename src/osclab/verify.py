@@ -607,16 +607,24 @@ def verify_bmo_equivalence(
         raise ParameterError("all exponents must be >= p0")
     if not (ps[-1] < s_exp):
         raise ParameterError("need max(ps) < s for the pointwise comparison")
+    # The pointwise comparison of the p-sharp maximal against M_s of the
+    # p0-sharp maximal runs on one rung (cost control) at alpha = 0; with
+    # alpha = 0 it reuses that rung's seminorm sweep, extended by p0.
+    target = min(rungs, key=lambda r: r.m) if jn2_on_smallest else rungs[-1]
+    p0 = target.family.p0
+    jn2_ps = [p for p in ps if p != p0]
     seminorms: dict = {}
     ratios: dict = {}
     monotone_ok = True
+    jn2 = 0.0
     for rung in rungs:
         per_field: dict = {}
         per_ratio: dict = {}
+        reuse = rung is target and alpha == 0.0
+        exps = sorted({p0, *ps}) if reuse else ps
         for i, f in enumerate(rung.fields):
-            vals = {}
-            for p in ps:
-                vals[p] = float(np.max(sharp_maximal(rung.family, f, p, alpha).values))
+            sharp = dict(zip(exps, sharp_maximal(rung.family, f, exps, alpha)))
+            vals = {p: float(np.max(sharp[p].values)) for p in ps}
             seq = [vals[p] for p in ps]
             for lo, hi in zip(seq, seq[1:]):
                 if lo > hi * (1 + 1e-12):
@@ -624,23 +632,20 @@ def verify_bmo_equivalence(
             top, bot = max(seq), min(seq)
             per_field[i] = vals
             per_ratio[i] = 1.0 if top == 0.0 else (math.inf if bot == 0.0 else top / bot)
+            if rung is not target:
+                continue
+            if not reuse:
+                sharp = dict(zip([p0] + jn2_ps, sharp_maximal(rung.family, f, [p0] + jn2_ps, 0.0)))
+            maj = maximal_function(sharp[p0], s_exp).values
+            mask = maj > 0
+            for p in jn2_ps:
+                num = sharp[p].values
+                if mask.any():
+                    jn2 = max(jn2, float(np.max(num[mask] / maj[mask])))
+                if bool((~mask).any()) and float(np.max(num[~mask])) > 1e-12:
+                    jn2 = math.inf
         seminorms[rung.m] = per_field
         ratios[rung.m] = per_ratio
-    # pointwise comparison on the smallest rung (cost control)
-    jn2 = 0.0
-    target = min(rungs, key=lambda r: r.m) if jn2_on_smallest else rungs[-1]
-    for f in target.fields:
-        base = sharp_maximal(target.family, f, target.family.p0, 0.0)
-        maj = maximal_function(base, s_exp).values
-        for p in ps:
-            if p == target.family.p0:
-                continue
-            num = sharp_maximal(target.family, f, p, 0.0).values
-            mask = maj > 0
-            if mask.any():
-                jn2 = max(jn2, float(np.max(num[mask] / maj[mask])))
-            if bool((~mask).any()) and float(np.max(num[~mask])) > 1e-12:
-                jn2 = math.inf
     per_field_stable = True
     ms = sorted(ratios)
     for i in range(len(rungs[0].fields)):

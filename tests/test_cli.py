@@ -164,6 +164,21 @@ def test_cli_report_subcommand_reemits(tmp_path):
     assert os.path.isfile(os.path.join(out, "profile_m128.svg"))
 
 
+def test_report_svg_reemits_profile_without_fit(tmp_path):
+    # every rung of classical-jn at m=256 has no fit; report.json stores it as "nan"
+    out = str(tmp_path / "c")
+    run_experiment(bundled_config_path("classical-jn"), out, ["resolution_ladder=[256]"])
+    with open(os.path.join(out, "report.json")) as fh:
+        assert json.load(fh)["profiles"]["256"]["fit"]["rate"] == "nan"
+    svg = os.path.join(out, "profile_m256.svg")
+    with open(svg, "rb") as fh:
+        fresh = fh.read()
+    os.remove(svg)
+    assert main(["report", "--out", out, "--formats", "svg"]) == 0
+    with open(svg, "rb") as fh:
+        assert fh.read() == fresh
+
+
 def test_heat_offdiag_csv_alpha_strictly_decreasing(tmp_path):
     out = str(tmp_path / "h")
     manifest, _ = run_experiment(bundled_config_path("heat-offdiag"), out, ["resolution_ladder=[256]"])

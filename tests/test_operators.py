@@ -416,6 +416,56 @@ def test_sharp_maximal_rejects_out_of_range_p():
         sharp_maximal(fam, f, 4.0)
 
 
+SHARP_CASES = {
+    "semigroup-spectral": (1, 64, lambda m: make_family("semigroup", (1.0, math.inf), identity_operator(m))),
+    "semigroup-stencil": (1, 32, lambda m: make_family("semigroup", (1.0, math.inf), variable_operator(m))),
+    "extended-average-1d": (1, 64, lambda m: make_family("extended-average", (1.0, math.inf))),
+    "extended-average-2d": (2, 16, lambda m: make_family("extended-average", (1.0, math.inf))),
+    "classical-average-1d": (1, 64, lambda m: make_family("classical-average", (1.0, math.inf))),
+    "classical-average-2d": (2, 16, lambda m: make_family("classical-average", (1.0, math.inf))),
+}
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.5])
+@pytest.mark.parametrize("case", sorted(SHARP_CASES))
+def test_sharp_maximal_exponent_sweep_equals_single_exponent_calls(case, alpha):
+    dim, m, build = SHARP_CASES[case]
+    fam = build(m)
+    f = make_field("random-smooth", dim, m, seed=5, band=4)
+    swept = sharp_maximal(fam, f, [1.0, 2.0, 4.0], alpha)
+    assert isinstance(swept, list) and len(swept) == 3
+    for p, got in zip([1.0, 2.0, 4.0], swept):
+        assert np.array_equal(got.values, sharp_maximal(fam, f, p, alpha).values), p
+
+
+def test_sharp_maximal_blocked_windows_match_brute_force():
+    from osclab import operators
+
+    m = 512
+    assert m * m > operators._WINDOW_BLOCK  # the largest scales take several anchor blocks
+    fam = make_family("extended-average", (1.0, math.inf))
+    f = make_field("random-smooth", 1, m, seed=9, band=6)
+    got = sharp_maximal(fam, f, [1.0, 2.0, 4.0])
+    # on Q itself the extended-average B_Q f is f - f_Q, as for the classical family
+    for p, g in zip([1.0, 2.0, 4.0], got):
+        assert np.allclose(g.values, brute_sharp_classical(f.values, p), rtol=1e-12, atol=0.0), p
+
+
+def test_sharp_maximal_window_memory_bounded():
+    import tracemalloc
+
+    m = 4096  # an m x m float64 window matrix would take 128 MB
+    fam = make_family("extended-average", (1.0, math.inf))
+    f = make_field("random-smooth", 1, m, seed=3, band=6)
+    tracemalloc.start()
+    try:
+        sharp_maximal(fam, f, [1.0, 2.0, 4.0])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20, peak
+
+
 def test_coefficient_io_roundtrip(tmp_path):
     from osclab.operators import load_coefficients, save_coefficients
 

@@ -10,8 +10,8 @@ import pytest
 from osclab._support import ParameterError
 from osclab.cubes import Cube, sample_disjoint_families
 from osclab.functionals import ConstantFunctional, estimate_condition, tilde_expand
-from osclab.grid import Field, make_field
-from osclab.operators import EllipticOperator, make_family, measure_offdiagonal
+from osclab.grid import Field, make_field, maximal_function
+from osclab.operators import EllipticOperator, make_family, measure_offdiagonal, sharp_maximal
 from osclab.verify import (
     BmoRung,
     Rung,
@@ -297,3 +297,41 @@ def test_bmo_equivalence_lipschitz_scale_variant():
     assert rep.monotone_ok
     for vals in rep.seminorms[m].values():
         assert all(math.isfinite(v) and v > 0 for v in vals.values())
+
+
+def per_exponent_bmo_reference(rungs, ps, s_exp, alpha):
+    """Seminorms, ratios and jn2 from one sharp_maximal call per exponent, with
+    the pointwise comparison at alpha = 0 on the smallest rung."""
+    seminorms, ratios = {}, {}
+    for rung in rungs:
+        seminorms[rung.m] = {}
+        ratios[rung.m] = {}
+        for i, f in enumerate(rung.fields):
+            vals = {p: float(np.max(sharp_maximal(rung.family, f, p, alpha).values)) for p in ps}
+            seminorms[rung.m][i] = vals
+            ratios[rung.m][i] = max(vals.values()) / min(vals.values())
+    target = min(rungs, key=lambda r: r.m)
+    jn2 = 0.0
+    for f in target.fields:
+        maj = maximal_function(sharp_maximal(target.family, f, target.family.p0, 0.0), s_exp).values
+        for p in ps:
+            if p != target.family.p0:
+                num = sharp_maximal(target.family, f, p, 0.0).values
+                jn2 = max(jn2, float(np.max(num / maj)))
+    return seminorms, ratios, jn2
+
+
+@pytest.mark.parametrize("ps", [[2.0, 4.0], [1.0, 2.0, 4.0]])
+@pytest.mark.parametrize("alpha", [0.0, 0.5])
+def test_bmo_equivalence_matches_per_exponent_sweeps(alpha, ps):
+    # ps without p0 = 1 and alpha != 0: the pointwise comparison needs its own
+    # alpha = 0 sweep, including p0, and must not reuse the seminorm sweep
+    rungs = [
+        BmoRung(m, make_family("semigroup", (1.0, math.inf), operator=identity_op(m)), bmo_fields(m))
+        for m in (64, 32)
+    ]
+    rep = verify_bmo_equivalence(rungs, ps=ps, s_exp=8.0, alpha=alpha)
+    seminorms, ratios, jn2 = per_exponent_bmo_reference(rungs, ps, 8.0, alpha)
+    assert rep.seminorms == seminorms
+    assert rep.ratios == ratios
+    assert rep.jn2_constant == jn2
