@@ -539,7 +539,7 @@ def _rh_sets(ctx: HarnessContext) -> tuple[dict, bool]:
     checked = 0
     for q_cube in target.cube_sample[:16]:
         my_cells = np.zeros((m,) * cfg.dimension, dtype=bool)
-        my_cells[np.ix_(*q_cube.cell_arrays(m))] = True
+        my_cells[q_cube.index(m)] = True
         idx = np.flatnonzero(my_cells.ravel())
         for _ in range(4):
             k = int(rng.integers(1, idx.size + 1))
@@ -583,13 +583,20 @@ NEEDS_CONDITION = {"weak", "strong", "weighted-identity"}
 
 
 def run_pipeline(cfg: ExperimentConfig) -> tuple[dict, dict]:
-    """Execute the configured stages; returns (report dict, timing dict)."""
-    timing: dict = {}
+    """Execute the configured stages; returns (report dict, timing dict).
+
+    ``timing`` holds the seconds of the four stages (build, audit, conditions,
+    harnesses), plus ``rung[str(m)]``, the build time of each rung, and
+    ``harness[name]``, the time of each harness run.
+    """
+    timing: dict = {"rung": {}, "harness": {}}
     t0 = time.perf_counter()
     rungs = []
     profiles = {}
     for m in cfg.ladder:
+        t_rung = time.perf_counter()
         rung, prof = build_rung(cfg, m)
+        timing["rung"][str(m)] = time.perf_counter() - t_rung
         rungs.append(rung)
         profiles[m] = prof
     timing["build"] = time.perf_counter() - t0
@@ -620,7 +627,9 @@ def run_pipeline(cfg: ExperimentConfig) -> tuple[dict, dict]:
     t0 = time.perf_counter()
     for name, harness in HARNESSES.items():
         if name in selected:
+            t_harness = time.perf_counter()
             entries, ok = harness(ctx)
+            timing["harness"][name] = time.perf_counter() - t_harness
             results.update(entries)
             passed &= ok
     timing["harnesses"] = time.perf_counter() - t0

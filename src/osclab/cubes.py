@@ -72,6 +72,21 @@ class Cube:
         c = self.cells_per_axis(m)
         return tuple((np.arange(c) + a) % m for a in self.anchor_cells(m))
 
+    def index(self, m: int) -> tuple:
+        """Index of the cube's cells in an ``(m,) * n`` array, in C order.
+
+        Basic slices (a view) when no axis crosses the seam, else
+        ``np.ix_(*self.cell_arrays(m))`` (a copy).  Assign through it,
+        ``ravel()`` it or take an order-free reduction such as ``max``: a sum
+        over a strided multi-axis view runs in another order than over a
+        copy, so its last bits differ.
+        """
+        c = self.cells_per_axis(m)
+        lo = self.anchor_cells(m)
+        if all(a + c <= m for a in lo):
+            return tuple(slice(a, a + c) for a in lo)
+        return np.ix_(*self.cell_arrays(m))
+
     def cell_count(self, m: int) -> int:
         return self.cells_per_axis(m) ** self.dimension
 
@@ -362,15 +377,14 @@ def whitney_check(omega: np.ndarray, cubes: Sequence[Cube], m: int) -> dict:
     dilated_inside = 0
     ten_q_ok = True
     for q in cubes:
-        ix = np.ix_(*q.cell_arrays(m))
-        count[ix] += 1
+        count[q.index(m)] += 1
         d4 = dilate(q, 4.0, m)
-        if not d4.saturated and bool(omega[np.ix_(*d4.cube.cell_arrays(m))].all()):
+        if not d4.saturated and bool(omega[d4.cube.index(m)].all()):
             dilated_inside += 1
         d10 = dilate(q, 10.0, m)
         region = np.ones_like(omega) if d10.saturated else np.zeros_like(omega)
         if not d10.saturated:
-            region[np.ix_(*d10.cube.cell_arrays(m))] = True
+            region[d10.cube.index(m)] = True
         if not bool((region & ~omega).any()):
             ten_q_ok = False
     disjoint = bool((count <= 1).all())
@@ -454,23 +468,61 @@ def _random_packing(q: Cube, m: int, rng: np.random.Generator, max_depth: int) -
     return chosen
 
 
+def _generation_means(block: np.ndarray) -> list[np.ndarray]:
+    """Means of every dyadic node of a ``(c,) * n`` block, one array per generation.
+
+    Generation g holds the ``(2^g,) * n`` node means, for as long as the node
+    side stays a whole number of cells.  The transpose lays each node's cells
+    out as one contiguous row in C order, as the node's own copy would be, so
+    each row mean is the same pairwise sum as the mean of that copy.
+    """
+    n = block.ndim
+    c = block.shape[0]
+    order = list(range(0, 2 * n, 2)) + list(range(1, 2 * n, 2))
+    means = []
+    b = 1
+    while True:
+        s = c // b
+        rows = block.reshape((b, s) * n).transpose(order).reshape(b ** n, s ** n)
+        means.append(rows.mean(axis=1).reshape((b,) * n))
+        if s % 2:
+            return means
+        b *= 2
+
+
+def _descendant(q: Cube, g: int, k: Sequence[int]) -> Cube:
+    """Generation-g dyadic descendant of q at per-axis offsets k.
+
+    Repeats the anchor arithmetic of ``_dyadic_children`` along the path from
+    q, so the floats equal those of a node-by-node descent.
+    """
+    anchor, side = q.anchor, q.side
+    for level in range(g - 1, -1, -1):
+        side = side / 2.0
+        anchor = tuple((a + ((int(ki) >> level) & 1) * side) % 1.0 for a, ki in zip(anchor, k))
+    return Cube(anchor, side)
+
+
 def _stopping_time_family(
-    q: Cube, m: int, rng: np.random.Generator, values: np.ndarray
+    q: Cube, m: int, rng: np.random.Generator, means: list[np.ndarray]
 ) -> list[Cube]:
-    """Maximal dyadic subcubes where the local average of |values| exceeds a threshold."""
-    base = float(np.abs(values[np.ix_(*q.cell_arrays(m))]).mean())
-    tau = base * float(rng.uniform(1.05, 3.0))
+    """Maximal dyadic subcubes where the local average of |values| exceeds a threshold.
+
+    ``means`` are the node means of |values| over q by generation
+    (``_generation_means``); a node is chosen when its mean exceeds tau and
+    no ancestor below q was chosen.
+    """
+    tau = float(means[0].item()) * float(rng.uniform(1.05, 3.0))
     out: list[Cube] = []
-
-    def walk(node: Cube) -> None:
-        avg = float(np.abs(values[np.ix_(*node.cell_arrays(m))]).mean())
-        if avg > tau and node.side < q.side:
-            out.append(node)
-            return
-        for child in _dyadic_children(node, m):
-            walk(child)
-
-    walk(q)
+    taken = np.zeros(means[0].shape, dtype=bool)
+    for g in range(1, len(means)):
+        for ax in range(taken.ndim):
+            taken = taken.repeat(2, axis=ax)
+        hit = (means[g] > tau) & ~taken
+        out.extend(_descendant(q, g, k) for k in np.argwhere(hit))
+        taken |= hit
+        if taken.all():
+            break
     if not out:
         out = _random_packing(q, m, rng, max_depth=2)
     out.sort(key=Cube.sort_key)
@@ -507,10 +559,13 @@ def sample_disjoint_families(
     if count >= 2 and max_depth >= 1:
         families.append(DisjointFamily(q, tuple(_dyadic_children(q, m))))
     want_stop = strategy in ("mixed", "stopping-time") and field_values is not None
+    means = None
     i = 0
     while len(families) < count:
         if want_stop and (strategy == "stopping-time" or i % 2 == 1):
-            members = _stopping_time_family(q, m, rng, field_values)
+            if means is None:
+                means = _generation_means(np.abs(field_values[q.index(m)]))
+            members = _stopping_time_family(q, m, rng, means)
         else:
             members = _random_packing(q, m, rng, max_depth)
         families.append(DisjointFamily(q, tuple(members)))

@@ -75,8 +75,12 @@ class Field:
         return self.values.sum() * self.cell_volume
 
     def restrict(self, q: Cube) -> np.ndarray:
-        """Flat C-ordered array of the samples inside ``q``."""
-        return self.values[np.ix_(*q.cell_arrays(self.resolution))].ravel()
+        """Flat C-ordered array of the samples inside ``q``.
+
+        It may be a view of ``values`` (a 1-D cube that does not cross the
+        seam, or the whole torus): read it, do not write to it.
+        """
+        return self.values[q.index(self.resolution)].ravel()
 
     def torus(self) -> Cube:
         return full_torus(self.dimension)
@@ -181,7 +185,7 @@ def _cell_measures(f: Field, q: Cube, w: WeightLike) -> tuple[np.ndarray, np.nda
     else:
         if dens.shape != f.values.shape:
             raise ParameterError("weight resolution does not match the field")
-        mu = dens[np.ix_(*q.cell_arrays(m))].ravel() * f.cell_volume
+        mu = dens[q.index(m)].ravel() * f.cell_volume
     if vals.size == 0:
         raise ParameterError("cube contains no cells at this resolution")
     return vals, mu
@@ -416,7 +420,7 @@ def make_field(kind: str, dimension: int, m: int, seed: int = 0, **params) -> Fi
     if kind == "indicator":
         cube = Cube.from_dict(params["cube"])
         vals = np.zeros((m,) * dimension)
-        vals[np.ix_(*cube.cell_arrays(m))] = 1.0
+        vals[cube.index(m)] = 1.0
         return Field(vals)
     if kind == "power-distance":
         center = params.get("center", 0.5)

@@ -444,13 +444,13 @@ class OscillationFamily:
         if self.kind == "classical-average":
             avg = f.restrict(q).mean()
             out = f.values.copy()
-            out[np.ix_(*q.cell_arrays(m))] -= avg
+            out[q.index(m)] -= avg
             return Field(out)
         if self.kind == "extended-average":
             avg = f.restrict(q).mean()
             out = f.values.copy()
             two_q = dilate(q, 2.0, m).cube
-            out[np.ix_(*two_q.cell_arrays(m))] -= avg
+            out[two_q.index(m)] -= avg
             return Field(out)
         return self.apply_B_scale(f, q.side)
 
@@ -490,17 +490,16 @@ def make_family(
 # ---------------------------------------------------------------------------
 
 
-def _masked_field(base: Field, cube_cells: tuple[np.ndarray, ...]) -> Field:
+def _masked_field(base: Field, ix: tuple) -> Field:
     vals = np.zeros_like(base.values)
-    ix = np.ix_(*cube_cells)
     vals[ix] = base.values[ix]
     return Field(vals)
 
 
 def _annulus_fields(base_probes: Sequence[Field], outer: Cube, inner: Cube, m: int) -> list[Field]:
     mask = np.zeros((m,) * outer.dimension, dtype=bool)
-    mask[np.ix_(*outer.cell_arrays(m))] = True
-    mask[np.ix_(*inner.cell_arrays(m))] = False
+    mask[outer.index(m)] = True
+    mask[inner.index(m)] = False
     if not mask.any():
         return []
     out = [Field(mask.astype(float))]
@@ -551,7 +550,7 @@ def measure_offdiagonal(
         src_cube = two_q.cube if family.is_local else four_q.cube
         if not four_q.saturated or family.is_local:
             for p in probes:
-                masked = _masked_field(p, src_cube.cell_arrays(m))
+                masked = _masked_field(p, src_cube.index(m))
                 lhs = lp_average(family.apply_A(masked, q), two_q.cube, q0)
                 rhs = lp_average(masked, rhs_cube, p0)
                 if rhs > 0:
@@ -582,7 +581,7 @@ def measure_offdiagonal(
                 if outer.saturated:
                     break
                 if k == 2:
-                    sources = [_masked_field(p, outer.cube.cell_arrays(m)) for p in probes]
+                    sources = [_masked_field(p, outer.cube.index(m)) for p in probes]
                 else:
                     inner = dil(q, 2.0 ** (k - 1))
                     sources = _annulus_fields(probes, outer.cube, inner.cube, m)
@@ -669,9 +668,9 @@ def audit_family(
             ident = max(ident, float(np.max(np.abs(aq.values + bq.values - f.values))))
             # localization
             two_q = dilate(q, 2.0, m).cube
-            masked = _masked_field(f, two_q.cell_arrays(m))
+            ix = two_q.index(m)
+            masked = _masked_field(f, ix)
             rhs_vals = np.zeros_like(f.values)
-            ix = np.ix_(*two_q.cell_arrays(m))
             rhs_vals[ix] = family.apply_A(masked, q).values[ix]
             loc_defect = max(
                 loc_defect, float(np.max(np.abs(family.apply_A(f, q).values - rhs_vals)))
@@ -679,7 +678,7 @@ def audit_family(
             # replacement identity on 2R
             ar_aq = family.apply_A(family.apply_A(f, q), r)
             two_r = dilate(r, 2.0, m).cube
-            ixr = np.ix_(*two_r.cell_arrays(m))
+            ixr = two_r.index(m)
             rc_defect = max(
                 rc_defect,
                 float(np.max(np.abs(ar_aq.values[ixr] - family.apply_A(f, q).values[ixr]))),

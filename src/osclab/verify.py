@@ -449,7 +449,7 @@ def verify_good_lambda(
 
     two_q = dilate(q_cube, 2.0, m).cube
     g_vals = np.zeros_like(np.abs(bq2.values))
-    ix = np.ix_(*two_q.cell_arrays(m))
+    ix = two_q.index(m)
     g_vals[ix] = np.abs(bq2.values)[ix]
     mg = maximal_function(Field(g_vals), p0).values
 
@@ -483,7 +483,7 @@ def verify_good_lambda(
     ts = np.logspace(math.log10(t_lo), math.log10(t_hi), t_points)
 
     in_q = np.zeros_like(mg, dtype=bool)
-    in_q[np.ix_(*q_cube.cell_arrays(m))] = True
+    in_q[q_cube.index(m)] = True
     grid = torus_grid_adapted_to(q_cube, m)
 
     rows = []

@@ -114,9 +114,8 @@ def _theta_fit(w: Weight, cubes: Sequence[Cube], rng: np.random.Generator) -> fl
     log4 = math.log(4.0)
     for q in cubes:
         wq = w.mass(q)
-        cells = q.cell_arrays(m)
         count = q.cell_count(m)
-        flat_density = w.density.values[np.ix_(*cells)].ravel()
+        flat_density = w.density.values[q.index(m)].ravel()
         vol_cell = w.density.cell_volume
         for frac in (0.5, 0.25, 0.0625):
             k = max(1, int(round(count * frac)))
@@ -181,7 +180,7 @@ def rh_subset_check(
     """
     m = w.resolution
     inside = np.zeros_like(subset_mask)
-    inside[np.ix_(*q.cell_arrays(m))] = True
+    inside[q.index(m)] = True
     if not bool(subset_mask.any()):
         raise ParameterError("subset is empty")
     if bool((subset_mask & ~inside).any()):

@@ -81,6 +81,26 @@ def test_run_experiment_produces_passing_report(tmp_path):
             assert hashlib.sha256(fh.read()).hexdigest() == a["sha256"]
 
 
+def test_manifest_times_every_rung_and_harness(tmp_path):
+    overrides = ["resolution_ladder=[64,128]", "cube_sample.off_dyadic=8"]
+    out = tmp_path / "o"
+    _manifest, report = run_experiment(bundled_config_path("classical-jn"), str(out), overrides)
+    with open(out / "manifest.json") as fh:
+        timing = json.load(fh)["timing"]
+    selected = report["config"]["harnesses"]
+    assert len(selected) > 1
+    assert sorted(timing["harness"]) == sorted(selected)
+    assert sorted(timing["rung"]) == ["128", "64"]
+    for key in ("build", "audit", "conditions", "harnesses"):
+        assert timing[key] >= 0.0, key
+    assert all(t >= 0.0 for t in [*timing["harness"].values(), *timing["rung"].values()])
+    assert sum(timing["harness"].values()) <= timing["harnesses"]
+    assert sum(timing["rung"].values()) <= timing["build"]
+    # timings stay out of the report
+    with open(out / "report.json") as fh:
+        assert "timing" not in fh.read()
+
+
 def test_repeat_runs_byte_identical(tmp_path):
     overrides = ["resolution_ladder=[64,128]", "cube_sample.off_dyadic=8"]
     run_experiment(bundled_config_path("classical-jn"), str(tmp_path / "a"), overrides)

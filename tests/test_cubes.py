@@ -5,11 +5,15 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from osclab._support import DomainError, ParameterError
+from osclab._support import DomainError, ParameterError, rng_from_seed
 from osclab.cubes import (
     Cube,
     DisjointFamily,
     SummedAreaTable,
+    _dyadic_children,
+    _generation_means,
+    _random_packing,
+    _stopping_time_family,
     dilate,
     dyadic_adapted_grid,
     dyadic_dilations,
@@ -19,6 +23,7 @@ from osclab.cubes import (
     whitney_check,
     whitney_decompose,
 )
+from osclab.grid import Field
 
 
 def cell_mask(cubes, m, dim) -> np.ndarray:
@@ -279,6 +284,178 @@ def test_family_count_one_is_singleton():
     q = Cube((0.0,), 0.5)
     fams = sample_disjoint_families(q, 1, seed=0, m=16)
     assert fams == [DisjointFamily(q, (q,))]
+
+
+def reference_stopping_time_family(q, m, rng, values):
+    """The per-node walk: one fancy-indexed copy and one mean per visited node."""
+    base = float(np.abs(values[np.ix_(*q.cell_arrays(m))]).mean())
+    tau = base * float(rng.uniform(1.05, 3.0))
+    out = []
+
+    def walk(node):
+        avg = float(np.abs(values[np.ix_(*node.cell_arrays(m))]).mean())
+        if avg > tau and node.side < q.side:
+            out.append(node)
+            return
+        for child in _dyadic_children(node, m):
+            walk(child)
+
+    walk(q)
+    if not out:
+        out = _random_packing(q, m, rng, max_depth=2)
+    out.sort(key=Cube.sort_key)
+    return out
+
+
+class FixedUniform:
+    """A generator whose ``uniform`` returns one chosen factor; other draws pass through."""
+
+    def __init__(self, seed, factor):
+        self.rng = rng_from_seed(seed)
+        self.factor = factor
+
+    def uniform(self, lo, hi):
+        return self.factor
+
+    def random(self):
+        return self.rng.random()
+
+
+def node_means(q, m, values, g):
+    """Per-node means of |values| at generation g in C order, each from the node's own copy."""
+    side = q.cells_per_axis(m) // 2 ** g
+    nodes = [
+        Cube(tuple((a + k * side) % m / m for a, k in zip(q.anchor_cells(m), idx)), side / m)
+        for idx in np.ndindex(*(2 ** g,) * q.dimension)
+    ]
+    return np.array([np.abs(values[np.ix_(*node.cell_arrays(m))]).mean() for node in nodes])
+
+
+def walk_fields(dim, m):
+    rng = np.random.default_rng(100 * dim + m)
+    spiky = np.abs(rng.normal(size=(m,) * dim)) ** 3 + 0.01
+    blocks = np.kron(rng.integers(1, 4, size=(m // 8,) * dim), np.ones((8,) * dim)).astype(float)
+    return {"spiky": spiky, "blocks": blocks}
+
+
+# (dim, m, anchor, side in cells): seam-crossing and not, odd-side roots
+# (3 * 2^k cells), a rotated full torus, and a root with no children
+WALK_CASES = [
+    (1, 64, (0.0,), 64),
+    (1, 256, (0.875,), 64),
+    (1, 128, (0.8125,), 48),
+    (1, 1024, (0.5,), 384),
+    (1, 32, (0.25,), 3),
+    (2, 32, (0.75, 0.5), 16),
+    (2, 64, (0.875, 0.125), 24),
+    (2, 16, (0.25, 0.5), 16),
+    (2, 64, (0.0, 0.0), 32),
+]
+
+
+@pytest.mark.parametrize("dim, m, anchor, cells", WALK_CASES)
+def test_stopping_time_walk_matches_per_node_walk(dim, m, anchor, cells):
+    q = Cube(anchor, cells / m)
+    assert q.cells_per_axis(m) == cells
+    for name, values in walk_fields(dim, m).items():
+        for seed in (0, 7):
+            got = sample_disjoint_families(q, 10, seed, m, strategy="stopping-time", field_values=values)
+            rng = rng_from_seed(seed)
+            want = [[q]] + ([_dyadic_children(q, m)] if cells % 2 == 0 else [])
+            while len(want) < 10:
+                want.append(reference_stopping_time_family(q, m, rng, values))
+            assert [f.to_dict() for f in got] == [DisjointFamily(q, tuple(w)).to_dict() for w in want], (
+                name, seed)
+            # the same draws in the same order: the next draw agrees
+            rng_a, rng_b = rng_from_seed(seed), rng_from_seed(seed)
+            means = _generation_means(np.abs(values[q.index(m)]))
+            assert _stopping_time_family(q, m, rng_a, means) == reference_stopping_time_family(q, m, rng_b, values)
+            assert rng_a.random() == rng_b.random()
+
+
+@pytest.mark.parametrize("dim, m, anchor, cells", WALK_CASES)
+def test_generation_means_equal_per_node_means(dim, m, anchor, cells):
+    # bit-identical to the mean of each node's own copy, not merely close
+    q = Cube(anchor, cells / m)
+    values = walk_fields(dim, m)["spiky"]
+    means = _generation_means(np.abs(values[q.index(m)]))
+    assert len(means) == (cells & -cells).bit_length()  # generations 0..v, 2^v the largest power dividing cells
+    for g, got in enumerate(means):
+        assert got.shape == (2 ** g,) * dim
+        assert np.array_equal(got.ravel(), node_means(q, m, values, g)), g
+
+
+@pytest.mark.parametrize("dim, m", [(1, 64), (2, 32)])
+def test_stopping_time_walk_with_ties_at_tau(dim, m):
+    # a block-constant field, with tau set to exactly the mean of one node:
+    # nodes whose mean equals tau are not chosen, their children are visited,
+    # and a tau above every mean falls back to the random packing
+    q = Cube((0.0,) * dim, 1.0)
+    values = walk_fields(dim, m)["blocks"]
+    base = float(np.abs(values).mean())
+    means = _generation_means(np.abs(values))
+    ties = 0
+    for g in (1, 2, 3):
+        for level in np.unique(means[g]):
+            target = float(level)
+            factor = target / base
+            for candidate in (factor, np.nextafter(factor, 0.0), np.nextafter(factor, 2.0 * factor)):
+                if base * float(candidate) == target:
+                    factor = float(candidate)
+                    break
+            else:
+                continue
+            ties += 1
+            got = _stopping_time_family(q, m, FixedUniform(3, factor), means)
+            rng_b = FixedUniform(3, factor)
+            want = reference_stopping_time_family(q, m, rng_b, values)
+            assert got == want, (g, target)
+    assert ties >= 3
+    over = float(values.max()) / base * 2.0
+    rng_a, rng_b = FixedUniform(5, over), FixedUniform(5, over)
+    fallback = _stopping_time_family(q, m, rng_a, means)
+    assert fallback == reference_stopping_time_family(q, m, rng_b, values)
+    assert rng_a.random() == rng_b.random()
+
+
+# ---------------------------------------------------------------------------
+# cube index
+# ---------------------------------------------------------------------------
+
+
+# (anchor, side, crosses the seam)
+INDEX_CASES = {
+    1: [((0.25,), 0.5, False), ((0.75,), 0.5, True), ((0.0,), 1.0, False), ((0.5,), 1.0, True),
+        ((0.96875,), 0.0625, True)],
+    2: [((0.25, 0.5), 0.25, False), ((0.875, 0.25), 0.25, True), ((0.5, 0.875), 0.5, True),
+        ((0.0, 0.0), 1.0, False), ((0.25, 0.0), 1.0, True), ((0.75, 0.75), 0.5, True)],
+}
+
+
+@pytest.mark.parametrize("dim, m", [(1, 64), (2, 16)])
+def test_cube_index_matches_ix(dim, m):
+    rng = np.random.default_rng(dim)
+    values = rng.normal(size=(m,) * dim)
+    field = Field(values.copy())
+    for anchor, side, crosses in INDEX_CASES[dim]:
+        q = Cube(anchor, side)
+        ix = np.ix_(*q.cell_arrays(m))
+        index = q.index(m)
+        assert all(isinstance(i, slice) for i in index) == (not crosses), q
+        # reads: the same values in the same C order, so the same sums
+        got = field.restrict(q)
+        assert np.array_equal(got, values[ix].ravel()), q
+        assert got.mean() == values[ix].mean(), q
+        # writes: in-place updates and assignment hit the same cells
+        a, b = values.copy(), values.copy()
+        a[index] -= 0.375
+        b[ix] -= 0.375
+        assert np.array_equal(a, b), q
+        mask = np.zeros((m,) * dim, dtype=bool)
+        mask[index] = True
+        assert int(mask.sum()) == q.cell_count(m), q
+        assert np.array_equal(mask, cell_mask([q], m, dim)), q
+    assert np.array_equal(field.values, values)
 
 
 # ---------------------------------------------------------------------------

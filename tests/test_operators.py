@@ -103,6 +103,32 @@ def test_cn_matches_dense_expm_oracle():
     assert rel < 1e-8
 
 
+def variable_operator_2d(m: int) -> EllipticOperator:
+    x = (np.arange(m) + 0.5) / m
+    xx, yy = np.meshgrid(x, x, indexing="ij")
+    coeffs = np.zeros((2, 2, m, m))
+    coeffs[0, 0] = 1.25 + 0.5 * np.cos(2 * np.pi * xx)
+    coeffs[1, 1] = 1.2 + 0.4 * np.sin(2 * np.pi * yy)
+    coeffs[0, 1] = coeffs[1, 0] = 0.2 * np.cos(2 * np.pi * (xx + yy))
+    return EllipticOperator(coeffs, lam=0.5, big_lam=2.0, dimension=2)
+
+
+@pytest.mark.parametrize("dim, m", [(1, 64), (2, 16)])
+@pytest.mark.parametrize("t", [1e-4, 1e-3, 1e-2])
+def test_cn_default_step_matches_dense_expm(dim, m, t):
+    # the step the pipeline uses (default_time_step), against the dense
+    # exponential of the same stencil.  Measured relative errors: about 3e-8
+    # at t=1e-4, 2e-5 at 1e-3 and up to 3.9e-4 (2-D) at 1e-2; an exact
+    # eigendecomposition backend is what will tighten this bound.
+    op = variable_operator(m) if dim == 1 else variable_operator_2d(m)
+    assert not op.is_constant
+    f = make_field("random-smooth", dim, m, seed=2, band=3)
+    got = semigroup_apply(op, t, f).values
+    want = (expm(-t * op.matrix().toarray()) @ f.values.ravel()).reshape(f.values.shape)
+    rel = np.max(np.abs(got - want)) / np.max(np.abs(want))
+    assert rel < 1e-3
+
+
 def test_semigroup_law_cn_small_steps():
     m = 64
     op = variable_operator(m)
