@@ -9,21 +9,22 @@ Three families are provided:
 for a divergence-form elliptic generator L = -div(A(x) grad).  Constant
 coefficient operators act spectrally (the exact Fourier multiplier of the
 continuous generator, restricted to grid modes); variable coefficients use a
-conservative finite-difference stencil and Crank-Nicolson stepping with
-prefactored sparse solves.  Both paths annihilate constants and conserve the
-mean exactly, because the stencil is in flux form.
+conservative finite-difference stencil, and functions of it (e^{-tL} and the
+time average U_s) are evaluated to rounding by a Chebyshev expansion over a
+Gershgorin enclosure of its numerical range, with sparse matvecs only
+(Tal-Ezer & Kosloff, J. Chem. Phys. 81, 1984; Crouzeix, J. Funct. Anal. 244,
+2007, for complex coefficients).  Both paths annihilate constants and conserve
+the mean, because the stencil is in flux form.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 from numpy.lib.stride_tricks import sliding_window_view
 
 from osclab._support import (
@@ -95,7 +96,7 @@ class EllipticOperator:
         self.p_plus = float(p_plus)
         self._check_ellipticity()
         self._matrix: Optional[sp.csc_matrix] = None
-        self._lu_cache: dict = {}
+        self._chebyshev: Optional[tuple[float, float, sp.csr_matrix]] = None
         self._symbol: Optional[np.ndarray] = None
 
     # -- structure ----------------------------------------------------------
@@ -162,24 +163,31 @@ class EllipticOperator:
     def apply(self, f: Field) -> Field:
         """L f via the operator's own generator (spectral or stencil)."""
         if self.is_constant:
-            fh = np.fft.fftn(f.values)
-            out = np.fft.ifftn(self.symbol() * fh)
-            return Field(out if (self.is_complex or f.is_complex) else out.real)
+            return _fourier_apply(self, self.symbol(), f)
         flat = self.matrix() @ f.values.ravel()
         out = flat.reshape(f.values.shape)
         return Field(out if (self.is_complex or f.is_complex) else out.real)
 
-    def cn_factor(self, dt: float):
-        key = round(dt, 18)
-        if key not in self._lu_cache:
-            m_mat = self.matrix().astype(np.complex128 if self.is_complex else np.float64)
-            eye = sp.identity(m_mat.shape[0], dtype=m_mat.dtype, format="csc")
-            lhs = (eye + (dt / 2.0) * m_mat).tocsc()
-            rhs = (eye - (dt / 2.0) * m_mat).tocsr()
-            if len(self._lu_cache) > 3:
-                self._lu_cache.clear()
-            self._lu_cache[key] = (spla.splu(lhs), rhs, lhs)
-        return self._lu_cache[key]
+    def _chebyshev_frame(self) -> tuple[float, float, sp.csr_matrix]:
+        """(rho, R, X) for the Chebyshev evaluator, computed once.
+
+        rho is the Gershgorin bound of the Hermitian part of the stencil,
+        which is positive semidefinite for elliptic A, so X = (2/rho) L - I
+        has its numerical range in [-1, 1] x i[-beta, beta], with beta from
+        the Gershgorin bound of the skew-Hermitian part.  R is the Bernstein
+        ellipse (foci -1 and 1) through the corners of that rectangle; R = 1
+        exactly when L is Hermitian.
+        """
+        if self._chebyshev is None:
+            mat = self.matrix().tocsr()
+            adj = mat.conj().T
+            rho = float(abs(mat + adj).sum(axis=1).max()) / 2.0
+            beta = float(abs(mat - adj).sum(axis=1).max()) / rho
+            semi = (beta + math.sqrt(4.0 + beta * beta)) / 2.0
+            big_r = semi + math.sqrt(semi * semi - 1.0)
+            eye = sp.identity(mat.shape[0], dtype=mat.dtype, format="csr")
+            self._chebyshev = (rho, big_r, ((2.0 / rho) * mat - eye).tocsr())
+        return self._chebyshev
 
 
 def save_coefficients(op: EllipticOperator, path_base: str) -> list[str]:
@@ -268,80 +276,125 @@ def _assemble(coeffs: np.ndarray, h: float) -> sp.csc_matrix:
 # ---------------------------------------------------------------------------
 
 
-def default_time_step(op: EllipticOperator, t: float) -> float:
-    """Crank-Nicolson step: min(t/16, h^2/2) at cube scale, relaxed for long
-    horizons where the damping bound t h^2 / dt^2 >~ 128 still holds."""
-    h = op.h
-    base = min(t / 16.0, h * h / 2.0)
-    relaxed = h * math.sqrt(t) / 16.0
-    return min(t / 16.0, max(base, relaxed))
+def _fourier_apply(op: EllipticOperator, multiplier: np.ndarray, f: Field) -> Field:
+    """The Fourier multiplier applied to f; real when op and f are real."""
+    out = np.fft.ifftn(multiplier * np.fft.fftn(f.values))
+    return Field(out if (op.is_complex or f.is_complex) else out.real)
 
 
-def semigroup_apply(op: EllipticOperator, t: float, f: Field, dt: Optional[float] = None) -> Field:
-    """e^{-tL} f: exact multiplier when A is constant, Crank-Nicolson otherwise."""
+def semigroup_apply(op: EllipticOperator, t: float, f: Field) -> Field:
+    """e^{-tL} f: exact multiplier when A is constant, Chebyshev expansion otherwise.
+
+    On the ellipse E_R, |e^{-tL}| reaches e^{(t rho / 2)(ln R)^2 / 2} or so,
+    and the expansion loses that factor to rounding; complex coefficients
+    (R > 1) therefore split the time, e^{-tL} = (e^{-(t/s)L})^s, with the
+    least s that keeps (t rho / 2s)(ln R)^2 within _SPLIT_BOUND.
+    """
     if t < 0:
         raise ParameterError(f"time must be nonnegative, got {t}")
     if t == 0.0:
         return f
     if op.is_constant:
-        fh = np.fft.fftn(f.values)
-        out = np.fft.ifftn(np.exp(-t * op.symbol()) * fh)
-        return Field(out if (op.is_complex or f.is_complex) else out.real)
-    return _crank_nicolson(op, t, f, dt)
+        return _fourier_apply(op, np.exp(-t * op.symbol()), f)
+    rho, big_r, _ = op._chebyshev_frame()
+    splits = max(1, math.ceil(t * rho / 2.0 * math.log(big_r) ** 2 / _SPLIT_BOUND))
+    tau = t / splits
+    return _chebyshev_apply(op, lambda lam: np.exp(-tau * lam), tau, f, splits)
 
 
-def _crank_nicolson(op: EllipticOperator, t: float, f: Field, dt: Optional[float]) -> Field:
-    step = dt if dt is not None else default_time_step(op, t)
-    nsteps = max(1, int(math.ceil(t / step - 1e-12)))
-    step = t / nsteps
-    lu, rhs, lhs = op.cn_factor(step)
-    want_pos = (not op.is_complex) and (not f.is_complex) and bool(np.min(f.values) >= 0)
-    u = f.values.ravel().astype(np.complex128 if op.is_complex else np.float64)
-    b = u
-    for _ in range(nsteps):
-        b = rhs @ u
-        u = lu.solve(b)
-    res = np.linalg.norm(lhs @ u - b)  # residual of the final solve
-    scale = np.linalg.norm(b) + 1e-300
-    if res / scale > 1e-10:
-        raise NumericError(f"sparse solve residual {res / scale:.2e} exceeds 1e-10")
-    out = u.reshape(f.values.shape)
-    if not (op.is_complex or f.is_complex):
-        out = out.real
-        if want_pos:
-            floor = -1e-10 * float(np.max(np.abs(f.values)) + 1e-300)
-            if float(np.min(out)) < floor and (dt is None or dt > op.h ** 2 / 8):
-                warnings.warn("positivity violated; refining Crank-Nicolson step")
-                return _crank_nicolson(op, t, f, step / 4.0)
-    return Field(out)
+def _time_average_multiplier(lam: np.ndarray, s: float, big_n: int) -> np.ndarray:
+    """((1 - e^{-s lam}) / (s lam))^N, equal to 1 at lam = 0."""
+    w = s * np.asarray(lam)
+    safe = np.where(w == 0, 1.0, w)
+    return np.where(w == 0, 1.0, -np.expm1(-safe) / safe) ** big_n
 
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
-
-
-def u_s_apply(
-    op: EllipticOperator, s: float, big_n: int, f: Field, panels: int = 4, dt: Optional[float] = None
-) -> Field:
+def u_s_apply(op: EllipticOperator, s: float, big_n: int, f: Field) -> Field:
     """U_s f = (average of e^{-lambda L} over [0, s])^N f.
 
-    The time average is a composite 16-node Gauss-Legendre quadrature with
-    ``panels`` panels per application.
+    The average has the closed form ((1 - e^{-sL}) / (sL))^N, applied to the
+    Fourier symbol when A is constant and by the Chebyshev evaluator otherwise.
+    That form admits no time splitting, so for variable complex coefficients
+    the expansion stops converging, with NumericError, once s rho (ln R)^2
+    is large (s = 0.1 on a 16 x 16 grid with imaginary parts of about 0.3).
     """
     if s <= 0:
         raise ParameterError("s must be positive")
     if big_n < 1:
         raise ParameterError("N must be >= 1")
-    width = s / panels
-    g = f
-    for _ in range(big_n):
-        acc = np.zeros_like(g.values, dtype=np.complex128)
-        for p in range(panels):
-            mid = (p + 0.5) * width
-            for node, wgt in zip(_GL_NODES, _GL_WEIGHTS):
-                lam_t = mid + 0.5 * width * node
-                acc = acc + (wgt * 0.5 * width / s) * semigroup_apply(op, lam_t, g, dt).values
-        g = Field(acc if (op.is_complex or g.is_complex) else acc.real)
-    return g
+    if op.is_constant:
+        return _fourier_apply(op, _time_average_multiplier(op.symbol(), s, big_n), f)
+    return _chebyshev_apply(op, lambda lam: _time_average_multiplier(lam, s, big_n), s, f)
+
+
+# Bound on (t rho / 2)(ln R)^2 per split step of a complex semigroup.
+_SPLIT_BOUND = 4.0
+# The expansion stops once every trailing coefficient, weighted by R^k, is
+# below this fraction of the largest |phi| on the Bernstein ellipse.
+_TAIL_TOL = 1e-16
+# Degree at which the doubling gives up.
+_MAX_DEGREE = 1 << 17
+
+
+def _chebyshev_coefficients(phi, n: int, big_r: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
+    """(c_k, |c_k| R^k / max |phi| on E_R) for k < n, where
+    phi((1 + x) / 2) ~ c_0 / 2 + sum_k c_k T_k(x).
+
+    One FFT of length 2n of the samples at x = (zeta + 1/zeta) / 2, zeta =
+    R e^{i theta_j}, theta_j = pi (j + 1/2) / n, j < 2n; for R = 1 this is
+    the DCT-II at the Chebyshev nodes.  Sampling on the Bernstein ellipse
+    E_R gives c_k R^k with rounding of about 1e-17 max |phi|; on the
+    interval that rounding would sit on c_k and R^k would amplify it.
+    (1 + x) / 2 is formed as ((sqrt(zeta) + 1/sqrt(zeta)) / 2)^2, exact to
+    rounding near x = -1, where e^{-t lambda} is largest.
+    """
+    theta = np.pi * (np.arange(2 * n) + 0.5) / n
+    log_r = math.log(big_r)
+    root = math.cosh(log_r / 2.0) * np.cos(theta / 2.0)
+    if big_r > 1.0:
+        root = root + 1j * math.sinh(log_r / 2.0) * np.sin(theta / 2.0)
+    values = phi(root ** 2)
+    k = np.arange(n)
+    weighted = np.fft.fft(values)[:n] * np.exp(-0.5j * np.pi * k / n) / n
+    if not np.iscomplexobj(values):
+        weighted = weighted.real
+    return weighted * np.exp(-log_r * k), np.abs(weighted) / float(np.max(np.abs(values)))
+
+
+def _chebyshev_apply(op: EllipticOperator, phi, t: float, f: Field, power: int = 1) -> Field:
+    """phi(L)^power f for a scalar function phi of the spectral variable.
+
+    phi is expanded in Chebyshev polynomials of X = (2/rho) L - I.  The
+    degree starts at sqrt(80 t rho / 2) + 60, enough for e^{-t lambda}, and
+    doubles until the trailing coefficients, weighted by R^k, fall below
+    _TAIL_TOL (relative to max |phi| on E_R, where |T_k| <= R^k); the
+    expansion is cut after its last coefficient above that level and run by
+    the three-term recurrence, once per power.  NumericError if the
+    coefficients never decay that far.
+    """
+    rho, big_r, x_mat = op._chebyshev_frame()
+    n = int(math.sqrt(80.0 * t * rho / 2.0)) + 60
+    while True:
+        coeffs, weighted = _chebyshev_coefficients(lambda u: phi(rho * u), n, big_r)
+        if np.all(weighted[-max(8, n // 8):] < _TAIL_TOL):
+            break
+        n *= 2
+        if n > _MAX_DEGREE:
+            raise NumericError(
+                f"Chebyshev coefficients did not fall below {_TAIL_TOL:g} by degree {_MAX_DEGREE}"
+            )
+    coeffs = coeffs[: int(np.nonzero(weighted >= _TAIL_TOL)[0][-1]) + 1]
+    u = f.values.ravel().astype(np.result_type(x_mat.dtype, f.values.dtype, coeffs.dtype))
+    for _ in range(power):
+        prev, cur = u, x_mat @ u
+        acc = 0.5 * coeffs[0] * prev
+        if len(coeffs) > 1:
+            acc += coeffs[1] * cur
+        for c in coeffs[2:]:
+            prev, cur = cur, 2.0 * (x_mat @ cur) - prev
+            acc += c * cur
+        u = acc
+    return Field(u.reshape(f.values.shape))
 
 
 # ---------------------------------------------------------------------------
@@ -412,7 +465,6 @@ class OscillationFamily:
     q0: float
     operator: Optional[EllipticOperator] = None
     big_n: int = 1
-    dt: Optional[float] = None
     profile: Optional[OffDiagonalProfile] = field(default=None, repr=False)
 
     def __post_init__(self):
@@ -464,7 +516,7 @@ class OscillationFamily:
         g = f
         t = side ** 2
         for _ in range(self.big_n):
-            g = Field(g.values - semigroup_apply(self.operator, t, g, self.dt).values)
+            g = Field(g.values - semigroup_apply(self.operator, t, g).values)
         return g
 
 
@@ -473,7 +525,6 @@ def make_family(
     exponents: tuple[float, float],
     operator: Optional[EllipticOperator] = None,
     big_n: Optional[int] = None,
-    dt: Optional[float] = None,
 ) -> OscillationFamily:
     return OscillationFamily(
         kind=kind,
@@ -481,7 +532,6 @@ def make_family(
         q0=float(exponents[1]),
         operator=operator,
         big_n=1 if big_n is None else int(big_n),
-        dt=dt,
     )
 
 

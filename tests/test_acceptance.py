@@ -156,8 +156,8 @@ def test_criterion_2_semigroup_identities():
     rel2 = float(np.max(np.abs(law2.values - law2b.values)) / np.max(np.abs(law2b.values)))
     op1 = _op_1d_variable(m)
     f1 = Field(1.0 + 0.5 * np.cos(2 * np.pi * (np.arange(m) + 0.5) / m))
-    law1 = semigroup_apply(op1, 0.02, semigroup_apply(op1, 0.01, f1, dt=2e-6), dt=2e-6)
-    law1b = semigroup_apply(op1, 0.03, f1, dt=2e-6)
+    law1 = semigroup_apply(op1, 0.02, semigroup_apply(op1, 0.01, f1))
+    law1b = semigroup_apply(op1, 0.03, f1)
     rel1 = float(np.max(np.abs(law1.values - law1b.values)) / np.max(np.abs(law1b.values)))
     assert rel1 < 1e-8 and rel2 < 1e-8, (rel1, rel2)
 
@@ -166,7 +166,7 @@ def test_criterion_2_semigroup_identities():
     for dim, probe in ((1, make_field("random-smooth", 1, m, seed=7, band=3)),
                        (2, make_field("random-smooth", 2, m, seed=8, band=2))):
         op = EllipticOperator(np.ones((m,) * dim), 1.0, 1.0, dim)
-        us = u_s_apply(op, s, 1, probe, panels=8)
+        us = u_s_apply(op, s, 1, probe)
         lhs = s * op.apply(us).values
         rhs = probe.values - semigroup_apply(op, s, probe).values
         rel = float(np.max(np.abs(lhs - rhs)) / np.max(np.abs(rhs)))

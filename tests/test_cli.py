@@ -36,7 +36,8 @@ def test_bundled_configs_exist_and_validate():
 
 def test_config_rejects_bad_exponent_window(tmp_path):
     path = tmp_path / "bad.json"
-    cfg = json.load(open(bundled_config_path("classical-jn")))
+    with open(bundled_config_path("classical-jn")) as fh:
+        cfg = json.load(fh)
     cfg["exponents"]["q"] = 0.5  # below p0 = 1
     path.write_text(json.dumps(cfg))
     with pytest.raises(ParameterError, match="p0 < q < q0"):
@@ -45,7 +46,8 @@ def test_config_rejects_bad_exponent_window(tmp_path):
 
 def test_config_rejects_bad_ladder(tmp_path):
     path = tmp_path / "bad.json"
-    cfg = json.load(open(bundled_config_path("classical-jn")))
+    with open(bundled_config_path("classical-jn")) as fh:
+        cfg = json.load(fh)
     cfg["resolution_ladder"] = [100]
     path.write_text(json.dumps(cfg))
     with pytest.raises(ParameterError, match="power of two"):

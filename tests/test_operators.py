@@ -6,13 +6,16 @@ import math
 
 import numpy as np
 import pytest
-from scipy.linalg import expm
+from scipy.linalg import eigh, expm
+from scipy.special import ive
 
-from osclab._support import ParameterError
+from osclab._support import NumericError, ParameterError
 from osclab.cubes import Cube, dilate, full_torus
 from osclab.grid import Field, lp_average, make_field
 from osclab.operators import (
     EllipticOperator,
+    _chebyshev_apply,
+    _chebyshev_coefficients,
     audit_family,
     bmo_seminorm,
     make_family,
@@ -56,7 +59,7 @@ def complex_operator_2d(m: int, eps: float = 0.3) -> EllipticOperator:
 # ---------------------------------------------------------------------------
 
 
-def test_conservation_spectral_and_cn():
+def test_conservation_spectral_and_stencil():
     one_1d = make_field("constant", 1, 64, value=1.0)
     assert np.allclose(semigroup_apply(identity_operator(64), 0.03, one_1d).values, 1.0, atol=1e-12)
     got = semigroup_apply(variable_operator(64), 0.01, one_1d)
@@ -90,13 +93,13 @@ def test_semigroup_law_spectral_exact():
     assert rel < 1e-12
 
 
-def test_cn_matches_dense_expm_oracle():
+def test_stencil_matches_dense_expm_oracle():
     # independent oracle: dense matrix exponential of the same stencil
     m = 64
     op = variable_operator(m)
     f = make_field("random-smooth", 1, m, seed=2, band=2)
     t = 0.01
-    got = semigroup_apply(op, t, f, dt=2e-6).values
+    got = semigroup_apply(op, t, f).values
     dense = expm(-t * op.matrix().toarray())
     want = dense @ f.values
     rel = np.max(np.abs(got - want)) / np.max(np.abs(want))
@@ -113,29 +116,71 @@ def variable_operator_2d(m: int) -> EllipticOperator:
     return EllipticOperator(coeffs, lam=0.5, big_lam=2.0, dimension=2)
 
 
-@pytest.mark.parametrize("dim, m", [(1, 64), (2, 16)])
-@pytest.mark.parametrize("t", [1e-4, 1e-3, 1e-2])
-def test_cn_default_step_matches_dense_expm(dim, m, t):
-    # the step the pipeline uses (default_time_step), against the dense
-    # exponential of the same stencil.  Measured relative errors: about 3e-8
-    # at t=1e-4, 2e-5 at 1e-3 and up to 3.9e-4 (2-D) at 1e-2; an exact
-    # eigendecomposition backend is what will tighten this bound.
-    op = variable_operator(m) if dim == 1 else variable_operator_2d(m)
+def complex_variable_operator_2d(m: int) -> EllipticOperator:
+    # variable coefficients with imaginary parts on and off the diagonal
+    x = (np.arange(m) + 0.5) / m
+    xx, yy = np.meshgrid(x, x, indexing="ij")
+    coeffs = np.zeros((2, 2, m, m), dtype=complex)
+    coeffs[0, 0] = 1.25 + 0.5 * np.cos(2 * np.pi * xx) + 0.3j * np.sin(2 * np.pi * yy)
+    coeffs[1, 1] = 1.2 + 0.4 * np.sin(2 * np.pi * yy) - 0.2j * np.cos(2 * np.pi * xx)
+    coeffs[0, 1] = 0.2 * np.cos(2 * np.pi * (xx + yy)) + 0.15j * np.sin(2 * np.pi * xx)
+    coeffs[1, 0] = 0.2 * np.cos(2 * np.pi * (xx + yy)) - 0.1j * np.cos(2 * np.pi * yy)
+    return EllipticOperator(coeffs, lam=0.5, big_lam=2.0, dimension=2)
+
+
+EXPM_CASES = {
+    "real-1d-64": (1, 64, variable_operator),
+    "real-2d-16": (2, 16, variable_operator_2d),
+    "real-2d-32": (2, 32, variable_operator_2d),
+    "complex-2d-16": (2, 16, complex_variable_operator_2d),
+    "complex-2d-32": (2, 32, complex_variable_operator_2d),
+}
+
+
+@pytest.fixture(scope="module")
+def expm_operators():
+    return {name: build(m) for name, (_dim, m, build) in EXPM_CASES.items()}
+
+
+@pytest.mark.parametrize("case", sorted(EXPM_CASES))
+@pytest.mark.parametrize("t", [1e-4, 1e-3, 1e-2, 0.1, 1.0])
+def test_semigroup_matches_dense_expm(expm_operators, case, t):
+    # the stencil semigroup against the dense exponential of the same
+    # stencil.  The probe has nonzero mean: a mean-zero probe decays to about
+    # 1e-20 at t = 1 and would hide a relative error.  Measured: at most
+    # 3e-13.  On the complex cases, forcing R = 1 (no ellipse weight in the
+    # stopping rule, so no time splitting) gives 6e-10 (m = 16) and 3e-3
+    # (m = 32) at t = 0.1, and diverges at t = 1.
+    dim, m, _build = EXPM_CASES[case]
+    op = expm_operators[case]
     assert not op.is_constant
-    f = make_field("random-smooth", dim, m, seed=2, band=3)
+    f = Field(make_field("random-smooth", dim, m, seed=2, band=3).values + 1.0)
     got = semigroup_apply(op, t, f).values
     want = (expm(-t * op.matrix().toarray()) @ f.values.ravel()).reshape(f.values.shape)
     rel = np.max(np.abs(got - want)) / np.max(np.abs(want))
-    assert rel < 1e-3
+    assert rel <= 1e-11
 
 
-def test_semigroup_law_cn_small_steps():
+@pytest.mark.parametrize("big_r, zs", [(1.0, [1e-3, 0.5, 10, 100, 1e4, 2.6e5]), (1.75, [1e-3, 0.5, 5])])
+def test_chebyshev_coefficients_match_bessel_closed_form(big_r, zs):
+    # e^{-z (1 + x)} = sum' 2 (-1)^k I_k(z) e^{-z} T_k(x); scipy's ive is an
+    # independent evaluation of the scaled Bessel function.  R > 1 samples
+    # on the Bernstein ellipse, as the evaluator does for complex coefficients.
+    for z in zs:
+        n = int(math.sqrt(80 * z)) + 60
+        coeffs, _weighted = _chebyshev_coefficients(lambda u: np.exp(-2 * z * u), n, big_r)
+        k = np.arange(n)
+        want = 2 * (-1.0) ** k * ive(k, z)
+        assert np.max(np.abs(coeffs - want) * big_r ** k) <= 2e-15, z
+
+
+def test_semigroup_law_stencil():
     m = 64
     op = variable_operator(m)
     f = Field(1.0 + 0.5 * np.cos(2 * np.pi * (np.arange(m) + 0.5) / m))
     t, s = 0.02, 0.01
-    a = semigroup_apply(op, t, semigroup_apply(op, s, f, dt=2e-6), dt=2e-6)
-    b = semigroup_apply(op, t + s, f, dt=2e-6)
+    a = semigroup_apply(op, t, semigroup_apply(op, s, f))
+    b = semigroup_apply(op, t + s, f)
     rel = np.max(np.abs(a.values - b.values)) / np.max(np.abs(b.values))
     assert rel < 1e-8
 
@@ -157,7 +202,7 @@ def test_complex_coefficients_supported():
     assert np.all(np.isfinite(out.values.real))
 
 
-def test_variable_complex_cn_runs():
+def test_variable_complex_stencil_runs():
     m = 32
     x = (np.arange(m) + 0.5) / m
     a = (1.25 + 0.25 * np.cos(2 * np.pi * x)) + 0.2j * np.sin(2 * np.pi * x)
@@ -177,7 +222,7 @@ def test_us_identity_spectral():
     m, s = 64, 0.01
     op = identity_operator(m)
     f = make_field("random-smooth", 1, m, seed=7, band=3)
-    us = u_s_apply(op, s, 1, f, panels=8)
+    us = u_s_apply(op, s, 1, f)
     lhs = s * op.apply(us).values
     rhs = f.values - semigroup_apply(op, s, f).values
     rel = np.max(np.abs(lhs - rhs)) / np.max(np.abs(rhs))
@@ -188,9 +233,9 @@ def test_us_identity_variable_coefficients():
     m, s = 64, 0.01
     op = variable_operator(m)
     f = Field(1.0 + 0.3 * np.cos(2 * np.pi * (np.arange(m) + 0.5) / m))
-    us = u_s_apply(op, s, 1, f, panels=6, dt=5e-6)
+    us = u_s_apply(op, s, 1, f)
     lhs = s * op.apply(us).values
-    rhs = f.values - semigroup_apply(op, s, f, dt=5e-6).values
+    rhs = f.values - semigroup_apply(op, s, f).values
     rel = np.max(np.abs(lhs - rhs)) / np.max(np.abs(rhs))
     assert rel < 1e-6
 
@@ -199,7 +244,7 @@ def test_us_conserves_constants():
     m = 32
     op = identity_operator(m)
     one = make_field("constant", 1, m, value=1.0)
-    out = u_s_apply(op, 0.02, 2, one, panels=2)
+    out = u_s_apply(op, 0.02, 2, one)
     assert np.max(np.abs(out.values - 1.0)) < 1e-12
 
 
@@ -209,8 +254,45 @@ def test_us_multiplier_closed_form():
     f = make_field("fourier-mode", 1, m, k=k)
     mu = 4 * math.pi ** 2 * k ** 2
     want = ((1 - math.exp(-s * mu)) / (s * mu)) ** big_n * f.values
-    got = u_s_apply(op, s, big_n, f, panels=8).values
+    got = u_s_apply(op, s, big_n, f).values
     assert np.max(np.abs(got - want)) / np.max(np.abs(want)) < 1e-9
+
+
+def dense_time_average(op: EllipticOperator, s: float, big_n: int, f: Field) -> np.ndarray:
+    """U_s f from a dense eigendecomposition of the (real symmetric) stencil
+    and a composite 16-node Gauss-Legendre average of e^{-lambda mu} over
+    [0, s]; each panel spans at most 4 units of s * max(mu)."""
+    mu, vecs = eigh(op.matrix().toarray())
+    mu = np.maximum(mu, 0.0)
+    panels = int(math.ceil(s * mu.max() / 4.0))
+    nodes, weights = np.polynomial.legendre.leggauss(16)
+    edges = np.linspace(0.0, s, panels + 1)
+    mids, halves = (edges[1:] + edges[:-1]) / 2, (edges[1:] - edges[:-1]) / 2
+    times = (mids[:, None] + halves[:, None] * nodes).ravel()
+    wts = (halves[:, None] * weights).ravel() / s
+    mult = (np.exp(-np.outer(mu, times)) @ wts) ** big_n
+    return vecs @ (mult * (vecs.T @ f.values))
+
+
+@pytest.mark.parametrize("s, big_n", [(0.01, 1), (0.01, 2), (0.1, 3)])
+def test_us_matches_dense_time_average(s, big_n):
+    # measured error at most about 1e-14; a fixed degree of the expansion
+    # (no tail test) gives 9.6e-12 at (0.1, 3)
+    op = variable_operator(64)
+    f = Field(1.0 + 0.5 * make_field("random-smooth", 1, 64, seed=6, band=4).values)
+    got = u_s_apply(op, s, big_n, f).values
+    want = dense_time_average(op, s, big_n, f)
+    assert np.max(np.abs(got - want)) / np.max(np.abs(want)) <= 1e-12
+
+
+def test_chebyshev_evaluator_rejects_nondecaying_coefficients():
+    # |lambda - rho/2| has a kink inside the spectrum: its Chebyshev
+    # coefficients decay like k^-2 and never reach the tail tolerance
+    op = variable_operator(64)
+    rho = op._chebyshev_frame()[0]
+    f = make_field("random-smooth", 1, 64, seed=6, band=4)
+    with pytest.raises(NumericError, match="did not fall below"):
+        _chebyshev_apply(op, lambda lam: np.abs(lam - rho / 2), 1e-3, f)
 
 
 # ---------------------------------------------------------------------------
