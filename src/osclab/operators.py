@@ -286,8 +286,8 @@ def semigroup_apply(op: EllipticOperator, t: float, f: Field) -> Field:
     """e^{-tL} f: exact multiplier when A is constant, Chebyshev expansion otherwise.
 
     On the ellipse E_R, |e^{-tL}| reaches e^{(t rho / 2)(ln R)^2 / 2} or so,
-    and the expansion loses that factor to rounding; complex coefficients
-    (R > 1) therefore split the time, e^{-tL} = (e^{-(t/s)L})^s, with the
+    and the expansion loses that factor to rounding; a non-Hermitian stencil
+    (R > 1) therefore splits the time, e^{-tL} = (e^{-(t/s)L})^s, with the
     least s that keeps (t rho / 2s)(ln R)^2 within _SPLIT_BOUND.
     """
     if t < 0:
@@ -296,10 +296,9 @@ def semigroup_apply(op: EllipticOperator, t: float, f: Field) -> Field:
         return f
     if op.is_constant:
         return _fourier_apply(op, np.exp(-t * op.symbol()), f)
-    rho, big_r, _ = op._chebyshev_frame()
-    splits = max(1, math.ceil(t * rho / 2.0 * math.log(big_r) ** 2 / _SPLIT_BOUND))
+    splits = max(1, math.ceil(_ellipse_growth(op, t) / _SPLIT_BOUND))
     tau = t / splits
-    return _chebyshev_apply(op, lambda lam: np.exp(-tau * lam), tau, f, splits)
+    return _chebyshev_apply(op, lambda lam: np.exp(-tau * lam), f, splits)
 
 
 def _time_average_multiplier(lam: np.ndarray, s: float, big_n: int) -> np.ndarray:
@@ -310,13 +309,14 @@ def _time_average_multiplier(lam: np.ndarray, s: float, big_n: int) -> np.ndarra
 
 
 def u_s_apply(op: EllipticOperator, s: float, big_n: int, f: Field) -> Field:
-    """U_s f = (average of e^{-lambda L} over [0, s])^N f.
+    """U_s f = M_s(L)^N f, M_s(L) = (1/s) int_0^s e^{-lambda L} d lambda.
 
-    The average has the closed form ((1 - e^{-sL}) / (sL))^N, applied to the
-    Fourier symbol when A is constant and by the Chebyshev evaluator otherwise.
-    That form admits no time splitting, so for variable complex coefficients
-    the expansion stops converging, with NumericError, once s rho (ln R)^2
-    is large (s = 0.1 on a 16 x 16 grid with imaginary parts of about 0.3).
+    M_s has the closed form (1 - e^{-sL}) / (sL), applied to the Fourier
+    symbol when A is constant and by the Chebyshev evaluator otherwise.  A
+    non-Hermitian stencil halves the time k times, as semigroup_apply splits
+    it, by M_{2a} = M_a (I + e^{-aL}) / 2: M_s = M_{s/2^k} times the factors
+    (I + e^{-aL}) / 2 for a = s/2^k, ..., s/2, with the least k that keeps
+    (s rho / 2^{k+1})(ln R)^2 within _SPLIT_BOUND.
     """
     if s <= 0:
         raise ParameterError("s must be positive")
@@ -324,16 +324,31 @@ def u_s_apply(op: EllipticOperator, s: float, big_n: int, f: Field) -> Field:
         raise ParameterError("N must be >= 1")
     if op.is_constant:
         return _fourier_apply(op, _time_average_multiplier(op.symbol(), s, big_n), f)
-    return _chebyshev_apply(op, lambda lam: _time_average_multiplier(lam, s, big_n), s, f)
+    base, halvings = s, 0
+    while _ellipse_growth(op, base) > _SPLIT_BOUND:
+        base, halvings = base / 2.0, halvings + 1
+    out = _chebyshev_apply(op, lambda lam: _time_average_multiplier(lam, base, 1), f, big_n)
+    for j in range(halvings):
+        a = base * 2 ** j
+        for _ in range(big_n):
+            out = Field((out.values + semigroup_apply(op, a, out).values) / 2.0)
+    return out
 
 
-# Bound on (t rho / 2)(ln R)^2 per split step of a complex semigroup.
+# Bound on (t rho / 2)(ln R)^2 per split step of a non-Hermitian stencil.
 _SPLIT_BOUND = 4.0
 # The expansion stops once every trailing coefficient, weighted by R^k, is
 # below this fraction of the largest |phi| on the Bernstein ellipse.
 _TAIL_TOL = 1e-16
-# Degree at which the doubling gives up.
+# Degree at which the doubling starts, and at which it gives up.
+_START_DEGREE = 64
 _MAX_DEGREE = 1 << 17
+
+
+def _ellipse_growth(op: EllipticOperator, t: float) -> float:
+    """(t rho / 2)(ln R)^2, about twice the log of max |e^{-t lambda}| on E_R."""
+    rho, big_r, _ = op._chebyshev_frame()
+    return t * rho / 2.0 * math.log(big_r) ** 2
 
 
 def _chebyshev_coefficients(phi, n: int, big_r: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
@@ -361,19 +376,20 @@ def _chebyshev_coefficients(phi, n: int, big_r: float = 1.0) -> tuple[np.ndarray
     return weighted * np.exp(-log_r * k), np.abs(weighted) / float(np.max(np.abs(values)))
 
 
-def _chebyshev_apply(op: EllipticOperator, phi, t: float, f: Field, power: int = 1) -> Field:
+def _chebyshev_apply(op: EllipticOperator, phi, f: Field, power: int = 1) -> Field:
     """phi(L)^power f for a scalar function phi of the spectral variable.
 
     phi is expanded in Chebyshev polynomials of X = (2/rho) L - I.  The
-    degree starts at sqrt(80 t rho / 2) + 60, enough for e^{-t lambda}, and
-    doubles until the trailing coefficients, weighted by R^k, fall below
-    _TAIL_TOL (relative to max |phi| on E_R, where |T_k| <= R^k); the
-    expansion is cut after its last coefficient above that level and run by
-    the three-term recurrence, once per power.  NumericError if the
-    coefficients never decay that far.
+    degree starts at _START_DEGREE and doubles until the trailing
+    coefficients, weighted by R^k, fall below _TAIL_TOL (relative to max
+    |phi| on E_R, where |T_k| <= R^k); the expansion is cut after its last
+    coefficient above that level and run by the three-term recurrence, once
+    per power.  NumericError if the coefficients never decay that far.  The
+    result is real when L and f are: phi is then real on the real axis, and
+    the imaginary part that sampling on E_R leaves is rounding.
     """
     rho, big_r, x_mat = op._chebyshev_frame()
-    n = int(math.sqrt(80.0 * t * rho / 2.0)) + 60
+    n = _START_DEGREE
     while True:
         coeffs, weighted = _chebyshev_coefficients(lambda u: phi(rho * u), n, big_r)
         if np.all(weighted[-max(8, n // 8):] < _TAIL_TOL):
@@ -394,7 +410,8 @@ def _chebyshev_apply(op: EllipticOperator, phi, t: float, f: Field, power: int =
             prev, cur = cur, 2.0 * (x_mat @ cur) - prev
             acc += c * cur
         u = acc
-    return Field(u.reshape(f.values.shape))
+    out = u.reshape(f.values.shape)
+    return Field(out if (op.is_complex or f.is_complex) else out.real)
 
 
 # ---------------------------------------------------------------------------
