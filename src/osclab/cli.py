@@ -18,7 +18,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 from typing import Optional
 
 import numpy as np
@@ -73,6 +73,17 @@ CONFIG_KEYS = frozenset({
     "condition_families", "k_max", "good_lambda", "bmo", "epi",
 })
 
+#: every key the pipeline reads inside the config sections of a fixed schema
+SECTION_KEYS = {
+    "family": frozenset({"kind", "p0", "q0", "operator", "N"}),
+    "exponents": frozenset({"q", "r"}),
+    "cube_sample": frozenset({"min_cells", "off_dyadic"}),
+    "profile": frozenset({"cube_side_cells", "anchors", "k_max", "pair_levels", "fit_range"}),
+    "good_lambda": frozenset({"cube", "s", "lam", "t_points"}),
+    "bmo": frozenset({"ps", "s", "alpha", "field_seeds", "operators", "operator_params"}),
+    "epi": frozenset({"root", "families", "bound_factor", "k_max"}),
+}
+
 
 @dataclass
 class ExperimentConfig:
@@ -108,6 +119,11 @@ class ExperimentConfig:
 
     def validate(self) -> None:
         unknown = sorted(set(self.data) - CONFIG_KEYS)
+        for section, keys in SECTION_KEYS.items():
+            value = self.data.get(section, {})
+            if not isinstance(value, dict):
+                raise ParameterError(f"config section {section} must be an object, got {value!r}")
+            unknown += [f"{section}.{k}" for k in sorted(set(value) - keys)]
         if unknown:
             raise ParameterError(f"unknown config key(s): {', '.join(unknown)}")
         if not isinstance(self.harnesses, list) or not all(isinstance(h, str) for h in self.harnesses):
@@ -405,9 +421,7 @@ class HarnessContext:
 
 
 def _hypothesis(ctx: HarnessContext) -> tuple[dict, bool]:
-    target = ctx.rungs[-1]
-    rep = check_hypothesis(target.family, target.field, target.hypothesis,
-                           target.cube_sample, k_max=int(ctx.cfg.get("k_max", 3)))
+    rep = check_hypothesis(ctx.rungs[-1], int(ctx.cfg.get("k_max", 3)))
     return {"hypothesis": rep.to_dict()}, math.isfinite(rep.constant)
 
 
@@ -428,9 +442,8 @@ def _strong(ctx: HarnessContext) -> tuple[dict, bool]:
 def _exponential(ctx: HarnessContext) -> tuple[dict, bool]:
     dinf = _dinf_for(ctx.cfg, ctx.rungs[0])
     exp_rungs = [
-        Rung(r.m, r.field, r.family, r.hypothesis,
-             exponential_denominator(r.hypothesis, ctx.profiles[r.m]),
-             r.cube_sample, r.weight)
+        replace(r, denominator=exponential_denominator(r.hypothesis, ctx.profiles[r.m]),
+                partner=None)
         for r in ctx.rungs
     ]
     rep = verify_exponential(exp_rungs, dinf)
@@ -494,8 +507,7 @@ def _hyp_k(ctx: HarnessContext) -> tuple[dict, bool]:
     target = ctx.rungs[0]
     epi = ctx.cfg.get("epi", {})
     bound = float(epi.get("bound_factor", 8.0))
-    rep = check_hypothesis(target.family, target.field, target.hypothesis,
-                           target.cube_sample, k_max=int(epi.get("k_max", 3)))
+    rep = check_hypothesis(target, int(epi.get("k_max", 3)))
     factor = math.inf if rep.k0_constant == 0 else rep.constant / rep.k0_constant
     ok = math.isfinite(factor) and factor <= bound
     return {"hyp_k": {
@@ -509,11 +521,8 @@ def _hyp_k(ctx: HarnessContext) -> tuple[dict, bool]:
 
 def _weighted_identity(ctx: HarnessContext) -> tuple[dict, bool]:
     target = ctx.rungs[0]
-    r_plain = Rung(target.m, target.field, target.family, target.hypothesis,
-                   target.denominator, target.cube_sample, None)
-    r_ones = Rung(target.m, target.field, target.family, target.hypothesis,
-                  target.denominator, target.cube_sample,
-                  ones_weight(ctx.cfg.dimension, target.m))
+    r_plain = replace(target, weight=None, partner=None)
+    r_ones = replace(target, weight=ones_weight(ctx.cfg.dimension, target.m), partner=None)
     rep_plain = verify_weak_improvement([r_plain], ctx.q, ctx.condition)
     rep_ones = verify_weak_improvement([r_ones], ctx.q, ctx.condition)
     rows_equal = all(

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -49,8 +49,6 @@ class Coeffs:
             if any(v < 0 for v in vals):
                 raise ParameterError("sequence entries must be nonnegative")
             self.params = {"values": vals}
-        elif kind == "callable":
-            self._fn: Callable[[int], float] = params["fn"]
         else:
             raise ParameterError(f"unknown sequence kind {kind!r}")
 
@@ -61,10 +59,8 @@ class Coeffs:
             return self.params.get("scale", 1.0) * 2.0 ** (-self.params["sigma"] * k)
         if self.kind == "gauss":
             return self.params.get("scale", 1.0) * math.exp(-self.params["rate"] * 4.0 ** k)
-        if self.kind == "table":
-            vals = self.params["values"]
-            return vals[k] if k < len(vals) else 0.0
-        return float(self._fn(k))
+        vals = self.params["values"]
+        return vals[k] if k < len(vals) else 0.0
 
     def tail_sum(self, k0: int) -> float:
         """sum_{k >= k0} gamma_k, exact for geometric/table, guarded otherwise."""
@@ -315,16 +311,6 @@ class TableFunctional(Functional):
         if key not in self._table:
             raise ParameterError(f"no table entry for cube {q.to_dict()}")
         return self._table[key]
-
-    @staticmethod
-    def from_csv(text: str) -> "TableFunctional":
-        import json
-
-        rows = []
-        for line in text.strip().splitlines():
-            cube_json, value = line.rsplit(",", 1)
-            rows.append((Cube.from_dict(json.loads(cube_json)), float(value)))
-        return TableFunctional(rows)
 
 
 # ---------------------------------------------------------------------------

@@ -12,9 +12,8 @@ from __future__ import annotations
 
 import json
 import math
-import os
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -134,28 +133,6 @@ class Field:
         else:
             raise ParameterError(f"unknown field format {fmt!r}")
         return Field(vals)
-
-
-@dataclass(frozen=True)
-class NormReport:
-    """A localized norm value together with its provenance."""
-
-    value: float
-    cube: Cube
-    kind: str
-    weighted: bool = False
-
-    def __post_init__(self):
-        if self.value < 0:
-            raise DataError("norm value must be nonnegative")
-
-    def to_dict(self) -> dict:
-        return {
-            "value": self.value,
-            "cube": self.cube.to_dict(),
-            "kind": self.kind,
-            "weighted": self.weighted,
-        }
 
 
 def cell_centers(dimension: int, m: int) -> list[np.ndarray]:

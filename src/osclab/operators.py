@@ -190,45 +190,6 @@ class EllipticOperator:
         return self._chebyshev
 
 
-def save_coefficients(op: EllipticOperator, path_base: str) -> list[str]:
-    """Persist the n x n coefficient blocks with the field I/O layout."""
-    import json as _json
-
-    header = {
-        "dimension": op.dimension,
-        "resolution": op.resolution,
-        "complex": op.is_complex,
-        "blocks": op.dimension,
-        "lam": op.lam,
-        "Lam": op.big_lam,
-        "p_minus": op.p_minus,
-        "p_plus": "inf" if math.isinf(op.p_plus) else op.p_plus,
-    }
-    paths = [path_base + ".json", path_base + ".bin"]
-    with open(paths[0], "w") as fh:
-        _json.dump(header, fh, sort_keys=True)
-        fh.write("\n")
-    op.coeffs.tofile(paths[1])
-    return paths
-
-
-def load_coefficients(path_base: str) -> EllipticOperator:
-    import json as _json
-
-    with open(path_base + ".json") as fh:
-        header = _json.load(fh)
-    n = int(header["dimension"])
-    m = int(header["resolution"])
-    dtype = np.complex128 if header.get("complex") else np.float64
-    coeffs = np.fromfile(path_base + ".bin", dtype=dtype).reshape((n, n) + (m,) * n)
-    p_plus = header.get("p_plus", "inf")
-    p_plus = math.inf if p_plus == "inf" else float(p_plus)
-    return EllipticOperator(
-        coeffs, float(header["lam"]), float(header["Lam"]), n,
-        float(header.get("p_minus", 1.0)), p_plus,
-    )
-
-
 def _shift(m: int, k: int) -> sp.csr_matrix:
     """Periodic shift: (S u)_i = u_{i+k}."""
     idx = (np.arange(m) + k) % m

@@ -21,7 +21,7 @@ from osclab.cubes import (
     Cube,
     cube_wraps,
     dilate,
-    full_torus,
+    dyadic_dilations,
     torus_grid_adapted_to,
     whitney_check,
     whitney_decompose,
@@ -91,18 +91,6 @@ def two_q_functional(a: Functional) -> DilationSeries:
     return DilationSeries(a, Coeffs("table", values=[0.0, 1.0]), start=1, kind="two-q-of")
 
 
-def _b_field_cache(family: OscillationFamily, f: Field) -> Callable[[Cube], Field]:
-    cache: dict = {}
-
-    def get(q: Cube) -> Field:
-        key = round(q.side * 2 ** 40) if family.sidelength_only else (q.anchor, q.side)
-        if key not in cache:
-            cache[key] = family.apply_B(f, q)
-        return cache[key]
-
-    return get
-
-
 @dataclass
 class Rung:
     """Everything a harness needs at one grid resolution.
@@ -110,7 +98,9 @@ class Rung:
     ``denominator`` is the conclusion right-hand side evaluated at Q (wrap
     the 2Q dilation inside it when the statement asks for one); ``partner``
     optionally carries the un-dilated pair functional for the two-functional
-    condition.
+    condition.  ``b_cache`` holds B_Q f per cube; rungs made from this one by
+    ``dataclasses.replace`` share it, and its keys carry the field and family
+    so a rung with other ones never reads an entry that is not its own.
     """
 
     m: int
@@ -121,6 +111,24 @@ class Rung:
     cube_sample: list[Cube]
     weight: Optional[Weight] = None
     partner: Optional[Functional] = None
+    b_cache: dict = dc_field(default_factory=dict, repr=False, compare=False)
+
+    def b_field(self, q: Cube) -> Field:
+        """B_Q f of this rung's field, computed once per cube.
+
+        Families that depend only on the sidelength keep one entry per side.
+        """
+        fam, f = self.family, self.field
+        cube_key = round(q.side * 2 ** 40) if fam.sidelength_only else (q.anchor, q.side)
+        key = (id(f), id(fam), cube_key)
+        if key not in self.b_cache:
+            # the entry keeps f and fam alive, so their ids stay unique
+            self.b_cache[key] = (f, fam, fam.apply_B(f, q))
+        return self.b_cache[key][2]
+
+
+def _ratio(num: float, den: float) -> float:
+    return math.inf if (den == 0.0 and num > 0.0) else (num / den if den else 0.0)
 
 
 def _stable(per_resolution: dict) -> bool:
@@ -156,49 +164,37 @@ class HypothesisReport:
         }
 
 
-def check_hypothesis(
-    family: OscillationFamily,
-    f: Field,
-    a: Functional,
-    cube_sample: Sequence[Cube],
-    k_max: int = 4,
-    weight: Optional[Weight] = None,
-) -> HypothesisReport:
+def check_hypothesis(rung: Rung, k_max: int) -> HypothesisReport:
     """sup over sampled (Q, k) of (mean_{2^k Q} |B_Q f|^{p0})^{1/p0} / a(2^k Q).
 
-    For families depending only on the sidelength the k = 0 restriction is
-    also reported: together with a summability condition on ``a`` it already
-    implies the full hypothesis, so the pair of constants documents the
-    reduction.
+    The hypothesis is unweighted; the rung's weight enters the conclusions
+    only.  For families depending only on the sidelength the k = 0
+    restriction is also reported: together with a summability condition on
+    ``a`` it already implies the full hypothesis, so the pair of constants
+    documents the reduction.
     """
-    m = f.resolution
-    p0 = family.p0
-    get_b = _b_field_cache(family, f)
+    p0 = rung.family.p0
     rows = []
     best = 0.0
     best_k0 = 0.0
     saturated = 0
-    for q in cube_sample:
-        bf = get_b(q)
-        for k in range(0, k_max + 1):
-            d = dilate(q, float(2 ** k), m) if k else None
-            cube_k = q if k == 0 else d.cube
-            num = lp_average(bf, cube_k, p0, weight)
-            den = a.eval(cube_k)
-            ratio = math.inf if (den == 0.0 and num > 0.0) else (num / den if den else 0.0)
+    for q in rung.cube_sample:
+        bf = rung.b_field(q)
+        for k, d in dyadic_dilations(q, rung.m, k_max):
+            num = lp_average(bf, d.cube, p0)
+            den = rung.hypothesis.eval(d.cube)
+            ratio = _ratio(num, den)
             rows.append((q.to_dict(), k, num, den, ratio))
             best = max(best, ratio)
             if k == 0:
                 best_k0 = max(best_k0, ratio)
-            if k and d.saturated:
-                saturated += 1
-                break
+            saturated += int(d.saturated)
     return HypothesisReport(
         constant=best,
         k0_constant=best_k0,
         rows=rows,
         saturated_cubes=saturated,
-        side_reduction=family.sidelength_only,
+        side_reduction=rung.family.sidelength_only,
     )
 
 
@@ -230,69 +226,65 @@ class VerifyReport:
         }
 
 
-def _conclusion_sweep(
-    rung: Rung,
-    norm_fn: Callable[[Field, Cube], float],
-) -> tuple[float, list]:
-    """Worst ratio of the conclusion norm against the denominator functional.
+def _sweep(
+    rungs: Sequence[Rung],
+    hyp_k_max: int,
+    norm: Callable[[Rung, Field, Cube], float],
+) -> tuple[float, dict, list, list]:
+    """The rung loop shared by the weak, strong and exponential harnesses.
 
-    The denominator is evaluated at Q itself; statements whose right-hand
-    side lives on a dilate (e.g. the expanded functional at 2Q) wrap that
-    dilation inside the functional.  Rows carry a flag bitmask recording
-    whether the companion 2Q dilation saturated (bit 0) or wrapped around
-    the torus seam (bit 1).
+    Per rung: the hypothesis constant up to the 2^{hyp_k_max} dilates, then
+    the worst ratio of the conclusion ``norm`` of B_Q f against the
+    denominator functional at Q (statements whose right-hand side lives on a
+    dilate, e.g. the expanded functional at 2Q, wrap that dilation inside
+    the functional).  Rows carry a flag bitmask recording whether the
+    companion 2Q dilation saturated (bit 0) or wrapped around the torus seam
+    (bit 1).  Returns (hypothesis constant, per-resolution constants, rows,
+    saturation warnings).
     """
-    m = rung.m
-    get_b = _b_field_cache(rung.family, rung.field)
-    best = 0.0
+    hyp = 0.0
+    per_res = {}
     rows = []
-    for q in rung.cube_sample:
-        bf = get_b(q)
-        num = norm_fn(bf, q)
-        two_q = dilate(q, 2.0, m)
-        den = rung.denominator.eval(q)
-        ratio = math.inf if (den == 0.0 and num > 0.0) else (num / den if den else 0.0)
-        flags = int(two_q.saturated) | (2 * int(cube_wraps(two_q.cube)))
-        rows.append((m, q.to_dict(), num, den, ratio, flags))
-        best = max(best, ratio)
-    return best, rows
+    warnings = []
+    for rung in rungs:
+        hyp_rep = check_hypothesis(rung, hyp_k_max)
+        hyp = max(hyp, hyp_rep.constant)
+        if hyp_rep.saturated_cubes:
+            warnings.append(f"m={rung.m}: {hyp_rep.saturated_cubes} saturated dilations")
+        best = 0.0
+        for q in rung.cube_sample:
+            num = norm(rung, rung.b_field(q), q)
+            two_q = dilate(q, 2.0, rung.m)
+            den = rung.denominator.eval(q)
+            ratio = _ratio(num, den)
+            flags = int(two_q.saturated) | (2 * int(cube_wraps(two_q.cube)))
+            rows.append((rung.m, q.to_dict(), num, den, ratio, flags))
+            best = max(best, ratio)
+        per_res[rung.m] = best
+    return hyp, per_res, rows, warnings
 
 
 def verify_weak_improvement(
     rungs: Sequence[Rung],
     q: float,
     condition_report: Optional[ConditionReport],
-    name: str = "weak-improvement",
-    k_max: int = 3,
 ) -> VerifyReport:
     """Weak-type conclusion constant sup_Q ||B_Q f||_{L^{q,inf},Q} / denom(2Q)."""
     if condition_report is None:
         raise ParameterError("a summability condition report is required")
     if not math.isfinite(condition_report.measured_constant):
         raise ParameterError("condition report carries an infinite constant")
-    per_res = {}
-    rows = []
-    hyp = 0.0
-    warnings = []
-    for rung in rungs:
-        hyp_rep = check_hypothesis(rung.family, rung.field, rung.hypothesis, rung.cube_sample, k_max)
-        hyp = max(hyp, hyp_rep.constant)
-        if hyp_rep.saturated_cubes:
-            warnings.append(f"m={rung.m}: {hyp_rep.saturated_cubes} saturated dilations")
-        best, rung_rows = _conclusion_sweep(
-            rung, lambda bf, q_cube: weak_lq_norm(bf, q_cube, q, rung.weight)
-        )
-        per_res[rung.m] = best
-        rows.extend(rung_rows)
-    conclusion = max(per_res.values())
+    hyp, per_res, rows, warnings = _sweep(
+        rungs, 3, lambda rung, bf, q_cube: weak_lq_norm(bf, q_cube, q, rung.weight)
+    )
     stable = _stable(per_res)
     if not stable and rows:
         worst = max(rows, key=lambda row: row[4] if math.isfinite(row[4]) else math.inf)
         warnings.append(f"ladder instability; worst cube m={worst[0]} {worst[1]}")
     return VerifyReport(
-        name=name,
+        name="weak-improvement",
         hypothesis_constant=hyp,
-        conclusion_constant=conclusion,
+        conclusion_constant=max(per_res.values()),
         per_resolution=per_res,
         passed=math.isfinite(hyp) and stable,
         warnings=warnings,
@@ -306,7 +298,6 @@ def verify_strong(
     q: float,
     r: float,
     condition_report: Optional[ConditionReport],
-    name: str = "strong-improvement",
 ) -> VerifyReport:
     """Strong-norm constant at exponent r < q plus the exact weak/strong link.
 
@@ -318,28 +309,20 @@ def verify_strong(
     if condition_report is None:
         raise ParameterError("a summability condition report is required")
     factor = (q / (q - r)) ** (1.0 / r)
-    per_res = {}
-    rows = []
-    hyp = 0.0
     worst_gap = -math.inf
-    for rung in rungs:
-        hyp_rep = check_hypothesis(rung.family, rung.field, rung.hypothesis, rung.cube_sample, 2)
-        hyp = max(hyp, hyp_rep.constant)
 
-        def strong_norm(bf: Field, q_cube: Cube) -> float:
-            nonlocal worst_gap
-            strong = lp_average(bf, q_cube, r, rung.weight)
-            weak = weak_lq_norm(bf, q_cube, q, rung.weight)
-            worst_gap = max(worst_gap, strong - factor * weak)
-            return strong
+    def strong_norm(rung: Rung, bf: Field, q_cube: Cube) -> float:
+        nonlocal worst_gap
+        strong = lp_average(bf, q_cube, r, rung.weight)
+        weak = weak_lq_norm(bf, q_cube, q, rung.weight)
+        worst_gap = max(worst_gap, strong - factor * weak)
+        return strong
 
-        best, rung_rows = _conclusion_sweep(rung, strong_norm)
-        per_res[rung.m] = best
-        rows.extend(rung_rows)
+    hyp, per_res, rows, _warnings = _sweep(rungs, 2, strong_norm)
     scale = max((row[2] for row in rows), default=1.0) or 1.0
     kolmogorov_ok = worst_gap <= 1e-10 * scale
     return VerifyReport(
-        name=name,
+        name="strong-improvement",
         hypothesis_constant=hyp,
         conclusion_constant=max(per_res.values()),
         per_resolution=per_res,
@@ -349,11 +332,7 @@ def verify_strong(
     )
 
 
-def verify_exponential(
-    rungs: Sequence[Rung],
-    dinf_report: ConditionReport,
-    name: str = "exponential",
-) -> VerifyReport:
+def verify_exponential(rungs: Sequence[Rung], dinf_report: ConditionReport) -> VerifyReport:
     """Exponential-class constant sup_Q ||B_Q f||_{expL,Q} / denom(2Q).
 
     Refuses to run unless the supplied condition report certifies the
@@ -362,19 +341,11 @@ def verify_exponential(
     """
     if dinf_report.condition != "Dinf" or not dinf_report.passed:
         raise ParameterError("exponential harness requires a passing Dinf condition report")
-    per_res = {}
-    rows = []
-    hyp = 0.0
-    for rung in rungs:
-        hyp_rep = check_hypothesis(rung.family, rung.field, rung.hypothesis, rung.cube_sample, 2)
-        hyp = max(hyp, hyp_rep.constant)
-        best, rung_rows = _conclusion_sweep(
-            rung, lambda bf, q_cube: exp_luxemburg_norm(bf, q_cube, rung.weight)
-        )
-        per_res[rung.m] = best
-        rows.extend(rung_rows)
+    hyp, per_res, rows, _warnings = _sweep(
+        rungs, 2, lambda rung, bf, q_cube: exp_luxemburg_norm(bf, q_cube, rung.weight)
+    )
     return VerifyReport(
-        name=name,
+        name="exponential",
         hypothesis_constant=hyp,
         conclusion_constant=max(per_res.values()),
         per_resolution=per_res,
@@ -441,7 +412,7 @@ def verify_good_lambda(
     p0, q0 = fam.p0, fam.q0
     vol_cell = f.cell_volume
 
-    bq = fam.apply_B(f, q_cube)
+    bq = rung.b_field(q_cube)
     bq2 = fam.apply_B(bq, q_cube)
     alt = bq.values - fam.apply_A(bq, q_cube).values  # B_Q - A_Q B_Q
     scale = float(np.max(np.abs(bq2.values)) + 1e-300)
@@ -469,10 +440,9 @@ def verify_good_lambda(
         # oscillation vanishes identically: every level set is empty and the
         # inequality is trivial at any threshold
         ts = denom * np.logspace(-2, 1, t_points)
-        rows = [(float(t), "trivial", 0.0, 0.0, math.inf, 0.0) for t in ts]
         return GoodLambdaReport(
             c0=0.0,
-            rows=[(t, b, l, s, 0.0, c) for (t, b, l, s, _unused, c) in rows],
+            rows=[(float(t), "trivial", 0.0, 0.0, 0.0, 0.0) for t in ts],
             whitney=[],
             whitney_prop_constant=0.0,
             identity_defect=identity_defect,
@@ -512,16 +482,8 @@ def verify_good_lambda(
             for w_cube in cubes:
                 if w_cube.disjoint_from(q_cube):
                     continue
-                k = 0
-                while True:
-                    d = dilate(w_cube, float(2 ** k), m) if k else None
-                    cube_k = w_cube if k == 0 else d.cube
-                    prop_const = max(
-                        prop_const, lp_average(g_field, cube_k, p0) / t
-                    )
-                    if k and d.saturated:
-                        break
-                    k += 1
+                for _k, d in dyadic_dilations(w_cube, m):
+                    prop_const = max(prop_const, lp_average(g_field, d.cube, p0) / t)
     branches = {r[1] for r in rows}
     finite = all(math.isfinite(r[5]) for r in rows)
     invariants_ok = all(
@@ -585,7 +547,6 @@ def verify_bmo_equivalence(
     ps: Sequence[float],
     s_exp: float,
     alpha: float = 0.0,
-    jn2_on_smallest: bool = True,
 ) -> BmoReport:
     """p-independence of the oscillation BMO seminorms.
 
@@ -608,9 +569,9 @@ def verify_bmo_equivalence(
     if not (ps[-1] < s_exp):
         raise ParameterError("need max(ps) < s for the pointwise comparison")
     # The pointwise comparison of the p-sharp maximal against M_s of the
-    # p0-sharp maximal runs on one rung (cost control) at alpha = 0; with
-    # alpha = 0 it reuses that rung's seminorm sweep, extended by p0.
-    target = min(rungs, key=lambda r: r.m) if jn2_on_smallest else rungs[-1]
+    # p0-sharp maximal runs on the smallest rung (cost control) at alpha = 0;
+    # with alpha = 0 it reuses that rung's seminorm sweep, extended by p0.
+    target = min(rungs, key=lambda r: r.m)
     p0 = target.family.p0
     jn2_ps = [p for p in ps if p != p0]
     seminorms: dict = {}

@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import json
 import os
+from collections import Counter
 
 import pytest
 
+from osclab import cli
 from osclab._support import ParameterError
 from osclab.cli import (
     ExperimentConfig,
@@ -16,6 +18,7 @@ from osclab.cli import (
     profile_svg,
     run_experiment,
 )
+from osclab.operators import OscillationFamily
 
 
 def read_artifacts(out_dir: str) -> dict[str, bytes]:
@@ -112,11 +115,47 @@ def test_repeat_runs_byte_identical(tmp_path):
 
 @pytest.mark.parametrize(
     "override, offender",
-    [('harnesses=["weka"]', "weka"), ("varient=local", "varient"), ("workers=2", "workers")],
+    [
+        ('harnesses=["weka"]', "weka"),
+        ("varient=local", "varient"),
+        ("workers=2", "workers"),
+        ("profile.kmax=3", "profile.kmax"),
+        ("exponents.qq=9", "exponents.qq"),
+        ("bmo.alhpa=0.5", "bmo.alhpa"),
+    ],
 )
 def test_config_rejects_unknown_keys_and_harnesses(override, offender):
     with pytest.raises(ParameterError, match=offender):
         ExperimentConfig.load(bundled_config_path("classical-jn"), [override])
+
+
+@pytest.mark.parametrize(
+    "config, overrides",
+    [("classical-jn", ["resolution_ladder=[64,128]"]), ("weighted-power", [])],
+)
+def test_harnesses_compute_each_b_field_once(monkeypatch, config, overrides):
+    # every harness reads B_Q f from its rung's cache, so a (rung field, cube)
+    # pair reaches OscillationFamily.apply_B at most once per run
+    rung_fields = set()
+    build_rung = cli.build_rung
+
+    def recording_build_rung(cfg, m):
+        rung, profile = build_rung(cfg, m)
+        rung_fields.add(id(rung.field))
+        return rung, profile
+
+    calls = Counter()
+    apply_b = OscillationFamily.apply_B
+
+    def counting_apply_b(self, f, q):
+        if id(f) in rung_fields:
+            calls[(id(f), q.anchor, q.side)] += 1
+        return apply_b(self, f, q)
+
+    monkeypatch.setattr(cli, "build_rung", recording_build_rung)
+    monkeypatch.setattr(OscillationFamily, "apply_B", counting_apply_b)
+    cli.run_pipeline(ExperimentConfig.load(bundled_config_path(config), overrides))
+    assert calls and max(calls.values()) == 1, calls.most_common(1)
 
 
 def test_emit_refuses_empty_report(tmp_path):

@@ -13,7 +13,6 @@ from osclab._support import DataError, ParameterError
 from osclab.cubes import Cube, full_torus
 from osclab.grid import (
     Field,
-    NormReport,
     exp_luxemburg_norm,
     kolmogorov_check,
     lp_average,
@@ -289,12 +288,6 @@ def test_complex_fields_use_modulus():
     f = make_field("fourier-mode", 1, 16, k=2)
     assert f.is_complex
     assert lp_average(f, full_torus(1), 2.0) == pytest.approx(1.0, rel=1e-12)
-
-
-def test_norm_report_roundtrip():
-    rep = NormReport(1.5, Cube((0.0,), 0.5), "Lp(2.0)")
-    d = rep.to_dict()
-    assert d["value"] == 1.5 and d["kind"] == "Lp(2.0)"
 
 
 def test_field_io_roundtrip(tmp_path):

@@ -619,17 +619,3 @@ def test_sharp_maximal_window_memory_bounded():
         tracemalloc.stop()
     assert peak < 16 * 2 ** 20, peak
 
-
-def test_coefficient_io_roundtrip(tmp_path):
-    from osclab.operators import load_coefficients, save_coefficients
-
-    op = anisotropic_operator_2d(8)
-    save_coefficients(op, str(tmp_path / "coef"))
-    back = load_coefficients(str(tmp_path / "coef"))
-    assert np.array_equal(back.coeffs, op.coeffs)
-    assert back.lam == op.lam and back.big_lam == op.big_lam
-
-    opc = complex_operator_2d(8)
-    save_coefficients(opc, str(tmp_path / "coefc"))
-    backc = load_coefficients(str(tmp_path / "coefc"))
-    assert np.array_equal(backc.coeffs, opc.coeffs)

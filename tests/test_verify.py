@@ -71,7 +71,7 @@ def test_hypothesis_zero_for_constant_field_semigroup():
     fam = make_family("semigroup", (2.0, 2.0), operator=identity_op(m))
     f = make_field("constant", 1, m, value=7.0)
     a = ConstantFunctional(1.0)
-    rep = check_hypothesis(fam, f, a, make_cube_sample(1, m, off_dyadic=4), k_max=3)
+    rep = check_hypothesis(Rung(m, f, fam, a, a, make_cube_sample(1, m, off_dyadic=4)), k_max=3)
     assert rep.constant < 1e-7
     assert rep.side_reduction
 
@@ -79,7 +79,7 @@ def test_hypothesis_zero_for_constant_field_semigroup():
 def test_hypothesis_local_variant_bounded_by_1_plus_2n():
     m = 256
     rung, _ = classical_jn_rung(m)
-    rep = check_hypothesis(rung.family, rung.field, rung.hypothesis, rung.cube_sample, k_max=1)
+    rep = check_hypothesis(rung, k_max=1)
     k1 = [row for row in rep.rows if row[1] == 1]
     assert k1
     assert max(row[4] for row in k1) <= (1 + 2) * (1 + 1e-9)
@@ -89,8 +89,23 @@ def test_hypothesis_infinite_when_functional_vanishes():
     m = 32
     fam = make_family("classical-average", (1.0, math.inf))
     f = make_field("random-smooth", 1, m, seed=1, band=3)
-    rep = check_hypothesis(fam, f, ConstantFunctional(0.0), [Cube((0.0,), 0.25)], k_max=0)
+    zero = ConstantFunctional(0.0)
+    rep = check_hypothesis(Rung(m, f, fam, zero, zero, [Cube((0.0,), 0.25)]), k_max=0)
     assert math.isinf(rep.constant)
+
+
+def test_replaced_rung_with_other_field_reads_its_own_b_field():
+    import dataclasses
+
+    m = 64
+    rung, _ = classical_jn_rung(m)
+    g = make_field("random-smooth", 1, m, seed=1, band=3)
+    q = rung.cube_sample[3]
+    own = rung.b_field(q)
+    other = dataclasses.replace(rung, field=g)
+    assert other.b_cache is rung.b_cache
+    assert np.array_equal(other.b_field(q).values, rung.family.apply_B(g, q).values)
+    assert rung.b_field(q) is own
 
 
 # ---------------------------------------------------------------------------
