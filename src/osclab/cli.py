@@ -37,7 +37,7 @@ from osclab.functionals import (
     eta_alternative,
     tilde_expand,
 )
-from osclab.grid import Field, _is_pow2, make_field
+from osclab.grid import FIELD_PARAMS, Field, _is_pow2, make_field
 from osclab.operators import (
     EllipticOperator,
     audit_family,
@@ -124,6 +124,11 @@ class ExperimentConfig:
             if not isinstance(value, dict):
                 raise ParameterError(f"config section {section} must be an object, got {value!r}")
             unknown += [f"{section}.{k}" for k in sorted(set(value) - keys)]
+        field = self.data.get("field")
+        if field is not None:  # its keys depend on its kind
+            if not isinstance(field, dict) or field.get("kind") not in FIELD_PARAMS:
+                raise ParameterError(f"config section field needs a known kind, got {field!r}")
+            unknown += [f"field.{k}" for k in sorted(set(field) - FIELD_PARAMS[field["kind"]] - {"kind"})]
         if unknown:
             raise ParameterError(f"unknown config key(s): {', '.join(unknown)}")
         if not isinstance(self.harnesses, list) or not all(isinstance(h, str) for h in self.harnesses):

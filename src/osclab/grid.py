@@ -44,9 +44,9 @@ class Field:
             raise ParameterError(f"field must be square, got shape {v.shape}")
         if not _is_pow2(m):
             raise ParameterError(f"resolution must be a power of two, got {m}")
+        v = v.copy()  # contiguous, so a complex array views as float64 pairs
         if not np.all(np.isfinite(v.view(np.float64) if v.dtype == np.complex128 else v)):
             raise DataError("field contains non-finite samples")
-        v = v.copy()
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
 
@@ -352,6 +352,19 @@ def maximal_function(f: Field, p: float = 1.0) -> Field:
 def torus_distance(x: np.ndarray, center: float) -> np.ndarray:
     d = np.abs(x - center) % 1.0
     return np.minimum(d, 1.0 - d)
+
+
+#: the parameters make_field reads, by field kind
+FIELD_PARAMS = {
+    "constant": frozenset({"value"}),
+    "log-distance": frozenset({"center"}),
+    "fourier-mode": frozenset({"k", "complex"}),
+    "random-smooth": frozenset({"band", "scale"}),
+    "random-normal": frozenset({"complex"}),
+    "indicator": frozenset({"cube"}),
+    "power-distance": frozenset({"center", "gamma"}),
+    "spike": frozenset({"amp", "cell"}),
+}
 
 
 def make_field(kind: str, dimension: int, m: int, seed: int = 0, **params) -> Field:

@@ -13,8 +13,11 @@ conservative finite-difference stencil, and functions of it (e^{-tL} and the
 time average U_s) are evaluated to rounding by a Chebyshev expansion over a
 Gershgorin enclosure of its numerical range, with sparse matvecs only
 (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 1984; Crouzeix, J. Funct. Anal. 244,
-2007, for complex coefficients).  Both paths annihilate constants and conserve
-the mean, because the stencil is in flux form.
+2007, for complex coefficients).  The expansion is batched over times and
+fields: one three-term recurrence on the block of all fields serves every
+time, so the sharp maximal sweep of a rung costs the longest single-scale
+expansion, not the sum over scales and fields.  Both paths annihilate
+constants and conserve the mean, because the stencil is in flux form.
 """
 
 from __future__ import annotations
@@ -243,23 +246,62 @@ def _fourier_apply(op: EllipticOperator, multiplier: np.ndarray, f: Field) -> Fi
     return Field(out if (op.is_complex or f.is_complex) else out.real)
 
 
-def semigroup_apply(op: EllipticOperator, t: float, f: Field) -> Field:
+def semigroup_apply(
+    op: EllipticOperator,
+    t: float | Sequence[float],
+    f: Field | Sequence[Field] | Sequence[Sequence[Field]],
+) -> Field | list:
     """e^{-tL} f: exact multiplier when A is constant, Chebyshev expansion otherwise.
+
+    ``t`` is one time or a sequence of times.  ``f`` is one field, a sequence
+    of fields that every time acts on, or (with a sequence of times) one
+    sequence of fields per time.  A sequence of times returns one entry per
+    time and a sequence of fields one field per field, in order; with both,
+    ``out[i][j]`` is e^{-t_i L} applied to field j.  On the stencil every time
+    shares one Chebyshev recurrence on the block of all fields.
 
     On the ellipse E_R, |e^{-tL}| reaches e^{(t rho / 2)(ln R)^2 / 2} or so,
     and the expansion loses that factor to rounding; a non-Hermitian stencil
     (R > 1) therefore splits the time, e^{-tL} = (e^{-(t/s)L})^s, with the
-    least s that keeps (t rho / 2s)(ln R)^2 within _SPLIT_BOUND.
+    least s that keeps (t rho / 2s)(ln R)^2 within _SPLIT_BOUND.  A split
+    time runs its s steps on its own block of fields.
     """
-    if t < 0:
-        raise ParameterError(f"time must be nonnegative, got {t}")
-    if t == 0.0:
-        return f
-    if op.is_constant:
-        return _fourier_apply(op, np.exp(-t * op.symbol()), f)
-    splits = max(1, math.ceil(_ellipse_growth(op, t) / _SPLIT_BOUND))
-    tau = t / splits
-    return _chebyshev_apply(op, lambda lam: np.exp(-tau * lam), f, splits)
+    times = [float(t)] if np.ndim(t) == 0 else [float(x) for x in t]
+    for x in times:
+        if x < 0:
+            raise ParameterError(f"time must be nonnegative, got {x}")
+    single = isinstance(f, Field)
+    if not single and len(f) == 0:
+        raise ParameterError("need at least one field")
+    per_time = not single and not isinstance(f[0], Field)
+    if per_time and (np.ndim(t) == 0 or len(f) != len(times)):
+        raise ParameterError("need one sequence of fields per time")
+    blocks = [list(g) for g in f] if per_time else [[f] if single else list(f)] * len(times)
+    out: list = [None] * len(times)
+    batch = []
+    for i, (x, fs) in enumerate(zip(times, blocks)):
+        if x == 0.0:
+            out[i] = list(fs)
+        elif op.is_constant:
+            multiplier = np.exp(-x * op.symbol())
+            out[i] = [_fourier_apply(op, multiplier, g) for g in fs]
+        else:
+            splits = max(1, math.ceil(_ellipse_growth(op, x) / _SPLIT_BOUND))
+            if splits == 1:
+                batch.append(i)
+            else:
+                out[i] = _chebyshev_apply(op, [_heat(x / splits)], fs, splits)[0]
+    if batch:
+        src = [blocks[i] for i in batch] if per_time else blocks[0]
+        for i, res in zip(batch, _chebyshev_apply(op, [_heat(times[i]) for i in batch], src)):
+            out[i] = res
+    if single:
+        out = [res[0] for res in out]
+    return out[0] if np.ndim(t) == 0 else out
+
+
+def _heat(tau: float):
+    return lambda lam: np.exp(-tau * lam)
 
 
 def _time_average_multiplier(lam: np.ndarray, s: float, big_n: int) -> np.ndarray:
@@ -288,7 +330,7 @@ def u_s_apply(op: EllipticOperator, s: float, big_n: int, f: Field) -> Field:
     base, halvings = s, 0
     while _ellipse_growth(op, base) > _SPLIT_BOUND:
         base, halvings = base / 2.0, halvings + 1
-    out = _chebyshev_apply(op, lambda lam: _time_average_multiplier(lam, base, 1), f, big_n)
+    out = _chebyshev_apply(op, [lambda lam: _time_average_multiplier(lam, base, 1)], [f], big_n)[0][0]
     for j in range(halvings):
         a = base * 2 ** j
         for _ in range(big_n):
@@ -337,19 +379,15 @@ def _chebyshev_coefficients(phi, n: int, big_r: float = 1.0) -> tuple[np.ndarray
     return weighted * np.exp(-log_r * k), np.abs(weighted) / float(np.max(np.abs(values)))
 
 
-def _chebyshev_apply(op: EllipticOperator, phi, f: Field, power: int = 1) -> Field:
-    """phi(L)^power f for a scalar function phi of the spectral variable.
+def _chebyshev_expansion(phi, rho: float, big_r: float) -> np.ndarray:
+    """Chebyshev coefficients of phi(rho (1 + x) / 2), cut at the tail tolerance.
 
-    phi is expanded in Chebyshev polynomials of X = (2/rho) L - I.  The
-    degree starts at _START_DEGREE and doubles until the trailing
+    The degree starts at _START_DEGREE and doubles until the trailing
     coefficients, weighted by R^k, fall below _TAIL_TOL (relative to max
     |phi| on E_R, where |T_k| <= R^k); the expansion is cut after its last
-    coefficient above that level and run by the three-term recurrence, once
-    per power.  NumericError if the coefficients never decay that far.  The
-    result is real when L and f are: phi is then real on the real axis, and
-    the imaginary part that sampling on E_R leaves is rounding.
+    coefficient above that level.  NumericError if the coefficients never
+    decay that far.
     """
-    rho, big_r, x_mat = op._chebyshev_frame()
     n = _START_DEGREE
     while True:
         coeffs, weighted = _chebyshev_coefficients(lambda u: phi(rho * u), n, big_r)
@@ -360,19 +398,51 @@ def _chebyshev_apply(op: EllipticOperator, phi, f: Field, power: int = 1) -> Fie
             raise NumericError(
                 f"Chebyshev coefficients did not fall below {_TAIL_TOL:g} by degree {_MAX_DEGREE}"
             )
-    coeffs = coeffs[: int(np.nonzero(weighted >= _TAIL_TOL)[0][-1]) + 1]
-    u = f.values.ravel().astype(np.result_type(x_mat.dtype, f.values.dtype, coeffs.dtype))
+    return coeffs[: int(np.nonzero(weighted >= _TAIL_TOL)[0][-1]) + 1]
+
+
+def _chebyshev_apply(op: EllipticOperator, phis: Sequence, fields: Sequence, power: int = 1) -> list:
+    """phi(L)^power g for every phi in ``phis``, by one three-term recurrence.
+
+    ``fields`` is one list of fields that every phi acts on, or one list per
+    phi; the result is one list of fields per phi.  Each phi is expanded in
+    Chebyshev polynomials of X = (2/rho) L - I (_chebyshev_expansion), and
+    the vectors T_k(X) u of the column block u of all fields are computed
+    once, up to the longest expansion; each (phi, field) accumulator takes
+    its own coefficients and stops at its own cut.  A column of the block
+    sees the same operations, in the same order, as the block of that field
+    alone, so batching does not change a bit.  Powers rerun the recurrence
+    on the block of results, each phi on its own columns.  A result is real
+    when L and its field are: phi is then real on the real axis, and the
+    imaginary part that sampling on E_R leaves is rounding.
+    """
+    rho, big_r, x_mat = op._chebyshev_frame()
+    expansions = [_chebyshev_expansion(phi, rho, big_r) for phi in phis]
+    stacked = not isinstance(fields[0], Field)
+    blocks = list(fields) if stacked else [fields] * len(phis)
+    edges = np.cumsum([0] + [len(b) for b in blocks])
+    columns = [g for b in (blocks if stacked else [fields]) for g in b]
+    dtype = np.result_type(x_mat.dtype, *(c.dtype for c in expansions), *(g.values.dtype for g in columns))
+    u = np.stack([g.values.ravel() for g in columns], axis=1).astype(dtype)
     for _ in range(power):
+        cols = [slice(lo, hi) if stacked else slice(None) for lo, hi in zip(edges, edges[1:])]
         prev, cur = u, x_mat @ u
-        acc = 0.5 * coeffs[0] * prev
-        if len(coeffs) > 1:
-            acc += coeffs[1] * cur
-        for c in coeffs[2:]:
+        accs = [0.5 * c[0] * prev[:, s] for c, s in zip(expansions, cols)]
+        for acc, c, s in zip(accs, expansions, cols):
+            if len(c) > 1:
+                acc += c[1] * cur[:, s]
+        for k in range(2, max(len(c) for c in expansions)):
             prev, cur = cur, 2.0 * (x_mat @ cur) - prev
-            acc += c * cur
-        u = acc
-    out = u.reshape(f.values.shape)
-    return Field(out if (op.is_complex or f.is_complex) else out.real)
+            for acc, c, s in zip(accs, expansions, cols):
+                if k < len(c):
+                    acc += c[k] * cur[:, s]
+        u, stacked = np.concatenate(accs, axis=1), True
+    shape = columns[0].values.shape
+    return [
+        [Field(r if (op.is_complex or g.is_complex) else r.real)
+         for g, r in zip(b, (u[:, j].reshape(shape) for j in range(lo, lo + len(b))))]
+        for b, lo in zip(blocks, edges)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -489,12 +559,21 @@ class OscillationFamily:
 
     def apply_B_scale(self, f: Field, side: float) -> Field:
         """B at a given sidelength for families depending only on the scale."""
+        return self.apply_B_scales([side], [f])[0][0]
+
+    def apply_B_scales(self, sides: Sequence[float], fields: Sequence[Field]) -> list[list[Field]]:
+        """B at every sidelength on every field, ``out[i][j]`` for side i and field j.
+
+        Each factor I - e^{-l^2 L} of (I - e^{-l^2 L})^N is one semigroup_apply
+        call over all sides and fields.
+        """
         if not self.sidelength_only:
             raise ParameterError("family depends on cube position, not only its scale")
-        g = f
-        t = side ** 2
-        for _ in range(self.big_n):
-            g = Field(g.values - semigroup_apply(self.operator, t, g).values)
+        times = [side ** 2 for side in sides]
+        g = [list(fields)] * len(times)
+        for k in range(self.big_n):
+            heat = semigroup_apply(self.operator, times, fields if k == 0 else g)
+            g = [[Field(a.values - e.values) for a, e in zip(gi, hi)] for gi, hi in zip(g, heat)]
         return g
 
 
@@ -590,10 +669,11 @@ def measure_offdiagonal(
             if outer.saturated:
                 break
             ann = _annulus_fields(probes, outer.cube, inner.cube, m)
+            outputs = [family.apply_A(p, q) for p in ann]
             for j in range(1, k - 1):
                 target = dil(q, 2.0 ** j).cube
-                for p in ann:
-                    lhs = lp_average(family.apply_A(p, q), target, q0)
+                for p, ap in zip(ann, outputs):
+                    lhs = lp_average(ap, target, q0)
                     rhs = lp_average(p, outer.cube, p0)
                     if rhs > 0:
                         bump(alpha, k, lhs / rhs)
@@ -692,7 +772,7 @@ def audit_family(
                 comm, lp_average(Field(br_bq.values - bq_br.values), torus, p0) / scale
             )
             # A_Q + B_Q = I by construction; the measured defect documents it
-            aq = family.apply_A(f, q)
+            aq = Field(f.values - bq.values)
             ident = max(ident, float(np.max(np.abs(aq.values + bq.values - f.values))))
             # localization
             two_q = dilate(q, 2.0, m).cube
@@ -700,16 +780,14 @@ def audit_family(
             masked = _masked_field(f, ix)
             rhs_vals = np.zeros_like(f.values)
             rhs_vals[ix] = family.apply_A(masked, q).values[ix]
-            loc_defect = max(
-                loc_defect, float(np.max(np.abs(family.apply_A(f, q).values - rhs_vals)))
-            )
+            loc_defect = max(loc_defect, float(np.max(np.abs(aq.values - rhs_vals))))
             # replacement identity on 2R
-            ar_aq = family.apply_A(family.apply_A(f, q), r)
+            ar_aq = family.apply_A(aq, r)
             two_r = dilate(r, 2.0, m).cube
             ixr = two_r.index(m)
             rc_defect = max(
                 rc_defect,
-                float(np.max(np.abs(ar_aq.values[ixr] - family.apply_A(f, q).values[ixr]))),
+                float(np.max(np.abs(ar_aq.values[ixr] - aq.values[ixr]))),
             )
     scale0 = max(float(np.max(np.abs(p.values))) for p in probes) + 1e-300
     return AuditReport(
@@ -746,48 +824,66 @@ def _anchored_deviations(f: Field, c: int):
     for lead in np.ndindex(*(m,) * (n - 1)):
         for a in range(0, m, rows):
             ix = lead + (slice(a, a + rows),)
-            win = np.ascontiguousarray(windows[ix]).reshape(-1, size)
-            yield ix, np.abs(win - win.mean(axis=1, keepdims=True))
+            win = np.array(windows[ix]).reshape(-1, size)
+            win -= win.mean(axis=1, keepdims=True)
+            yield ix, np.abs(win, out=win)
 
 
 def sharp_maximal(
-    family: OscillationFamily, f: Field, p: float | Sequence[float], alpha: float = 0.0
-) -> Field | list[Field]:
+    family: OscillationFamily,
+    f: Field | Sequence[Field],
+    p: float | Sequence[float],
+    alpha: float = 0.0,
+) -> Field | list:
     """Pointwise sup over admissible cubes of |Q|^{-alpha/n} (mean_Q |B_Q f|^p)^{1/p}.
 
     Admissible cubes are those of the restricted maximal-function family.
     With alpha = 0 the sup-norm of the result is the oscillation BMO seminorm
     of f for this family; positive alpha gives the Lipschitz-scale variant.
 
-    ``p`` is one exponent or a sequence of them; a sequence returns one field
-    per exponent, in order, from a single sweep over the scales: each B_Q f
-    (or window deviation) is computed once and raised to every exponent.
+    ``p`` is one exponent or a sequence of them, and ``f`` one field or a
+    sequence of fields of one grid; a sequence returns one entry per item, in
+    order, and with both, ``out[j][k]`` is field j at exponent k.  One sweep
+    over the scales serves them all: each B_Q f (or window deviation) is
+    computed once and raised to every exponent, a scale-only family gets the
+    B fields of every scale and field from apply_B_scales, and the
+    statistics of all fields go to one scale_sweep_max on a leading axis.
     """
-    single = np.ndim(p) == 0
-    ps = [float(p)] if single else [float(x) for x in p]
+    single_p = np.ndim(p) == 0
+    ps = [float(p)] if single_p else [float(x) for x in p]
     for x in ps:
         if not (family.p0 <= x and (x < family.q0 or x == family.p0)):
             raise ParameterError(f"p={x} outside [{family.p0}, {family.q0})")
-    m, n = f.resolution, f.dimension
+    single_f = isinstance(f, Field)
+    fs = [f] if single_f else list(f)
+    if not fs:
+        raise ParameterError("need at least one field")
+    m, n = fs[0].resolution, fs[0].dimension
+    cs = [2 ** k for k in range(m.bit_length())]
+    b = family.apply_B_scales([c / m for c in cs], fs) if family.sidelength_only else None
 
     def scales():
-        c = 1
-        while c <= m:
+        for i, c in enumerate(cs):
             side = c / m
             weight = side ** (-alpha) if alpha else 1.0
-            if family.sidelength_only:
-                dev = np.abs(family.apply_B_scale(f, side).values)
-                stat = sliding_cube_means(np.stack([np.power(dev, x) for x in ps]), c, n)
+            if b is not None:
+                dev = np.abs(np.stack([g.values for g in b[i]]))
+                b[i] = None
+                stat = sliding_cube_means(np.stack([np.power(dev, x) for x in ps], axis=1), c, n)
             else:
-                stat = np.empty((len(ps),) + f.values.shape)
-                for ix, dev in _anchored_deviations(f, c):
-                    for j, x in enumerate(ps):
-                        stat[j][ix] = np.power(dev, x).mean(axis=1)
-            yield c, np.stack([weight * np.power(s, 1.0 / x) for s, x in zip(stat, ps)])
-            c *= 2
+                stat = np.empty((len(fs), len(ps)) + fs[0].values.shape)
+                for j, g in enumerate(fs):
+                    for ix, dev in _anchored_deviations(g, c):
+                        for k, x in enumerate(ps):
+                            stat[(j, k) + ix] = np.power(dev, x).mean(axis=1)
+            for k, x in enumerate(ps):
+                stat[:, k] = weight * np.power(stat[:, k], 1.0 / x)
+            yield c, stat
 
-    best = scale_sweep_max(scales(), n)
-    return Field(best[0]) if single else [Field(b) for b in best]
+    best = [[Field(v) for v in per_field] for per_field in scale_sweep_max(scales(), n)]
+    if single_p:
+        best = [per_field[0] for per_field in best]
+    return best[0] if single_f else best
 
 
 def bmo_seminorm(family: OscillationFamily, f: Field, p: float, alpha: float = 0.0) -> float:

@@ -583,8 +583,11 @@ def verify_bmo_equivalence(
         per_ratio: dict = {}
         reuse = rung is target and alpha == 0.0
         exps = sorted({p0, *ps}) if reuse else ps
-        for i, f in enumerate(rung.fields):
-            sharp = dict(zip(exps, sharp_maximal(rung.family, f, exps, alpha)))
+        sharps = sharp_maximal(rung.family, rung.fields, exps, alpha)
+        if rung is target and not reuse:
+            jn2_sharps = sharp_maximal(rung.family, rung.fields, [p0] + jn2_ps, 0.0)
+        for i in range(len(rung.fields)):
+            sharp = dict(zip(exps, sharps[i]))
             vals = {p: float(np.max(sharp[p].values)) for p in ps}
             seq = [vals[p] for p in ps]
             for lo, hi in zip(seq, seq[1:]):
@@ -596,7 +599,7 @@ def verify_bmo_equivalence(
             if rung is not target:
                 continue
             if not reuse:
-                sharp = dict(zip([p0] + jn2_ps, sharp_maximal(rung.family, f, [p0] + jn2_ps, 0.0)))
+                sharp = dict(zip([p0] + jn2_ps, jn2_sharps[i]))
             maj = maximal_function(sharp[p0], s_exp).values
             mask = maj > 0
             for p in jn2_ps:

@@ -122,6 +122,9 @@ def test_repeat_runs_byte_identical(tmp_path):
         ("profile.kmax=3", "profile.kmax"),
         ("exponents.qq=9", "exponents.qq"),
         ("bmo.alhpa=0.5", "bmo.alhpa"),
+        ("field.centre=0.3", "field.centre"),
+        ("field.band=3", "field.band"),
+        ("field.kind=gaussian", "field"),
     ],
 )
 def test_config_rejects_unknown_keys_and_harnesses(override, offender):

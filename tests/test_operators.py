@@ -3,17 +3,20 @@
 from __future__ import annotations
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 from scipy.linalg import eigh, expm
 from scipy.special import ive
 
+from osclab import operators
 from osclab._support import NumericError, ParameterError
 from osclab.cubes import Cube, dilate, full_torus
 from osclab.grid import Field, lp_average, make_field
 from osclab.operators import (
     EllipticOperator,
+    OscillationFamily,
     _chebyshev_apply,
     _chebyshev_coefficients,
     audit_family,
@@ -338,7 +341,76 @@ def test_chebyshev_evaluator_rejects_nondecaying_coefficients():
     rho = op._chebyshev_frame()[0]
     f = make_field("random-smooth", 1, 64, seed=6, band=4)
     with pytest.raises(NumericError, match="did not fall below"):
-        _chebyshev_apply(op, lambda lam: np.abs(lam - rho / 2), f)
+        _chebyshev_apply(op, [lambda lam: np.abs(lam - rho / 2)], [f])
+
+
+# Real 1-D and 2-D stencils, a real non-symmetric and a complex stencil (both
+# split their larger times), and a constant operator on the spectral path.
+BATCH_OPERATORS = {
+    "variable-1d": (1, 64, lambda: variable_operator(64)),
+    "variable-2d": (2, 16, lambda: variable_operator_2d(16)),
+    "nonsymmetric-2d": (2, 16, lambda: nonsymmetric_operator_2d(16)),
+    "complex-variable-2d": (2, 16, lambda: complex_variable_operator_2d(16)),
+    "constant-2d": (2, 16, lambda: anisotropic_operator_2d(16)),
+}
+BATCH_TIMES = [1e-4, 1e-3, 1e-2, 0.1, 1.0]
+
+
+@pytest.mark.parametrize("width", [1, 3])
+@pytest.mark.parametrize("case", sorted(BATCH_OPERATORS))
+def test_batched_semigroup_matches_per_call_results_exactly(case, width):
+    dim, m, build = BATCH_OPERATORS[case]
+    op = build()
+    if case in ("nonsymmetric-2d", "complex-variable-2d"):
+        assert operators._ellipse_growth(op, BATCH_TIMES[-1]) > operators._SPLIT_BOUND
+    fields = [make_field("random-smooth", dim, m, seed=s, band=3) for s in range(1, width + 1)]
+    batched = semigroup_apply(op, BATCH_TIMES, fields)
+    # one sequence of fields per time: time i acts on its own fields only
+    own = [[Field((i + 1) * g.values) for g in fields] for i in range(len(BATCH_TIMES))]
+    paired = semigroup_apply(op, BATCH_TIMES, own)
+    assert len(batched) == len(paired) == len(BATCH_TIMES)
+    for i, t in enumerate(BATCH_TIMES):
+        assert len(batched[i]) == len(paired[i]) == width
+        for j, g in enumerate(fields):
+            assert np.array_equal(batched[i][j].values, semigroup_apply(op, t, g).values), (t, j)
+            assert np.array_equal(paired[i][j].values, semigroup_apply(op, t, own[i][j]).values), (t, j)
+    single_time = semigroup_apply(op, BATCH_TIMES[2], fields)
+    for got, want in zip(single_time, batched[2]):
+        assert np.array_equal(got.values, want.values)
+
+
+class CountingMatrix:
+    """Stands in for the cached X of the Chebyshev frame and counts its products."""
+
+    def __init__(self, mat):
+        self.mat, self.dtype, self.products = mat, mat.dtype, 0
+
+    def __matmul__(self, u):
+        self.products += 1
+        return self.mat @ u
+
+
+def test_sharp_maximal_runs_one_recurrence_for_all_scales_and_fields():
+    # bmo-heat's variable-1d rung at m = 128, with its five fields: the sweep
+    # costs as many products with X as the longest single-scale expansion,
+    # not the sum over scales and fields
+    m = 128
+    op = variable_operator(m)
+    rho, big_r, x_mat = op._chebyshev_frame()
+    counter = CountingMatrix(x_mat)
+    op._chebyshev = (rho, big_r, counter)
+    fields = [make_field("log-distance", 1, m, center=0.5)] + [
+        make_field("random-smooth", 1, m, seed=sd, band=6) for sd in (32, 33, 34, 35)
+    ]
+    per_scale = []
+    for k in range(m.bit_length()):
+        before = counter.products
+        semigroup_apply(op, (2 ** k / m) ** 2, fields[0])
+        per_scale.append(counter.products - before)
+    counter.products = 0
+    sharp_maximal(make_family("semigroup", (1.0, math.inf), op), fields, [1.0, 2.0, 4.0])
+    assert counter.products == max(per_scale)
+    assert len(fields) * sum(per_scale) > 2 * counter.products
 
 
 # ---------------------------------------------------------------------------
@@ -498,6 +570,28 @@ def test_audit_classical_localization_only():
     assert not rep.replace_comm
 
 
+@pytest.mark.parametrize("kind", ["extended-average", "semigroup"])
+def test_audit_and_profile_compute_each_b_field_once(monkeypatch, kind):
+    # a (field, cube) pair reaches OscillationFamily.apply_B at most once
+    m = 64
+    fam = make_family(kind, (1.0, math.inf), operator=identity_operator(m))
+    calls = Counter()
+    seen = []  # every field stays alive, so its id stays unique
+    apply_b = OscillationFamily.apply_B
+
+    def counting_apply_b(self, f, q):
+        seen.append(f)
+        calls[(id(f), q.anchor, q.side)] += 1
+        return apply_b(self, f, q)
+
+    monkeypatch.setattr(OscillationFamily, "apply_B", counting_apply_b)
+    audit_family(fam, probe_set(m), [(Cube((0.25,), 0.125), Cube((0.25,), 0.25))])
+    assert calls and max(calls.values()) == 1, calls.most_common(1)
+    calls.clear()
+    measure_offdiagonal(fam, probe_set(m), [Cube((0.25,), 1 / 32)], k_max=5)
+    assert calls and max(calls.values()) == 1, calls.most_common(1)
+
+
 # ---------------------------------------------------------------------------
 # sharp maximal
 # ---------------------------------------------------------------------------
@@ -590,6 +684,40 @@ def test_sharp_maximal_exponent_sweep_equals_single_exponent_calls(case, alpha):
     assert isinstance(swept, list) and len(swept) == 3
     for p, got in zip([1.0, 2.0, 4.0], swept):
         assert np.array_equal(got.values, sharp_maximal(fam, f, p, alpha).values), p
+
+
+SHARP_BATCH_CASES = {
+    "semigroup-spectral-1d": ("semigroup", 1, 64, identity_operator),
+    "semigroup-spectral-2d": ("semigroup", 2, 16, lambda m: identity_operator(m, 2)),
+    "semigroup-stencil-1d": ("semigroup", 1, 32, variable_operator),
+    "semigroup-stencil-2d": ("semigroup", 2, 16, variable_operator_2d),
+    "semigroup-nonsymmetric-2d": ("semigroup", 2, 16, nonsymmetric_operator_2d),
+    "classical-average-1d": ("classical-average", 1, 64, None),
+    "classical-average-2d": ("classical-average", 2, 16, None),
+    "extended-average-1d": ("extended-average", 1, 64, None),
+    "extended-average-2d": ("extended-average", 2, 16, None),
+}
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.5])
+@pytest.mark.parametrize(
+    "case, big_n",
+    [(c, 1) for c in sorted(SHARP_BATCH_CASES)]
+    + [(c, 2) for c in sorted(SHARP_BATCH_CASES) if SHARP_BATCH_CASES[c][0] == "semigroup"],
+)
+def test_sharp_maximal_field_batch_equals_per_field_calls(case, big_n, alpha):
+    kind, dim, m, build = SHARP_BATCH_CASES[case]
+    fam = make_family(kind, (1.0, math.inf), None if build is None else build(m), big_n)
+    fields = [make_field("random-smooth", dim, m, seed=s, band=3) for s in (1, 2, 3)]
+    ps = [1.0, 2.0, 4.0]
+    batched = sharp_maximal(fam, fields, ps, alpha)
+    one_p = sharp_maximal(fam, fields, 2.0, alpha)
+    assert len(batched) == len(one_p) == len(fields)
+    for g, got, got_2 in zip(fields, batched, one_p):
+        want = sharp_maximal(fam, g, ps, alpha)
+        for p, a, b in zip(ps, got, want):
+            assert np.array_equal(a.values, b.values), p
+        assert np.array_equal(got_2.values, want[1].values)
 
 
 def test_sharp_maximal_blocked_windows_match_brute_force():
