@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
+import inspect
 import json
 import math
-from typing import Any, Iterable, Sequence
+from typing import Any, Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -35,6 +36,50 @@ class NumericError(OsclabError):
 def rng_from_seed(seed: int) -> np.random.Generator:
     """Counter-based (Philox) generator; reproducible and cheap to split."""
     return np.random.Generator(np.random.Philox(seed))
+
+
+def ratio(num: float, denom: float) -> float:
+    """num / denom, with 0/0 = 0 and x/0 = inf for x != 0."""
+    if denom == 0.0:
+        return 0.0 if num == 0.0 else math.inf
+    return num / denom
+
+
+# ---------------------------------------------------------------------------
+# builder tables
+# ---------------------------------------------------------------------------
+#
+# A config section ``{"kind": ..., <keys>}`` is built by its kind's builder in a
+# table.  The kind's keys are the builder's keyword-only parameters, and its
+# defaults their defaults (none: required); positional ones take the context.
+
+
+def check_kind(table: dict, spec: Any, path: str, default_kind: Optional[str] = None) -> Callable:
+    """The builder of ``spec``'s kind; an unknown kind, an unknown key or a missing
+    required key raises ParameterError naming its dotted path below ``path``."""
+    if not isinstance(spec, dict):
+        raise ParameterError(f"{path} must be an object with a kind, got {spec!r}")
+    kind = spec.get("kind", default_kind)
+    if not isinstance(kind, str) or kind not in table:
+        raise ParameterError(f"{path}: unknown kind {kind!r} (known: {', '.join(table)})")
+    params = inspect.signature(table[kind]).parameters.values()
+    keys = {p.name: p.default for p in params if p.kind is p.KEYWORD_ONLY}
+    unknown = [f"{path}.{k}" for k in sorted(set(spec) - set(keys) - {"kind"})]
+    missing = [f"{path}.{k}" for k, v in keys.items() if v is inspect.Parameter.empty and k not in spec]
+    if unknown or missing:
+        raise ParameterError(f"unknown config key(s): {', '.join(unknown)}" if unknown
+                             else f"missing config key(s): {', '.join(missing)}")
+    return table[kind]
+
+
+def build_kind(table: dict, spec: Any, path: str, *context, default_kind: Optional[str] = None):
+    """Call the builder of ``spec``'s kind on ``context`` and the spec's keys; a value
+    it cannot convert (``float("x")``) raises ParameterError naming ``path``."""
+    builder = check_kind(table, spec, path, default_kind)
+    try:
+        return builder(*context, **{k: v for k, v in spec.items() if k != "kind"})
+    except (TypeError, ValueError) as exc:
+        raise ParameterError(f"{path}: {exc}") from exc
 
 
 def _jsonable(obj: Any) -> Any:

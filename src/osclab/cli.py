@@ -18,14 +18,23 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, field as dc_field, replace
+from dataclasses import asdict, dataclass, field as dc_field, replace
 from typing import Optional
 
 import numpy as np
 
-from osclab._support import ParameterError, dump_csv, dump_json, format_float, rng_from_seed
+from osclab._support import (
+    ParameterError,
+    build_kind,
+    check_kind,
+    dump_csv,
+    dump_json,
+    format_float,
+    rng_from_seed,
+)
 from osclab.cubes import Cube, sample_disjoint_families
 from osclab.functionals import (
+    COEFFS,
     Coeffs,
     ConditionReport,
     ConstantFunctional,
@@ -37,7 +46,7 @@ from osclab.functionals import (
     eta_alternative,
     tilde_expand,
 )
-from osclab.grid import FIELD_PARAMS, Field, _is_pow2, make_field
+from osclab.grid import FIELDS, Field, _is_pow2, make_field
 from osclab.operators import (
     EllipticOperator,
     audit_family,
@@ -124,13 +133,19 @@ class ExperimentConfig:
             if not isinstance(value, dict):
                 raise ParameterError(f"config section {section} must be an object, got {value!r}")
             unknown += [f"{section}.{k}" for k in sorted(set(value) - keys)]
-        field = self.data.get("field")
-        if field is not None:  # its keys depend on its kind
-            if not isinstance(field, dict) or field.get("kind") not in FIELD_PARAMS:
-                raise ParameterError(f"config section field needs a known kind, got {field!r}")
-            unknown += [f"field.{k}" for k in sorted(set(field) - FIELD_PARAMS[field["kind"]] - {"kind"})]
         if unknown:
             raise ParameterError(f"unknown config key(s): {', '.join(unknown)}")
+        for path, (table, default_kind) in KIND_SECTIONS.items():
+            spec = _get_dotted(self.data, path)
+            if spec is not None:
+                check_kind(table, {"kind": spec} if path == "variant" else spec, path, default_kind)
+        bmo = self.data.get("bmo", {})
+        ops, params = bmo.get("operators", {}), bmo.get("operator_params", {})
+        if not (isinstance(ops, dict) and isinstance(params, dict)):
+            raise ParameterError("bmo.operators and bmo.operator_params must be keyed by operator kind")
+        for name in {**ops, **params}:
+            where = "bmo.operator_params" if name in params else "bmo.operators"
+            check_kind(OPERATORS, _bmo_operator(bmo, name), f"{where}.{name}")
         if not isinstance(self.harnesses, list) or not all(isinstance(h, str) for h in self.harnesses):
             raise ParameterError(f"harnesses must be a list of names, got {self.harnesses!r}")
         unknown = sorted(set(self.harnesses) - set(HARNESSES))
@@ -142,7 +157,7 @@ class ExperimentConfig:
         fam = self.data.get("family", {})
         expo = self.data.get("exponents", {})
         p0 = float(fam.get("p0", 1.0))
-        q0 = _parse_inf(fam.get("q0", "inf"))
+        q0 = float(fam.get("q0", "inf"))
         q = float(expo.get("q", 2.0))
         theorem_harnesses = {"weak", "strong", "exponential", "good-lambda", "pair-dq"}
         if theorem_harnesses & set(self.harnesses):
@@ -175,10 +190,11 @@ def _parse_value(raw: str):
         return raw
 
 
-def _parse_inf(v) -> float:
-    if isinstance(v, str):
-        return math.inf if v in ("inf", "Infinity") else float(v)
-    return float(v)
+def _get_dotted(data: dict, dotted: str):
+    node = data
+    for p in dotted.split("."):
+        node = node.get(p) if isinstance(node, dict) else None
+    return node
 
 
 def _set_dotted(data: dict, dotted: str, value) -> None:
@@ -194,68 +210,145 @@ def _set_dotted(data: dict, dotted: str, value) -> None:
 # ---------------------------------------------------------------------------
 
 
-def build_operator(spec: dict, dimension: int, m: int) -> EllipticOperator:
-    kind = spec.get("kind", "identity")
-    lam = float(spec.get("lam", 1.0))
-    big_lam = float(spec.get("Lam", max(lam, 1.0)))
-    p_minus = float(spec.get("p_minus", 1.0))
-    p_plus = _parse_inf(spec.get("p_plus", "inf"))
-    if kind == "identity":
-        coeffs = np.ones((m,) * dimension)
-        return EllipticOperator(coeffs, 1.0, 1.0, dimension, p_minus, p_plus)
-    if kind == "constant":
-        mat = np.array(spec.get("matrix", np.eye(dimension).tolist()), dtype=complex)
-        if np.max(np.abs(mat.imag)) == 0:
-            mat = mat.real
-        coeffs = np.zeros((dimension, dimension) + (m,) * dimension, dtype=mat.dtype)
-        for i in range(dimension):
-            for j in range(dimension):
-                coeffs[i, j] = mat[i, j]
-        return EllipticOperator(coeffs, lam, big_lam, dimension, p_minus, p_plus)
-    if kind == "variable-1d":
-        if dimension != 1:
-            raise ParameterError("variable-1d operator requires dimension 1")
-        x = (np.arange(m) + 0.5) / m
-        base = float(spec.get("base", 1.25))
-        amp = float(spec.get("amp", 0.75))
-        coeffs = base + amp * np.cos(2 * np.pi * x)
-        return EllipticOperator(coeffs, lam, big_lam, 1, p_minus, p_plus)
-    if kind == "complex-perturbed":
-        eps = float(spec.get("eps", 0.3))
-        coeffs = np.zeros((dimension, dimension) + (m,) * dimension, dtype=complex)
-        rng = rng_from_seed(int(spec.get("seed", 0)))
-        skew = rng.normal(size=(dimension, dimension))
-        skew /= max(1.0, np.linalg.norm(skew, 2))
-        for i in range(dimension):
-            for j in range(dimension):
-                coeffs[i, j] = (1.0 if i == j else 0.0) + 1j * eps * skew[i, j]
-        return EllipticOperator(coeffs, lam, big_lam, dimension, p_minus, p_plus)
-    raise ParameterError(f"unknown operator kind {kind!r}")
+def _elliptic(coeffs: np.ndarray, dimension: int, lam, big_lam, bounds, p_minus, p_plus) -> EllipticOperator:
+    """The operator of ``coeffs``; ``bounds`` are the ellipticity constants lam, Lam left None."""
+    lam = bounds[0] if lam is None else float(lam)
+    big_lam = bounds[1] if big_lam is None else float(big_lam)
+    return EllipticOperator(coeffs, lam, big_lam, dimension, float(p_minus), float(p_plus))
 
 
-def build_weight(spec: Optional[dict], dimension: int, m: int) -> Optional[Weight]:
-    if spec is None:
-        return None
-    kind = spec.get("kind", "ones")
-    if kind == "ones":
-        return ones_weight(dimension, m)
-    if kind == "power-distance":
-        f = make_field("power-distance", dimension, m, center=spec.get("center", 0.5),
-                       gamma=float(spec["gamma"]))
-        return Weight(f)
-    if kind == "spike":
-        f = make_field("spike", dimension, m, amp=float(spec.get("amp", 10.0)))
-        return Weight(f)
-    raise ParameterError(f"unknown weight kind {kind!r}")
+# Operator builders: (dimension, m, *, the kind's config keys).  lam and Lam
+# default to bounds of the coefficients; p_minus and p_plus are recorded only.
+
+
+def _constant_operator(dimension: int, m: int, *, matrix=None, lam=1.0, Lam=None,
+                       p_minus=1.0, p_plus="inf") -> EllipticOperator:
+    """A(x) = ``matrix`` (default: the identity) at every cell; Lam defaults to max(lam, 1)."""
+    mat = np.array(np.eye(dimension) if matrix is None else matrix, dtype=complex)
+    if mat.shape != (dimension, dimension):
+        raise ParameterError(f"matrix must be {dimension}x{dimension}, got shape {mat.shape}")
+    mat = mat.real if np.max(np.abs(mat.imag)) == 0 else mat
+    coeffs = np.multiply.outer(mat, np.ones((m,) * dimension))  # mat at every cell
+    return _elliptic(coeffs, dimension, lam, Lam, (None, max(float(lam), 1.0)), p_minus, p_plus)
+
+
+def _variable_1d(dimension: int, m: int, *, base=1.25, amp=0.75, lam=None, Lam=None,
+                 p_minus=1.0, p_plus="inf") -> EllipticOperator:
+    """Scalar a(x) = base + amp cos(2 pi x) on the 1-D grid, within base -/+ |amp|."""
+    if dimension != 1:
+        raise ParameterError("variable-1d operator requires dimension 1")
+    base, amp, x = float(base), float(amp), (np.arange(m) + 0.5) / m
+    coeffs = base + amp * np.cos(2 * np.pi * x)
+    return _elliptic(coeffs, 1, lam, Lam, (base - abs(amp), base + abs(amp)), p_minus, p_plus)
+
+
+def _complex_perturbed(dimension: int, m: int, *, eps=0.3, seed=0, lam=None, Lam=None,
+                       p_minus=1.0, p_plus="inf") -> EllipticOperator:
+    """A = I + i eps S at every cell, S a seeded matrix of 2-norm at most one, so that
+    Re A >= 1 - |eps| and |A| <= 1 + |eps|."""
+    eps, skew = float(eps), rng_from_seed(int(seed)).normal(size=(dimension, dimension))
+    skew /= max(1.0, np.linalg.norm(skew, 2))
+    coeffs = np.multiply.outer(np.eye(dimension) + 1j * eps * skew, np.ones((m,) * dimension))
+    return _elliptic(coeffs, dimension, lam, Lam, (1.0 - abs(eps), 1.0 + abs(eps)), p_minus, p_plus)
+
+
+def _gradient_of_smooth(dimension: int, m: int, seed: int, *, band=3, floor=0.05) -> Field:
+    """|grad g| + floor, mode by mode, for the random-smooth field g of seed ``seed + 5``."""
+    gh = np.fft.fftn(make_field("random-smooth", dimension, m, seed=seed + 5, band=int(band)).values)
+    freqs = np.fft.fftfreq(m, d=1.0 / m)
+    total = np.zeros((m,) * dimension)
+    for ax in range(dimension):
+        k = freqs.reshape([m if i == ax else 1 for i in range(dimension)])
+        total += np.fft.ifftn(2j * np.pi * k * gh).real ** 2
+    return Field(np.sqrt(total) + float(floor))
+
+
+def _expanded_poincare(f: Field, cubes, weight, seed: int, *, s=1.0,
+                       gamma={"kind": "geometric", "sigma": 2.0}, h={"kind": "gradient-of-smooth"}):
+    h_field = build_section("functional.h", h, f.dimension, f.resolution, seed)
+    return ExpandedPoincare(h_field, float(s), Coeffs(**gamma), weight, enforce_quasi_decreasing=True)
+
+
+def _pair(a, profile, weight, cubes, cfg):
+    if not isinstance(a, ExpandedPoincare):
+        raise ParameterError("pair variant requires an expanded-poincare functional")
+    theta = 1.0 if weight is None else weight_report(weight, [2.0], cubes[:24], cfg.seed).theta
+    partner = bar_expand(tilde_expand(a, profile).collapse(), float(cfg["exponents"]["q"]), theta)
+    return two_q_functional(partner), partner
+
+
+#: operator kind -> builder, for ``family.operator`` and each operator of ``bmo.operators``
+OPERATORS = {
+    "identity": lambda dimension, m, *, p_minus=1.0, p_plus="inf": _elliptic(
+        np.ones((m,) * dimension), dimension, 1.0, 1.0, None, p_minus, p_plus),
+    "constant": _constant_operator,
+    "variable-1d": _variable_1d,
+    "complex-perturbed": _complex_perturbed,
+}
+
+#: weight kind -> builder (dimension, m, *, keys)
+WEIGHTS = {
+    "ones": ones_weight,
+    "power-distance": lambda dimension, m, *, gamma, center=0.5: Weight(
+        make_field("power-distance", dimension, m, gamma=gamma, center=center)),
+    "spike": lambda dimension, m, *, amp=10.0: Weight(make_field("spike", dimension, m, amp=amp)),
+}
+
+#: kind of the expanded-Poincare field h -> builder (dimension, m, seed, *, keys)
+H_FIELDS = {"gradient-of-smooth": _gradient_of_smooth}
+
+#: functional kind -> builder (field f, cube sample, weight, seed, *, keys)
+FUNCTIONALS = {
+    "measured-oscillation": lambda f, cubes, weight, seed: measured_oscillation(f, cubes),
+    "constant": lambda f, cubes, weight, seed, *, value=1.0: ConstantFunctional(float(value)),
+    "bmo-lipschitz": lambda f, cubes, weight, seed, *, alpha=0.0: PowerFunctional(float(alpha)),
+    "expanded-poincare": _expanded_poincare,
+}
+
+#: variant -> builder (hypothesis a, profile, weight, cube sample, config) ->
+#: (conclusion denominator, pair partner or None); no variant takes keys
+VARIANTS = {
+    "tilde": lambda a, profile, weight, cubes, cfg: (two_q_functional(tilde_expand(a, profile)), None),
+    "local": lambda a, profile, weight, cubes, cfg: (two_q_functional(a), None),
+    "alternative": lambda a, profile, weight, cubes, cfg: (
+        DilationSeries(a, eta_alternative(profile), start=1, kind="eta-alt-of"), None),
+    "pair": _pair,
+}
+
+#: kind-dependent config section -> (builder table, kind of a spec that names
+#: none); ``functional.gamma``'s builders make the terms of a ``Coeffs``
+KIND_SECTIONS = {
+    "field": (FIELDS, None),
+    "family.operator": (OPERATORS, "identity"),
+    "weight": (WEIGHTS, "ones"),
+    "functional": (FUNCTIONALS, "measured-oscillation"),
+    "functional.gamma": (COEFFS, None),
+    "functional.h": (H_FIELDS, None),
+    "variant": (VARIANTS, "tilde"),
+}
+
+
+def build_section(path: str, spec: dict, *context):
+    """Build ``spec``, a config value of the section ``path``, with its kind's builder."""
+    table, default_kind = KIND_SECTIONS[path]
+    return build_kind(table, spec, path, *context, default_kind=default_kind)
+
+
+def _bmo_operator(bmo: dict, name: str) -> dict:
+    """The spec of the operator ``name`` of ``bmo.operators``: ``bmo.operator_params[name]``."""
+    params = bmo.get("operator_params", {}).get(name, {})
+    if not isinstance(params, dict) or "kind" in params:
+        raise ParameterError(f"bmo.operator_params.{name} must hold the keys of {name}, got {params!r}")
+    return {**params, "kind": name}
 
 
 def build_family(spec: dict, dimension: int, m: int):
     kind = spec["kind"]
     p0 = float(spec.get("p0", 1.0))
-    q0 = _parse_inf(spec.get("q0", "inf"))
+    q0 = float(spec.get("q0", "inf"))
     operator = None
     if kind == "semigroup":
-        operator = build_operator(spec.get("operator", {"kind": "identity"}), dimension, m)
+        operator = build_section("family.operator", spec.get("operator", {}), dimension, m)
     return make_family(kind, (p0, q0), operator=operator, big_n=spec.get("N", 1))
 
 
@@ -283,82 +376,31 @@ def build_profile(cfg: ExperimentConfig, family, m: int):
     return prof
 
 
-def build_functional(cfg: ExperimentConfig, f: Field, cubes, weight, m: int):
-    spec = cfg.get("functional", {"kind": "measured-oscillation"})
-    kind = spec["kind"]
-    if kind == "measured-oscillation":
-        return measured_oscillation(f, cubes)
-    if kind == "constant":
-        return ConstantFunctional(float(spec.get("value", 1.0)))
-    if kind == "bmo-lipschitz":
-        return PowerFunctional(float(spec.get("alpha", 0.0)))
-    if kind == "expanded-poincare":
-        h = _h_field(spec, cfg.dimension, m, cfg.seed)
-        gamma = Coeffs(**spec.get("gamma", {"kind": "geometric", "sigma": 2.0}))
-        return ExpandedPoincare(h, float(spec.get("s", 1.0)), gamma, weight,
-                                enforce_quasi_decreasing=True)
-    raise ParameterError(f"unknown functional kind {kind!r}")
-
-
-def _h_field(spec: dict, dimension: int, m: int, seed: int) -> Field:
-    h_spec = spec.get("h", {"kind": "gradient-of-smooth", "band": 3})
-    if h_spec["kind"] == "gradient-of-smooth":
-        f = make_field("random-smooth", dimension, m, seed=seed + 5,
-                       band=int(h_spec.get("band", 3)))
-        return spectral_gradient_magnitude(f, floor=float(h_spec.get("floor", 0.05)))
-    f = make_field(h_spec["kind"], dimension, m, seed=seed + 5,
-                   **{k: v for k, v in h_spec.items() if k != "kind"})
-    return Field(np.abs(f.values) + float(h_spec.get("floor", 0.0)))
-
-
-def spectral_gradient_magnitude(f: Field, floor: float = 0.0) -> Field:
-    """|grad f| computed mode-by-mode, plus a positive floor."""
-    m = f.resolution
-    freqs = np.fft.fftfreq(m, d=1.0 / m)
-    fh = np.fft.fftn(f.values)
-    total = np.zeros_like(f.values, dtype=float)
-    for ax in range(f.dimension):
-        shape = [1] * f.dimension
-        shape[ax] = m
-        k = freqs.reshape(shape)
-        dax = np.fft.ifftn(2j * np.pi * k * fh).real
-        total += dax ** 2
-    return Field(np.sqrt(total) + floor)
+def _cube_sample(cfg: ExperimentConfig, m: int) -> list[Cube]:
+    cs = cfg.get("cube_sample", {})
+    return make_cube_sample(cfg.dimension, m, int(cs.get("min_cells", 8)),
+                            int(cs.get("off_dyadic", 32)), cfg.seed)
 
 
 def build_rung(cfg: ExperimentConfig, m: int) -> tuple[Rung, object]:
-    dim = cfg.dimension
-    f = make_field(**{**cfg["field"], "dimension": dim, "m": m, "seed": cfg.seed})
+    dim, seed = cfg.dimension, cfg.seed
+    f = build_section("field", cfg["field"], dim, m, seed)
     family = build_family(cfg["family"], dim, m)
-    weight = build_weight(cfg.get("weight"), dim, m)
-    cs = cfg.get("cube_sample", {})
-    cubes = make_cube_sample(dim, m, int(cs.get("min_cells", 8)),
-                             int(cs.get("off_dyadic", 32)), cfg.seed)
-    a = build_functional(cfg, f, cubes, weight, m)
+    weight = None if cfg.get("weight") is None else build_section("weight", cfg["weight"], dim, m)
+    cubes = _cube_sample(cfg, m)
+    a = build_section("functional", cfg.get("functional", {}), f, cubes, weight, seed)
     profile = build_profile(cfg, family, m)
-    variant = cfg.get("variant", "tilde")
-    partner = None
-    if variant == "tilde":
-        denom = two_q_functional(tilde_expand(a, profile))
-    elif variant == "local":
-        denom = two_q_functional(a)
-    elif variant == "alternative":
-        denom = DilationSeries(a, eta_alternative(profile), start=1, kind="eta-alt-of")
-    elif variant == "pair":
-        if not isinstance(a, ExpandedPoincare):
-            raise ParameterError("pair variant requires an expanded-poincare functional")
-        theta = 1.0 if weight is None else None
-        if theta is None:
-            rep = weight_report(weight, [2.0], cubes[: min(24, len(cubes))], cfg.seed)
-            theta = rep.theta
-        partner = bar_expand(tilde_expand(a, profile).collapse(),
-                             float(cfg["exponents"]["q"]), theta)
-        denom = two_q_functional(partner)
-    else:
-        raise ParameterError(f"unknown variant {variant!r}")
+    denom, partner = build_section("variant", {"kind": cfg.get("variant", "tilde")},
+                                   a, profile, weight, cubes, cfg)
     rung = Rung(m=m, field=f, family=family, hypothesis=a, denominator=denom,
                 cube_sample=cubes, weight=weight, partner=partner)
     return rung, profile
+
+
+def _audit(cfg: ExperimentConfig, family, cube: Cube, m: int) -> dict:
+    """The family audit of ``run`` and ``audit``: the pair (half of ``cube``, ``cube``)."""
+    probes = _probe_fields(cfg.dimension, m, cfg.seed + 23)
+    return audit_family(family, probes, [(Cube(cube.anchor, cube.side / 2), cube)]).to_dict()
 
 
 # ---------------------------------------------------------------------------
@@ -373,15 +415,6 @@ class RunManifest:
     seed: int
     artifacts: list = dc_field(default_factory=list)
     timing: dict = dc_field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {
-            "config_path": self.config_path,
-            "out_dir": self.out_dir,
-            "seed": self.seed,
-            "artifacts": self.artifacts,
-            "timing": self.timing,
-        }
 
 
 def _condition_for(cfg: ExperimentConfig, rung: Rung, q: float):
@@ -475,9 +508,8 @@ def _bmo(ctx: HarnessContext) -> tuple[dict, bool]:
     for op_name, ladder in bmo.get("operators", {"identity": cfg.ladder}).items():
         op_rungs = []
         for m in ladder:
-            family = build_family(
-                {**cfg["family"], "operator": {"kind": op_name, **bmo.get("operator_params", {})}},
-                cfg.dimension, m)
+            family = build_family({**cfg["family"], "operator": _bmo_operator(bmo, op_name)},
+                                  cfg.dimension, m)
             fields = [make_field("log-distance", cfg.dimension, m, center=0.5)] + [
                 make_field("random-smooth", cfg.dimension, m, seed=sd, band=6)
                 for sd in seeds[1:]
@@ -621,10 +653,7 @@ def run_pipeline(cfg: ExperimentConfig) -> tuple[dict, dict]:
 
     t0 = time.perf_counter()
     small = rungs[0]
-    pairs = [(Cube(small.cube_sample[0].anchor, small.cube_sample[0].side / 2),
-              small.cube_sample[0])]
-    probes = _probe_fields(cfg.dimension, small.m, cfg.seed + 23)
-    report["audit"] = audit_family(small.family, probes, pairs).to_dict()
+    report["audit"] = _audit(cfg, small.family, small.cube_sample[0], small.m)
     timing["audit"] = time.perf_counter() - t0
 
     selected = set(cfg.harnesses)
@@ -772,7 +801,7 @@ def run_experiment(config_path: str, out_dir: str, overrides: Optional[list[str]
         with open(path, "rb") as fh:
             digest = hashlib.sha256(fh.read()).hexdigest()
         manifest.artifacts.append({"name": os.path.basename(path), "sha256": digest})
-    _write_atomic(os.path.join(out_dir, "manifest.json"), dump_json(manifest.to_dict()))
+    _write_atomic(os.path.join(out_dir, "manifest.json"), dump_json(asdict(manifest)))
     return manifest, report
 
 
@@ -847,12 +876,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 0
     if args.command == "audit":
         m = cfg.ladder[0]
-        family = build_family(cfg["family"], cfg.dimension, m)
-        cubes = make_cube_sample(cfg.dimension, m, off_dyadic=4, seed=cfg.seed)
-        pairs = [(Cube(cubes[0].anchor, cubes[0].side / 2), cubes[0])]
-        rep = audit_family(family, _probe_fields(cfg.dimension, m, cfg.seed), pairs)
-        emit_outputs({"config": cfg.data, "audit": rep.to_dict()}, args.out, {"json"})
-        print(dump_json(rep.to_dict()))
+        audit = _audit(cfg, build_family(cfg["family"], cfg.dimension, m), _cube_sample(cfg, m)[0], m)
+        emit_outputs({"config": cfg.data, "audit": audit}, args.out, {"json"})
+        print(dump_json(audit))
         return 0
     if args.command == "drcheck":
         m = cfg.ladder[0]

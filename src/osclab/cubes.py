@@ -211,11 +211,6 @@ def dyadic_adapted_grid(q: Cube, depth: int, m: int) -> DyadicGrid:
     """Levels 0..depth of the dyadic children of ``q``; tiling is exact by construction."""
     if depth < 0:
         raise ParameterError("depth must be >= 0")
-    cells = q.cells_per_axis(m)
-    if cells % (2 ** depth) != 0 or cells // (2 ** depth) < 1:
-        raise ParameterError(
-            f"depth {depth} too deep: side of {cells} cells is not divisible by 2^{depth}"
-        )
     return DyadicGrid(q, depth, m)
 
 
@@ -433,16 +428,7 @@ def cube_wraps(q: Cube) -> bool:
 
 
 def _dyadic_children(q: Cube, m: int) -> list[Cube]:
-    cells = q.cells_per_axis(m)
-    if cells % 2 != 0:
-        return []
-    half = q.side / 2.0
-    n = q.dimension
-    out = []
-    for idx in np.ndindex(*(2,) * n):
-        anchor = tuple((a + i * half) % 1.0 for a, i in zip(q.anchor, idx))
-        out.append(Cube(anchor, half))
-    return out
+    return DyadicGrid(q, 1, m).level(1) if q.cells_per_axis(m) % 2 == 0 else []
 
 
 def _random_packing(q: Cube, m: int, rng: np.random.Generator, max_depth: int) -> list[Cube]:

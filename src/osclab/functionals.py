@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from osclab._support import ParameterError
+from osclab._support import ParameterError, build_kind, ratio
 from osclab.cubes import Cube, DisjointFamily, dilate, full_torus
 from osclab.grid import Field, lp_average
 from osclab.operators import OffDiagonalProfile
@@ -32,43 +32,52 @@ from osclab.weights import Weight
 # ---------------------------------------------------------------------------
 
 
+# Sequence builders: (*, the kind's config keys) -> (gamma_k for k >= 0, exact
+# tail sum from k0 >= 0 or None for a guarded one, whether gamma decreases):
+# geometric scale 2^{-sigma k}, gauss scale exp(-rate 4^k), and a table of
+# values (zero beyond it).
+
+
+def _geometric(*, sigma, scale=1.0):
+    sigma, scale = float(sigma), float(scale)
+    if sigma <= 0 or scale < 0:
+        raise ParameterError("geometric sequence needs sigma > 0 to be summable and scale >= 0")
+    r = 2.0 ** (-sigma)
+    return (lambda k: scale * 2.0 ** (-sigma * k)), (lambda k0: scale * r ** k0 / (1.0 - r)), True
+
+
+def _gauss(*, rate, scale=1.0):
+    rate, scale = float(rate), float(scale)
+    if rate <= 0 or scale < 0:
+        raise ParameterError("gauss sequence needs rate > 0 and scale >= 0")
+    return (lambda k: scale * math.exp(-rate * 4.0 ** k)), None, True
+
+
+def _table(*, values):
+    vals = [float(v) for v in values]
+    if any(v < 0 for v in vals):
+        raise ParameterError("sequence entries must be nonnegative")
+    return (lambda k: vals[k] if k < len(vals) else 0.0), (lambda k0: float(sum(vals[k0:]))), False
+
+
+#: sequence kind -> builder
+COEFFS = {"geometric": _geometric, "gauss": _gauss, "table": _table}
+
+
 class Coeffs:
-    """A nonnegative sequence gamma_k with closed-form or guarded tail sums."""
+    """A nonnegative sequence gamma_k of a kind in ``COEFFS``, with closed-form or guarded tail sums."""
 
     def __init__(self, kind: str, **params):
         self.kind = kind
-        self.params = params
-        if kind == "geometric":
-            if params.get("sigma", 0.0) <= 0:
-                raise ParameterError("geometric sequence needs sigma > 0 to be summable")
-        elif kind == "gauss":
-            if params.get("rate", 0.0) <= 0:
-                raise ParameterError("gauss sequence needs rate > 0")
-        elif kind == "table":
-            vals = [float(v) for v in params["values"]]
-            if any(v < 0 for v in vals):
-                raise ParameterError("sequence entries must be nonnegative")
-            self.params = {"values": vals}
-        else:
-            raise ParameterError(f"unknown sequence kind {kind!r}")
+        self._at, self._tail, self._decreasing = build_kind(COEFFS, {**params, "kind": kind}, "gamma")
 
     def at(self, k: int) -> float:
-        if k < 0:
-            return 0.0
-        if self.kind == "geometric":
-            return self.params.get("scale", 1.0) * 2.0 ** (-self.params["sigma"] * k)
-        if self.kind == "gauss":
-            return self.params.get("scale", 1.0) * math.exp(-self.params["rate"] * 4.0 ** k)
-        vals = self.params["values"]
-        return vals[k] if k < len(vals) else 0.0
+        return 0.0 if k < 0 else self._at(k)
 
     def tail_sum(self, k0: int) -> float:
         """sum_{k >= k0} gamma_k, exact for geometric/table, guarded otherwise."""
-        if self.kind == "geometric":
-            r = 2.0 ** (-self.params["sigma"])
-            return self.params.get("scale", 1.0) * r ** max(k0, 0) / (1.0 - r)
-        if self.kind == "table":
-            return float(sum(self.params["values"][max(k0, 0):]))
+        if self._tail is not None:
+            return self._tail(max(k0, 0))
         total = 0.0
         for k in range(max(k0, 0), max(k0, 0) + 400):
             term = self.at(k)
@@ -79,8 +88,8 @@ class Coeffs:
 
     def supified(self) -> "Coeffs":
         """Replace gamma_k by sup_{j >= k} gamma_j (quasi-decreasing enforcement)."""
-        if self.kind in ("geometric", "gauss"):
-            return self  # already decreasing
+        if self._decreasing:
+            return self
         horizon = 64
         vals = [self.at(k) for k in range(horizon)]
         out = vals[:]
@@ -256,9 +265,6 @@ class ExpandedPoincare(Functional):
     def dimension(self) -> int:
         return self.base.dimension
 
-    def sobolev_exponent(self) -> float:
-        return self.base.sobolev_exponent()
-
     def _eval(self, q: Cube) -> float:
         return self.base.series(self.gamma, q, start=0)
 
@@ -411,7 +417,7 @@ def bar_expand(a: ExpandedPoincare, q: float, theta: float = 1.0, horizon: int =
 # condition estimation
 # ---------------------------------------------------------------------------
 
-CONDITIONS = ("Dr", "Dinf", "D0", "doubling", "pair")
+CONDITIONS = ("Dr", "Dinf", "pair")
 
 
 @dataclass
@@ -454,48 +460,33 @@ def estimate_condition(
 ) -> ConditionReport:
     """Measure the defining ratio of a summability condition over probes.
 
-    ``Dr`` and ``pair`` run over disjoint families; ``Dinf``/``D0`` over
-    nested cube pairs (R, Q); ``doubling`` over the parents of the supplied
-    pairs/families.  A zero denominator against a nonzero numerator records an
+    ``Dr`` and ``pair`` run over disjoint families, ``Dinf`` over nested cube
+    pairs (R, Q).  A zero denominator against a nonzero numerator records an
     infinite constant rather than raising.
     """
     if condition not in CONDITIONS:
         raise ParameterError(f"unknown condition {condition!r}")
     best = 0.0
-    count = 0
-    if condition in ("Dr", "pair"):
+    if condition == "Dinf":
+        if not cube_pairs:
+            raise ParameterError("Dinf estimation needs nested cube pairs")
+        count = len(cube_pairs)
+        for small, big in cube_pairs:
+            best = max(best, ratio(a.eval(small), a.eval(big)))
+    else:
         if not families:
             raise ParameterError(f"{condition} estimation needs disjoint families")
-        if condition == "Dr" and (r is None or r < 1):
-            raise ParameterError("Dr needs r >= 1")
-        if condition == "pair":
-            if partner is None:
-                raise ParameterError("pair condition needs the partner functional")
-            if r is None or r < 1:
-                raise ParameterError("pair condition needs the exponent q >= 1")
+        if condition == "pair" and partner is None:
+            raise ParameterError("pair condition needs the partner functional")
+        if r is None or r < 1:
+            raise ParameterError(f"{condition} needs the exponent r >= 1")
         count = len(families)
         for fam in families:
             parent_meas = _measure_of(mu, fam.parent)
             denom_f = partner if condition == "pair" else a
             denom = denom_f.eval(fam.parent) * parent_meas ** (1.0 / r)
             num = sum(a.eval(qi) ** r * _measure_of(mu, qi) for qi in fam.members) ** (1.0 / r)
-            best = max(best, _ratio(num, denom))
-    elif condition in ("Dinf", "D0"):
-        if not cube_pairs:
-            raise ParameterError(f"{condition} estimation needs nested cube pairs")
-        count = len(cube_pairs)
-        for small, big in cube_pairs:
-            if condition == "D0" and big.side > 4.0 * small.side + 1e-12:
-                continue
-            best = max(best, _ratio(a.eval(small), a.eval(big)))
-    else:  # doubling
-        cubes = [fam.parent for fam in families] if families else [p[1] for p in (cube_pairs or [])]
-        if not cubes:
-            raise ParameterError("doubling estimation needs cubes")
-        count = len(cubes)
-        for q_cube in cubes:
-            two_q, _ = a.dilated(q_cube, 1)
-            best = max(best, _ratio(a.eval(two_q), a.eval(q_cube)))
+            best = max(best, ratio(num, denom))
     passed = math.isfinite(best) and (cap is None or best <= cap)
     return ConditionReport(
         condition=condition,
@@ -508,8 +499,3 @@ def estimate_condition(
         weighted=mu is not None,
     )
 
-
-def _ratio(num: float, denom: float) -> float:
-    if denom == 0.0:
-        return 0.0 if num == 0.0 else math.inf
-    return num / denom

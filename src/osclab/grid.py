@@ -17,7 +17,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from osclab._support import DataError, NumericError, ParameterError, rng_from_seed
+from osclab._support import DataError, NumericError, ParameterError, build_kind, rng_from_seed
 from osclab.cubes import Cube, full_torus
 
 WeightLike = Union[None, np.ndarray, "object"]
@@ -135,12 +135,6 @@ class Field:
         return Field(vals)
 
 
-def cell_centers(dimension: int, m: int) -> list[np.ndarray]:
-    """Per-axis coordinates of cell centers."""
-    x = (np.arange(m) + 0.5) / m
-    return [x] * dimension
-
-
 def _density_values(w: WeightLike) -> Optional[np.ndarray]:
     if w is None:
         return None
@@ -244,12 +238,16 @@ def exp_luxemburg_norm(f: Field, q: Cube, w: WeightLike = None) -> float:
 def kolmogorov_check(
     f: Field, q_cube: Cube, r: float, q: float, w: WeightLike = None
 ) -> tuple[float, float]:
-    """(L^r average, (q/(q-r))^{1/r} x weak-L^q norm); the first never exceeds the second."""
+    """(L^r average, kolmogorov_factor(r, q) x weak-L^q norm); the first never exceeds the second."""
     if not (0 < r < q):
         raise ParameterError(f"need 0 < r < q, got r={r}, q={q}")
     lhs = lp_average(f, q_cube, r, w) if r >= 1.0 else _lr_quasi_average(f, q_cube, r, w)
-    rhs = (q / (q - r)) ** (1.0 / r) * weak_lq_norm(f, q_cube, q, w)
-    return lhs, rhs
+    return lhs, kolmogorov_factor(r, q) * weak_lq_norm(f, q_cube, q, w)
+
+
+def kolmogorov_factor(r: float, q: float) -> float:
+    """(q/(q-r))^{1/r}, the constant of Kolmogorov's weak-to-strong inequality."""
+    return (q / (q - r)) ** (1.0 / r)
 
 
 def _lr_quasi_average(f: Field, q: Cube, r: float, w: WeightLike) -> float:
@@ -349,82 +347,90 @@ def maximal_function(f: Field, p: float = 1.0) -> Field:
 # ---------------------------------------------------------------------------
 
 
-def torus_distance(x: np.ndarray, center: float) -> np.ndarray:
-    d = np.abs(x - center) % 1.0
-    return np.minimum(d, 1.0 - d)
+def _grids(dimension: int, m: int) -> list[np.ndarray]:
+    """Cell-center coordinates ((i + 1/2)/m), one array per axis, meshed in 2-D."""
+    x = (np.arange(m) + 0.5) / m
+    return np.meshgrid(*[x] * dimension, indexing="ij") if dimension > 1 else [x]
 
 
-#: the parameters make_field reads, by field kind
-FIELD_PARAMS = {
-    "constant": frozenset({"value"}),
-    "log-distance": frozenset({"center"}),
-    "fourier-mode": frozenset({"k", "complex"}),
-    "random-smooth": frozenset({"band", "scale"}),
-    "random-normal": frozenset({"complex"}),
-    "indicator": frozenset({"cube"}),
-    "power-distance": frozenset({"center", "gamma"}),
-    "spike": frozenset({"amp", "cell"}),
+def _per_axis(value, dimension: int, key: str) -> list:
+    values = value if isinstance(value, (list, tuple)) else [value] * dimension
+    if len(values) != dimension:
+        raise ParameterError(f"{key} needs one entry or {dimension}, got {value!r}")
+    return values
+
+
+def _distance(dimension: int, m: int, center) -> np.ndarray:
+    """Sup-norm torus distance of each cell center from ``center``, floored at 1e-300."""
+    dist = None
+    for gaxis, c in zip(_grids(dimension, m), _per_axis(center, dimension, "center")):
+        d = np.abs(gaxis - float(c)) % 1.0
+        d = np.minimum(d, 1.0 - d)
+        dist = d if dist is None else np.maximum(dist, d)
+    return np.maximum(dist, 1e-300)
+
+
+# Field builders: (dimension, m, seed, *, the kind's config keys).
+
+
+def _fourier_mode(dimension: int, m: int, seed: int, *, k=1, complex=True) -> Field:
+    ks = _per_axis(k, dimension, "k")
+    z = np.exp(sum(2.0j * np.pi * float(ki) * gi for ki, gi in zip(ks, _grids(dimension, m))))
+    return Field(z if complex else z.real)
+
+
+def _random_smooth(dimension: int, m: int, seed: int, *, band=4, scale=1.0) -> Field:
+    band = int(band)
+    grids = _grids(dimension, m)
+    rng = rng_from_seed(seed)
+    vals = np.zeros((m,) * dimension)
+    for kvec in np.ndindex(*(2 * band + 1,) * dimension):
+        kv = [ki - band for ki in kvec]
+        if all(ki == 0 for ki in kv):
+            continue
+        amp = rng.normal() / (1.0 + sum(ki * ki for ki in kv))
+        phase = rng.uniform(0, 2 * np.pi)
+        arg = sum(2.0 * np.pi * ki * gi for ki, gi in zip(kv, grids))
+        vals = vals + amp * np.cos(arg + phase)
+    return Field(float(scale) * vals)
+
+
+def _random_normal(dimension: int, m: int, seed: int, *, complex=False) -> Field:
+    rng = rng_from_seed(seed)
+    vals = rng.normal(size=(m,) * dimension)
+    return Field(vals + 1j * rng.normal(size=(m,) * dimension) if complex else vals)
+
+
+def _indicator(dimension: int, m: int, seed: int, *, cube) -> Field:
+    vals = np.zeros((m,) * dimension)
+    vals[Cube.from_dict(cube).index(m)] = 1.0
+    return Field(vals)
+
+
+def _spike(dimension: int, m: int, seed: int, *, amp=10.0, cell=None) -> Field:
+    """Ones plus ``amp`` at ``cell`` (default: the first cell)."""
+    cell = (0,) * dimension if cell is None else tuple(int(i) for i in cell)
+    if len(cell) != dimension or not all(0 <= i < m for i in cell):
+        raise ParameterError(f"cell must index a cell of the {m}^{dimension} grid, got {cell!r}")
+    vals = np.ones((m,) * dimension)
+    vals[cell] += float(amp)
+    return Field(vals)
+
+
+#: field kind -> builder
+FIELDS = {
+    "constant": lambda dimension, m, seed, *, value=1.0: Field(np.full((m,) * dimension, float(value))),
+    "log-distance": lambda dimension, m, seed, *, center=0.5: Field(np.log(_distance(dimension, m, center))),
+    "fourier-mode": _fourier_mode,
+    "random-smooth": _random_smooth,
+    "random-normal": _random_normal,
+    "indicator": _indicator,
+    "power-distance": lambda dimension, m, seed, *, gamma, center=0.5: Field(
+        np.power(_distance(dimension, m, center), float(gamma))),
+    "spike": _spike,
 }
 
 
 def make_field(kind: str, dimension: int, m: int, seed: int = 0, **params) -> Field:
-    """Construct one of the named sample fields used by configs and tests."""
-    axes = cell_centers(dimension, m)
-    grids = np.meshgrid(*axes, indexing="ij") if dimension > 1 else [axes[0]]
-    if kind == "constant":
-        return Field(np.full((m,) * dimension, float(params.get("value", 1.0))))
-    if kind == "log-distance":
-        center = params.get("center", 0.5)
-        centers = center if isinstance(center, (list, tuple)) else [center] * dimension
-        dist = None
-        for gaxis, c in zip(grids, centers):
-            d = torus_distance(gaxis, float(c))
-            dist = d if dist is None else np.maximum(dist, d)
-        return Field(np.log(np.maximum(dist, 1e-300)))
-    if kind == "fourier-mode":
-        k = params.get("k", 1)
-        ks = k if isinstance(k, (list, tuple)) else [k] * dimension
-        phase = sum(2.0j * np.pi * float(ki) * gi for ki, gi in zip(ks, grids))
-        z = np.exp(phase)
-        return Field(z if params.get("complex", True) else z.real)
-    if kind == "random-smooth":
-        band = int(params.get("band", 4))
-        rng = rng_from_seed(seed)
-        vals = np.zeros((m,) * dimension)
-        for kvec in np.ndindex(*(2 * band + 1,) * dimension):
-            kv = [ki - band for ki in kvec]
-            if all(ki == 0 for ki in kv):
-                continue
-            amp = rng.normal() / (1.0 + sum(ki * ki for ki in kv))
-            phase = rng.uniform(0, 2 * np.pi)
-            arg = sum(2.0 * np.pi * ki * gi for ki, gi in zip(kv, grids))
-            vals = vals + amp * np.cos(arg + phase)
-        scale = float(params.get("scale", 1.0))
-        return Field(scale * vals)
-    if kind == "random-normal":
-        rng = rng_from_seed(seed)
-        vals = rng.normal(size=(m,) * dimension)
-        if params.get("complex", False):
-            vals = vals + 1j * rng.normal(size=(m,) * dimension)
-        return Field(vals)
-    if kind == "indicator":
-        cube = Cube.from_dict(params["cube"])
-        vals = np.zeros((m,) * dimension)
-        vals[cube.index(m)] = 1.0
-        return Field(vals)
-    if kind == "power-distance":
-        center = params.get("center", 0.5)
-        gamma = float(params["gamma"])
-        centers = center if isinstance(center, (list, tuple)) else [center] * dimension
-        dist = None
-        for gaxis, c in zip(grids, centers):
-            d = torus_distance(gaxis, float(c))
-            dist = d if dist is None else np.maximum(dist, d)
-        return Field(np.power(np.maximum(dist, 1e-300), gamma))
-    if kind == "spike":
-        amp = float(params.get("amp", 10.0))
-        vals = np.ones((m,) * dimension)
-        cell = params.get("cell", (0,) * dimension)
-        vals[tuple(cell)] += amp
-        return Field(vals)
-    raise ParameterError(f"unknown field kind {kind!r}")
+    """The field of kind ``kind`` (a key of ``FIELDS``) with that kind's keys ``params``."""
+    return build_kind(FIELDS, {**params, "kind": kind}, "field", dimension, m, seed)

@@ -23,7 +23,7 @@ constants and conserve the mean, because the stencil is in flux form.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -43,18 +43,6 @@ from osclab.grid import Field, lp_average, sliding_cube_means, scale_sweep_max
 # ---------------------------------------------------------------------------
 # Elliptic operators
 # ---------------------------------------------------------------------------
-
-
-def _normalize_coeffs(coeffs: np.ndarray, dimension: int) -> np.ndarray:
-    a = np.asarray(coeffs)
-    grid_shape = a.shape[-dimension:]
-    if a.shape == grid_shape:  # scalar shorthand, 1x1 block
-        a = a.reshape((1, 1) + grid_shape)
-    if a.shape[:2] != (dimension, dimension):
-        raise ParameterError(
-            f"coefficients must have an {dimension}x{dimension} block layout, got {a.shape}"
-        )
-    return a.astype(np.complex128 if np.iscomplexobj(a) else np.float64)
 
 
 class EllipticOperator:
@@ -85,12 +73,10 @@ class EllipticOperator:
             else:
                 dimension = a.ndim
         if a.ndim == dimension:  # scalar shorthand: A = a(x) I
-            grid_shape = a.shape
-            full = np.zeros((dimension, dimension) + grid_shape, dtype=complex if np.iscomplexobj(a) else float)
-            for i in range(dimension):
-                full[i, i] = a
-            a = full
-        self.coeffs = _normalize_coeffs(a, dimension)
+            a = np.multiply.outer(np.eye(dimension), a)
+        if a.shape[:2] != (dimension, dimension):
+            raise ParameterError(f"coefficients need an {dimension}x{dimension} block layout, got {a.shape}")
+        self.coeffs = a.astype(np.complex128 if np.iscomplexobj(a) else np.float64)
         self.dimension = dimension
         self.resolution = self.coeffs.shape[-1]
         self.lam = float(lam)
@@ -468,9 +454,7 @@ class OffDiagonalProfile:
         return float(self.alpha.get(k, 0.0))
 
     def beta_at(self, k: int) -> float:
-        if self.beta is None:
-            return 0.0
-        return float(self.beta.get(k, 0.0))
+        return float((self.beta or {}).get(k, 0.0))
 
     def fit(self, ks: Sequence[int]) -> tuple[float, float, float]:
         """Least squares of log alpha_k against 4^k; residual is normalized by
@@ -540,19 +524,13 @@ class OscillationFamily:
         return self.kind == "semigroup"
 
     def apply_B(self, f: Field, q: Cube) -> Field:
+        if self.sidelength_only:
+            return self.apply_B_scale(f, q.side)
         m = f.resolution
-        if self.kind == "classical-average":
-            avg = f.restrict(q).mean()
-            out = f.values.copy()
-            out[q.index(m)] -= avg
-            return Field(out)
-        if self.kind == "extended-average":
-            avg = f.restrict(q).mean()
-            out = f.values.copy()
-            two_q = dilate(q, 2.0, m).cube
-            out[two_q.index(m)] -= avg
-            return Field(out)
-        return self.apply_B_scale(f, q.side)
+        avg = f.restrict(q).mean()
+        out = f.values.copy()
+        out[(dilate(q, 2.0, m).cube if self.has_replace_comm else q).index(m)] -= avg
+        return Field(out)
 
     def apply_A(self, f: Field, q: Cube) -> Field:
         return Field(f.values - self.apply_B(f, q).values)
@@ -604,6 +582,7 @@ def _masked_field(base: Field, ix: tuple) -> Field:
 
 
 def _annulus_fields(base_probes: Sequence[Field], outer: Cube, inner: Cube, m: int) -> list[Field]:
+    """The indicator of outer minus inner and each probe restricted to it, without repeats."""
     mask = np.zeros((m,) * outer.dimension, dtype=bool)
     mask[outer.index(m)] = True
     mask[inner.index(m)] = False
@@ -612,7 +591,7 @@ def _annulus_fields(base_probes: Sequence[Field], outer: Cube, inner: Cube, m: i
     out = [Field(mask.astype(float))]
     for p in base_probes:
         vals = np.where(mask, p.values, 0.0)
-        if np.any(vals != 0):
+        if np.any(vals != 0) and not any(np.array_equal(vals, o.values) for o in out):
             out.append(Field(vals))
     return out
 
@@ -651,30 +630,36 @@ def measure_offdiagonal(
 
     for q in cube_sample:
         two_q = dil(q, 2.0)
-        four_q = dil(q, 4.0)
-        # on-diagonal entry
-        rhs_cube = q if family.is_local else four_q.cube
-        src_cube = two_q.cube if family.is_local else four_q.cube
-        if not four_q.saturated or family.is_local:
-            for p in probes:
-                masked = _masked_field(p, src_cube.index(m))
-                lhs = lp_average(family.apply_A(masked, q), two_q.cube, q0)
-                rhs = lp_average(masked, rhs_cube, p0)
-                if rhs > 0:
-                    bump(alpha, 2, lhs / rhs)
-        # far-field entries
-        for k in range(3, k_max + 1):
+        # shells[k]: (A_Q p, L^p0 average of p on 2^k Q) for the nonzero sources p:
+        # the probes on 4Q (k = 2) and the annulus fields of 2^k Q minus 2^{k-1} Q
+        # (k >= 3), up to the first saturated dilate; alpha and beta both read them
+        shells = {}
+        for k in range(2, k_max + 1):
             outer = dil(q, 2.0 ** k)
-            inner = dil(q, 2.0 ** (k - 1))
             if outer.saturated:
                 break
-            ann = _annulus_fields(probes, outer.cube, inner.cube, m)
-            outputs = [family.apply_A(p, q) for p in ann]
+            if k == 2:
+                sources = [_masked_field(p, outer.cube.index(m)) for p in probes]
+            else:
+                sources = _annulus_fields(probes, outer.cube, dil(q, 2.0 ** (k - 1)).cube, m)
+            shells[k] = [(family.apply_A(p, q), lp_average(p, outer.cube, p0))
+                         for p in sources if np.any(p.values)]
+        # on-diagonal entry: local families take the probes on 2Q against their
+        # average over Q itself, the others read shell 2
+        on_diagonal = shells.get(2, [])
+        if family.is_local:
+            masked = [_masked_field(p, two_q.cube.index(m)) for p in probes]
+            on_diagonal = [(family.apply_A(p, q), lp_average(p, q, p0)) for p in masked]
+        for ap, rhs in on_diagonal:
+            lhs = lp_average(ap, two_q.cube, q0)
+            if rhs > 0:
+                bump(alpha, 2, lhs / rhs)
+        # far-field entries; a local family's A_Q vanishes on sources off 2Q
+        for k in range(3, max(shells, default=2) + 1):
             for j in range(1, k - 1):
                 target = dil(q, 2.0 ** j).cube
-                for p, ap in zip(ann, outputs):
-                    lhs = lp_average(ap, target, q0)
-                    rhs = lp_average(p, outer.cube, p0)
+                for ap, rhs in shells[k]:
+                    lhs = lp_average(ap, target, q0) if np.any(ap.values) else 0.0
                     if rhs > 0:
                         bump(alpha, k, lhs / rhs)
         # lower-scale entries on nested pairs
@@ -684,21 +669,10 @@ def measure_offdiagonal(
                 break
             r = Cube(q.anchor, side)
             two_r = dil(r, 2.0)
-            for k in range(2, k_max + 1):
-                outer = dil(q, 2.0 ** k)
-                if outer.saturated:
-                    break
-                if k == 2:
-                    sources = [_masked_field(p, outer.cube.index(m)) for p in probes]
-                else:
-                    inner = dil(q, 2.0 ** (k - 1))
-                    sources = _annulus_fields(probes, outer.cube, inner.cube, m)
-                for p in sources:
-                    if not np.any(p.values):
-                        continue
-                    g = family.apply_B(family.apply_A(p, q), r)
-                    lhs = lp_average(g, two_r.cube, q0)
-                    rhs = lp_average(p, outer.cube, p0)
+            for k, shell in shells.items():
+                for ap, rhs in shell:
+                    zero = not np.any(ap.values)  # and so is B_R of it
+                    lhs = 0.0 if zero else lp_average(family.apply_B(ap, r), two_r.cube, q0)
                     if rhs > 0:
                         bump(beta, k, lhs / rhs)
 
@@ -730,13 +704,7 @@ class AuditReport:
     identity_defect: float
 
     def to_dict(self) -> dict:
-        return {
-            "commutator": self.commutator,
-            "uniform_bound": self.uniform_bound,
-            "localization": self.localization,
-            "replace_comm": self.replace_comm,
-            "identity_defect": self.identity_defect,
-        }
+        return asdict(self)
 
 
 def audit_family(
@@ -768,27 +736,20 @@ def audit_family(
             bound = max(bound, lp_average(bq, torus, p0) / scale)
             br_bq = family.apply_B(bq, r)
             bq_br = family.apply_B(family.apply_B(f, r), q)
-            comm = max(
-                comm, lp_average(Field(br_bq.values - bq_br.values), torus, p0) / scale
-            )
+            comm = max(comm, lp_average(Field(br_bq.values - bq_br.values), torus, p0) / scale)
             # A_Q + B_Q = I by construction; the measured defect documents it
             aq = Field(f.values - bq.values)
             ident = max(ident, float(np.max(np.abs(aq.values + bq.values - f.values))))
             # localization
-            two_q = dilate(q, 2.0, m).cube
-            ix = two_q.index(m)
-            masked = _masked_field(f, ix)
-            rhs_vals = np.zeros_like(f.values)
-            rhs_vals[ix] = family.apply_A(masked, q).values[ix]
+            ix = dilate(q, 2.0, m).cube.index(m)
+            a_masked = family.apply_A(_masked_field(f, ix), q).values
+            rhs_vals = np.zeros_like(a_masked)  # complex when the family is
+            rhs_vals[ix] = a_masked[ix]
             loc_defect = max(loc_defect, float(np.max(np.abs(aq.values - rhs_vals))))
             # replacement identity on 2R
             ar_aq = family.apply_A(aq, r)
-            two_r = dilate(r, 2.0, m).cube
-            ixr = two_r.index(m)
-            rc_defect = max(
-                rc_defect,
-                float(np.max(np.abs(ar_aq.values[ixr] - aq.values[ixr]))),
-            )
+            ixr = dilate(r, 2.0, m).cube.index(m)
+            rc_defect = max(rc_defect, float(np.max(np.abs(ar_aq.values[ixr] - aq.values[ixr]))))
     scale0 = max(float(np.max(np.abs(p.values))) for p in probes) + 1e-300
     return AuditReport(
         commutator=comm,

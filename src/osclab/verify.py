@@ -16,7 +16,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from osclab._support import ParameterError, rng_from_seed
+from osclab._support import ParameterError, ratio, rng_from_seed
 from osclab.cubes import (
     Cube,
     cube_wraps,
@@ -37,6 +37,8 @@ from osclab.functionals import (
 from osclab.grid import (
     Field,
     exp_luxemburg_norm,
+    kolmogorov_check,
+    kolmogorov_factor,
     lp_average,
     maximal_function,
     weak_lq_norm,
@@ -127,10 +129,6 @@ class Rung:
         return self.b_cache[key][2]
 
 
-def _ratio(num: float, den: float) -> float:
-    return math.inf if (den == 0.0 and num > 0.0) else (num / den if den else 0.0)
-
-
 def _stable(per_resolution: dict) -> bool:
     vals = [v for v in per_resolution.values()]
     if not vals or any(not math.isfinite(v) for v in vals):
@@ -183,11 +181,11 @@ def check_hypothesis(rung: Rung, k_max: int) -> HypothesisReport:
         for k, d in dyadic_dilations(q, rung.m, k_max):
             num = lp_average(bf, d.cube, p0)
             den = rung.hypothesis.eval(d.cube)
-            ratio = _ratio(num, den)
-            rows.append((q.to_dict(), k, num, den, ratio))
-            best = max(best, ratio)
+            val = ratio(num, den)
+            rows.append((q.to_dict(), k, num, den, val))
+            best = max(best, val)
             if k == 0:
-                best_k0 = max(best_k0, ratio)
+                best_k0 = max(best_k0, val)
             saturated += int(d.saturated)
     return HypothesisReport(
         constant=best,
@@ -256,10 +254,10 @@ def _sweep(
             num = norm(rung, rung.b_field(q), q)
             two_q = dilate(q, 2.0, rung.m)
             den = rung.denominator.eval(q)
-            ratio = _ratio(num, den)
+            val = ratio(num, den)
             flags = int(two_q.saturated) | (2 * int(cube_wraps(two_q.cube)))
-            rows.append((rung.m, q.to_dict(), num, den, ratio, flags))
-            best = max(best, ratio)
+            rows.append((rung.m, q.to_dict(), num, den, val, flags))
+            best = max(best, val)
         per_res[rung.m] = best
     return hyp, per_res, rows, warnings
 
@@ -308,14 +306,12 @@ def verify_strong(
         raise ParameterError(f"need r < q, got r={r}, q={q}")
     if condition_report is None:
         raise ParameterError("a summability condition report is required")
-    factor = (q / (q - r)) ** (1.0 / r)
     worst_gap = -math.inf
 
     def strong_norm(rung: Rung, bf: Field, q_cube: Cube) -> float:
         nonlocal worst_gap
-        strong = lp_average(bf, q_cube, r, rung.weight)
-        weak = weak_lq_norm(bf, q_cube, q, rung.weight)
-        worst_gap = max(worst_gap, strong - factor * weak)
+        strong, bound = kolmogorov_check(bf, q_cube, r, q, rung.weight)
+        worst_gap = max(worst_gap, strong - bound)
         return strong
 
     hyp, per_res, rows, _warnings = _sweep(rungs, 2, strong_norm)
@@ -328,7 +324,8 @@ def verify_strong(
         per_resolution=per_res,
         passed=math.isfinite(hyp) and _stable(per_res) and kolmogorov_ok,
         rows=rows,
-        extras={"q": q, "r": r, "kolmogorov_factor": factor, "kolmogorov_ok": kolmogorov_ok},
+        extras={"q": q, "r": r, "kolmogorov_factor": kolmogorov_factor(r, q),
+                "kolmogorov_ok": kolmogorov_ok},
     )
 
 
@@ -610,14 +607,9 @@ def verify_bmo_equivalence(
                     jn2 = math.inf
         seminorms[rung.m] = per_field
         ratios[rung.m] = per_ratio
-    per_field_stable = True
-    ms = sorted(ratios)
-    for i in range(len(rungs[0].fields)):
-        vals = [ratios[m][i] for m in ms]
-        if any(not math.isfinite(v) for v in vals):
-            per_field_stable = False
-        elif max(vals) / min(vals) > STABILITY_SLACK:
-            per_field_stable = False
+    # each ratio is >= 1 or inf, so _stable's zero filter leaves it alone
+    per_field_stable = all(_stable({m: per[i] for m, per in ratios.items()})
+                           for i in range(len(rungs[0].fields)))
     return BmoReport(
         situation=situation,
         seminorms=seminorms,

@@ -47,9 +47,6 @@ class Weight:
         raw = self._masses.box_sum(q.anchor_cells(m), q.cells_per_axis(m))
         return raw * self.density.cell_volume
 
-    def mass_of_cells(self, mask: np.ndarray) -> float:
-        return float(self.density.values[mask].sum()) * self.density.cell_volume
-
     def restrict(self, q: Cube) -> np.ndarray:
         return self.density.restrict(q)
 
@@ -187,7 +184,7 @@ def rh_subset_check(
         raise ParameterError("subset must be contained in the cube")
     if c is None:
         c = rh_constant_on_cube(w, q, p)
-    lhs = w.mass_of_cells(subset_mask) / w.mass(q)
+    lhs = float(w.density.values[subset_mask].sum()) * w.density.cell_volume / w.mass(q)
     pprime = p / (p - 1.0)
     frac = subset_mask.sum() / q.cell_count(m)
     rhs = c * float(frac) ** (1.0 / pprime)

@@ -257,3 +257,26 @@ def test_heat_offdiag_csv_alpha_strictly_decreasing(tmp_path):
     ks = [k for k in sorted(table) if k >= 3 and table[k] > 0]
     for a, b in zip(ks, ks[1:]):
         assert table[b] < table[a]
+
+
+@pytest.mark.parametrize("config", ["classical-jn", "heat-offdiag", "bmo-heat", "epi-pair", "weighted-power"])
+def test_audit_subcommand_reports_the_audit_of_run(tmp_path, config):
+    # both go through one helper: the config's first sampled cube and the
+    # probes of seed + 23; the harnesses do not touch the audit
+    common = ["--config", config, "--resolution", "64"]
+    assert main(["audit", *common, "--out", str(tmp_path / "a")]) == 0
+    assert main(["run", *common, "--out", str(tmp_path / "r"), "--set", "harnesses=[]"]) == 0
+    reports = []
+    for name in ("a", "r"):
+        with open(tmp_path / name / "report.json") as fh:
+            reports.append(json.load(fh)["audit"])
+    assert reports[0] == reports[1]
+
+
+def test_pipeline_runs_a_complex_coefficient_semigroup():
+    # the audit of a complex family keeps A_Q complex (ComplexWarning is an error here)
+    cfg = ExperimentConfig.load(bundled_config_path("epi-pair"), [
+        'family.operator={"kind": "complex-perturbed", "lam": 0.5, "Lam": 2.0}',
+    ])
+    report, _timing = cli.run_pipeline(cfg)
+    assert set(report["audit"]) >= {"commutator", "localization", "replace_comm"}

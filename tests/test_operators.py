@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
 from collections import Counter
 
@@ -12,7 +13,7 @@ from scipy.special import ive
 
 from osclab import operators
 from osclab._support import NumericError, ParameterError
-from osclab.cubes import Cube, dilate, full_torus
+from osclab.cubes import Cube, Dilation, dilate, full_torus
 from osclab.grid import Field, lp_average, make_field
 from osclab.operators import (
     EllipticOperator,
@@ -589,6 +590,156 @@ def test_audit_and_profile_compute_each_b_field_once(monkeypatch, kind):
     assert calls and max(calls.values()) == 1, calls.most_common(1)
     calls.clear()
     measure_offdiagonal(fam, probe_set(m), [Cube((0.25,), 1 / 32)], k_max=5)
+    assert calls and max(calls.values()) == 1, calls.most_common(1)
+
+
+def test_audit_keeps_the_imaginary_part_of_a_complex_family():
+    # A_Q of a complex-coefficient semigroup is complex on a real probe; the
+    # localization defect is measured on the complex values (no ComplexWarning,
+    # which the suite turns into an error)
+    m = 16
+    fam = make_family("semigroup", (1.0, math.inf), operator=complex_operator_2d(m))
+    probes = probe_set(m, 2)
+    r, q = Cube((0.25, 0.25), 0.125), Cube((0.25, 0.25), 0.25)
+    rep = audit_family(fam, probes, [(r, q)])
+    ix = dilate(q, 2.0, m).cube.index(m)
+    defect = imag = 0.0
+    for f in probes:
+        aq = fam.apply_A(f, q).values
+        masked = np.zeros_like(f.values)
+        masked[ix] = f.values[ix]
+        local = np.zeros(aq.shape, dtype=complex)
+        local[ix] = fam.apply_A(Field(masked), q).values[ix]
+        defect = max(defect, float(np.max(np.abs(aq - local))))
+        imag = max(imag, float(np.max(np.abs(local.imag))))
+    assert imag > 0
+    scale = max(float(np.max(np.abs(p.values))) for p in probes)
+    assert rep.localization == (defect <= 1e-8 * scale)
+
+
+def reference_measure_offdiagonal(family, probes, cube_sample, k_max=6, pair_levels=1):
+    """The profile entries computed shell by shell with nothing shared: A_Q once
+    per target shell and per level, the right-hand side once per target shell."""
+    p0, q0 = family.p0, family.q0
+    m = probes[0].resolution
+    alpha, beta = {}, {}
+
+    def bump(table, k, value):
+        table[k] = max(table.get(k, 0.0), value)
+
+    def dil(q, factor):
+        return dilate(q, factor, m) if factor > 1 else Dilation(q, False)
+
+    def masked(p, cube):
+        vals = np.zeros_like(p.values)
+        vals[cube.index(m)] = p.values[cube.index(m)]
+        return Field(vals)
+
+    def annulus(outer, inner):
+        mask = np.zeros((m,) * outer.dimension, dtype=bool)
+        mask[outer.index(m)] = True
+        mask[inner.index(m)] = False
+        out = [Field(mask.astype(float))]
+        for p in probes:
+            vals = np.where(mask, p.values, 0.0)
+            if np.any(vals != 0):
+                out.append(Field(vals))
+        return out if mask.any() else []
+
+    for q in cube_sample:
+        two_q, four_q = dil(q, 2.0), dil(q, 4.0)
+        rhs_cube = q if family.is_local else four_q.cube
+        src_cube = two_q.cube if family.is_local else four_q.cube
+        if not four_q.saturated or family.is_local:
+            for p in probes:
+                src = masked(p, src_cube)
+                rhs = lp_average(src, rhs_cube, p0)
+                if rhs > 0:
+                    bump(alpha, 2, lp_average(family.apply_A(src, q), two_q.cube, q0) / rhs)
+        for k in range(3, k_max + 1):
+            outer, inner = dil(q, 2.0 ** k), dil(q, 2.0 ** (k - 1))
+            if outer.saturated:
+                break
+            ann = annulus(outer.cube, inner.cube)
+            outputs = [family.apply_A(p, q) for p in ann]
+            for j in range(1, k - 1):
+                for p, ap in zip(ann, outputs):
+                    rhs = lp_average(p, outer.cube, p0)
+                    if rhs > 0:
+                        bump(alpha, k, lp_average(ap, dil(q, 2.0 ** j).cube, q0) / rhs)
+        for level in range(1, pair_levels + 1):
+            side = q.side / (2 ** level)
+            if side < 1.0 / m:
+                break
+            r = Cube(q.anchor, side)
+            for k in range(2, k_max + 1):
+                outer = dil(q, 2.0 ** k)
+                if outer.saturated:
+                    break
+                if k == 2:
+                    sources = [masked(p, outer.cube) for p in probes]
+                else:
+                    sources = annulus(outer.cube, dil(q, 2.0 ** (k - 1)).cube)
+                for p in sources:
+                    if np.any(p.values):
+                        g = family.apply_B(family.apply_A(p, q), r)
+                        rhs = lp_average(p, outer.cube, p0)
+                        if rhs > 0:
+                            bump(beta, k, lp_average(g, dil(r, 2.0).cube, q0) / rhs)
+    return alpha, (beta or None)
+
+
+def profile_cases():
+    m1, m2 = 128, 32
+    cubes1 = [Cube((0.25,), 1 / 32), Cube((0.9375,), 1 / 16), Cube((0.5,), 1 / 128)]
+    cubes2 = [Cube((0.25, 0.25), 1 / 8), Cube((0.875, 0.0), 1 / 16)]
+    for kind in ("classical-average", "extended-average"):
+        yield kind, make_family(kind, (1.0, math.inf)), probe_set(m1), cubes1
+        yield kind + "-2d", make_family(kind, (1.0, 4.0)), probe_set(m2, 2), cubes2
+    yield "heat", make_family("semigroup", (2.0, 2.0), operator=identity_operator(m1)), probe_set(m1), cubes1
+    yield "variable", make_family("semigroup", (1.0, math.inf), operator=variable_operator(m1)), probe_set(m1), cubes1
+    yield "heat-2d", make_family("semigroup", (1.0, 3.0), operator=identity_operator(m2, 2), big_n=2), \
+        probe_set(m2, 2), cubes2
+
+
+PROFILE_CASES = {name: case for name, *case in profile_cases()}
+
+
+@pytest.mark.parametrize("name", PROFILE_CASES)
+@pytest.mark.parametrize("k_max, pair_levels", [(6, 1), (4, 2)])
+def test_profile_entries_equal_per_shell_reference(name, k_max, pair_levels):
+    fam, probes, cubes = PROFILE_CASES[name]
+    prof = measure_offdiagonal(fam, probes, cubes, k_max=k_max, pair_levels=pair_levels)
+    alpha, beta = reference_measure_offdiagonal(fam, probes, cubes, k_max, pair_levels)
+    assert prof.alpha == alpha
+    assert prof.beta == beta
+
+
+@pytest.mark.parametrize("name", PROFILE_CASES)
+def test_profile_computes_each_distinct_input_once(monkeypatch, name):
+    # B_Q and the L^p averages see each (values, cube) once, keyed by a digest
+    # of the values: shells are shared by alpha and beta, and right-hand sides
+    # are computed once per source.  (Cubes of more than one cell: on a single
+    # cell, a local family maps two probes of equal value there to one output.)
+    fam, probes, cubes = PROFILE_CASES[name]
+    cubes = [q for q in cubes if q.side * probes[0].resolution > 1]
+    calls = Counter()
+    apply_b, average = OscillationFamily.apply_B, operators.lp_average
+
+    def digest(f):
+        return hashlib.blake2b(f.values.tobytes(), digest_size=16).digest()
+
+    def counting_apply_b(self, f, q):
+        calls[("B", id(self), digest(f), q.anchor, q.side)] += 1
+        return apply_b(self, f, q)
+
+    def counting_average(f, q, p, w=None):
+        calls[("lp", digest(f), q.anchor, q.side, p)] += 1
+        return average(f, q, p, w)
+
+    monkeypatch.setattr(OscillationFamily, "apply_B", counting_apply_b)
+    monkeypatch.setattr(operators, "lp_average", counting_average)
+    measure_offdiagonal(fam, probes, cubes, k_max=6, pair_levels=2)
     assert calls and max(calls.values()) == 1, calls.most_common(1)
 
 
