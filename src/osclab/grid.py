@@ -88,6 +88,8 @@ class Field:
 
     def save(self, path_base: str, fmt: str = "bin") -> list[str]:
         """Write samples plus a JSON header; returns the written file names."""
+        if fmt not in ("bin", "csv"):
+            raise ParameterError(f"unknown field format {fmt!r}")
         header = {
             "dimension": self.dimension,
             "resolution": self.resolution,
@@ -98,11 +100,10 @@ class Field:
         with open(paths[0], "w") as fh:
             json.dump(header, fh, sort_keys=True)
             fh.write("\n")
+        paths.append(path_base + "." + fmt)
         if fmt == "bin":
-            paths.append(path_base + ".bin")
             self.values.tofile(paths[1])
-        elif fmt == "csv":
-            paths.append(path_base + ".csv")
+        else:
             flat = self.values.ravel()
             with open(paths[1], "w") as fh:
                 if self.is_complex:
@@ -111,8 +112,6 @@ class Field:
                 else:
                     for x in flat:
                         fh.write(f"{float(x)!r}\n")
-        else:
-            raise ParameterError(f"unknown field format {fmt!r}")
         return paths
 
     @staticmethod
@@ -261,9 +260,10 @@ def _lr_quasi_average(f: Field, q: Cube, r: float, w: WeightLike) -> float:
 #
 # The admissible cubes are grid-aligned with dyadic sidelengths {h, 2h, ..., 1}
 # and anchors on the cell lattice.  For a scale of c cells the mean over every
-# anchored window comes from a roll-doubling box sum, and the supremum over
-# the windows containing a given cell is a sliding max over c anchors, again
-# by roll doubling.  Both reductions are fixed binary trees, hence exact
+# anchored window comes from a roll-doubling box sum, its central moments
+# from roll-doubling pairwise merges, and the supremum over the windows
+# containing a given cell is a sliding max over c anchors, again by roll
+# doubling.  All three reductions are fixed binary trees, hence exact
 # reproducibility.  They act on the trailing ``dimension`` axes only, so a
 # stack of fields (one per exponent, say) is reduced in one call; leading
 # axes are batch axes.
@@ -304,6 +304,67 @@ def sliding_cube_means(g: np.ndarray, c: int, dimension: Optional[int] = None) -
     return s / float(c ** n)
 
 
+def sliding_central_moments(g: np.ndarray, dimension: Optional[int] = None):
+    """Yield (c, (mean, m2, m3, m4)) for c = 1, 2, 4, ..., m: the normalized
+    central moments of g over the c-cell cube anchored at each cell (wrapped).
+
+    The cube spans the trailing ``dimension`` axes (all axes by default).  The
+    cube of side 2c is merged from two equal halves along each axis in turn
+    by the pairwise updates of Chan, Golub & LeVeque and of Pebay, so no
+    E g^2 - (E g)^2 cancellation occurs.
+    """
+    axes, m = _grid_axes(g, dimension), g.shape[-1]
+    zero = np.broadcast_to(0.0, g.shape)  # the moments of one cell, without storage
+    mom, c = (g, zero, zero, zero), 1
+    del g, zero  # only mom is held between scales
+    yield c, mom
+    while c < m:
+        for ax in axes:
+            mom = _merge_halves(mom, c, ax)
+        c *= 2
+        yield c, mom
+
+
+def _merge_halves(mom: tuple, c: int, ax: int) -> tuple:
+    """Moments of the union of the window at a and the one c cells on along ax.
+
+    With d = mu_b - mu_a (subscript b: the window c cells on):
+    mu = mu_a + d/2, m2 = (m2_a + m2_b)/2 + d^2/4,
+    m3 = (m3_a + m3_b)/2 + 3/4 d (m2_b - m2_a) and
+    m4 = (m4_a + m4_b)/2 + d^4/16 + 3/4 d^2 (m2_a + m2_b) + d (m3_b - m3_a),
+    evaluated in place so that few arrays of the input's size are live.
+    """
+    mu, m2, m3, m4 = mom
+    d = np.roll(mu, -c, axis=ax)
+    d -= mu
+    new4 = np.roll(m4, -c, axis=ax)
+    new4 += m4
+    new4 *= 0.5  # (m4_a + m4_b)/2
+    new3 = np.roll(m3, -c, axis=ax)
+    t = new3 - m3
+    t *= d
+    new4 += t  # + d (m3_b - m3_a)
+    new3 += m3
+    new3 *= 0.5  # (m3_a + m3_b)/2
+    new2 = np.roll(m2, -c, axis=ax)
+    np.subtract(new2, m2, out=t)
+    t *= 0.75
+    t *= d
+    new3 += t  # + 3/4 d (m2_b - m2_a)
+    new2 += m2  # m2_a + m2_b
+    np.multiply(d, d, out=t)  # d^2
+    u = t / 16.0
+    u += 0.75 * new2
+    u *= t
+    new4 += u  # + d^4/16 + 3/4 d^2 (m2_a + m2_b)
+    new2 *= 0.5
+    t *= 0.25
+    new2 += t  # (m2_a + m2_b)/2 + d^2/4
+    d *= 0.5
+    d += mu  # mu_a + d/2
+    return d, new2, new3, new4
+
+
 def scale_sweep_max(per_scale, dimension: Optional[int] = None) -> np.ndarray:
     """Pointwise max over scales of per-scale anchored stats lifted to cells.
 
@@ -314,8 +375,10 @@ def scale_sweep_max(per_scale, dimension: Optional[int] = None) -> np.ndarray:
     """
     out = None
     for c, arr in per_scale:
-        lifted = _anchor_max(arr, c, dimension)
-        out = lifted if out is None else np.maximum(out, lifted)
+        if out is None:
+            out = np.array(_anchor_max(arr, c, dimension))  # a copy: arr is the caller's
+        else:
+            np.maximum(out, _anchor_max(arr, c, dimension), out=out)
     return out
 
 

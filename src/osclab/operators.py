@@ -37,7 +37,7 @@ from osclab._support import (
     rng_from_seed,
 )
 from osclab.cubes import Cube, Dilation, dilate
-from osclab.grid import Field, lp_average, sliding_cube_means, scale_sweep_max
+from osclab.grid import Field, lp_average, scale_sweep_max, sliding_central_moments, sliding_cube_means
 
 
 # ---------------------------------------------------------------------------
@@ -767,8 +767,9 @@ def audit_family(
 
 # Anchored windows are gathered in blocks of at most this many samples (or one
 # window, when a single window is larger), so memory stays bounded instead of
-# growing as m^n c^n with the scale.
-_WINDOW_BLOCK = 1 << 16
+# growing as m^n c^n with the scale.  A block of 256 kB leaves room for the
+# moment arrays that sharp_maximal holds across the window pass.
+_WINDOW_BLOCK = 1 << 15
 
 
 def _anchored_deviations(f: Field, c: int):
@@ -787,7 +788,11 @@ def _anchored_deviations(f: Field, c: int):
             ix = lead + (slice(a, a + rows),)
             win = np.array(windows[ix]).reshape(-1, size)
             win -= win.mean(axis=1, keepdims=True)
-            yield ix, np.abs(win, out=win)
+            yield ix, np.abs(win) if f.is_complex else np.abs(win, out=win)
+
+
+# exponent p -> index of the p-th central moment in sliding_central_moments
+_MOMENT_OF = {2.0: 1, 4.0: 3}
 
 
 def sharp_maximal(
@@ -809,6 +814,12 @@ def sharp_maximal(
     computed once and raised to every exponent, a scale-only family gets the
     B fields of every scale and field from apply_B_scales, and the
     statistics of all fields go to one scale_sweep_max on a leading axis.
+
+    For a positional family, B_Q f on Q is f - f_Q.  At p = 2 and p = 4 of a
+    real field the mean is then the central moment M2 or M4 of f on Q, read
+    for every anchored window of every scale from sliding_central_moments in
+    O(m^n) per scale; complex fields and every other p take the windows,
+    O(m^n c^n) per scale.
     """
     single_p = np.ndim(p) == 0
     ps = [float(p)] if single_p else [float(x) for x in p]
@@ -822,6 +833,13 @@ def sharp_maximal(
     m, n = fs[0].resolution, fs[0].dimension
     cs = [2 ** k for k in range(m.bit_length())]
     b = family.apply_B_scales([c / m for c in cs], fs) if family.sidelength_only else None
+    # positional family: p = 2 and p = 4 of a real field are its central moments
+    real = [j for j, g in enumerate(fs) if not g.is_complex]
+    by_moment = [(k, _MOMENT_OF[x]) for k, x in enumerate(ps) if x in _MOMENT_OF]
+    moments = None
+    if b is None and real and by_moment:
+        moments = sliding_central_moments(np.stack([fs[j].values for j in real]), n)
+    windowed = [[(k, x) for k, x in enumerate(ps) if g.is_complex or x not in _MOMENT_OF] for g in fs]
 
     def scales():
         for i, c in enumerate(cs):
@@ -833,10 +851,16 @@ def sharp_maximal(
                 stat = sliding_cube_means(np.stack([np.power(dev, x) for x in ps], axis=1), c, n)
             else:
                 stat = np.empty((len(fs), len(ps)) + fs[0].values.shape)
+                if moments is not None:
+                    _, mom = next(moments)
+                    for k, r in by_moment:
+                        stat[real, k] = mom[r]
                 for j, g in enumerate(fs):
+                    if not windowed[j]:
+                        continue
                     for ix, dev in _anchored_deviations(g, c):
-                        for k, x in enumerate(ps):
-                            stat[(j, k) + ix] = np.power(dev, x).mean(axis=1)
+                        for k, x in windowed[j]:
+                            stat[(j, k) + ix] = (dev if x == 1.0 else np.power(dev, x)).mean(axis=1)
             for k, x in enumerate(ps):
                 stat[:, k] = weight * np.power(stat[:, k], 1.0 / x)
             yield c, stat

@@ -300,3 +300,10 @@ def test_field_io_roundtrip(tmp_path):
     fc.save(str(tmp_path / "fc"), fmt="csv")
     gc = Field.load(str(tmp_path / "fc"))
     assert np.allclose(fc.values, gc.values)
+
+
+def test_field_save_rejects_unknown_format_before_writing(tmp_path):
+    f = rnd_field(11, m=8)
+    with pytest.raises(ParameterError):
+        f.save(str(tmp_path / "field"), fmt="npy")
+    assert list(tmp_path.iterdir()) == []

@@ -748,16 +748,18 @@ def test_profile_computes_each_distinct_input_once(monkeypatch, name):
 # ---------------------------------------------------------------------------
 
 
-def brute_sharp_classical(vals: np.ndarray, p: float) -> np.ndarray:
+def brute_sharp_classical(vals: np.ndarray, ps) -> list[np.ndarray]:
+    """Classical sharp maximal function of ``vals`` at each exponent of ``ps``,
+    by direct enumeration of every wrapped anchored window of every dyadic side."""
     m = vals.shape[0]
-    out = np.zeros_like(vals, dtype=float)
+    out = [np.zeros(vals.shape) for _ in ps]
     c = 1
     while c <= m:
-        for a in range(m):
-            idx = (np.arange(c) + a) % m
-            block = vals[idx]
-            stat = (np.abs(block - block.mean()) ** p).mean() ** (1 / p)
-            out[idx] = np.maximum(out[idx], stat)
+        for anchor in np.ndindex(vals.shape):
+            idx = np.ix_(*[(np.arange(c) + a) % m for a in anchor])
+            dev = np.abs(vals[idx] - vals[idx].mean())
+            for o, p in zip(out, ps):
+                o[idx] = np.maximum(o[idx], (dev ** p).mean() ** (1 / p))
         c *= 2
     return out
 
@@ -775,7 +777,7 @@ def test_sharp_maximal_matches_brute_force_classical():
     fam = make_family("classical-average", (1.0, math.inf))
     f = make_field("indicator", 1, m, cube={"anchor": [0.25], "side": 0.25})
     got = sharp_maximal(fam, f, 1.0).values
-    want = brute_sharp_classical(f.values, 1.0)
+    (want,) = brute_sharp_classical(f.values, [1.0])
     assert np.allclose(got, want, rtol=1e-11)
 
 
@@ -880,8 +882,8 @@ def test_sharp_maximal_blocked_windows_match_brute_force():
     f = make_field("random-smooth", 1, m, seed=9, band=6)
     got = sharp_maximal(fam, f, [1.0, 2.0, 4.0])
     # on Q itself the extended-average B_Q f is f - f_Q, as for the classical family
-    for p, g in zip([1.0, 2.0, 4.0], got):
-        assert np.allclose(g.values, brute_sharp_classical(f.values, p), rtol=1e-12, atol=0.0), p
+    for p, g, want in zip([1.0, 2.0, 4.0], got, brute_sharp_classical(f.values, [1.0, 2.0, 4.0])):
+        assert np.allclose(g.values, want, rtol=1e-12, atol=0.0), p
 
 
 def test_sharp_maximal_window_memory_bounded():
@@ -898,3 +900,78 @@ def test_sharp_maximal_window_memory_bounded():
         tracemalloc.stop()
     assert peak < 16 * 2 ** 20, peak
 
+
+
+def _spy_sharp_paths(monkeypatch) -> dict:
+    """Record the fields that take the window path and the stacks that take the moment path."""
+    seen = {"windows": [], "moments": []}
+    windows, moments = operators._anchored_deviations, operators.sliding_central_moments
+
+    def spy_windows(f, c):
+        seen["windows"].append(f.is_complex)
+        return windows(f, c)
+
+    def spy_moments(g, dimension=None):
+        seen["moments"].append(g.shape)
+        return moments(g, dimension)
+
+    monkeypatch.setattr(operators, "_anchored_deviations", spy_windows)
+    monkeypatch.setattr(operators, "sliding_central_moments", spy_moments)
+    return seen
+
+
+@pytest.mark.parametrize("kind", ["classical-average", "extended-average"])
+@pytest.mark.parametrize("dim, m", [(1, 512), (2, 16)])
+def test_sharp_maximal_positional_matches_brute_force(monkeypatch, kind, dim, m):
+    seen = _spy_sharp_paths(monkeypatch)
+    fam = make_family(kind, (1.0, math.inf))
+    fields = [
+        make_field("random-smooth", dim, m, seed=4, band=5),
+        make_field("log-distance", dim, m, center=0.3),
+        make_field("random-normal", dim, m, seed=6, complex=True),
+    ]
+    ps = [1.0, 1.5, 2.0, 3.0, 4.0]
+    got = sharp_maximal(fam, fields, ps)
+    for f, per_field in zip(fields, got):
+        for p, g, want in zip(ps, per_field, brute_sharp_classical(f.values, ps)):
+            assert np.allclose(g.values, want, rtol=1e-12, atol=0.0), (f.is_complex, p)
+    # p = 2 and p = 4 of the two real fields come from one moment stack; the
+    # complex field and every other exponent take the windows
+    assert seen["moments"] == [(2,) + (m,) * dim]
+    assert sorted(set(seen["windows"])) == [False, True]
+
+
+def test_sharp_maximal_moment_path_skips_windows(monkeypatch):
+    seen = _spy_sharp_paths(monkeypatch)
+    fam = make_family("extended-average", (1.0, math.inf))
+    sharp_maximal(fam, [make_field("random-smooth", 2, 16, seed=s) for s in (1, 2)], [2.0, 4.0])
+    assert seen == {"windows": [], "moments": [(2, 16, 16)]}
+    seen["moments"].clear()
+    sharp_maximal(fam, make_field("random-normal", 2, 16, seed=1, complex=True), [2.0, 4.0])
+    assert seen["moments"] == [] and seen["windows"] and all(seen["windows"])
+
+
+@pytest.mark.parametrize("dim, m", [(1, 256), (2, 16)])
+def test_sharp_maximal_moments_survive_a_large_offset(dim, m):
+    # the naive E f^2 - (E f)^2 loses about 12 digits to an offset of 1e6
+    fam = make_family("extended-average", (1.0, math.inf))
+    f = make_field("random-smooth", dim, m, seed=8, band=4)
+    shifted = Field(f.values + 1e6)
+    for a, b in zip(sharp_maximal(fam, shifted, [2.0, 4.0]), sharp_maximal(fam, f, [2.0, 4.0])):
+        assert np.allclose(a.values, b.values, rtol=1e-8, atol=0.0)
+
+
+def test_sharp_maximal_moment_memory_bounded():
+    import tracemalloc
+
+    m = 128
+    fam = make_family("extended-average", (1.0, math.inf))
+    fields = [make_field("random-smooth", 2, m, seed=s, band=4) for s in (1, 2, 3)]
+    tracemalloc.start()
+    try:
+        sharp_maximal(fam, fields, [2.0, 4.0])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the moment arrays are O(fields * m^n); one scale's windows alone would take 1.5 GB
+    assert peak < 16 * 2 ** 20, peak
