@@ -2,7 +2,7 @@
 
 A functional assigns a nonnegative number to every cube.  The built-in kinds
 cover power laws in the sidelength, fractional averages against a weight,
-reduced and expanded Poincare right-hand sides, constants, and custom tables.
+reduced and expanded Poincare right-hand sides, and constants.
 Dilation series (the tilde/bar expansions) evaluate over the dyadic dilates
 2^k Q; on the torus the dilates saturate, and the series tail beyond the
 saturation index collapses to full-torus terms summed in closed form.
@@ -222,10 +222,6 @@ class ReducedPoincare(Functional):
     def dimension(self) -> int:
         return self.h.dimension
 
-    def sobolev_exponent(self) -> float:
-        n = self.dimension
-        return self.s * n / (n - self.s) if self.s < n else math.inf
-
     def _eval(self, q: Cube) -> float:
         return q.side * lp_average(self.h, q, self.s, self.weight)
 
@@ -301,22 +297,6 @@ class DilationSeries(Functional):
         return ExpandedPoincare(
             self.base.h, self.base.s, Coeffs("table", values=conv), self.base.weight
         )
-
-
-class TableFunctional(Functional):
-    """Values ingested from (cube, value) rows; exact lookup only."""
-
-    kind = "custom-table"
-
-    def __init__(self, rows: Sequence[tuple[Cube, float]]):
-        super().__init__()
-        self._table = {self._key(q): float(v) for q, v in rows}
-
-    def _eval(self, q: Cube) -> float:
-        key = self._key(q)
-        if key not in self._table:
-            raise ParameterError(f"no table entry for cube {q.to_dict()}")
-        return self._table[key]
 
 
 # ---------------------------------------------------------------------------

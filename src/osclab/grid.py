@@ -10,7 +10,6 @@ not depend on scheduling.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Optional, Union
@@ -84,55 +83,6 @@ class Field:
     def torus(self) -> Cube:
         return full_torus(self.dimension)
 
-    # -- I/O ----------------------------------------------------------------
-
-    def save(self, path_base: str, fmt: str = "bin") -> list[str]:
-        """Write samples plus a JSON header; returns the written file names."""
-        if fmt not in ("bin", "csv"):
-            raise ParameterError(f"unknown field format {fmt!r}")
-        header = {
-            "dimension": self.dimension,
-            "resolution": self.resolution,
-            "complex": self.is_complex,
-            "format": fmt,
-        }
-        paths = [path_base + ".json"]
-        with open(paths[0], "w") as fh:
-            json.dump(header, fh, sort_keys=True)
-            fh.write("\n")
-        paths.append(path_base + "." + fmt)
-        if fmt == "bin":
-            self.values.tofile(paths[1])
-        else:
-            flat = self.values.ravel()
-            with open(paths[1], "w") as fh:
-                if self.is_complex:
-                    for z in flat:
-                        fh.write(f"{float(z.real)!r},{float(z.imag)!r}\n")
-                else:
-                    for x in flat:
-                        fh.write(f"{float(x)!r}\n")
-        return paths
-
-    @staticmethod
-    def load(path_base: str) -> "Field":
-        with open(path_base + ".json") as fh:
-            header = json.load(fh)
-        n, m = int(header["dimension"]), int(header["resolution"])
-        cplx = bool(header.get("complex", False))
-        fmt = header.get("format", "bin")
-        shape = (m,) * n
-        if fmt == "bin":
-            dtype = np.complex128 if cplx else np.float64
-            vals = np.fromfile(path_base + ".bin", dtype=dtype).reshape(shape)
-        elif fmt == "csv":
-            raw = np.loadtxt(path_base + ".csv", delimiter=",", ndmin=2)
-            vals = (raw[:, 0] + 1j * raw[:, 1]) if cplx else raw[:, 0]
-            vals = vals.reshape(shape)
-        else:
-            raise ParameterError(f"unknown field format {fmt!r}")
-        return Field(vals)
-
 
 def _density_values(w: WeightLike) -> Optional[np.ndarray]:
     if w is None:
@@ -191,47 +141,36 @@ def weak_lq_norm(f: Field, q_cube: Cube, q: float, w: WeightLike = None) -> floa
     return float(np.max(vs * np.power(cum / total, 1.0 / q)))
 
 
+_LOG2 = math.log(2.0)
+# Newton steps before the Luxemburg root is declared failed; about five suffice.
+_NEWTON_STEPS = 64
+
+
 def exp_luxemburg_norm(f: Field, q: Cube, w: WeightLike = None) -> float:
     """Luxemburg norm of the exponential Orlicz class on q.
 
-    Solves mean(exp(|f|/lam) - 1) = 1 for lam by monotone bisection, bracket
-    [max|f|/64, 64 max|f|] (expanded when a heavily weighted cube needs it),
-    absolute tolerance 1e-10 * max|f|.
+    Solves mean(exp(|f|/lam) - 1) = 1 for lam = 1/s by Newton's method on the
+    gauge h(s) = log mean(exp(s|f|)) = log 2, evaluated as s max|f| +
+    log mean(exp(s(|f| - max|f|))) so that it cannot overflow.  h is convex
+    and increasing, and Jensen's inequality gives h(s0) >= log 2 at s0 =
+    log 2 / mean|f|, so the iterates fall monotonically to the root; the
+    iteration stops at the first step that does not lower s.
     """
     vals, mu = _cell_measures(f, q, w)
     vmax = float(vals.max())
     if vmax == 0.0:
         return 0.0
     nu = mu / mu.sum()
-
-    def phi(lam: float) -> float:
-        return float((nu * np.expm1(np.minimum(vals / lam, 700.0))).sum())
-
-    lo, hi = vmax / 64.0, 64.0 * vmax
-    guard = 0
-    while phi(lo) < 1.0 and guard < 80:
-        hi = lo
-        lo /= 4.0
-        guard += 1
-    guard = 0
-    while phi(hi) > 1.0 and guard < 80:
-        lo = hi
-        hi *= 4.0
-        guard += 1
-    if phi(lo) < 1.0 or phi(hi) > 1.0:
-        raise NumericError("Luxemburg bisection bracket could not be established")
-    tol = 1e-10 * vmax
-    for _ in range(200):
-        if hi - lo <= tol:
-            break
-        mid = 0.5 * (hi + lo)
-        if phi(mid) > 1.0:
-            lo = mid
-        else:
-            hi = mid
-    else:
-        raise NumericError("Luxemburg bisection failed to converge")
-    return float(hi)
+    below, nu_vals = vals - vmax, nu * vals
+    s = _LOG2 / float(nu_vals.sum())
+    for _ in range(_NEWTON_STEPS):
+        tilt = np.exp(s * below)
+        z = float((nu * tilt).sum())
+        step = (s * vmax + math.log(z) - _LOG2) * z / float((nu_vals * tilt).sum())
+        if not s - step < s:
+            return 1.0 / s
+        s -= step
+    raise NumericError(f"Luxemburg Newton iteration did not converge in {_NEWTON_STEPS} steps")
 
 
 def kolmogorov_check(

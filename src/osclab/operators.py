@@ -30,12 +30,7 @@ import numpy as np
 import scipy.sparse as sp
 from numpy.lib.stride_tricks import sliding_window_view
 
-from osclab._support import (
-    DataError,
-    NumericError,
-    ParameterError,
-    rng_from_seed,
-)
+from osclab._support import DataError, NumericError, ParameterError
 from osclab.cubes import Cube, Dilation, dilate
 from osclab.grid import Field, lp_average, scale_sweep_max, sliding_central_moments, sliding_cube_means
 
@@ -103,21 +98,16 @@ class EllipticOperator:
     def h(self) -> float:
         return 1.0 / self.resolution
 
-    def _check_ellipticity(self, samples: int = 8) -> None:
-        n = self.dimension
-        rng = rng_from_seed(0xE11)
-        flat = self.coeffs.reshape(n, n, -1)
-        for _ in range(samples):
-            xi = rng.normal(size=n) + 1j * rng.normal(size=n)
-            zeta = rng.normal(size=n) + 1j * rng.normal(size=n)
-            xi /= np.linalg.norm(xi)
-            zeta /= np.linalg.norm(zeta)
-            quad = np.einsum("abx,b,a->x", flat, xi, np.conj(xi))
-            if np.min(quad.real) < self.lam - 1e-9:
-                raise DataError("ellipticity lower bound violated on a sampled direction")
-            bil = np.einsum("abx,b,a->x", flat, xi, np.conj(zeta))
-            if np.max(np.abs(bil)) > self.big_lam + 1e-9:
-                raise DataError("ellipticity upper bound violated on a sampled direction")
+    def _check_ellipticity(self) -> None:
+        """Per cell: Re <A xi, xi> >= lam |xi|^2 (the least eigenvalue of the
+        Hermitian part) and |<A xi, zeta>| <= Lam |xi| |zeta| (the largest
+        singular value), each with a 1e-9 slack."""
+        cells = np.moveaxis(self.coeffs.reshape(self.dimension, self.dimension, -1), -1, 0)
+        hermitian = 0.5 * (cells + np.conj(np.swapaxes(cells, 1, 2)))
+        if np.min(np.linalg.eigvalsh(hermitian)) < self.lam - 1e-9:
+            raise DataError("ellipticity lower bound violated: Re <A xi, xi> < lam |xi|^2 at a cell")
+        if np.max(np.linalg.svd(cells, compute_uv=False)) > self.big_lam + 1e-9:
+            raise DataError("ellipticity upper bound violated: |A| > Lam at a cell")
 
     # -- spectral path --------------------------------------------------------
 
@@ -342,7 +332,8 @@ def _ellipse_growth(op: EllipticOperator, t: float) -> float:
 
 def _chebyshev_coefficients(phi, n: int, big_r: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
     """(c_k, |c_k| R^k / max |phi| on E_R) for k < n, where
-    phi((1 + x) / 2) ~ c_0 / 2 + sum_k c_k T_k(x).
+    phi((1 + x) / 2) ~ c_0 / 2 + sum_k c_k T_k(x); the second is inf when
+    phi underflows to 0 at every node, which reads as no decay.
 
     One FFT of length 2n of the samples at x = (zeta + 1/zeta) / 2, zeta =
     R e^{i theta_j}, theta_j = pi (j + 1/2) / n, j < 2n; for R = 1 this is
@@ -362,7 +353,10 @@ def _chebyshev_coefficients(phi, n: int, big_r: float = 1.0) -> tuple[np.ndarray
     weighted = np.fft.fft(values)[:n] * np.exp(-0.5j * np.pi * k / n) / n
     if not np.iscomplexobj(values):
         weighted = weighted.real
-    return weighted * np.exp(-log_r * k), np.abs(weighted) / float(np.max(np.abs(values)))
+    peak = float(np.max(np.abs(values)))
+    if peak == 0.0:
+        return weighted, np.full(n, np.inf)
+    return weighted * np.exp(-log_r * k), np.abs(weighted) / peak
 
 
 def _chebyshev_expansion(phi, rho: float, big_r: float) -> np.ndarray:
@@ -869,9 +863,3 @@ def sharp_maximal(
     if single_p:
         best = [per_field[0] for per_field in best]
     return best[0] if single_f else best
-
-
-def bmo_seminorm(family: OscillationFamily, f: Field, p: float, alpha: float = 0.0) -> float:
-    """sup over admissible cubes of the (weighted) p-oscillation; equals
-    the sup of the sharp maximal field."""
-    return float(np.max(sharp_maximal(family, f, p, alpha).values))

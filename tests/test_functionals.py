@@ -17,7 +17,6 @@ from osclab.functionals import (
     FractionalFunctional,
     PowerFunctional,
     ReducedPoincare,
-    TableFunctional,
     bar_expand,
     estimate_condition,
     eta_alternative,
@@ -76,14 +75,6 @@ def test_constant_functional_tilde_is_summed_sequence():
     gam = gamma_tilde_from_profile(prof)
     expected = gam.tail_sum(1)
     assert at.eval(Cube((0.0,), 0.25)) == pytest.approx(expected, rel=1e-12)
-
-
-def test_table_functional_roundtrip():
-    q = Cube((0.0,), 0.5)
-    t = TableFunctional([(q, 2.5)])
-    assert t.eval(q) == 2.5
-    with pytest.raises(ParameterError):
-        t.eval(Cube((0.5,), 0.5))
 
 
 def test_memoization_is_deterministic():
@@ -344,7 +335,6 @@ def test_reduced_poincare_quasi_increasing_when_s_at_least_n():
     m = 64
     h = Field(np.abs(make_field("random-smooth", 1, m, seed=17, band=5).values) + 0.01)
     a = ReducedPoincare(h, 2.0)  # s = 2 >= n = 1
-    assert a.sobolev_exponent() == math.inf
     pairs = []
     for anchor in (0.0, 0.25, 0.5):
         big = Cube((anchor,), 0.25)

@@ -20,6 +20,7 @@ from osclab.grid import (
     maximal_function,
     weak_lq_norm,
 )
+from osclab.weights import Weight
 
 
 def rnd_field(seed: int, m: int = 16, dim: int = 1) -> Field:
@@ -145,6 +146,45 @@ def test_exp_norm_gauge_residual():
         gauge = np.mean(np.expm1(vals / lam))
         assert gauge <= 1.0 + 1e-9
         assert gauge >= 1.0 - 1e-6
+
+
+@pytest.mark.parametrize("dim, m", [(1, 64), (2, 16)])
+@pytest.mark.parametrize("gamma", [-0.5, 0.0, 0.5, 1.5])
+def test_exp_norm_two_level_weighted_closed_form(dim, m, gamma):
+    # c on E, 0 elsewhere: nu(E) e^{c/lam} + 1 - nu(E) = 2, so
+    # lam = c / ln(1 + 1/nu(E)); the root is exact to rounding
+    c = 3.0
+    w = Weight(make_field("power-distance", dim, m, gamma=gamma, center=0.3))
+    on_e = make_field("indicator", dim, m, cube={"anchor": [0.25] * dim, "side": 0.25}).values == 1.0
+    density = w.density.values
+    nu_e = math.fsum(density[on_e]) / math.fsum(density.ravel())
+    got = exp_luxemburg_norm(Field(c * on_e), full_torus(dim), w)
+    assert got == pytest.approx(c / math.log1p(1.0 / nu_e), rel=1e-13)
+
+
+@pytest.mark.parametrize("f", [make_field("constant", 1, 16, value=2.0),
+                               make_field("fourier-mode", 2, 16, k=[1, 2])])
+def test_exp_norm_constant_modulus_is_its_starting_point(f):
+    # |f| = c: the Jensen start log 2 / mean|f| is already the root c / ln 2
+    got = exp_luxemburg_norm(f, full_torus(f.dimension))
+    assert got == pytest.approx(float(np.max(np.abs(f.values))) / math.log(2.0), rel=1e-14)
+
+
+def test_exp_norm_spike_far_above_its_mean():
+    # max/mean = 1e6 under a weight that nearly vanishes on the spike cell:
+    # the root lam = 0.0104 sits below max|f|/64, and the start
+    # s0 = log 2 / mean|f| = 6.9e5 is 7e3 times the root 1/lam; the gauge
+    # is evaluated without overflow or warning
+    m = 64
+    vals = np.full(m, 1e-6)
+    vals[0] = 1.0
+    density = np.ones(m)
+    density[0] = 1e-40
+    nu = density / density.sum()
+    assert 1.0 / np.sum(nu * vals) == pytest.approx(1e6)
+    lam = exp_luxemburg_norm(Field(vals), full_torus(1), density)
+    assert lam < 1.0 / 64.0
+    assert abs(np.sum(nu * np.expm1(vals / lam)) - 1.0) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -288,22 +328,3 @@ def test_complex_fields_use_modulus():
     f = make_field("fourier-mode", 1, 16, k=2)
     assert f.is_complex
     assert lp_average(f, full_torus(1), 2.0) == pytest.approx(1.0, rel=1e-12)
-
-
-def test_field_io_roundtrip(tmp_path):
-    f = rnd_field(11, m=8)
-    base = str(tmp_path / "field")
-    f.save(base, fmt="bin")
-    g = Field.load(base)
-    assert np.array_equal(f.values, g.values)
-    fc = make_field("fourier-mode", 1, 8, k=1)
-    fc.save(str(tmp_path / "fc"), fmt="csv")
-    gc = Field.load(str(tmp_path / "fc"))
-    assert np.allclose(fc.values, gc.values)
-
-
-def test_field_save_rejects_unknown_format_before_writing(tmp_path):
-    f = rnd_field(11, m=8)
-    with pytest.raises(ParameterError):
-        f.save(str(tmp_path / "field"), fmt="npy")
-    assert list(tmp_path.iterdir()) == []
