@@ -46,12 +46,34 @@ def ratio(num: float, denom: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# builder tables
+# config keys
 # ---------------------------------------------------------------------------
 #
-# A config section ``{"kind": ..., <keys>}`` is built by its kind's builder in a
-# table.  The kind's keys are the builder's keyword-only parameters, and its
-# defaults their defaults (none: required); positional ones take the context.
+# A config section is read by one function: the section's keys are that
+# function's keyword-only parameters, and its defaults their defaults (none:
+# required); positional ones take the context.  A section ``{"kind": ...,
+# <keys>}`` is built by its kind's builder in a table.
+
+
+def check_keys(reader: Callable, spec: Any, path: str) -> dict:
+    """The keyword-only parameters of ``reader`` by name; a key of the section
+    ``spec`` at ``path`` that is none of them, or a required one it leaves out,
+    raises ParameterError naming its dotted path."""
+    if not isinstance(spec, dict):
+        raise ParameterError(f"config section {path or '(top level)'} must be an object, got {spec!r}")
+    params = inspect.signature(reader, eval_str=True).parameters.values()
+    keys = {p.name: p for p in params if p.kind is p.KEYWORD_ONLY}
+    unknown = [dotted(path, k) for k in sorted(set(spec) - set(keys))]
+    missing = [dotted(path, k) for k, p in keys.items() if p.default is p.empty and k not in spec]
+    if unknown or missing:
+        raise ParameterError(f"unknown config key(s): {', '.join(unknown)}" if unknown
+                             else f"missing config key(s): {', '.join(missing)}")
+    return keys
+
+
+def dotted(path: str, key: str) -> str:
+    """The dotted path of ``key`` in the section at ``path`` ('' is the top level)."""
+    return f"{path}.{key}" if path else key
 
 
 def check_kind(table: dict, spec: Any, path: str, default_kind: Optional[str] = None) -> Callable:
@@ -62,13 +84,7 @@ def check_kind(table: dict, spec: Any, path: str, default_kind: Optional[str] = 
     kind = spec.get("kind", default_kind)
     if not isinstance(kind, str) or kind not in table:
         raise ParameterError(f"{path}: unknown kind {kind!r} (known: {', '.join(table)})")
-    params = inspect.signature(table[kind]).parameters.values()
-    keys = {p.name: p.default for p in params if p.kind is p.KEYWORD_ONLY}
-    unknown = [f"{path}.{k}" for k in sorted(set(spec) - set(keys) - {"kind"})]
-    missing = [f"{path}.{k}" for k, v in keys.items() if v is inspect.Parameter.empty and k not in spec]
-    if unknown or missing:
-        raise ParameterError(f"unknown config key(s): {', '.join(unknown)}" if unknown
-                             else f"missing config key(s): {', '.join(missing)}")
+    check_keys(table[kind], {k: v for k, v in spec.items() if k != "kind"}, path)
     return table[kind]
 
 

@@ -19,6 +19,8 @@ import os
 import sys
 import time
 from dataclasses import asdict, dataclass, field as dc_field, replace
+from operator import index
+from types import SimpleNamespace
 from typing import Optional
 
 import numpy as np
@@ -26,7 +28,9 @@ import numpy as np
 from osclab._support import (
     ParameterError,
     build_kind,
+    check_keys,
     check_kind,
+    dotted,
     dump_csv,
     dump_json,
     format_float,
@@ -48,6 +52,7 @@ from osclab.functionals import (
 )
 from osclab.grid import FIELDS, Field, _is_pow2, make_field
 from osclab.operators import (
+    FAMILY_KINDS,
     EllipticOperator,
     audit_family,
     make_family,
@@ -73,101 +78,18 @@ from osclab.weights import Weight, ones_weight, rh_subset_check, weight_report
 # ---------------------------------------------------------------------------
 # configuration
 # ---------------------------------------------------------------------------
+#
+# The top level and each fixed section of a config (``SECTIONS``) have one
+# reader, and their keys are its keyword-only parameters (``check_keys``).
+# Each key is annotated with the function that parses its value; a key
+# without one holds a kind-dependent section (``KIND_SECTIONS``) or a fixed
+# section.  A default of None is worked out by the reader from its context.
 
 
-#: every top-level config key the pipeline reads
-CONFIG_KEYS = frozenset({
-    "name", "dimension", "resolution_ladder", "seed", "field", "family", "functional",
-    "exponents", "weight", "cube_sample", "profile", "variant", "harnesses",
-    "condition_families", "k_max", "good_lambda", "bmo", "epi",
-})
-
-#: every key the pipeline reads inside the config sections of a fixed schema
-SECTION_KEYS = {
-    "family": frozenset({"kind", "p0", "q0", "operator", "N"}),
-    "exponents": frozenset({"q", "r"}),
-    "cube_sample": frozenset({"min_cells", "off_dyadic"}),
-    "profile": frozenset({"cube_side_cells", "anchors", "k_max", "pair_levels", "fit_range"}),
-    "good_lambda": frozenset({"cube", "s", "lam", "t_points"}),
-    "bmo": frozenset({"ps", "s", "alpha", "field_seeds", "operators", "operator_params"}),
-    "epi": frozenset({"root", "families", "bound_factor", "k_max"}),
-}
-
-
-@dataclass
-class ExperimentConfig:
-    """Validated wrapper around the JSON experiment description."""
-
-    data: dict
-
-    def __getitem__(self, key):
-        return self.data[key]
-
-    def get(self, key, default=None):
-        return self.data.get(key, default)
-
-    @property
-    def name(self) -> str:
-        return self.data["name"]
-
-    @property
-    def dimension(self) -> int:
-        return int(self.data["dimension"])
-
-    @property
-    def ladder(self) -> list[int]:
-        return [int(m) for m in self.data["resolution_ladder"]]
-
-    @property
-    def seed(self) -> int:
-        return int(self.data.get("seed", 0))
-
-    @property
-    def harnesses(self) -> list[str]:
-        return self.data.get("harnesses", ["weak"])
-
-    def validate(self) -> None:
-        unknown = sorted(set(self.data) - CONFIG_KEYS)
-        for section, keys in SECTION_KEYS.items():
-            value = self.data.get(section, {})
-            if not isinstance(value, dict):
-                raise ParameterError(f"config section {section} must be an object, got {value!r}")
-            unknown += [f"{section}.{k}" for k in sorted(set(value) - keys)]
-        if unknown:
-            raise ParameterError(f"unknown config key(s): {', '.join(unknown)}")
-        for path, (table, default_kind) in KIND_SECTIONS.items():
-            spec = _get_dotted(self.data, path)
-            if spec is not None:
-                check_kind(table, {"kind": spec} if path == "variant" else spec, path, default_kind)
-        bmo = self.data.get("bmo", {})
-        ops, params = bmo.get("operators", {}), bmo.get("operator_params", {})
-        if not (isinstance(ops, dict) and isinstance(params, dict)):
-            raise ParameterError("bmo.operators and bmo.operator_params must be keyed by operator kind")
-        for name in {**ops, **params}:
-            where = "bmo.operator_params" if name in params else "bmo.operators"
-            check_kind(OPERATORS, _bmo_operator(bmo, name), f"{where}.{name}")
-        if not isinstance(self.harnesses, list) or not all(isinstance(h, str) for h in self.harnesses):
-            raise ParameterError(f"harnesses must be a list of names, got {self.harnesses!r}")
-        unknown = sorted(set(self.harnesses) - set(HARNESSES))
-        if unknown:
-            raise ParameterError(f"unknown harness(es): {', '.join(unknown)}")
-        for m in self.ladder:
-            if not _is_pow2(m):
-                raise ParameterError(f"resolution_ladder: {m} is not a power of two")
-        fam = self.data.get("family", {})
-        expo = self.data.get("exponents", {})
-        p0 = float(fam.get("p0", 1.0))
-        q0 = float(fam.get("q0", "inf"))
-        q = float(expo.get("q", 2.0))
-        theorem_harnesses = {"weak", "strong", "exponential", "good-lambda", "pair-dq"}
-        if theorem_harnesses & set(self.harnesses):
-            if not (p0 < q < q0):
-                raise ParameterError(
-                    f"exponents must satisfy p0 < q < q0, got p0={p0}, q={q}, q0={q0}"
-                )
-            r = expo.get("r")
-            if r is not None and not (p0 <= float(r) < q):
-                raise ParameterError(f"exponents.r must lie in [p0, q), got {r}")
+class ExperimentConfig(SimpleNamespace):
+    """A loaded config.  ``data`` is its JSON with the overrides applied, as the
+    report echoes it; every top-level key is an attribute holding its parsed
+    value, and a fixed section's holds the keyword arguments of its reader."""
 
     @staticmethod
     def load(path: str, overrides: Optional[list[str]] = None) -> "ExperimentConfig":
@@ -178,9 +100,65 @@ class ExperimentConfig:
             if not _:
                 raise ParameterError(f"override {item!r} is not of the form key=value")
             _set_dotted(data, key.strip(), _parse_value(raw.strip()))
-        cfg = ExperimentConfig(data)
-        cfg.validate()
-        return cfg
+        keys = _parse_section("", data)
+        for where, (table, default_kind) in KIND_SECTIONS.items():
+            spec = _get_dotted(keys, where)
+            if spec is not None:
+                check_kind(table, {"kind": spec} if where == "variant" else spec, where, default_kind)
+        validate(**keys)
+        return ExperimentConfig(data=data, **keys)
+
+
+def _parse_section(path: str, spec) -> dict:
+    """The keyword arguments that the reader of the fixed section ``path`` takes
+    from ``spec``: each key's value, or its default, parsed."""
+    keys = {}
+    for key, param in check_keys(SECTIONS[path], spec, path).items():
+        where = dotted(path, key)
+        value = spec.get(key, param.default)
+        if where in SECTIONS:
+            value = _parse_section(where, value)
+        elif param.annotation is not param.empty and (value is not None or param.default is not None):
+            try:
+                value = param.annotation(value)
+            except (TypeError, ValueError, LookupError, ParameterError) as exc:
+                raise ParameterError(f"{where}: {exc}") from exc
+        keys[key] = value
+    return keys
+
+
+def _list(parse, length: Optional[int] = None):
+    """The parser of a JSON list (of ``length`` items, unless None) whose items ``parse`` reads."""
+    def parse_list(value) -> list:
+        if not isinstance(value, list) or length not in (None, len(value)):
+            count = "" if length is None else f" of {length} items"
+            raise ValueError(f"expected a list{count}, got {value!r}")
+        return [parse(v) for v in value]
+    return parse_list
+
+
+def _name_in(names):
+    """The parser of one of ``names``."""
+    def parse_name(value) -> str:
+        if not isinstance(value, str) or value not in names:
+            raise ValueError(f"unknown name {value!r} (known: {', '.join(names)})")
+        return value
+    return parse_name
+
+
+def _pow2(value) -> int:
+    m = index(value)
+    if not _is_pow2(m):
+        raise ValueError(f"{m} is not a power of two")
+    return m
+
+
+_ladder = _list(_pow2)
+
+
+def _ladders(value) -> dict:
+    """A resolution ladder per operator kind."""
+    return {kind: _ladder(ms) for kind, ms in dict(value).items()}
 
 
 def _parse_value(raw: str):
@@ -190,15 +168,15 @@ def _parse_value(raw: str):
         return raw
 
 
-def _get_dotted(data: dict, dotted: str):
+def _get_dotted(data: dict, path: str):
     node = data
-    for p in dotted.split("."):
+    for p in path.split("."):
         node = node.get(p) if isinstance(node, dict) else None
     return node
 
 
-def _set_dotted(data: dict, dotted: str, value) -> None:
-    parts = dotted.split(".")
+def _set_dotted(data: dict, path: str, value) -> None:
+    parts = path.split(".")
     node = data
     for p in parts[:-1]:
         node = node.setdefault(p, {})
@@ -273,7 +251,7 @@ def _pair(a, profile, weight, cubes, cfg):
     if not isinstance(a, ExpandedPoincare):
         raise ParameterError("pair variant requires an expanded-poincare functional")
     theta = 1.0 if weight is None else weight_report(weight, [2.0], cubes[:24], cfg.seed).theta
-    partner = bar_expand(tilde_expand(a, profile).collapse(), float(cfg["exponents"]["q"]), theta)
+    partner = bar_expand(tilde_expand(a, profile).collapse(), cfg.exponents["q"], theta)
     return two_q_functional(partner), partner
 
 
@@ -324,7 +302,7 @@ KIND_SECTIONS = {
     "functional": (FUNCTIONALS, "measured-oscillation"),
     "functional.gamma": (COEFFS, None),
     "functional.h": (H_FIELDS, None),
-    "variant": (VARIANTS, "tilde"),
+    "variant": (VARIANTS, None),
 }
 
 
@@ -334,22 +312,27 @@ def build_section(path: str, spec: dict, *context):
     return build_kind(table, spec, path, *context, default_kind=default_kind)
 
 
-def _bmo_operator(bmo: dict, name: str) -> dict:
-    """The spec of the operator ``name`` of ``bmo.operators``: ``bmo.operator_params[name]``."""
-    params = bmo.get("operator_params", {}).get(name, {})
-    if not isinstance(params, dict) or "kind" in params:
-        raise ParameterError(f"bmo.operator_params.{name} must hold the keys of {name}, got {params!r}")
-    return {**params, "kind": name}
+def _bmo_operators(operators: dict, operator_params: dict) -> dict:
+    """The spec of each operator kind of ``operators`` and of ``bmo.operator_params``:
+    the kind, with its keys from ``bmo.operator_params``."""
+    specs = {kind: {"kind": kind} for kind in operators}
+    for kind, keys in operator_params.items():
+        if not isinstance(keys, dict) or "kind" in keys:
+            raise ParameterError(f"bmo.operator_params.{kind} must hold the keys of {kind}, got {keys!r}")
+        specs[kind] = {**keys, "kind": kind}
+    return specs
 
 
-def build_family(spec: dict, dimension: int, m: int):
-    kind = spec["kind"]
-    p0 = float(spec.get("p0", 1.0))
-    q0 = float(spec.get("q0", "inf"))
-    operator = None
-    if kind == "semigroup":
-        operator = build_section("family.operator", spec.get("operator", {}), dimension, m)
-    return make_family(kind, (p0, q0), operator=operator, big_n=spec.get("N", 1))
+def build_family(dimension: int, m: int, *, kind: _name_in(FAMILY_KINDS), p0: float = 1.0,
+                 q0: float = "inf", N: index = 1, operator={}):
+    """The family of the ``family`` section; a semigroup's generator is ``operator``."""
+    generator = build_section("family.operator", operator, dimension, m) if kind == "semigroup" else None
+    return make_family(kind, (p0, q0), operator=generator, big_n=N)
+
+
+def _exponents(p0: float, *, q: float = 2.0, r: float = None) -> tuple[float, float]:
+    """(q, r) of the ``exponents`` section; r defaults to the midpoint of p0 and q."""
+    return q, ((p0 + q) / 2 if r is None else r)
 
 
 def _probe_fields(dimension: int, m: int, seed: int) -> list[Field]:
@@ -358,40 +341,37 @@ def _probe_fields(dimension: int, m: int, seed: int) -> list[Field]:
     return [make_field("constant", dimension, m, value=1.0), signs]
 
 
-def build_profile(cfg: ExperimentConfig, family, m: int):
-    spec = cfg.get("profile", {})
-    side_cells = int(spec.get("cube_side_cells", max(4, m // 64)))
-    anchors = spec.get("anchors", [0.25, 0.5])
-    cubes = [Cube((float(a),) * cfg.dimension, side_cells / m) for a in anchors]
+def build_profile(cfg: ExperimentConfig, family, m: int, *, cube_side_cells: index = None,
+                  anchors: _list(float) = [0.25, 0.5], k_max: index = 6, pair_levels: index = 1,
+                  fit_range: _list(index, 2) = [3, 6]):
+    """The off-diagonal profile of ``family`` on the cubes of ``cube_side_cells``
+    cells (default: max(4, m // 64)) at ``anchors``, fitted over ``fit_range``."""
+    side_cells = max(4, m // 64) if cube_side_cells is None else cube_side_cells
+    cubes = [Cube((a,) * cfg.dimension, side_cells / m) for a in anchors]
     probes = _probe_fields(cfg.dimension, m, cfg.seed + 17)
-    prof = measure_offdiagonal(
-        family, probes, cubes, k_max=int(spec.get("k_max", 6)),
-        pair_levels=int(spec.get("pair_levels", 1)),
-    )
+    prof = measure_offdiagonal(family, probes, cubes, k_max, pair_levels)
     prof.probe_spec["dimension"] = cfg.dimension
-    lo, hi = spec.get("fit_range", [3, 6])
-    ks = [k for k in range(int(lo), int(hi) + 1) if prof.alpha_at(k) > 0]
+    lo, hi = fit_range
+    ks = [k for k in range(lo, hi + 1) if prof.alpha_at(k) > 0]
     if len(ks) >= 2:
         prof.fit(ks)
     return prof
 
 
-def _cube_sample(cfg: ExperimentConfig, m: int) -> list[Cube]:
-    cs = cfg.get("cube_sample", {})
-    return make_cube_sample(cfg.dimension, m, int(cs.get("min_cells", 8)),
-                            int(cs.get("off_dyadic", 32)), cfg.seed)
+def _cube_sample(dimension: int, m: int, seed: int, *, min_cells: index = 8,
+                 off_dyadic: index = 32) -> list[Cube]:
+    return make_cube_sample(dimension, m, min_cells, off_dyadic, seed)
 
 
 def build_rung(cfg: ExperimentConfig, m: int) -> tuple[Rung, object]:
     dim, seed = cfg.dimension, cfg.seed
-    f = build_section("field", cfg["field"], dim, m, seed)
-    family = build_family(cfg["family"], dim, m)
-    weight = None if cfg.get("weight") is None else build_section("weight", cfg["weight"], dim, m)
-    cubes = _cube_sample(cfg, m)
-    a = build_section("functional", cfg.get("functional", {}), f, cubes, weight, seed)
-    profile = build_profile(cfg, family, m)
-    denom, partner = build_section("variant", {"kind": cfg.get("variant", "tilde")},
-                                   a, profile, weight, cubes, cfg)
+    f = build_section("field", cfg.field, dim, m, seed)
+    family = build_family(dim, m, **cfg.family)
+    weight = None if cfg.weight is None else build_section("weight", cfg.weight, dim, m)
+    cubes = _cube_sample(dim, m, seed, **cfg.cube_sample)
+    a = build_section("functional", cfg.functional, f, cubes, weight, seed)
+    profile = build_profile(cfg, family, m, **cfg.profile)
+    denom, partner = build_section("variant", {"kind": cfg.variant}, a, profile, weight, cubes, cfg)
     rung = Rung(m=m, field=f, family=family, hypothesis=a, denominator=denom,
                 cube_sample=cubes, weight=weight, partner=partner)
     return rung, profile
@@ -419,31 +399,23 @@ class RunManifest:
 
 def _condition_for(cfg: ExperimentConfig, rung: Rung, q: float):
     roots = [c for c in rung.cube_sample if 0.2 <= c.side <= 0.5][:2] or [rung.cube_sample[0]]
-    fams = []
-    for i, root in enumerate(roots):
-        fams.extend(
-            sample_disjoint_families(
-                root, int(cfg.get("condition_families", 20)), cfg.seed + i, rung.m,
-                field_values=np.abs(rung.field.values),
-            )
-        )
+    fams = [fam for i, root in enumerate(roots)
+            for fam in sample_disjoint_families(root, cfg.condition_families, cfg.seed + i, rung.m,
+                                                field_values=np.abs(rung.field.values))]
     return estimate_condition(rung.denominator, "Dr", r=q, mu=rung.weight,
                               families=fams, seed=cfg.seed)
 
 
 def _dinf_for(cfg: ExperimentConfig, rung: Rung):
-    pairs = []
-    for q_cube in rung.cube_sample[:24]:
-        cells = q_cube.cells_per_axis(rung.m)
-        if cells >= 2 and cells % 2 == 0:
-            small = Cube(q_cube.anchor, q_cube.side / 2)
-            pairs.append((small, q_cube))
+    pairs = [(Cube(q.anchor, q.side / 2), q) for q in rung.cube_sample[:24]
+             if (cells := q.cells_per_axis(rung.m)) >= 2 and cells % 2 == 0]
     return estimate_condition(rung.hypothesis, "Dinf", cube_pairs=pairs, seed=cfg.seed)
 
 
 @dataclass
 class HarnessContext:
-    """What a harness reads: the config, the built rungs and their profiles.
+    """What a harness reads: the config, the built rungs and their profiles,
+    and the exponents q and r.
 
     ``condition`` is the summability report shared by the harnesses in
     ``NEEDS_CONDITION``; the weak harness leaves its per-cube rows in
@@ -454,12 +426,13 @@ class HarnessContext:
     rungs: list
     profiles: dict
     q: float
+    r: float
     condition: Optional[ConditionReport] = None
     rows_weak: Optional[list] = None
 
 
 def _hypothesis(ctx: HarnessContext) -> tuple[dict, bool]:
-    rep = check_hypothesis(ctx.rungs[-1], int(ctx.cfg.get("k_max", 3)))
+    rep = check_hypothesis(ctx.rungs[-1], ctx.cfg.k_max)
     return {"hypothesis": rep.to_dict()}, math.isfinite(rep.constant)
 
 
@@ -472,8 +445,7 @@ def _weak(ctx: HarnessContext) -> tuple[dict, bool]:
 
 
 def _strong(ctx: HarnessContext) -> tuple[dict, bool]:
-    r = float(ctx.cfg.get("exponents", {}).get("r", (ctx.rungs[0].family.p0 + ctx.q) / 2))
-    rep = verify_strong(ctx.rungs, ctx.q, r, ctx.condition)
+    rep = verify_strong(ctx.rungs, ctx.q, ctx.r, ctx.condition)
     return {"strong": rep.to_dict()}, rep.passed
 
 
@@ -488,37 +460,44 @@ def _exponential(ctx: HarnessContext) -> tuple[dict, bool]:
     return {"dinf": dinf.to_dict(), "exponential": rep.to_dict()}, rep.passed
 
 
-def _good_lambda(ctx: HarnessContext) -> tuple[dict, bool]:
-    cfg = ctx.cfg
-    gl = cfg.get("good_lambda", {})
-    q_cube = Cube.from_dict(gl.get("cube", {"anchor": [0.25] * cfg.dimension, "side": 0.25}))
-    rep = verify_good_lambda(ctx.rungs[-1], q_cube, float(gl.get("s", 4.0)),
-                             float(gl.get("lam", 0.5)), ctx.q, int(gl.get("t_points", 20)))
+def _good_lambda(ctx: HarnessContext, *, cube: Cube.from_dict = None, s: float = 4.0,
+                 lam: float = 0.5, t_points: index = 20) -> tuple[dict, bool]:
+    """The good-lambda harness on ``cube`` (default: side 1/4 at 1/4 on each axis)."""
+    q_cube = Cube((0.25,) * ctx.cfg.dimension, 0.25) if cube is None else cube
+    rep = verify_good_lambda(ctx.rungs[-1], q_cube, s, lam, ctx.q, t_points)
     return {"good_lambda": rep.to_dict()}, rep.passed
 
 
-def _bmo(ctx: HarnessContext) -> tuple[dict, bool]:
+def _bmo(ctx: HarnessContext, *, ps: _list(float) = [1.0, 2.0, 4.0], s: float = 8.0,
+         alpha: float = 0.0, field_seeds: _list(index) = [31, 32, 33, 34, 35],
+         operators: _ladders = None, operator_params: dict = {}) -> tuple[dict, bool]:
+    """The BMO harness per operator kind of ``operators`` (default: the family's
+    own operator on the resolution ladder), its keys in ``operator_params``."""
     cfg = ctx.cfg
-    bmo = cfg.get("bmo", {})
-    ps = [float(p) for p in bmo.get("ps", [1.0, 2.0, 4.0])]
-    s_exp = float(bmo.get("s", 8.0))
-    seeds = bmo.get("field_seeds", [31, 32, 33, 34, 35])
     per_op = {}
     passed = True
-    for op_name, ladder in bmo.get("operators", {"identity": cfg.ladder}).items():
+    operators = {"identity": cfg.resolution_ladder} if operators is None else operators
+    specs = _bmo_operators(operators, operator_params)
+    for op_name, ladder in operators.items():
         op_rungs = []
         for m in ladder:
-            family = build_family({**cfg["family"], "operator": _bmo_operator(bmo, op_name)},
-                                  cfg.dimension, m)
+            family = build_family(cfg.dimension, m, **{**cfg.family, "operator": specs[op_name]})
             fields = [make_field("log-distance", cfg.dimension, m, center=0.5)] + [
                 make_field("random-smooth", cfg.dimension, m, seed=sd, band=6)
-                for sd in seeds[1:]
+                for sd in field_seeds[1:]
             ]
             op_rungs.append(BmoRung(m, family, fields))
-        rep = verify_bmo_equivalence(op_rungs, ps, s_exp, float(bmo.get("alpha", 0.0)))
+        rep = verify_bmo_equivalence(op_rungs, ps, s, alpha)
         per_op[op_name] = rep.to_dict()
         passed &= rep.passed
     return {"bmo": per_op}, passed
+
+
+def _epi(dimension: int, *, root: Cube.from_dict = None, families: index = 200,
+         bound_factor: float = 8.0, k_max: index = 3) -> tuple[Cube, int, float, int]:
+    """The keys of the ``epi`` section, read by the pair-dq and hyp-k harnesses;
+    ``root`` defaults to the cube of side 1/2 at the origin."""
+    return (Cube((0.0,) * dimension, 0.5) if root is None else root), families, bound_factor, k_max
 
 
 def _pair_dq(ctx: HarnessContext) -> tuple[dict, bool]:
@@ -529,12 +508,9 @@ def _pair_dq(ctx: HarnessContext) -> tuple[dict, bool]:
     if target.partner is None:
         raise ParameterError("pair-dq harness requires the pair variant")
     tilde = tilde_expand(target.hypothesis, ctx.profiles[target.m]).collapse()
-    epi = cfg.get("epi", {})
-    root = Cube.from_dict(epi.get("root", {"anchor": [0.0] * cfg.dimension, "side": 0.5}))
-    fams = sample_disjoint_families(
-        root, int(epi.get("families", 200)), cfg.seed, target.m,
-        field_values=np.abs(target.field.values),
-    )
+    root, families, _, _ = _epi(cfg.dimension, **cfg.epi)
+    fams = sample_disjoint_families(root, families, cfg.seed, target.m,
+                                    field_values=np.abs(target.field.values))
     rep = estimate_condition(tilde, "pair", r=ctx.q, mu=target.weight,
                              families=fams, partner=target.partner, seed=cfg.seed)
     return {"pair_dq": rep.to_dict()}, rep.passed
@@ -542,9 +518,8 @@ def _pair_dq(ctx: HarnessContext) -> tuple[dict, bool]:
 
 def _hyp_k(ctx: HarnessContext) -> tuple[dict, bool]:
     target = ctx.rungs[0]
-    epi = ctx.cfg.get("epi", {})
-    bound = float(epi.get("bound_factor", 8.0))
-    rep = check_hypothesis(target, int(epi.get("k_max", 3)))
+    _, _, bound, k_max = _epi(ctx.cfg.dimension, **ctx.cfg.epi)
+    rep = check_hypothesis(target, k_max)
     factor = math.inf if rep.k0_constant == 0 else rep.constant / rep.k0_constant
     ok = math.isfinite(factor) and factor <= bound
     return {"hyp_k": {
@@ -615,8 +590,8 @@ HARNESSES = {
     "weak": _weak,
     "strong": _strong,
     "exponential": _exponential,
-    "good-lambda": _good_lambda,
-    "bmo": _bmo,
+    "good-lambda": lambda ctx: _good_lambda(ctx, **ctx.cfg.good_lambda),
+    "bmo": lambda ctx: _bmo(ctx, **ctx.cfg.bmo),
     "pair-dq": _pair_dq,
     "hyp-k": _hyp_k,
     "weighted-identity": _weighted_identity,
@@ -626,6 +601,30 @@ HARNESSES = {
 
 #: harnesses that read the shared summability condition report
 NEEDS_CONDITION = {"weak", "strong", "weighted-identity"}
+
+
+def validate(*, dimension: index, resolution_ladder: _ladder, field, family, name: str = "",
+             seed: index = 0, functional={}, exponents={}, weight=None, cube_sample={}, profile={},
+             variant: str = "tilde", harnesses: _list(_name_in(HARNESSES)) = ["weak"],
+             condition_families: index = 20, k_max: index = 3, good_lambda={}, bmo={}, epi={}) -> None:
+    """The reader of a config's top level (its keys are these parameters): checks what
+    no single key decides, the bmo operator kinds and the theorems' exponent window."""
+    for kind, spec in _bmo_operators(bmo["operators"] or {}, bmo["operator_params"]).items():
+        where = "bmo.operator_params" if kind in bmo["operator_params"] else "bmo.operators"
+        check_kind(OPERATORS, spec, f"{where}.{kind}")
+    if {"weak", "strong", "exponential", "good-lambda", "pair-dq"} & set(harnesses):
+        p0, q0 = family["p0"], family["q0"]
+        q, r = _exponents(p0, **exponents)
+        if not (p0 < q < q0):
+            raise ParameterError(f"exponents must satisfy p0 < q < q0, got p0={p0}, q={q}, q0={q0}")
+        if not (p0 <= r < q):
+            raise ParameterError(f"exponents.r must lie in [p0, q), got {r}")
+
+
+#: the reader of each fixed config section ('' is the top level): the keys of
+#: the section are its keyword-only parameters
+SECTIONS = {"": validate, "family": build_family, "exponents": _exponents, "cube_sample": _cube_sample,
+            "profile": build_profile, "good_lambda": _good_lambda, "bmo": _bmo, "epi": _epi}
 
 
 def run_pipeline(cfg: ExperimentConfig) -> tuple[dict, dict]:
@@ -639,7 +638,7 @@ def run_pipeline(cfg: ExperimentConfig) -> tuple[dict, dict]:
     t0 = time.perf_counter()
     rungs = []
     profiles = {}
-    for m in cfg.ladder:
+    for m in cfg.resolution_ladder:
         t_rung = time.perf_counter()
         rung, prof = build_rung(cfg, m)
         timing["rung"][str(m)] = time.perf_counter() - t_rung
@@ -657,7 +656,7 @@ def run_pipeline(cfg: ExperimentConfig) -> tuple[dict, dict]:
     timing["audit"] = time.perf_counter() - t0
 
     selected = set(cfg.harnesses)
-    ctx = HarnessContext(cfg, rungs, profiles, float(cfg.get("exponents", {}).get("q", 2.0)))
+    ctx = HarnessContext(cfg, rungs, profiles, *_exponents(cfg.family["p0"], **cfg.exponents))
     results: dict = {}
     passed = True
 
@@ -867,23 +866,22 @@ def main(argv: Optional[list[str]] = None) -> int:
 
     cfg = ExperimentConfig.load(path, overrides)
     if args.command == "profile":
-        m = cfg.ladder[-1]
-        family = build_family(cfg["family"], cfg.dimension, m)
-        prof = build_profile(cfg, family, m)
+        m = cfg.resolution_ladder[-1]
+        prof = build_profile(cfg, build_family(cfg.dimension, m, **cfg.family), m, **cfg.profile)
         report = {"config": cfg.data, "profiles": {str(m): prof.to_dict()}}
         emit_outputs(report, args.out, {"json", "csv", "svg"})
         print(f"profiled {cfg.name} at m={m}")
         return 0
     if args.command == "audit":
-        m = cfg.ladder[0]
-        audit = _audit(cfg, build_family(cfg["family"], cfg.dimension, m), _cube_sample(cfg, m)[0], m)
+        m = cfg.resolution_ladder[0]
+        cube = _cube_sample(cfg.dimension, m, cfg.seed, **cfg.cube_sample)[0]
+        audit = _audit(cfg, build_family(cfg.dimension, m, **cfg.family), cube, m)
         emit_outputs({"config": cfg.data, "audit": audit}, args.out, {"json"})
         print(dump_json(audit))
         return 0
     if args.command == "drcheck":
-        m = cfg.ladder[0]
-        rung, _prof = build_rung(cfg, m)
-        cond = _condition_for(cfg, rung, float(cfg.get("exponents", {}).get("q", 2.0)))
+        rung, _prof = build_rung(cfg, cfg.resolution_ladder[0])
+        cond = _condition_for(cfg, rung, cfg.exponents["q"])
         emit_outputs({"config": cfg.data, "condition": cond.to_dict()}, args.out, {"json"})
         print(dump_json(cond.to_dict()))
         return 0 if cond.passed else 1

@@ -520,7 +520,6 @@ def sample_disjoint_families(
     count: int,
     seed: int,
     m: int,
-    strategy: str = "mixed",
     field_values: Optional[np.ndarray] = None,
 ) -> list[DisjointFamily]:
     """Seeded families of pairwise-disjoint subcubes of ``q``.
@@ -532,8 +531,6 @@ def sample_disjoint_families(
     """
     if count < 1:
         raise ParameterError("count must be >= 1")
-    if strategy not in ("mixed", "dyadic-packing", "stopping-time"):
-        raise ParameterError(f"unknown strategy {strategy!r}")
     rng = rng_from_seed(seed)
     cells = q.cells_per_axis(m)
     max_depth = 0
@@ -544,11 +541,10 @@ def sample_disjoint_families(
     families: list[DisjointFamily] = [DisjointFamily(q, (q,))]
     if count >= 2 and max_depth >= 1:
         families.append(DisjointFamily(q, tuple(_dyadic_children(q, m))))
-    want_stop = strategy in ("mixed", "stopping-time") and field_values is not None
     means = None
     i = 0
     while len(families) < count:
-        if want_stop and (strategy == "stopping-time" or i % 2 == 1):
+        if field_values is not None and i % 2 == 1:
             if means is None:
                 means = _generation_means(np.abs(field_values[q.index(m)]))
             members = _stopping_time_family(q, m, rng, means)

@@ -12,14 +12,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
 from osclab._support import DataError, NumericError, ParameterError, build_kind, rng_from_seed
 from osclab.cubes import Cube, full_torus
 
-WeightLike = Union[None, np.ndarray, "object"]
+if TYPE_CHECKING:
+    from osclab.weights import Weight
 
 
 def _is_pow2(m: int) -> bool:
@@ -84,25 +85,14 @@ class Field:
         return full_torus(self.dimension)
 
 
-def _density_values(w: WeightLike) -> Optional[np.ndarray]:
-    if w is None:
-        return None
-    if isinstance(w, np.ndarray):
-        return w
-    density = getattr(w, "density", None)
-    if density is not None:
-        return density.values
-    raise ParameterError(f"cannot interpret weight object {type(w)!r}")
-
-
-def _cell_measures(f: Field, q: Cube, w: WeightLike) -> tuple[np.ndarray, np.ndarray]:
+def _cell_measures(f: Field, q: Cube, w: Optional[Weight]) -> tuple[np.ndarray, np.ndarray]:
     """(|f| samples on q, cell measures) with matching flat ordering."""
     m = f.resolution
     vals = np.abs(f.restrict(q))
-    dens = _density_values(w)
-    if dens is None:
+    if w is None:
         mu = np.full(vals.shape, f.cell_volume)
     else:
+        dens = w.density.values
         if dens.shape != f.values.shape:
             raise ParameterError("weight resolution does not match the field")
         mu = dens[q.index(m)].ravel() * f.cell_volume
@@ -111,18 +101,22 @@ def _cell_measures(f: Field, q: Cube, w: WeightLike) -> tuple[np.ndarray, np.nda
     return vals, mu
 
 
-def lp_average(f: Field, q: Cube, p: float, w: WeightLike = None) -> float:
+def _power_mean(vals: np.ndarray, mu: np.ndarray, p: float) -> float:
+    """(sum mu |f|^p / sum mu)^(1/p) for finite p > 0."""
+    return float((np.power(vals, p) * mu).sum() / float(mu.sum())) ** (1.0 / p)
+
+
+def lp_average(f: Field, q: Cube, p: float, w: Optional[Weight] = None) -> float:
     """Normalized L^p average (integral mean of |f|^p over q, to the 1/p)."""
     if not (p >= 1.0):
         raise ParameterError(f"p must be >= 1, got {p}")
     vals, mu = _cell_measures(f, q, w)
     if math.isinf(p):
         return float(vals.max())
-    total = float(mu.sum())
-    return float((np.power(vals, p) * mu).sum() / total) ** (1.0 / p)
+    return _power_mean(vals, mu, p)
 
 
-def weak_lq_norm(f: Field, q_cube: Cube, q: float, w: WeightLike = None) -> float:
+def weak_lq_norm(f: Field, q_cube: Cube, q: float, w: Optional[Weight] = None) -> float:
     """Weak-L^q quasinorm sup_t t (mu{|f|>t}/mu(Q))^{1/q}, exact from order statistics.
 
     On a discrete measure the supremum is attained as t increases to a sample
@@ -146,7 +140,7 @@ _LOG2 = math.log(2.0)
 _NEWTON_STEPS = 64
 
 
-def exp_luxemburg_norm(f: Field, q: Cube, w: WeightLike = None) -> float:
+def exp_luxemburg_norm(f: Field, q: Cube, w: Optional[Weight] = None) -> float:
     """Luxemburg norm of the exponential Orlicz class on q.
 
     Solves mean(exp(|f|/lam) - 1) = 1 for lam = 1/s by Newton's method on the
@@ -174,23 +168,18 @@ def exp_luxemburg_norm(f: Field, q: Cube, w: WeightLike = None) -> float:
 
 
 def kolmogorov_check(
-    f: Field, q_cube: Cube, r: float, q: float, w: WeightLike = None
+    f: Field, q_cube: Cube, r: float, q: float, w: Optional[Weight] = None
 ) -> tuple[float, float]:
     """(L^r average, kolmogorov_factor(r, q) x weak-L^q norm); the first never exceeds the second."""
     if not (0 < r < q):
         raise ParameterError(f"need 0 < r < q, got r={r}, q={q}")
-    lhs = lp_average(f, q_cube, r, w) if r >= 1.0 else _lr_quasi_average(f, q_cube, r, w)
+    lhs = _power_mean(*_cell_measures(f, q_cube, w), r)
     return lhs, kolmogorov_factor(r, q) * weak_lq_norm(f, q_cube, q, w)
 
 
 def kolmogorov_factor(r: float, q: float) -> float:
     """(q/(q-r))^{1/r}, the constant of Kolmogorov's weak-to-strong inequality."""
     return (q / (q - r)) ** (1.0 / r)
-
-
-def _lr_quasi_average(f: Field, q: Cube, r: float, w: WeightLike) -> float:
-    vals, mu = _cell_measures(f, q, w)
-    return float((np.power(vals, r) * mu).sum() / mu.sum()) ** (1.0 / r)
 
 
 # ---------------------------------------------------------------------------

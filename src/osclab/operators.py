@@ -594,8 +594,8 @@ def measure_offdiagonal(
     family: OscillationFamily,
     probes: Sequence[Field],
     cube_sample: Sequence[Cube],
-    k_max: int = 6,
-    pair_levels: int = 1,
+    k_max: int,
+    pair_levels: int,
 ) -> OffDiagonalProfile:
     """Empirical decay entries for the family on annulus-supported probes.
 
@@ -705,7 +705,6 @@ def audit_family(
     family: OscillationFamily,
     probes: Sequence[Field],
     cube_pairs: Sequence[tuple[Cube, Cube]],
-    tol: float = 1e-8,
 ) -> AuditReport:
     """Measure commutators, the uniform L^{p0} bound, and the two structural flags.
 
@@ -744,12 +743,13 @@ def audit_family(
             ar_aq = family.apply_A(aq, r)
             ixr = dilate(r, 2.0, m).cube.index(m)
             rc_defect = max(rc_defect, float(np.max(np.abs(ar_aq.values[ixr] - aq.values[ixr]))))
-    scale0 = max(float(np.max(np.abs(p.values))) for p in probes) + 1e-300
+    # an identity holds when its defect is below 1e-8 of the largest probe value
+    tol = 1e-8 * (max(float(np.max(np.abs(p.values))) for p in probes) + 1e-300)
     return AuditReport(
         commutator=comm,
         uniform_bound=bound,
-        localization=loc_defect <= tol * scale0,
-        replace_comm=rc_defect <= tol * scale0,
+        localization=loc_defect <= tol,
+        replace_comm=rc_defect <= tol,
         identity_defect=ident,
     )
 

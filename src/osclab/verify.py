@@ -54,9 +54,7 @@ STABILITY_SLACK = 2.0
 # ---------------------------------------------------------------------------
 
 
-def make_cube_sample(
-    dimension: int, m: int, min_cells: int = 8, off_dyadic: int = 32, seed: int = 0
-) -> list[Cube]:
+def make_cube_sample(dimension: int, m: int, min_cells: int, off_dyadic: int, seed: int) -> list[Cube]:
     """All dyadic cubes of >= min_cells per axis plus seeded off-dyadic cubes.
 
     Dyadic-only sampling can hide translation effects, hence the off-lattice
@@ -391,7 +389,7 @@ def verify_good_lambda(
     s_mult: float,
     lam: float,
     q_exp: float,
-    t_points: int = 20,
+    t_points: int,
 ) -> GoodLambdaReport:
     """Measure the level-set inequality behind the weak-type conclusion.
 
@@ -543,7 +541,7 @@ def verify_bmo_equivalence(
     rungs: Sequence[BmoRung],
     ps: Sequence[float],
     s_exp: float,
-    alpha: float = 0.0,
+    alpha: float,
 ) -> BmoReport:
     """p-independence of the oscillation BMO seminorms.
 

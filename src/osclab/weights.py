@@ -11,13 +11,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from osclab._support import DataError, ParameterError, rng_from_seed
 from osclab.cubes import Cube, SummedAreaTable
 from osclab.grid import Field
+
+#: the exponent r of the A_infinity probe: the RH_r constant over the sample
+AINF_PROBE_R = 2.0
 
 
 @dataclass(frozen=True)
@@ -64,7 +67,6 @@ class WeightReport:
     theta: float
     cubes_sampled: int
     seed: int
-    ainf_probe_r: float = 2.0
     ainf_probe_constant: float = math.inf
 
     def to_dict(self) -> dict:
@@ -74,7 +76,7 @@ class WeightReport:
             "theta": self.theta,
             "cubes_sampled": self.cubes_sampled,
             "seed": self.seed,
-            "ainf_probe_r": self.ainf_probe_r,
+            "ainf_probe_r": AINF_PROBE_R,
             "ainf_probe_constant": self.ainf_probe_constant,
         }
 
@@ -135,12 +137,11 @@ def weight_report(
     ps: Sequence[float],
     cube_sample: Sequence[Cube],
     seed: int = 0,
-    ainf_probe_r: float = 2.0,
 ) -> WeightReport:
     """Measure A_p and RH_p constants over the sample and fit theta.
 
     A_infinity membership is probed (not decided) by the finiteness of the
-    measured RH constant at the report parameter ``ainf_probe_r``.
+    measured RH constant at ``AINF_PROBE_R``.
     """
     if not cube_sample:
         raise ParameterError("cube sample must be nonempty")
@@ -153,7 +154,7 @@ def weight_report(
         ap[pv] = max(ap_constant_on_cube(w, q, pv) for q in cube_sample)
         if pv > 1.0:
             rh[pv] = max(rh_constant_on_cube(w, q, pv) for q in cube_sample)
-    probe = max(rh_constant_on_cube(w, q, ainf_probe_r) for q in cube_sample)
+    probe = max(rh_constant_on_cube(w, q, AINF_PROBE_R) for q in cube_sample)
     rng = rng_from_seed(seed)
     theta = _theta_fit(w, cube_sample, rng)
     return WeightReport(
@@ -162,14 +163,11 @@ def weight_report(
         theta=theta,
         cubes_sampled=len(cube_sample),
         seed=seed,
-        ainf_probe_r=ainf_probe_r,
         ainf_probe_constant=probe,
     )
 
 
-def rh_subset_check(
-    w: Weight, q: Cube, subset_mask: np.ndarray, p: float, c: Optional[float] = None
-) -> tuple[float, float]:
+def rh_subset_check(w: Weight, q: Cube, subset_mask: np.ndarray, p: float) -> tuple[float, float]:
     """(w(E)/w(Q), C (|E|/|Q|)^{1/p'}) for a cell subset E of Q.
 
     With C the reverse-Holder constant measured on Q itself the comparison is
@@ -182,8 +180,7 @@ def rh_subset_check(
         raise ParameterError("subset is empty")
     if bool((subset_mask & ~inside).any()):
         raise ParameterError("subset must be contained in the cube")
-    if c is None:
-        c = rh_constant_on_cube(w, q, p)
+    c = rh_constant_on_cube(w, q, p)
     lhs = float(w.density.values[subset_mask].sum()) * w.density.cell_volume / w.mass(q)
     pprime = p / (p - 1.0)
     frac = subset_mask.sum() / q.cell_count(m)

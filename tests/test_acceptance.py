@@ -205,7 +205,7 @@ def test_criterion_3_offdiagonal_decay():
         fam = make_family("semigroup", (2.0, 2.0),
                           operator=EllipticOperator(np.ones(m), 1.0, 1.0, 1))
         cubes = [Cube((0.25,), 1 / 64), Cube((0.5,), 1 / 64)]
-        prof = measure_offdiagonal(fam, probes(m), cubes, k_max=6)
+        prof = measure_offdiagonal(fam, probes(m), cubes, k_max=6, pair_levels=1)
         log_c, rate, residual = prof.fit([3, 4, 5, 6])
         assert rate > 0, (m, rate)
         assert residual < 0.10, (m, residual)
@@ -215,7 +215,7 @@ def test_criterion_3_offdiagonal_decay():
     m = 256
     for kind in ("classical-average", "extended-average"):
         fam = make_family(kind, (1.0, math.inf))
-        prof = measure_offdiagonal(fam, probes(m), [Cube((0.25,), 1 / 64)], k_max=5)
+        prof = measure_offdiagonal(fam, probes(m), [Cube((0.25,), 1 / 64)], k_max=5, pair_levels=1)
         far = [v for k, v in prof.alpha.items() if k >= 3]
         assert far and all(v == 0.0 for v in far), (kind, prof.alpha)
     _report("3", f"(fitted rates {rates}, far-field entries exactly 0)")

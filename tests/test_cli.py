@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 from collections import Counter
 
 import pytest
@@ -62,8 +63,8 @@ def test_overrides_dotted_paths():
         bundled_config_path("classical-jn"),
         ["exponents.q=3.0", "resolution_ladder=[64]", "seed=7"],
     )
-    assert cfg["exponents"]["q"] == 3.0
-    assert cfg.ladder == [64]
+    assert cfg.exponents["q"] == 3.0
+    assert cfg.resolution_ladder == [64]
     assert cfg.seed == 7
 
 
@@ -130,6 +131,38 @@ def test_repeat_runs_byte_identical(tmp_path):
 def test_config_rejects_unknown_keys_and_harnesses(override, offender):
     with pytest.raises(ParameterError, match=offender):
         ExperimentConfig.load(bundled_config_path("classical-jn"), [override])
+
+
+@pytest.mark.parametrize(
+    "override, path",
+    [
+        # counts are not truncated: a fractional value is rejected
+        ("profile.k_max=4.7", "profile.k_max"),
+        ("cube_sample.min_cells=8.9", "cube_sample.min_cells"),
+        ("good_lambda.t_points=2.5", "good_lambda.t_points"),
+        ("seed=1.5", "seed"),
+        ("epi.families=1.5", "epi.families"),
+        # values the pipeline cannot read fail at load, not after the build
+        ('good_lambda.s="abc"', "good_lambda.s"),
+        ("condition_families=x", "condition_families"),
+        ("profile.anchors=0.25", "profile.anchors"),
+        ("profile.fit_range=[3]", "profile.fit_range"),
+    ],
+)
+def test_load_rejects_a_value_its_key_cannot_take(override, path):
+    with pytest.raises(ParameterError, match="^" + re.escape(f"{path}: ")):
+        ExperimentConfig.load(bundled_config_path("classical-jn"), [override, "resolution_ladder=[256]"])
+
+
+@pytest.mark.parametrize("key", ["dimension", "resolution_ladder", "field", "family"])
+def test_load_reports_a_missing_top_level_key(tmp_path, key):
+    with open(bundled_config_path("classical-jn")) as fh:
+        data = json.load(fh)
+    del data[key]
+    path = tmp_path / "missing.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(ParameterError, match=re.escape(f"missing config key(s): {key}")):
+        ExperimentConfig.load(str(path))
 
 
 @pytest.mark.parametrize(

@@ -269,10 +269,11 @@ def test_families_reproducible_and_disjoint():
 
 
 def test_families_stopping_time_strategy():
+    # with a field, every second draw after the first two is a stopping-time family
     rng = np.random.Generator(np.random.Philox(2))
     vals = np.abs(rng.normal(size=64)) + 0.05
     q = Cube((0.0,), 1.0)
-    fams = sample_disjoint_families(q, 5, seed=3, m=64, strategy="stopping-time", field_values=vals)
+    fams = sample_disjoint_families(q, 5, seed=3, m=64, field_values=vals)
     assert len(fams) == 5
     for fam in fams[2:]:
         for i, x in enumerate(fam.members):
@@ -359,11 +360,15 @@ def test_stopping_time_walk_matches_per_node_walk(dim, m, anchor, cells):
     assert q.cells_per_axis(m) == cells
     for name, values in walk_fields(dim, m).items():
         for seed in (0, 7):
-            got = sample_disjoint_families(q, 10, seed, m, strategy="stopping-time", field_values=values)
+            got = sample_disjoint_families(q, 10, seed, m, field_values=values)
+            # after the two canonical families, draws alternate a random
+            # packing and a stopping-time family on one generator
             rng = rng_from_seed(seed)
             want = [[q]] + ([_dyadic_children(q, m)] if cells % 2 == 0 else [])
-            while len(want) < 10:
-                want.append(reference_stopping_time_family(q, m, rng, values))
+            max_depth = min(4, (cells & -cells).bit_length() - 1)
+            for i in range(10 - len(want)):
+                want.append(reference_stopping_time_family(q, m, rng, values) if i % 2
+                            else _random_packing(q, m, rng, max_depth))
             assert [f.to_dict() for f in got] == [DisjointFamily(q, tuple(w)).to_dict() for w in want], (
                 name, seed)
             # the same draws in the same order: the next draw agrees

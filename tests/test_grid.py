@@ -182,7 +182,7 @@ def test_exp_norm_spike_far_above_its_mean():
     density[0] = 1e-40
     nu = density / density.sum()
     assert 1.0 / np.sum(nu * vals) == pytest.approx(1e6)
-    lam = exp_luxemburg_norm(Field(vals), full_torus(1), density)
+    lam = exp_luxemburg_norm(Field(vals), full_torus(1), Weight(Field(density)))
     assert lam < 1.0 / 64.0
     assert abs(np.sum(nu * np.expm1(vals / lam)) - 1.0) <= 1e-12
 

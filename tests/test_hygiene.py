@@ -1,6 +1,7 @@
 """Source hygiene: no module of the package imports a name it never uses,
 defines a function, class or method that nothing in the package mentions,
-and the README's table of config kinds is the builder tables."""
+and the README's tables of config sections and kinds are the readers'
+signatures."""
 
 from __future__ import annotations
 
@@ -13,7 +14,7 @@ import re
 import pytest
 
 import osclab
-from osclab.cli import KIND_SECTIONS
+from osclab.cli import KIND_SECTIONS, SECTIONS
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(ROOT, "src", "osclab")
@@ -119,7 +120,8 @@ def test_every_definition_is_reached_from_the_package():
 
 
 def _rendered_keys(builder) -> str:
-    """A kind's keys as the README lists them: `key` when required, else `key=<JSON default>`."""
+    """The keys of a kind or a fixed section as the README lists them: `key` when
+    required, else `key=<JSON default>`."""
     params = [p for p in inspect.signature(builder).parameters.values() if p.kind is p.KEYWORD_ONLY]
     return ", ".join(f"`{p.name}`" if p.default is p.empty else f"`{p.name}={json.dumps(p.default)}`"
                      for p in params) or "none"
@@ -127,7 +129,8 @@ def _rendered_keys(builder) -> str:
 
 def test_readme_lists_every_kind_of_every_table_with_its_keys():
     with open(os.path.join(ROOT, "README.md")) as fh:
-        rows = re.findall(r"^\| `([\w.]+)` \| `([\w-]+)` \| (.*?) \|(?: .* \|)?$", fh.read(), re.MULTILINE)
+        readme = fh.read()
+    rows = re.findall(r"^\| `([\w.]+)` \| `([\w-]+)` \| (.*?) \|(?: .* \|)?$", readme, re.MULTILINE)
     listed = {(section, kind): keys for section, kind, keys in rows}
     assert len(listed) == len(rows), "a kind is listed twice"
     tables = {(path, kind): _rendered_keys(builder)
@@ -135,3 +138,9 @@ def test_readme_lists_every_kind_of_every_table_with_its_keys():
     assert sorted(set(listed) - set(tables)) == [], "README names kinds that are in no table"
     assert sorted(set(tables) - set(listed)) == [], "README leaves out kinds of a table"
     assert listed == tables
+    # the fixed sections' table: (section or "top level", keys, reader and notes)
+    rows = re.findall(r"^\| (`\w+`|top level) \| (.*?) \| .* \|$", readme, re.MULTILINE)
+    fixed = [("" if name == "top level" else name.strip("`"), keys) for name, keys in rows]
+    fixed = [(section, keys) for section, keys in fixed if section not in KIND_SECTIONS]
+    assert len(dict(fixed)) == len(fixed), "a fixed section is listed twice"
+    assert dict(fixed) == {section: _rendered_keys(reader) for section, reader in SECTIONS.items()}

@@ -8,8 +8,8 @@ import re
 
 import pytest
 
-from osclab._support import ParameterError
-from osclab.cli import KIND_SECTIONS, OPERATORS, ExperimentConfig, build_rung, bundled_config_path
+from osclab._support import ParameterError, dotted
+from osclab.cli import KIND_SECTIONS, OPERATORS, SECTIONS, ExperimentConfig, build_rung, bundled_config_path
 from osclab.cubes import Cube
 from osclab.functionals import Coeffs, Functional
 from osclab.grid import Field
@@ -66,6 +66,40 @@ def test_validate_accepts_exactly_the_builder_keyword_parameters(path, kind):
             partial = {k: v for k, v in spec.items() if k != key}
             with pytest.raises(ParameterError, match=re.escape(f"missing config key(s): {path}.{key}")):
                 ExperimentConfig.load(base, set_section(path, partial))
+
+
+def test_the_required_top_level_keys():
+    required = [k for k, v in keys_of(SECTIONS[""]).items() if v is inspect.Parameter.empty]
+    assert required == ["dimension", "resolution_ladder", "field", "family"]
+
+
+@pytest.mark.parametrize("section", SECTIONS)
+def test_validate_accepts_exactly_the_reader_keyword_parameters_of_a_fixed_section(section, tmp_path):
+    # the same rule as for a kind: every key of the reader with its default
+    # loads, another key does not, and leaving out a required key is reported
+    with open(bundled_config_path("epi-pair")) as fh:
+        data = json.load(fh)
+    node = data.setdefault(section, {}) if section else data
+    keys = keys_of(SECTIONS[section])
+    node.update({k: v for k, v in keys.items() if v is not inspect.Parameter.empty})
+    path = tmp_path / "config.json"
+
+    def load():
+        path.write_text(json.dumps(data))
+        return ExperimentConfig.load(str(path))
+
+    load()
+    node["bogus"] = 1
+    bogus = dotted(section, "bogus")
+    with pytest.raises(ParameterError, match=re.escape(f"unknown config key(s): {bogus}")):
+        load()
+    del node["bogus"]
+    for key, default in keys.items():
+        if default is inspect.Parameter.empty:
+            value = node.pop(key)
+            with pytest.raises(ParameterError, match=re.escape(f"missing config key(s): {dotted(section, key)}")):
+                load()
+            node[key] = value
 
 
 @pytest.mark.parametrize("kind", OPERATORS)

@@ -531,7 +531,7 @@ def test_averaging_families_far_field_exactly_zero():
     q = Cube((0.25,), 1 / 64)
     for kind in ("classical-average", "extended-average"):
         fam = make_family(kind, (1.0, math.inf))
-        prof = measure_offdiagonal(fam, probe_set(m), [q], k_max=5)
+        prof = measure_offdiagonal(fam, probe_set(m), [q], k_max=5, pair_levels=1)
         for k, v in prof.alpha.items():
             if k >= 3:
                 assert v == 0.0
@@ -540,7 +540,7 @@ def test_averaging_families_far_field_exactly_zero():
 def test_extended_alpha2_at_most_one():
     m = 256
     fam = make_family("extended-average", (1.0, math.inf))
-    prof = measure_offdiagonal(fam, probe_set(m), [Cube((0.25,), 1 / 32)], k_max=4)
+    prof = measure_offdiagonal(fam, probe_set(m), [Cube((0.25,), 1 / 32)], k_max=4, pair_levels=1)
     assert prof.alpha[2] <= 1.0 + 1e-12
 
 
@@ -548,7 +548,7 @@ def test_heat_profile_gaussian_decay():
     m = 256
     fam = make_family("semigroup", (2.0, 2.0), operator=identity_operator(m), big_n=1)
     cubes = [Cube((0.25,), 1 / 64), Cube((0.5,), 1 / 64)]
-    prof = measure_offdiagonal(fam, probe_set(m), cubes, k_max=6)
+    prof = measure_offdiagonal(fam, probe_set(m), cubes, k_max=6, pair_levels=1)
     log_c, rate, residual = prof.fit([3, 4, 5, 6])
     assert rate > 0
     assert residual < 0.10
@@ -566,8 +566,8 @@ def test_profile_jensen_domination():
     fam_inner = make_family("semigroup", (2.0, 3.0), operator=identity_operator(m))
     probes = probe_set(m)
     cubes = [Cube((0.5,), 1 / 32)]
-    prof_outer = measure_offdiagonal(fam_outer, probes, cubes, k_max=5)
-    prof_inner = measure_offdiagonal(fam_inner, probes, cubes, k_max=5)
+    prof_outer = measure_offdiagonal(fam_outer, probes, cubes, k_max=5, pair_levels=1)
+    prof_inner = measure_offdiagonal(fam_inner, probes, cubes, k_max=5, pair_levels=1)
     for k in prof_inner.alpha:
         assert prof_inner.alpha[k] <= prof_outer.alpha_at(k) * (1 + 1e-10)
 
@@ -579,7 +579,7 @@ def test_composite_bound_on_probes():
     fam = make_family("semigroup", (2.0, 2.0), operator=identity_operator(m))
     q = Cube((0.25,), 1 / 64)
     probes = probe_set(m)
-    prof = measure_offdiagonal(fam, probes, [q], k_max=6)
+    prof = measure_offdiagonal(fam, probes, [q], k_max=6, pair_levels=1)
     two_q = dilate(q, 2.0, m).cube
     for p in probes:
         lhs = lp_average(fam.apply_A(p, q), two_q, 2.0)
@@ -642,7 +642,7 @@ def test_audit_and_profile_compute_each_b_field_once(monkeypatch, kind):
     audit_family(fam, probe_set(m), [(Cube((0.25,), 0.125), Cube((0.25,), 0.25))])
     assert calls and max(calls.values()) == 1, calls.most_common(1)
     calls.clear()
-    measure_offdiagonal(fam, probe_set(m), [Cube((0.25,), 1 / 32)], k_max=5)
+    measure_offdiagonal(fam, probe_set(m), [Cube((0.25,), 1 / 32)], k_max=5, pair_levels=1)
     assert calls and max(calls.values()) == 1, calls.most_common(1)
 
 

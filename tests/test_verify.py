@@ -45,7 +45,7 @@ def classical_jn_rung(m: int, scale: float = 1.0) -> tuple[Rung, object]:
     fam = make_family("extended-average", (1.0, math.inf))
     cubes = make_cube_sample(1, m, min_cells=8, off_dyadic=8, seed=3)
     a = measured_oscillation(f, cubes)
-    prof = measure_offdiagonal(fam, probe_set(m), [Cube((0.25,), 1 / 16)], k_max=4)
+    prof = measure_offdiagonal(fam, probe_set(m), [Cube((0.25,), 1 / 16)], k_max=4, pair_levels=1)
     denom = two_q_functional(tilde_expand(a, prof))
     rung = Rung(m=m, field=f, family=fam, hypothesis=a, denominator=denom, cube_sample=cubes)
     return rung, prof
@@ -71,7 +71,7 @@ def test_hypothesis_zero_for_constant_field_semigroup():
     fam = make_family("semigroup", (2.0, 2.0), operator=identity_op(m))
     f = make_field("constant", 1, m, value=7.0)
     a = ConstantFunctional(1.0)
-    rep = check_hypothesis(Rung(m, f, fam, a, a, make_cube_sample(1, m, off_dyadic=4)), k_max=3)
+    rep = check_hypothesis(Rung(m, f, fam, a, a, make_cube_sample(1, m, 8, 4, seed=0)), k_max=3)
     assert rep.constant < 1e-7
     assert rep.side_reduction
 
@@ -118,7 +118,7 @@ def test_weak_improvement_constant_field_zero():
     fam = make_family("extended-average", (1.0, math.inf))
     f = make_field("constant", 1, m, value=2.0)
     a = ConstantFunctional(1.0)
-    rung = Rung(m, f, fam, a, two_q_functional(a), make_cube_sample(1, m, off_dyadic=4))
+    rung = Rung(m, f, fam, a, two_q_functional(a), make_cube_sample(1, m, 8, 4, seed=0))
     rep = verify_weak_improvement([rung], 2.0, dq_report_for(a, m, 2.0))
     assert rep.conclusion_constant == 0.0
     assert rep.passed
@@ -175,8 +175,8 @@ def test_exponential_constant_field_zero_and_dinf_gate():
     fam = make_family("extended-average", (1.0, math.inf))
     f = make_field("constant", 1, m, value=3.0)
     a = ConstantFunctional(1.0)
-    prof = measure_offdiagonal(fam, probe_set(m), [Cube((0.25,), 1 / 16)], k_max=4)
-    rung = Rung(m, f, fam, a, exponential_denominator(a, prof), make_cube_sample(1, m, off_dyadic=4))
+    prof = measure_offdiagonal(fam, probe_set(m), [Cube((0.25,), 1 / 16)], k_max=4, pair_levels=1)
+    rung = Rung(m, f, fam, a, exponential_denominator(a, prof), make_cube_sample(1, m, 8, 4, seed=0))
     rep = verify_exponential([rung], dinf_report_for(a))
     assert rep.conclusion_constant == 0.0
     bad = estimate_condition(a, "Dr", r=2.0, families=sample_disjoint_families(Cube((0.0,), 0.5), 3, seed=0, m=m))
@@ -221,7 +221,7 @@ def test_good_lambda_constant_field_all_zero():
     fam = make_family("extended-average", (1.0, math.inf))
     f = make_field("constant", 1, m, value=5.0)
     a = ConstantFunctional(1.0)
-    rung = Rung(m, f, fam, a, two_q_functional(a), make_cube_sample(1, m, off_dyadic=4))
+    rung = Rung(m, f, fam, a, two_q_functional(a), make_cube_sample(1, m, 8, 4, seed=0))
     rep = verify_good_lambda(rung, Cube((0.25,), 0.25), s_mult=4.0, lam=0.5, q_exp=2.0, t_points=8)
     assert all(r[2] == 0.0 for r in rep.rows)
     assert rep.c0 == 0.0
@@ -246,9 +246,9 @@ def test_good_lambda_parameter_validation():
     m = 64
     rung, _ = classical_jn_rung(m)
     with pytest.raises(ParameterError):
-        verify_good_lambda(rung, Cube((0.0,), 0.25), s_mult=0.5, lam=0.5, q_exp=2.0)
+        verify_good_lambda(rung, Cube((0.0,), 0.25), s_mult=0.5, lam=0.5, q_exp=2.0, t_points=20)
     with pytest.raises(ParameterError):
-        verify_good_lambda(rung, Cube((0.0,), 0.25), s_mult=4.0, lam=1.5, q_exp=2.0)
+        verify_good_lambda(rung, Cube((0.0,), 0.25), s_mult=4.0, lam=1.5, q_exp=2.0, t_points=20)
 
 
 # ---------------------------------------------------------------------------
@@ -268,7 +268,7 @@ def test_bmo_equivalence_heat_identity():
         BmoRung(m, make_family("semigroup", (1.0, math.inf), operator=identity_op(m)), bmo_fields(m))
         for m in (64, 128)
     ]
-    rep = verify_bmo_equivalence(rungs, ps=[1.0, 2.0, 4.0], s_exp=8.0)
+    rep = verify_bmo_equivalence(rungs, ps=[1.0, 2.0, 4.0], s_exp=8.0, alpha=0.0)
     assert rep.situation == "sidelength-only"
     assert rep.monotone_ok
     assert math.isfinite(rep.jn2_constant)
@@ -278,7 +278,7 @@ def test_bmo_equivalence_heat_identity():
 def test_bmo_equivalence_extended_average_local_route():
     m = 64
     rungs = [BmoRung(m, make_family("extended-average", (1.0, math.inf)), bmo_fields(m))]
-    rep = verify_bmo_equivalence(rungs, ps=[1.0, 2.0], s_exp=4.0)
+    rep = verify_bmo_equivalence(rungs, ps=[1.0, 2.0], s_exp=4.0, alpha=0.0)
     assert rep.situation == "local-replacement"
     assert rep.monotone_ok
 
@@ -287,14 +287,14 @@ def test_bmo_equivalence_refuses_classical_average():
     m = 32
     rungs = [BmoRung(m, make_family("classical-average", (1.0, math.inf)), bmo_fields(m))]
     with pytest.raises(ParameterError):
-        verify_bmo_equivalence(rungs, ps=[1.0, 2.0], s_exp=4.0)
+        verify_bmo_equivalence(rungs, ps=[1.0, 2.0], s_exp=4.0, alpha=0.0)
 
 
 def test_bmo_constant_field_all_zero_seminorms():
     m = 64
     fam = make_family("semigroup", (1.0, math.inf), operator=identity_op(m))
     rep = verify_bmo_equivalence(
-        [BmoRung(m, fam, [make_field("constant", 1, m, value=2.0)])], ps=[1.0, 2.0], s_exp=4.0
+        [BmoRung(m, fam, [make_field("constant", 1, m, value=2.0)])], ps=[1.0, 2.0], s_exp=4.0, alpha=0.0
     )
     vals = rep.seminorms[m][0]
     assert all(v < 1e-8 for v in vals.values())
