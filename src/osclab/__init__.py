@@ -4,7 +4,7 @@ The package discretizes the unit torus [0,1)^n (n = 1 or 2) into a uniform
 cell-centered grid and provides, on top of it:
 
 * localized Lebesgue / weak-Lebesgue / exponential Orlicz norms (``grid``),
-* half-open cube geometry, dyadic grids, Whitney decompositions and
+* half-open cube geometry, dyadic subcubes, Whitney decompositions and
   disjoint-family samplers (``cubes``),
 * Muckenhoupt / reverse-Holder weight diagnostics (``weights``),
 * oscillation-operator families built from averaging operators and from
@@ -17,7 +17,7 @@ cell-centered grid and provides, on top of it:
 * a batch experiment runner (``cli``).
 """
 
-from osclab.cubes import Cube, DyadicGrid, dilate, dyadic_adapted_grid
+from osclab.cubes import Cube, dilate
 from osclab.grid import Field, lp_average, weak_lq_norm, exp_luxemburg_norm, maximal_function
 from osclab.weights import Weight
 
@@ -25,11 +25,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Cube",
-    "DyadicGrid",
     "Field",
     "Weight",
     "dilate",
-    "dyadic_adapted_grid",
     "exp_luxemburg_norm",
     "lp_average",
     "maximal_function",

@@ -153,7 +153,11 @@ def _pow2(value) -> int:
     return m
 
 
-_ladder = _list(_pow2)
+def _ladder(value) -> list:
+    """A resolution ladder: a nonempty list of powers of two."""
+    if value == []:
+        raise ValueError("a resolution ladder needs at least one resolution")
+    return _list(_pow2)(value)
 
 
 def _ladders(value) -> dict:
@@ -178,8 +182,10 @@ def _get_dotted(data: dict, path: str):
 def _set_dotted(data: dict, path: str, value) -> None:
     parts = path.split(".")
     node = data
-    for p in parts[:-1]:
+    for i, p in enumerate(parts[:-1]):
         node = node.setdefault(p, {})
+        if not isinstance(node, dict):
+            raise ParameterError(f"override {path!r}: {'.'.join(parts[:i + 1])} is not a section")
     node[parts[-1]] = value
 
 
@@ -608,10 +614,14 @@ def validate(*, dimension: index, resolution_ladder: _ladder, field, family, nam
              variant: str = "tilde", harnesses: _list(_name_in(HARNESSES)) = ["weak"],
              condition_families: index = 20, k_max: index = 3, good_lambda={}, bmo={}, epi={}) -> None:
     """The reader of a config's top level (its keys are these parameters): checks what
-    no single key decides, the bmo operator kinds and the theorems' exponent window."""
+    no single key decides, the bmo operator kinds, the dimension of the configured
+    cubes and the theorems' exponent window."""
     for kind, spec in _bmo_operators(bmo["operators"] or {}, bmo["operator_params"]).items():
         where = "bmo.operator_params" if kind in bmo["operator_params"] else "bmo.operators"
         check_kind(OPERATORS, spec, f"{where}.{kind}")
+    for where, cube in (("good_lambda.cube", good_lambda["cube"]), ("epi.root", epi["root"])):
+        if cube is not None and cube.dimension != dimension:
+            raise ParameterError(f"{where}: a cube of dimension {cube.dimension} in a {dimension}-D config")
     if {"weak", "strong", "exponential", "good-lambda", "pair-dq"} & set(harnesses):
         p0, q0 = family["p0"], family["q0"]
         q, r = _exponents(p0, **exponents)

@@ -1,4 +1,4 @@
-"""Half-open cubes on the unit torus, dyadic grids, Whitney decompositions.
+"""Half-open cubes on the unit torus, dyadic subcubes, Whitney decompositions.
 
 All geometry lives on the torus [0,1)^n.  A cube is the product of half-open
 intervals [a_i, a_i + side) taken mod 1; its cell set on an m-per-axis grid is
@@ -180,47 +180,6 @@ def dyadic_dilations(q: Cube, m: int, k_max: Optional[int] = None) -> Iterator[t
         k += 1
 
 
-@dataclass(frozen=True)
-class DyadicGrid:
-    """Dyadic children of a root cube, level g holding 2^{g n} disjoint cubes."""
-
-    root: Cube
-    depth: int
-    resolution: int
-
-    def __post_init__(self):
-        c = self.root.cells_per_axis(self.resolution)
-        if c % (2 ** self.depth) != 0:
-            raise ParameterError(
-                f"root of {c} cells per axis cannot be refined {self.depth} times"
-            )
-
-    def level(self, g: int) -> list[Cube]:
-        if not (0 <= g <= self.depth):
-            raise ParameterError(f"level {g} outside 0..{self.depth}")
-        side = self.root.side / (2 ** g)
-        n = self.root.dimension
-        out = []
-        for idx in np.ndindex(*(2 ** g,) * n):
-            anchor = tuple((a + i * side) % 1.0 for a, i in zip(self.root.anchor, idx))
-            out.append(Cube(anchor, side))
-        return out
-
-
-def dyadic_adapted_grid(q: Cube, depth: int, m: int) -> DyadicGrid:
-    """Levels 0..depth of the dyadic children of ``q``; tiling is exact by construction."""
-    if depth < 0:
-        raise ParameterError("depth must be >= 0")
-    return DyadicGrid(q, depth, m)
-
-
-def torus_grid_adapted_to(q: Cube, m: int) -> DyadicGrid:
-    """Dyadic grid of the whole torus translated so ``q`` sits on its lattice."""
-    depth = int(round(np.log2(m)))
-    root = Cube(q.anchor, 1.0)
-    return DyadicGrid(root, depth, m)
-
-
 # ---------------------------------------------------------------------------
 # Whitney decomposition
 # ---------------------------------------------------------------------------
@@ -275,22 +234,26 @@ def _dilated4_bounds(lo: int, c: int) -> tuple[int, int]:
     return lo - (3 * c) // 2, 4 * c
 
 
-def whitney_decompose(omega: np.ndarray, grid: DyadicGrid) -> list[Cube]:
+def whitney_decompose(omega: np.ndarray, q: Cube) -> list[Cube]:
     """Decompose an open cell-set into disjoint dyadic cubes sized by boundary distance.
 
-    Phase 1 collects the maximal dyadic cubes Q of ``grid`` whose concentric
-    dilation 4Q still lies inside omega.  Cells of omega left uncovered (those
-    hugging the boundary, where no dyadic cube can keep its 4-dilation inside)
-    are covered in phase 2 by the maximal dyadic cubes contained in the
+    The cubes are dyadic for the grid of the torus adapted to ``q``: the
+    lattice of ``q.anchor_cells(m)``, refined down to single cells.  Phase 1
+    collects the maximal dyadic cubes Q whose concentric dilation 4Q still
+    lies inside omega.  Cells of omega left uncovered (those hugging the
+    boundary, where no dyadic cube can keep its 4-dilation inside) are
+    covered in phase 2 by the maximal dyadic cubes contained in the
     remainder.  Phase 2 cubes necessarily have 4Q meeting the complement, so
     every returned cube touches the complement of omega within its concentric
     10-dilation; the union is exactly omega and the cubes are pairwise
     disjoint.
     """
-    m = grid.resolution
+    m = omega.shape[0]
     n = omega.ndim
-    if omega.shape != (m,) * n:
-        raise ParameterError(f"omega shape {omega.shape} does not match resolution {m}")
+    if omega.shape != (m,) * q.dimension or m & (m - 1):
+        raise ParameterError(
+            f"omega shape {omega.shape} is not a power-of-two grid of dimension {q.dimension}"
+        )
     if omega.dtype != np.bool_:
         raise DataError("omega must be a boolean cell mask")
     total = int(omega.sum())
@@ -298,58 +261,41 @@ def whitney_decompose(omega: np.ndarray, grid: DyadicGrid) -> list[Cube]:
         return []
     if total == m ** n:
         raise DomainError("Whitney decomposition undefined for the full torus")
-    if grid.root.side < 1.0 - ALIGN_TOL:
-        raise ParameterError("Whitney decomposition expects a grid rooted at the torus")
 
-    anchor_cells = grid.root.anchor_cells(m)
+    anchor_cells = q.anchor_cells(m)
     rolled = omega
     for ax, a in enumerate(anchor_cells):
         rolled = np.roll(rolled, -a, axis=ax)
     table = SummedAreaTable(rolled)
-
-    min_cells = max(1, m // (2 ** grid.depth))
     collected: list[tuple[tuple[int, ...], int]] = []
 
-    def descend_dilated(lo: tuple[int, ...], c: int) -> None:
-        inside = table.box_sum(lo, c)
+    def descend(sums: SummedAreaTable, accept, lo: tuple[int, ...], c: int) -> None:
+        """Collect the maximal dyadic cubes below (lo, c) that meet the set and pass ``accept``."""
+        inside = sums.box_sum(lo, c)
         if inside == 0:
             return
-        if 4 * c < m:
-            d_lo_hi = [_dilated4_bounds(l, c) for l in lo]
-            size = d_lo_hi[0][1]
-            d_lo = tuple(x[0] for x in d_lo_hi)
-            if table.box_sum(d_lo, size) == size ** n:
-                collected.append((lo, c))
-                return
-        if c > min_cells:
+        if accept(lo, c, inside):
+            collected.append((lo, c))
+        elif c > 1:
             half = c // 2
-            for idx in np.ndindex(*(2,) * n):
-                child_lo = tuple(l + half * i for l, i in zip(lo, idx))
-                descend_dilated(child_lo, half)
+            for idx in itertools.product((0, 1), repeat=n):
+                descend(sums, accept, tuple(l + half * i for l, i in zip(lo, idx)), half)
 
-    descend_dilated((0,) * n, m)
+    def dilated_inside(lo: tuple[int, ...], c: int, inside: int) -> bool:
+        if 4 * c >= m:
+            return False
+        bounds = [_dilated4_bounds(l, c) for l in lo]
+        size = bounds[0][1]
+        return table.box_sum(tuple(b[0] for b in bounds), size) == size ** n
+
+    descend(table, dilated_inside, (0,) * n, m)
 
     covered = np.zeros_like(rolled)
     for lo, c in collected:
         covered[tuple(slice(l, l + c) for l in lo)] = True
     remainder = rolled & ~covered
-
     if remainder.any():
-        rem_table = SummedAreaTable(remainder)
-
-        def descend_plain(lo: tuple[int, ...], c: int) -> None:
-            inside = rem_table.box_sum(lo, c)
-            if inside == 0:
-                return
-            if inside == c ** n:
-                collected.append((lo, c))
-                return
-            if c > min_cells:
-                half = c // 2
-                for idx in np.ndindex(*(2,) * n):
-                    descend_plain(tuple(l + half * i for l, i in zip(lo, idx)), half)
-
-        descend_plain((0,) * n, m)
+        descend(SummedAreaTable(remainder), lambda lo, c, inside: inside == c ** n, (0,) * n, m)
 
     h = 1.0 / m
     cubes = []
@@ -406,19 +352,6 @@ class DisjointFamily:
     parent: Cube
     members: tuple[Cube, ...]
 
-    def to_dict(self) -> dict:
-        return {
-            "parent": self.parent.to_dict(),
-            "members": [c.to_dict() for c in self.members],
-        }
-
-    @staticmethod
-    def from_dict(d: dict) -> "DisjointFamily":
-        return DisjointFamily(
-            Cube.from_dict(d["parent"]),
-            tuple(Cube.from_dict(c) for c in d["members"]),
-        )
-
 
 def cube_wraps(q: Cube) -> bool:
     """True when some axis interval crosses the torus seam."""
@@ -427,23 +360,42 @@ def cube_wraps(q: Cube) -> bool:
     return any(a + q.side > 1.0 + ALIGN_TOL for a in q.anchor)
 
 
-def _dyadic_children(q: Cube, m: int) -> list[Cube]:
-    return DyadicGrid(q, 1, m).level(1) if q.cells_per_axis(m) % 2 == 0 else []
+def _descendant(q: Cube, g: int, k: Sequence[int]) -> Cube:
+    """Generation-g dyadic descendant of q at per-axis offsets k (each in 0..2^g - 1).
+
+    The one child rule: the anchor and side are halved and shifted one
+    generation at a time along the path from q, so every caller gets the
+    same floats for the same node.
+    """
+    anchor, side = q.anchor, q.side
+    for level in range(g - 1, -1, -1):
+        side = side / 2.0
+        anchor = tuple((a + ((int(ki) >> level) & 1) * side) % 1.0 for a, ki in zip(anchor, k))
+    return Cube(anchor, side)
 
 
-def _random_packing(q: Cube, m: int, rng: np.random.Generator, max_depth: int) -> list[Cube]:
+def _dyadic_children(q: Cube) -> list[Cube]:
+    """The 2^n children of q, in C order of their offsets."""
+    return [_descendant(q, 1, k) for k in itertools.product((0, 1), repeat=q.dimension)]
+
+
+def _random_packing(q: Cube, rng: np.random.Generator, max_depth: int) -> list[Cube]:
+    """Random disjoint dyadic subcubes of q down to generation ``max_depth``.
+
+    ``max_depth`` may not exceed the number of times q's cell count halves
+    evenly, so that every node split is a whole number of cells.
+    """
     chosen: list[Cube] = []
 
     def walk(node: Cube, depth: int) -> None:
         if depth >= 1 and rng.random() < 0.35:
             chosen.append(node)
             return
-        children = _dyadic_children(node, m) if depth < max_depth else []
-        if not children:
+        if depth >= max_depth:
             if depth >= 1:
                 chosen.append(node)
             return
-        for child in children:
+        for child in _dyadic_children(node):
             if rng.random() < 0.75:
                 walk(child, depth + 1)
 
@@ -476,22 +428,7 @@ def _generation_means(block: np.ndarray) -> list[np.ndarray]:
         b *= 2
 
 
-def _descendant(q: Cube, g: int, k: Sequence[int]) -> Cube:
-    """Generation-g dyadic descendant of q at per-axis offsets k.
-
-    Repeats the anchor arithmetic of ``_dyadic_children`` along the path from
-    q, so the floats equal those of a node-by-node descent.
-    """
-    anchor, side = q.anchor, q.side
-    for level in range(g - 1, -1, -1):
-        side = side / 2.0
-        anchor = tuple((a + ((int(ki) >> level) & 1) * side) % 1.0 for a, ki in zip(anchor, k))
-    return Cube(anchor, side)
-
-
-def _stopping_time_family(
-    q: Cube, m: int, rng: np.random.Generator, means: list[np.ndarray]
-) -> list[Cube]:
+def _stopping_time_family(q: Cube, rng: np.random.Generator, means: list[np.ndarray]) -> list[Cube]:
     """Maximal dyadic subcubes where the local average of |values| exceeds a threshold.
 
     ``means`` are the node means of |values| over q by generation
@@ -510,7 +447,7 @@ def _stopping_time_family(
         if taken.all():
             break
     if not out:
-        out = _random_packing(q, m, rng, max_depth=2)
+        out = _random_packing(q, rng, max_depth=min(2, len(means) - 1))
     out.sort(key=Cube.sort_key)
     return out
 
@@ -540,16 +477,16 @@ def sample_disjoint_families(
 
     families: list[DisjointFamily] = [DisjointFamily(q, (q,))]
     if count >= 2 and max_depth >= 1:
-        families.append(DisjointFamily(q, tuple(_dyadic_children(q, m))))
+        families.append(DisjointFamily(q, tuple(_dyadic_children(q))))
     means = None
     i = 0
     while len(families) < count:
         if field_values is not None and i % 2 == 1:
             if means is None:
                 means = _generation_means(np.abs(field_values[q.index(m)]))
-            members = _stopping_time_family(q, m, rng, means)
+            members = _stopping_time_family(q, rng, means)
         else:
-            members = _random_packing(q, m, rng, max_depth)
+            members = _random_packing(q, rng, max_depth)
         families.append(DisjointFamily(q, tuple(members)))
         i += 1
     return families[:count]

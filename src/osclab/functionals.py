@@ -31,6 +31,10 @@ from osclab.weights import Weight
 # coefficient sequences
 # ---------------------------------------------------------------------------
 
+#: length of the coefficient tables the expansion recipes build and the
+#: convolution ``DilationSeries.collapse`` folds (gamma_k = 0 beyond it)
+HORIZON = 48
+
 
 # Sequence builders: (*, the kind's config keys) -> (gamma_k for k >= 0, exact
 # tail sum from k0 >= 0 or None for a guarded one, whether gamma decreases):
@@ -135,7 +139,7 @@ class Functional:
             return q, q.side >= 1.0
         if self.resolution is not None:
             d = dilate(q, float(2 ** k), self.resolution)
-            return d.cube, d.saturated or d.cube.side >= 1.0
+            return d.cube, d.saturated
         side = (2.0 ** k) * q.side
         if side >= 1.0:
             return full_torus(q.dimension), True
@@ -287,9 +291,8 @@ class DilationSeries(Functional):
         """
         if not isinstance(self.base, ExpandedPoincare):
             raise ParameterError("collapse requires an expanded-poincare base")
-        horizon = 48
         conv = []
-        for bigj in range(horizon):
+        for bigj in range(HORIZON):
             total = 0.0
             for k in range(self.start, bigj + 1):
                 total += self.coeffs.at(k) * self.base.gamma.at(bigj - k)
@@ -304,7 +307,7 @@ class DilationSeries(Functional):
 # ---------------------------------------------------------------------------
 
 
-def gamma_tilde_from_profile(profile: OffDiagonalProfile, horizon: int = 48) -> Coeffs:
+def gamma_tilde_from_profile(profile: OffDiagonalProfile) -> Coeffs:
     """Coefficients of the tilde expansion from measured decay entries.
 
     Implicit multiplicative constants are set to one; they are absorbed by the
@@ -317,12 +320,12 @@ def gamma_tilde_from_profile(profile: OffDiagonalProfile, horizon: int = 48) -> 
         raise ParameterError("profile has no beta entries but the family requires them")
     a = profile.alpha_at
     b = profile.beta_at
-    vals = [0.0] * horizon
+    vals = [0.0] * HORIZON
     vals[1] = 1.0
     vals[2] = max(1.0, a(2), a(3))
     vals[3] = max(a(2), a(3), a(4))
     vals[4] = max(a(3), a(4), a(5), b(2))
-    for k in range(5, horizon):
+    for k in range(5, HORIZON):
         grow = 2.0 ** (k * n / p0)
         vals[k] = max(a(k - 2), grow * a(k - 1), grow * a(k), a(k + 1), b(k - 3), b(k - 2))
     return Coeffs("table", values=vals)
@@ -333,32 +336,32 @@ def tilde_expand(a: Functional, profile: OffDiagonalProfile) -> DilationSeries:
     return DilationSeries(a, gamma_tilde_from_profile(profile), start=1, kind="tilde-of")
 
 
-def eta_exponential(profile: OffDiagonalProfile, horizon: int = 48) -> Coeffs:
+def eta_exponential(profile: OffDiagonalProfile) -> Coeffs:
     """Coefficients of the exponential-class conclusion: eta_1 = 1,
     eta_k = alpha_k for k in {2,3,4}, eta_k = max(alpha_k, alpha_{k-3}) beyond."""
     a = profile.alpha_at
-    vals = [0.0] * horizon
+    vals = [0.0] * HORIZON
     vals[1] = 1.0
     for k in (2, 3, 4):
         vals[k] = a(k)
-    for k in range(5, horizon):
+    for k in range(5, HORIZON):
         vals[k] = max(a(k), a(k - 3))
     return Coeffs("table", values=vals)
 
 
-def eta_alternative(profile: OffDiagonalProfile, horizon: int = 48) -> Coeffs:
+def eta_alternative(profile: OffDiagonalProfile) -> Coeffs:
     """Coefficients of the non-commutative route: eta_1 = 1,
     eta_k = alpha_k 2^{k n / p0}."""
     p0 = profile.exponents[0]
     n = int(profile.probe_spec.get("dimension", 1))
-    vals = [0.0] * horizon
+    vals = [0.0] * HORIZON
     vals[1] = 1.0
-    for k in range(2, horizon):
+    for k in range(2, HORIZON):
         vals[k] = profile.alpha_at(k) * 2.0 ** (k * n / p0)
     return Coeffs("table", values=vals)
 
 
-def bar_expand(a: ExpandedPoincare, q: float, theta: float = 1.0, horizon: int = 48) -> ExpandedPoincare:
+def bar_expand(a: ExpandedPoincare, q: float, theta: float = 1.0) -> ExpandedPoincare:
     """Overlap-corrected expansion for the pair condition.
 
     gamma-bar_0 = gamma_0 and for k >= 1
@@ -378,7 +381,7 @@ def bar_expand(a: ExpandedPoincare, q: float, theta: float = 1.0, horizon: int =
             raise ParameterError(f"need 1 <= q < s* = {s_star}, got q={q}")
     exp_e = n * ((1.0 - theta) / s + theta * max(1.0 / s - 1.0 / q, 0.0))
     vals = [a.gamma.at(0)]
-    for k in range(1, horizon):
+    for k in range(1, HORIZON):
         inner = 0.0
         converged = False
         for l in range(max(k - 1, 0), max(k - 1, 0) + 400):

@@ -31,7 +31,7 @@ import scipy.sparse as sp
 from numpy.lib.stride_tricks import sliding_window_view
 
 from osclab._support import DataError, NumericError, ParameterError
-from osclab.cubes import Cube, Dilation, dilate
+from osclab.cubes import Cube, dilate
 from osclab.grid import Field, lp_average, scale_sweep_max, sliding_central_moments, sliding_cube_means
 
 
@@ -619,23 +619,20 @@ def measure_offdiagonal(
     def bump(table: dict, k: int, value: float) -> None:
         table[k] = max(table.get(k, 0.0), value)
 
-    def dil(q: Cube, factor: float) -> Dilation:
-        return dilate(q, factor, m) if factor > 1 else Dilation(q, False)
-
     for q in cube_sample:
-        two_q = dil(q, 2.0)
+        two_q = dilate(q, 2.0, m)
         # shells[k]: (A_Q p, L^p0 average of p on 2^k Q) for the nonzero sources p:
         # the probes on 4Q (k = 2) and the annulus fields of 2^k Q minus 2^{k-1} Q
         # (k >= 3), up to the first saturated dilate; alpha and beta both read them
         shells = {}
         for k in range(2, k_max + 1):
-            outer = dil(q, 2.0 ** k)
+            outer = dilate(q, 2.0 ** k, m)
             if outer.saturated:
                 break
             if k == 2:
                 sources = [_masked_field(p, outer.cube.index(m)) for p in probes]
             else:
-                sources = _annulus_fields(probes, outer.cube, dil(q, 2.0 ** (k - 1)).cube, m)
+                sources = _annulus_fields(probes, outer.cube, dilate(q, 2.0 ** (k - 1), m).cube, m)
             shells[k] = [(family.apply_A(p, q), lp_average(p, outer.cube, p0))
                          for p in sources if np.any(p.values)]
         # on-diagonal entry: local families take the probes on 2Q against their
@@ -651,7 +648,7 @@ def measure_offdiagonal(
         # far-field entries; a local family's A_Q vanishes on sources off 2Q
         for k in range(3, max(shells, default=2) + 1):
             for j in range(1, k - 1):
-                target = dil(q, 2.0 ** j).cube
+                target = dilate(q, 2.0 ** j, m).cube
                 for ap, rhs in shells[k]:
                     lhs = lp_average(ap, target, q0) if np.any(ap.values) else 0.0
                     if rhs > 0:
@@ -662,7 +659,7 @@ def measure_offdiagonal(
             if side < 1.0 / m:
                 break
             r = Cube(q.anchor, side)
-            two_r = dil(r, 2.0)
+            two_r = dilate(r, 2.0, m)
             for k, shell in shells.items():
                 for ap, rhs in shell:
                     zero = not np.any(ap.values)  # and so is B_R of it

@@ -22,7 +22,6 @@ from osclab.cubes import (
     cube_wraps,
     dilate,
     dyadic_dilations,
-    torus_grid_adapted_to,
     whitney_check,
     whitney_decompose,
 )
@@ -449,7 +448,6 @@ def verify_good_lambda(
 
     in_q = np.zeros_like(mg, dtype=bool)
     in_q[q_cube.index(m)] = True
-    grid = torus_grid_adapted_to(q_cube, m)
 
     rows = []
     whitney = []
@@ -470,7 +468,7 @@ def verify_good_lambda(
             if omega_t.all():
                 warnings.append(f"t={t}: level set is the full torus; skipped")
                 continue
-            cubes = whitney_decompose(omega_t, grid)
+            cubes = whitney_decompose(omega_t, q_cube)
             chk = whitney_check(omega_t, cubes, m)
             chk["t"] = float(t)
             whitney.append(chk)

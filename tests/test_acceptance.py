@@ -20,7 +20,6 @@ from osclab.cubes import (
     Cube,
     dilate,
     sample_disjoint_families,
-    torus_grid_adapted_to,
     whitney_check,
     whitney_decompose,
 )
@@ -284,7 +283,7 @@ def test_criterion_5_good_lambda(classical_jn_run):
     mg = maximal_function(Field(g), 1.0).values
     t = float(np.quantile(mg[mg > 0], 0.7))
     omega = mg > t
-    cubes = whitney_decompose(omega, torus_grid_adapted_to(q_cube, m))
+    cubes = whitney_decompose(omega, q_cube)
     chk = whitney_check(omega, cubes, m)
     assert chk["disjoint"] and chk["cover"] and chk["ten_q_touches_complement"]
     interior = 0

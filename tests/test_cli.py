@@ -126,6 +126,7 @@ def test_repeat_runs_byte_identical(tmp_path):
         ("field.centre=0.3", "field.centre"),
         ("field.band=3", "field.band"),
         ("field.kind=gaussian", "field"),
+        ("profile.k_max.x=1", "override 'profile.k_max.x': profile.k_max is not a section"),
     ],
 )
 def test_config_rejects_unknown_keys_and_harnesses(override, offender):
@@ -147,11 +148,17 @@ def test_config_rejects_unknown_keys_and_harnesses(override, offender):
         ("condition_families=x", "condition_families"),
         ("profile.anchors=0.25", "profile.anchors"),
         ("profile.fit_range=[3]", "profile.fit_range"),
+        # an empty ladder fails at load, not at the first rung it reads
+        ("resolution_ladder=[]", "resolution_ladder"),
+        ('bmo.operators={"identity": []}', "bmo.operators"),
+        # a cube must have the config's dimension (classical-jn is 1-D)
+        ('good_lambda.cube={"anchor": [0.25, 0.25], "side": 0.25}', "good_lambda.cube"),
+        ('epi.root={"anchor": [0.0, 0.0], "side": 0.5}', "epi.root"),
     ],
 )
 def test_load_rejects_a_value_its_key_cannot_take(override, path):
     with pytest.raises(ParameterError, match="^" + re.escape(f"{path}: ")):
-        ExperimentConfig.load(bundled_config_path("classical-jn"), [override, "resolution_ladder=[256]"])
+        ExperimentConfig.load(bundled_config_path("classical-jn"), ["resolution_ladder=[256]", override])
 
 
 @pytest.mark.parametrize("key", ["dimension", "resolution_ladder", "field", "family"])

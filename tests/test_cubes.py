@@ -1,4 +1,4 @@
-"""Geometry: dilation, dyadic grids, Whitney decompositions, family sampling."""
+"""Geometry: dilation, dyadic subcubes, Whitney decompositions, family sampling."""
 
 from __future__ import annotations
 
@@ -10,16 +10,15 @@ from osclab.cubes import (
     Cube,
     DisjointFamily,
     SummedAreaTable,
+    _descendant,
     _dyadic_children,
     _generation_means,
     _random_packing,
     _stopping_time_family,
     dilate,
-    dyadic_adapted_grid,
     dyadic_dilations,
     full_torus,
     sample_disjoint_families,
-    torus_grid_adapted_to,
     whitney_check,
     whitney_decompose,
 )
@@ -102,21 +101,15 @@ def test_dyadic_dilations_stop_at_saturation():
 
 
 # ---------------------------------------------------------------------------
-# dyadic grids
+# dyadic subcubes
 # ---------------------------------------------------------------------------
 
 
-def test_adapted_grid_depth_zero():
-    q = Cube((0.25,), 0.5)
-    g = dyadic_adapted_grid(q, 0, 16)
-    assert g.level(0) == [q]
-
-
-def test_adapted_grid_2d_children_tile():
+def test_dyadic_children_2d_tile():
     q = Cube((0.0, 0.5), 0.5)
-    g = dyadic_adapted_grid(q, 1, 16)
-    kids = g.level(1)
+    kids = _dyadic_children(q)
     assert len(kids) == 4
+    assert [k.anchor for k in kids] == [(0.0, 0.5), (0.0, 0.75), (0.25, 0.5), (0.25, 0.75)]  # C order
     mask = cell_mask(kids, 16, 2)
     assert mask.sum() == q.cell_count(16)
     assert bool(mask[np.ix_(*q.cell_arrays(16))].all())
@@ -126,20 +119,13 @@ def test_adapted_grid_2d_children_tile():
         assert q.contains_cube(a)
 
 
-def test_adapted_grid_1d_depth3_cells_match():
+def test_descendants_1d_depth3_cells_match():
     q = Cube((0.5,), 0.5)
-    g = dyadic_adapted_grid(q, 3, 64)
-    level = g.level(3)
-    assert len(level) == 8
-    assert all(c.side == pytest.approx(0.5 / 8) for c in level)
+    level = [_descendant(q, 3, (k,)) for k in range(8)]
+    assert all(c.side == 0.5 / 8 for c in level)
     mask = cell_mask(level, 64, 1)
     qmask = cell_mask([q], 64, 1)
     assert np.array_equal(mask, qmask)
-
-
-def test_adapted_grid_rejects_overdeep():
-    with pytest.raises(ParameterError):
-        dyadic_adapted_grid(Cube((0.0,), 0.25), 3, 16)  # 4 cells / 2^3 < 1
 
 
 # ---------------------------------------------------------------------------
@@ -182,10 +168,19 @@ def test_box_sums_match_brute_force(dim, m):
 
 def test_whitney_empty_and_full():
     m = 32
-    grid = torus_grid_adapted_to(Cube((0.0,), 0.25), m)
-    assert whitney_decompose(np.zeros(m, dtype=bool), grid) == []
+    q = Cube((0.0,), 0.25)
+    assert whitney_decompose(np.zeros(m, dtype=bool), q) == []
     with pytest.raises(DomainError):
-        whitney_decompose(np.ones(m, dtype=bool), grid)
+        whitney_decompose(np.ones(m, dtype=bool), q)
+
+
+def test_whitney_rejects_a_grid_it_cannot_halve_or_of_another_dimension():
+    omega = np.zeros(48, dtype=bool)
+    omega[5:9] = True
+    with pytest.raises(ParameterError, match="power-of-two"):
+        whitney_decompose(omega, Cube((0.0,), 0.25))
+    with pytest.raises(ParameterError, match="dimension 2"):
+        whitney_decompose(np.zeros(32, dtype=bool), Cube((0.0, 0.0), 0.25))
 
 
 @pytest.mark.parametrize("dim,m", [(1, 64), (2, 32)])
@@ -195,8 +190,7 @@ def test_whitney_of_dyadic_cube(dim, m):
     # interior (non-boundary) cubes keep their 4-dilation inside.
     r = Cube((0.25,) * dim, 0.25)
     omega = cell_mask([r], m, dim)
-    grid = torus_grid_adapted_to(Cube((0.0,) * dim, 0.25), m)
-    cubes = whitney_decompose(omega, grid)
+    cubes = whitney_decompose(omega, Cube((0.0,) * dim, 0.25))
     chk = whitney_check(omega, cubes, m)
     assert chk["disjoint"]
     assert chk["cover"]
@@ -209,8 +203,7 @@ def test_whitney_single_cell_set():
     m = 32
     omega = np.zeros(m, dtype=bool)
     omega[7] = True
-    grid = torus_grid_adapted_to(Cube((0.0,), 0.25), m)
-    cubes = whitney_decompose(omega, grid)
+    cubes = whitney_decompose(omega, Cube((0.0,), 0.25))
     chk = whitney_check(omega, cubes, m)
     assert chk["disjoint"] and chk["cover"] and chk["ten_q_touches_complement"]
     assert len(cubes) == 1 and cubes[0].side == pytest.approx(1 / m)
@@ -221,8 +214,7 @@ def test_whitney_level_set_like_region_2d():
     x = (np.arange(m) + 0.5) / m
     xx, yy = np.meshgrid(x, x, indexing="ij")
     omega = ((xx - 0.5) ** 2 + (yy - 0.5) ** 2) < 0.11
-    grid = torus_grid_adapted_to(Cube((0.0, 0.0), 0.5), m)
-    cubes = whitney_decompose(omega, grid)
+    cubes = whitney_decompose(omega, Cube((0.0, 0.0), 0.5))
     chk = whitney_check(omega, cubes, m)
     assert chk["disjoint"] and chk["cover"] and chk["ten_q_touches_complement"]
     sides = {q.side for q in cubes}
@@ -230,13 +222,12 @@ def test_whitney_level_set_like_region_2d():
 
 
 def test_whitney_respects_grid_anchor():
-    # cubes must be dyadic with respect to the supplied adapted grid
+    # cubes must be dyadic with respect to the grid adapted to the supplied cube
     m = 64
     q_anchor = 3 / 64
     omega = np.zeros(m, dtype=bool)
     omega[10:30] = True
-    grid = torus_grid_adapted_to(Cube((q_anchor,), 0.25), m)
-    for q in whitney_decompose(omega, grid):
+    for q in whitney_decompose(omega, Cube((q_anchor,), 0.25)):
         c = q.cells_per_axis(m)
         rel = (round(q.anchor[0] * m) - round(q_anchor * m)) % m
         assert rel % c == 0
@@ -298,12 +289,15 @@ def reference_stopping_time_family(q, m, rng, values):
         if avg > tau and node.side < q.side:
             out.append(node)
             return
-        for child in _dyadic_children(node, m):
-            walk(child)
+        if node.cells_per_axis(m) % 2 == 0:
+            for child in _dyadic_children(node):
+                walk(child)
 
     walk(q)
     if not out:
-        out = _random_packing(q, m, rng, max_depth=2)
+        # a random packing two generations deep, or as deep as q halves evenly
+        cells = q.cells_per_axis(m)
+        out = _random_packing(q, rng, max_depth=min(2, (cells & -cells).bit_length() - 1))
     out.sort(key=Cube.sort_key)
     return out
 
@@ -364,17 +358,17 @@ def test_stopping_time_walk_matches_per_node_walk(dim, m, anchor, cells):
             # after the two canonical families, draws alternate a random
             # packing and a stopping-time family on one generator
             rng = rng_from_seed(seed)
-            want = [[q]] + ([_dyadic_children(q, m)] if cells % 2 == 0 else [])
+            want = [[q]] + ([_dyadic_children(q)] if cells % 2 == 0 else [])
             max_depth = min(4, (cells & -cells).bit_length() - 1)
             for i in range(10 - len(want)):
                 want.append(reference_stopping_time_family(q, m, rng, values) if i % 2
-                            else _random_packing(q, m, rng, max_depth))
-            assert [f.to_dict() for f in got] == [DisjointFamily(q, tuple(w)).to_dict() for w in want], (
+                            else _random_packing(q, rng, max_depth))
+            assert got == [DisjointFamily(q, tuple(w)) for w in want], (
                 name, seed)
             # the same draws in the same order: the next draw agrees
             rng_a, rng_b = rng_from_seed(seed), rng_from_seed(seed)
             means = _generation_means(np.abs(values[q.index(m)]))
-            assert _stopping_time_family(q, m, rng_a, means) == reference_stopping_time_family(q, m, rng_b, values)
+            assert _stopping_time_family(q, rng_a, means) == reference_stopping_time_family(q, m, rng_b, values)
             assert rng_a.random() == rng_b.random()
 
 
@@ -411,14 +405,14 @@ def test_stopping_time_walk_with_ties_at_tau(dim, m):
             else:
                 continue
             ties += 1
-            got = _stopping_time_family(q, m, FixedUniform(3, factor), means)
+            got = _stopping_time_family(q, FixedUniform(3, factor), means)
             rng_b = FixedUniform(3, factor)
             want = reference_stopping_time_family(q, m, rng_b, values)
             assert got == want, (g, target)
     assert ties >= 3
     over = float(values.max()) / base * 2.0
     rng_a, rng_b = FixedUniform(5, over), FixedUniform(5, over)
-    fallback = _stopping_time_family(q, m, rng_a, means)
+    fallback = _stopping_time_family(q, rng_a, means)
     assert fallback == reference_stopping_time_family(q, m, rng_b, values)
     assert rng_a.random() == rng_b.random()
 
@@ -477,13 +471,6 @@ def test_full_torus_contains_everything():
     t = full_torus(2)
     assert t.contains_cube(Cube((0.3125, 0.0), 0.0625))
     assert not t.disjoint_from(Cube((0.5, 0.5), 0.25))
-
-
-def test_disjoint_family_json_roundtrip():
-    q = Cube((0.0,), 0.5)
-    fams = sample_disjoint_families(q, 3, seed=1, m=32)
-    for fam in fams:
-        assert DisjointFamily.from_dict(fam.to_dict()) == fam
 
 
 def test_cube_wraps_detection():

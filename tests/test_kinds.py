@@ -137,7 +137,9 @@ def test_load_names_the_dotted_path_of_a_config_error(config, override, offender
 
 def built_section(path: str, spec, dimension: int, m: int):
     """Build a rung of epi-pair with ``spec`` at ``path``; return what the section built."""
-    overrides = set_section(path, spec) + [f"dimension={dimension}", f"resolution_ladder=[{m}]"]
+    # epi.root=null: the default root, of the dimension asked for
+    overrides = set_section(path, spec) + [f"dimension={dimension}", f"resolution_ladder=[{m}]",
+                                           "epi.root=null"]
     if path in ("field", "functional", "weight"):
         overrides.append("variant=tilde")  # the pair variant needs epi-pair's own functional
     rung, _profile = build_rung(ExperimentConfig.load(bundled_config_path("epi-pair"), overrides), m)
