@@ -161,8 +161,11 @@ def _ladder(value) -> list:
 
 
 def _ladders(value) -> dict:
-    """A resolution ladder per operator kind."""
-    return {kind: _ladder(ms) for kind, ms in dict(value).items()}
+    """A resolution ladder per operator kind, for at least one kind."""
+    ladders = {kind: _ladder(ms) for kind, ms in dict(value).items()}
+    if not ladders:
+        raise ValueError("needs at least one operator kind")
+    return ladders
 
 
 def _parse_value(raw: str):
@@ -316,6 +319,12 @@ def build_section(path: str, spec: dict, *context):
     """Build ``spec``, a config value of the section ``path``, with its kind's builder."""
     table, default_kind = KIND_SECTIONS[path]
     return build_kind(table, spec, path, *context, default_kind=default_kind)
+
+
+def _bmo_ladders(operators: Optional[dict], resolution_ladder: list) -> dict:
+    """The ladder per operator kind that the bmo harness runs: ``bmo.operators``,
+    or the family's own operator on the resolution ladder when that is null."""
+    return {"identity": resolution_ladder} if operators is None else operators
 
 
 def _bmo_operators(operators: dict, operator_params: dict) -> dict:
@@ -482,7 +491,7 @@ def _bmo(ctx: HarnessContext, *, ps: _list(float) = [1.0, 2.0, 4.0], s: float = 
     cfg = ctx.cfg
     per_op = {}
     passed = True
-    operators = {"identity": cfg.resolution_ladder} if operators is None else operators
+    operators = _bmo_ladders(operators, cfg.resolution_ladder)
     specs = _bmo_operators(operators, operator_params)
     for op_name, ladder in operators.items():
         op_rungs = []
@@ -616,9 +625,14 @@ def validate(*, dimension: index, resolution_ladder: _ladder, field, family, nam
     """The reader of a config's top level (its keys are these parameters): checks what
     no single key decides, the bmo operator kinds, the dimension of the configured
     cubes and the theorems' exponent window."""
-    for kind, spec in _bmo_operators(bmo["operators"] or {}, bmo["operator_params"]).items():
+    operators = _bmo_ladders(bmo["operators"], resolution_ladder)
+    for kind, spec in _bmo_operators(operators, bmo["operator_params"]).items():
         where = "bmo.operator_params" if kind in bmo["operator_params"] else "bmo.operators"
         check_kind(OPERATORS, spec, f"{where}.{kind}")
+    for kind in bmo["operator_params"]:
+        if kind not in operators:
+            raise ParameterError(f"bmo.operator_params.{kind}: the bmo harness runs no {kind} operator "
+                                 f"(it runs: {', '.join(operators)})")
     for where, cube in (("good_lambda.cube", good_lambda["cube"]), ("epi.root", epi["root"])):
         if cube is not None and cube.dimension != dimension:
             raise ParameterError(f"{where}: a cube of dimension {cube.dimension} in a {dimension}-D config")

@@ -97,9 +97,11 @@ class Rung:
     ``denominator`` is the conclusion right-hand side evaluated at Q (wrap
     the 2Q dilation inside it when the statement asks for one); ``partner``
     optionally carries the un-dilated pair functional for the two-functional
-    condition.  ``b_cache`` holds B_Q f per cube; rungs made from this one by
-    ``dataclasses.replace`` share it, and its keys carry the field and family
-    so a rung with other ones never reads an entry that is not its own.
+    condition.  ``cache`` holds B_Q f per cube (``b_field``) and the walk of
+    the hypothesis over the cube sample (``hypothesis_rows``); rungs made from
+    this one by ``dataclasses.replace`` share it, and its keys carry the
+    material an entry was computed from, so a rung with other material never
+    reads an entry that is not its own.
     """
 
     m: int
@@ -110,7 +112,7 @@ class Rung:
     cube_sample: list[Cube]
     weight: Optional[Weight] = None
     partner: Optional[Functional] = None
-    b_cache: dict = dc_field(default_factory=dict, repr=False, compare=False)
+    cache: dict = dc_field(default_factory=dict, repr=False, compare=False)
 
     def b_field(self, q: Cube) -> Field:
         """B_Q f of this rung's field, computed once per cube.
@@ -120,10 +122,35 @@ class Rung:
         fam, f = self.family, self.field
         cube_key = round(q.side * 2 ** 40) if fam.sidelength_only else (q.anchor, q.side)
         key = (id(f), id(fam), cube_key)
-        if key not in self.b_cache:
+        if key not in self.cache:
             # the entry keeps f and fam alive, so their ids stay unique
-            self.b_cache[key] = (f, fam, fam.apply_B(f, q))
-        return self.b_cache[key][2]
+            self.cache[key] = (f, fam, fam.apply_B(f, q))
+        return self.cache[key][2]
+
+    def hypothesis_rows(self, k_max: int) -> list:
+        """The rows (Q, k, num, den, val, saturated) of the hypothesis walk
+        over the cube sample up to the 2^{k_max} dilates, walked once per rung.
+
+        The walk is kept at the deepest ``k_max`` asked for so far; a shallower
+        request filters it to k <= k_max, which are the rows a fresh walk gives
+        because ``dyadic_dilations`` yields the same prefix and stops at the
+        same saturation.
+        """
+        material = (self.field, self.family, self.hypothesis, self.cube_sample)
+        key = ("hypothesis", self.m, *map(id, material))
+        entry = self.cache.get(key)
+        if entry is None or entry[1] < k_max:
+            p0 = self.family.p0
+            rows = []
+            for q in self.cube_sample:
+                bf = self.b_field(q)
+                for k, d in dyadic_dilations(q, self.m, k_max):
+                    num = lp_average(bf, d.cube, p0)
+                    den = self.hypothesis.eval(d.cube)
+                    rows.append((q, k, num, den, ratio(num, den), d.saturated))
+            # the entry keeps the material alive, so its ids stay unique
+            entry = self.cache[key] = (material, k_max, rows)
+        return [row for row in entry[2] if row[1] <= k_max]
 
 
 def _stable(per_resolution: dict) -> bool:
@@ -168,27 +195,18 @@ def check_hypothesis(rung: Rung, k_max: int) -> HypothesisReport:
     ``a`` it already implies the full hypothesis, so the pair of constants
     documents the reduction.
     """
-    p0 = rung.family.p0
-    rows = []
+    rows = rung.hypothesis_rows(k_max)
     best = 0.0
     best_k0 = 0.0
-    saturated = 0
-    for q in rung.cube_sample:
-        bf = rung.b_field(q)
-        for k, d in dyadic_dilations(q, rung.m, k_max):
-            num = lp_average(bf, d.cube, p0)
-            den = rung.hypothesis.eval(d.cube)
-            val = ratio(num, den)
-            rows.append((q.to_dict(), k, num, den, val))
-            best = max(best, val)
-            if k == 0:
-                best_k0 = max(best_k0, val)
-            saturated += int(d.saturated)
+    for _q, k, _num, _den, val, _saturated in rows:
+        best = max(best, val)
+        if k == 0:
+            best_k0 = max(best_k0, val)
     return HypothesisReport(
         constant=best,
         k0_constant=best_k0,
         rows=rows,
-        saturated_cubes=saturated,
+        saturated_cubes=sum(row[5] for row in rows),
         side_reduction=rung.family.sidelength_only,
     )
 

@@ -9,7 +9,7 @@ from collections import Counter
 
 import pytest
 
-from osclab import cli
+from osclab import cli, verify
 from osclab._support import ParameterError
 from osclab.cli import (
     ExperimentConfig,
@@ -151,6 +151,7 @@ def test_config_rejects_unknown_keys_and_harnesses(override, offender):
         # an empty ladder fails at load, not at the first rung it reads
         ("resolution_ladder=[]", "resolution_ladder"),
         ('bmo.operators={"identity": []}', "bmo.operators"),
+        ("bmo.operators={}", "bmo.operators"),
         # a cube must have the config's dimension (classical-jn is 1-D)
         ('good_lambda.cube={"anchor": [0.25, 0.25], "side": 0.25}', "good_lambda.cube"),
         ('epi.root={"anchor": [0.0, 0.0], "side": 0.5}', "epi.root"),
@@ -197,6 +198,47 @@ def test_harnesses_compute_each_b_field_once(monkeypatch, config, overrides):
 
     monkeypatch.setattr(cli, "build_rung", recording_build_rung)
     monkeypatch.setattr(OscillationFamily, "apply_B", counting_apply_b)
+    cli.run_pipeline(ExperimentConfig.load(bundled_config_path(config), overrides))
+    assert calls and max(calls.values()) == 1, calls.most_common(1)
+
+
+@pytest.mark.parametrize(
+    "config, overrides",
+    [("classical-jn", ["resolution_ladder=[64,128]"]), ("weighted-power", [])],
+)
+def test_harnesses_walk_each_hypothesis_row_once(monkeypatch, config, overrides):
+    # every harness reads the hypothesis rows from its rung's cache, so the
+    # norm of a cached B field on the dilate 2^k Q of a sampled cube Q reaches
+    # lp_average at most once per run.  Rows are keyed by the cube object, not
+    # its value: a sample may hold an off-dyadic cube equal to a dyadic one, and
+    # a cube of side 1 has the same value at k = 0 and k = 1.
+    b_fields = set()
+    b_field = verify.Rung.b_field
+
+    def recording_b_field(self, q):
+        bf = b_field(self, q)
+        b_fields.add(id(bf))
+        return bf
+
+    row = {}
+    dyadic_dilations = verify.dyadic_dilations
+
+    def tracking_dyadic_dilations(q, m, k_max=None):
+        for k, d in dyadic_dilations(q, m, k_max):
+            row["key"] = (id(q), k)
+            yield k, d
+
+    calls = Counter()
+    lp_average = verify.lp_average
+
+    def counting_lp_average(f, q, p, *args):
+        if id(f) in b_fields:
+            calls[(id(f), *row["key"])] += 1
+        return lp_average(f, q, p, *args)
+
+    monkeypatch.setattr(verify.Rung, "b_field", recording_b_field)
+    monkeypatch.setattr(verify, "dyadic_dilations", tracking_dyadic_dilations)
+    monkeypatch.setattr(verify, "lp_average", counting_lp_average)
     cli.run_pipeline(ExperimentConfig.load(bundled_config_path(config), overrides))
     assert calls and max(calls.values()) == 1, calls.most_common(1)
 

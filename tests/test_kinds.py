@@ -126,6 +126,9 @@ def test_each_bmo_operator_takes_its_own_keys(kind):
         ("bmo-heat", "bmo.operator_params.variable-1d.bsae=1.0", "bmo.operator_params.variable-1d.bsae"),
         ("bmo-heat", 'bmo.operator_params={"identity":{"base":1.25}}', "bmo.operator_params.identity.base"),
         ("bmo-heat", 'bmo.operators={"identiy":[128]}', "bmo.operators.identiy"),
+        # bmo-heat's operator_params.variable-1d is read only while variable-1d runs
+        ("bmo-heat", 'bmo.operators={"identity":[64]}', "bmo.operator_params.variable-1d: "),
+        ("bmo-heat", "bmo.operators=null", "bmo.operator_params.variable-1d: "),
         ("classical-jn", "variant=alternate", "variant"),
         ("classical-jn", 'weight={"kind":"uniform"}', "weight"),
     ],

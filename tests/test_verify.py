@@ -103,9 +103,42 @@ def test_replaced_rung_with_other_field_reads_its_own_b_field():
     q = rung.cube_sample[3]
     own = rung.b_field(q)
     other = dataclasses.replace(rung, field=g)
-    assert other.b_cache is rung.b_cache
+    assert other.cache is rung.cache
     assert np.array_equal(other.b_field(q).values, rung.family.apply_B(g, q).values)
     assert rung.b_field(q) is own
+
+
+def hypothesis_walk(rep) -> tuple:
+    return rep.rows, rep.constant, rep.k0_constant, rep.saturated_cubes
+
+
+@pytest.mark.parametrize("first, then", [(3, 2), (1, 3), (3, 0)])
+def test_cached_hypothesis_walk_equals_a_fresh_walk(first, then):
+    m = 64
+    rung, _ = classical_jn_rung(m)
+    check_hypothesis(rung, first)
+    fresh = check_hypothesis(classical_jn_rung(m)[0], then)
+    assert fresh.saturated_cubes > 0 or then == 0
+    assert hypothesis_walk(check_hypothesis(rung, then)) == hypothesis_walk(fresh)
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("hypothesis", lambda rung: ConstantFunctional(1.0)),
+     ("cube_sample", lambda rung: rung.cube_sample[::2])],
+)
+def test_replaced_rung_with_other_material_reads_its_own_hypothesis_walk(key, value):
+    import dataclasses
+
+    m = 64
+    rung, _ = classical_jn_rung(m)
+    own = hypothesis_walk(check_hypothesis(rung, 3))
+    other = dataclasses.replace(rung, **{key: value(rung)})
+    assert other.cache is rung.cache
+    fresh = dataclasses.replace(other, cache={})
+    assert hypothesis_walk(check_hypothesis(other, 3)) == hypothesis_walk(check_hypothesis(fresh, 3))
+    assert hypothesis_walk(check_hypothesis(other, 3)) != own
+    assert hypothesis_walk(check_hypothesis(rung, 3)) == own
 
 
 # ---------------------------------------------------------------------------
