@@ -36,7 +36,7 @@ from osclab._support import (
     format_float,
     rng_from_seed,
 )
-from osclab.cubes import Cube, sample_disjoint_families
+from osclab.cubes import Cube, descendant, sample_disjoint_families
 from osclab.functionals import (
     COEFFS,
     Coeffs,
@@ -144,6 +144,16 @@ def _name_in(names):
             raise ValueError(f"unknown name {value!r} (known: {', '.join(names)})")
         return value
     return parse_name
+
+
+def _count(least: int):
+    """The parser of an integer count of at least ``least``."""
+    def parse_count(value) -> int:
+        n = index(value)
+        if n < least:
+            raise ValueError(f"{n} is below the least value {least}")
+        return n
+    return parse_count
 
 
 def _pow2(value) -> int:
@@ -339,7 +349,7 @@ def _bmo_operators(operators: dict, operator_params: dict) -> dict:
 
 
 def build_family(dimension: int, m: int, *, kind: _name_in(FAMILY_KINDS), p0: float = 1.0,
-                 q0: float = "inf", N: index = 1, operator={}):
+                 q0: float = "inf", N: _count(1) = 1, operator={}):
     """The family of the ``family`` section; a semigroup's generator is ``operator``."""
     generator = build_section("family.operator", operator, dimension, m) if kind == "semigroup" else None
     return make_family(kind, (p0, q0), operator=generator, big_n=N)
@@ -356,8 +366,8 @@ def _probe_fields(dimension: int, m: int, seed: int) -> list[Field]:
     return [make_field("constant", dimension, m, value=1.0), signs]
 
 
-def build_profile(cfg: ExperimentConfig, family, m: int, *, cube_side_cells: index = None,
-                  anchors: _list(float) = [0.25, 0.5], k_max: index = 6, pair_levels: index = 1,
+def build_profile(cfg: ExperimentConfig, family, m: int, *, cube_side_cells: _count(1) = None,
+                  anchors: _list(float) = [0.25, 0.5], k_max: _count(2) = 6, pair_levels: _count(0) = 1,
                   fit_range: _list(index, 2) = [3, 6]):
     """The off-diagonal profile of ``family`` on the cubes of ``cube_side_cells``
     cells (default: max(4, m // 64)) at ``anchors``, fitted over ``fit_range``."""
@@ -373,8 +383,8 @@ def build_profile(cfg: ExperimentConfig, family, m: int, *, cube_side_cells: ind
     return prof
 
 
-def _cube_sample(dimension: int, m: int, seed: int, *, min_cells: index = 8,
-                 off_dyadic: index = 32) -> list[Cube]:
+def _cube_sample(dimension: int, m: int, seed: int, *, min_cells: _pow2 = 8,
+                 off_dyadic: _count(0) = 32) -> list[Cube]:
     return make_cube_sample(dimension, m, min_cells, off_dyadic, seed)
 
 
@@ -395,7 +405,7 @@ def build_rung(cfg: ExperimentConfig, m: int) -> tuple[Rung, object]:
 def _audit(cfg: ExperimentConfig, family, cube: Cube, m: int) -> dict:
     """The family audit of ``run`` and ``audit``: the pair (half of ``cube``, ``cube``)."""
     probes = _probe_fields(cfg.dimension, m, cfg.seed + 23)
-    return audit_family(family, probes, [(Cube(cube.anchor, cube.side / 2), cube)]).to_dict()
+    return audit_family(family, probes, [(descendant(cube, 1, (0,) * cube.dimension), cube)]).to_dict()
 
 
 # ---------------------------------------------------------------------------
@@ -422,7 +432,7 @@ def _condition_for(cfg: ExperimentConfig, rung: Rung, q: float):
 
 
 def _dinf_for(cfg: ExperimentConfig, rung: Rung):
-    pairs = [(Cube(q.anchor, q.side / 2), q) for q in rung.cube_sample[:24]
+    pairs = [(descendant(q, 1, (0,) * q.dimension), q) for q in rung.cube_sample[:24]
              if (cells := q.cells_per_axis(rung.m)) >= 2 and cells % 2 == 0]
     return estimate_condition(rung.hypothesis, "Dinf", cube_pairs=pairs, seed=cfg.seed)
 
@@ -476,7 +486,7 @@ def _exponential(ctx: HarnessContext) -> tuple[dict, bool]:
 
 
 def _good_lambda(ctx: HarnessContext, *, cube: Cube.from_dict = None, s: float = 4.0,
-                 lam: float = 0.5, t_points: index = 20) -> tuple[dict, bool]:
+                 lam: float = 0.5, t_points: _count(2) = 20) -> tuple[dict, bool]:
     """The good-lambda harness on ``cube`` (default: side 1/4 at 1/4 on each axis)."""
     q_cube = Cube((0.25,) * ctx.cfg.dimension, 0.25) if cube is None else cube
     rep = verify_good_lambda(ctx.rungs[-1], q_cube, s, lam, ctx.q, t_points)
@@ -508,8 +518,8 @@ def _bmo(ctx: HarnessContext, *, ps: _list(float) = [1.0, 2.0, 4.0], s: float = 
     return {"bmo": per_op}, passed
 
 
-def _epi(dimension: int, *, root: Cube.from_dict = None, families: index = 200,
-         bound_factor: float = 8.0, k_max: index = 3) -> tuple[Cube, int, float, int]:
+def _epi(dimension: int, *, root: Cube.from_dict = None, families: _count(1) = 200,
+         bound_factor: float = 8.0, k_max: _count(0) = 3) -> tuple[Cube, int, float, int]:
     """The keys of the ``epi`` section, read by the pair-dq and hyp-k harnesses;
     ``root`` defaults to the cube of side 1/2 at the origin."""
     return (Cube((0.0,) * dimension, 0.5) if root is None else root), families, bound_factor, k_max
@@ -574,9 +584,7 @@ def _rh_sets(ctx: HarnessContext) -> tuple[dict, bool]:
     worst = 0.0
     checked = 0
     for q_cube in target.cube_sample[:16]:
-        my_cells = np.zeros((m,) * cfg.dimension, dtype=bool)
-        my_cells[q_cube.index(m)] = True
-        idx = np.flatnonzero(my_cells.ravel())
+        idx = np.flatnonzero(q_cube.mask(m))
         for _ in range(4):
             k = int(rng.integers(1, idx.size + 1))
             pick = rng.choice(idx, size=k, replace=False)
@@ -621,10 +629,12 @@ NEEDS_CONDITION = {"weak", "strong", "weighted-identity"}
 def validate(*, dimension: index, resolution_ladder: _ladder, field, family, name: str = "",
              seed: index = 0, functional={}, exponents={}, weight=None, cube_sample={}, profile={},
              variant: str = "tilde", harnesses: _list(_name_in(HARNESSES)) = ["weak"],
-             condition_families: index = 20, k_max: index = 3, good_lambda={}, bmo={}, epi={}) -> None:
+             condition_families: _count(1) = 20, k_max: _count(0) = 3, good_lambda={}, bmo={},
+             epi={}) -> None:
     """The reader of a config's top level (its keys are these parameters): checks what
     no single key decides, the bmo operator kinds, the dimension of the configured
-    cubes and the theorems' exponent window."""
+    cubes, the cube sample's least side and the profile's anchors against the
+    ladder, and the theorems' exponent window."""
     operators = _bmo_ladders(bmo["operators"], resolution_ladder)
     for kind, spec in _bmo_operators(operators, bmo["operator_params"]).items():
         where = "bmo.operator_params" if kind in bmo["operator_params"] else "bmo.operators"
@@ -633,6 +643,13 @@ def validate(*, dimension: index, resolution_ladder: _ladder, field, family, nam
         if kind not in operators:
             raise ParameterError(f"bmo.operator_params.{kind}: the bmo harness runs no {kind} operator "
                                  f"(it runs: {', '.join(operators)})")
+    m = min(resolution_ladder)
+    if cube_sample["min_cells"] > m:
+        raise ParameterError(f"cube_sample.min_cells: {cube_sample['min_cells']} cells exceed the "
+                             f"smallest resolution {m}")
+    for a in profile["anchors"]:
+        if (a * m) % 1:
+            raise ParameterError(f"profile.anchors: {a} is not on the 1/{m} cell lattice")
     for where, cube in (("good_lambda.cube", good_lambda["cube"]), ("epi.root", epi["root"])):
         if cube is not None and cube.dimension != dimension:
             raise ParameterError(f"{where}: a cube of dimension {cube.dimension} in a {dimension}-D config")

@@ -87,6 +87,12 @@ class Cube:
             return tuple(slice(a, a + c) for a in lo)
         return np.ix_(*self.cell_arrays(m))
 
+    def mask(self, m: int) -> np.ndarray:
+        """Boolean ``(m,) * n`` array, True on the cube's cells."""
+        out = np.zeros((m,) * self.dimension, dtype=bool)
+        out[self.index(m)] = True
+        return out
+
     def cell_count(self, m: int) -> int:
         return self.cells_per_axis(m) ** self.dimension
 
@@ -138,35 +144,41 @@ class Dilation:
     saturated: bool
 
 
-def dilate(q: Cube, lam: float, m: int) -> Dilation:
-    """Concentric dilation ``lam * q`` with torus saturation and outward snapping.
+def _snapped(lo: int, c: int, lam: float) -> tuple[int, int]:
+    """(first cell, cell count) of the concentric ``lam``-dilate of the cells
+    [lo, lo + c), rounded outward to whole cells.
 
-    The exact concentric cube has side min(lam * side, 1); its anchor is then
-    rounded outward to the cell lattice so the returned cube always contains
-    the exact one (conservative for upper bounds).  ``saturated`` is set when
-    the side was clipped at the full torus.
+    The dilate grows by (lam - 1) c / 2 cells on each side, rounded up
+    exactly (``lam`` as its integer ratio), so the result is the least cell
+    interval containing the exact dilate.
+    """
+    num, den = lam.as_integer_ratio()
+    grow = -(c * (den - num) // (2 * den))
+    return lo - grow, c + 2 * grow
+
+
+def dilate(q: Cube, lam: float, m: int) -> Dilation:
+    """Concentric dilation ``lam * q`` of a cube on the 1/m lattice, snapped outward.
+
+    The returned cube is the least lattice cube containing the exact
+    concentric cube of side lam * side (``_snapped``); ``saturated`` is set,
+    and the cube is the full torus, when that covers an axis.
     """
     if lam < 1.0:
         raise ParameterError(f"dilation factor must be >= 1, got {lam}")
-    n = q.dimension
+    first, size = _snapped(0, int(q.side * m), lam)
+    if size >= m:
+        return Dilation(full_torus(q.dimension), True)
     h = 1.0 / m
-    target = lam * q.side
-    if target >= 1.0 - ALIGN_TOL:
-        return Dilation(full_torus(n), True)
-    anchors = []
-    side_cells = 0
-    for a in q.anchor:
-        ctr = a + q.side / 2.0
-        lo = ctr - target / 2.0
-        hi = ctr + target / 2.0
-        lo_c = int(np.floor(lo * m + ALIGN_TOL * m))
-        hi_c = int(np.ceil(hi * m - ALIGN_TOL * m))
-        side_cells = max(side_cells, hi_c - lo_c)
-        anchors.append(lo_c)
-    if side_cells >= m:
-        return Dilation(full_torus(n), True)
-    cube = Cube(tuple((lo_c % m) * h for lo_c in anchors), side_cells * h)
-    return Dilation(cube, False)
+    return Dilation(Cube(tuple([((int(a * m) + first) % m) * h for a in q.anchor]), size * h), False)
+
+
+def concentric(q: Cube, lam: float) -> Dilation:
+    """The exact, unsnapped concentric dilation ``lam * q``, saturated at the torus."""
+    side = lam * q.side
+    if side >= 1.0:
+        return Dilation(full_torus(q.dimension), True)
+    return Dilation(Cube(tuple((c - side / 2.0) % 1.0 for c in q.center), side), False)
 
 
 def dyadic_dilations(q: Cube, m: int, k_max: Optional[int] = None) -> Iterator[tuple[int, Dilation]]:
@@ -227,13 +239,6 @@ class SummedAreaTable:
         return total
 
 
-def _dilated4_bounds(lo: int, c: int) -> tuple[int, int]:
-    """Cell bounds of the outward-snapped concentric 4-dilation of [lo, lo+c)."""
-    if c == 1:
-        return lo - 2, 5
-    return lo - (3 * c) // 2, 4 * c
-
-
 def whitney_decompose(omega: np.ndarray, q: Cube) -> list[Cube]:
     """Decompose an open cell-set into disjoint dyadic cubes sized by boundary distance.
 
@@ -282,11 +287,10 @@ def whitney_decompose(omega: np.ndarray, q: Cube) -> list[Cube]:
                 descend(sums, accept, tuple(l + half * i for l, i in zip(lo, idx)), half)
 
     def dilated_inside(lo: tuple[int, ...], c: int, inside: int) -> bool:
-        if 4 * c >= m:
+        first, size = _snapped(0, c, 4.0)
+        if size >= m:
             return False
-        bounds = [_dilated4_bounds(l, c) for l in lo]
-        size = bounds[0][1]
-        return table.box_sum(tuple(b[0] for b in bounds), size) == size ** n
+        return table.box_sum(tuple(l + first for l in lo), size) == size ** n
 
     descend(table, dilated_inside, (0,) * n, m)
 
@@ -313,7 +317,6 @@ def whitney_check(omega: np.ndarray, cubes: Sequence[Cube], m: int) -> dict:
     10Q-touches-complement property, plus the count of cubes whose concentric
     4-dilation stays inside omega (boundary cubes cannot satisfy it).
     """
-    n = omega.ndim
     count = np.zeros_like(omega, dtype=np.int64)
     dilated_inside = 0
     ten_q_ok = True
@@ -322,11 +325,7 @@ def whitney_check(omega: np.ndarray, cubes: Sequence[Cube], m: int) -> dict:
         d4 = dilate(q, 4.0, m)
         if not d4.saturated and bool(omega[d4.cube.index(m)].all()):
             dilated_inside += 1
-        d10 = dilate(q, 10.0, m)
-        region = np.ones_like(omega) if d10.saturated else np.zeros_like(omega)
-        if not d10.saturated:
-            region[d10.cube.index(m)] = True
-        if not bool((region & ~omega).any()):
+        if bool(omega[dilate(q, 10.0, m).cube.index(m)].all()):
             ten_q_ok = False
     disjoint = bool((count <= 1).all())
     cover = bool(((count == 1) == omega).all())
@@ -360,23 +359,26 @@ def cube_wraps(q: Cube) -> bool:
     return any(a + q.side > 1.0 + ALIGN_TOL for a in q.anchor)
 
 
-def _descendant(q: Cube, g: int, k: Sequence[int]) -> Cube:
+def descendant(q: Cube, g: int, k: Sequence[int]) -> Cube:
     """Generation-g dyadic descendant of q at per-axis offsets k (each in 0..2^g - 1).
 
-    The one child rule: the anchor and side are halved and shifted one
-    generation at a time along the path from q, so every caller gets the
-    same floats for the same node.
+    The one child rule: side l(q) / 2^g and anchor (a + k l(q) / 2^g) mod 1,
+    exact on lattice cubes, so every caller gets the same floats for the
+    same node.
     """
-    anchor, side = q.anchor, q.side
-    for level in range(g - 1, -1, -1):
-        side = side / 2.0
-        anchor = tuple((a + ((int(ki) >> level) & 1) * side) % 1.0 for a, ki in zip(anchor, k))
-    return Cube(anchor, side)
+    side = q.side / 2 ** g
+    return Cube(tuple([(a + int(ki) * side) % 1.0 for a, ki in zip(q.anchor, k)]), side)
 
 
-def _dyadic_children(q: Cube) -> list[Cube]:
-    """The 2^n children of q, in C order of their offsets."""
-    return [_descendant(q, 1, k) for k in itertools.product((0, 1), repeat=q.dimension)]
+def dyadic_generation(q: Cube, g: int) -> list[Cube]:
+    """The 2^{g n} generation-g descendants of q, in C order of their offsets.
+
+    Each is ``descendant(q, g, k)`` at its offset k; the anchors are worked
+    out once per axis and combined.
+    """
+    side = q.side / 2 ** g
+    axes = [[(a + k * side) % 1.0 for k in range(2 ** g)] for a in q.anchor]
+    return [Cube(anchor, side) for anchor in itertools.product(*axes)]
 
 
 def _random_packing(q: Cube, rng: np.random.Generator, max_depth: int) -> list[Cube]:
@@ -395,7 +397,7 @@ def _random_packing(q: Cube, rng: np.random.Generator, max_depth: int) -> list[C
             if depth >= 1:
                 chosen.append(node)
             return
-        for child in _dyadic_children(node):
+        for child in dyadic_generation(node, 1):
             if rng.random() < 0.75:
                 walk(child, depth + 1)
 
@@ -442,7 +444,7 @@ def _stopping_time_family(q: Cube, rng: np.random.Generator, means: list[np.ndar
         for ax in range(taken.ndim):
             taken = taken.repeat(2, axis=ax)
         hit = (means[g] > tau) & ~taken
-        out.extend(_descendant(q, g, k) for k in np.argwhere(hit))
+        out.extend(descendant(q, g, k) for k in np.argwhere(hit))
         taken |= hit
         if taken.all():
             break
@@ -477,7 +479,7 @@ def sample_disjoint_families(
 
     families: list[DisjointFamily] = [DisjointFamily(q, (q,))]
     if count >= 2 and max_depth >= 1:
-        families.append(DisjointFamily(q, tuple(_dyadic_children(q))))
+        families.append(DisjointFamily(q, tuple(dyadic_generation(q, 1))))
     means = None
     i = 0
     while len(families) < count:

@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from osclab._support import ParameterError, build_kind, ratio
-from osclab.cubes import Cube, DisjointFamily, dilate, full_torus
+from osclab.cubes import Cube, DisjointFamily, concentric, dilate, full_torus
 from osclab.grid import Field, lp_average
 from osclab.operators import OffDiagonalProfile
 from osclab.weights import Weight
@@ -37,9 +37,9 @@ HORIZON = 48
 
 
 # Sequence builders: (*, the kind's config keys) -> (gamma_k for k >= 0, exact
-# tail sum from k0 >= 0 or None for a guarded one, whether gamma decreases):
-# geometric scale 2^{-sigma k}, gauss scale exp(-rate 4^k), and a table of
-# values (zero beyond it).
+# tail sum from k0 >= 0 or None for a guarded one, the length of a table
+# beyond which gamma is zero or None for a decreasing gamma): geometric
+# scale 2^{-sigma k}, gauss scale exp(-rate 4^k), and a table of values.
 
 
 def _geometric(*, sigma, scale=1.0):
@@ -47,21 +47,21 @@ def _geometric(*, sigma, scale=1.0):
     if sigma <= 0 or scale < 0:
         raise ParameterError("geometric sequence needs sigma > 0 to be summable and scale >= 0")
     r = 2.0 ** (-sigma)
-    return (lambda k: scale * 2.0 ** (-sigma * k)), (lambda k0: scale * r ** k0 / (1.0 - r)), True
+    return (lambda k: scale * 2.0 ** (-sigma * k)), (lambda k0: scale * r ** k0 / (1.0 - r)), None
 
 
 def _gauss(*, rate, scale=1.0):
     rate, scale = float(rate), float(scale)
     if rate <= 0 or scale < 0:
         raise ParameterError("gauss sequence needs rate > 0 and scale >= 0")
-    return (lambda k: scale * math.exp(-rate * 4.0 ** k)), None, True
+    return (lambda k: scale * math.exp(-rate * 4.0 ** k)), None, None
 
 
 def _table(*, values):
     vals = [float(v) for v in values]
     if any(v < 0 for v in vals):
         raise ParameterError("sequence entries must be nonnegative")
-    return (lambda k: vals[k] if k < len(vals) else 0.0), (lambda k0: float(sum(vals[k0:]))), False
+    return (lambda k: vals[k] if k < len(vals) else 0.0), (lambda k0: float(sum(vals[k0:]))), len(vals)
 
 
 #: sequence kind -> builder
@@ -73,7 +73,7 @@ class Coeffs:
 
     def __init__(self, kind: str, **params):
         self.kind = kind
-        self._at, self._tail, self._decreasing = build_kind(COEFFS, {**params, "kind": kind}, "gamma")
+        self._at, self._tail, self._length = build_kind(COEFFS, {**params, "kind": kind}, "gamma")
 
     def at(self, k: int) -> float:
         return 0.0 if k < 0 else self._at(k)
@@ -92,14 +92,12 @@ class Coeffs:
 
     def supified(self) -> "Coeffs":
         """Replace gamma_k by sup_{j >= k} gamma_j (quasi-decreasing enforcement)."""
-        if self._decreasing:
+        if self._length is None:
             return self
-        horizon = 64
-        vals = [self.at(k) for k in range(horizon)]
-        out = vals[:]
-        for k in range(horizon - 2, -1, -1):
-            out[k] = max(out[k], out[k + 1])
-        return Coeffs("table", values=out)
+        vals = [self.at(k) for k in range(self._length)]
+        for k in range(self._length - 2, -1, -1):
+            vals[k] = max(vals[k], vals[k + 1])
+        return Coeffs("table", values=vals)
 
 
 # ---------------------------------------------------------------------------
@@ -118,17 +116,14 @@ class Functional:
     #: grid resolution backing the functional, when it has one
     resolution: Optional[int] = None
 
-    def _key(self, q: Cube):
-        return (tuple(round(a * 2 ** 40) for a in q.anchor), round(q.side * 2 ** 40))
-
     def eval(self, q: Cube) -> float:
-        key = self._key(q)
-        if key not in self._memo:
+        """a(q), memoized by the cube's value: equal cubes share one evaluation."""
+        if q not in self._memo:
             val = float(self._eval(q))
             if val < 0:
                 raise ParameterError(f"functional {self.kind} produced a negative value")
-            self._memo[key] = val
-        return self._memo[key]
+            self._memo[q] = val
+        return self._memo[q]
 
     def _eval(self, q: Cube) -> float:
         raise NotImplementedError
@@ -137,15 +132,9 @@ class Functional:
         """2^k q with torus saturation, snapped when grid-backed."""
         if k == 0:
             return q, q.side >= 1.0
-        if self.resolution is not None:
-            d = dilate(q, float(2 ** k), self.resolution)
-            return d.cube, d.saturated
-        side = (2.0 ** k) * q.side
-        if side >= 1.0:
-            return full_torus(q.dimension), True
-        ctr = q.center
-        anchor = tuple((c - side / 2.0) % 1.0 for c in ctr)
-        return Cube(anchor, side), False
+        lam = float(2 ** k)
+        d = concentric(q, lam) if self.resolution is None else dilate(q, lam, self.resolution)
+        return d.cube, d.saturated
 
     def series(self, coeffs: Coeffs, q: Cube, start: int) -> float:
         """sum_{k >= start} gamma_k a(2^k q) with the closed-form saturated tail."""

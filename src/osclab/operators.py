@@ -31,7 +31,7 @@ import scipy.sparse as sp
 from numpy.lib.stride_tricks import sliding_window_view
 
 from osclab._support import DataError, NumericError, ParameterError
-from osclab.cubes import Cube, dilate
+from osclab.cubes import Cube, descendant, dilate
 from osclab.grid import Field, lp_average, scale_sweep_max, sliding_central_moments, sliding_cube_means
 
 
@@ -44,10 +44,10 @@ class EllipticOperator:
     """Divergence-form generator L = -div(A(x) grad) on the periodic grid.
 
     ``coeffs`` is either the full (n, n, *grid) block layout or, for scalar
-    coefficients, just the grid-shaped array (then ``dimension`` names the
-    grid dimension; it defaults to ``coeffs.ndim``).  ``p_minus``/``p_plus``
-    are metadata slots for the exponent range of the associated semigroup;
-    they are configured per experiment, not derived.
+    coefficients, just the grid-shaped array; ``dimension`` is the grid
+    dimension n.  ``p_minus``/``p_plus`` are metadata slots for the exponent
+    range of the associated semigroup; they are configured per experiment,
+    not derived.
     """
 
     def __init__(
@@ -55,18 +55,13 @@ class EllipticOperator:
         coeffs: np.ndarray,
         lam: float,
         big_lam: float,
-        dimension: Optional[int] = None,
+        dimension: int,
         p_minus: float = 1.0,
         p_plus: float = math.inf,
     ):
         if lam <= 0 or big_lam < lam:
             raise ParameterError("need 0 < lam <= big_lam")
         a = np.asarray(coeffs)
-        if dimension is None:
-            if a.ndim >= 3 and a.shape[0] == a.shape[1] and a.shape[0] == a.ndim - 2:
-                dimension = a.ndim - 2
-            else:
-                dimension = a.ndim
         if a.ndim == dimension:  # scalar shorthand: A = a(x) I
             a = np.multiply.outer(np.eye(dimension), a)
         if a.shape[:2] != (dimension, dimension):
@@ -569,17 +564,14 @@ def make_family(
 # ---------------------------------------------------------------------------
 
 
-def _masked_field(base: Field, ix: tuple) -> Field:
-    vals = np.zeros_like(base.values)
-    vals[ix] = base.values[ix]
-    return Field(vals)
+def _masked_field(base: Field, q: Cube) -> Field:
+    """``base`` on the cells of q, zero elsewhere."""
+    return Field(np.where(q.mask(base.resolution), base.values, 0.0))
 
 
 def _annulus_fields(base_probes: Sequence[Field], outer: Cube, inner: Cube, m: int) -> list[Field]:
     """The indicator of outer minus inner and each probe restricted to it, without repeats."""
-    mask = np.zeros((m,) * outer.dimension, dtype=bool)
-    mask[outer.index(m)] = True
-    mask[inner.index(m)] = False
+    mask = outer.mask(m) & ~inner.mask(m)
     if not mask.any():
         return []
     out = [Field(mask.astype(float))]
@@ -630,7 +622,7 @@ def measure_offdiagonal(
             if outer.saturated:
                 break
             if k == 2:
-                sources = [_masked_field(p, outer.cube.index(m)) for p in probes]
+                sources = [_masked_field(p, outer.cube) for p in probes]
             else:
                 sources = _annulus_fields(probes, outer.cube, dilate(q, 2.0 ** (k - 1), m).cube, m)
             shells[k] = [(family.apply_A(p, q), lp_average(p, outer.cube, p0))
@@ -639,7 +631,7 @@ def measure_offdiagonal(
         # average over Q itself, the others read shell 2
         on_diagonal = shells.get(2, [])
         if family.is_local:
-            masked = [_masked_field(p, two_q.cube.index(m)) for p in probes]
+            masked = [_masked_field(p, two_q.cube) for p in probes]
             on_diagonal = [(family.apply_A(p, q), lp_average(p, q, p0)) for p in masked]
         for ap, rhs in on_diagonal:
             lhs = lp_average(ap, two_q.cube, q0)
@@ -655,10 +647,9 @@ def measure_offdiagonal(
                         bump(alpha, k, lhs / rhs)
         # lower-scale entries on nested pairs
         for level in range(1, pair_levels + 1):
-            side = q.side / (2 ** level)
-            if side < 1.0 / m:
+            if q.cells_per_axis(m) % 2 ** level:  # R would leave the cell lattice
                 break
-            r = Cube(q.anchor, side)
+            r = descendant(q, level, (0,) * q.dimension)
             two_r = dilate(r, 2.0, m)
             for k, shell in shells.items():
                 for ap, rhs in shell:
@@ -731,11 +722,9 @@ def audit_family(
             aq = Field(f.values - bq.values)
             ident = max(ident, float(np.max(np.abs(aq.values + bq.values - f.values))))
             # localization
-            ix = dilate(q, 2.0, m).cube.index(m)
-            a_masked = family.apply_A(_masked_field(f, ix), q).values
-            rhs_vals = np.zeros_like(a_masked)  # complex when the family is
-            rhs_vals[ix] = a_masked[ix]
-            loc_defect = max(loc_defect, float(np.max(np.abs(aq.values - rhs_vals))))
+            two_q = dilate(q, 2.0, m).cube
+            localized = _masked_field(family.apply_A(_masked_field(f, two_q), q), two_q)
+            loc_defect = max(loc_defect, float(np.max(np.abs(aq.values - localized.values))))
             # replacement identity on 2R
             ar_aq = family.apply_A(aq, r)
             ixr = dilate(r, 2.0, m).cube.index(m)

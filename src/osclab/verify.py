@@ -22,6 +22,8 @@ from osclab.cubes import (
     cube_wraps,
     dilate,
     dyadic_dilations,
+    dyadic_generation,
+    full_torus,
     whitney_check,
     whitney_decompose,
 )
@@ -54,18 +56,18 @@ STABILITY_SLACK = 2.0
 
 
 def make_cube_sample(dimension: int, m: int, min_cells: int, off_dyadic: int, seed: int) -> list[Cube]:
-    """All dyadic cubes of >= min_cells per axis plus seeded off-dyadic cubes.
+    """All dyadic cubes of >= min_cells per axis (the generations of the torus,
+    coarsest first) plus seeded off-dyadic cubes.
 
     Dyadic-only sampling can hide translation effects, hence the off-lattice
     extras; the seed makes the sample reproducible.
     """
     cubes: list[Cube] = []
-    side_cells = m
-    while side_cells >= min_cells:
-        step = side_cells
-        for idx in np.ndindex(*(m // step,) * dimension):
-            cubes.append(Cube(tuple(i * step / m for i in idx), side_cells / m))
-        side_cells //= 2
+    torus = full_torus(dimension)
+    for g in range(m.bit_length()):  # generations down to single cells, whatever min_cells says
+        if m >> g < min_cells:
+            break
+        cubes.extend(dyadic_generation(torus, g))
     rng = rng_from_seed(seed)
     lo = int(math.log2(min_cells))
     hi = max(lo + 1, int(math.log2(m)))
@@ -97,11 +99,12 @@ class Rung:
     ``denominator`` is the conclusion right-hand side evaluated at Q (wrap
     the 2Q dilation inside it when the statement asks for one); ``partner``
     optionally carries the un-dilated pair functional for the two-functional
-    condition.  ``cache`` holds B_Q f per cube (``b_field``) and the walk of
-    the hypothesis over the cube sample (``hypothesis_rows``); rungs made from
-    this one by ``dataclasses.replace`` share it, and its keys carry the
-    material an entry was computed from, so a rung with other material never
-    reads an entry that is not its own.
+    condition.  ``cache`` holds B_Q f (``b_field``), keyed by the cube's value
+    (equal cubes share an entry; a family that depends only on the sidelength
+    keeps one per side), and the walk of the hypothesis over the cube sample
+    (``hypothesis_rows``).  Rungs made from this one by ``dataclasses.replace``
+    share it, and its keys carry the material an entry was computed from, so
+    a rung with other material never reads an entry that is not its own.
     """
 
     m: int
@@ -120,8 +123,7 @@ class Rung:
         Families that depend only on the sidelength keep one entry per side.
         """
         fam, f = self.family, self.field
-        cube_key = round(q.side * 2 ** 40) if fam.sidelength_only else (q.anchor, q.side)
-        key = (id(f), id(fam), cube_key)
+        key = (id(f), id(fam), q.side if fam.sidelength_only else q)
         if key not in self.cache:
             # the entry keeps f and fam alive, so their ids stay unique
             self.cache[key] = (f, fam, fam.apply_B(f, q))
@@ -430,10 +432,7 @@ def verify_good_lambda(
     scale = float(np.max(np.abs(bq2.values)) + 1e-300)
     identity_defect = float(np.max(np.abs(bq2.values - alt))) / scale
 
-    two_q = dilate(q_cube, 2.0, m).cube
-    g_vals = np.zeros_like(np.abs(bq2.values))
-    ix = two_q.index(m)
-    g_vals[ix] = np.abs(bq2.values)[ix]
+    g_vals = np.where(dilate(q_cube, 2.0, m).cube.mask(m), np.abs(bq2.values), 0.0)
     mg = maximal_function(Field(g_vals), p0).values
 
     denom = rung.denominator.eval(q_cube)
@@ -464,8 +463,7 @@ def verify_good_lambda(
     t_hi = max(0.98 * t_max, t_switch * 1.05)
     ts = np.logspace(math.log10(t_lo), math.log10(t_hi), t_points)
 
-    in_q = np.zeros_like(mg, dtype=bool)
-    in_q[q_cube.index(m)] = True
+    in_q = q_cube.mask(m)
 
     rows = []
     whitney = []

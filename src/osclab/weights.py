@@ -174,11 +174,9 @@ def rh_subset_check(w: Weight, q: Cube, subset_mask: np.ndarray, p: float) -> tu
     a direct consequence of Holder's inequality, so lhs <= rhs holds exactly.
     """
     m = w.resolution
-    inside = np.zeros_like(subset_mask)
-    inside[q.index(m)] = True
     if not bool(subset_mask.any()):
         raise ParameterError("subset is empty")
-    if bool((subset_mask & ~inside).any()):
+    if bool((subset_mask & ~q.mask(m)).any()):
         raise ParameterError("subset must be contained in the cube")
     c = rh_constant_on_cube(w, q, p)
     lhs = float(w.density.values[subset_mask].sum()) * w.density.cell_volume / w.mass(q)

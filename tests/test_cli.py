@@ -155,6 +155,23 @@ def test_config_rejects_unknown_keys_and_harnesses(override, offender):
         # a cube must have the config's dimension (classical-jn is 1-D)
         ('good_lambda.cube={"anchor": [0.25, 0.25], "side": 0.25}', "good_lambda.cube"),
         ('epi.root={"anchor": [0.0, 0.0], "side": 0.5}', "epi.root"),
+        # a count below its least value fails at load, naming its key
+        ("k_max=-1", "k_max"),
+        ("condition_families=0", "condition_families"),
+        ("cube_sample.min_cells=0", "cube_sample.min_cells"),
+        ("cube_sample.min_cells=6", "cube_sample.min_cells"),
+        ("cube_sample.min_cells=512", "cube_sample.min_cells"),  # above the smallest rung
+        ("cube_sample.off_dyadic=-3", "cube_sample.off_dyadic"),
+        ("good_lambda.t_points=0", "good_lambda.t_points"),
+        ("good_lambda.t_points=1", "good_lambda.t_points"),
+        ("profile.cube_side_cells=0", "profile.cube_side_cells"),
+        ("profile.k_max=1", "profile.k_max"),
+        ("profile.pair_levels=-1", "profile.pair_levels"),
+        ("family.N=0", "family.N"),
+        ("epi.families=0", "epi.families"),
+        ("epi.k_max=-1", "epi.k_max"),
+        # cubes are read in whole cells: a profile anchor off the smallest rung's lattice
+        ("profile.anchors=[0.3]", "profile.anchors"),
     ],
 )
 def test_load_rejects_a_value_its_key_cannot_take(override, path):

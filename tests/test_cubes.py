@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import itertools
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -10,18 +14,21 @@ from osclab.cubes import (
     Cube,
     DisjointFamily,
     SummedAreaTable,
-    _descendant,
-    _dyadic_children,
+    concentric,
     _generation_means,
     _random_packing,
     _stopping_time_family,
+    descendant,
+    Dilation,
     dilate,
     dyadic_dilations,
+    dyadic_generation,
     full_torus,
     sample_disjoint_families,
     whitney_check,
     whitney_decompose,
 )
+from osclab.functionals import Functional
 from osclab.grid import Field
 
 
@@ -100,14 +107,110 @@ def test_dyadic_dilations_stop_at_saturation():
     assert ks == [0, 1, 2, 3]  # 2^3 * 1/8 = 1 saturates
 
 
+def lattice_cubes(dim, m):
+    """Every cube on the 1/m lattice: each anchor cell and each side of 1..m cells."""
+    for c in range(1, m + 1):
+        for lo in itertools.product(range(m), repeat=dim):
+            yield Cube(tuple(i / m for i in lo), c / m)
+
+
+def least_lattice_dilate(q, lam, m):
+    """The least 1/m-lattice cube containing the exact concentric lam * q, in
+    exact arithmetic, and whether it covers an axis."""
+    lam, side = Fraction(lam), Fraction(q.side)
+    if lam * side >= 1:
+        return full_torus(q.dimension), True
+    anchor, cells = [], 0
+    for a in q.anchor:
+        center = Fraction(a) + side / 2
+        lo = math.floor((center - lam * side / 2) * m)
+        hi = math.ceil((center + lam * side / 2) * m)
+        anchor.append(Fraction(lo % m, m))
+        cells = hi - lo
+    if cells >= m:
+        return full_torus(q.dimension), True
+    return Cube(tuple(float(a) for a in anchor), cells / m), False
+
+
+DILATION_FACTORS = sorted({1.0, 1.5, 2.0, 3.0, 4.0, 5.0, 10.0} | {2.0 ** k for k in range(8)})
+
+
+@pytest.mark.parametrize("dim, ms", [(1, (1, 2, 4, 8, 16, 32, 64)), (2, (1, 2, 4, 8, 16))])
+def test_dilate_is_the_least_lattice_cube_containing_the_exact_dilate(dim, ms):
+    # the one snap rule, against exact rational arithmetic; Whitney's 4Q test
+    # uses the same rule, so this pins it too
+    for m in ms:
+        for q in lattice_cubes(dim, m):
+            for lam in DILATION_FACTORS:
+                want, saturated = least_lattice_dilate(q, lam, m)
+                d = dilate(q, lam, m)
+                assert (d.cube, d.saturated) == (want, saturated), (q, lam, m)
+
+
+def test_concentric_is_exact_and_saturates_at_the_torus():
+    q = Cube((0.875,), 0.125)
+    assert concentric(q, 2.0) == Dilation(Cube((0.8125,), 0.25), False)
+    assert concentric(q, 3.0) == Dilation(Cube((0.75,), 0.375), False)
+    assert concentric(q, 8.0) == Dilation(full_torus(1), True)
+    # where the dilate grows by whole cells on each side, the exact and the
+    # snapped dilate are the same cube
+    for q in lattice_cubes(2, 8):
+        for lam in (2.0, 4.0):
+            if (q.side * 8 * (lam - 1)) % 2 == 0:
+                assert concentric(q, lam) == dilate(q, lam, 8), (q, lam)
+
+
+class CountingFunctional(Functional):
+    """a(Q) = l(Q), counting its evaluations."""
+
+    kind = "counting"
+
+    def __init__(self):
+        super().__init__()
+        self.calls = 0
+
+    def _eval(self, q):
+        self.calls += 1
+        return q.side
+
+
+def test_equal_cubes_share_one_evaluation():
+    # the memo is keyed by cube value: the same cube reached by a dilation, a
+    # descent across the seam, an exact dilate or from JSON is evaluated once
+    a = CountingFunctional()
+    built = [
+        dilate(Cube((0.25, 0.5), 0.125), 2.0, 64).cube,
+        descendant(Cube((0.9375, 0.1875), 0.5), 1, (1, 1)),
+        concentric(Cube((0.25, 0.5), 0.125), 2.0).cube,
+        Cube.from_dict({"anchor": [0.1875, 0.4375], "side": 0.25}),
+    ]
+    assert len(set(built)) == 1
+    assert [a.eval(q) for q in built] == [0.25] * 4
+    assert a.calls == 1
+
+
 # ---------------------------------------------------------------------------
 # dyadic subcubes
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.parametrize("dim, m, anchor, cells", [
+    (1, 64, (0.75,), 32), (1, 64, (0.3125,), 16), (2, 16, (0.75, 0.5), 8), (2, 16, (0.0, 0.875), 4),
+])
+def test_dyadic_generation_tiles_its_cube(dim, m, anchor, cells):
+    # seam-crossing and plain cubes: each generation covers q once, cell by cell
+    q = Cube(anchor, cells / m)
+    for g in range(cells.bit_length()):
+        kids = dyadic_generation(q, g)
+        assert len(kids) == 2 ** (g * dim)
+        assert np.array_equal(sum(k.mask(m).astype(int) for k in kids), q.mask(m).astype(int)), g
+        offsets = itertools.product(range(2 ** g), repeat=dim)
+        assert kids == [descendant(q, g, k) for k in offsets], g
+
+
 def test_dyadic_children_2d_tile():
     q = Cube((0.0, 0.5), 0.5)
-    kids = _dyadic_children(q)
+    kids = dyadic_generation(q, 1)
     assert len(kids) == 4
     assert [k.anchor for k in kids] == [(0.0, 0.5), (0.0, 0.75), (0.25, 0.5), (0.25, 0.75)]  # C order
     mask = cell_mask(kids, 16, 2)
@@ -121,7 +224,7 @@ def test_dyadic_children_2d_tile():
 
 def test_descendants_1d_depth3_cells_match():
     q = Cube((0.5,), 0.5)
-    level = [_descendant(q, 3, (k,)) for k in range(8)]
+    level = [descendant(q, 3, (k,)) for k in range(8)]
     assert all(c.side == 0.5 / 8 for c in level)
     mask = cell_mask(level, 64, 1)
     qmask = cell_mask([q], 64, 1)
@@ -290,7 +393,7 @@ def reference_stopping_time_family(q, m, rng, values):
             out.append(node)
             return
         if node.cells_per_axis(m) % 2 == 0:
-            for child in _dyadic_children(node):
+            for child in dyadic_generation(node, 1):
                 walk(child)
 
     walk(q)
@@ -358,7 +461,7 @@ def test_stopping_time_walk_matches_per_node_walk(dim, m, anchor, cells):
             # after the two canonical families, draws alternate a random
             # packing and a stopping-time family on one generator
             rng = rng_from_seed(seed)
-            want = [[q]] + ([_dyadic_children(q)] if cells % 2 == 0 else [])
+            want = [[q]] + ([dyadic_generation(q, 1)] if cells % 2 == 0 else [])
             max_depth = min(4, (cells & -cells).bit_length() - 1)
             for i in range(10 - len(want)):
                 want.append(reference_stopping_time_family(q, m, rng, values) if i % 2
@@ -455,6 +558,16 @@ def test_cube_index_matches_ix(dim, m):
         assert int(mask.sum()) == q.cell_count(m), q
         assert np.array_equal(mask, cell_mask([q], m, dim)), q
     assert np.array_equal(field.values, values)
+
+
+@pytest.mark.parametrize("dim, m", [(1, 16), (2, 8)])
+def test_cube_mask_is_assignment_through_index(dim, m):
+    # every lattice cube, those crossing the seam included
+    for q in lattice_cubes(dim, m):
+        want = np.zeros((m,) * dim, dtype=bool)
+        want[q.index(m)] = True
+        got = q.mask(m)
+        assert got.dtype == np.bool_ and np.array_equal(got, want), q
 
 
 # ---------------------------------------------------------------------------

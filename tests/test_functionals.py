@@ -84,6 +84,17 @@ def test_memoization_is_deterministic():
     assert a.eval(q) == a.eval(q)
 
 
+def test_supified_table_keeps_every_entry():
+    # sup_{j >= k} gamma_j over the whole table, however long: 60 zeros then
+    # ten ones supify to seventy ones, with the same zero tail beyond
+    gamma = Coeffs("table", values=[0.0] * 60 + [1.0] * 10)
+    sup = gamma.supified()
+    assert gamma.tail_sum(0) == 10.0
+    assert sup.tail_sum(0) == 70.0
+    assert all(sup.at(k) >= gamma.at(k) for k in range(80))
+    assert [sup.at(k) for k in (0, 65, 69, 70)] == [1.0, 1.0, 1.0, 0.0]
+
+
 # ---------------------------------------------------------------------------
 # tilde expansion recipe
 # ---------------------------------------------------------------------------

@@ -66,6 +66,19 @@ def dq_report_for(a, m: int, r: float) -> object:
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.parametrize("dim, m, min_cells", [(1, 64, 8), (1, 16, 1), (2, 16, 4)])
+def test_cube_sample_enumerates_the_dyadic_cubes_coarsest_first(dim, m, min_cells):
+    # the dyadic part is every node of >= min_cells cells, by generation, each
+    # anchor in C order as i * step / m; the seeded off-dyadic cubes follow
+    want = [Cube(tuple(i * step / m for i in idx), step / m)
+            for step in (m >> g for g in range(m.bit_length())) if step >= min_cells
+            for idx in np.ndindex(*(m // step,) * dim)]
+    cubes = make_cube_sample(dim, m, min_cells, 5, seed=2)
+    assert cubes[:len(want)] == want
+    assert len(cubes) == len(want) + 5
+    assert all(q.cells_per_axis(m) >= min_cells for q in cubes)
+
+
 def test_hypothesis_zero_for_constant_field_semigroup():
     m = 64
     fam = make_family("semigroup", (2.0, 2.0), operator=identity_op(m))
