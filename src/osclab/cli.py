@@ -366,13 +366,16 @@ def _probe_fields(dimension: int, m: int, seed: int) -> list[Field]:
     return [make_field("constant", dimension, m, value=1.0), signs]
 
 
+def _profile_cells(cube_side_cells, m: int) -> int:
+    return max(4, m // 64) if cube_side_cells is None else cube_side_cells
+
+
 def build_profile(cfg: ExperimentConfig, family, m: int, *, cube_side_cells: _count(1) = None,
                   anchors: _list(float) = [0.25, 0.5], k_max: _count(2) = 6, pair_levels: _count(0) = 1,
                   fit_range: _list(index, 2) = [3, 6]):
     """The off-diagonal profile of ``family`` on the cubes of ``cube_side_cells``
     cells (default: max(4, m // 64)) at ``anchors``, fitted over ``fit_range``."""
-    side_cells = max(4, m // 64) if cube_side_cells is None else cube_side_cells
-    cubes = [Cube((a,) * cfg.dimension, side_cells / m) for a in anchors]
+    cubes = [Cube((a,) * cfg.dimension, _profile_cells(cube_side_cells, m) / m) for a in anchors]
     probes = _probe_fields(cfg.dimension, m, cfg.seed + 17)
     prof = measure_offdiagonal(family, probes, cubes, k_max, pair_levels)
     prof.probe_spec["dimension"] = cfg.dimension
@@ -634,7 +637,7 @@ def validate(*, dimension: index, resolution_ladder: _ladder, field, family, nam
     """The reader of a config's top level (its keys are these parameters): checks what
     no single key decides, the bmo operator kinds, the dimension of the configured
     cubes, the cube sample's least side and the profile's anchors against the
-    ladder, and the theorems' exponent window."""
+    ladder, the profile's cube against every rung, and the theorems' exponent window."""
     operators = _bmo_ladders(bmo["operators"], resolution_ladder)
     for kind, spec in _bmo_operators(operators, bmo["operator_params"]).items():
         where = "bmo.operator_params" if kind in bmo["operator_params"] else "bmo.operators"
@@ -650,6 +653,11 @@ def validate(*, dimension: index, resolution_ladder: _ladder, field, family, nam
     for a in profile["anchors"]:
         if (a * m) % 1:
             raise ParameterError(f"profile.anchors: {a} is not on the 1/{m} cell lattice")
+    for mk in resolution_ladder:  # the profile cube, and each nested pair R in it, in whole cells
+        cells, levels = _profile_cells(profile["cube_side_cells"], mk), profile["pair_levels"]
+        if cells > mk or cells % 2 ** levels:
+            raise ParameterError(f"profile.cube_side_cells: a cube of {cells} cells at m = {mk} must fit the "
+                                 f"torus and halve profile.pair_levels = {levels} times in whole cells")
     for where, cube in (("good_lambda.cube", good_lambda["cube"]), ("epi.root", epi["root"])):
         if cube is not None and cube.dimension != dimension:
             raise ParameterError(f"{where}: a cube of dimension {cube.dimension} in a {dimension}-D config")

@@ -144,9 +144,9 @@ class Dilation:
     saturated: bool
 
 
-def _snapped(lo: int, c: int, lam: float) -> tuple[int, int]:
-    """(first cell, cell count) of the concentric ``lam``-dilate of the cells
-    [lo, lo + c), rounded outward to whole cells.
+def _snapped(c: int, lam: float) -> tuple[int, int]:
+    """(first cell relative to the cube's own, cell count) of the concentric
+    ``lam``-dilate of c cells, rounded outward to whole cells.
 
     The dilate grows by (lam - 1) c / 2 cells on each side, rounded up
     exactly (``lam`` as its integer ratio), so the result is the least cell
@@ -154,7 +154,7 @@ def _snapped(lo: int, c: int, lam: float) -> tuple[int, int]:
     """
     num, den = lam.as_integer_ratio()
     grow = -(c * (den - num) // (2 * den))
-    return lo - grow, c + 2 * grow
+    return -grow, c + 2 * grow
 
 
 def dilate(q: Cube, lam: float, m: int) -> Dilation:
@@ -166,7 +166,7 @@ def dilate(q: Cube, lam: float, m: int) -> Dilation:
     """
     if lam < 1.0:
         raise ParameterError(f"dilation factor must be >= 1, got {lam}")
-    first, size = _snapped(0, int(q.side * m), lam)
+    first, size = _snapped(int(q.side * m), lam)
     if size >= m:
         return Dilation(full_torus(q.dimension), True)
     h = 1.0 / m
@@ -287,7 +287,7 @@ def whitney_decompose(omega: np.ndarray, q: Cube) -> list[Cube]:
                 descend(sums, accept, tuple(l + half * i for l, i in zip(lo, idx)), half)
 
     def dilated_inside(lo: tuple[int, ...], c: int, inside: int) -> bool:
-        first, size = _snapped(0, c, 4.0)
+        first, size = _snapped(c, 4.0)
         if size >= m:
             return False
         return table.box_sum(tuple(l + first for l in lo), size) == size ** n
@@ -371,14 +371,8 @@ def descendant(q: Cube, g: int, k: Sequence[int]) -> Cube:
 
 
 def dyadic_generation(q: Cube, g: int) -> list[Cube]:
-    """The 2^{g n} generation-g descendants of q, in C order of their offsets.
-
-    Each is ``descendant(q, g, k)`` at its offset k; the anchors are worked
-    out once per axis and combined.
-    """
-    side = q.side / 2 ** g
-    axes = [[(a + k * side) % 1.0 for k in range(2 ** g)] for a in q.anchor]
-    return [Cube(anchor, side) for anchor in itertools.product(*axes)]
+    """The 2^{g n} generation-g descendants of q, in C order of their offsets."""
+    return [descendant(q, g, k) for k in itertools.product(range(2 ** g), repeat=q.dimension)]
 
 
 def _random_packing(q: Cube, rng: np.random.Generator, max_depth: int) -> list[Cube]:

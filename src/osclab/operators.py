@@ -596,8 +596,8 @@ def measure_offdiagonal(
     alpha_K for K >= 3 takes, over every target shell index j <= K - 2, the
     worst ratio of the output norm on 2^j Q against the input average on
     2^K Q for probes supported in the shell 2^K Q minus 2^{K-1} Q.  beta_K
-    measures the lower-scale comparison on nested pairs R inside Q.  Entries
-    at dilations that saturate the torus are skipped.
+    measures the lower-scale comparison on nested pairs R of whole cells
+    inside Q.  Entries at dilations that saturate the torus are skipped.
     """
     if not probes:
         raise ParameterError("probe list must be nonempty")

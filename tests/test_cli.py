@@ -165,6 +165,11 @@ def test_config_rejects_unknown_keys_and_harnesses(override, offender):
         ("good_lambda.t_points=0", "good_lambda.t_points"),
         ("good_lambda.t_points=1", "good_lambda.t_points"),
         ("profile.cube_side_cells=0", "profile.cube_side_cells"),
+        ("profile.cube_side_cells=512", "profile.cube_side_cells"),  # above the smallest rung
+        # a nested pair R of the profile must stay on the cell lattice
+        ("profile.cube_side_cells=3", "profile.cube_side_cells"),
+        ('profile={"cube_side_cells": 4, "pair_levels": 3}', "profile.cube_side_cells"),
+        ("profile.pair_levels=3", "profile.cube_side_cells"),  # the default cube has 4 cells at m = 256
         ("profile.k_max=1", "profile.k_max"),
         ("profile.pair_levels=-1", "profile.pair_levels"),
         ("family.N=0", "family.N"),
