@@ -99,6 +99,8 @@ class ExperimentConfig(SimpleNamespace):
             key, _, raw = item.partition("=")
             if not _:
                 raise ParameterError(f"override {item!r} is not of the form key=value")
+            if "" in key.strip().split("."):
+                raise ParameterError(f"override {item!r} has an empty key")
             _set_dotted(data, key.strip(), _parse_value(raw.strip()))
         keys = _parse_section("", data)
         for where, (table, default_kind) in KIND_SECTIONS.items():
@@ -119,19 +121,25 @@ def _parse_section(path: str, spec) -> dict:
         if where in SECTIONS:
             value = _parse_section(where, value)
         elif param.annotation is not param.empty and (value is not None or param.default is not None):
-            try:
-                value = param.annotation(value)
-            except (TypeError, ValueError, LookupError, ParameterError) as exc:
-                raise ParameterError(f"{where}: {exc}") from exc
+            value = _parse(where, param.annotation, value)
         keys[key] = value
     return keys
 
 
-def _list(parse, length: Optional[int] = None):
-    """The parser of a JSON list (of ``length`` items, unless None) whose items ``parse`` reads."""
+def _parse(where: str, parse, value):
+    """``parse(value)``; a value it cannot read raises ParameterError naming ``where``."""
+    try:
+        return parse(value)
+    except (TypeError, ValueError, LookupError, ParameterError) as exc:
+        raise ParameterError(f"{where}: {exc}") from exc
+
+
+def _list(parse, length: Optional[int] = None, nonempty: bool = False):
+    """The parser of a JSON list (of ``length`` items, unless None; of at least one,
+    if ``nonempty``) whose items ``parse`` reads."""
     def parse_list(value) -> list:
-        if not isinstance(value, list) or length not in (None, len(value)):
-            count = "" if length is None else f" of {length} items"
+        if not isinstance(value, list) or length not in (None, len(value)) or (nonempty and not value):
+            count = f" of {length} items" if length is not None else " of at least one item" if nonempty else ""
             raise ValueError(f"expected a list{count}, got {value!r}")
         return [parse(v) for v in value]
     return parse_list
@@ -164,10 +172,11 @@ def _pow2(value) -> int:
 
 
 def _ladder(value) -> list:
-    """A resolution ladder: a nonempty list of powers of two."""
-    if value == []:
-        raise ValueError("a resolution ladder needs at least one resolution")
-    return _list(_pow2)(value)
+    """A resolution ladder: a nonempty, strictly increasing list of powers of two."""
+    ms = _list(_pow2, nonempty=True)(value)
+    if any(a >= b for a, b in zip(ms, ms[1:])):
+        raise ValueError(f"{ms} is not strictly increasing")
+    return ms
 
 
 def _ladders(value) -> dict:
@@ -371,8 +380,8 @@ def _profile_cells(cube_side_cells, m: int) -> int:
 
 
 def build_profile(cfg: ExperimentConfig, family, m: int, *, cube_side_cells: _count(1) = None,
-                  anchors: _list(float) = [0.25, 0.5], k_max: _count(2) = 6, pair_levels: _count(0) = 1,
-                  fit_range: _list(index, 2) = [3, 6]):
+                  anchors: _list(float, nonempty=True) = [0.25, 0.5], k_max: _count(2) = 6,
+                  pair_levels: _count(0) = 1, fit_range: _list(index, 2) = [3, 6]):
     """The off-diagonal profile of ``family`` on the cubes of ``cube_side_cells``
     cells (default: max(4, m // 64)) at ``anchors``, fitted over ``fit_range``."""
     cubes = [Cube((a,) * cfg.dimension, _profile_cells(cube_side_cells, m) / m) for a in anchors]
@@ -403,12 +412,6 @@ def build_rung(cfg: ExperimentConfig, m: int) -> tuple[Rung, object]:
     rung = Rung(m=m, field=f, family=family, hypothesis=a, denominator=denom,
                 cube_sample=cubes, weight=weight, partner=partner)
     return rung, profile
-
-
-def _audit(cfg: ExperimentConfig, family, cube: Cube, m: int) -> dict:
-    """The family audit of ``run`` and ``audit``: the pair (half of ``cube``, ``cube``)."""
-    probes = _probe_fields(cfg.dimension, m, cfg.seed + 23)
-    return audit_family(family, probes, [(descendant(cube, 1, (0,) * cube.dimension), cube)]).to_dict()
 
 
 # ---------------------------------------------------------------------------
@@ -496,11 +499,13 @@ def _good_lambda(ctx: HarnessContext, *, cube: Cube.from_dict = None, s: float =
     return {"good_lambda": rep.to_dict()}, rep.passed
 
 
-def _bmo(ctx: HarnessContext, *, ps: _list(float) = [1.0, 2.0, 4.0], s: float = 8.0,
+def _bmo(ctx: HarnessContext, *, ps: _list(float, nonempty=True) = [1.0, 2.0, 4.0], s: float = 8.0,
          alpha: float = 0.0, field_seeds: _list(index) = [31, 32, 33, 34, 35],
          operators: _ladders = None, operator_params: dict = {}) -> tuple[dict, bool]:
     """The BMO harness per operator kind of ``operators`` (default: the family's
-    own operator on the resolution ladder), its keys in ``operator_params``."""
+    own operator on the resolution ladder), its keys in ``operator_params``.  The
+    fields of each rung are the log-distance field and the random-smooth fields of
+    ``field_seeds[1:]``: ``field_seeds[0]`` is not read."""
     cfg = ctx.cfg
     per_op = {}
     passed = True
@@ -636,8 +641,9 @@ def validate(*, dimension: index, resolution_ladder: _ladder, field, family, nam
              epi={}) -> None:
     """The reader of a config's top level (its keys are these parameters): checks what
     no single key decides, the bmo operator kinds, the dimension of the configured
-    cubes, the cube sample's least side and the profile's anchors against the
-    ladder, the profile's cube against every rung, and the theorems' exponent window."""
+    cubes (an indicator field's, good-lambda's and the epi root), the cube sample's
+    least side and the profile's anchors against the ladder, the profile's cube
+    against every rung, and the theorems' exponent window."""
     operators = _bmo_ladders(bmo["operators"], resolution_ladder)
     for kind, spec in _bmo_operators(operators, bmo["operator_params"]).items():
         where = "bmo.operator_params" if kind in bmo["operator_params"] else "bmo.operators"
@@ -658,7 +664,9 @@ def validate(*, dimension: index, resolution_ladder: _ladder, field, family, nam
         if cells > mk or cells % 2 ** levels:
             raise ParameterError(f"profile.cube_side_cells: a cube of {cells} cells at m = {mk} must fit the "
                                  f"torus and halve profile.pair_levels = {levels} times in whole cells")
-    for where, cube in (("good_lambda.cube", good_lambda["cube"]), ("epi.root", epi["root"])):
+    field_cube = _parse("field.cube", Cube.from_dict, field["cube"]) if field["kind"] == "indicator" else None
+    for where, cube in (("field.cube", field_cube), ("good_lambda.cube", good_lambda["cube"]),
+                        ("epi.root", epi["root"])):
         if cube is not None and cube.dimension != dimension:
             raise ParameterError(f"{where}: a cube of dimension {cube.dimension} in a {dimension}-D config")
     if {"weak", "strong", "exponential", "good-lambda", "pair-dq"} & set(harnesses):
@@ -700,8 +708,10 @@ def run_pipeline(cfg: ExperimentConfig) -> tuple[dict, dict]:
         report["profiles"][str(m)] = prof.to_dict()
 
     t0 = time.perf_counter()
-    small = rungs[0]
-    report["audit"] = _audit(cfg, small.family, small.cube_sample[0], small.m)
+    # the family audit: the pair (half of the first sampled cube, that cube), probes of seed + 23
+    small, cube = rungs[0], rungs[0].cube_sample[0]
+    probes = _probe_fields(cfg.dimension, small.m, cfg.seed + 23)
+    report["audit"] = audit_family(small.family, probes, [(descendant(cube, 1, (0,) * cfg.dimension), cube)]).to_dict()
     timing["audit"] = time.perf_counter() - t0
 
     selected = set(cfg.harnesses)
@@ -839,11 +849,10 @@ def emit_outputs(report: dict, out_dir: str, formats: set[str]) -> list[str]:
     return written
 
 
-def run_experiment(config_path: str, out_dir: str, overrides: Optional[list[str]] = None,
-                   formats: Optional[set[str]] = None) -> tuple[RunManifest, dict]:
+def run_experiment(config_path: str, out_dir: str, overrides: Optional[list[str]] = None) -> tuple[RunManifest, dict]:
     cfg = ExperimentConfig.load(config_path, overrides)
     report, timing = run_pipeline(cfg)
-    files = emit_outputs(report, out_dir, formats or {"json", "csv", "svg"})
+    files = emit_outputs(report, out_dir, {"json", "csv", "svg"})
     manifest = RunManifest(config_path=config_path, out_dir=out_dir, seed=cfg.seed, timing=timing)
     for path in files:
         with open(path, "rb") as fh:
@@ -863,78 +872,38 @@ def bundled_config_path(name: str) -> str:
     return os.path.join(here, "configs", name + ".json")
 
 
-def _common_args(sub):
-    sub.add_argument("--config", required=True, help="path to the experiment JSON (or a bundled name)")
-    sub.add_argument("--out", default="out", help="output directory")
-    sub.add_argument("--seed", type=int, default=None, help="override the config seed")
-    sub.add_argument("--set", dest="overrides", action="append", default=[],
-                     metavar="KEY=VALUE", help="dotted-path config override")
-    sub.add_argument("--resolution", type=int, default=None,
-                     help="replace the resolution ladder by a single value")
-
-
-def _resolve_config(args) -> tuple[str, list[str]]:
-    path = args.config
+def _run(args) -> int:
+    """``osclab run``: exit code 0 iff every selected harness passed."""
+    path = args.config if os.path.exists(args.config) else bundled_config_path(args.config)
     if not os.path.exists(path):
-        candidate = bundled_config_path(path)
-        if os.path.exists(candidate):
-            path = candidate
-        else:
-            raise ParameterError(f"config {args.config!r} not found")
-    overrides = list(args.overrides)
-    if args.seed is not None:
-        overrides.append(f"seed={args.seed}")
-    if args.resolution is not None:
-        overrides.append(f"resolution_ladder=[{args.resolution}]")
-    return path, overrides
+        raise ParameterError(f"config {args.config!r} not found")
+    manifest, report = run_experiment(path, args.out, args.overrides)
+    print(f"wrote {len(manifest.artifacts)} artifacts to {args.out}\npassed: {report['passed']}")
+    return 0 if report["passed"] else 1
+
+
+def _report(args) -> int:
+    """``osclab report``: re-emit the artifacts of ``--formats`` from ``report.json``."""
+    with open(os.path.join(args.out, "report.json")) as fh:
+        emit_outputs(json.load(fh), args.out, set(args.formats.split(",")))
+    return 0
 
 
 def main(argv: Optional[list[str]] = None) -> int:
     parser = argparse.ArgumentParser(prog="osclab", description=__doc__)
     subs = parser.add_subparsers(dest="command", required=True)
-    for name in ("run", "profile", "audit", "drcheck"):
-        sub = subs.add_parser(name)
-        _common_args(sub)
-    rep = subs.add_parser("report")
+    run = subs.add_parser("run", help="run a config and write its artifacts")
+    run.add_argument("--config", required=True, help="path to the experiment JSON (or a bundled name)")
+    run.add_argument("--out", default="out", help="output directory")
+    run.add_argument("--set", dest="overrides", action="append", default=[], metavar="KEY=VALUE",
+                     help="dotted-path config override")
+    run.set_defaults(handler=_run)
+    rep = subs.add_parser("report", help="re-emit artifacts from report.json")
     rep.add_argument("--out", required=True, help="directory holding report.json")
     rep.add_argument("--formats", default="json,csv,svg")
+    rep.set_defaults(handler=_report)
     args = parser.parse_args(argv)
-
-    if args.command == "report":
-        with open(os.path.join(args.out, "report.json")) as fh:
-            report = json.load(fh)
-        emit_outputs(report, args.out, set(args.formats.split(",")))
-        return 0
-
-    path, overrides = _resolve_config(args)
-    if args.command == "run":
-        manifest, report = run_experiment(path, args.out, overrides)
-        print(f"wrote {len(manifest.artifacts)} artifacts to {args.out}")
-        print(f"passed: {report['passed']}")
-        return 0 if report["passed"] else 1
-
-    cfg = ExperimentConfig.load(path, overrides)
-    if args.command == "profile":
-        m = cfg.resolution_ladder[-1]
-        prof = build_profile(cfg, build_family(cfg.dimension, m, **cfg.family), m, **cfg.profile)
-        report = {"config": cfg.data, "profiles": {str(m): prof.to_dict()}}
-        emit_outputs(report, args.out, {"json", "csv", "svg"})
-        print(f"profiled {cfg.name} at m={m}")
-        return 0
-    if args.command == "audit":
-        m = cfg.resolution_ladder[0]
-        cube = _cube_sample(cfg.dimension, m, cfg.seed, **cfg.cube_sample)[0]
-        audit = _audit(cfg, build_family(cfg.dimension, m, **cfg.family), cube, m)
-        emit_outputs({"config": cfg.data, "audit": audit}, args.out, {"json"})
-        print(dump_json(audit))
-        return 0
-    if args.command == "drcheck":
-        rung, _prof = build_rung(cfg, cfg.resolution_ladder[0])
-        cond = _condition_for(cfg, rung, cfg.exponents["q"])
-        emit_outputs({"config": cfg.data, "condition": cond.to_dict()}, args.out, {"json"})
-        print(dump_json(cond.to_dict()))
-        return 0 if cond.passed else 1
-    return 2
+    return args.handler(args)
 
 
 if __name__ == "__main__":

@@ -127,6 +127,11 @@ def test_repeat_runs_byte_identical(tmp_path):
         ("field.band=3", "field.band"),
         ("field.kind=gaussian", "field"),
         ("profile.k_max.x=1", "override 'profile.k_max.x': profile.k_max is not a section"),
+        # an empty part of a dotted key is named with its override
+        ("=3", re.escape("override '=3' has an empty key")),
+        ("profile.=3", re.escape("override 'profile.=3' has an empty key")),
+        (".seed=3", re.escape("override '.seed=3' has an empty key")),
+        ("profile..k_max=3", re.escape("override 'profile..k_max=3' has an empty key")),
     ],
 )
 def test_config_rejects_unknown_keys_and_harnesses(override, offender):
@@ -152,9 +157,20 @@ def test_config_rejects_unknown_keys_and_harnesses(override, offender):
         ("resolution_ladder=[]", "resolution_ladder"),
         ('bmo.operators={"identity": []}', "bmo.operators"),
         ("bmo.operators={}", "bmo.operators"),
+        # a ladder runs from its smallest rung to its finest, each once
+        ("resolution_ladder=[64,64]", "resolution_ladder"),
+        ("resolution_ladder=[128,64]", "resolution_ladder"),
+        ('bmo.operators={"identity": [256, 128]}', "bmo.operators"),
+        # an empty list fails at load, not at the build or the harness that reads it
+        ("profile.anchors=[]", "profile.anchors"),
+        ("bmo.ps=[]", "bmo.ps"),
         # a cube must have the config's dimension (classical-jn is 1-D)
         ('good_lambda.cube={"anchor": [0.25, 0.25], "side": 0.25}', "good_lambda.cube"),
         ('epi.root={"anchor": [0.0, 0.0], "side": 0.5}', "epi.root"),
+        ('field={"kind": "indicator", "cube": {"anchor": [0.25, 0.25], "side": 0.25}}', "field.cube"),
+        pytest.param(["dimension=2", 'field={"kind": "indicator", "cube": {"anchor": [0.25], "side": 0.25}}'],
+                     "field.cube", id="a 1-D indicator cube in a 2-D config"),
+        ('field={"kind": "indicator", "cube": {"side": 0.25}}', "field.cube"),
         # a count below its least value fails at load, naming its key
         ("k_max=-1", "k_max"),
         ("condition_families=0", "condition_families"),
@@ -180,8 +196,9 @@ def test_config_rejects_unknown_keys_and_harnesses(override, offender):
     ],
 )
 def test_load_rejects_a_value_its_key_cannot_take(override, path):
+    overrides = [override] if isinstance(override, str) else override
     with pytest.raises(ParameterError, match="^" + re.escape(f"{path}: ")):
-        ExperimentConfig.load(bundled_config_path("classical-jn"), ["resolution_ladder=[256]", override])
+        ExperimentConfig.load(bundled_config_path("classical-jn"), ["resolution_ladder=[256]", *overrides])
 
 
 @pytest.mark.parametrize("key", ["dimension", "resolution_ladder", "field", "family"])
@@ -304,21 +321,9 @@ def test_cli_main_run_and_exit_codes(tmp_path, capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "passed: True" in out
-
-
-def test_cli_profile_and_audit_subcommands(tmp_path):
-    assert main([
-        "profile", "--config", "heat-offdiag", "--out", str(tmp_path / "p"),
-        "--set", "resolution_ladder=[128]",
-    ]) == 0
-    assert main([
-        "audit", "--config", "classical-jn", "--out", str(tmp_path / "a"),
-        "--resolution", "64",
-    ]) == 0
-    assert main([
-        "drcheck", "--config", "classical-jn", "--out", str(tmp_path / "d"),
-        "--resolution", "64",
-    ]) == 0
+    # --config takes a path or a bundled name, and names what it cannot find
+    with pytest.raises(ParameterError, match="config 'no-such-config' not found"):
+        main(["run", "--config", "no-such-config", "--out", str(tmp_path / "x")])
 
 
 def test_cli_report_subcommand_reemits(tmp_path):
@@ -361,20 +366,6 @@ def test_heat_offdiag_csv_alpha_strictly_decreasing(tmp_path):
     ks = [k for k in sorted(table) if k >= 3 and table[k] > 0]
     for a, b in zip(ks, ks[1:]):
         assert table[b] < table[a]
-
-
-@pytest.mark.parametrize("config", ["classical-jn", "heat-offdiag", "bmo-heat", "epi-pair", "weighted-power"])
-def test_audit_subcommand_reports_the_audit_of_run(tmp_path, config):
-    # both go through one helper: the config's first sampled cube and the
-    # probes of seed + 23; the harnesses do not touch the audit
-    common = ["--config", config, "--resolution", "64"]
-    assert main(["audit", *common, "--out", str(tmp_path / "a")]) == 0
-    assert main(["run", *common, "--out", str(tmp_path / "r"), "--set", "harnesses=[]"]) == 0
-    reports = []
-    for name in ("a", "r"):
-        with open(tmp_path / name / "report.json") as fh:
-            reports.append(json.load(fh)["audit"])
-    assert reports[0] == reports[1]
 
 
 def test_pipeline_runs_a_complex_coefficient_semigroup():

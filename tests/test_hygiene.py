@@ -1,7 +1,7 @@
 """Source hygiene: no module of the package imports a name it never uses,
 defines a function, class or method that nothing in the package mentions,
-and the README's tables of config sections and kinds are the readers'
-signatures."""
+the README's tables of config sections and kinds are the readers'
+signatures, and its command-line block is the parser's."""
 
 from __future__ import annotations
 
@@ -14,7 +14,7 @@ import re
 import pytest
 
 import osclab
-from osclab.cli import KIND_SECTIONS, SECTIONS
+from osclab.cli import KIND_SECTIONS, SECTIONS, main
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(ROOT, "src", "osclab")
@@ -144,3 +144,26 @@ def test_readme_lists_every_kind_of_every_table_with_its_keys():
     fixed = [(section, keys) for section, keys in fixed if section not in KIND_SECTIONS]
     assert len(dict(fixed)) == len(fixed), "a fixed section is listed twice"
     assert dict(fixed) == {section: _rendered_keys(reader) for section, reader in SECTIONS.items()}
+
+
+def _help(capsys, *argv) -> str:
+    with pytest.raises(SystemExit) as exit_:
+        main([*argv, "--help"])
+    assert exit_.value.code == 0
+    return capsys.readouterr().out
+
+
+def test_readme_command_block_is_the_parser(capsys):
+    with open(os.path.join(ROOT, "README.md")) as fh:
+        readme = fh.read()
+    block = re.search(r"^## Command line\n\n```sh\n(.*?)^```$", readme, re.MULTILINE | re.DOTALL)
+    assert block, "README has no ```sh block under '## Command line'"
+    lines = [line.split("#")[0] for line in block.group(1).splitlines()]
+    shown = [line.split()[1:] for line in lines if line.startswith("osclab ")]
+    assert len(shown) == len([line for line in lines if line.strip()]), "a line of the block runs no command"
+    commands = re.search(r"^usage: osclab \[-h\] \{([\w,-]+)\}", _help(capsys), re.MULTILINE).group(1)
+    assert sorted({words[0] for words in shown}) == sorted(commands.split(","))
+    for command, *words in shown:
+        accepted = set(re.findall(r"--[\w-]+", _help(capsys, command)))
+        unknown = [w for w in words if w.startswith("--") and w not in accepted]
+        assert not unknown, f"osclab {command} takes no {', '.join(unknown)}"
