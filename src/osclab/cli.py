@@ -43,11 +43,11 @@ from osclab.functionals import (
     ConditionReport,
     ConstantFunctional,
     DilationSeries,
-    ExpandedPoincare,
     PowerFunctional,
     bar_expand,
     estimate_condition,
     eta_alternative,
+    expanded_poincare,
     tilde_expand,
 )
 from osclab.grid import FIELDS, Field, _is_pow2, make_field
@@ -272,15 +272,16 @@ def _gradient_of_smooth(dimension: int, m: int, seed: int, *, band=3, floor=0.05
 def _expanded_poincare(f: Field, cubes, weight, seed: int, *, s=1.0,
                        gamma={"kind": "geometric", "sigma": 2.0}, h={"kind": "gradient-of-smooth"}):
     h_field = build_section("functional.h", h, f.dimension, f.resolution, seed)
-    return ExpandedPoincare(h_field, float(s), Coeffs(**gamma), weight, enforce_quasi_decreasing=True)
+    return expanded_poincare(h_field, float(s), Coeffs(**gamma).supified(), weight)
 
 
-def _pair(a, profile, weight, cubes, cfg):
-    if not isinstance(a, ExpandedPoincare):
-        raise ParameterError("pair variant requires an expanded-poincare functional")
-    theta = 1.0 if weight is None else weight_report(weight, [2.0], cubes[:24], cfg.seed).theta
-    partner = bar_expand(tilde_expand(a, profile).collapse(), cfg.exponents["q"], theta)
-    return two_q_functional(partner), partner
+def _pair_functionals(a, profile, weight, cubes, q: float, seed: int):
+    """(a~, a-bar) of the pair condition: the tilde expansion of the expanded-Poincare
+    ``a`` collapsed onto its base, and the bar expansion of that at exponent ``q``,
+    with theta = 1 unweighted and the weight's fitted comparison exponent otherwise."""
+    tilde = tilde_expand(a, profile).collapse()
+    theta = 1.0 if weight is None else weight_report(weight, [2.0], cubes[:24], seed).theta
+    return tilde, bar_expand(tilde, q, theta)
 
 
 #: operator kind -> builder, for ``family.operator`` and each operator of ``bmo.operators``
@@ -312,13 +313,13 @@ FUNCTIONALS = {
 }
 
 #: variant -> builder (hypothesis a, profile, weight, cube sample, config) ->
-#: (conclusion denominator, pair partner or None); no variant takes keys
+#: conclusion denominator; no variant takes keys
 VARIANTS = {
-    "tilde": lambda a, profile, weight, cubes, cfg: (two_q_functional(tilde_expand(a, profile)), None),
-    "local": lambda a, profile, weight, cubes, cfg: (two_q_functional(a), None),
-    "alternative": lambda a, profile, weight, cubes, cfg: (
-        DilationSeries(a, eta_alternative(profile), start=1, kind="eta-alt-of"), None),
-    "pair": _pair,
+    "tilde": lambda a, profile, weight, cubes, cfg: two_q_functional(tilde_expand(a, profile)),
+    "local": lambda a, profile, weight, cubes, cfg: two_q_functional(a),
+    "alternative": lambda a, profile, weight, cubes, cfg: DilationSeries(a, eta_alternative(profile), start=1),
+    "pair": lambda a, profile, weight, cubes, cfg: two_q_functional(
+        _pair_functionals(a, profile, weight, cubes, cfg.exponents["q"], cfg.seed)[1]),
 }
 
 #: kind-dependent config section -> (builder table, kind of a spec that names
@@ -387,7 +388,6 @@ def build_profile(cfg: ExperimentConfig, family, m: int, *, cube_side_cells: _co
     cubes = [Cube((a,) * cfg.dimension, _profile_cells(cube_side_cells, m) / m) for a in anchors]
     probes = _probe_fields(cfg.dimension, m, cfg.seed + 17)
     prof = measure_offdiagonal(family, probes, cubes, k_max, pair_levels)
-    prof.probe_spec["dimension"] = cfg.dimension
     lo, hi = fit_range
     ks = [k for k in range(lo, hi + 1) if prof.alpha_at(k) > 0]
     if len(ks) >= 2:
@@ -408,9 +408,9 @@ def build_rung(cfg: ExperimentConfig, m: int) -> tuple[Rung, object]:
     cubes = _cube_sample(dim, m, seed, **cfg.cube_sample)
     a = build_section("functional", cfg.functional, f, cubes, weight, seed)
     profile = build_profile(cfg, family, m, **cfg.profile)
-    denom, partner = build_section("variant", {"kind": cfg.variant}, a, profile, weight, cubes, cfg)
+    denom = build_section("variant", {"kind": cfg.variant}, a, profile, weight, cubes, cfg)
     rung = Rung(m=m, field=f, family=family, hypothesis=a, denominator=denom,
-                cube_sample=cubes, weight=weight, partner=partner)
+                cube_sample=cubes, weight=weight)
     return rung, profile
 
 
@@ -482,11 +482,8 @@ def _strong(ctx: HarnessContext) -> tuple[dict, bool]:
 
 def _exponential(ctx: HarnessContext) -> tuple[dict, bool]:
     dinf = _dinf_for(ctx.cfg, ctx.rungs[0])
-    exp_rungs = [
-        replace(r, denominator=exponential_denominator(r.hypothesis, ctx.profiles[r.m]),
-                partner=None)
-        for r in ctx.rungs
-    ]
+    exp_rungs = [replace(r, denominator=exponential_denominator(r.hypothesis, ctx.profiles[r.m]))
+                 for r in ctx.rungs]
     rep = verify_exponential(exp_rungs, dinf)
     return {"dinf": dinf.to_dict(), "exponential": rep.to_dict()}, rep.passed
 
@@ -536,16 +533,13 @@ def _epi(dimension: int, *, root: Cube.from_dict = None, families: _count(1) = 2
 def _pair_dq(ctx: HarnessContext) -> tuple[dict, bool]:
     cfg = ctx.cfg
     target = ctx.rungs[0]
-    if not isinstance(target.hypothesis, ExpandedPoincare):
-        raise ParameterError("pair-dq harness requires an expanded-poincare functional")
-    if target.partner is None:
-        raise ParameterError("pair-dq harness requires the pair variant")
-    tilde = tilde_expand(target.hypothesis, ctx.profiles[target.m]).collapse()
+    tilde, bar = _pair_functionals(target.hypothesis, ctx.profiles[target.m], target.weight,
+                                   target.cube_sample, ctx.q, cfg.seed)
     root, families, _, _ = _epi(cfg.dimension, **cfg.epi)
     fams = sample_disjoint_families(root, families, cfg.seed, target.m,
                                     field_values=np.abs(target.field.values))
     rep = estimate_condition(tilde, "pair", r=ctx.q, mu=target.weight,
-                             families=fams, partner=target.partner, seed=cfg.seed)
+                             families=fams, partner=bar, seed=cfg.seed)
     return {"pair_dq": rep.to_dict()}, rep.passed
 
 
@@ -566,8 +560,8 @@ def _hyp_k(ctx: HarnessContext) -> tuple[dict, bool]:
 
 def _weighted_identity(ctx: HarnessContext) -> tuple[dict, bool]:
     target = ctx.rungs[0]
-    r_plain = replace(target, weight=None, partner=None)
-    r_ones = replace(target, weight=ones_weight(ctx.cfg.dimension, target.m), partner=None)
+    r_plain = replace(target, weight=None)
+    r_ones = replace(target, weight=ones_weight(ctx.cfg.dimension, target.m))
     rep_plain = verify_weak_improvement([r_plain], ctx.q, ctx.condition)
     rep_ones = verify_weak_improvement([r_ones], ctx.q, ctx.condition)
     rows_equal = all(
@@ -640,10 +634,11 @@ def validate(*, dimension: index, resolution_ladder: _ladder, field, family, nam
              condition_families: _count(1) = 20, k_max: _count(0) = 3, good_lambda={}, bmo={},
              epi={}) -> None:
     """The reader of a config's top level (its keys are these parameters): checks what
-    no single key decides, the bmo operator kinds, the dimension of the configured
-    cubes (an indicator field's, good-lambda's and the epi root), the cube sample's
-    least side and the profile's anchors against the ladder, the profile's cube
-    against every rung, and the theorems' exponent window."""
+    no single key decides, the bmo operator kinds, the dimension and cell lattice of
+    the configured cubes (an indicator field's, good-lambda's and the epi root), the
+    cube sample's least side and the profile's anchors against the ladder, the
+    profile's cube against every rung, the functional of the pair condition, and
+    the theorems' exponent window."""
     operators = _bmo_ladders(bmo["operators"], resolution_ladder)
     for kind, spec in _bmo_operators(operators, bmo["operator_params"]).items():
         where = "bmo.operator_params" if kind in bmo["operator_params"] else "bmo.operators"
@@ -669,6 +664,13 @@ def validate(*, dimension: index, resolution_ladder: _ladder, field, family, nam
                         ("epi.root", epi["root"])):
         if cube is not None and cube.dimension != dimension:
             raise ParameterError(f"{where}: a cube of dimension {cube.dimension} in a {dimension}-D config")
+        if cube is not None and any((x * m) % 1 for x in (*cube.anchor, cube.side)):
+            raise ParameterError(f"{where}: anchor {list(cube.anchor)} and side {cube.side} must lie "
+                                 f"on the 1/{m} cell lattice")
+    functional_kind = (functional or {}).get("kind", KIND_SECTIONS["functional"][1])
+    if (variant == "pair" or "pair-dq" in harnesses) and functional_kind != "expanded-poincare":
+        raise ParameterError(f"functional: the pair variant and the pair-dq harness need an "
+                             f"expanded-poincare functional, got {functional_kind!r}")
     if {"weak", "strong", "exponential", "good-lambda", "pair-dq"} & set(harnesses):
         p0, q0 = family["p0"], family["q0"]
         q, r = _exponents(p0, **exponents)
@@ -903,7 +905,11 @@ def main(argv: Optional[list[str]] = None) -> int:
     rep.add_argument("--formats", default="json,csv,svg")
     rep.set_defaults(handler=_report)
     args = parser.parse_args(argv)
-    return args.handler(args)
+    try:
+        return args.handler(args)
+    except ParameterError as exc:  # a config error: exit 2, as argparse does on a bad command line
+        print(f"osclab: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

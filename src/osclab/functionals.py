@@ -2,10 +2,11 @@
 
 A functional assigns a nonnegative number to every cube.  The built-in kinds
 cover power laws in the sidelength, fractional averages against a weight,
-reduced and expanded Poincare right-hand sides, and constants.
-Dilation series (the tilde/bar expansions) evaluate over the dyadic dilates
-2^k Q; on the torus the dilates saturate, and the series tail beyond the
-saturation index collapses to full-torus terms summed in closed form.
+the reduced Poincare right-hand side, and constants.  Every expansion of a
+functional (the expanded Poincare functional, the tilde/bar expansions and the
+eta series) is one ``DilationSeries`` over the dyadic dilates 2^k Q; on the
+torus the dilates saturate, and the series tail beyond the saturation index
+collapses to full-torus terms summed in closed form.
 
 Summability conditions over disjoint families (D_r and friends) are measured
 over declared probe families and reported with provenance; the measured
@@ -128,28 +129,6 @@ class Functional:
     def _eval(self, q: Cube) -> float:
         raise NotImplementedError
 
-    def dilated(self, q: Cube, k: int) -> tuple[Cube, bool]:
-        """2^k q with torus saturation, snapped when grid-backed."""
-        if k == 0:
-            return q, q.side >= 1.0
-        lam = float(2 ** k)
-        d = concentric(q, lam) if self.resolution is None else dilate(q, lam, self.resolution)
-        return d.cube, d.saturated
-
-    def series(self, coeffs: Coeffs, q: Cube, start: int) -> float:
-        """sum_{k >= start} gamma_k a(2^k q) with the closed-form saturated tail."""
-        total = 0.0
-        k = start
-        while True:
-            cube_k, saturated = self.dilated(q, k)
-            if saturated:
-                total += coeffs.tail_sum(k) * self.eval(full_torus(q.dimension))
-                return total
-            total += coeffs.at(k) * self.eval(cube_k)
-            k += 1
-            if k > 200:
-                raise ParameterError("dilation series failed to saturate")
-
 
 class ConstantFunctional(Functional):
     kind = "constant"
@@ -211,84 +190,65 @@ class ReducedPoincare(Functional):
         self.h, self.s, self.weight = h, float(s), weight
         self.resolution = h.resolution
 
-    @property
-    def dimension(self) -> int:
-        return self.h.dimension
-
     def _eval(self, q: Cube) -> float:
         return q.side * lp_average(self.h, q, self.s, self.weight)
 
 
-class ExpandedPoincare(Functional):
-    """a(Q) = sum_k gamma_k l(2^k Q) (mean_{2^k Q} h^s dmu)^{1/s}."""
-
-    kind = "expanded-poincare"
-
-    def __init__(
-        self,
-        h: Field,
-        s: float,
-        gamma: Coeffs,
-        weight: Optional[Weight] = None,
-        enforce_quasi_decreasing: bool = False,
-    ):
-        super().__init__()
-        self.base = ReducedPoincare(h, s, weight)
-        self.gamma = gamma.supified() if enforce_quasi_decreasing else gamma
-        gamma.tail_sum(0)  # summability guard
-        self.resolution = h.resolution
-
-    @property
-    def h(self) -> Field:
-        return self.base.h
-
-    @property
-    def s(self) -> float:
-        return self.base.s
-
-    @property
-    def weight(self) -> Optional[Weight]:
-        return self.base.weight
-
-    @property
-    def dimension(self) -> int:
-        return self.base.dimension
-
-    def _eval(self, q: Cube) -> float:
-        return self.base.series(self.gamma, q, start=0)
-
-
 class DilationSeries(Functional):
-    """sum_{k >= start} gamma_k a(2^k Q) wrapping a base functional."""
+    """sum_{k >= start} gamma_k a(2^k Q) over a base functional a, the dilates snapped
+    when grid-backed; from the first saturated dilate on, the tail is tail_sum(k) a(torus)."""
 
-    def __init__(self, base: Functional, coeffs: Coeffs, start: int, kind: str):
+    kind = "dilation-series"
+
+    def __init__(self, base: Functional, coeffs: Coeffs, start: int):
         super().__init__()
         self.base = base
         self.coeffs = coeffs
         self.start = start
-        self.kind = kind
         self.resolution = base.resolution
 
     def _eval(self, q: Cube) -> float:
-        return self.base.series(self.coeffs, q, self.start)
+        total = 0.0
+        for k in range(self.start, 201):
+            if k == 0:
+                cube_k, saturated = q, q.side >= 1.0
+            else:
+                lam = float(2 ** k)
+                d = concentric(q, lam) if self.resolution is None else dilate(q, lam, self.resolution)
+                cube_k, saturated = d.cube, d.saturated
+            if saturated:
+                return total + self.coeffs.tail_sum(k) * self.base.eval(full_torus(q.dimension))
+            total += self.coeffs.at(k) * self.base.eval(cube_k)
+        raise ParameterError("dilation series failed to saturate")
 
-    def collapse(self) -> "ExpandedPoincare":
+    def collapse(self) -> "DilationSeries":
         """Fold the outer series into the expanded-Poincare base coefficients.
 
         Exact because both layers evaluate the same dilates of Q: the combined
         coefficient of a_0(2^J Q) is the convolution of the two sequences.
         """
-        if not isinstance(self.base, ExpandedPoincare):
-            raise ParameterError("collapse requires an expanded-poincare base")
+        reduced = _expanded_base(self.base, "collapse")
         conv = []
         for bigj in range(HORIZON):
             total = 0.0
             for k in range(self.start, bigj + 1):
-                total += self.coeffs.at(k) * self.base.gamma.at(bigj - k)
+                total += self.coeffs.at(k) * self.base.coeffs.at(bigj - k)
             conv.append(total)
-        return ExpandedPoincare(
-            self.base.h, self.base.s, Coeffs("table", values=conv), self.base.weight
-        )
+        return DilationSeries(reduced, Coeffs("table", values=conv), start=0)
+
+
+def expanded_poincare(h: Field, s: float, gamma: Coeffs, weight: Optional[Weight] = None) -> DilationSeries:
+    """a(Q) = sum_{k >= 0} gamma_k l(2^k Q) (mean_{2^k Q} h^s dmu)^{1/s}: the
+    series of the reduced Poincare functional from k = 0."""
+    gamma.tail_sum(0)  # summability guard
+    return DilationSeries(ReducedPoincare(h, s, weight), gamma, start=0)
+
+
+def _expanded_base(a: Functional, what: str) -> ReducedPoincare:
+    """The reduced Poincare base of the expanded-Poincare functional ``a``."""
+    if not (isinstance(a, DilationSeries) and a.start == 0 and isinstance(a.base, ReducedPoincare)):
+        raise ParameterError(f"{what} is defined for expanded-poincare functionals")
+    return a.base
 
 
 # ---------------------------------------------------------------------------
@@ -303,8 +263,8 @@ def gamma_tilde_from_profile(profile: OffDiagonalProfile) -> Coeffs:
     measured end-to-end constants of the harnesses.
     """
     p0 = profile.exponents[0]
-    n = int(profile.probe_spec.get("dimension", 1))
-    needs_beta = profile.probe_spec.get("kind") == "semigroup"
+    n = profile.probe_spec["dimension"]
+    needs_beta = profile.probe_spec["kind"] == "semigroup"
     if needs_beta and profile.beta is None:
         raise ParameterError("profile has no beta entries but the family requires them")
     a = profile.alpha_at
@@ -322,7 +282,7 @@ def gamma_tilde_from_profile(profile: OffDiagonalProfile) -> Coeffs:
 
 def tilde_expand(a: Functional, profile: OffDiagonalProfile) -> DilationSeries:
     """The expanded functional sum_{k>=1} gamma~_k a(2^k Q)."""
-    return DilationSeries(a, gamma_tilde_from_profile(profile), start=1, kind="tilde-of")
+    return DilationSeries(a, gamma_tilde_from_profile(profile), start=1)
 
 
 def eta_exponential(profile: OffDiagonalProfile) -> Coeffs:
@@ -342,7 +302,7 @@ def eta_alternative(profile: OffDiagonalProfile) -> Coeffs:
     """Coefficients of the non-commutative route: eta_1 = 1,
     eta_k = alpha_k 2^{k n / p0}."""
     p0 = profile.exponents[0]
-    n = int(profile.probe_spec.get("dimension", 1))
+    n = profile.probe_spec["dimension"]
     vals = [0.0] * HORIZON
     vals[1] = 1.0
     for k in range(2, HORIZON):
@@ -350,7 +310,7 @@ def eta_alternative(profile: OffDiagonalProfile) -> Coeffs:
     return Coeffs("table", values=vals)
 
 
-def bar_expand(a: ExpandedPoincare, q: float, theta: float = 1.0) -> ExpandedPoincare:
+def bar_expand(a: DilationSeries, q: float, theta: float = 1.0) -> DilationSeries:
     """Overlap-corrected expansion for the pair condition.
 
     gamma-bar_0 = gamma_0 and for k >= 1
@@ -358,23 +318,21 @@ def bar_expand(a: ExpandedPoincare, q: float, theta: float = 1.0) -> ExpandedPoi
     with E = n ((1-theta)/s + theta (1/s - 1/q)^+); theta = 1 is the
     unweighted case.  A divergent inner sum is reported with the first bad k.
     """
-    if not isinstance(a, ExpandedPoincare):
-        raise ParameterError("bar expansion is defined for expanded-poincare functionals")
+    reduced = _expanded_base(a, "bar expansion")
     if not (0 < theta <= 1.0):
         raise ParameterError("theta must lie in (0, 1]")
-    n = a.dimension
-    s = a.s
+    n, s = reduced.h.dimension, reduced.s
     if s < n:
         s_star = s * n / (n - s)
         if not (1.0 <= q < s_star):
             raise ParameterError(f"need 1 <= q < s* = {s_star}, got q={q}")
     exp_e = n * ((1.0 - theta) / s + theta * max(1.0 / s - 1.0 / q, 0.0))
-    vals = [a.gamma.at(0)]
+    vals = [a.coeffs.at(0)]
     for k in range(1, HORIZON):
         inner = 0.0
         converged = False
         for l in range(max(k - 1, 0), max(k - 1, 0) + 400):
-            term = a.gamma.at(l) * 2.0 ** (l * exp_e)
+            term = a.coeffs.at(l) * 2.0 ** (l * exp_e)
             inner += term
             if term <= 1e-17 * (1.0 + inner):
                 converged = True
@@ -382,7 +340,7 @@ def bar_expand(a: ExpandedPoincare, q: float, theta: float = 1.0) -> ExpandedPoi
         if not converged:
             raise ParameterError(f"divergent inner sum in bar expansion at k={k}")
         vals.append(2.0 ** (-k * exp_e) * inner)
-    return ExpandedPoincare(a.h, a.s, Coeffs("table", values=vals), a.weight)
+    return DilationSeries(reduced, Coeffs("table", values=vals), start=0)
 
 
 # ---------------------------------------------------------------------------

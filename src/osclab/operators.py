@@ -23,7 +23,7 @@ constants and conserve the mean, because the stencil is in flux form.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -486,7 +486,6 @@ class OscillationFamily:
     q0: float
     operator: Optional[EllipticOperator] = None
     big_n: int = 1
-    profile: Optional[OffDiagonalProfile] = field(default=None, repr=False)
 
     def __post_init__(self):
         if self.kind not in FAMILY_KINDS:
@@ -663,6 +662,7 @@ def measure_offdiagonal(
         "cubes": len(cube_sample),
         "k_max": k_max,
         "kind": family.kind,
+        "dimension": probes[0].dimension,
     }
     return OffDiagonalProfile(
         alpha=alpha,

@@ -89,7 +89,7 @@ def measured_oscillation(f: Field, cubes: Sequence[Cube]) -> ConstantFunctional:
 
 def two_q_functional(a: Functional) -> DilationSeries:
     """The conclusion denominator a(2Q) as a one-term dilation series."""
-    return DilationSeries(a, Coeffs("table", values=[0.0, 1.0]), start=1, kind="two-q-of")
+    return DilationSeries(a, Coeffs("table", values=[0.0, 1.0]), start=1)
 
 
 @dataclass
@@ -97,14 +97,13 @@ class Rung:
     """Everything a harness needs at one grid resolution.
 
     ``denominator`` is the conclusion right-hand side evaluated at Q (wrap
-    the 2Q dilation inside it when the statement asks for one); ``partner``
-    optionally carries the un-dilated pair functional for the two-functional
-    condition.  ``cache`` holds B_Q f (``b_field``), keyed by the cube's value
-    (equal cubes share an entry; a family that depends only on the sidelength
-    keeps one per side), and the walk of the hypothesis over the cube sample
-    (``hypothesis_rows``).  Rungs made from this one by ``dataclasses.replace``
-    share it, and its keys carry the material an entry was computed from, so
-    a rung with other material never reads an entry that is not its own.
+    the 2Q dilation inside it when the statement asks for one).  ``cache``
+    holds B_Q f (``b_field``), keyed by the cube's value (equal cubes share an
+    entry; a family that depends only on the sidelength keeps one per side),
+    and the walk of the hypothesis over the cube sample (``hypothesis_rows``).
+    Rungs made from this one by ``dataclasses.replace`` share it, and its keys
+    carry the material an entry was computed from, so a rung with other
+    material never reads an entry that is not its own.
     """
 
     m: int
@@ -114,7 +113,6 @@ class Rung:
     denominator: Functional
     cube_sample: list[Cube]
     weight: Optional[Weight] = None
-    partner: Optional[Functional] = None
     cache: dict = dc_field(default_factory=dict, repr=False, compare=False)
 
     def b_field(self, q: Cube) -> Field:
@@ -372,7 +370,7 @@ def verify_exponential(rungs: Sequence[Rung], dinf_report: ConditionReport) -> V
 
 def exponential_denominator(a: Functional, profile) -> DilationSeries:
     """Conclusion series of the exponential statement built from the profile."""
-    return DilationSeries(a, eta_exponential(profile), start=1, kind="eta-exp-of")
+    return DilationSeries(a, eta_exponential(profile), start=1)
 
 
 # ---------------------------------------------------------------------------

@@ -193,6 +193,16 @@ def test_config_rejects_unknown_keys_and_harnesses(override, offender):
         ("epi.k_max=-1", "epi.k_max"),
         # cubes are read in whole cells: a profile anchor off the smallest rung's lattice
         ("profile.anchors=[0.3]", "profile.anchors"),
+        # and a configured cube whose anchor or side is off that lattice
+        ('good_lambda.cube={"anchor": [0.3], "side": 0.25}', "good_lambda.cube"),
+        ('good_lambda.cube={"anchor": [0.25], "side": 0.3}', "good_lambda.cube"),
+        ('epi.root={"anchor": [0.1], "side": 0.5}', "epi.root"),
+        ('epi.root={"anchor": [0.0], "side": 0.3}', "epi.root"),
+        ('field={"kind": "indicator", "cube": {"anchor": [0.3], "side": 0.25}}', "field.cube"),
+        ('field={"kind": "indicator", "cube": {"anchor": [0.25], "side": 0.3}}', "field.cube"),
+        # the pair condition reads an expanded-Poincare functional (classical-jn's is measured-oscillation)
+        ("variant=pair", "functional"),
+        ('harnesses=["pair-dq"]', "functional"),
     ],
 )
 def test_load_rejects_a_value_its_key_cannot_take(override, path):
@@ -321,9 +331,22 @@ def test_cli_main_run_and_exit_codes(tmp_path, capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "passed: True" in out
-    # --config takes a path or a bundled name, and names what it cannot find
-    with pytest.raises(ParameterError, match="config 'no-such-config' not found"):
-        main(["run", "--config", "no-such-config", "--out", str(tmp_path / "x")])
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        # --config takes a path or a bundled name, and names what it cannot find
+        (["--config", "no-such-config"], "config 'no-such-config' not found"),
+        (["--config", "classical-jn", "--set", "profile.kmax=3"], "unknown config key(s): profile.kmax"),
+    ],
+)
+def test_cli_main_exits_2_on_a_config_error(tmp_path, capsys, args, message):
+    # exit 1 is a failed harness; a config error is one line on stderr and exit 2
+    assert main(["run", *args, "--out", str(tmp_path / "x")]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"osclab: error: {message}\n"
+    assert captured.out == ""
 
 
 def test_cli_report_subcommand_reemits(tmp_path):
@@ -375,3 +398,11 @@ def test_pipeline_runs_a_complex_coefficient_semigroup():
     ])
     report, _timing = cli.run_pipeline(cfg)
     assert set(report["audit"]) >= {"commutator", "localization", "replace_comm"}
+
+
+def test_pair_dq_builds_its_own_pair_functionals():
+    # the pair-dq harness builds a~ and a-bar itself, so the variant does not move it
+    reports = [cli.run_pipeline(ExperimentConfig.load(bundled_config_path("epi-pair"), overrides))[0]
+               for overrides in ([], ["variant=tilde"])]
+    assert reports[0]["config"]["variant"] == "pair"
+    assert reports[1]["harnesses"]["pair_dq"] == reports[0]["harnesses"]["pair_dq"]

@@ -10,10 +10,10 @@ import pytest
 from osclab._support import ParameterError
 from osclab.cubes import Cube, DisjointFamily, full_torus, sample_disjoint_families
 from osclab.functionals import (
+    HORIZON,
     Coeffs,
     ConstantFunctional,
     DilationSeries,
-    ExpandedPoincare,
     FractionalFunctional,
     PowerFunctional,
     ReducedPoincare,
@@ -21,11 +21,12 @@ from osclab.functionals import (
     estimate_condition,
     eta_alternative,
     eta_exponential,
+    expanded_poincare,
     gamma_tilde_from_profile,
     tilde_expand,
 )
 from osclab.grid import Field, make_field
-from osclab.operators import OffDiagonalProfile
+from osclab.operators import EllipticOperator, OffDiagonalProfile, make_family, measure_offdiagonal
 from osclab.weights import Weight, ones_weight
 
 
@@ -121,6 +122,23 @@ def test_gamma_tilde_requires_beta_for_semigroup_kind():
         gamma_tilde_from_profile(prof)
 
 
+def test_a_measured_profile_carries_its_dimension():
+    # the heat profile of a 2-D cube of 2 cells at m = 64 reaches alpha_4 > 0
+    m = 64
+    fam = make_family("semigroup", (1.0, math.inf), operator=EllipticOperator(np.ones((m, m)), 1.0, 1.0, 2))
+    signs = Field(np.sign(np.random.default_rng(3).normal(size=(m, m))) + 0.0)
+    probes = [make_field("constant", 2, m, value=1.0), signs]
+    prof = measure_offdiagonal(fam, probes, [Cube((0.25, 0.25), 2 / m)], k_max=4, pair_levels=1)
+    assert prof.probe_spec["dimension"] == 2
+    explicit = OffDiagonalProfile(alpha=prof.alpha, beta=prof.beta, exponents=prof.exponents,
+                                  probe_spec={"kind": "semigroup", "dimension": 2})
+    gam, want = gamma_tilde_from_profile(prof), gamma_tilde_from_profile(explicit)
+    assert [gam.at(k) for k in range(HORIZON)] == [want.at(k) for k in range(HORIZON)]
+    # gamma~_5 = 2^{5 n / p0} alpha_4 with n = 2, not the 1-D 2^5 alpha_4
+    assert prof.alpha_at(4) > 0
+    assert gam.at(5) == 2.0 ** 10 * prof.alpha_at(4)
+
+
 def test_gamma_tilde_local_family_without_beta():
     prof = gauss_profile(kind="extended-average")
     prof.beta = None
@@ -159,9 +177,9 @@ def test_bar_geometric_rate_preserved():
     m, n, s, q = 32, 2, 1.0, 1.5
     h = Field(np.abs(make_field("random-smooth", n, m, seed=5, band=3).values) + 0.1)
     sigma = 2.0
-    a = ExpandedPoincare(h, s, Coeffs("geometric", sigma=sigma))
+    a = expanded_poincare(h, s, Coeffs("geometric", sigma=sigma))
     bar = bar_expand(a, q)
-    ratios = [bar.gamma.at(j) / 2.0 ** (-sigma * j) for j in range(2, 8)]
+    ratios = [bar.coeffs.at(j) / 2.0 ** (-sigma * j) for j in range(2, 8)]
     assert max(ratios) / min(ratios) < 1.001  # constant multiple of 2^{-sigma j}
 
 
@@ -170,31 +188,31 @@ def test_bar_theta_one_exponent_collapse():
     m = 16
     h = make_field("constant", 1, m, value=1.0)
     gam = Coeffs("geometric", sigma=1.0)
-    a = ExpandedPoincare(h, 1.0, gam)
+    a = expanded_poincare(h, 1.0, gam)
     bar = bar_expand(a, q=1.0, theta=1.0)
     for k in (1, 2, 5):
-        assert bar.gamma.at(k) == pytest.approx(gam.tail_sum(k - 1), rel=1e-12)
+        assert bar.coeffs.at(k) == pytest.approx(gam.tail_sum(k - 1), rel=1e-12)
 
 
 def test_bar_gauss_becomes_exponential_in_2j():
     # gamma_j = e^{-c 4^j} collapses to about e^{-c' 2^j}
     m = 16
     h = make_field("constant", 2, m, value=1.0)
-    a = ExpandedPoincare(h, 1.0, Coeffs("gauss", rate=0.02))
+    a = expanded_poincare(h, 1.0, Coeffs("gauss", rate=0.02))
     bar = bar_expand(a, q=1.5)
     # exhibit C, c' > 0 with gamma-bar_j <= C e^{-c' 2^j} over the tail
     big_c = math.exp(5.0)
-    rates = [(5.0 - math.log(bar.gamma.at(j))) / 2.0 ** j for j in range(4, 8)]
+    rates = [(5.0 - math.log(bar.coeffs.at(j))) / 2.0 ** j for j in range(4, 8)]
     cprime = min(rates)
     assert cprime > 0.05
     for j in range(4, 8):
-        assert bar.gamma.at(j) <= big_c * math.exp(-cprime * 2.0 ** j) * (1 + 1e-9)
+        assert bar.coeffs.at(j) <= big_c * math.exp(-cprime * 2.0 ** j) * (1 + 1e-9)
 
 
 def test_bar_requires_q_below_sobolev():
     m = 16
     h = make_field("constant", 2, m, value=1.0)
-    a = ExpandedPoincare(h, 1.0, Coeffs("geometric", sigma=2.0))
+    a = expanded_poincare(h, 1.0, Coeffs("geometric", sigma=2.0))
     with pytest.raises(ParameterError):
         bar_expand(a, q=2.0)  # s* = 2 in n=2, s=1
     with pytest.raises(ParameterError):
@@ -205,7 +223,7 @@ def test_bar_divergent_inner_sum_names_k():
     m = 16
     h = make_field("constant", 2, m, value=1.0)
     # sigma = 0.4 < n(1/s - 1/q)+ = 2*(1 - 2/3) = 0.666...: divergent
-    a = ExpandedPoincare(h, 1.0, Coeffs("geometric", sigma=0.4))
+    a = expanded_poincare(h, 1.0, Coeffs("geometric", sigma=0.4))
     with pytest.raises(ParameterError, match="k=1"):
         bar_expand(a, q=1.5)
 
@@ -213,12 +231,33 @@ def test_bar_divergent_inner_sum_names_k():
 def test_collapse_matches_direct_series():
     m = 32
     h = Field(np.abs(make_field("random-smooth", 2, m, seed=9, band=2).values) + 0.05)
-    a = ExpandedPoincare(h, 1.0, Coeffs("geometric", sigma=2.0))
+    a = expanded_poincare(h, 1.0, Coeffs("geometric", sigma=2.0))
     prof = gauss_profile(p0=1.0, n=2)
     at = tilde_expand(a, prof)
     collapsed = at.collapse()
     for q in (Cube((0.25, 0.25), 0.25), Cube((0.5, 0.0), 0.125)):
         assert collapsed.eval(q) == pytest.approx(at.eval(q), rel=1e-10)
+
+
+def test_collapse_and_bar_expand_keep_the_reduced_poincare_base():
+    # a~, a-bar and a are series over one ReducedPoincare, so they share its memo
+    h = Field(np.abs(make_field("random-smooth", 2, 32, seed=9, band=2).values) + 0.05)
+    a = expanded_poincare(h, 1.0, Coeffs("geometric", sigma=2.0))
+    assert isinstance(a, DilationSeries) and isinstance(a.base, ReducedPoincare) and a.start == 0
+    collapsed = tilde_expand(a, gauss_profile(p0=1.0, n=2)).collapse()
+    bar = bar_expand(collapsed, q=1.5)
+    for series in (collapsed, bar):
+        assert series.base is a.base and series.start == 0
+
+
+def test_collapse_needs_an_expanded_poincare_base():
+    h = make_field("constant", 1, 16, value=1.0)
+    for base in (PowerFunctional(1.0), ReducedPoincare(h, 1.0),
+                 DilationSeries(ReducedPoincare(h, 1.0), Coeffs("geometric", sigma=2.0), start=1)):
+        with pytest.raises(ParameterError, match="expanded-poincare"):
+            tilde_expand(base, gauss_profile()).collapse()
+        with pytest.raises(ParameterError, match="expanded-poincare"):
+            bar_expand(base, q=1.5)
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +330,7 @@ def test_pair_condition_singleton_sanity():
     # singleton family gives tilde a(Q) <= C bar a(Q)
     m = 32
     h = Field(np.abs(make_field("random-smooth", 2, m, seed=7, band=2).values) + 0.1)
-    a = ExpandedPoincare(h, 1.0, Coeffs("geometric", sigma=2.0))
+    a = expanded_poincare(h, 1.0, Coeffs("geometric", sigma=2.0))
     prof = gauss_profile(p0=1.0, n=2)
     at = tilde_expand(a, prof).collapse()
     bar = bar_expand(at, q=1.5)

@@ -41,10 +41,13 @@ def full_spec(path: str, kind: str, dimension: int):
 
 
 def set_section(path: str, value) -> list[str]:
-    """Overrides that put ``value`` at ``path`` of epi-pair, with a parent that reads it."""
+    """Overrides that put ``value`` at ``path`` of epi-pair, with a parent that reads it;
+    another functional than epi-pair's runs with no variant or harness of the pair condition."""
     out = [f"{path}={json.dumps(value)}"]
     if path.startswith("functional."):
         out.insert(0, 'functional={"kind": "expanded-poincare"}')
+    if path == "functional" and value.get("kind") != "expanded-poincare":
+        out += ["variant=tilde", 'harnesses=["hyp-k"]']
     return out
 
 
@@ -143,16 +146,14 @@ def built_section(path: str, spec, dimension: int, m: int):
     # epi.root=null: the default root, of the dimension asked for
     overrides = set_section(path, spec) + [f"dimension={dimension}", f"resolution_ladder=[{m}]",
                                            "epi.root=null"]
-    if path in ("field", "functional", "weight"):
-        overrides.append("variant=tilde")  # the pair variant needs epi-pair's own functional
     rung, _profile = build_rung(ExperimentConfig.load(bundled_config_path("epi-pair"), overrides), m)
     return {
         "field": rung.field,
         "family.operator": rung.family.operator,
         "weight": rung.weight,
         "functional": rung.hypothesis,
-        "functional.gamma": getattr(rung.hypothesis, "gamma", None),
-        "functional.h": getattr(rung.hypothesis, "h", None),
+        "functional.gamma": getattr(rung.hypothesis, "coeffs", None),
+        "functional.h": getattr(getattr(rung.hypothesis, "base", None), "h", None),
         "variant": rung.denominator,
     }[path]
 
