@@ -26,6 +26,7 @@ from typing import Optional
 import numpy as np
 
 from osclab._support import (
+    DataError,
     ParameterError,
     build_kind,
     check_keys,
@@ -216,46 +217,29 @@ def _set_dotted(data: dict, path: str, value) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _elliptic(coeffs: np.ndarray, dimension: int, lam, big_lam, bounds, p_minus, p_plus) -> EllipticOperator:
-    """The operator of ``coeffs``; ``bounds`` are the ellipticity constants lam, Lam left None."""
-    lam = bounds[0] if lam is None else float(lam)
-    big_lam = bounds[1] if big_lam is None else float(big_lam)
-    return EllipticOperator(coeffs, lam, big_lam, dimension, float(p_minus), float(p_plus))
-
-
-# Operator builders: (dimension, m, *, the kind's config keys).  lam and Lam
-# default to bounds of the coefficients; p_minus and p_plus are recorded only.
-
-
-def _constant_operator(dimension: int, m: int, *, matrix=None, lam=1.0, Lam=None,
-                       p_minus=1.0, p_plus="inf") -> EllipticOperator:
-    """A(x) = ``matrix`` (default: the identity) at every cell; Lam defaults to max(lam, 1)."""
+def _constant_operator(dimension: int, m: int, *, matrix=None) -> EllipticOperator:
+    """A(x) = ``matrix`` (default: the identity) at every cell."""
     mat = np.array(np.eye(dimension) if matrix is None else matrix, dtype=complex)
     if mat.shape != (dimension, dimension):
         raise ParameterError(f"matrix must be {dimension}x{dimension}, got shape {mat.shape}")
     mat = mat.real if np.max(np.abs(mat.imag)) == 0 else mat
-    coeffs = np.multiply.outer(mat, np.ones((m,) * dimension))  # mat at every cell
-    return _elliptic(coeffs, dimension, lam, Lam, (None, max(float(lam), 1.0)), p_minus, p_plus)
+    return EllipticOperator(np.multiply.outer(mat, np.ones((m,) * dimension)), dimension)  # mat at every cell
 
 
-def _variable_1d(dimension: int, m: int, *, base=1.25, amp=0.75, lam=None, Lam=None,
-                 p_minus=1.0, p_plus="inf") -> EllipticOperator:
-    """Scalar a(x) = base + amp cos(2 pi x) on the 1-D grid, within base -/+ |amp|."""
+def _variable_1d(dimension: int, m: int, *, base=1.25, amp=0.75) -> EllipticOperator:
+    """Scalar a(x) = base + amp cos(2 pi x) on the 1-D grid."""
     if dimension != 1:
         raise ParameterError("variable-1d operator requires dimension 1")
-    base, amp, x = float(base), float(amp), (np.arange(m) + 0.5) / m
-    coeffs = base + amp * np.cos(2 * np.pi * x)
-    return _elliptic(coeffs, 1, lam, Lam, (base - abs(amp), base + abs(amp)), p_minus, p_plus)
+    x = (np.arange(m) + 0.5) / m
+    return EllipticOperator(float(base) + float(amp) * np.cos(2 * np.pi * x), 1)
 
 
-def _complex_perturbed(dimension: int, m: int, *, eps=0.3, seed=0, lam=None, Lam=None,
-                       p_minus=1.0, p_plus="inf") -> EllipticOperator:
-    """A = I + i eps S at every cell, S a seeded matrix of 2-norm at most one, so that
-    Re A >= 1 - |eps| and |A| <= 1 + |eps|."""
-    eps, skew = float(eps), rng_from_seed(int(seed)).normal(size=(dimension, dimension))
+def _complex_perturbed(dimension: int, m: int, *, eps=0.3, seed=0) -> EllipticOperator:
+    """A = I + i eps S at every cell, S a seeded matrix of 2-norm at most one."""
+    skew = rng_from_seed(int(seed)).normal(size=(dimension, dimension))
     skew /= max(1.0, np.linalg.norm(skew, 2))
-    coeffs = np.multiply.outer(np.eye(dimension) + 1j * eps * skew, np.ones((m,) * dimension))
-    return _elliptic(coeffs, dimension, lam, Lam, (1.0 - abs(eps), 1.0 + abs(eps)), p_minus, p_plus)
+    coeffs = np.multiply.outer(np.eye(dimension) + 1j * float(eps) * skew, np.ones((m,) * dimension))
+    return EllipticOperator(coeffs, dimension)
 
 
 def _gradient_of_smooth(dimension: int, m: int, seed: int, *, band=3, floor=0.05) -> Field:
@@ -284,10 +268,10 @@ def _pair_functionals(a, profile, weight, cubes, q: float, seed: int):
     return tilde, bar_expand(tilde, q, theta)
 
 
-#: operator kind -> builder, for ``family.operator`` and each operator of ``bmo.operators``
+#: operator kind -> builder (dimension, m, *, keys), for ``family.operator`` and
+#: each operator of ``bmo.operators``
 OPERATORS = {
-    "identity": lambda dimension, m, *, p_minus=1.0, p_plus="inf": _elliptic(
-        np.ones((m,) * dimension), dimension, 1.0, 1.0, None, p_minus, p_plus),
+    "identity": lambda dimension, m: EllipticOperator(np.ones((m,) * dimension), dimension),
     "constant": _constant_operator,
     "variable-1d": _variable_1d,
     "complex-perturbed": _complex_perturbed,
@@ -336,26 +320,39 @@ KIND_SECTIONS = {
 
 
 def build_section(path: str, spec: dict, *context):
-    """Build ``spec``, a config value of the section ``path``, with its kind's builder."""
+    """Build ``spec``, a config value of the section ``path``, with its kind's builder;
+    data the builder rejects (a nonpositive weight, a non-elliptic operator) is a
+    config error, a ParameterError naming ``path``."""
     table, default_kind = KIND_SECTIONS[path]
-    return build_kind(table, spec, path, *context, default_kind=default_kind)
+    try:
+        return build_kind(table, spec, path, *context, default_kind=default_kind)
+    except DataError as exc:
+        raise ParameterError(f"{path}: {exc}") from exc
 
 
-def _bmo_ladders(operators: Optional[dict], resolution_ladder: list) -> dict:
-    """The ladder per operator kind that the bmo harness runs: ``bmo.operators``,
-    or the family's own operator on the resolution ladder when that is null."""
-    return {"identity": resolution_ladder} if operators is None else operators
-
-
-def _bmo_operators(operators: dict, operator_params: dict) -> dict:
-    """The spec of each operator kind of ``operators`` and of ``bmo.operator_params``:
-    the kind, with its keys from ``bmo.operator_params``."""
-    specs = {kind: {"kind": kind} for kind in operators}
+def _bmo_operators(operators: Optional[dict], operator_params: dict, resolution_ladder: list,
+                   family_operator: dict) -> dict:
+    """(spec, ladder) per operator kind that the bmo harness runs: each kind of
+    ``bmo.operators`` on its ladder or, when that is null, the family's own
+    operator ``family_operator`` (its kind and keys) on the resolution ladder.
+    A kind of ``bmo.operator_params`` takes its keys from there, and must run."""
+    if operators is None:
+        own = {"kind": KIND_SECTIONS["family.operator"][1], **(family_operator or {})}
+        runs = {own["kind"]: (own, resolution_ladder)}
+    else:
+        runs = {kind: ({"kind": kind}, ladder) for kind, ladder in operators.items()}
+    for kind, (spec, _) in runs.items():
+        check_kind(OPERATORS, spec, f"bmo.operators.{kind}")
     for kind, keys in operator_params.items():
+        where = f"bmo.operator_params.{kind}"
         if not isinstance(keys, dict) or "kind" in keys:
-            raise ParameterError(f"bmo.operator_params.{kind} must hold the keys of {kind}, got {keys!r}")
-        specs[kind] = {**keys, "kind": kind}
-    return specs
+            raise ParameterError(f"{where} must hold the keys of {kind}, got {keys!r}")
+        spec = {**keys, "kind": kind}
+        check_kind(OPERATORS, spec, where)
+        if kind not in runs:
+            raise ParameterError(f"{where}: the bmo harness runs no {kind} operator (it runs: {', '.join(runs)})")
+        runs[kind] = (spec, runs[kind][1])
+    return runs
 
 
 def build_family(dimension: int, m: int, *, kind: _name_in(FAMILY_KINDS), p0: float = 1.0,
@@ -506,12 +503,11 @@ def _bmo(ctx: HarnessContext, *, ps: _list(float, nonempty=True) = [1.0, 2.0, 4.
     cfg = ctx.cfg
     per_op = {}
     passed = True
-    operators = _bmo_ladders(operators, cfg.resolution_ladder)
-    specs = _bmo_operators(operators, operator_params)
-    for op_name, ladder in operators.items():
+    runs = _bmo_operators(operators, operator_params, cfg.resolution_ladder, cfg.family["operator"])
+    for op_name, (spec, ladder) in runs.items():
         op_rungs = []
         for m in ladder:
-            family = build_family(cfg.dimension, m, **{**cfg.family, "operator": specs[op_name]})
+            family = build_family(cfg.dimension, m, **{**cfg.family, "operator": spec})
             fields = [make_field("log-distance", cfg.dimension, m, center=0.5)] + [
                 make_field("random-smooth", cfg.dimension, m, seed=sd, band=6)
                 for sd in field_seeds[1:]
@@ -604,8 +600,7 @@ def _weight_report(ctx: HarnessContext) -> tuple[dict, bool]:
     target = ctx.rungs[-1]
     if target.weight is None:
         raise ParameterError("weight-report harness requires a weight")
-    sample = make_cube_sample(cfg.dimension, target.m, 8, 16, cfg.seed)
-    rep = weight_report(target.weight, [1.0, 1.5, 2.0, 4.0], sample, cfg.seed)
+    rep = weight_report(target.weight, [1.0, 1.5, 2.0, 4.0], target.cube_sample, cfg.seed)
     return {"weight": rep.to_dict()}, all(math.isfinite(v) for v in rep.ap.values())
 
 
@@ -639,14 +634,7 @@ def validate(*, dimension: index, resolution_ladder: _ladder, field, family, nam
     cube sample's least side and the profile's anchors against the ladder, the
     profile's cube against every rung, the functional of the pair condition, and
     the theorems' exponent window."""
-    operators = _bmo_ladders(bmo["operators"], resolution_ladder)
-    for kind, spec in _bmo_operators(operators, bmo["operator_params"]).items():
-        where = "bmo.operator_params" if kind in bmo["operator_params"] else "bmo.operators"
-        check_kind(OPERATORS, spec, f"{where}.{kind}")
-    for kind in bmo["operator_params"]:
-        if kind not in operators:
-            raise ParameterError(f"bmo.operator_params.{kind}: the bmo harness runs no {kind} operator "
-                                 f"(it runs: {', '.join(operators)})")
+    _bmo_operators(bmo["operators"], bmo["operator_params"], resolution_ladder, family["operator"])
     m = min(resolution_ladder)
     if cube_sample["min_cells"] > m:
         raise ParameterError(f"cube_sample.min_cells: {cube_sample['min_cells']} cells exceed the "

@@ -45,22 +45,14 @@ class EllipticOperator:
 
     ``coeffs`` is either the full (n, n, *grid) block layout or, for scalar
     coefficients, just the grid-shaped array; ``dimension`` is the grid
-    dimension n.  ``p_minus``/``p_plus`` are metadata slots for the exponent
-    range of the associated semigroup; they are configured per experiment,
-    not derived.
+    dimension n.  The ellipticity constants are those of the coefficients
+    over the cells: ``lam`` is the least eigenvalue of the Hermitian part of
+    A, so Re <A xi, xi> >= lam |xi|^2, and ``big_lam`` the largest singular
+    value, so |<A xi, zeta>| <= big_lam |xi| |zeta|.  Coefficients with
+    lam <= 0 are not elliptic and raise DataError.
     """
 
-    def __init__(
-        self,
-        coeffs: np.ndarray,
-        lam: float,
-        big_lam: float,
-        dimension: int,
-        p_minus: float = 1.0,
-        p_plus: float = math.inf,
-    ):
-        if lam <= 0 or big_lam < lam:
-            raise ParameterError("need 0 < lam <= big_lam")
+    def __init__(self, coeffs: np.ndarray, dimension: int):
         a = np.asarray(coeffs)
         if a.ndim == dimension:  # scalar shorthand: A = a(x) I
             a = np.multiply.outer(np.eye(dimension), a)
@@ -69,11 +61,12 @@ class EllipticOperator:
         self.coeffs = a.astype(np.complex128 if np.iscomplexobj(a) else np.float64)
         self.dimension = dimension
         self.resolution = self.coeffs.shape[-1]
-        self.lam = float(lam)
-        self.big_lam = float(big_lam)
-        self.p_minus = float(p_minus)
-        self.p_plus = float(p_plus)
-        self._check_ellipticity()
+        cells = np.moveaxis(self.coeffs.reshape(dimension, dimension, -1), -1, 0)
+        hermitian = 0.5 * (cells + np.conj(np.swapaxes(cells, 1, 2)))
+        self.lam = float(np.min(np.linalg.eigvalsh(hermitian)))
+        self.big_lam = float(np.max(np.linalg.svd(cells, compute_uv=False)))
+        if self.lam <= 0:
+            raise DataError(f"coefficients are not elliptic: the Hermitian part of A has least eigenvalue {self.lam:g}")
         self._matrix: Optional[sp.csc_matrix] = None
         self._chebyshev: Optional[tuple[float, float, sp.csr_matrix]] = None
         self._symbol: Optional[np.ndarray] = None
@@ -92,17 +85,6 @@ class EllipticOperator:
     @property
     def h(self) -> float:
         return 1.0 / self.resolution
-
-    def _check_ellipticity(self) -> None:
-        """Per cell: Re <A xi, xi> >= lam |xi|^2 (the least eigenvalue of the
-        Hermitian part) and |<A xi, zeta>| <= Lam |xi| |zeta| (the largest
-        singular value), each with a 1e-9 slack."""
-        cells = np.moveaxis(self.coeffs.reshape(self.dimension, self.dimension, -1), -1, 0)
-        hermitian = 0.5 * (cells + np.conj(np.swapaxes(cells, 1, 2)))
-        if np.min(np.linalg.eigvalsh(hermitian)) < self.lam - 1e-9:
-            raise DataError("ellipticity lower bound violated: Re <A xi, xi> < lam |xi|^2 at a cell")
-        if np.max(np.linalg.svd(cells, compute_uv=False)) > self.big_lam + 1e-9:
-            raise DataError("ellipticity upper bound violated: |A| > Lam at a cell")
 
     # -- spectral path --------------------------------------------------------
 
@@ -220,37 +202,34 @@ def _fourier_apply(op: EllipticOperator, multiplier: np.ndarray, f: Field) -> Fi
 def semigroup_apply(
     op: EllipticOperator,
     t: float | Sequence[float],
-    f: Field | Sequence[Field] | Sequence[Sequence[Field]],
+    f: Field | Sequence[Field],
 ) -> Field | list:
     """e^{-tL} f: exact multiplier when A is constant, Chebyshev expansion otherwise.
 
-    ``t`` is one time or a sequence of times.  ``f`` is one field, a sequence
-    of fields that every time acts on, or (with a sequence of times) one
-    sequence of fields per time.  A sequence of times returns one entry per
-    time and a sequence of fields one field per field, in order; with both,
-    ``out[i][j]`` is e^{-t_i L} applied to field j.  On the stencil every time
-    shares one Chebyshev recurrence on the block of all fields.
+    ``t`` is one time or a sequence of times, and ``f`` one field or a
+    sequence of fields that every time acts on.  A sequence of times returns
+    one entry per time and a sequence of fields one field per field, in
+    order; with both, ``out[i][j]`` is e^{-t_i L} applied to field j.  On the
+    stencil every time shares one Chebyshev recurrence on the block of all
+    fields.
 
     On the ellipse E_R, |e^{-tL}| reaches e^{(t rho / 2)(ln R)^2 / 2} or so,
     and the expansion loses that factor to rounding; a non-Hermitian stencil
     (R > 1) therefore splits the time, e^{-tL} = (e^{-(t/s)L})^s, with the
     least s that keeps (t rho / 2s)(ln R)^2 within _SPLIT_BOUND.  A split
-    time runs its s steps on its own block of fields.
+    time runs its s steps on its own.
     """
     times = [float(t)] if np.ndim(t) == 0 else [float(x) for x in t]
     for x in times:
         if x < 0:
             raise ParameterError(f"time must be nonnegative, got {x}")
     single = isinstance(f, Field)
-    if not single and len(f) == 0:
+    fs = [f] if single else list(f)
+    if not fs:
         raise ParameterError("need at least one field")
-    per_time = not single and not isinstance(f[0], Field)
-    if per_time and (np.ndim(t) == 0 or len(f) != len(times)):
-        raise ParameterError("need one sequence of fields per time")
-    blocks = [list(g) for g in f] if per_time else [[f] if single else list(f)] * len(times)
     out: list = [None] * len(times)
     batch = []
-    for i, (x, fs) in enumerate(zip(times, blocks)):
+    for i, x in enumerate(times):
         if x == 0.0:
             out[i] = list(fs)
         elif op.is_constant:
@@ -263,8 +242,7 @@ def semigroup_apply(
             else:
                 out[i] = _chebyshev_apply(op, [_heat(x / splits)], fs, splits)[0]
     if batch:
-        src = [blocks[i] for i in batch] if per_time else blocks[0]
-        for i, res in zip(batch, _chebyshev_apply(op, [_heat(times[i]) for i in batch], src)):
+        for i, res in zip(batch, _chebyshev_apply(op, [_heat(times[i]) for i in batch], fs)):
             out[i] = res
     if single:
         out = [res[0] for res in out]
@@ -376,48 +354,41 @@ def _chebyshev_expansion(phi, rho: float, big_r: float) -> np.ndarray:
     return coeffs[: int(np.nonzero(weighted >= _TAIL_TOL)[0][-1]) + 1]
 
 
-def _chebyshev_apply(op: EllipticOperator, phis: Sequence, fields: Sequence, power: int = 1) -> list:
-    """phi(L)^power g for every phi in ``phis``, by one three-term recurrence.
+def _chebyshev_apply(op: EllipticOperator, phis: Sequence, fields: Sequence[Field], power: int = 1) -> list:
+    """phi(L)^power g for every phi in ``phis`` and g in ``fields``, by one
+    three-term recurrence; one list of fields per phi.
 
-    ``fields`` is one list of fields that every phi acts on, or one list per
-    phi; the result is one list of fields per phi.  Each phi is expanded in
-    Chebyshev polynomials of X = (2/rho) L - I (_chebyshev_expansion), and
-    the vectors T_k(X) u of the column block u of all fields are computed
-    once, up to the longest expansion; each (phi, field) accumulator takes
-    its own coefficients and stops at its own cut.  A column of the block
-    sees the same operations, in the same order, as the block of that field
-    alone, so batching does not change a bit.  Powers rerun the recurrence
-    on the block of results, each phi on its own columns.  A result is real
-    when L and its field are: phi is then real on the real axis, and the
-    imaginary part that sampling on E_R leaves is rounding.
+    Each phi is expanded in Chebyshev polynomials of X = (2/rho) L - I
+    (_chebyshev_expansion), and the vectors T_k(X) u of the column block u of
+    all fields are computed once, up to the longest expansion; each phi's
+    accumulator takes its own coefficients and stops at its own cut.  A
+    column of the block sees the same operations, in the same order, as the
+    block of that field alone, so batching does not change a bit.  A power
+    reruns the recurrence on the block of results, so it takes one phi.  A
+    result is real when L and its field are: phi is then real on the real
+    axis, and the imaginary part that sampling on E_R leaves is rounding.
     """
+    if power > 1 and len(phis) > 1:
+        raise ParameterError("a power takes one phi")
     rho, big_r, x_mat = op._chebyshev_frame()
     expansions = [_chebyshev_expansion(phi, rho, big_r) for phi in phis]
-    stacked = not isinstance(fields[0], Field)
-    blocks = list(fields) if stacked else [fields] * len(phis)
-    edges = np.cumsum([0] + [len(b) for b in blocks])
-    columns = [g for b in (blocks if stacked else [fields]) for g in b]
-    dtype = np.result_type(x_mat.dtype, *(c.dtype for c in expansions), *(g.values.dtype for g in columns))
-    u = np.stack([g.values.ravel() for g in columns], axis=1).astype(dtype)
+    dtype = np.result_type(x_mat.dtype, *(c.dtype for c in expansions), *(g.values.dtype for g in fields))
+    u = np.stack([g.values.ravel() for g in fields], axis=1).astype(dtype)
     for _ in range(power):
-        cols = [slice(lo, hi) if stacked else slice(None) for lo, hi in zip(edges, edges[1:])]
         prev, cur = u, x_mat @ u
-        accs = [0.5 * c[0] * prev[:, s] for c, s in zip(expansions, cols)]
-        for acc, c, s in zip(accs, expansions, cols):
+        accs = [0.5 * c[0] * prev for c in expansions]
+        for acc, c in zip(accs, expansions):
             if len(c) > 1:
-                acc += c[1] * cur[:, s]
+                acc += c[1] * cur
         for k in range(2, max(len(c) for c in expansions)):
             prev, cur = cur, 2.0 * (x_mat @ cur) - prev
-            for acc, c, s in zip(accs, expansions, cols):
+            for acc, c in zip(accs, expansions):
                 if k < len(c):
-                    acc += c[k] * cur[:, s]
-        u, stacked = np.concatenate(accs, axis=1), True
-    shape = columns[0].values.shape
-    return [
-        [Field(r if (op.is_complex or g.is_complex) else r.real)
-         for g, r in zip(b, (u[:, j].reshape(shape) for j in range(lo, lo + len(b))))]
-        for b, lo in zip(blocks, edges)
-    ]
+                    acc += c[k] * cur
+        u = accs[0]
+    shape = fields[0].values.shape
+    return [[Field(r if (op.is_complex or g.is_complex) else r.real)
+             for g, r in zip(fields, (col.reshape(shape) for col in acc.T))] for acc in accs]
 
 
 # ---------------------------------------------------------------------------
@@ -530,15 +501,17 @@ class OscillationFamily:
     def apply_B_scales(self, sides: Sequence[float], fields: Sequence[Field]) -> list[list[Field]]:
         """B at every sidelength on every field, ``out[i][j]`` for side i and field j.
 
-        Each factor I - e^{-l^2 L} of (I - e^{-l^2 L})^N is one semigroup_apply
-        call over all sides and fields.
+        The first factor I - e^{-l^2 L} of (I - e^{-l^2 L})^N is one
+        semigroup_apply call over all sides and fields; each further factor
+        is one call per side, on that side's fields.
         """
         if not self.sidelength_only:
             raise ParameterError("family depends on cube position, not only its scale")
         times = [side ** 2 for side in sides]
         g = [list(fields)] * len(times)
         for k in range(self.big_n):
-            heat = semigroup_apply(self.operator, times, fields if k == 0 else g)
+            heat = semigroup_apply(self.operator, times, fields) if k == 0 else [
+                semigroup_apply(self.operator, t, gi) for t, gi in zip(times, g)]
             g = [[Field(a.values - e.values) for a, e in zip(gi, hi)] for gi, hi in zip(g, heat)]
         return g
 

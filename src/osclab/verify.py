@@ -426,7 +426,7 @@ def verify_good_lambda(
 
     bq = rung.b_field(q_cube)
     bq2 = fam.apply_B(bq, q_cube)
-    alt = bq.values - fam.apply_A(bq, q_cube).values  # B_Q - A_Q B_Q
+    alt = bq.values - (bq.values - bq2.values)  # B_Q - A_Q B_Q, with A_Q = I - B_Q
     scale = float(np.max(np.abs(bq2.values)) + 1e-300)
     identity_defect = float(np.max(np.abs(bq2.values - alt))) / scale
 

@@ -113,7 +113,7 @@ def test_criterion_1_exact_inequalities():
 
 def _op_1d_variable(m: int) -> EllipticOperator:
     x = (np.arange(m) + 0.5) / m
-    return EllipticOperator(1.25 + 0.75 * np.cos(2 * np.pi * x), 0.5, 2.0, 1)
+    return EllipticOperator(1.25 + 0.75 * np.cos(2 * np.pi * x), 1)
 
 
 def _op_2d_variable(m: int) -> EllipticOperator:
@@ -122,7 +122,7 @@ def _op_2d_variable(m: int) -> EllipticOperator:
     coeffs = np.zeros((2, 2, m, m))
     coeffs[0, 0] = 1.25 + 0.5 * np.cos(2 * np.pi * xx)
     coeffs[1, 1] = 1.25 + 0.5 * np.sin(2 * np.pi * yy)
-    return EllipticOperator(coeffs, 0.5, 2.0, 2)
+    return EllipticOperator(coeffs, 2)
 
 
 def _op_2d_anisotropic(m: int, complex_eps: float = 0.0) -> EllipticOperator:
@@ -130,7 +130,7 @@ def _op_2d_anisotropic(m: int, complex_eps: float = 0.0) -> EllipticOperator:
     coeffs[0, 0] = 1.5 + (1j * complex_eps if complex_eps else 0.0)
     coeffs[1, 1] = 0.75 - (1j * complex_eps if complex_eps else 0.0)
     coeffs[0, 1] = coeffs[1, 0] = 0.25
-    return EllipticOperator(coeffs, 0.4, 2.0, 2)
+    return EllipticOperator(coeffs, 2)
 
 
 def test_criterion_2_semigroup_identities():
@@ -164,7 +164,7 @@ def test_criterion_2_semigroup_identities():
     s = 0.01
     for dim, probe in ((1, make_field("random-smooth", 1, m, seed=7, band=3)),
                        (2, make_field("random-smooth", 2, m, seed=8, band=2))):
-        op = EllipticOperator(np.ones((m,) * dim), 1.0, 1.0, dim)
+        op = EllipticOperator(np.ones((m,) * dim), dim)
         us = u_s_apply(op, s, 1, probe)
         lhs = s * op.apply(us).values
         rhs = probe.values - semigroup_apply(op, s, probe).values
@@ -175,7 +175,7 @@ def test_criterion_2_semigroup_identities():
     t = 0.008
     k1 = 3
     mode1 = make_field("fourier-mode", 1, m, k=k1)
-    got1 = semigroup_apply(EllipticOperator(np.ones(m), 1.0, 1.0, 1), t, mode1).values
+    got1 = semigroup_apply(EllipticOperator(np.ones(m), 1), t, mode1).values
     want1 = math.exp(-4 * math.pi ** 2 * k1 ** 2 * t) * mode1.values
     err1 = float(np.max(np.abs(got1 - want1)))
     kvec = (2, 1)
@@ -202,7 +202,7 @@ def test_criterion_3_offdiagonal_decay():
     rates = {}
     for m in (256, 512):
         fam = make_family("semigroup", (2.0, 2.0),
-                          operator=EllipticOperator(np.ones(m), 1.0, 1.0, 1))
+                          operator=EllipticOperator(np.ones(m), 1))
         cubes = [Cube((0.25,), 1 / 64), Cube((0.5,), 1 / 64)]
         prof = measure_offdiagonal(fam, probes(m), cubes, k_max=6, pair_levels=1)
         log_c, rate, residual = prof.fit([3, 4, 5, 6])

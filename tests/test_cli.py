@@ -7,6 +7,7 @@ import os
 import re
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from osclab import cli, verify
@@ -339,6 +340,11 @@ def test_cli_main_run_and_exit_codes(tmp_path, capsys):
         # --config takes a path or a bundled name, and names what it cannot find
         (["--config", "no-such-config"], "config 'no-such-config' not found"),
         (["--config", "classical-jn", "--set", "profile.kmax=3"], "unknown config key(s): profile.kmax"),
+        # data a builder rejects names its section
+        (["--config", "weighted-power", "--set", 'weight={"kind":"spike","amp":-2}'],
+         "weight: weight density must be strictly positive"),
+        (["--config", "heat-offdiag", "--set", 'family.operator={"kind":"constant","matrix":[[-1.0]]}'],
+         "family.operator: coefficients are not elliptic: the Hermitian part of A has least eigenvalue -1"),
     ],
 )
 def test_cli_main_exits_2_on_a_config_error(tmp_path, capsys, args, message):
@@ -394,10 +400,31 @@ def test_heat_offdiag_csv_alpha_strictly_decreasing(tmp_path):
 def test_pipeline_runs_a_complex_coefficient_semigroup():
     # the audit of a complex family keeps A_Q complex (ComplexWarning is an error here)
     cfg = ExperimentConfig.load(bundled_config_path("epi-pair"), [
-        'family.operator={"kind": "complex-perturbed", "lam": 0.5, "Lam": 2.0}',
+        'family.operator={"kind": "complex-perturbed"}',
     ])
     report, _timing = cli.run_pipeline(cfg)
     assert set(report["audit"]) >= {"commutator", "localization", "replace_comm"}
+
+
+@pytest.mark.parametrize("dimension, matrix", [(1, [[0.5]]), (2, [[1.5, 0.25], [0.25, 0.75]])])
+def test_a_constant_operator_takes_any_elliptic_matrix(dimension, matrix):
+    # lam and Lam are the least eigenvalue and the norm of the (symmetric) matrix
+    cfg = ExperimentConfig.load(bundled_config_path("heat-offdiag"), [
+        f"dimension={dimension}", f'family.operator={json.dumps({"kind": "constant", "matrix": matrix})}',
+    ])
+    op = cli.build_family(dimension, 16, **cfg.family).operator
+    eigenvalues = np.linalg.eigvalsh(np.array(matrix))
+    assert op.lam == pytest.approx(eigenvalues[0])
+    assert op.big_lam == pytest.approx(eigenvalues[-1])
+
+
+def test_bmo_runs_the_family_operator_when_it_names_none():
+    # with bmo.operators null the harness measures the family's own operator, named by its kind
+    base = ["resolution_ladder=[64]", "bmo.operator_params={}", 'family.operator={"kind": "variable-1d"}']
+    reports = [cli.run_pipeline(ExperimentConfig.load(bundled_config_path("bmo-heat"), base + [extra]))[0]
+               for extra in ("bmo.operators=null", 'bmo.operators={"variable-1d": [64]}')]
+    assert list(reports[0]["harnesses"]["bmo"]) == ["variable-1d"]
+    assert reports[0]["harnesses"]["bmo"] == reports[1]["harnesses"]["bmo"]
 
 
 def test_pair_dq_builds_its_own_pair_functionals():

@@ -125,7 +125,7 @@ def test_gamma_tilde_requires_beta_for_semigroup_kind():
 def test_a_measured_profile_carries_its_dimension():
     # the heat profile of a 2-D cube of 2 cells at m = 64 reaches alpha_4 > 0
     m = 64
-    fam = make_family("semigroup", (1.0, math.inf), operator=EllipticOperator(np.ones((m, m)), 1.0, 1.0, 2))
+    fam = make_family("semigroup", (1.0, math.inf), operator=EllipticOperator(np.ones((m, m)), 2))
     signs = Field(np.sign(np.random.default_rng(3).normal(size=(m, m))) + 0.0)
     probes = [make_field("constant", 2, m, value=1.0), signs]
     prof = measure_offdiagonal(fam, probes, [Cube((0.25, 0.25), 2 / m)], k_max=4, pair_levels=1)

@@ -122,6 +122,10 @@ def test_each_bmo_operator_takes_its_own_keys(kind):
         ("weighted-power", "weight.gama=-0.3", "weight.gama"),
         ("weighted-power", "functional.scal=2", "functional.scal"),
         ("heat-offdiag", 'family.operator={"kind":"identity","lamm":3}', "family.operator.lamm"),
+        # the ellipticity constants are computed from the coefficients, not configured
+        ("bmo-heat", 'family.operator={"kind":"variable-1d","lam":0.5}', "unknown config key(s): family.operator.lam"),
+        ("heat-offdiag", 'family.operator={"kind":"identity","p_minus":1}',
+         "unknown config key(s): family.operator.p_minus"),
         ("epi-pair", 'functional.gamma={"kind":"geometric","sigma":2.0,"scael":3}',
          "functional.gamma.scael"),
         ("epi-pair", 'functional.h={"kind":"gradient-of-smooth","band":2,"flor":0.05}',
@@ -195,7 +199,6 @@ MALFORMED = {
     ("field", "indicator"): {"cube": [0.25]},
     ("field", "power-distance"): {"gamma": "x"},
     ("field", "spike"): {"cell": [99, 0]},
-    ("family.operator", "identity"): {"p_minus": "x"},
     ("family.operator", "constant"): {"matrix": [[1.0]]},
     ("family.operator", "variable-1d"): {"base": "x"},
     ("family.operator", "complex-perturbed"): {"eps": "x"},

@@ -30,13 +30,13 @@ from osclab.operators import (
 
 
 def identity_operator(m: int, dim: int = 1) -> EllipticOperator:
-    return EllipticOperator(np.ones((m,) * dim), lam=1.0, big_lam=1.0, dimension=dim)
+    return EllipticOperator(np.ones((m,) * dim), dimension=dim)
 
 
 def variable_operator(m: int) -> EllipticOperator:
     x = (np.arange(m) + 0.5) / m
     a = 1.25 + 0.75 * np.cos(2 * np.pi * x)  # in [1/2, 2]
-    return EllipticOperator(a, lam=0.5, big_lam=2.0, dimension=1)
+    return EllipticOperator(a, dimension=1)
 
 
 def anisotropic_operator_2d(m: int) -> EllipticOperator:
@@ -45,7 +45,7 @@ def anisotropic_operator_2d(m: int) -> EllipticOperator:
     coeffs[1, 1] = 0.75
     coeffs[0, 1] = 0.25
     coeffs[1, 0] = 0.25
-    return EllipticOperator(coeffs, lam=0.5, big_lam=2.0, dimension=2)
+    return EllipticOperator(coeffs, dimension=2)
 
 
 def complex_operator_2d(m: int, eps: float = 0.3) -> EllipticOperator:
@@ -54,7 +54,7 @@ def complex_operator_2d(m: int, eps: float = 0.3) -> EllipticOperator:
     coeffs[1, 1] = 1.0 - 1j * eps * 0.5
     coeffs[0, 1] = 1j * eps * 0.25
     coeffs[1, 0] = 1j * eps * 0.25
-    return EllipticOperator(coeffs, lam=0.5, big_lam=2.0, dimension=2)
+    return EllipticOperator(coeffs, dimension=2)
 
 
 # ---------------------------------------------------------------------------
@@ -62,33 +62,25 @@ def complex_operator_2d(m: int, eps: float = 0.3) -> EllipticOperator:
 # ---------------------------------------------------------------------------
 
 
-def test_ellipticity_rejects_a_small_least_eigenvalue():
-    # diag(1, 0.45): Re <A xi, xi> = 0.45 |xi|^2 at xi = e_2, below lam = 0.5
+def test_ellipticity_constants_are_computed_from_the_coefficients():
+    # diag(1, 0.45): Re <A xi, xi> = 0.45 |xi|^2 at xi = e_2, and |A| = 1
     coeffs = np.zeros((2, 2, 8, 8))
     coeffs[0, 0], coeffs[1, 1] = 1.0, 0.45
-    with pytest.raises(DataError, match="lower bound"):
-        EllipticOperator(coeffs, lam=0.5, big_lam=2.0, dimension=2)
-    coeffs[1, 1] = 0.5
-    EllipticOperator(coeffs, lam=0.5, big_lam=2.0, dimension=2)
-
-
-def test_ellipticity_rejects_a_large_norm():
-    # [[1, 1.2], [-1.2, 1]] has Hermitian part I but 2-norm sqrt(1 + 1.44) = 1.562
-    coeffs = np.zeros((2, 2, 8, 8))
-    coeffs[0, 0] = coeffs[1, 1] = 1.0
+    op = EllipticOperator(coeffs, dimension=2)
+    assert (op.lam, op.big_lam) == (pytest.approx(0.45), pytest.approx(1.0))
+    # [[1, 1.2], [-1.2, 1]] has Hermitian part I but 2-norm sqrt(1 + 1.44)
+    coeffs[1, 1] = 1.0
     coeffs[0, 1], coeffs[1, 0] = 1.2, -1.2
-    assert np.linalg.norm(coeffs[:, :, 0, 0], 2) == pytest.approx(math.sqrt(2.44))
-    with pytest.raises(DataError, match="upper bound"):
-        EllipticOperator(coeffs, lam=0.5, big_lam=1.5, dimension=2)
-    EllipticOperator(coeffs, lam=0.5, big_lam=1.5625, dimension=2)
+    op = EllipticOperator(coeffs, dimension=2)
+    assert (op.lam, op.big_lam) == (pytest.approx(1.0), pytest.approx(math.sqrt(2.44)))
 
 
-def test_ellipticity_bounds_hold_per_cell():
-    # one bad cell among 64 is enough
+def test_ellipticity_is_checked_per_cell():
+    # one cell with Re A < 0 among 64 is enough
     coeffs = np.ones((8, 8), dtype=complex)
-    coeffs[3, 5] = 0.4 + 0.1j
-    with pytest.raises(DataError, match="lower bound"):
-        EllipticOperator(coeffs, lam=0.5, big_lam=1.0, dimension=2)
+    coeffs[3, 5] = -0.1 + 0.1j
+    with pytest.raises(DataError, match="not elliptic"):
+        EllipticOperator(coeffs, dimension=2)
 
 
 # ---------------------------------------------------------------------------
@@ -150,7 +142,7 @@ def variable_operator_2d(m: int) -> EllipticOperator:
     coeffs[0, 0] = 1.25 + 0.5 * np.cos(2 * np.pi * xx)
     coeffs[1, 1] = 1.2 + 0.4 * np.sin(2 * np.pi * yy)
     coeffs[0, 1] = coeffs[1, 0] = 0.2 * np.cos(2 * np.pi * (xx + yy))
-    return EllipticOperator(coeffs, lam=0.5, big_lam=2.0, dimension=2)
+    return EllipticOperator(coeffs, dimension=2)
 
 
 def complex_variable_operator_2d(m: int) -> EllipticOperator:
@@ -162,7 +154,7 @@ def complex_variable_operator_2d(m: int) -> EllipticOperator:
     coeffs[1, 1] = 1.2 + 0.4 * np.sin(2 * np.pi * yy) - 0.2j * np.cos(2 * np.pi * xx)
     coeffs[0, 1] = 0.2 * np.cos(2 * np.pi * (xx + yy)) + 0.15j * np.sin(2 * np.pi * xx)
     coeffs[1, 0] = 0.2 * np.cos(2 * np.pi * (xx + yy)) - 0.1j * np.cos(2 * np.pi * yy)
-    return EllipticOperator(coeffs, lam=0.5, big_lam=2.0, dimension=2)
+    return EllipticOperator(coeffs, dimension=2)
 
 
 def nonsymmetric_operator_2d(m: int) -> EllipticOperator:
@@ -174,7 +166,7 @@ def nonsymmetric_operator_2d(m: int) -> EllipticOperator:
     coeffs[1, 1] = 1.2 + 0.4 * np.sin(2 * np.pi * yy)
     coeffs[0, 1] = 0.2 * np.cos(2 * np.pi * (xx + yy)) + 0.15 * np.sin(2 * np.pi * xx)
     coeffs[1, 0] = 0.2 * np.cos(2 * np.pi * (xx + yy)) - 0.1 * np.cos(2 * np.pi * yy)
-    return EllipticOperator(coeffs, lam=0.5, big_lam=2.0, dimension=2)
+    return EllipticOperator(coeffs, dimension=2)
 
 
 EXPM_CASES = {
@@ -277,7 +269,7 @@ def test_variable_complex_stencil_runs():
     m = 32
     x = (np.arange(m) + 0.5) / m
     a = (1.25 + 0.25 * np.cos(2 * np.pi * x)) + 0.2j * np.sin(2 * np.pi * x)
-    op = EllipticOperator(a, lam=0.5, big_lam=2.0, dimension=1)
+    op = EllipticOperator(a, dimension=1)
     f = make_field("random-smooth", 1, m, seed=5, band=3)
     out = semigroup_apply(op, 0.01, f)
     assert np.all(np.isfinite(np.abs(out.values)))
@@ -419,15 +411,11 @@ def test_batched_semigroup_matches_per_call_results_exactly(case, width):
         assert operators._ellipse_growth(op, BATCH_TIMES[-1]) > operators._SPLIT_BOUND
     fields = [make_field("random-smooth", dim, m, seed=s, band=3) for s in range(1, width + 1)]
     batched = semigroup_apply(op, BATCH_TIMES, fields)
-    # one sequence of fields per time: time i acts on its own fields only
-    own = [[Field((i + 1) * g.values) for g in fields] for i in range(len(BATCH_TIMES))]
-    paired = semigroup_apply(op, BATCH_TIMES, own)
-    assert len(batched) == len(paired) == len(BATCH_TIMES)
+    assert len(batched) == len(BATCH_TIMES)
     for i, t in enumerate(BATCH_TIMES):
-        assert len(batched[i]) == len(paired[i]) == width
+        assert len(batched[i]) == width
         for j, g in enumerate(fields):
             assert np.array_equal(batched[i][j].values, semigroup_apply(op, t, g).values), (t, j)
-            assert np.array_equal(paired[i][j].values, semigroup_apply(op, t, own[i][j]).values), (t, j)
     single_time = semigroup_apply(op, BATCH_TIMES[2], fields)
     for got, want in zip(single_time, batched[2]):
         assert np.array_equal(got.values, want.values)

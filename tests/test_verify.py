@@ -29,7 +29,7 @@ from osclab.verify import (
 
 
 def identity_op(m: int, dim: int = 1) -> EllipticOperator:
-    return EllipticOperator(np.ones((m,) * dim), lam=1.0, big_lam=1.0, dimension=dim)
+    return EllipticOperator(np.ones((m,) * dim), dimension=dim)
 
 
 def probe_set(m: int) -> list[Field]:
