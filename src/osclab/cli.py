@@ -575,8 +575,6 @@ def _weighted_identity(ctx: HarnessContext) -> tuple[dict, bool]:
 def _rh_sets(ctx: HarnessContext) -> tuple[dict, bool]:
     cfg = ctx.cfg
     target = ctx.rungs[-1]
-    if target.weight is None:
-        raise ParameterError("rh-sets harness requires a weight")
     rng = rng_from_seed(cfg.seed + 41)
     m = target.m
     worst = 0.0
@@ -598,8 +596,6 @@ def _rh_sets(ctx: HarnessContext) -> tuple[dict, bool]:
 def _weight_report(ctx: HarnessContext) -> tuple[dict, bool]:
     cfg = ctx.cfg
     target = ctx.rungs[-1]
-    if target.weight is None:
-        raise ParameterError("weight-report harness requires a weight")
     rep = weight_report(target.weight, [1.0, 1.5, 2.0, 4.0], target.cube_sample, cfg.seed)
     return {"weight": rep.to_dict()}, all(math.isfinite(v) for v in rep.ap.values())
 
@@ -629,11 +625,17 @@ def validate(*, dimension: index, resolution_ladder: _ladder, field, family, nam
              condition_families: _count(1) = 20, k_max: _count(0) = 3, good_lambda={}, bmo={},
              epi={}) -> None:
     """The reader of a config's top level (its keys are these parameters): checks what
-    no single key decides, the bmo operator kinds, the dimension and cell lattice of
-    the configured cubes (an indicator field's, good-lambda's and the epi root), the
-    cube sample's least side and the profile's anchors against the ladder, the
-    profile's cube against every rung, the functional of the pair condition, and
-    the theorems' exponent window."""
+    no single key decides, a semigroup family's operator, the weight of the rh-sets
+    and weight-report harnesses, the bmo operator kinds, the dimension and cell
+    lattice of the configured cubes (an indicator field's, good-lambda's and the
+    epi root), the cube sample's least side and the profile's anchors against the
+    ladder, the profile's cube against every rung, the functional of the pair
+    condition, and the theorems' exponent window."""
+    if family["kind"] == "semigroup" and family["operator"] is None:
+        raise ParameterError("family.operator: a semigroup family needs an operator, got null")
+    for harness in ("rh-sets", "weight-report"):
+        if weight is None and harness in harnesses:
+            raise ParameterError(f"weight: the {harness} harness needs a weight, got null")
     _bmo_operators(bmo["operators"], bmo["operator_params"], resolution_ladder, family["operator"])
     m = min(resolution_ladder)
     if cube_sample["min_cells"] > m:

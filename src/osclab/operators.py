@@ -6,15 +6,16 @@ Three families are provided:
 * ``extended-average``    B_Q f = f - f_Q chi_{2Q}
 * ``semigroup``           B_Q f = (I - e^{-l(Q)^2 L})^N f
 
-for a divergence-form elliptic generator L = -div(A(x) grad).  Constant
-coefficient operators act spectrally (the exact Fourier multiplier of the
-continuous generator, restricted to grid modes); variable coefficients use a
-conservative finite-difference stencil, and functions of it (e^{-tL} and the
-time average U_s) are evaluated to rounding by a Chebyshev expansion over a
-Gershgorin enclosure of its numerical range, with sparse matvecs only
+for a divergence-form elliptic generator L = -div(A(x) grad), whose state is
+computed when it is built.  Constant coefficient operators act spectrally
+(the exact Fourier multiplier of the continuous generator, restricted to grid
+modes); variable coefficients use a conservative finite-difference stencil,
+assembled from one coefficient array per offset, and functions of it (e^{-tL}
+and the time average U_s) are evaluated to rounding by a Chebyshev expansion
+over a Gershgorin enclosure of its numerical range, with sparse matvecs only
 (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 1984; Crouzeix, J. Funct. Anal. 244,
-2007, for complex coefficients).  The expansion is batched over times and
-fields: one three-term recurrence on the block of all fields serves every
+2007, for complex coefficients).  semigroup_apply and sharp_maximal take
+blocks: one three-term recurrence on the block of all fields serves every
 time, so the sharp maximal sweep of a rung costs the longest single-scale
 expansion, not the sum over scales and fields.  Both paths annihilate
 constants and conserve the mean, because the stencil is in flux form.
@@ -50,6 +51,10 @@ class EllipticOperator:
     A, so Re <A xi, xi> >= lam |xi|^2, and ``big_lam`` the largest singular
     value, so |<A xi, zeta>| <= big_lam |xi| |zeta|.  Coefficients with
     lam <= 0 are not elliptic and raise DataError.
+
+    All of it is computed here.  Constant coefficients get the Fourier
+    multiplier ``symbol`` = 4 pi^2 k.Ak; variable ones the flux-form stencil
+    ``matrix`` and its Chebyshev frame ``rho``, ``big_r`` and ``x_mat``.
     """
 
     def __init__(self, coeffs: np.ndarray, dimension: int):
@@ -59,133 +64,89 @@ class EllipticOperator:
         if a.shape[:2] != (dimension, dimension):
             raise ParameterError(f"coefficients need an {dimension}x{dimension} block layout, got {a.shape}")
         self.coeffs = a.astype(np.complex128 if np.iscomplexobj(a) else np.float64)
-        self.dimension = dimension
-        self.resolution = self.coeffs.shape[-1]
-        cells = np.moveaxis(self.coeffs.reshape(dimension, dimension, -1), -1, 0)
+        self.dimension = n = dimension
+        self.resolution = m = self.coeffs.shape[-1]
+        self.h = 1.0 / m
+        self.is_complex = np.iscomplexobj(self.coeffs)
+        flat = self.coeffs.reshape(n, n, -1)
+        self.is_constant = bool(np.all(flat == flat[:, :, :1]))
+        cells = np.moveaxis(flat, -1, 0)
         hermitian = 0.5 * (cells + np.conj(np.swapaxes(cells, 1, 2)))
         self.lam = float(np.min(np.linalg.eigvalsh(hermitian)))
         self.big_lam = float(np.max(np.linalg.svd(cells, compute_uv=False)))
         if self.lam <= 0:
             raise DataError(f"coefficients are not elliptic: the Hermitian part of A has least eigenvalue {self.lam:g}")
-        self._matrix: Optional[sp.csc_matrix] = None
-        self._chebyshev: Optional[tuple[float, float, sp.csr_matrix]] = None
-        self._symbol: Optional[np.ndarray] = None
-
-    # -- structure ----------------------------------------------------------
-
-    @property
-    def is_constant(self) -> bool:
-        flat = self.coeffs.reshape(self.dimension, self.dimension, -1)
-        return bool(np.all(flat == flat[:, :, :1]))
-
-    @property
-    def is_complex(self) -> bool:
-        return np.iscomplexobj(self.coeffs)
-
-    @property
-    def h(self) -> float:
-        return 1.0 / self.resolution
-
-    # -- spectral path --------------------------------------------------------
-
-    def symbol(self) -> np.ndarray:
-        """Fourier multiplier 4 pi^2 k.Ak of the constant-coefficient operator."""
-        if not self.is_constant:
-            raise ParameterError("symbol is defined for constant coefficients only")
-        if self._symbol is None:
-            m, n = self.resolution, self.dimension
-            freqs = np.fft.fftfreq(m, d=1.0 / m)
-            grids = np.meshgrid(*([freqs] * n), indexing="ij")
-            a0 = self.coeffs.reshape(self.dimension, self.dimension, -1)[:, :, 0]
+        if self.is_constant:
+            grids = np.meshgrid(*([np.fft.fftfreq(m, d=1.0 / m)] * n), indexing="ij")
             mu = np.zeros((m,) * n, dtype=np.complex128)
-            for i in range(n):
-                for j in range(n):
-                    mu = mu + a0[i, j] * grids[i] * grids[j]
-            self._symbol = 4.0 * np.pi ** 2 * mu
-        return self._symbol
-
-    # -- stencil path ---------------------------------------------------------
-
-    def matrix(self) -> sp.csc_matrix:
-        """Sparse conservative stencil; row and column sums vanish exactly."""
-        if self._matrix is None:
-            self._matrix = _assemble(self.coeffs, self.h)
-            ones = np.ones(self._matrix.shape[0])
-            tol = 1e-11 * self.big_lam / self.h ** 2
-            if np.max(np.abs(self._matrix @ ones)) > tol:
-                raise NumericError("stencil does not annihilate constants")
-        return self._matrix
+            for i, j in np.ndindex(n, n):
+                mu = mu + flat[i, j, 0] * grids[i] * grids[j]
+            self.symbol = 4.0 * np.pi ** 2 * mu
+            return
+        self.matrix = _assemble(self.coeffs, self.h)
+        if np.max(np.abs(self.matrix @ np.ones(self.matrix.shape[0]))) > 1e-11 * self.big_lam / self.h ** 2:
+            raise NumericError("stencil does not annihilate constants")
+        self.rho, self.big_r, self.x_mat = _chebyshev_frame(self.matrix)
 
     def apply(self, f: Field) -> Field:
         """L f via the operator's own generator (spectral or stencil)."""
         if self.is_constant:
-            return _fourier_apply(self, self.symbol(), f)
-        flat = self.matrix() @ f.values.ravel()
-        out = flat.reshape(f.values.shape)
+            return _fourier_apply(self, self.symbol, f)
+        out = (self.matrix @ f.values.ravel()).reshape(f.values.shape)
         return Field(out if (self.is_complex or f.is_complex) else out.real)
 
-    def _chebyshev_frame(self) -> tuple[float, float, sp.csr_matrix]:
-        """(rho, R, X) for the Chebyshev evaluator, computed once.
 
-        rho is the Gershgorin bound of the Hermitian part of the stencil,
-        which is positive semidefinite for elliptic A, so X = (2/rho) L - I
-        has its numerical range in [-1, 1] x i[-beta, beta], with beta from
-        the Gershgorin bound of the skew-Hermitian part.  R is the Bernstein
-        ellipse (foci -1 and 1) through the corners of that rectangle; R = 1
-        exactly when L is Hermitian.
-        """
-        if self._chebyshev is None:
-            mat = self.matrix().tocsr()
-            adj = mat.conj().T
-            rho = float(abs(mat + adj).sum(axis=1).max()) / 2.0
-            beta = float(abs(mat - adj).sum(axis=1).max()) / rho
-            semi = (beta + math.sqrt(4.0 + beta * beta)) / 2.0
-            big_r = semi + math.sqrt(semi * semi - 1.0)
-            eye = sp.identity(mat.shape[0], dtype=mat.dtype, format="csr")
-            self._chebyshev = (rho, big_r, ((2.0 / rho) * mat - eye).tocsr())
-        return self._chebyshev
+def _assemble(coeffs: np.ndarray, h: float) -> sp.csr_matrix:
+    """The stencil -(sum_i D-_i a_i D+_i + sum_{i != j} D0_i A_ij D0_j), a_i the mean
+    of A_ii on the face after a cell along axis i: the sum as one coefficient
+    array per offset o (row x, column x + o, periodic), each entry rounded as
+    the product of the difference matrices rounds it, negated in the CSR,
+    which stores no entry that vanishes."""
+    n, m = coeffs.shape[0], coeffs.shape[-1]
+    inv, half = 1.0 / h, 1.0 / (2 * h)
+    bands: dict = {}
+
+    def add(*terms):
+        for offset, band in terms:
+            o = tuple(offset)
+            bands[o] = bands[o] + band if o in bands else band
+
+    unit = np.eye(n, dtype=int)
+    for i, ei in enumerate(unit):
+        face = 0.5 * (coeffs[i, i] + np.roll(coeffs[i, i], -1, axis=i))
+        g = face * inv * inv  # the sum's entry at x + e_i; rolled, at x - e_i
+        g_back = np.roll(g, 1, axis=i)
+        add((0 * ei, -g - g_back), (ei, g), (-ei, g_back))
+        for j, ej in enumerate(unit):
+            if j != i:
+                k = coeffs[i, j] * half * half
+                k_fwd, k_back = np.roll(k, -1, axis=i), np.roll(k, 1, axis=i)
+                add((ei + ej, k_fwd), (ei - ej, -k_fwd), (ej - ei, -k_back), (-ei - ej, k_back))
+    cells = np.arange(m ** n).reshape((m,) * n)
+    cols = [np.roll(cells, [-x for x in o], axis=tuple(range(n))).ravel() for o in bands]
+    data = np.concatenate([band.ravel() for band in bands.values()])
+    rows = np.tile(cells.ravel(), len(bands))
+    mat = sp.csr_matrix((-data, (rows, np.concatenate(cols))), shape=(m ** n,) * 2)
+    mat.eliminate_zeros()
+    return mat
 
 
-def _shift(m: int, k: int) -> sp.csr_matrix:
-    """Periodic shift: (S u)_i = u_{i+k}."""
-    idx = (np.arange(m) + k) % m
-    return sp.csr_matrix((np.ones(m), (np.arange(m), idx)), shape=(m, m))
+def _chebyshev_frame(mat: sp.csr_matrix) -> tuple[float, float, sp.csr_matrix]:
+    """(rho, R, X) of the stencil ``mat`` for the Chebyshev evaluator.
 
-
-def _assemble(coeffs: np.ndarray, h: float) -> sp.csc_matrix:
-    n = coeffs.shape[0]
-    m = coeffs.shape[-1]
-    dtype = coeffs.dtype
-    eye = sp.identity(m, dtype=dtype, format="csr")
-
-    def lift(op1d: sp.spmatrix, axis: int) -> sp.csr_matrix:
-        if n == 1:
-            return op1d.tocsr()
-        mats = [op1d if ax == axis else eye for ax in range(n)]
-        out = mats[0]
-        for mmat in mats[1:]:
-            out = sp.kron(out, mmat, format="csr")
-        return out
-
-    def diag_of(arr: np.ndarray) -> sp.csr_matrix:
-        return sp.diags(arr.ravel().astype(dtype), format="csr")
-
-    total = None
-    for i in range(n):
-        # flux form along axis i with arithmetic face means
-        a_ii = coeffs[i, i]
-        face = 0.5 * (a_ii + np.roll(a_ii, -1, axis=i))
-        dplus = lift((_shift(m, 1) - sp.identity(m, dtype=dtype)) / h, i)
-        dminus = lift((sp.identity(m, dtype=dtype) - _shift(m, -1)) / h, i)
-        term = dminus @ diag_of(face) @ dplus
-        total = term if total is None else total + term
-        for j in range(n):
-            if i == j:
-                continue
-            dc_i = lift((_shift(m, 1) - _shift(m, -1)) / (2 * h), i)
-            dc_j = lift((_shift(m, 1) - _shift(m, -1)) / (2 * h), j)
-            total = total + dc_i @ diag_of(coeffs[i, j]) @ dc_j
-    return (-total).tocsc()
+    rho is the Gershgorin bound of the Hermitian part of the stencil,
+    which is positive semidefinite for elliptic A, so X = (2/rho) L - I
+    has its numerical range in [-1, 1] x i[-beta, beta], with beta from
+    the Gershgorin bound of the skew-Hermitian part.  R is the Bernstein
+    ellipse (foci -1 and 1) through the corners of that rectangle; R = 1
+    exactly when L is Hermitian.
+    """
+    adj = mat.conj().T
+    rho = float(abs(mat + adj).sum(axis=1).max()) / 2.0
+    beta = float(abs(mat - adj).sum(axis=1).max()) / rho
+    semi = (beta + math.sqrt(4.0 + beta * beta)) / 2.0
+    big_r = semi + math.sqrt(semi * semi - 1.0)
+    return rho, big_r, (2.0 / rho) * mat - sp.identity(mat.shape[0], dtype=mat.dtype, format="csr")
 
 
 # ---------------------------------------------------------------------------
@@ -199,54 +160,40 @@ def _fourier_apply(op: EllipticOperator, multiplier: np.ndarray, f: Field) -> Fi
     return Field(out if (op.is_complex or f.is_complex) else out.real)
 
 
-def semigroup_apply(
-    op: EllipticOperator,
-    t: float | Sequence[float],
-    f: Field | Sequence[Field],
-) -> Field | list:
-    """e^{-tL} f: exact multiplier when A is constant, Chebyshev expansion otherwise.
+def semigroup_apply(op: EllipticOperator, times: Sequence[float],
+                    fields: Sequence[Field]) -> list[list[Field]]:
+    """e^{-tL} g for every time t and field g, ``out[i][j]`` for time i and field j:
+    the exact multiplier when A is constant, a Chebyshev expansion otherwise.
 
-    ``t`` is one time or a sequence of times, and ``f`` one field or a
-    sequence of fields that every time acts on.  A sequence of times returns
-    one entry per time and a sequence of fields one field per field, in
-    order; with both, ``out[i][j]`` is e^{-t_i L} applied to field j.  On the
-    stencil every time shares one Chebyshev recurrence on the block of all
-    fields.
-
-    On the ellipse E_R, |e^{-tL}| reaches e^{(t rho / 2)(ln R)^2 / 2} or so,
-    and the expansion loses that factor to rounding; a non-Hermitian stencil
-    (R > 1) therefore splits the time, e^{-tL} = (e^{-(t/s)L})^s, with the
-    least s that keeps (t rho / 2s)(ln R)^2 within _SPLIT_BOUND.  A split
-    time runs its s steps on its own.
+    On the stencil every time shares one Chebyshev recurrence on the block
+    of all fields.  On the ellipse E_R, |e^{-tL}| reaches e^{(t rho / 2)(ln
+    R)^2 / 2} or so, and the expansion loses that factor to rounding; a
+    non-Hermitian stencil (R > 1) therefore splits the time, e^{-tL} =
+    (e^{-(t/s)L})^s, with the least s that keeps (t rho / 2s)(ln R)^2
+    within _SPLIT_BOUND.  A split time runs its s steps on its own.
     """
-    times = [float(t)] if np.ndim(t) == 0 else [float(x) for x in t]
-    for x in times:
-        if x < 0:
-            raise ParameterError(f"time must be nonnegative, got {x}")
-    single = isinstance(f, Field)
-    fs = [f] if single else list(f)
-    if not fs:
+    times = [float(t) for t in times]
+    for t in times:
+        if t < 0:
+            raise ParameterError(f"time must be nonnegative, got {t}")
+    if not fields:
         raise ParameterError("need at least one field")
     out: list = [None] * len(times)
     batch = []
-    for i, x in enumerate(times):
-        if x == 0.0:
-            out[i] = list(fs)
-        elif op.is_constant:
-            multiplier = np.exp(-x * op.symbol())
-            out[i] = [_fourier_apply(op, multiplier, g) for g in fs]
+    for i, t in enumerate(times):
+        if op.is_constant:
+            multiplier = np.exp(-t * op.symbol)
+            out[i] = [_fourier_apply(op, multiplier, g) for g in fields]
         else:
-            splits = max(1, math.ceil(_ellipse_growth(op, x) / _SPLIT_BOUND))
+            splits = max(1, math.ceil(_ellipse_growth(op, t) / _SPLIT_BOUND))
             if splits == 1:
                 batch.append(i)
             else:
-                out[i] = _chebyshev_apply(op, [_heat(x / splits)], fs, splits)[0]
+                out[i] = _chebyshev_apply(op, [_heat(t / splits)], fields, splits)[0]
     if batch:
-        for i, res in zip(batch, _chebyshev_apply(op, [_heat(times[i]) for i in batch], fs)):
+        for i, res in zip(batch, _chebyshev_apply(op, [_heat(times[i]) for i in batch], fields)):
             out[i] = res
-    if single:
-        out = [res[0] for res in out]
-    return out[0] if np.ndim(t) == 0 else out
+    return out
 
 
 def _heat(tau: float):
@@ -275,7 +222,7 @@ def u_s_apply(op: EllipticOperator, s: float, big_n: int, f: Field) -> Field:
     if big_n < 1:
         raise ParameterError("N must be >= 1")
     if op.is_constant:
-        return _fourier_apply(op, _time_average_multiplier(op.symbol(), s, big_n), f)
+        return _fourier_apply(op, _time_average_multiplier(op.symbol, s, big_n), f)
     base, halvings = s, 0
     while _ellipse_growth(op, base) > _SPLIT_BOUND:
         base, halvings = base / 2.0, halvings + 1
@@ -283,7 +230,7 @@ def u_s_apply(op: EllipticOperator, s: float, big_n: int, f: Field) -> Field:
     for j in range(halvings):
         a = base * 2 ** j
         for _ in range(big_n):
-            out = Field((out.values + semigroup_apply(op, a, out).values) / 2.0)
+            out = Field((out.values + semigroup_apply(op, [a], [out])[0][0].values) / 2.0)
     return out
 
 
@@ -299,8 +246,7 @@ _MAX_DEGREE = 1 << 17
 
 def _ellipse_growth(op: EllipticOperator, t: float) -> float:
     """(t rho / 2)(ln R)^2, about twice the log of max |e^{-t lambda}| on E_R."""
-    rho, big_r, _ = op._chebyshev_frame()
-    return t * rho / 2.0 * math.log(big_r) ** 2
+    return t * op.rho / 2.0 * math.log(op.big_r) ** 2
 
 
 def _chebyshev_coefficients(phi, n: int, big_r: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
@@ -370,8 +316,8 @@ def _chebyshev_apply(op: EllipticOperator, phis: Sequence, fields: Sequence[Fiel
     """
     if power > 1 and len(phis) > 1:
         raise ParameterError("a power takes one phi")
-    rho, big_r, x_mat = op._chebyshev_frame()
-    expansions = [_chebyshev_expansion(phi, rho, big_r) for phi in phis]
+    x_mat = op.x_mat
+    expansions = [_chebyshev_expansion(phi, op.rho, op.big_r) for phi in phis]
     dtype = np.result_type(x_mat.dtype, *(c.dtype for c in expansions), *(g.values.dtype for g in fields))
     u = np.stack([g.values.ravel() for g in fields], axis=1).astype(dtype)
     for _ in range(power):
@@ -511,7 +457,7 @@ class OscillationFamily:
         g = [list(fields)] * len(times)
         for k in range(self.big_n):
             heat = semigroup_apply(self.operator, times, fields) if k == 0 else [
-                semigroup_apply(self.operator, t, gi) for t, gi in zip(times, g)]
+                semigroup_apply(self.operator, [t], gi)[0] for t, gi in zip(times, g)]
             g = [[Field(a.values - e.values) for a, e in zip(gi, hi)] for gi, hi in zip(g, heat)]
         return g
 
@@ -750,23 +696,22 @@ _MOMENT_OF = {2.0: 1, 4.0: 3}
 
 def sharp_maximal(
     family: OscillationFamily,
-    f: Field | Sequence[Field],
-    p: float | Sequence[float],
+    fields: Sequence[Field],
+    ps: Sequence[float],
     alpha: float = 0.0,
-) -> Field | list:
-    """Pointwise sup over admissible cubes of |Q|^{-alpha/n} (mean_Q |B_Q f|^p)^{1/p}.
+) -> list[list[Field]]:
+    """Pointwise sup over admissible cubes of |Q|^{-alpha/n} (mean_Q |B_Q f|^p)^{1/p},
+    ``out[j][k]`` for field j of ``fields`` (of one grid) and exponent k of ``ps``.
 
     Admissible cubes are those of the restricted maximal-function family.
     With alpha = 0 the sup-norm of the result is the oscillation BMO seminorm
     of f for this family; positive alpha gives the Lipschitz-scale variant.
 
-    ``p`` is one exponent or a sequence of them, and ``f`` one field or a
-    sequence of fields of one grid; a sequence returns one entry per item, in
-    order, and with both, ``out[j][k]`` is field j at exponent k.  One sweep
-    over the scales serves them all: each B_Q f (or window deviation) is
-    computed once and raised to every exponent, a scale-only family gets the
-    B fields of every scale and field from apply_B_scales, and the
-    statistics of all fields go to one scale_sweep_max on a leading axis.
+    One sweep over the scales serves every field and exponent: each B_Q f
+    (or window deviation) is computed once and raised to every exponent, a
+    scale-only family gets the B fields of every scale and field from
+    apply_B_scales, and the statistics of all fields go to one
+    scale_sweep_max on a leading axis.
 
     For a positional family, B_Q f on Q is f - f_Q.  At p = 2 and p = 4 of a
     real field the mean is then the central moment M2 or M4 of f on Q, read
@@ -774,25 +719,22 @@ def sharp_maximal(
     O(m^n) per scale; complex fields and every other p take the windows,
     O(m^n c^n) per scale.
     """
-    single_p = np.ndim(p) == 0
-    ps = [float(p)] if single_p else [float(x) for x in p]
+    ps = [float(x) for x in ps]
     for x in ps:
         if not (family.p0 <= x and (x < family.q0 or x == family.p0)):
             raise ParameterError(f"p={x} outside [{family.p0}, {family.q0})")
-    single_f = isinstance(f, Field)
-    fs = [f] if single_f else list(f)
-    if not fs:
+    if not fields:
         raise ParameterError("need at least one field")
-    m, n = fs[0].resolution, fs[0].dimension
+    m, n = fields[0].resolution, fields[0].dimension
     cs = [2 ** k for k in range(m.bit_length())]
-    b = family.apply_B_scales([c / m for c in cs], fs) if family.sidelength_only else None
+    b = family.apply_B_scales([c / m for c in cs], fields) if family.sidelength_only else None
     # positional family: p = 2 and p = 4 of a real field are its central moments
-    real = [j for j, g in enumerate(fs) if not g.is_complex]
+    real = [j for j, g in enumerate(fields) if not g.is_complex]
     by_moment = [(k, _MOMENT_OF[x]) for k, x in enumerate(ps) if x in _MOMENT_OF]
     moments = None
     if b is None and real and by_moment:
-        moments = sliding_central_moments(np.stack([fs[j].values for j in real]), n)
-    windowed = [[(k, x) for k, x in enumerate(ps) if g.is_complex or x not in _MOMENT_OF] for g in fs]
+        moments = sliding_central_moments(np.stack([fields[j].values for j in real]), n)
+    windowed = [[(k, x) for k, x in enumerate(ps) if g.is_complex or x not in _MOMENT_OF] for g in fields]
 
     def scales():
         for i, c in enumerate(cs):
@@ -803,12 +745,12 @@ def sharp_maximal(
                 b[i] = None
                 stat = sliding_cube_means(np.stack([np.power(dev, x) for x in ps], axis=1), c, n)
             else:
-                stat = np.empty((len(fs), len(ps)) + fs[0].values.shape)
+                stat = np.empty((len(fields), len(ps)) + fields[0].values.shape)
                 if moments is not None:
                     _, mom = next(moments)
                     for k, r in by_moment:
                         stat[real, k] = mom[r]
-                for j, g in enumerate(fs):
+                for j, g in enumerate(fields):
                     if not windowed[j]:
                         continue
                     for ix, dev in _anchored_deviations(g, c):
@@ -818,7 +760,4 @@ def sharp_maximal(
                 stat[:, k] = weight * np.power(stat[:, k], 1.0 / x)
             yield c, stat
 
-    best = [[Field(v) for v in per_field] for per_field in scale_sweep_max(scales(), n)]
-    if single_p:
-        best = [per_field[0] for per_field in best]
-    return best[0] if single_f else best
+    return [[Field(v) for v in per_field] for per_field in scale_sweep_max(scales(), n)]

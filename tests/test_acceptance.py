@@ -97,8 +97,8 @@ def test_criterion_1_exact_inequalities():
         if c_lo > c_hi * (1 + REL_SLACK):
             violations["dr-ds"] += 1
 
-        lo = sharp_maximal(fam, f, 1.0).values
-        hi = sharp_maximal(fam, f, 2.0).values
+        lo = sharp_maximal(fam, [f], [1.0])[0][0].values
+        hi = sharp_maximal(fam, [f], [2.0])[0][0].values
         if np.any(lo > hi * (1 + REL_SLACK)):
             violations["sharp-p"] += 1
 
@@ -109,6 +109,10 @@ def test_criterion_1_exact_inequalities():
 # ---------------------------------------------------------------------------
 # 2. semigroup identities at m = 256, 1-D and 2-D
 # ---------------------------------------------------------------------------
+
+
+def _heat(op: EllipticOperator, t: float, f: Field) -> Field:
+    return semigroup_apply(op, [t], [f])[0][0]
 
 
 def _op_1d_variable(m: int) -> EllipticOperator:
@@ -141,22 +145,22 @@ def test_criterion_2_semigroup_identities():
     one1 = make_field("constant", 1, m, value=1.0)
     one2 = make_field("constant", 2, m, value=1.0)
     defects = [
-        float(np.max(np.abs(semigroup_apply(_op_1d_variable(m), 0.01, one1).values - 1.0))),
-        float(np.max(np.abs(semigroup_apply(_op_2d_variable(m), 16 * h2, one2).values - 1.0))),
-        float(np.max(np.abs(semigroup_apply(_op_2d_anisotropic(m, 0.3), 0.01, one2).values - 1.0))),
+        float(np.max(np.abs(_heat(_op_1d_variable(m), 0.01, one1).values - 1.0))),
+        float(np.max(np.abs(_heat(_op_2d_variable(m), 16 * h2, one2).values - 1.0))),
+        float(np.max(np.abs(_heat(_op_2d_anisotropic(m, 0.3), 0.01, one2).values - 1.0))),
     ]
     assert max(defects) < 1e-8, defects
 
     # semigroup law at 1e-8 relative
     op2 = _op_2d_anisotropic(m)
     f2 = make_field("random-smooth", 2, m, seed=5, band=3)
-    law2 = semigroup_apply(op2, 0.02, semigroup_apply(op2, 0.01, f2))
-    law2b = semigroup_apply(op2, 0.03, f2)
+    law2 = _heat(op2, 0.02, _heat(op2, 0.01, f2))
+    law2b = _heat(op2, 0.03, f2)
     rel2 = float(np.max(np.abs(law2.values - law2b.values)) / np.max(np.abs(law2b.values)))
     op1 = _op_1d_variable(m)
     f1 = Field(1.0 + 0.5 * np.cos(2 * np.pi * (np.arange(m) + 0.5) / m))
-    law1 = semigroup_apply(op1, 0.02, semigroup_apply(op1, 0.01, f1))
-    law1b = semigroup_apply(op1, 0.03, f1)
+    law1 = _heat(op1, 0.02, _heat(op1, 0.01, f1))
+    law1b = _heat(op1, 0.03, f1)
     rel1 = float(np.max(np.abs(law1.values - law1b.values)) / np.max(np.abs(law1b.values)))
     assert rel1 < 1e-8 and rel2 < 1e-8, (rel1, rel2)
 
@@ -167,7 +171,7 @@ def test_criterion_2_semigroup_identities():
         op = EllipticOperator(np.ones((m,) * dim), dim)
         us = u_s_apply(op, s, 1, probe)
         lhs = s * op.apply(us).values
-        rhs = probe.values - semigroup_apply(op, s, probe).values
+        rhs = probe.values - _heat(op, s, probe).values
         rel = float(np.max(np.abs(lhs - rhs)) / np.max(np.abs(rhs)))
         assert rel < 1e-6, (dim, rel)
 
@@ -175,14 +179,14 @@ def test_criterion_2_semigroup_identities():
     t = 0.008
     k1 = 3
     mode1 = make_field("fourier-mode", 1, m, k=k1)
-    got1 = semigroup_apply(EllipticOperator(np.ones(m), 1), t, mode1).values
+    got1 = _heat(EllipticOperator(np.ones(m), 1), t, mode1).values
     want1 = math.exp(-4 * math.pi ** 2 * k1 ** 2 * t) * mode1.values
     err1 = float(np.max(np.abs(got1 - want1)))
     kvec = (2, 1)
     mode2 = make_field("fourier-mode", 2, m, k=list(kvec))
     amat = np.array([[1.5, 0.25], [0.25, 0.75]])
     mu = 4 * math.pi ** 2 * float(np.array(kvec) @ amat @ np.array(kvec))
-    got2 = semigroup_apply(_op_2d_anisotropic(m), t, mode2).values
+    got2 = _heat(_op_2d_anisotropic(m), t, mode2).values
     want2 = math.exp(-mu * t) * mode2.values
     err2 = float(np.max(np.abs(got2 - want2)))
     assert err1 < 1e-10 and err2 < 1e-10, (err1, err2)

@@ -204,12 +204,23 @@ def test_config_rejects_unknown_keys_and_harnesses(override, offender):
         # the pair condition reads an expanded-Poincare functional (classical-jn's is measured-oscillation)
         ("variant=pair", "functional"),
         ('harnesses=["pair-dq"]', "functional"),
+        # a semigroup family reads its operator, and rh-sets and weight-report a weight
+        pytest.param(["family.kind=semigroup", "family.operator=null"], "family.operator",
+                     id="a semigroup family with a null operator"),
+        ('harnesses=["rh-sets"]', "weight"),
+        ('harnesses=["weight-report"]', "weight"),
     ],
 )
 def test_load_rejects_a_value_its_key_cannot_take(override, path):
     overrides = [override] if isinstance(override, str) else override
     with pytest.raises(ParameterError, match="^" + re.escape(f"{path}: ")):
         ExperimentConfig.load(bundled_config_path("classical-jn"), ["resolution_ladder=[256]", *overrides])
+
+
+def test_an_averaging_family_takes_a_null_operator():
+    # only a semigroup family reads family.operator
+    cfg = ExperimentConfig.load(bundled_config_path("classical-jn"), ["family.operator=null"])
+    assert cfg.family["operator"] is None
 
 
 @pytest.mark.parametrize("key", ["dimension", "resolution_ladder", "field", "family"])

@@ -1,7 +1,8 @@
 """Source hygiene: no module of the package imports a name it never uses,
 defines a function, class or method that nothing in the package mentions,
 the README's tables of config sections and kinds are the readers'
-signatures, and its command-line block is the parser's."""
+signatures, its command-line block is the parser's, and importing the
+command line loads none of scipy's solver modules."""
 
 from __future__ import annotations
 
@@ -10,6 +11,8 @@ import inspect
 import json
 import os
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -167,3 +170,16 @@ def test_readme_command_block_is_the_parser(capsys):
         accepted = set(re.findall(r"--[\w-]+", _help(capsys, command)))
         unknown = [w for w in words if w.startswith("--") and w not in accepted]
         assert not unknown, f"osclab {command} takes no {', '.join(unknown)}"
+
+
+def test_importing_the_cli_loads_no_scipy_solver_module():
+    # the pipeline computes with numpy and scipy.sparse alone; scipy's dense
+    # linear algebra, sparse solvers, special functions and optimizers would
+    # add their import time and memory to every run
+    solvers = ("scipy.linalg", "scipy.sparse.linalg", "scipy.special", "scipy.optimize")
+    path = os.pathsep.join(filter(None, [os.path.join(ROOT, "src"), os.environ.get("PYTHONPATH")]))
+    listed = subprocess.run([sys.executable, "-c", "import sys, osclab.cli; print(*sys.modules)"],
+                            env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, check=True)
+    modules = listed.stdout.split()
+    assert "osclab.cli" in modules
+    assert [m for m in modules if m.startswith(tuple(s + "." for s in solvers)) or m in solvers] == []

@@ -29,6 +29,10 @@ from osclab.operators import (
 )
 
 
+def heat(op: EllipticOperator, t: float, f: Field) -> Field:
+    return semigroup_apply(op, [t], [f])[0][0]
+
+
 def identity_operator(m: int, dim: int = 1) -> EllipticOperator:
     return EllipticOperator(np.ones((m,) * dim), dimension=dim)
 
@@ -90,24 +94,24 @@ def test_ellipticity_is_checked_per_cell():
 
 def test_conservation_spectral_and_stencil():
     one_1d = make_field("constant", 1, 64, value=1.0)
-    assert np.allclose(semigroup_apply(identity_operator(64), 0.03, one_1d).values, 1.0, atol=1e-12)
-    got = semigroup_apply(variable_operator(64), 0.01, one_1d)
+    assert np.allclose(heat(identity_operator(64), 0.03, one_1d).values, 1.0, atol=1e-12)
+    got = heat(variable_operator(64), 0.01, one_1d)
     assert np.max(np.abs(got.values - 1.0)) < 1e-10
     one_2d = make_field("constant", 2, 16, value=1.0)
-    got2 = semigroup_apply(anisotropic_operator_2d(16), 0.05, one_2d)
+    got2 = heat(anisotropic_operator_2d(16), 0.05, one_2d)
     assert np.max(np.abs(got2.values - 1.0)) < 1e-12
 
 
 def test_mean_conservation_variable_coefficients():
     f = make_field("random-smooth", 1, 64, seed=4, band=5)
-    out = semigroup_apply(variable_operator(64), 0.02, f)
+    out = heat(variable_operator(64), 0.02, f)
     assert out.integral() == pytest.approx(f.integral(), abs=1e-11)
 
 
 def test_fourier_mode_multiplier_exact():
     m, k, t = 64, 3, 0.01
     f = make_field("fourier-mode", 1, m, k=k)
-    got = semigroup_apply(identity_operator(m), t, f).values
+    got = heat(identity_operator(m), t, f).values
     want = math.exp(-4 * math.pi ** 2 * k ** 2 * t) * f.values
     assert np.max(np.abs(got - want)) < 1e-10
 
@@ -116,8 +120,8 @@ def test_semigroup_law_spectral_exact():
     m = 32
     op = anisotropic_operator_2d(m)
     f = make_field("random-smooth", 2, m, seed=1, band=3)
-    a = semigroup_apply(op, 0.02, semigroup_apply(op, 0.01, f))
-    b = semigroup_apply(op, 0.03, f)
+    a = heat(op, 0.02, heat(op, 0.01, f))
+    b = heat(op, 0.03, f)
     rel = np.max(np.abs(a.values - b.values)) / np.max(np.abs(b.values))
     assert rel < 1e-12
 
@@ -128,8 +132,8 @@ def test_stencil_matches_dense_expm_oracle():
     op = variable_operator(m)
     f = make_field("random-smooth", 1, m, seed=2, band=2)
     t = 0.01
-    got = semigroup_apply(op, t, f).values
-    dense = expm(-t * op.matrix().toarray())
+    got = heat(op, t, f).values
+    dense = expm(-t * op.matrix.toarray())
     want = dense @ f.values
     rel = np.max(np.abs(got - want)) / np.max(np.abs(want))
     assert rel < 1e-8
@@ -184,6 +188,41 @@ def expm_operators():
     return {name: build(m) for name, (_dim, m, build) in EXPM_CASES.items()}
 
 
+def dense_stencil(op: EllipticOperator) -> np.ndarray:
+    """-(sum_i D-_i diag(a_i) D+_i + sum_{i != j} D0_i diag(A_ij) D0_j) in dense
+    numpy: one-axis periodic differences lifted by Kronecker products with the
+    identity, a_i the mean of A_ii over the face after each cell along axis i."""
+    n, m, a = op.dimension, op.resolution, op.coeffs
+    eye = np.eye(m)
+    shift = {k: np.roll(eye, k, axis=1) for k in (1, -1)}  # (S_k u)_x = u_{x+k}
+
+    def lift(d: np.ndarray, axis: int) -> np.ndarray:
+        out = np.ones((1, 1))
+        for ax in range(n):
+            out = np.kron(out, d if ax == axis else eye)
+        return out
+
+    total = np.zeros((m ** n,) * 2, dtype=a.dtype)
+    for i in range(n):
+        face = 0.5 * (a[i, i] + np.roll(a[i, i], -1, axis=i))
+        dplus, dminus = lift((shift[1] - eye) / op.h, i), lift((eye - shift[-1]) / op.h, i)
+        total = total + dminus @ np.diag(face.ravel()) @ dplus
+        for j in range(n):
+            if j != i:
+                central = [lift((shift[1] - shift[-1]) / (2 * op.h), ax) for ax in (i, j)]
+                total = total + central[0] @ np.diag(a[i, j].ravel()) @ central[1]
+    return -total
+
+
+@pytest.mark.parametrize("case", ["real-1d-64", "real-2d-16", "real-nonsymmetric-2d-16", "complex-2d-16"])
+def test_stencil_entries_equal_a_dense_kronecker_assembly(expm_operators, case):
+    # every dense-expm oracle exponentiates op.matrix itself; this checks its
+    # entries.  With h a power of two every product is exact, and the dense
+    # sums add the same nonzero terms in the same order, so they agree exactly.
+    op = expm_operators[case]
+    assert np.array_equal(op.matrix.toarray(), dense_stencil(op))
+
+
 @pytest.mark.parametrize("case", sorted(EXPM_CASES))
 @pytest.mark.parametrize("t", [1e-4, 1e-3, 1e-2, 0.1, 1.0])
 def test_semigroup_matches_dense_expm(expm_operators, case, t):
@@ -197,9 +236,9 @@ def test_semigroup_matches_dense_expm(expm_operators, case, t):
     op = expm_operators[case]
     assert not op.is_constant
     f = Field(make_field("random-smooth", dim, m, seed=2, band=3).values + 1.0)
-    got = semigroup_apply(op, t, f).values
+    got = heat(op, t, f).values
     assert np.iscomplexobj(got) == op.is_complex
-    want = (expm(-t * op.matrix().toarray()) @ f.values.ravel()).reshape(f.values.shape)
+    want = (expm(-t * op.matrix.toarray()) @ f.values.ravel()).reshape(f.values.shape)
     rel = np.max(np.abs(got - want)) / np.max(np.abs(want))
     assert rel <= 1e-11
 
@@ -218,9 +257,9 @@ def test_semigroup_where_the_start_degree_underflows_matches_dense_expm(t):
     op = variable_operator(m)
     g = make_field("random-smooth", 1, m, seed=2, band=3).values
     f = Field(g + 1.0)
-    got = semigroup_apply(op, t, f).values
+    got = heat(op, t, f).values
     mean = np.mean(f.values)
-    want = mean + expm(-t * op.matrix().toarray()) @ (f.values - mean)
+    want = mean + expm(-t * op.matrix.toarray()) @ (f.values - mean)
     assert np.max(np.abs(got - want)) / np.max(np.abs(want)) <= 1e-10
 
 
@@ -242,8 +281,8 @@ def test_semigroup_law_stencil():
     op = variable_operator(m)
     f = Field(1.0 + 0.5 * np.cos(2 * np.pi * (np.arange(m) + 0.5) / m))
     t, s = 0.02, 0.01
-    a = semigroup_apply(op, t, semigroup_apply(op, s, f))
-    b = semigroup_apply(op, t + s, f)
+    a = heat(op, t, heat(op, s, f))
+    b = heat(op, t + s, f)
     rel = np.max(np.abs(a.values - b.values)) / np.max(np.abs(b.values))
     assert rel < 1e-8
 
@@ -252,7 +291,7 @@ def test_positivity_real_symmetric():
     m = 64
     op = variable_operator(m)
     f = Field(np.abs(make_field("random-smooth", 1, m, seed=9, band=4).values) + 0.01)
-    out = semigroup_apply(op, 0.005, f)
+    out = heat(op, 0.005, f)
     assert np.min(out.values) >= -1e-10 * np.max(np.abs(f.values))
 
 
@@ -260,7 +299,7 @@ def test_complex_coefficients_supported():
     m = 16
     op = complex_operator_2d(m)
     f = make_field("random-smooth", 2, m, seed=3, band=2)
-    out = semigroup_apply(op, 0.01, f)
+    out = heat(op, 0.01, f)
     assert out.values.shape == (m, m)
     assert np.all(np.isfinite(out.values.real))
 
@@ -271,7 +310,7 @@ def test_variable_complex_stencil_runs():
     a = (1.25 + 0.25 * np.cos(2 * np.pi * x)) + 0.2j * np.sin(2 * np.pi * x)
     op = EllipticOperator(a, dimension=1)
     f = make_field("random-smooth", 1, m, seed=5, band=3)
-    out = semigroup_apply(op, 0.01, f)
+    out = heat(op, 0.01, f)
     assert np.all(np.isfinite(np.abs(out.values)))
 
 
@@ -287,7 +326,7 @@ def test_us_identity_spectral():
     f = make_field("random-smooth", 1, m, seed=7, band=3)
     us = u_s_apply(op, s, 1, f)
     lhs = s * op.apply(us).values
-    rhs = f.values - semigroup_apply(op, s, f).values
+    rhs = f.values - heat(op, s, f).values
     rel = np.max(np.abs(lhs - rhs)) / np.max(np.abs(rhs))
     assert rel < 1e-6
 
@@ -298,7 +337,7 @@ def test_us_identity_variable_coefficients():
     f = Field(1.0 + 0.3 * np.cos(2 * np.pi * (np.arange(m) + 0.5) / m))
     us = u_s_apply(op, s, 1, f)
     lhs = s * op.apply(us).values
-    rhs = f.values - semigroup_apply(op, s, f).values
+    rhs = f.values - heat(op, s, f).values
     rel = np.max(np.abs(lhs - rhs)) / np.max(np.abs(rhs))
     assert rel < 1e-6
 
@@ -325,7 +364,7 @@ def dense_time_average(op: EllipticOperator, s: float, big_n: int, f: Field) -> 
     """U_s f from a dense eigendecomposition of the (real symmetric) stencil
     and a composite 16-node Gauss-Legendre average of e^{-lambda mu} over
     [0, s]; each panel spans at most 4 units of s * max(mu)."""
-    mu, vecs = eigh(op.matrix().toarray())
+    mu, vecs = eigh(op.matrix.toarray())
     mu = np.maximum(mu, 0.0)
     panels = int(math.ceil(s * mu.max() / 4.0))
     nodes, weights = np.polynomial.legendre.leggauss(16)
@@ -352,7 +391,7 @@ def dense_time_average_expm(op: EllipticOperator, s: float, big_n: int, f: Field
     """U_s f for any stencil from one dense exponential: the top-right block
     of expm([[-sL, I], [0, 0]]) is int_0^1 e^{-s u L} du (Van Loan, IEEE
     Trans. Automat. Control 23, 1978)."""
-    mat = op.matrix().toarray()
+    mat = op.matrix.toarray()
     size = mat.shape[0]
     block = np.zeros((2 * size, 2 * size), dtype=mat.dtype)
     block[:size, :size] = -s * mat
@@ -384,7 +423,7 @@ def test_chebyshev_evaluator_rejects_nondecaying_coefficients():
     # |lambda - rho/2| has a kink inside the spectrum: its Chebyshev
     # coefficients decay like k^-2 and never reach the tail tolerance
     op = variable_operator(64)
-    rho = op._chebyshev_frame()[0]
+    rho = op.rho
     f = make_field("random-smooth", 1, 64, seed=6, band=4)
     with pytest.raises(NumericError, match="did not fall below"):
         _chebyshev_apply(op, [lambda lam: np.abs(lam - rho / 2)], [f])
@@ -415,14 +454,14 @@ def test_batched_semigroup_matches_per_call_results_exactly(case, width):
     for i, t in enumerate(BATCH_TIMES):
         assert len(batched[i]) == width
         for j, g in enumerate(fields):
-            assert np.array_equal(batched[i][j].values, semigroup_apply(op, t, g).values), (t, j)
-    single_time = semigroup_apply(op, BATCH_TIMES[2], fields)
-    for got, want in zip(single_time, batched[2]):
+            assert np.array_equal(batched[i][j].values, heat(op, t, g).values), (t, j)
+    (one_time,) = semigroup_apply(op, [BATCH_TIMES[2]], fields)
+    for got, want in zip(one_time, batched[2]):
         assert np.array_equal(got.values, want.values)
 
 
 class CountingMatrix:
-    """Stands in for the cached X of the Chebyshev frame and counts its products."""
+    """Stands in for an operator's X = (2/rho) L - I and counts its products."""
 
     def __init__(self, mat):
         self.mat, self.dtype, self.products = mat, mat.dtype, 0
@@ -438,16 +477,14 @@ def test_sharp_maximal_runs_one_recurrence_for_all_scales_and_fields():
     # not the sum over scales and fields
     m = 128
     op = variable_operator(m)
-    rho, big_r, x_mat = op._chebyshev_frame()
-    counter = CountingMatrix(x_mat)
-    op._chebyshev = (rho, big_r, counter)
+    counter = op.x_mat = CountingMatrix(op.x_mat)
     fields = [make_field("log-distance", 1, m, center=0.5)] + [
         make_field("random-smooth", 1, m, seed=sd, band=6) for sd in (32, 33, 34, 35)
     ]
     per_scale = []
     for k in range(m.bit_length()):
         before = counter.products
-        semigroup_apply(op, (2 ** k / m) ** 2, fields[0])
+        semigroup_apply(op, [(2 ** k / m) ** 2], fields[:1])
         per_scale.append(counter.products - before)
     counter.products = 0
     sharp_maximal(make_family("semigroup", (1.0, math.inf), op), fields, [1.0, 2.0, 4.0])
@@ -809,7 +846,7 @@ def test_sharp_maximal_constant_zero_semigroup():
     m = 64
     fam = make_family("semigroup", (2.0, 2.0), operator=identity_operator(m))
     f = make_field("constant", 1, m, value=4.0)
-    sm = sharp_maximal(fam, f, 2.0)
+    sm = sharp_maximal(fam, [f], [2.0])[0][0]
     assert np.max(sm.values) < 1e-8
 
 
@@ -817,7 +854,7 @@ def test_sharp_maximal_matches_brute_force_classical():
     m = 32
     fam = make_family("classical-average", (1.0, math.inf))
     f = make_field("indicator", 1, m, cube={"anchor": [0.25], "side": 0.25})
-    got = sharp_maximal(fam, f, 1.0).values
+    got = sharp_maximal(fam, [f], [1.0])[0][0].values
     (want,) = brute_sharp_classical(f.values, [1.0])
     assert np.allclose(got, want, rtol=1e-11)
 
@@ -826,8 +863,8 @@ def test_sharp_maximal_p_monotone():
     m = 32
     fam = make_family("classical-average", (1.0, math.inf))
     f = make_field("random-smooth", 1, m, seed=12, band=5)
-    lo = sharp_maximal(fam, f, 1.0).values
-    hi = sharp_maximal(fam, f, 2.0).values
+    lo = sharp_maximal(fam, [f], [1.0])[0][0].values
+    hi = sharp_maximal(fam, [f], [2.0])[0][0].values
     assert np.all(lo <= hi * (1 + 1e-12))
 
 
@@ -835,8 +872,8 @@ def test_bmo_seminorm_scaleonly_family_fast_path():
     m = 64
     fam = make_family("semigroup", (1.0, math.inf), operator=identity_operator(m))
     f = make_field("log-distance", 1, m, center=0.5)
-    v1 = np.max(sharp_maximal(fam, f, 1.0).values)
-    v2 = np.max(sharp_maximal(fam, f, 2.0).values)
+    v1 = np.max(sharp_maximal(fam, [f], [1.0])[0][0].values)
+    v2 = np.max(sharp_maximal(fam, [f], [2.0])[0][0].values)
     assert 0 < v1 <= v2 * (1 + 1e-12)
 
 
@@ -844,8 +881,8 @@ def test_sharp_maximal_alpha_weighting():
     m = 32
     fam = make_family("classical-average", (1.0, math.inf))
     f = make_field("random-smooth", 1, m, seed=2, band=4)
-    plain = np.max(sharp_maximal(fam, f, 1.0).values)
-    lip = np.max(sharp_maximal(fam, f, 1.0, alpha=0.5).values)
+    plain = np.max(sharp_maximal(fam, [f], [1.0])[0][0].values)
+    lip = np.max(sharp_maximal(fam, [f], [1.0], alpha=0.5)[0][0].values)
     assert lip >= plain  # small cubes weighted up
 
 
@@ -853,9 +890,9 @@ def test_sharp_maximal_rejects_out_of_range_p():
     fam = make_family("semigroup", (2.0, 4.0), operator=identity_operator(16))
     f = make_field("constant", 1, 16, value=1.0)
     with pytest.raises(ParameterError):
-        sharp_maximal(fam, f, 1.0)
+        sharp_maximal(fam, [f], [1.0])
     with pytest.raises(ParameterError):
-        sharp_maximal(fam, f, 4.0)
+        sharp_maximal(fam, [f], [4.0])
 
 
 SHARP_CASES = {
@@ -874,10 +911,10 @@ def test_sharp_maximal_exponent_sweep_equals_single_exponent_calls(case, alpha):
     dim, m, build = SHARP_CASES[case]
     fam = build(m)
     f = make_field("random-smooth", dim, m, seed=5, band=4)
-    swept = sharp_maximal(fam, f, [1.0, 2.0, 4.0], alpha)
+    (swept,) = sharp_maximal(fam, [f], [1.0, 2.0, 4.0], alpha)
     assert isinstance(swept, list) and len(swept) == 3
     for p, got in zip([1.0, 2.0, 4.0], swept):
-        assert np.array_equal(got.values, sharp_maximal(fam, f, p, alpha).values), p
+        assert np.array_equal(got.values, sharp_maximal(fam, [f], [p], alpha)[0][0].values), p
 
 
 SHARP_BATCH_CASES = {
@@ -905,13 +942,13 @@ def test_sharp_maximal_field_batch_equals_per_field_calls(case, big_n, alpha):
     fields = [make_field("random-smooth", dim, m, seed=s, band=3) for s in (1, 2, 3)]
     ps = [1.0, 2.0, 4.0]
     batched = sharp_maximal(fam, fields, ps, alpha)
-    one_p = sharp_maximal(fam, fields, 2.0, alpha)
+    one_p = sharp_maximal(fam, fields, [2.0], alpha)
     assert len(batched) == len(one_p) == len(fields)
     for g, got, got_2 in zip(fields, batched, one_p):
-        want = sharp_maximal(fam, g, ps, alpha)
+        (want,) = sharp_maximal(fam, [g], ps, alpha)
         for p, a, b in zip(ps, got, want):
             assert np.array_equal(a.values, b.values), p
-        assert np.array_equal(got_2.values, want[1].values)
+        assert np.array_equal(got_2[0].values, want[1].values)
 
 
 def test_sharp_maximal_blocked_windows_match_brute_force():
@@ -921,7 +958,7 @@ def test_sharp_maximal_blocked_windows_match_brute_force():
     assert m * m > operators._WINDOW_BLOCK  # the largest scales take several anchor blocks
     fam = make_family("extended-average", (1.0, math.inf))
     f = make_field("random-smooth", 1, m, seed=9, band=6)
-    got = sharp_maximal(fam, f, [1.0, 2.0, 4.0])
+    (got,) = sharp_maximal(fam, [f], [1.0, 2.0, 4.0])
     # on Q itself the extended-average B_Q f is f - f_Q, as for the classical family
     for p, g, want in zip([1.0, 2.0, 4.0], got, brute_sharp_classical(f.values, [1.0, 2.0, 4.0])):
         assert np.allclose(g.values, want, rtol=1e-12, atol=0.0), p
@@ -935,7 +972,7 @@ def test_sharp_maximal_window_memory_bounded():
     f = make_field("random-smooth", 1, m, seed=3, band=6)
     tracemalloc.start()
     try:
-        sharp_maximal(fam, f, [1.0, 2.0, 4.0])
+        sharp_maximal(fam, [f], [1.0, 2.0, 4.0])
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -988,7 +1025,7 @@ def test_sharp_maximal_moment_path_skips_windows(monkeypatch):
     sharp_maximal(fam, [make_field("random-smooth", 2, 16, seed=s) for s in (1, 2)], [2.0, 4.0])
     assert seen == {"windows": [], "moments": [(2, 16, 16)]}
     seen["moments"].clear()
-    sharp_maximal(fam, make_field("random-normal", 2, 16, seed=1, complex=True), [2.0, 4.0])
+    sharp_maximal(fam, [make_field("random-normal", 2, 16, seed=1, complex=True)], [2.0, 4.0])
     assert seen["moments"] == [] and seen["windows"] and all(seen["windows"])
 
 
@@ -998,7 +1035,7 @@ def test_sharp_maximal_moments_survive_a_large_offset(dim, m):
     fam = make_family("extended-average", (1.0, math.inf))
     f = make_field("random-smooth", dim, m, seed=8, band=4)
     shifted = Field(f.values + 1e6)
-    for a, b in zip(sharp_maximal(fam, shifted, [2.0, 4.0]), sharp_maximal(fam, f, [2.0, 4.0])):
+    for a, b in zip(sharp_maximal(fam, [shifted], [2.0, 4.0])[0], sharp_maximal(fam, [f], [2.0, 4.0])[0]):
         assert np.allclose(a.values, b.values, rtol=1e-8, atol=0.0)
 
 

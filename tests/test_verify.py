@@ -368,16 +368,16 @@ def per_exponent_bmo_reference(rungs, ps, s_exp, alpha):
         seminorms[rung.m] = {}
         ratios[rung.m] = {}
         for i, f in enumerate(rung.fields):
-            vals = {p: float(np.max(sharp_maximal(rung.family, f, p, alpha).values)) for p in ps}
+            vals = {p: float(np.max(sharp_maximal(rung.family, [f], [p], alpha)[0][0].values)) for p in ps}
             seminorms[rung.m][i] = vals
             ratios[rung.m][i] = max(vals.values()) / min(vals.values())
     target = min(rungs, key=lambda r: r.m)
     jn2 = 0.0
     for f in target.fields:
-        maj = maximal_function(sharp_maximal(target.family, f, target.family.p0, 0.0), s_exp).values
+        maj = maximal_function(sharp_maximal(target.family, [f], [target.family.p0], 0.0)[0][0], s_exp).values
         for p in ps:
             if p != target.family.p0:
-                num = sharp_maximal(target.family, f, p, 0.0).values
+                num = sharp_maximal(target.family, [f], [p], 0.0)[0][0].values
                 jn2 = max(jn2, float(np.max(num / maj)))
     return seminorms, ratios, jn2
 
