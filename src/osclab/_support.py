@@ -1,7 +1,8 @@
-"""Shared plumbing: error types, seeded generators, JSON and CSV helpers."""
+"""Shared plumbing: error types, seeded generators, report trees, JSON and CSV helpers."""
 
 from __future__ import annotations
 
+import dataclasses
 import inspect
 import json
 import math
@@ -98,6 +99,19 @@ def build_kind(table: dict, spec: Any, path: str, *context, default_kind: Option
         raise ParameterError(f"{path}: {exc}") from exc
 
 
+def report_tree(obj: Any) -> Any:
+    """The tree a report object writes: a dataclass becomes its fields by name,
+    a dict its items under string keys, a list or tuple a list, each value
+    turned likewise; any other value is kept as it is."""
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        return {f.name: report_tree(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
+    if isinstance(obj, dict):
+        return {str(k): report_tree(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [report_tree(v) for v in obj]
+    return obj
+
+
 def _jsonable(obj: Any) -> Any:
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
@@ -118,8 +132,6 @@ def _jsonable(obj: Any) -> Any:
         return bool(obj)
     if isinstance(obj, complex):
         return {"re": obj.real, "im": obj.imag}
-    if hasattr(obj, "to_dict"):
-        return _jsonable(obj.to_dict())
     return obj
 
 

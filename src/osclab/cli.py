@@ -35,6 +35,7 @@ from osclab._support import (
     dump_csv,
     dump_json,
     format_float,
+    report_tree,
     rng_from_seed,
 )
 from osclab.cubes import Cube, descendant, sample_disjoint_families
@@ -95,7 +96,10 @@ class ExperimentConfig(SimpleNamespace):
     @staticmethod
     def load(path: str, overrides: Optional[list[str]] = None) -> "ExperimentConfig":
         with open(path) as fh:
-            data = json.load(fh)
+            try:
+                data = json.load(fh)
+            except ValueError as exc:
+                raise ParameterError(f"config {path!r} is not valid JSON: {exc}") from exc
         for item in overrides or []:
             key, _, raw = item.partition("=")
             if not _:
@@ -165,6 +169,16 @@ def _count(least: int):
     return parse_count
 
 
+def _real(lo: float, hi: float = math.inf, lo_open: bool = False):
+    """The parser of a float in [lo, hi), or in (lo, hi) if ``lo_open``."""
+    def parse_real(value) -> float:
+        x = float(value)
+        if not ((lo < x if lo_open else lo <= x) and x < hi):
+            raise ValueError(f"{x} is outside {'(' if lo_open else '['}{lo}, {hi})")
+        return x
+    return parse_real
+
+
 def _pow2(value) -> int:
     m = index(value)
     if not _is_pow2(m):
@@ -172,12 +186,18 @@ def _pow2(value) -> int:
     return m
 
 
-def _ladder(value) -> list:
-    """A resolution ladder: a nonempty, strictly increasing list of powers of two."""
-    ms = _list(_pow2, nonempty=True)(value)
-    if any(a >= b for a, b in zip(ms, ms[1:])):
-        raise ValueError(f"{ms} is not strictly increasing")
-    return ms
+def _increasing(parse_list):
+    """The parser of a strictly increasing list that ``parse_list`` reads."""
+    def parse_increasing(value) -> list:
+        xs = parse_list(value)
+        if any(a >= b for a, b in zip(xs, xs[1:])):
+            raise ValueError(f"{xs} is not strictly increasing")
+        return xs
+    return parse_increasing
+
+
+#: a resolution ladder: a nonempty, strictly increasing list of powers of two
+_ladder = _increasing(_list(_pow2, nonempty=True))
 
 
 def _ladders(value) -> dict:
@@ -378,8 +398,8 @@ def _profile_cells(cube_side_cells, m: int) -> int:
 
 
 def build_profile(cfg: ExperimentConfig, family, m: int, *, cube_side_cells: _count(1) = None,
-                  anchors: _list(float, nonempty=True) = [0.25, 0.5], k_max: _count(2) = 6,
-                  pair_levels: _count(0) = 1, fit_range: _list(index, 2) = [3, 6]):
+                  anchors: _list(_real(0.0, 1.0), nonempty=True) = [0.25, 0.5], k_max: _count(2) = 6,
+                  pair_levels: _count(0) = 1, fit_range: _increasing(_list(index, 2)) = [3, 6]):
     """The off-diagonal profile of ``family`` on the cubes of ``cube_side_cells``
     cells (default: max(4, m // 64)) at ``anchors``, fitted over ``fit_range``."""
     cubes = [Cube((a,) * cfg.dimension, _profile_cells(cube_side_cells, m) / m) for a in anchors]
@@ -388,7 +408,7 @@ def build_profile(cfg: ExperimentConfig, family, m: int, *, cube_side_cells: _co
     lo, hi = fit_range
     ks = [k for k in range(lo, hi + 1) if prof.alpha_at(k) > 0]
     if len(ks) >= 2:
-        prof.fit(ks)
+        prof.fit_decay(ks)
     return prof
 
 
@@ -461,20 +481,19 @@ class HarnessContext:
 
 def _hypothesis(ctx: HarnessContext) -> tuple[dict, bool]:
     rep = check_hypothesis(ctx.rungs[-1], ctx.cfg.k_max)
-    return {"hypothesis": rep.to_dict()}, math.isfinite(rep.constant)
+    return {"hypothesis": report_tree(rep)}, math.isfinite(rep.constant)
 
 
 def _weak(ctx: HarnessContext) -> tuple[dict, bool]:
-    rep = verify_weak_improvement(ctx.rungs, ctx.q, ctx.condition)
-    entry = rep.to_dict()
+    rep, ctx.rows_weak = verify_weak_improvement(ctx.rungs, ctx.q, ctx.condition)
+    entry = report_tree(rep)
     entry["csv"] = "rows_weak.csv"
-    ctx.rows_weak = rep.rows
     return {"weak": entry}, rep.passed
 
 
 def _strong(ctx: HarnessContext) -> tuple[dict, bool]:
     rep = verify_strong(ctx.rungs, ctx.q, ctx.r, ctx.condition)
-    return {"strong": rep.to_dict()}, rep.passed
+    return {"strong": report_tree(rep)}, rep.passed
 
 
 def _exponential(ctx: HarnessContext) -> tuple[dict, bool]:
@@ -482,19 +501,19 @@ def _exponential(ctx: HarnessContext) -> tuple[dict, bool]:
     exp_rungs = [replace(r, denominator=exponential_denominator(r.hypothesis, ctx.profiles[r.m]))
                  for r in ctx.rungs]
     rep = verify_exponential(exp_rungs, dinf)
-    return {"dinf": dinf.to_dict(), "exponential": rep.to_dict()}, rep.passed
+    return {"dinf": report_tree(dinf), "exponential": report_tree(rep)}, rep.passed
 
 
-def _good_lambda(ctx: HarnessContext, *, cube: Cube.from_dict = None, s: float = 4.0,
-                 lam: float = 0.5, t_points: _count(2) = 20) -> tuple[dict, bool]:
+def _good_lambda(ctx: HarnessContext, *, cube: Cube.from_dict = None, s: _real(1.0, lo_open=True) = 4.0,
+                 lam: _real(0.0, 1.0, lo_open=True) = 0.5, t_points: _count(2) = 20) -> tuple[dict, bool]:
     """The good-lambda harness on ``cube`` (default: side 1/4 at 1/4 on each axis)."""
     q_cube = Cube((0.25,) * ctx.cfg.dimension, 0.25) if cube is None else cube
     rep = verify_good_lambda(ctx.rungs[-1], q_cube, s, lam, ctx.q, t_points)
-    return {"good_lambda": rep.to_dict()}, rep.passed
+    return {"good_lambda": report_tree(rep)}, rep.passed
 
 
 def _bmo(ctx: HarnessContext, *, ps: _list(float, nonempty=True) = [1.0, 2.0, 4.0], s: float = 8.0,
-         alpha: float = 0.0, field_seeds: _list(index) = [31, 32, 33, 34, 35],
+         alpha: _real(0.0) = 0.0, field_seeds: _list(index) = [31, 32, 33, 34, 35],
          operators: _ladders = None, operator_params: dict = {}) -> tuple[dict, bool]:
     """The BMO harness per operator kind of ``operators`` (default: the family's
     own operator on the resolution ladder), its keys in ``operator_params``.  The
@@ -514,7 +533,7 @@ def _bmo(ctx: HarnessContext, *, ps: _list(float, nonempty=True) = [1.0, 2.0, 4.
             ]
             op_rungs.append(BmoRung(m, family, fields))
         rep = verify_bmo_equivalence(op_rungs, ps, s, alpha)
-        per_op[op_name] = rep.to_dict()
+        per_op[op_name] = report_tree(rep)
         passed &= rep.passed
     return {"bmo": per_op}, passed
 
@@ -536,7 +555,7 @@ def _pair_dq(ctx: HarnessContext) -> tuple[dict, bool]:
                                     field_values=np.abs(target.field.values))
     rep = estimate_condition(tilde, "pair", r=ctx.q, mu=target.weight,
                              families=fams, partner=bar, seed=cfg.seed)
-    return {"pair_dq": rep.to_dict()}, rep.passed
+    return {"pair_dq": report_tree(rep)}, rep.passed
 
 
 def _hyp_k(ctx: HarnessContext) -> tuple[dict, bool]:
@@ -558,11 +577,11 @@ def _weighted_identity(ctx: HarnessContext) -> tuple[dict, bool]:
     target = ctx.rungs[0]
     r_plain = replace(target, weight=None)
     r_ones = replace(target, weight=ones_weight(ctx.cfg.dimension, target.m))
-    rep_plain = verify_weak_improvement([r_plain], ctx.q, ctx.condition)
-    rep_ones = verify_weak_improvement([r_ones], ctx.q, ctx.condition)
+    rep_plain, rows_plain = verify_weak_improvement([r_plain], ctx.q, ctx.condition)
+    rep_ones, rows_ones = verify_weak_improvement([r_ones], ctx.q, ctx.condition)
     rows_equal = all(
         a[2] == b[2] and a[3] == b[3] and a[4] == b[4]
-        for a, b in zip(rep_plain.rows, rep_ones.rows)
+        for a, b in zip(rows_plain, rows_ones)
     )
     bitwise = rows_equal and rep_plain.conclusion_constant == rep_ones.conclusion_constant
     return {"weighted_identity": {
@@ -597,7 +616,7 @@ def _weight_report(ctx: HarnessContext) -> tuple[dict, bool]:
     cfg = ctx.cfg
     target = ctx.rungs[-1]
     rep = weight_report(target.weight, [1.0, 1.5, 2.0, 4.0], target.cube_sample, cfg.seed)
-    return {"weight": rep.to_dict()}, all(math.isfinite(v) for v in rep.ap.values())
+    return {"weight": report_tree(rep)}, all(math.isfinite(v) for v in rep.ap.values())
 
 
 #: harness name -> fn(ctx) -> (entries for report["harnesses"], passed), in run order
@@ -630,7 +649,8 @@ def validate(*, dimension: index, resolution_ladder: _ladder, field, family, nam
     lattice of the configured cubes (an indicator field's, good-lambda's and the
     epi root), the cube sample's least side and the profile's anchors against the
     ladder, the profile's cube against every rung, the functional of the pair
-    condition, and the theorems' exponent window."""
+    condition, the theorems' exponent window, and the bmo harness's exponents
+    against the family's window and its s."""
     if family["kind"] == "semigroup" and family["operator"] is None:
         raise ParameterError("family.operator: a semigroup family needs an operator, got null")
     for harness in ("rh-sets", "weight-report"):
@@ -668,6 +688,13 @@ def validate(*, dimension: index, resolution_ladder: _ladder, field, family, nam
             raise ParameterError(f"exponents must satisfy p0 < q < q0, got p0={p0}, q={q}, q0={q0}")
         if not (p0 <= r < q):
             raise ParameterError(f"exponents.r must lie in [p0, q), got {r}")
+    if "bmo" in harnesses:  # as sharp_maximal and verify_bmo_equivalence read them
+        p0, q0, ps = family["p0"], family["q0"], bmo["ps"]
+        outside = [p for p in ps if not (p0 <= p and (p < q0 or p == p0))]
+        if outside:
+            raise ParameterError(f"bmo.ps: {outside} outside the family's window [p0, q0) = [{p0}, {q0})")
+        if not max(ps) < bmo["s"]:
+            raise ParameterError(f"bmo.s: {bmo['s']} must exceed max(bmo.ps) = {max(ps)}")
 
 
 #: the reader of each fixed config section ('' is the top level): the keys of
@@ -695,15 +722,14 @@ def run_pipeline(cfg: ExperimentConfig) -> tuple[dict, dict]:
         profiles[m] = prof
     timing["build"] = time.perf_counter() - t0
 
-    report: dict = {"config": copy.deepcopy(cfg.data), "profiles": {}}
-    for m, prof in profiles.items():
-        report["profiles"][str(m)] = prof.to_dict()
+    report: dict = {"config": copy.deepcopy(cfg.data), "profiles": report_tree(profiles)}
 
     t0 = time.perf_counter()
     # the family audit: the pair (half of the first sampled cube, that cube), probes of seed + 23
     small, cube = rungs[0], rungs[0].cube_sample[0]
     probes = _probe_fields(cfg.dimension, small.m, cfg.seed + 23)
-    report["audit"] = audit_family(small.family, probes, [(descendant(cube, 1, (0,) * cfg.dimension), cube)]).to_dict()
+    report["audit"] = report_tree(audit_family(small.family, probes,
+                                               [(descendant(cube, 1, (0,) * cfg.dimension), cube)]))
     timing["audit"] = time.perf_counter() - t0
 
     selected = set(cfg.harnesses)
@@ -714,7 +740,7 @@ def run_pipeline(cfg: ExperimentConfig) -> tuple[dict, dict]:
     t0 = time.perf_counter()
     if NEEDS_CONDITION & selected:
         ctx.condition = _condition_for(cfg, rungs[0], ctx.q)
-        results["condition"] = ctx.condition.to_dict()
+        results["condition"] = report_tree(ctx.condition)
     timing["conditions"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -800,6 +826,10 @@ def _write_atomic(path: str, text: str) -> None:
     os.replace(tmp, path)
 
 
+#: the artifact formats emit_outputs writes
+FORMATS = {"json", "csv", "svg"}
+
+
 def emit_outputs(report: dict, out_dir: str, formats: set[str]) -> list[str]:
     """Write artifacts for a finished report; bytes depend only on its content.
 
@@ -844,7 +874,7 @@ def emit_outputs(report: dict, out_dir: str, formats: set[str]) -> list[str]:
 def run_experiment(config_path: str, out_dir: str, overrides: Optional[list[str]] = None) -> tuple[RunManifest, dict]:
     cfg = ExperimentConfig.load(config_path, overrides)
     report, timing = run_pipeline(cfg)
-    files = emit_outputs(report, out_dir, {"json", "csv", "svg"})
+    files = emit_outputs(report, out_dir, FORMATS)
     manifest = RunManifest(config_path=config_path, out_dir=out_dir, seed=cfg.seed, timing=timing)
     for path in files:
         with open(path, "rb") as fh:
@@ -876,8 +906,19 @@ def _run(args) -> int:
 
 def _report(args) -> int:
     """``osclab report``: re-emit the artifacts of ``--formats`` from ``report.json``."""
-    with open(os.path.join(args.out, "report.json")) as fh:
-        emit_outputs(json.load(fh), args.out, set(args.formats.split(",")))
+    formats = set(args.formats.split(","))
+    if formats - FORMATS:
+        raise ParameterError(f"--formats: unknown format(s) {', '.join(sorted(formats - FORMATS))} "
+                             f"(known: {', '.join(sorted(FORMATS))})")
+    path = os.path.join(args.out, "report.json")
+    try:
+        with open(path) as fh:
+            report = json.load(fh)
+    except FileNotFoundError as exc:
+        raise ParameterError(f"{path!r} not found") from exc
+    except ValueError as exc:
+        raise ParameterError(f"{path!r} is not valid JSON: {exc}") from exc
+    emit_outputs(report, args.out, formats)
     return 0
 
 

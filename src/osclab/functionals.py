@@ -355,22 +355,10 @@ class ConditionReport:
     condition: str
     r: Optional[float]
     measured_constant: float
-    families_seed: int
-    families_count: int
+    families: dict  # {"seed", "count"} of the probes measured
     passed: bool
     cap: Optional[float]
     weighted: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "condition": self.condition,
-            "r": self.r,
-            "measured_constant": self.measured_constant,
-            "families": {"seed": self.families_seed, "count": self.families_count},
-            "passed": self.passed,
-            "cap": self.cap,
-            "weighted": self.weighted,
-        }
 
 
 def _measure_of(mu: Optional[Weight], q: Cube) -> float:
@@ -422,8 +410,7 @@ def estimate_condition(
         condition=condition,
         r=r,
         measured_constant=best,
-        families_seed=seed,
-        families_count=count,
+        families={"seed": seed, "count": count},
         passed=passed,
         cap=cap,
         weighted=mu is not None,

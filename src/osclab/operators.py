@@ -24,7 +24,7 @@ constants and conserve the mean, because the stencil is in flux form.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, field as dc_field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -352,9 +352,7 @@ class OffDiagonalProfile:
     beta: Optional[dict]
     exponents: tuple[float, float]
     probe_spec: dict
-    fit_log_c: float = math.nan
-    fit_rate: float = math.nan
-    fit_residual: float = math.nan
+    fit: dict = dc_field(default_factory=lambda: {"log_c": math.nan, "rate": math.nan, "residual": math.nan})
 
     def alpha_at(self, k: int) -> float:
         return float(self.alpha.get(k, 0.0))
@@ -362,9 +360,9 @@ class OffDiagonalProfile:
     def beta_at(self, k: int) -> float:
         return float((self.beta or {}).get(k, 0.0))
 
-    def fit(self, ks: Sequence[int]) -> tuple[float, float, float]:
-        """Least squares of log alpha_k against 4^k; residual is normalized by
-        the spread of the log data."""
+    def fit_decay(self, ks: Sequence[int]) -> tuple[float, float, float]:
+        """Least squares of log alpha_k against 4^k, kept in ``fit``; residual
+        is normalized by the spread of the log data."""
         xs, ys = [], []
         for k in ks:
             a = self.alpha_at(k)
@@ -381,17 +379,8 @@ class OffDiagonalProfile:
         pred = amat @ sol
         spread = float(y.max() - y.min()) or 1.0
         residual = float(np.max(np.abs(pred - y))) / spread
-        self.fit_log_c, self.fit_rate, self.fit_residual = log_c, rate, residual
+        self.fit = {"log_c": log_c, "rate": rate, "residual": residual}
         return log_c, rate, residual
-
-    def to_dict(self) -> dict:
-        return {
-            "alpha": {str(k): v for k, v in sorted(self.alpha.items())},
-            "beta": None if self.beta is None else {str(k): v for k, v in sorted(self.beta.items())},
-            "exponents": list(self.exponents),
-            "probe_spec": self.probe_spec,
-            "fit": {"log_c": self.fit_log_c, "rate": self.fit_rate, "residual": self.fit_residual},
-        }
 
 
 @dataclass
@@ -603,9 +592,6 @@ class AuditReport:
     localization: bool
     replace_comm: bool
     identity_defect: float
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def audit_family(

@@ -172,18 +172,9 @@ def _stable(per_resolution: dict) -> bool:
 class HypothesisReport:
     constant: float
     k0_constant: float
-    rows: list
+    rows: int  # how many (Q, k) the walk measured: len(rung.hypothesis_rows(k_max))
     saturated_cubes: int
     side_reduction: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "constant": self.constant,
-            "k0_constant": self.k0_constant,
-            "saturated_cubes": self.saturated_cubes,
-            "side_reduction": self.side_reduction,
-            "rows": len(self.rows),
-        }
 
 
 def check_hypothesis(rung: Rung, k_max: int) -> HypothesisReport:
@@ -205,7 +196,7 @@ def check_hypothesis(rung: Rung, k_max: int) -> HypothesisReport:
     return HypothesisReport(
         constant=best,
         k0_constant=best_k0,
-        rows=rows,
+        rows=len(rows),
         saturated_cubes=sum(row[5] for row in rows),
         side_reduction=rung.family.sidelength_only,
     )
@@ -224,19 +215,7 @@ class VerifyReport:
     per_resolution: dict
     passed: bool
     warnings: list = dc_field(default_factory=list)
-    rows: list = dc_field(default_factory=list)
     extras: dict = dc_field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "hypothesis_constant": self.hypothesis_constant,
-            "conclusion_constant": self.conclusion_constant,
-            "per_resolution": {str(k): v for k, v in sorted(self.per_resolution.items())},
-            "passed": self.passed,
-            "warnings": list(self.warnings),
-            "extras": self.extras,
-        }
 
 
 def _sweep(
@@ -281,8 +260,12 @@ def verify_weak_improvement(
     rungs: Sequence[Rung],
     q: float,
     condition_report: Optional[ConditionReport],
-) -> VerifyReport:
-    """Weak-type conclusion constant sup_Q ||B_Q f||_{L^{q,inf},Q} / denom(2Q)."""
+) -> tuple[VerifyReport, list]:
+    """Weak-type conclusion constant sup_Q ||B_Q f||_{L^{q,inf},Q} / denom(2Q).
+
+    Returns the report and the sweep's rows (m, cube, num, den, ratio, flags),
+    one per rung and sampled cube.
+    """
     if condition_report is None:
         raise ParameterError("a summability condition report is required")
     if not math.isfinite(condition_report.measured_constant):
@@ -301,9 +284,8 @@ def verify_weak_improvement(
         per_resolution=per_res,
         passed=math.isfinite(hyp) and stable,
         warnings=warnings,
-        rows=rows,
-        extras={"q": q, "condition": condition_report.to_dict()},
-    )
+        extras={"q": q, "condition": condition_report},
+    ), rows
 
 
 def verify_strong(
@@ -338,7 +320,6 @@ def verify_strong(
         conclusion_constant=max(per_res.values()),
         per_resolution=per_res,
         passed=math.isfinite(hyp) and _stable(per_res) and kolmogorov_ok,
-        rows=rows,
         extras={"q": q, "r": r, "kolmogorov_factor": kolmogorov_factor(r, q),
                 "kolmogorov_ok": kolmogorov_ok},
     )
@@ -362,7 +343,6 @@ def verify_exponential(rungs: Sequence[Rung], dinf_report: ConditionReport) -> V
         conclusion_constant=max(per_res.values()),
         per_resolution=per_res,
         passed=math.isfinite(hyp) and _stable(per_res),
-        rows=rows,
         extras={"weighted": any(r.weight is not None for r in rungs),
                 "dinf_constant": dinf_report.measured_constant},
     )
@@ -387,17 +367,6 @@ class GoodLambdaReport:
     identity_defect: float
     passed: bool
     warnings: list = dc_field(default_factory=list)
-
-    def to_dict(self) -> dict:
-        return {
-            "c0": self.c0,
-            "rows": [list(r) for r in self.rows],
-            "whitney": self.whitney,
-            "whitney_prop_constant": self.whitney_prop_constant,
-            "identity_defect": self.identity_defect,
-            "passed": self.passed,
-            "warnings": list(self.warnings),
-        }
 
 
 def verify_good_lambda(
@@ -534,19 +503,6 @@ class BmoReport:
     monotone_ok: bool
     jn2_constant: float
     passed: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "situation": self.situation,
-            "seminorms": {
-                str(m): {str(i): {str(p): v for p, v in d.items()} for i, d in per.items()}
-                for m, per in self.seminorms.items()
-            },
-            "ratios": {str(m): {str(i): v for i, v in per.items()} for m, per in self.ratios.items()},
-            "monotone_ok": self.monotone_ok,
-            "jn2_constant": self.jn2_constant,
-            "passed": self.passed,
-        }
 
 
 def verify_bmo_equivalence(

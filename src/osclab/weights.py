@@ -68,17 +68,7 @@ class WeightReport:
     cubes_sampled: int
     seed: int
     ainf_probe_constant: float = math.inf
-
-    def to_dict(self) -> dict:
-        return {
-            "ap": {str(k): v for k, v in sorted(self.ap.items())},
-            "rh": {str(k): v for k, v in sorted(self.rh.items())},
-            "theta": self.theta,
-            "cubes_sampled": self.cubes_sampled,
-            "seed": self.seed,
-            "ainf_probe_r": AINF_PROBE_R,
-            "ainf_probe_constant": self.ainf_probe_constant,
-        }
+    ainf_probe_r: float = AINF_PROBE_R
 
 
 def ap_constant_on_cube(w: Weight, q: Cube, p: float) -> float:

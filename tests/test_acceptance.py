@@ -209,7 +209,7 @@ def test_criterion_3_offdiagonal_decay():
                           operator=EllipticOperator(np.ones(m), 1))
         cubes = [Cube((0.25,), 1 / 64), Cube((0.5,), 1 / 64)]
         prof = measure_offdiagonal(fam, probes(m), cubes, k_max=6, pair_levels=1)
-        log_c, rate, residual = prof.fit([3, 4, 5, 6])
+        log_c, rate, residual = prof.fit_decay([3, 4, 5, 6])
         assert rate > 0, (m, rate)
         assert residual < 0.10, (m, residual)
         rates[m] = rate

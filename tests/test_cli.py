@@ -209,12 +209,26 @@ def test_config_rejects_unknown_keys_and_harnesses(override, offender):
                      id="a semigroup family with a null operator"),
         ('harnesses=["rh-sets"]', "weight"),
         ('harnesses=["weight-report"]', "weight"),
+        # values a harness or the build would reject fail at load, naming their key
+        ("bmo.alpha=-1", "bmo.alpha"),  # the Lipschitz scale has alpha >= 0
+        ("profile.fit_range=[6,3]", "profile.fit_range"),
+        ("good_lambda.s=0.5", "good_lambda.s"),
+        ("good_lambda.lam=1.5", "good_lambda.lam"),
+        ("profile.anchors=[1.5]", "profile.anchors"),
+        # the bmo harness's exponents, checked when it runs: p0 <= p and max(ps) < s
+        pytest.param(['harnesses=["bmo"]', "bmo.s=2"], "bmo.s", id="bmo.s below max(bmo.ps)"),
+        pytest.param(['harnesses=["bmo"]', "bmo.ps=[0.5,2]"], "bmo.ps", id="bmo.ps below family.p0"),
     ],
 )
 def test_load_rejects_a_value_its_key_cannot_take(override, path):
     overrides = [override] if isinstance(override, str) else override
     with pytest.raises(ParameterError, match="^" + re.escape(f"{path}: ")):
         ExperimentConfig.load(bundled_config_path("classical-jn"), ["resolution_ladder=[256]", *overrides])
+
+
+def test_bmo_exponents_are_read_only_when_the_bmo_harness_runs():
+    cfg = ExperimentConfig.load(bundled_config_path("classical-jn"), ["bmo.s=2", "bmo.ps=[0.5,2]"])
+    assert "bmo" not in cfg.harnesses
 
 
 def test_an_averaging_family_takes_a_null_operator():
@@ -364,6 +378,33 @@ def test_cli_main_exits_2_on_a_config_error(tmp_path, capsys, args, message):
     captured = capsys.readouterr()
     assert captured.err == f"osclab: error: {message}\n"
     assert captured.out == ""
+
+
+def test_cli_main_exits_2_on_a_config_that_is_not_json(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text('{"name": ')
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "x")]) == 2
+    assert capsys.readouterr().err.startswith(f"osclab: error: config {str(path)!r} is not valid JSON: ")
+    assert not os.path.exists(tmp_path / "x")
+
+
+@pytest.mark.parametrize(
+    "report, args, message",
+    [
+        ('{"passed": true}', ["--formats", "json,xml"], "--formats: unknown format(s) xml (known: csv, json, svg)\n"),
+        (None, [], "'{path}' not found\n"),
+        ("{", [], "'{path}' is not valid JSON: "),
+    ],
+)
+def test_cli_report_exits_2_on_what_it_cannot_do(tmp_path, capsys, report, args, message):
+    out = tmp_path / "r"
+    out.mkdir()
+    if report is not None:
+        (out / "report.json").write_text(report)
+    assert main(["report", "--out", str(out), *args]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("osclab: error: " + message.format(path=out / "report.json"))
+    assert os.listdir(out) == ([] if report is None else ["report.json"])
 
 
 def test_cli_report_subcommand_reemits(tmp_path):

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from osclab._support import ParameterError
+from osclab._support import ParameterError, report_tree
 from osclab.cubes import Cube, DisjointFamily, full_torus, sample_disjoint_families
 from osclab.functionals import (
     HORIZON,
@@ -374,7 +374,7 @@ def test_condition_report_serializes():
     a = ConstantFunctional(1.0)
     fams = sample_disjoint_families(Cube((0.0,), 0.5), 3, seed=1, m=16)
     rep = estimate_condition(a, "Dr", r=2.0, families=fams, cap=4.0, seed=1)
-    d = rep.to_dict()
+    d = report_tree(rep)
     assert d["families"] == {"seed": 1, "count": 3}
     assert d["passed"] is True
 

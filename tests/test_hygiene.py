@@ -1,14 +1,17 @@
 """Source hygiene: no module of the package imports a name it never uses,
 defines a function, class or method that nothing in the package mentions,
-the README's tables of config sections and kinds are the readers'
+or a ``to_dict`` other than the cube codec's; each report object writes
+exactly its dataclass fields; the README's tables of config sections and kinds are the readers'
 signatures, its command-line block is the parser's, and importing the
 command line loads none of scipy's solver modules."""
 
 from __future__ import annotations
 
 import ast
+import dataclasses
 import inspect
 import json
+import math
 import os
 import re
 import subprocess
@@ -17,7 +20,24 @@ import sys
 import pytest
 
 import osclab
+from osclab._support import dump_json, report_tree
 from osclab.cli import KIND_SECTIONS, SECTIONS, main
+from osclab.cubes import Cube, descendant, sample_disjoint_families
+from osclab.functionals import estimate_condition
+from osclab.grid import make_field
+from osclab.operators import audit_family, make_family, measure_offdiagonal
+from osclab.verify import (
+    BmoRung,
+    Rung,
+    check_hypothesis,
+    make_cube_sample,
+    measured_oscillation,
+    two_q_functional,
+    verify_bmo_equivalence,
+    verify_good_lambda,
+    verify_weak_improvement,
+)
+from osclab.weights import ones_weight, weight_report
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(ROOT, "src", "osclab")
@@ -120,6 +140,48 @@ def test_every_definition_is_reached_from_the_package():
                  and name not in osclab.__all__ and qualified not in UNREACHED_BY_DESIGN
                  and not mentioned.get(name, set()) - {(module, line)}]
     assert not unreached, f"defined but never mentioned in src/osclab: {', '.join(unreached)}"
+
+
+def test_only_the_cube_codec_defines_to_dict():
+    # a report object is written by report_tree, field by field; Cube.to_dict
+    # is the codec of Cube.from_dict, not a report
+    defined = []
+    for module in MODULES:
+        with open(os.path.join(SRC, module)) as fh:
+            tree = ast.parse(fh.read(), filename=module)
+        defined += [f"{module}:{qualified}" for qualified, name, _line in _definitions(tree) if name == "to_dict"]
+    assert defined == ["cubes.py:Cube.to_dict"]
+
+
+def _one_report_of_each_kind() -> list:
+    m = 32
+    family = make_family("extended-average", (1.0, math.inf))
+    f = make_field("log-distance", 1, m, center=0.5)
+    cubes = make_cube_sample(1, m, 8, 4, seed=0)
+    a = measured_oscillation(f, cubes)
+    rung = Rung(m, f, family, a, two_q_functional(a), cubes)
+    q = Cube((0.25,), 0.25)
+    families = sample_disjoint_families(Cube((0.0,), 0.5), 3, seed=0, m=m)
+    condition = estimate_condition(a, "Dr", r=2.0, families=families)
+    probes = [make_field("constant", 1, m, value=1.0), f]
+    return [
+        check_hypothesis(rung, 2),
+        verify_weak_improvement([rung], 2.0, condition)[0],
+        verify_good_lambda(rung, q, 4.0, 0.5, 2.0, 4),
+        verify_bmo_equivalence([BmoRung(m, family, [f])], [1.0, 2.0], 4.0, 0.0),
+        audit_family(family, probes, [(descendant(q, 1, (0,)), q)]),
+        measure_offdiagonal(family, probes, [q], 4, 1),
+        condition,
+        weight_report(ones_weight(1, m), [2.0], cubes, 0),
+    ]
+
+
+def test_a_report_writes_exactly_its_fields():
+    reports = _one_report_of_each_kind()
+    assert len({type(rep) for rep in reports}) == len(reports)
+    for rep in reports:
+        written = json.loads(dump_json(report_tree(rep)))
+        assert list(written) == sorted(field.name for field in dataclasses.fields(rep)), type(rep).__name__
 
 
 def _rendered_keys(builder) -> str:

@@ -574,7 +574,7 @@ def test_heat_profile_gaussian_decay():
     fam = make_family("semigroup", (2.0, 2.0), operator=identity_operator(m), big_n=1)
     cubes = [Cube((0.25,), 1 / 64), Cube((0.5,), 1 / 64)]
     prof = measure_offdiagonal(fam, probe_set(m), cubes, k_max=6, pair_levels=1)
-    log_c, rate, residual = prof.fit([3, 4, 5, 6])
+    log_c, rate, residual = prof.fit_decay([3, 4, 5, 6])
     assert rate > 0
     assert residual < 0.10
     # ratios alpha_{k+1} / alpha_k decreasing

@@ -93,7 +93,9 @@ def test_hypothesis_local_variant_bounded_by_1_plus_2n():
     m = 256
     rung, _ = classical_jn_rung(m)
     rep = check_hypothesis(rung, k_max=1)
-    k1 = [row for row in rep.rows if row[1] == 1]
+    rows = rung.hypothesis_rows(1)
+    assert rep.rows == len(rows)
+    k1 = [row for row in rows if row[1] == 1]
     assert k1
     assert max(row[4] for row in k1) <= (1 + 2) * (1 + 1e-9)
 
@@ -121,8 +123,9 @@ def test_replaced_rung_with_other_field_reads_its_own_b_field():
     assert rung.b_field(q) is own
 
 
-def hypothesis_walk(rep) -> tuple:
-    return rep.rows, rep.constant, rep.k0_constant, rep.saturated_cubes
+def hypothesis_walk(rung, k_max) -> tuple:
+    rep = check_hypothesis(rung, k_max)
+    return rung.hypothesis_rows(k_max), rep.constant, rep.k0_constant, rep.saturated_cubes
 
 
 @pytest.mark.parametrize("first, then", [(3, 2), (1, 3), (3, 0)])
@@ -130,9 +133,10 @@ def test_cached_hypothesis_walk_equals_a_fresh_walk(first, then):
     m = 64
     rung, _ = classical_jn_rung(m)
     check_hypothesis(rung, first)
-    fresh = check_hypothesis(classical_jn_rung(m)[0], then)
+    fresh_rung = classical_jn_rung(m)[0]
+    fresh = check_hypothesis(fresh_rung, then)
     assert fresh.saturated_cubes > 0 or then == 0
-    assert hypothesis_walk(check_hypothesis(rung, then)) == hypothesis_walk(fresh)
+    assert hypothesis_walk(rung, then) == hypothesis_walk(fresh_rung, then)
 
 
 @pytest.mark.parametrize(
@@ -145,13 +149,13 @@ def test_replaced_rung_with_other_material_reads_its_own_hypothesis_walk(key, va
 
     m = 64
     rung, _ = classical_jn_rung(m)
-    own = hypothesis_walk(check_hypothesis(rung, 3))
+    own = hypothesis_walk(rung, 3)
     other = dataclasses.replace(rung, **{key: value(rung)})
     assert other.cache is rung.cache
     fresh = dataclasses.replace(other, cache={})
-    assert hypothesis_walk(check_hypothesis(other, 3)) == hypothesis_walk(check_hypothesis(fresh, 3))
-    assert hypothesis_walk(check_hypothesis(other, 3)) != own
-    assert hypothesis_walk(check_hypothesis(rung, 3)) == own
+    assert hypothesis_walk(other, 3) == hypothesis_walk(fresh, 3)
+    assert hypothesis_walk(other, 3) != own
+    assert hypothesis_walk(rung, 3) == own
 
 
 # ---------------------------------------------------------------------------
@@ -165,7 +169,7 @@ def test_weak_improvement_constant_field_zero():
     f = make_field("constant", 1, m, value=2.0)
     a = ConstantFunctional(1.0)
     rung = Rung(m, f, fam, a, two_q_functional(a), make_cube_sample(1, m, 8, 4, seed=0))
-    rep = verify_weak_improvement([rung], 2.0, dq_report_for(a, m, 2.0))
+    rep, _rows = verify_weak_improvement([rung], 2.0, dq_report_for(a, m, 2.0))
     assert rep.conclusion_constant == 0.0
     assert rep.passed
 
@@ -176,7 +180,7 @@ def test_weak_improvement_log_field_ladder_stable():
     for m in (128, 256):
         rung, _ = classical_jn_rung(m)
         rungs.append(rung)
-    report = verify_weak_improvement(rungs, 2.0, dq_report_for(rungs[0].hypothesis, 128, 2.0))
+    report, _rows = verify_weak_improvement(rungs, 2.0, dq_report_for(rungs[0].hypothesis, 128, 2.0))
     assert math.isfinite(report.conclusion_constant)
     assert report.conclusion_constant > 0
     assert report.passed, report.per_resolution
@@ -195,8 +199,8 @@ def test_weak_conclusion_scaling_invariance():
     m = 128
     r1, _ = classical_jn_rung(m, scale=1.0)
     r2, _ = classical_jn_rung(m, scale=2.0)
-    rep1 = verify_weak_improvement([r1], 2.0, dq_report_for(r1.hypothesis, m, 2.0))
-    rep2 = verify_weak_improvement([r2], 2.0, dq_report_for(r2.hypothesis, m, 2.0))
+    rep1, _rows = verify_weak_improvement([r1], 2.0, dq_report_for(r1.hypothesis, m, 2.0))
+    rep2, _rows = verify_weak_improvement([r2], 2.0, dq_report_for(r2.hypothesis, m, 2.0))
     assert rep2.conclusion_constant == pytest.approx(rep1.conclusion_constant, rel=1e-10)
 
 
@@ -252,8 +256,8 @@ def test_weighted_unit_weight_reproduces_unweighted_exactly():
         rung.cube_sample, weight=ones_weight(1, m),
     )
     cond = dq_report_for(rung.hypothesis, m, 2.0)
-    rep = verify_weak_improvement([rung], 2.0, cond)
-    rep_w = verify_weak_improvement([rung_w], 2.0, cond)
+    rep, _rows = verify_weak_improvement([rung], 2.0, cond)
+    rep_w, _rows = verify_weak_improvement([rung_w], 2.0, cond)
     assert rep_w.conclusion_constant == rep.conclusion_constant  # bitwise
 
 

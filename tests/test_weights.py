@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from osclab._support import DataError, ParameterError
+from osclab._support import DataError, ParameterError, report_tree
 from osclab.cubes import Cube, full_torus
 from osclab.grid import Field, make_field
 from osclab.verify import make_cube_sample
@@ -168,5 +168,5 @@ def test_rh_subset_holds_across_random_subsets():
 def test_report_serialization():
     w = ones_weight(1, 16)
     rep = weight_report(w, [2.0], make_cube_sample(1, 16, min_cells=4, off_dyadic=16, seed=0), seed=0)
-    d = rep.to_dict()
+    d = report_tree(rep)
     assert set(d) >= {"ap", "rh", "theta", "cubes_sampled", "seed"}
