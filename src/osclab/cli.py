@@ -95,11 +95,13 @@ class ExperimentConfig(SimpleNamespace):
 
     @staticmethod
     def load(path: str, overrides: Optional[list[str]] = None) -> "ExperimentConfig":
-        with open(path) as fh:
-            try:
+        try:
+            with open(path) as fh:
                 data = json.load(fh)
-            except ValueError as exc:
-                raise ParameterError(f"config {path!r} is not valid JSON: {exc}") from exc
+        except OSError as exc:
+            raise ParameterError(f"config {path!r} cannot be read: {exc.strerror}") from exc
+        except ValueError as exc:
+            raise ParameterError(f"config {path!r} is not valid JSON: {exc}") from exc
         for item in overrides or []:
             key, _, raw = item.partition("=")
             if not _:
@@ -486,9 +488,7 @@ def _hypothesis(ctx: HarnessContext) -> tuple[dict, bool]:
 
 def _weak(ctx: HarnessContext) -> tuple[dict, bool]:
     rep, ctx.rows_weak = verify_weak_improvement(ctx.rungs, ctx.q, ctx.condition)
-    entry = report_tree(rep)
-    entry["csv"] = "rows_weak.csv"
-    return {"weak": entry}, rep.passed
+    return {"weak": report_tree(rep)}, rep.passed
 
 
 def _strong(ctx: HarnessContext) -> tuple[dict, bool]:
@@ -894,11 +894,21 @@ def bundled_config_path(name: str) -> str:
     return os.path.join(here, "configs", name + ".json")
 
 
+def _check_out_dir(out_dir: str) -> None:
+    """Refuse ``--out`` when it, or the nearest of its ancestors that exists, is not a directory."""
+    path = os.path.abspath(out_dir)
+    while not os.path.exists(path):
+        path = os.path.dirname(path)
+    if not os.path.isdir(path):
+        raise ParameterError(f"--out: {path!r} is not a directory")
+
+
 def _run(args) -> int:
     """``osclab run``: exit code 0 iff every selected harness passed."""
     path = args.config if os.path.exists(args.config) else bundled_config_path(args.config)
     if not os.path.exists(path):
         raise ParameterError(f"config {args.config!r} not found")
+    _check_out_dir(args.out)
     manifest, report = run_experiment(path, args.out, args.overrides)
     print(f"wrote {len(manifest.artifacts)} artifacts to {args.out}\npassed: {report['passed']}")
     return 0 if report["passed"] else 1
@@ -916,8 +926,12 @@ def _report(args) -> int:
             report = json.load(fh)
     except FileNotFoundError as exc:
         raise ParameterError(f"{path!r} not found") from exc
+    except OSError as exc:
+        raise ParameterError(f"{path!r} cannot be read: {exc.strerror}") from exc
     except ValueError as exc:
         raise ParameterError(f"{path!r} is not valid JSON: {exc}") from exc
+    if not isinstance(report, dict):
+        raise ParameterError(f"{path!r} does not hold a JSON object")
     emit_outputs(report, args.out, formats)
     return 0
 

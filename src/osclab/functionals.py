@@ -357,7 +357,6 @@ class ConditionReport:
     measured_constant: float
     families: dict  # {"seed", "count"} of the probes measured
     passed: bool
-    cap: Optional[float]
     weighted: bool
 
 
@@ -373,7 +372,6 @@ def estimate_condition(
     families: Optional[Sequence[DisjointFamily]] = None,
     cube_pairs: Optional[Sequence[tuple[Cube, Cube]]] = None,
     partner: Optional[Functional] = None,
-    cap: Optional[float] = None,
     seed: int = 0,
 ) -> ConditionReport:
     """Measure the defining ratio of a summability condition over probes.
@@ -405,14 +403,12 @@ def estimate_condition(
             denom = denom_f.eval(fam.parent) * parent_meas ** (1.0 / r)
             num = sum(a.eval(qi) ** r * _measure_of(mu, qi) for qi in fam.members) ** (1.0 / r)
             best = max(best, ratio(num, denom))
-    passed = math.isfinite(best) and (cap is None or best <= cap)
     return ConditionReport(
         condition=condition,
         r=r,
         measured_constant=best,
         families={"seed": seed, "count": count},
-        passed=passed,
-        cap=cap,
+        passed=math.isfinite(best),
         weighted=mu is not None,
     )
 

@@ -591,7 +591,6 @@ class AuditReport:
     uniform_bound: float
     localization: bool
     replace_comm: bool
-    identity_defect: float
 
 
 def audit_family(
@@ -614,7 +613,6 @@ def audit_family(
     bound = 0.0
     loc_defect = 0.0
     rc_defect = 0.0
-    ident = 0.0
     for r, q in cube_pairs:
         for f in probes:
             scale = lp_average(f, torus, p0) + 1e-300
@@ -623,9 +621,7 @@ def audit_family(
             br_bq = family.apply_B(bq, r)
             bq_br = family.apply_B(family.apply_B(f, r), q)
             comm = max(comm, lp_average(Field(br_bq.values - bq_br.values), torus, p0) / scale)
-            # A_Q + B_Q = I by construction; the measured defect documents it
             aq = Field(f.values - bq.values)
-            ident = max(ident, float(np.max(np.abs(aq.values + bq.values - f.values))))
             # localization
             two_q = dilate(q, 2.0, m).cube
             localized = _masked_field(family.apply_A(_masked_field(f, two_q), q), two_q)
@@ -641,7 +637,6 @@ def audit_family(
         uniform_bound=bound,
         localization=loc_defect <= tol,
         replace_comm=rc_defect <= tol,
-        identity_defect=ident,
     )
 
 

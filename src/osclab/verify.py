@@ -209,30 +209,32 @@ def check_hypothesis(rung: Rung, k_max: int) -> HypothesisReport:
 
 @dataclass
 class VerifyReport:
-    name: str
     hypothesis_constant: float
     conclusion_constant: float
     per_resolution: dict
     passed: bool
-    warnings: list = dc_field(default_factory=list)
-    extras: dict = dc_field(default_factory=dict)
+    warnings: list
+    extras: dict
 
 
 def _sweep(
     rungs: Sequence[Rung],
     hyp_k_max: int,
     norm: Callable[[Rung, Field, Cube], float],
-) -> tuple[float, dict, list, list]:
-    """The rung loop shared by the weak, strong and exponential harnesses.
+    extras: dict,
+) -> tuple[VerifyReport, list]:
+    """The rung loop and pass rule of the weak, strong and exponential harnesses.
 
     Per rung: the hypothesis constant up to the 2^{hyp_k_max} dilates, then
     the worst ratio of the conclusion ``norm`` of B_Q f against the
     denominator functional at Q (statements whose right-hand side lives on a
     dilate, e.g. the expanded functional at 2Q, wrap that dilation inside
-    the functional).  Rows carry a flag bitmask recording whether the
-    companion 2Q dilation saturated (bit 0) or wrapped around the torus seam
-    (bit 1).  Returns (hypothesis constant, per-resolution constants, rows,
-    saturation warnings).
+    the functional).  Rows (m, cube, num, den, ratio, flags) carry a flag
+    bitmask recording whether the companion 2Q dilation saturated (bit 0) or
+    wrapped around the torus seam (bit 1).  The report passes on a finite
+    hypothesis constant and a stable ladder; its warnings count each rung's
+    saturated dilations and, on an unstable ladder, name the worst cube.
+    Returns the report and the rows.
     """
     hyp = 0.0
     per_res = {}
@@ -253,7 +255,18 @@ def _sweep(
             rows.append((rung.m, q.to_dict(), num, den, val, flags))
             best = max(best, val)
         per_res[rung.m] = best
-    return hyp, per_res, rows, warnings
+    stable = _stable(per_res)
+    if not stable and rows:
+        worst = max(rows, key=lambda row: row[4] if math.isfinite(row[4]) else math.inf)
+        warnings.append(f"ladder instability; worst cube m={worst[0]} {worst[1]}")
+    return VerifyReport(
+        hypothesis_constant=hyp,
+        conclusion_constant=max(per_res.values()),
+        per_resolution=per_res,
+        passed=math.isfinite(hyp) and stable,
+        warnings=warnings,
+        extras=extras,
+    ), rows
 
 
 def verify_weak_improvement(
@@ -263,29 +276,14 @@ def verify_weak_improvement(
 ) -> tuple[VerifyReport, list]:
     """Weak-type conclusion constant sup_Q ||B_Q f||_{L^{q,inf},Q} / denom(2Q).
 
-    Returns the report and the sweep's rows (m, cube, num, den, ratio, flags),
-    one per rung and sampled cube.
+    Returns the report and the sweep's rows, one per rung and sampled cube.
     """
     if condition_report is None:
         raise ParameterError("a summability condition report is required")
     if not math.isfinite(condition_report.measured_constant):
         raise ParameterError("condition report carries an infinite constant")
-    hyp, per_res, rows, warnings = _sweep(
-        rungs, 3, lambda rung, bf, q_cube: weak_lq_norm(bf, q_cube, q, rung.weight)
-    )
-    stable = _stable(per_res)
-    if not stable and rows:
-        worst = max(rows, key=lambda row: row[4] if math.isfinite(row[4]) else math.inf)
-        warnings.append(f"ladder instability; worst cube m={worst[0]} {worst[1]}")
-    return VerifyReport(
-        name="weak-improvement",
-        hypothesis_constant=hyp,
-        conclusion_constant=max(per_res.values()),
-        per_resolution=per_res,
-        passed=math.isfinite(hyp) and stable,
-        warnings=warnings,
-        extras={"q": q, "condition": condition_report},
-    ), rows
+    return _sweep(rungs, 3, lambda rung, bf, q_cube: weak_lq_norm(bf, q_cube, q, rung.weight),
+                  {"q": q, "condition": condition_report})
 
 
 def verify_strong(
@@ -311,18 +309,12 @@ def verify_strong(
         worst_gap = max(worst_gap, strong - bound)
         return strong
 
-    hyp, per_res, rows, _warnings = _sweep(rungs, 2, strong_norm)
+    rep, rows = _sweep(rungs, 2, strong_norm, {"q": q, "r": r, "kolmogorov_factor": kolmogorov_factor(r, q)})
     scale = max((row[2] for row in rows), default=1.0) or 1.0
     kolmogorov_ok = worst_gap <= 1e-10 * scale
-    return VerifyReport(
-        name="strong-improvement",
-        hypothesis_constant=hyp,
-        conclusion_constant=max(per_res.values()),
-        per_resolution=per_res,
-        passed=math.isfinite(hyp) and _stable(per_res) and kolmogorov_ok,
-        extras={"q": q, "r": r, "kolmogorov_factor": kolmogorov_factor(r, q),
-                "kolmogorov_ok": kolmogorov_ok},
-    )
+    rep.extras["kolmogorov_ok"] = kolmogorov_ok
+    rep.passed = rep.passed and kolmogorov_ok
+    return rep
 
 
 def verify_exponential(rungs: Sequence[Rung], dinf_report: ConditionReport) -> VerifyReport:
@@ -334,18 +326,10 @@ def verify_exponential(rungs: Sequence[Rung], dinf_report: ConditionReport) -> V
     """
     if dinf_report.condition != "Dinf" or not dinf_report.passed:
         raise ParameterError("exponential harness requires a passing Dinf condition report")
-    hyp, per_res, rows, _warnings = _sweep(
-        rungs, 2, lambda rung, bf, q_cube: exp_luxemburg_norm(bf, q_cube, rung.weight)
-    )
-    return VerifyReport(
-        name="exponential",
-        hypothesis_constant=hyp,
-        conclusion_constant=max(per_res.values()),
-        per_resolution=per_res,
-        passed=math.isfinite(hyp) and _stable(per_res),
-        extras={"weighted": any(r.weight is not None for r in rungs),
-                "dinf_constant": dinf_report.measured_constant},
-    )
+    rep, _rows = _sweep(rungs, 2, lambda rung, bf, q_cube: exp_luxemburg_norm(bf, q_cube, rung.weight),
+                        {"weighted": any(r.weight is not None for r in rungs),
+                         "dinf_constant": dinf_report.measured_constant})
+    return rep
 
 
 def exponential_denominator(a: Functional, profile) -> DilationSeries:

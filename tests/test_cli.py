@@ -389,11 +389,31 @@ def test_cli_main_exits_2_on_a_config_that_is_not_json(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "config, out, message",
+    [
+        ("{tmp}", "{tmp}/x", "config '{tmp}' cannot be read: Is a directory"),
+        ("heat-offdiag", "{tmp}/file", "--out: '{tmp}/file' is not a directory"),
+        ("heat-offdiag", "{tmp}/file/x", "--out: '{tmp}/file' is not a directory"),
+    ],
+)
+def test_cli_run_exits_2_on_a_path_it_cannot_use(tmp_path, capsys, monkeypatch, config, out, message):
+    # a path that cannot be used is an error on the command line, found before any rung is built
+    (tmp_path / "file").write_text("kept")
+    monkeypatch.setattr(cli, "build_rung", lambda *args: pytest.fail("a rung was built"))
+    assert main(["run", "--config", config.format(tmp=tmp_path), "--out", out.format(tmp=tmp_path)]) == 2
+    assert capsys.readouterr().err == f"osclab: error: {message.format(tmp=tmp_path)}\n"
+    assert (tmp_path / "file").read_text() == "kept"
+
+
+@pytest.mark.parametrize(
     "report, args, message",
     [
         ('{"passed": true}', ["--formats", "json,xml"], "--formats: unknown format(s) xml (known: csv, json, svg)\n"),
         (None, [], "'{path}' not found\n"),
         ("{", [], "'{path}' is not valid JSON: "),
+        ('"just a string"', [], "'{path}' does not hold a JSON object\n"),
+        # --out names a file: the last --out wins
+        ('{"passed": true}', ["--out", "{path}"], "'{path}/report.json' cannot be read: Not a directory\n"),
     ],
 )
 def test_cli_report_exits_2_on_what_it_cannot_do(tmp_path, capsys, report, args, message):
@@ -401,7 +421,7 @@ def test_cli_report_exits_2_on_what_it_cannot_do(tmp_path, capsys, report, args,
     out.mkdir()
     if report is not None:
         (out / "report.json").write_text(report)
-    assert main(["report", "--out", str(out), *args]) == 2
+    assert main(["report", "--out", str(out), *(arg.format(path=out / "report.json") for arg in args)]) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("osclab: error: " + message.format(path=out / "report.json"))
     assert os.listdir(out) == ([] if report is None else ["report.json"])
@@ -418,6 +438,21 @@ def test_cli_report_subcommand_reemits(tmp_path):
     assert os.path.isfile(os.path.join(out, "profile_m128.svg"))
 
 
+def test_cli_report_rebuilds_the_json_and_csv_bytes(tmp_path):
+    out = tmp_path / "c"
+    run_experiment(bundled_config_path("classical-jn"), str(out), ["resolution_ladder=[64,128]"])
+    before = read_artifacts(str(out))
+    assert sorted(before) == ["profile_m128.csv", "profile_m128.svg", "profile_m64.csv", "report.json",
+                              "rows_weak.csv"]
+    # report.json is the input, so it is rewritten in place; the profile artifacts are rebuilt from it
+    for name in before:
+        if name.startswith("profile_"):
+            os.remove(out / name)
+    assert main(["report", "--out", str(out), "--formats", "json,csv,svg"]) == 0
+    # rows_weak.csv is left as it was: report.json does not hold the weak rows
+    assert read_artifacts(str(out)) == before
+
+
 def test_report_svg_reemits_profile_without_fit(tmp_path):
     # every rung of classical-jn at m=256 has no fit; report.json stores it as "nan"
     out = str(tmp_path / "c")
@@ -431,6 +466,27 @@ def test_report_svg_reemits_profile_without_fit(tmp_path):
     assert main(["report", "--out", out, "--formats", "svg"]) == 0
     with open(svg, "rb") as fh:
         assert fh.read() == fresh
+
+
+def test_ladder_harnesses_fail_on_an_unbounded_oscillation():
+    # a negative control: |x - 1/2|^{-0.9} against a constant functional has no
+    # finite constant, so each ladder roughly doubles its constant per rung
+    cfg = ExperimentConfig.load(bundled_config_path("classical-jn"), [
+        'field={"kind":"power-distance","gamma":-0.9}', 'functional={"kind":"constant","value":1.0}',
+        'harnesses=["weak","strong","exponential"]', "resolution_ladder=[64,128,256]",
+    ])
+    report, _ = cli.run_pipeline(cfg)
+    harnesses = report["harnesses"]
+    assert report["passed"] is False
+    expected = {"weak": [20.6, 37.6, 70.1], "strong": [20.0, 35.8, 66.8], "exponential": [10.8, 19.4, 36.2]}
+    for name, constants in expected.items():
+        rep = harnesses[name]
+        assert rep["passed"] is False
+        assert [round(v, 1) for v in rep["per_resolution"].values()] == constants
+        *saturated, unstable = rep["warnings"]
+        assert [w.split(":")[0] for w in saturated] == ["m=64", "m=128", "m=256"]
+        assert all(w.endswith(" saturated dilations") for w in saturated)
+        assert unstable.startswith("ladder instability; worst cube m=256 ")
 
 
 def test_heat_offdiag_csv_alpha_strictly_decreasing(tmp_path):

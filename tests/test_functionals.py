@@ -373,7 +373,7 @@ def test_reduced_poincare_below_sobolev_finite():
 def test_condition_report_serializes():
     a = ConstantFunctional(1.0)
     fams = sample_disjoint_families(Cube((0.0,), 0.5), 3, seed=1, m=16)
-    rep = estimate_condition(a, "Dr", r=2.0, families=fams, cap=4.0, seed=1)
+    rep = estimate_condition(a, "Dr", r=2.0, families=fams, seed=1)
     d = report_tree(rep)
     assert d["families"] == {"seed": 1, "count": 3}
     assert d["passed"] is True

@@ -627,7 +627,6 @@ def test_audit_semigroup_commutes():
     rep = audit_family(fam, probe_set(m), pairs)
     assert rep.commutator <= 1e-8
     assert not rep.localization
-    assert rep.identity_defect <= 1e-10
 
 
 def test_audit_extended_average_flags_and_bound():

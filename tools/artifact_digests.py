@@ -4,18 +4,24 @@ Usage: python tools/artifact_digests.py OUT
 
 Runs each bundled config of ``src/osclab/configs`` twice, at its own seed and
 with ``--set seed=1``, into ``OUT/<seed>/<config>`` (``<seed>`` is ``bundled``
-or ``1``), then prints one line ``sha256  <seed>/<config>/<file>`` per
-artifact, sorted by path.  ``manifest.json`` holds timings and is left out.
-Reports are byte-identical for a given (config, seed), so two trees that
-write the same reports print the same lines: run this on both and diff the
-output.  The package is imported from this checkout's ``src``.
+or ``1``), then prints a header line with the Python, numpy and scipy
+versions and one line ``sha256  <seed>/<config>/<file>`` per artifact, sorted
+by path.  ``manifest.json`` holds timings and is left out.  Reports are
+byte-identical for a given (config, seed) on one set of versions, so the
+output is ``tests/artifact_digests.sha256``, which the test suite checks; a
+change that moves bytes on purpose rewrites that file with this command.
+The package is imported from this checkout's ``src``.
 """
 
 from __future__ import annotations
 
 import hashlib
 import os
+import platform
 import sys
+
+import numpy as np
+import scipy
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
@@ -25,11 +31,13 @@ from osclab.cli import bundled_config_path, run_experiment  # noqa: E402
 SEEDS = {"bundled": [], "1": ["seed=1"]}
 
 
-def main(argv: list[str]) -> int:
-    if len(argv) != 1:
-        print(__doc__.strip().splitlines()[2], file=sys.stderr)
-        return 2
-    out = argv[0]
+def versions() -> str:
+    """The header line: the versions the digests hold for."""
+    return f"# python {platform.python_version()}, numpy {np.__version__}, scipy {scipy.__version__}"
+
+
+def digests(out: str) -> list[str]:
+    """Run the bundled configs into ``out``; one ``sha256  path`` line per artifact, sorted by path."""
     configs = sorted(name[:-5] for name in os.listdir(os.path.join(ROOT, "src", "osclab", "configs"))
                      if name.endswith(".json"))
     lines = []
@@ -42,8 +50,16 @@ def main(argv: list[str]) -> int:
                     continue
                 with open(os.path.join(out, where, name), "rb") as fh:
                     lines.append((f"{where}/{name}", hashlib.sha256(fh.read()).hexdigest()))
-    for path, digest in sorted(lines):
-        print(f"{digest}  {path}")
+    return [f"{digest}  {path}" for path, digest in sorted(lines)]
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 1:
+        print(__doc__.strip().splitlines()[2], file=sys.stderr)
+        return 2
+    print(versions())
+    for line in digests(argv[0]):
+        print(line)
     return 0
 
 
