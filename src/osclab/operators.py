@@ -10,15 +10,18 @@ for a divergence-form elliptic generator L = -div(A(x) grad), whose state is
 computed when it is built.  Constant coefficient operators act spectrally
 (the exact Fourier multiplier of the continuous generator, restricted to grid
 modes); variable coefficients use a conservative finite-difference stencil,
-assembled from one coefficient array per offset, and functions of it (e^{-tL}
-and the time average U_s) are evaluated to rounding by a Chebyshev expansion
-over a Gershgorin enclosure of its numerical range, with sparse matvecs only
-(Tal-Ezer & Kosloff, J. Chem. Phys. 81, 1984; Crouzeix, J. Funct. Anal. 244,
-2007, for complex coefficients).  semigroup_apply and sharp_maximal take
-blocks: one three-term recurrence on the block of all fields serves every
-time, so the sharp maximal sweep of a rung costs the longest single-scale
-expansion, not the sum over scales and fields.  Both paths annihilate
-constants and conserve the mean, because the stencil is in flux form.
+one coefficient array per offset, applied by a gather of the neighbouring
+cells.  Functions of the stencil (e^{-tL} and the time average U_s) come from
+a rational shift-and-invert Krylov method in numpy alone: an Arnoldi basis
+of the resolvents (I + gamma_j L)^{-1} for a few shifts gamma_j, solved
+exactly by cyclic reduction in 1-D and by FFT-preconditioned GMRES in 2-D,
+and a small dense exponential of the projected generator (Pade-13 scaling
+and squaring; Van Loan's block form for U_s).  semigroup_apply and
+sharp_maximal take blocks: one basis per field serves every time of a call,
+and the solves of a basis step run on the block of all fields, so the sharp
+maximal sweep of a rung costs one basis per field, not one per scale.  Both
+paths annihilate constants and conserve the mean, because the stencil is in
+flux form; the Krylov path restores the mean exactly.
 """
 
 from __future__ import annotations
@@ -28,7 +31,6 @@ from dataclasses import dataclass, field as dc_field
 from typing import Optional, Sequence
 
 import numpy as np
-import scipy.sparse as sp
 from numpy.lib.stride_tricks import sliding_window_view
 
 from osclab._support import DataError, NumericError, ParameterError
@@ -53,8 +55,15 @@ class EllipticOperator:
     lam <= 0 are not elliptic and raise DataError.
 
     All of it is computed here.  Constant coefficients get the Fourier
-    multiplier ``symbol`` = 4 pi^2 k.Ak; variable ones the flux-form stencil
-    ``matrix`` and its Chebyshev frame ``rho``, ``big_r`` and ``x_mat``.
+    multiplier ``symbol`` = 4 pi^2 k.Ak.  Variable ones get the flux-form
+    stencil, L u(x) = sum_o b_o(x) u(x + o) with one coefficient array b_o
+    per offset o (_assemble; they sum to zero, so L annihilates constants),
+    as the rows of ``weights`` and the flat cell indices ``neighbours`` of
+    x + o; the ``shifts`` gamma_j of the Krylov backend and its dimension
+    ``krylov_dim``; and the inner solve with I + gamma_j L for each shift: in
+    1-D the cyclic ``reductions`` of that periodic tridiagonal matrix, in
+    higher dimensions the FFT ``preconditioners`` 1 / (1 + gamma_j sigma),
+    sigma the symbol of the same stencil at the mean coefficient.
     """
 
     def __init__(self, coeffs: np.ndarray, dimension: int):
@@ -83,26 +92,42 @@ class EllipticOperator:
                 mu = mu + flat[i, j, 0] * grids[i] * grids[j]
             self.symbol = 4.0 * np.pi ** 2 * mu
             return
-        self.matrix = _assemble(self.coeffs, self.h)
-        if np.max(np.abs(self.matrix @ np.ones(self.matrix.shape[0]))) > 1e-11 * self.big_lam / self.h ** 2:
+        bands = _assemble(self.coeffs, self.h)
+        if np.max(np.abs(sum(bands.values()))) > 1e-11 * self.big_lam / self.h ** 2:
             raise NumericError("stencil does not annihilate constants")
-        self.rho, self.big_r, self.x_mat = _chebyshev_frame(self.matrix)
+        index = np.arange(m ** n).reshape((m,) * n)
+        self.neighbours = np.stack([np.roll(index, [-x for x in o], axis=tuple(range(n))).ravel() for o in bands])
+        self.weights = np.stack([band.ravel() for band in bands.values()])
+        self.shifts = _shifts(m)
+        self.krylov_dim = _STEPS_PER_SHIFT * (len(self.shifts) + 1) + _CHECK_GAP
+        if n == 1:
+            self.reductions = [_cyclic_reduction(g * bands[(-1,)], 1.0 + g * bands[(0,)], g * bands[(1,)])
+                               for g in self.shifts]
+        else:
+            # the symbol of the stencil at the mean coefficient, at theta = 2 pi k / m:
+            # sum_i a_ii 4 sin^2(theta_i / 2) / h^2 + sum_{i != j} a_ij sin theta_i sin theta_j / h^2
+            theta = 2.0 * np.pi * np.fft.fftfreq(m)
+            half = np.meshgrid(*([2.0 * np.sin(theta / 2.0) / self.h] * n), indexing="ij")
+            full = np.meshgrid(*([np.sin(theta) / self.h] * n), indexing="ij")
+            mean = flat.mean(axis=-1)
+            sigma = sum(mean[i, j] * (half[i] ** 2 if i == j else full[i] * full[j]) for i, j in np.ndindex(n, n))
+            self.preconditioners = [1.0 / (1.0 + g * sigma) for g in self.shifts]
 
     def apply(self, f: Field) -> Field:
         """L f via the operator's own generator (spectral or stencil)."""
         if self.is_constant:
             return _fourier_apply(self, self.symbol, f)
-        out = (self.matrix @ f.values.ravel()).reshape(f.values.shape)
+        out = _stencil_apply(self, f.values)
         return Field(out if (self.is_complex or f.is_complex) else out.real)
 
 
-def _assemble(coeffs: np.ndarray, h: float) -> sp.csr_matrix:
+def _assemble(coeffs: np.ndarray, h: float) -> dict:
     """The stencil -(sum_i D-_i a_i D+_i + sum_{i != j} D0_i A_ij D0_j), a_i the mean
     of A_ii on the face after a cell along axis i: the sum as one coefficient
-    array per offset o (row x, column x + o, periodic), each entry rounded as
-    the product of the difference matrices rounds it, negated in the CSR,
-    which stores no entry that vanishes."""
-    n, m = coeffs.shape[0], coeffs.shape[-1]
+    array per offset o (the entry of row x at column x + o, periodic), each
+    entry rounded as the product of the difference matrices rounds it, then
+    negated."""
+    n = coeffs.shape[0]
     inv, half = 1.0 / h, 1.0 / (2 * h)
     bands: dict = {}
 
@@ -122,31 +147,14 @@ def _assemble(coeffs: np.ndarray, h: float) -> sp.csr_matrix:
                 k = coeffs[i, j] * half * half
                 k_fwd, k_back = np.roll(k, -1, axis=i), np.roll(k, 1, axis=i)
                 add((ei + ej, k_fwd), (ei - ej, -k_fwd), (ej - ei, -k_back), (-ei - ej, k_back))
-    cells = np.arange(m ** n).reshape((m,) * n)
-    cols = [np.roll(cells, [-x for x in o], axis=tuple(range(n))).ravel() for o in bands]
-    data = np.concatenate([band.ravel() for band in bands.values()])
-    rows = np.tile(cells.ravel(), len(bands))
-    mat = sp.csr_matrix((-data, (rows, np.concatenate(cols))), shape=(m ** n,) * 2)
-    mat.eliminate_zeros()
-    return mat
+    return {o: -band for o, band in bands.items()}
 
 
-def _chebyshev_frame(mat: sp.csr_matrix) -> tuple[float, float, sp.csr_matrix]:
-    """(rho, R, X) of the stencil ``mat`` for the Chebyshev evaluator.
-
-    rho is the Gershgorin bound of the Hermitian part of the stencil,
-    which is positive semidefinite for elliptic A, so X = (2/rho) L - I
-    has its numerical range in [-1, 1] x i[-beta, beta], with beta from
-    the Gershgorin bound of the skew-Hermitian part.  R is the Bernstein
-    ellipse (foci -1 and 1) through the corners of that rectangle; R = 1
-    exactly when L is Hermitian.
-    """
-    adj = mat.conj().T
-    rho = float(abs(mat + adj).sum(axis=1).max()) / 2.0
-    beta = float(abs(mat - adj).sum(axis=1).max()) / rho
-    semi = (beta + math.sqrt(4.0 + beta * beta)) / 2.0
-    big_r = semi + math.sqrt(semi * semi - 1.0)
-    return rho, big_r, (2.0 / rho) * mat - sp.identity(mat.shape[0], dtype=mat.dtype, format="csr")
+def _stencil_apply(op: EllipticOperator, u: np.ndarray) -> np.ndarray:
+    """L u on the stencil: at each cell x the sum over the offsets o, in the
+    order of _assemble, of b_o(x) u(x + o), gathered through the flat cell
+    indices ``neighbours`` of x + o."""
+    return (op.weights * u.ravel()[op.neighbours]).sum(axis=0).reshape(u.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -163,14 +171,10 @@ def _fourier_apply(op: EllipticOperator, multiplier: np.ndarray, f: Field) -> Fi
 def semigroup_apply(op: EllipticOperator, times: Sequence[float],
                     fields: Sequence[Field]) -> list[list[Field]]:
     """e^{-tL} g for every time t and field g, ``out[i][j]`` for time i and field j:
-    the exact multiplier when A is constant, a Chebyshev expansion otherwise.
-
-    On the stencil every time shares one Chebyshev recurrence on the block
-    of all fields.  On the ellipse E_R, |e^{-tL}| reaches e^{(t rho / 2)(ln
-    R)^2 / 2} or so, and the expansion loses that factor to rounding; a
-    non-Hermitian stencil (R > 1) therefore splits the time, e^{-tL} =
-    (e^{-(t/s)L})^s, with the least s that keeps (t rho / 2s)(ln R)^2
-    within _SPLIT_BOUND.  A split time runs its s steps on its own.
+    the exact multiplier when A is constant, and the rational Krylov backend
+    (_krylov_apply) on the stencil.  There every time of the call reads one
+    basis per field, built with the operator's fixed shifts, so a time's
+    result does not depend on the other times or fields of the call.
     """
     times = [float(t) for t in times]
     for t in times:
@@ -178,26 +182,9 @@ def semigroup_apply(op: EllipticOperator, times: Sequence[float],
             raise ParameterError(f"time must be nonnegative, got {t}")
     if not fields:
         raise ParameterError("need at least one field")
-    out: list = [None] * len(times)
-    batch = []
-    for i, t in enumerate(times):
-        if op.is_constant:
-            multiplier = np.exp(-t * op.symbol)
-            out[i] = [_fourier_apply(op, multiplier, g) for g in fields]
-        else:
-            splits = max(1, math.ceil(_ellipse_growth(op, t) / _SPLIT_BOUND))
-            if splits == 1:
-                batch.append(i)
-            else:
-                out[i] = _chebyshev_apply(op, [_heat(t / splits)], fields, splits)[0]
-    if batch:
-        for i, res in zip(batch, _chebyshev_apply(op, [_heat(times[i]) for i in batch], fields)):
-            out[i] = res
-    return out
-
-
-def _heat(tau: float):
-    return lambda lam: np.exp(-tau * lam)
+    if op.is_constant:
+        return [[_fourier_apply(op, np.exp(-t * op.symbol), g) for g in fields] for t in times]
+    return _krylov_apply(op, fields, lambda small: _heat_columns(small, times), len(times))
 
 
 def _time_average_multiplier(lam: np.ndarray, s: float, big_n: int) -> np.ndarray:
@@ -211,11 +198,10 @@ def u_s_apply(op: EllipticOperator, s: float, big_n: int, f: Field) -> Field:
     """U_s f = M_s(L)^N f, M_s(L) = (1/s) int_0^s e^{-lambda L} d lambda.
 
     M_s has the closed form (1 - e^{-sL}) / (sL), applied to the Fourier
-    symbol when A is constant and by the Chebyshev evaluator otherwise.  A
-    non-Hermitian stencil halves the time k times, as semigroup_apply splits
-    it, by M_{2a} = M_a (I + e^{-aL}) / 2: M_s = M_{s/2^k} times the factors
-    (I + e^{-aL}) / 2 for a = s/2^k, ..., s/2, with the least k that keeps
-    (s rho / 2^{k+1})(ln R)^2 within _SPLIT_BOUND.
+    symbol when A is constant.  On the stencil the Krylov backend
+    (_krylov_apply) takes M_s(L_k)^N e_1 of its projected generator L_k, with
+    M_s(L_k) = int_0^1 e^{-s u L_k} du the top-right block of the exponential
+    of [[-s L_k, I], [0, 0]] (Van Loan, IEEE Trans. Automat. Control 23, 1978).
     """
     if s <= 0:
         raise ParameterError("s must be positive")
@@ -223,118 +209,320 @@ def u_s_apply(op: EllipticOperator, s: float, big_n: int, f: Field) -> Field:
         raise ParameterError("N must be >= 1")
     if op.is_constant:
         return _fourier_apply(op, _time_average_multiplier(op.symbol, s, big_n), f)
-    base, halvings = s, 0
-    while _ellipse_growth(op, base) > _SPLIT_BOUND:
-        base, halvings = base / 2.0, halvings + 1
-    out = _chebyshev_apply(op, [lambda lam: _time_average_multiplier(lam, base, 1)], [f], big_n)[0][0]
-    for j in range(halvings):
-        a = base * 2 ** j
+
+    def column(small):
+        k = small.shape[0]
+        block = np.zeros((2 * k, 2 * k), dtype=small.dtype)
+        block[:k, :k] = -s * small
+        block[:k, k:] = np.eye(k)
+        average, out = _expm(block)[:k, k:], np.eye(k, 1, dtype=small.dtype)[:, 0]
         for _ in range(big_n):
-            out = Field((out.values + semigroup_apply(op, [a], [out])[0][0].values) / 2.0)
+            out = average @ out
+        return [out]
+
+    return _krylov_apply(op, [f], column, 1)[0][0]
+
+
+# The shifts gamma_j of the rational Krylov space, cycled through its steps:
+# _SHIFT / _SHIFT_RATIO^j down to the first at most h^2, the finest side's time.
+# One shift serves times from about gamma / 3 up to where e^{-t lambda} has
+# decayed; with _SHIFT alone, times near h^2 lose up to 2e-2 of a rough field
+# at m = 1024.
+_SHIFT = 3e-3
+_SHIFT_RATIO = 16.0
+# The dimension k of a basis is _STEPS_PER_SHIFT steps per shift, and as many
+# again and _CHECK_GAP more; the a-posteriori check compares phi(L_k) e_1
+# with phi(L_{k - _CHECK_GAP}) e_1 from the leading block of the same basis,
+# in the 2-norm relative to ||g - mean(g)||.  That difference is about the
+# error of the shorter basis; the k steps have been 10 to 100 times closer
+# wherever measured, so a white-noise field at 1-D m = 1024 and t = h^2
+# passes with a gap of 8e-8 and an error of 6e-10.
+_STEPS_PER_SHIFT = 10
+_CHECK_GAP = 10
+_CHECK_TOL = 1e-6
+# A basis stops early, on an invariant subspace, when Gram-Schmidt leaves at
+# most this fraction of the new vector.
+_BREAKDOWN = 1e-12
+# The inner GMRES in 2-D and above: relative residual and iteration cap.  The
+# FFT preconditioner holds the count near 20-30 for moderate contrast; a(x) in
+# [0.01, 1.99] takes 119 steps at m = 64 and 171 at m = 128.
+_INNER_TOL = 1e-13
+_INNER_MAXIT = 300
+
+
+def _shifts(m: int) -> tuple:
+    out = [_SHIFT]
+    while out[-1] > 1.0 / (m * m):
+        out.append(out[-1] / _SHIFT_RATIO)
+    return tuple(out)
+
+
+def _krylov_apply(op: EllipticOperator, fields: Sequence[Field], columns, count: int) -> list:
+    """phi_i(L) g for the ``count`` functions phi_i and every g in ``fields``,
+    ``out[i][j]`` for function i and field j, by the rational Krylov method
+    with the shifts of _shifts (Moret & Novati, BIT 44, 2004; van den Eshof &
+    Hochbruck, SIAM J. Sci. Comput. 27, 2006).  ``columns`` maps the small
+    matrix L_k to the list of vectors phi_i(L_k) e_1.
+
+    L annihilates constants and conserves the mean (the stencil is in flux
+    form), so phi(L) g = mean(g) + phi(L) g_0 for g_0 = g - mean(g), and
+    phi(L) g_0 ~ ||g_0|| V_k phi(L_k) e_1 on the basis V_k of _arnoldi.  The
+    mean of that part is then removed, so the output's mean is exactly
+    mean(g).  A g_0 that vanishes, or a basis that breaks down early, spans
+    an invariant subspace; any other result must agree with the same formula
+    on the leading k - _CHECK_GAP vectors of its basis, or NumericError.
+    A result is real when L and its field are.
+    """
+    shape = fields[0].values.shape
+    dtype = np.result_type(np.float64, op.weights, *(g.values for g in fields))
+    means = [np.mean(g.values) for g in fields]
+    bases = _arnoldi(op, [(g.values - mean).astype(dtype).ravel() for g, mean in zip(fields, means)], shape)
+    out = [[None] * len(fields) for _ in range(count)]
+    for j, (g, mean, (beta, basis, hess, exact)) in enumerate(zip(fields, means, bases)):
+        dim = len(basis)
+        coefs = columns(_projected(hess[:dim, :dim], op.shifts)) if dim else [None] * count
+        if not exact:
+            cut = dim - _CHECK_GAP
+            gap = max(float(np.linalg.norm(np.concatenate([c[:cut] - d, c[cut:]])))
+                      for c, d in zip(coefs, columns(_projected(hess[:cut, :cut], op.shifts))))
+            if gap > _CHECK_TOL:
+                raise NumericError(f"Krylov dimensions {dim} and {cut} differ by {gap:.3g} relative to the field, "
+                                   f"above {_CHECK_TOL:g}")
+        for i, c in enumerate(coefs):
+            if c is None:  # g is constant
+                values = np.full(shape, mean, dtype)
+            else:
+                part = beta * (c @ basis)
+                values = (mean + (part - np.mean(part))).reshape(shape)
+            out[i][j] = Field(values if (op.is_complex or g.is_complex) else values.real)
     return out
 
 
-# Bound on (t rho / 2)(ln R)^2 per split step of a non-Hermitian stencil.
-_SPLIT_BOUND = 4.0
-# The expansion stops once every trailing coefficient, weighted by R^k, is
-# below this fraction of the largest |phi| on the Bernstein ellipse.
-_TAIL_TOL = 1e-16
-# Degree at which the doubling starts, and at which it gives up.
-_START_DEGREE = 64
-_MAX_DEGREE = 1 << 17
-
-
-def _ellipse_growth(op: EllipticOperator, t: float) -> float:
-    """(t rho / 2)(ln R)^2, about twice the log of max |e^{-t lambda}| on E_R."""
-    return t * op.rho / 2.0 * math.log(op.big_r) ** 2
-
-
-def _chebyshev_coefficients(phi, n: int, big_r: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
-    """(c_k, |c_k| R^k / max |phi| on E_R) for k < n, where
-    phi((1 + x) / 2) ~ c_0 / 2 + sum_k c_k T_k(x); the second is inf when
-    phi underflows to 0 at every node, which reads as no decay.
-
-    One FFT of length 2n of the samples at x = (zeta + 1/zeta) / 2, zeta =
-    R e^{i theta_j}, theta_j = pi (j + 1/2) / n, j < 2n; for R = 1 this is
-    the DCT-II at the Chebyshev nodes.  Sampling on the Bernstein ellipse
-    E_R gives c_k R^k with rounding of about 1e-17 max |phi|; on the
-    interval that rounding would sit on c_k and R^k would amplify it.
-    (1 + x) / 2 is formed as ((sqrt(zeta) + 1/sqrt(zeta)) / 2)^2, exact to
-    rounding near x = -1, where e^{-t lambda} is largest.
-    """
-    theta = np.pi * (np.arange(2 * n) + 0.5) / n
-    log_r = math.log(big_r)
-    root = math.cosh(log_r / 2.0) * np.cos(theta / 2.0)
-    if big_r > 1.0:
-        root = root + 1j * math.sinh(log_r / 2.0) * np.sin(theta / 2.0)
-    values = phi(root ** 2)
-    k = np.arange(n)
-    weighted = np.fft.fft(values)[:n] * np.exp(-0.5j * np.pi * k / n) / n
-    if not np.iscomplexobj(values):
-        weighted = weighted.real
-    peak = float(np.max(np.abs(values)))
-    if peak == 0.0:
-        return weighted, np.full(n, np.inf)
-    return weighted * np.exp(-log_r * k), np.abs(weighted) / peak
-
-
-def _chebyshev_expansion(phi, rho: float, big_r: float) -> np.ndarray:
-    """Chebyshev coefficients of phi(rho (1 + x) / 2), cut at the tail tolerance.
-
-    The degree starts at _START_DEGREE and doubles until the trailing
-    coefficients, weighted by R^k, fall below _TAIL_TOL (relative to max
-    |phi| on E_R, where |T_k| <= R^k); the expansion is cut after its last
-    coefficient above that level.  NumericError if the coefficients never
-    decay that far.
-    """
-    n = _START_DEGREE
-    while True:
-        coeffs, weighted = _chebyshev_coefficients(lambda u: phi(rho * u), n, big_r)
-        if np.all(weighted[-max(8, n // 8):] < _TAIL_TOL):
+def _arnoldi(op: EllipticOperator, starts: Sequence[np.ndarray], shape: tuple) -> list:
+    """(||g||, V, H, exact) for each flattened start vector g: the rational
+    Arnoldi basis V of g, its dim vectors as rows, step j solving with
+    I + gamma_j L, and the Hessenberg H of those steps, whose leading dim x dim
+    block the projection reads, with classical Gram-Schmidt run twice.
+    ``exact`` when the basis stopped on an invariant subspace (g = 0 or a
+    breakdown) before the operator's ``krylov_dim``.  The solves of a step
+    run on the block of all growing bases (_shifted_solve), column by column
+    the same operations as for that start alone, so batching does not change
+    a bit."""
+    k = op.krylov_dim
+    betas = [float(np.linalg.norm(g)) for g in starts]
+    bases = [np.empty((k + 1, g.size), dtype=g.dtype) for g in starts]
+    hess = [np.zeros((k + 1, k), dtype=g.dtype) for g in starts]
+    dims = [None if beta > 0 else 0 for beta in betas]  # None while the basis grows
+    for basis, g, beta in zip(bases, starts, betas):
+        if beta > 0:
+            basis[0] = g / beta
+    for step in range(k):
+        growing = [j for j, dim in enumerate(dims) if dim is None]
+        if not growing:
             break
-        n *= 2
-        if n > _MAX_DEGREE:
-            raise NumericError(
-                f"Chebyshev coefficients did not fall below {_TAIL_TOL:g} by degree {_MAX_DEGREE}"
-            )
-    return coeffs[: int(np.nonzero(weighted >= _TAIL_TOL)[0][-1]) + 1]
+        block = np.stack([bases[j][step] for j in growing]).reshape((-1,) + shape)
+        for j, w in zip(growing, _shifted_solve(op, step % len(op.shifts), block).reshape(len(growing), -1)):
+            before = np.linalg.norm(w)
+            w, h = _cgs2(bases[j][: step + 1], w)
+            norm = np.linalg.norm(w)
+            hess[j][: step + 1, step], hess[j][step + 1, step] = h, norm
+            if norm <= _BREAKDOWN * before:
+                dims[j] = step + 1
+            else:
+                bases[j][step + 1] = w / norm
+    return [(beta, basis[: k if dim is None else dim], h, dim is not None)
+            for beta, basis, h, dim in zip(betas, bases, hess, dims)]
 
 
-def _chebyshev_apply(op: EllipticOperator, phis: Sequence, fields: Sequence[Field], power: int = 1) -> list:
-    """phi(L)^power g for every phi in ``phis`` and g in ``fields``, by one
-    three-term recurrence; one list of fields per phi.
+def _cgs2(basis: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """w made orthogonal to the orthonormal rows of ``basis`` by classical
+    Gram-Schmidt run twice, and the coefficients it took off."""
+    h = np.conj(basis @ np.conj(w))
+    w = w - h @ basis
+    again = np.conj(basis @ np.conj(w))
+    return w - again @ basis, h + again
 
-    Each phi is expanded in Chebyshev polynomials of X = (2/rho) L - I
-    (_chebyshev_expansion), and the vectors T_k(X) u of the column block u of
-    all fields are computed once, up to the longest expansion; each phi's
-    accumulator takes its own coefficients and stops at its own cut.  A
-    column of the block sees the same operations, in the same order, as the
-    block of that field alone, so batching does not change a bit.  A power
-    reruns the recurrence on the block of results, so it takes one phi.  A
-    result is real when L and its field are: phi is then real on the real
-    axis, and the imaginary part that sampling on E_R leaves is rounding.
+
+def _projected(hess: np.ndarray, shifts: tuple) -> np.ndarray:
+    """The projected generator L_k = (I - H_k) (H_k G_k)^{-1} of the k x k
+    Hessenberg H_k, G_k = diag(gamma_j) the shifts of the steps; for a single
+    shift gamma this is (H_k^{-1} - I) / gamma.  It follows from
+    (I + gamma_j L)^{-1} v_j = V h_j, that is gamma_j L V h_j = V (e_j - h_j)."""
+    k = hess.shape[0]
+    gammas = np.array([shifts[j % len(shifts)] for j in range(k)])
+    return (np.eye(k) - hess) @ (np.linalg.inv(hess) / gammas[:, None])
+
+
+def _heat_columns(small: np.ndarray, times: Sequence[float]) -> list[np.ndarray]:
+    """e^{-t L_k} e_1 for every t, by _expm's scaling and squaring with the
+    squarings s counted from t ||L_k||_1: times whose Pade argument -t L_k /
+    2^s is the same (a ladder t, 4t, 16t, ...) share it and its squarings,
+    which are the operations each time takes alone."""
+    norm = float(np.max(np.sum(np.abs(small), axis=0)))
+    chains: dict = {}
+    out = []
+    for t in times:
+        s = _squarings(t * norm)
+        tau = t / 2.0 ** s
+        if tau not in chains:
+            chains[tau] = [_pade13(-tau * small)]
+        chain = chains[tau]
+        while len(chain) <= s:
+            chain.append(chain[-1] @ chain[-1])
+        out.append(chain[s][:, 0])
+    return out
+
+
+# Coefficients b_0..b_13 of the degree-13 Pade approximant of e^x, and the
+# 1-norm up to which it is accurate to double precision without scaling.
+_PADE13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0, 1187353796428800.0,
+           129060195264000.0, 10559470521600.0, 670442572800.0, 33522128640.0, 1323241920.0,
+           40840800.0, 960960.0, 16380.0, 182.0, 1.0)
+_THETA13 = 5.371920351148152
+
+
+def _squarings(norm: float) -> int:
+    return max(0, math.ceil(math.log2(norm / _THETA13))) if norm > 0 else 0
+
+
+def _pade13(a: np.ndarray) -> np.ndarray:
+    """The [13/13] Pade approximant of e^a."""
+    b = _PADE13
+    ident = np.eye(a.shape[0], dtype=a.dtype)
+    a2 = a @ a
+    a4 = a2 @ a2
+    a6 = a2 @ a4
+    u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2) + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * ident)
+    v = a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2) + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * ident
+    return np.linalg.solve(v - u, v + u)
+
+
+def _expm(a: np.ndarray) -> np.ndarray:
+    """e^a of a small dense matrix by degree-13 Pade scaling and squaring
+    (Higham, SIAM J. Matrix Anal. Appl. 26, 2005): the approximant of a / 2^s,
+    with 1-norm at most theta_13, squared s times."""
+    s = _squarings(float(np.max(np.sum(np.abs(a), axis=0))))
+    r = _pade13(a / 2.0 ** s)
+    for _ in range(s):
+        r = r @ r
+    return r
+
+
+def _shifted_solve(op: EllipticOperator, j: int, block: np.ndarray) -> np.ndarray:
+    """(I + gamma_j L)^{-1} on each field of ``block`` (leading axis): the exact
+    cyclic reduction in 1-D, preconditioned GMRES per field otherwise."""
+    if op.dimension == 1:
+        return _cyclic_solve(op.reductions[j], block)
+    return np.stack([_gmres(op, j, b)[0] for b in block])
+
+
+def _cyclic_reduction(sub: np.ndarray, diag: np.ndarray, sup: np.ndarray) -> tuple:
+    """The levels of periodic cyclic reduction for sub_i x_{i-1} + diag_i x_i +
+    sup_i x_{i+1} = r_i, i modulo a power of two m.
+
+    Each level eliminates the odd unknowns from the even equations, halving
+    the system, down to two unknowns, each the other's neighbour on both
+    sides (one unknown when m = 1).  A level keeps the multipliers of that
+    elimination and the odd rows.
     """
-    if power > 1 and len(phis) > 1:
-        raise ParameterError("a power takes one phi")
-    x_mat = op.x_mat
-    expansions = [_chebyshev_expansion(phi, op.rho, op.big_r) for phi in phis]
-    dtype = np.result_type(x_mat.dtype, *(c.dtype for c in expansions), *(g.values.dtype for g in fields))
-    u = np.stack([g.values.ravel() for g in fields], axis=1).astype(dtype)
-    for _ in range(power):
-        prev, cur = u, x_mat @ u
-        accs = [0.5 * c[0] * prev for c in expansions]
-        for acc, c in zip(accs, expansions):
-            if len(c) > 1:
-                acc += c[1] * cur
-        for k in range(2, max(len(c) for c in expansions)):
-            prev, cur = cur, 2.0 * (x_mat @ cur) - prev
-            for acc, c in zip(accs, expansions):
-                if k < len(c):
-                    acc += c[k] * cur
-        u = accs[0]
-    shape = fields[0].values.shape
-    return [[Field(r if (op.is_complex or g.is_complex) else r.real)
-             for g, r in zip(fields, (col.reshape(shape) for col in acc.T))] for acc in accs]
+    m = len(diag)
+    if m & (m - 1):
+        raise ParameterError(f"cyclic reduction needs a power-of-two resolution, got {m}")
+    levels = []
+    while len(diag) > 2:
+        lo, do, uo = sub[1::2], diag[1::2], sup[1::2]
+        left, right = -sub[0::2] / _prev(do), -sup[0::2] / do
+        levels.append((left, right, lo, do, uo))
+        sub, sup, diag = left * _prev(lo), right * uo, diag[0::2] + left * _prev(uo) + right * lo
+    couple = sub + sup
+    if m == 1:
+        return levels, (diag + couple,)
+    return levels, (diag, couple, diag[0] * diag[1] - couple[0] * couple[1])
+
+
+def _prev(x: np.ndarray) -> np.ndarray:
+    """x at index i - 1 along the last axis, periodic."""
+    return np.concatenate((x[..., -1:], x[..., :-1]), axis=-1)
+
+
+def _next(x: np.ndarray) -> np.ndarray:
+    """x at index i + 1 along the last axis, periodic."""
+    return np.concatenate((x[..., 1:], x[..., :1]), axis=-1)
+
+
+def _cyclic_solve(reduction: tuple, rhs: np.ndarray) -> np.ndarray:
+    """The solution for each row of ``rhs`` (axis 0), elementwise across rows,
+    so a row sees the same operations alone as in a block, the last 2 x 2
+    solve included (Cramer's rule, not a LAPACK call)."""
+    levels, last = reduction
+    r, kept = rhs, []
+    for left, right, _lo, _do, _uo in levels:
+        odd = r[:, 1::2]
+        kept.append(odd)
+        r = r[:, 0::2] + left * _prev(odd) + right * odd
+    if len(last) == 1:
+        x = r / last[0]
+    else:
+        diag, couple, det = last
+        x = np.empty(r.shape, dtype=np.result_type(r, det))
+        x[:, 0] = (diag[1] * r[:, 0] - couple[0] * r[:, 1]) / det
+        x[:, 1] = (diag[0] * r[:, 1] - couple[1] * r[:, 0]) / det
+    for (_left, _right, lo, do, uo), odd in zip(reversed(levels), reversed(kept)):
+        full = np.empty((len(x), 2 * x.shape[1]), dtype=x.dtype)
+        full[:, 0::2] = x
+        full[:, 1::2] = (odd - lo * x - uo * _next(x)) / do
+        x = full
+    return x
+
+
+def _gmres(op: EllipticOperator, shift: int, b: np.ndarray) -> tuple[np.ndarray, int]:
+    """(x, iterations) with (I + gamma L) x = b for one grid-shaped b, gamma the
+    operator's shift number ``shift``, by GMRES right-preconditioned with the
+    FFT inverse of I + gamma L-bar (L-bar the stencil at the mean
+    coefficient, spectrally equivalent to L by ellipticity): classical
+    Gram-Schmidt run twice, Givens rotations, no restart, until the residual
+    is at most _INNER_TOL ||b||, or NumericError after _INNER_MAXIT steps."""
+    real = not (op.is_complex or np.iscomplexobj(b))
+    gamma, inverse = op.shifts[shift], op.preconditioners[shift]
+    if real:  # the symbol is then real and even: a real transform serves
+        half = inverse[..., : b.shape[-1] // 2 + 1]
+
+        def precondition(v):
+            return np.fft.irfftn(half * np.fft.rfftn(v), s=v.shape, axes=range(v.ndim))
+    else:
+        def precondition(v):
+            return np.fft.ifftn(inverse * np.fft.fftn(v))
+
+    beta = float(np.linalg.norm(b))
+    basis = np.empty((32, b.size), dtype=np.float64 if real else np.complex128)  # doubled as it fills
+    if beta == 0:
+        return np.zeros(b.shape, dtype=basis.dtype), 0
+    basis[0] = b.ravel() / beta
+    tri = np.zeros((_INNER_MAXIT, _INNER_MAXIT), dtype=basis.dtype)
+    rhs = np.zeros(_INNER_MAXIT + 1, dtype=basis.dtype)
+    rhs[0] = beta
+    rotations: list = []
+    for j in range(_INNER_MAXIT):
+        z = precondition(basis[j].reshape(b.shape))
+        w, col = _cgs2(basis[: j + 1], (z + gamma * _stencil_apply(op, z)).ravel())
+        norm = float(np.linalg.norm(w))
+        col = col.tolist()
+        for i, (c, s) in enumerate(rotations):
+            col[i], col[i + 1] = c * col[i] + s * col[i + 1], c * col[i + 1] - s.conjugate() * col[i]
+        top = col[j]
+        radius = math.hypot(abs(top), norm)
+        c, s = (abs(top) / radius, top / abs(top) * norm / radius) if top != 0 else (0.0, 1.0)
+        col[j] = c * top + s * norm
+        rotations.append((c, s))
+        rhs[j + 1], rhs[j] = -s.conjugate() * rhs[j], c * rhs[j]
+        tri[: j + 1, j] = col
+        if abs(rhs[j + 1]) <= _INNER_TOL * beta or norm == 0:
+            y = np.linalg.solve(tri[: j + 1, : j + 1], rhs[: j + 1])
+            return precondition((y @ basis[: j + 1]).reshape(b.shape)), j + 1
+        if j + 1 == len(basis):
+            basis = np.concatenate([basis, np.empty_like(basis)])
+        basis[j + 1] = w / norm
+    raise NumericError(f"GMRES did not reach a relative residual of {_INNER_TOL:g} in {_INNER_MAXIT} steps")
 
 
 # ---------------------------------------------------------------------------
