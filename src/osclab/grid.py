@@ -208,14 +208,21 @@ def _box_sum_double(s: np.ndarray, k: int, dimension: Optional[int] = None) -> n
     return s
 
 
-def _anchor_max(a: np.ndarray, c: int, dimension: Optional[int] = None) -> np.ndarray:
+def _anchor_max(a: np.ndarray, c: int, dimension: Optional[int], spare: tuple) -> np.ndarray:
+    """The max of ``a`` over the c cells ending at each cell along every grid
+    axis, by doubling windows of k cells to 2k, written into the two arrays of
+    ``spare`` in turn (a's shape) so no doubling allocates; the result is ``a``
+    itself when c = 1, one of ``spare`` otherwise."""
     out = a
     for ax in _grid_axes(a, dimension):
-        u, k = out, 1
+        lead, k = (slice(None),) * ax, 1
         while k < c:
-            u = np.maximum(u, np.roll(u, k, axis=ax))
-            k *= 2
-        out = u
+            dst = spare[1] if out is spare[0] else spare[0]
+            np.maximum(out[lead + (slice(k, None),)], out[lead + (slice(None, -k),)],
+                       out=dst[lead + (slice(k, None),)])
+            np.maximum(out[lead + (slice(None, k),)], out[lead + (slice(-k, None),)],
+                       out=dst[lead + (slice(None, k),)])
+            out, k = dst, 2 * k
     return out
 
 
@@ -304,9 +311,10 @@ def scale_sweep_max(per_scale, dimension: Optional[int] = None) -> np.ndarray:
     out = None
     for c, arr in per_scale:
         if out is None:
-            out = np.array(_anchor_max(arr, c, dimension))  # a copy: arr is the caller's
+            spare = (np.empty_like(arr), np.empty_like(arr))  # every scale's doublings reuse them
+            out = np.array(_anchor_max(arr, c, dimension, spare))  # a copy: arr is the caller's
         else:
-            np.maximum(out, _anchor_max(arr, c, dimension), out=out)
+            np.maximum(out, _anchor_max(arr, c, dimension, spare), out=out)
     return out
 
 

@@ -182,9 +182,11 @@ def semigroup_apply(op: EllipticOperator, times: Sequence[float],
             raise ParameterError(f"time must be nonnegative, got {t}")
     if not fields:
         raise ParameterError("need at least one field")
+    if not times:
+        return []
     if op.is_constant:
         return [[_fourier_apply(op, np.exp(-t * op.symbol), g) for g in fields] for t in times]
-    return _krylov_apply(op, fields, lambda small: _heat_columns(small, times), len(times))
+    return _krylov_apply(op, fields, lambda small: [e[:, 0] for e in _expm(-small, times)], len(times))
 
 
 def _time_average_multiplier(lam: np.ndarray, s: float, big_n: int) -> np.ndarray:
@@ -215,7 +217,7 @@ def u_s_apply(op: EllipticOperator, s: float, big_n: int, f: Field) -> Field:
         block = np.zeros((2 * k, 2 * k), dtype=small.dtype)
         block[:k, :k] = -s * small
         block[:k, k:] = np.eye(k)
-        average, out = _expm(block)[:k, k:], np.eye(k, 1, dtype=small.dtype)[:, 0]
+        average, out = _expm(block)[0][:k, k:], np.eye(k, 1, dtype=small.dtype)[:, 0]
         for _ in range(big_n):
             out = average @ out
         return [out]
@@ -353,26 +355,6 @@ def _projected(hess: np.ndarray, shifts: tuple) -> np.ndarray:
     return (np.eye(k) - hess) @ (np.linalg.inv(hess) / gammas[:, None])
 
 
-def _heat_columns(small: np.ndarray, times: Sequence[float]) -> list[np.ndarray]:
-    """e^{-t L_k} e_1 for every t, by _expm's scaling and squaring with the
-    squarings s counted from t ||L_k||_1: times whose Pade argument -t L_k /
-    2^s is the same (a ladder t, 4t, 16t, ...) share it and its squarings,
-    which are the operations each time takes alone."""
-    norm = float(np.max(np.sum(np.abs(small), axis=0)))
-    chains: dict = {}
-    out = []
-    for t in times:
-        s = _squarings(t * norm)
-        tau = t / 2.0 ** s
-        if tau not in chains:
-            chains[tau] = [_pade13(-tau * small)]
-        chain = chains[tau]
-        while len(chain) <= s:
-            chain.append(chain[-1] @ chain[-1])
-        out.append(chain[s][:, 0])
-    return out
-
-
 # Coefficients b_0..b_13 of the degree-13 Pade approximant of e^x, and the
 # 1-norm up to which it is accurate to double precision without scaling.
 _PADE13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0, 1187353796428800.0,
@@ -381,8 +363,25 @@ _PADE13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0, 1187353
 _THETA13 = 5.371920351148152
 
 
-def _squarings(norm: float) -> int:
-    return max(0, math.ceil(math.log2(norm / _THETA13))) if norm > 0 else 0
+def _expm(a: np.ndarray, times: Sequence[float] = (1.0,)) -> list[np.ndarray]:
+    """e^{t a} of a small dense matrix for every t of ``times``, by degree-13
+    Pade scaling and squaring (Higham, SIAM J. Matrix Anal. Appl. 26, 2005):
+    the [13/13] approximant of t a / 2^s, with 1-norm at most theta_13,
+    squared s times.  Times with the same t / 2^s (a ladder t, 4t, 16t, ...)
+    share the approximant and its squarings, the operations each takes alone."""
+    norm = float(np.max(np.sum(np.abs(a), axis=0)))
+    chains: dict = {}  # t / 2^s -> the approximant and its squarings so far
+    out = []
+    for t in times:
+        s = max(0, math.ceil(math.log2(t * norm / _THETA13))) if t * norm > 0 else 0
+        tau = t / 2.0 ** s
+        if tau not in chains:
+            chains[tau] = [_pade13(tau * a)]
+        chain = chains[tau]
+        while len(chain) <= s:
+            chain.append(chain[-1] @ chain[-1])
+        out.append(chain[s])
+    return out
 
 
 def _pade13(a: np.ndarray) -> np.ndarray:
@@ -395,17 +394,6 @@ def _pade13(a: np.ndarray) -> np.ndarray:
     u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2) + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * ident)
     v = a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2) + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * ident
     return np.linalg.solve(v - u, v + u)
-
-
-def _expm(a: np.ndarray) -> np.ndarray:
-    """e^a of a small dense matrix by degree-13 Pade scaling and squaring
-    (Higham, SIAM J. Matrix Anal. Appl. 26, 2005): the approximant of a / 2^s,
-    with 1-norm at most theta_13, squared s times."""
-    s = _squarings(float(np.max(np.sum(np.abs(a), axis=0))))
-    r = _pade13(a / 2.0 ** s)
-    for _ in range(s):
-        r = r @ r
-    return r
 
 
 def _shifted_solve(op: EllipticOperator, j: int, block: np.ndarray) -> np.ndarray:
@@ -494,14 +482,13 @@ def _gmres(op: EllipticOperator, shift: int, b: np.ndarray) -> tuple[np.ndarray,
             return np.fft.ifftn(inverse * np.fft.fftn(v))
 
     beta = float(np.linalg.norm(b))
-    basis = np.empty((32, b.size), dtype=np.float64 if real else np.complex128)  # doubled as it fills
+    basis = np.empty((32, b.size), dtype=np.float64 if real else np.complex128)
     if beta == 0:
         return np.zeros(b.shape, dtype=basis.dtype), 0
     basis[0] = b.ravel() / beta
-    tri = np.zeros((_INNER_MAXIT, _INNER_MAXIT), dtype=basis.dtype)
     rhs = np.zeros(_INNER_MAXIT + 1, dtype=basis.dtype)
     rhs[0] = beta
-    rotations: list = []
+    rotations, cols = [], []  # cols[j]: column j of the rotated triangle
     for j in range(_INNER_MAXIT):
         z = precondition(basis[j].reshape(b.shape))
         w, col = _cgs2(basis[: j + 1], (z + gamma * _stencil_apply(op, z)).ravel())
@@ -515,12 +502,16 @@ def _gmres(op: EllipticOperator, shift: int, b: np.ndarray) -> tuple[np.ndarray,
         col[j] = c * top + s * norm
         rotations.append((c, s))
         rhs[j + 1], rhs[j] = -s.conjugate() * rhs[j], c * rhs[j]
-        tri[: j + 1, j] = col
+        cols.append(col)
         if abs(rhs[j + 1]) <= _INNER_TOL * beta or norm == 0:
-            y = np.linalg.solve(tri[: j + 1, : j + 1], rhs[: j + 1])
+            tri = np.zeros((j + 1, j + 1), dtype=basis.dtype)
+            for i, col in enumerate(cols):
+                tri[: i + 1, i] = col
+            y = np.linalg.solve(tri, rhs[: j + 1])
             return precondition((y @ basis[: j + 1]).reshape(b.shape)), j + 1
-        if j + 1 == len(basis):
-            basis = np.concatenate([basis, np.empty_like(basis)])
+        if j + 1 == len(basis):  # double the rows, up to the _INNER_MAXIT + 1 the steps can fill
+            basis = np.concatenate([basis, np.empty((min(len(basis), _INNER_MAXIT + 1 - len(basis)), b.size),
+                                                    dtype=basis.dtype)])
         basis[j + 1] = w / norm
     raise NumericError(f"GMRES did not reach a relative residual of {_INNER_TOL:g} in {_INNER_MAXIT} steps")
 

@@ -499,7 +499,18 @@ def test_pade_expm_matches_scipy(kind, norm):
     for seed in range(3):
         a = stiff_hessenberg(kind, 30, norm, seed)
         want = expm(a)
-        assert np.linalg.norm(_expm(a) - want, 1) <= 1e-12 * np.linalg.norm(want, 1), seed
+        assert np.linalg.norm(_expm(a)[0] - want, 1) <= 1e-12 * np.linalg.norm(want, 1), seed
+
+
+def test_pade_expm_shares_a_time_ladder_bit_for_bit():
+    # the times t, 4t, 16t, ... share one approximant; each result equals the
+    # time alone and scipy's e^{ta}
+    a = stiff_hessenberg("non-normal", 30, 10.0, 0)
+    times = [1e-3 * 4.0 ** k for k in range(8)] + [0.3, 0.0]
+    for t, got in zip(times, _expm(a, times)):
+        assert np.array_equal(got, _expm(a, [t])[0]), t
+        want = expm(t * a)
+        assert np.linalg.norm(got - want, 1) <= 1e-12 * np.linalg.norm(want, 1), t
 
 
 def periodic_tridiagonal(m: int, complex_: bool, seed: int):
@@ -561,22 +572,36 @@ def test_preconditioned_gmres_residual_and_iterations(build, m):
         assert steps <= 32, j
 
 
-def test_preconditioned_gmres_converges_at_high_contrast():
-    # a(x) in [0.01, 1.99] on each axis: the FFT inverse at the mean coefficient
-    # is a weaker preconditioner here, and GMRES grows its basis past its first
-    # 32 rows (measured: 69 and 25 steps at the two shifts)
-    m = 32
+def high_contrast_operator_2d(m):
+    # a(x) in [0.01, 1.99] on each axis
     x = (np.arange(m) + 0.5) / m
     xx, yy = np.meshgrid(x, x, indexing="ij")
     coeffs = np.zeros((2, 2, m, m))
     coeffs[0, 0], coeffs[1, 1] = 1 + 0.99 * np.cos(2 * np.pi * xx), 1 + 0.99 * np.sin(2 * np.pi * yy)
-    op = EllipticOperator(coeffs, dimension=2)
+    return EllipticOperator(coeffs, dimension=2)
+
+
+def test_preconditioned_gmres_converges_at_high_contrast():
+    # the FFT inverse at the mean coefficient is a weaker preconditioner here,
+    # and GMRES grows its basis past its first 32 rows (measured: 69 and 25
+    # steps at the two shifts)
+    m = 32
+    op = high_contrast_operator_2d(m)
     b = make_field("random-normal", 2, m, seed=1).values
     for j, gamma in enumerate(op.shifts):
         x_j, steps = _gmres(op, j, b)
         residual = b - (x_j + gamma * _stencil_apply(op, x_j))
         assert np.linalg.norm(residual) <= 2e-13 * np.linalg.norm(b), j
         assert steps <= 100, j
+
+
+def test_preconditioned_gmres_raises_at_its_step_cap(monkeypatch):
+    # 69 steps are needed at the first shift; a cap of 40 stops the basis,
+    # grown from 32 rows to the cap, short of the tolerance
+    op = high_contrast_operator_2d(32)
+    monkeypatch.setattr(operators, "_INNER_MAXIT", 40)
+    with pytest.raises(NumericError, match="in 40 steps"):
+        _gmres(op, 0, make_field("random-normal", 2, 32, seed=1).values)
 
 
 # Real 1-D and 2-D stencils, a real non-symmetric and a complex stencil, and a
@@ -606,6 +631,7 @@ def test_batched_semigroup_matches_per_call_results_exactly(case, width):
     (one_time,) = semigroup_apply(op, [BATCH_TIMES[2]], fields)
     for got, want in zip(one_time, batched[2]):
         assert np.array_equal(got.values, want.values)
+    assert semigroup_apply(op, [], fields) == []
 
 
 def test_sharp_maximal_builds_one_basis_for_all_scales_and_fields(monkeypatch):
