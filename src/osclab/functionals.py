@@ -38,9 +38,9 @@ HORIZON = 48
 
 
 # Sequence builders: (*, the kind's config keys) -> (gamma_k for k >= 0, exact
-# tail sum from k0 >= 0 or None for a guarded one, the length of a table
-# beyond which gamma is zero or None for a decreasing gamma): geometric
-# scale 2^{-sigma k}, gauss scale exp(-rate 4^k), and a table of values.
+# tail sum from k0 >= 0, the length of a table beyond which gamma is zero or
+# None for a decreasing gamma): geometric scale 2^{-sigma k} and a table of
+# values.
 
 
 def _geometric(*, sigma, scale=1.0):
@@ -51,13 +51,6 @@ def _geometric(*, sigma, scale=1.0):
     return (lambda k: scale * 2.0 ** (-sigma * k)), (lambda k0: scale * r ** k0 / (1.0 - r)), None
 
 
-def _gauss(*, rate, scale=1.0):
-    rate, scale = float(rate), float(scale)
-    if rate <= 0 or scale < 0:
-        raise ParameterError("gauss sequence needs rate > 0 and scale >= 0")
-    return (lambda k: scale * math.exp(-rate * 4.0 ** k)), None, None
-
-
 def _table(*, values):
     vals = [float(v) for v in values]
     if any(v < 0 for v in vals):
@@ -66,11 +59,11 @@ def _table(*, values):
 
 
 #: sequence kind -> builder
-COEFFS = {"geometric": _geometric, "gauss": _gauss, "table": _table}
+COEFFS = {"geometric": _geometric, "table": _table}
 
 
 class Coeffs:
-    """A nonnegative sequence gamma_k of a kind in ``COEFFS``, with closed-form or guarded tail sums."""
+    """A nonnegative sequence gamma_k of a kind in ``COEFFS``, with closed-form tail sums."""
 
     def __init__(self, kind: str, **params):
         self.kind = kind
@@ -80,16 +73,8 @@ class Coeffs:
         return 0.0 if k < 0 else self._at(k)
 
     def tail_sum(self, k0: int) -> float:
-        """sum_{k >= k0} gamma_k, exact for geometric/table, guarded otherwise."""
-        if self._tail is not None:
-            return self._tail(max(k0, 0))
-        total = 0.0
-        for k in range(max(k0, 0), max(k0, 0) + 400):
-            term = self.at(k)
-            total += term
-            if term <= 1e-17 * (1.0 + total):
-                return total
-        raise ParameterError(f"sequence tail from k={k0} does not converge")
+        """sum_{k >= k0} gamma_k, in closed form."""
+        return self._tail(max(k0, 0))
 
     def supified(self) -> "Coeffs":
         """Replace gamma_k by sup_{j >= k} gamma_j (quasi-decreasing enforcement)."""
@@ -240,7 +225,6 @@ class DilationSeries(Functional):
 def expanded_poincare(h: Field, s: float, gamma: Coeffs, weight: Optional[Weight] = None) -> DilationSeries:
     """a(Q) = sum_{k >= 0} gamma_k l(2^k Q) (mean_{2^k Q} h^s dmu)^{1/s}: the
     series of the reduced Poincare functional from k = 0."""
-    gamma.tail_sum(0)  # summability guard
     return DilationSeries(ReducedPoincare(h, s, weight), gamma, start=0)
 
 

@@ -482,11 +482,13 @@ def _gmres(op: EllipticOperator, shift: int, b: np.ndarray) -> tuple[np.ndarray,
             return np.fft.ifftn(inverse * np.fft.fftn(v))
 
     beta = float(np.linalg.norm(b))
-    basis = np.empty((32, b.size), dtype=np.float64 if real else np.complex128)
+    dtype = np.float64 if real else np.complex128
     if beta == 0:
-        return np.zeros(b.shape, dtype=basis.dtype), 0
+        return np.zeros(b.shape, dtype=dtype), 0
+    # every row a step can fill; the pages of rows no step writes are never touched
+    basis = np.empty((_INNER_MAXIT + 1, b.size), dtype=dtype)
     basis[0] = b.ravel() / beta
-    rhs = np.zeros(_INNER_MAXIT + 1, dtype=basis.dtype)
+    rhs = np.zeros(_INNER_MAXIT + 1, dtype=dtype)
     rhs[0] = beta
     rotations, cols = [], []  # cols[j]: column j of the rotated triangle
     for j in range(_INNER_MAXIT):
@@ -504,14 +506,11 @@ def _gmres(op: EllipticOperator, shift: int, b: np.ndarray) -> tuple[np.ndarray,
         rhs[j + 1], rhs[j] = -s.conjugate() * rhs[j], c * rhs[j]
         cols.append(col)
         if abs(rhs[j + 1]) <= _INNER_TOL * beta or norm == 0:
-            tri = np.zeros((j + 1, j + 1), dtype=basis.dtype)
+            tri = np.zeros((j + 1, j + 1), dtype=dtype)
             for i, col in enumerate(cols):
                 tri[: i + 1, i] = col
             y = np.linalg.solve(tri, rhs[: j + 1])
             return precondition((y @ basis[: j + 1]).reshape(b.shape)), j + 1
-        if j + 1 == len(basis):  # double the rows, up to the _INNER_MAXIT + 1 the steps can fill
-            basis = np.concatenate([basis, np.empty((min(len(basis), _INNER_MAXIT + 1 - len(basis)), b.size),
-                                                    dtype=basis.dtype)])
         basis[j + 1] = w / norm
     raise NumericError(f"GMRES did not reach a relative residual of {_INNER_TOL:g} in {_INNER_MAXIT} steps")
 
@@ -615,19 +614,25 @@ class OscillationFamily:
     def apply_B_scales(self, sides: Sequence[float], fields: Sequence[Field]) -> list[list[Field]]:
         """B at every sidelength on every field, ``out[i][j]`` for side i and field j.
 
-        The first factor I - e^{-l^2 L} of (I - e^{-l^2 L})^N is one
-        semigroup_apply call over all sides and fields; each further factor
-        is one call per side, on that side's fields.
+        (I - e^{-l^2 L})^N f by its binomial expansion f + sum_{j=1..N}
+        (-1)^j C(N, j) e^{-j l^2 L} f, the terms added in the order j = 1..N.
+        Every term of every side and field comes from one semigroup_apply
+        call over the times j l^2, so each field reads one basis (or one
+        spectral call) for all sides, whatever N.  For N = 1 the sum is
+        f + (-1) e^{-l^2 L} f, which rounds as f - e^{-l^2 L} f (a complex
+        zero may change its sign).
         """
         if not self.sidelength_only:
             raise ParameterError("family depends on cube position, not only its scale")
-        times = [side ** 2 for side in sides]
-        g = [list(fields)] * len(times)
-        for k in range(self.big_n):
-            heat = semigroup_apply(self.operator, times, fields) if k == 0 else [
-                semigroup_apply(self.operator, [t], gi)[0] for t, gi in zip(times, g)]
-            g = [[Field(a.values - e.values) for a, e in zip(gi, hi)] for gi, hi in zip(g, heat)]
-        return g
+        n = self.big_n
+        heat = semigroup_apply(self.operator, [j * side ** 2 for side in sides for j in range(1, n + 1)], fields)
+        out = []
+        for i in range(0, len(heat), n):
+            terms = heat[i:i + n]  # e^{-j l^2 L} of every field, j = 1..N, for one side
+            out.append([Field(sum(((-1) ** j * math.comb(n, j) * e[k].values for j, e in enumerate(terms, 1)),
+                                  f.values))
+                        for k, f in enumerate(fields)])
+        return out
 
 
 def make_family(

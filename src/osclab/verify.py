@@ -3,7 +3,7 @@
 Each harness takes concrete (family, field, functional, weight) material at
 one or more grid resolutions, measures the constant in the corresponding
 self-improvement statement, and applies a stability pass rule: measured
-constants must be finite and vary by at most a slack factor (2 by default)
+constants must be finite and vary by at most the factor STABILITY_SLACK
 across the resolution ladder.  No absolute thresholds are asserted; the
 statements fix the shape of the inequality, the grid supplies the constants.
 """

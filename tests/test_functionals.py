@@ -198,7 +198,7 @@ def test_bar_gauss_becomes_exponential_in_2j():
     # gamma_j = e^{-c 4^j} collapses to about e^{-c' 2^j}
     m = 16
     h = make_field("constant", 2, m, value=1.0)
-    a = expanded_poincare(h, 1.0, Coeffs("gauss", rate=0.02))
+    a = expanded_poincare(h, 1.0, Coeffs("table", values=[math.exp(-0.02 * 4.0 ** j) for j in range(HORIZON)]))
     bar = bar_expand(a, q=1.5)
     # exhibit C, c' > 0 with gamma-bar_j <= C e^{-c' 2^j} over the tail
     big_c = math.exp(5.0)

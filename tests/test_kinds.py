@@ -28,7 +28,6 @@ def required_value(key: str, dimension: int):
         "gamma": -0.5,
         "cube": {"anchor": [0.25] * dimension, "side": 0.25},
         "sigma": 2.0,
-        "rate": 0.02,
         "values": [1.0, 0.5],
     }[key]
 
@@ -208,7 +207,6 @@ MALFORMED = {
     ("functional", "bmo-lipschitz"): {"alpha": -1.0},
     ("functional", "expanded-poincare"): {"s": "x"},
     ("functional.gamma", "geometric"): {"sigma": 0.0},
-    ("functional.gamma", "gauss"): {"rate": -1.0},
     ("functional.gamma", "table"): {"values": [1.0, -1.0]},
     ("functional.h", "gradient-of-smooth"): {"band": "x"},
 }

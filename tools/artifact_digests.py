@@ -4,8 +4,8 @@ Usage: python tools/artifact_digests.py OUT
 
 Runs each bundled config of ``src/osclab/configs`` twice, at its own seed and
 with ``--set seed=1``, into ``OUT/<seed>/<config>`` (``<seed>`` is ``bundled``
-or ``1``), then prints a header line with the Python, numpy and scipy
-versions and one line ``sha256  <seed>/<config>/<file>`` per artifact, sorted
+or ``1``), then prints a header line with the Python and numpy versions
+and one line ``sha256  <seed>/<config>/<file>`` per artifact, sorted
 by path.  ``manifest.json`` holds timings and is left out.  Reports are
 byte-identical for a given (config, seed) on one set of versions, so the
 output is ``tests/artifact_digests.sha256``, which the test suite checks; a
@@ -21,7 +21,6 @@ import platform
 import sys
 
 import numpy as np
-import scipy
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
@@ -33,7 +32,7 @@ SEEDS = {"bundled": [], "1": ["seed=1"]}
 
 def versions() -> str:
     """The header line: the versions the digests hold for."""
-    return f"# python {platform.python_version()}, numpy {np.__version__}, scipy {scipy.__version__}"
+    return f"# python {platform.python_version()}, numpy {np.__version__}"
 
 
 def digests(out: str) -> list[str]:

@@ -13,11 +13,13 @@ over all dyadic times t = (2^k / m)^2, k = 0..log2 m, and its error:
 * ``verify_bmo_equivalence`` on that 2-D operator at m = 64 (one rung, three
   fields, p in {1, 2, 4}, s = 8), with its seconds and verdict;
 * a high-contrast real 2-D operator, a_11 = 1 + 0.99 cos 2 pi x and a_22 =
-  1 + 0.99 sin 2 pi y (each in [0.01, 1.99]): the steps, seconds and
-  ``tracemalloc`` peak of one inner GMRES solve per shift on a random-normal
-  right-hand side at m = 32 ... 256, and ``semigroup_apply`` on three fields
-  at m = 32, 64, 128, where a NumericError (the a-posteriori check refusing
-  the basis) is printed as the rung's result.
+  1 + 0.99 sin 2 pi y (each in [0.01, 1.99]): the steps and seconds of one
+  inner GMRES solve per shift on a random-normal right-hand side at m = 32
+  ... 256, each in a fresh interpreter (``semigroup_ladder.py gmres M J``
+  runs one) and printed first, with that process's peak resident set
+  (``ru_maxrss``) before and after the solve; and ``semigroup_apply`` on
+  three fields at m = 32, 64, 128, where a NumericError (the a-posteriori
+  check refusing the basis) is printed as the rung's result.
 
 The error is the largest |difference| over times, fields and cells, divided by
 the largest |f|, against the same backend with 20 more basis vectors
@@ -33,9 +35,10 @@ from __future__ import annotations
 
 import math
 import os
+import resource
+import subprocess
 import sys
 import time
-import tracemalloc
 
 import numpy as np
 
@@ -45,7 +48,7 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 from osclab._support import NumericError  # noqa: E402
 from osclab.cli import OPERATORS  # noqa: E402
 from osclab.grid import Field, make_field  # noqa: E402
-from osclab.operators import EllipticOperator, _gmres, make_family, semigroup_apply  # noqa: E402
+from osclab.operators import EllipticOperator, _gmres, _shifts, make_family, semigroup_apply  # noqa: E402
 from osclab.verify import BmoRung, verify_bmo_equivalence  # noqa: E402
 
 
@@ -112,22 +115,35 @@ def rung(label: str, op: EllipticOperator, fields: list[Field], eigh_max: int) -
     print(line, flush=True)
 
 
-def gmres_rung(label: str, op: EllipticOperator) -> None:
-    """Steps, seconds and tracemalloc peak of one inner solve per shift."""
-    m = op.resolution
+def peak_rss_mb() -> float:
+    """The peak resident set of this process so far (Linux reports KiB)."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 2 ** 10
+
+
+def gmres_solve(m: int, j: int) -> None:
+    """Steps, seconds and peak RSS of one inner solve with shift j on the
+    high-contrast operator at m, run as this process's only solve."""
+    op = high_contrast_operator_2d(m)
     b = make_field("random-normal", 2, m, seed=1).values
-    for j, gamma in enumerate(op.shifts):
-        tracemalloc.start()
-        start = time.perf_counter()
-        _x, steps = _gmres(op, j, b)
-        seconds = time.perf_counter() - start
-        peak = tracemalloc.get_traced_memory()[1]
-        tracemalloc.stop()
-        print(f"{label:<22} m={m:<5} GMRES gamma={gamma:.3g}  {steps:3d} steps {seconds:8.3f} s  "
-              f"peak {peak / 2 ** 20:6.1f} MB", flush=True)
+    before = peak_rss_mb()
+    start = time.perf_counter()
+    _x, steps = _gmres(op, j, b)
+    seconds = time.perf_counter() - start
+    print(f"{'2-D high contrast':<22} m={m:<5} GMRES gamma={op.shifts[j]:.3g}  {steps:3d} steps {seconds:8.3f} s  "
+          f"peak RSS {peak_rss_mb():6.1f} MB ({before:.1f} MB before the solve)", flush=True)
+
+
+def gmres_rung(m: int) -> None:
+    """One inner solve per shift, each in a fresh interpreter.  Linux keeps
+    ru_maxrss across fork and exec, so a child's peak starts at this
+    process's; main runs these before any rung grows this process."""
+    for j in range(len(_shifts(m))):
+        subprocess.run([sys.executable, os.path.abspath(__file__), "gmres", str(m), str(j)], check=True)
 
 
 def main() -> int:
+    for m in (32, 64, 128, 256):
+        gmres_rung(m)
     for m in (128, 256, 512, 1024, 2048, 4096):
         rung("1-D variable-1d", OPERATORS["variable-1d"](1, m), bmo_fields(1, m, 5), eigh_max=1024)
     for m in (16, 32, 64):
@@ -138,12 +154,13 @@ def main() -> int:
     report = verify_bmo_equivalence([BmoRung(m, family, bmo_fields(2, m, 3))], [1.0, 2.0, 4.0], 8.0, 0.0)
     print(f"{'2-D complex variable':<22} m={m:<5} verify_bmo_equivalence {time.perf_counter() - start:8.3f} s  "
           f"passed={report.passed}", flush=True)
-    for m in (32, 64, 128, 256):
-        gmres_rung("2-D high contrast", high_contrast_operator_2d(m))
     for m in (32, 64, 128):
         rung("2-D high contrast", high_contrast_operator_2d(m), bmo_fields(2, m, 3), eigh_max=0)
     return 0
 
 
 if __name__ == "__main__":
+    if sys.argv[1:2] == ["gmres"]:
+        gmres_solve(int(sys.argv[2]), int(sys.argv[3]))
+        sys.exit(0)
     sys.exit(main())
