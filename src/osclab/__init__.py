@@ -18,7 +18,7 @@ cell-centered grid and provides, on top of it:
 """
 
 from osclab.cubes import Cube, dilate
-from osclab.grid import Field, lp_average, weak_lq_norm, exp_luxemburg_norm, maximal_function
+from osclab.grid import Field, exp_luxemburg_norm, kolmogorov_check, lp_average, maximal_function, weak_lq_norm
 from osclab.weights import Weight
 
 __version__ = "0.1.0"
@@ -29,6 +29,7 @@ __all__ = [
     "Weight",
     "dilate",
     "exp_luxemburg_norm",
+    "kolmogorov_check",
     "lp_average",
     "maximal_function",
     "weak_lq_norm",

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -193,6 +193,92 @@ def dyadic_dilations(q: Cube, m: int, k_max: Optional[int] = None) -> Iterator[t
 
 
 # ---------------------------------------------------------------------------
+# Cube samples as arrays
+# ---------------------------------------------------------------------------
+
+
+class CubeBlock(NamedTuple):
+    """The cubes of a sample with ``c`` cells per axis, as arrays: ``members``
+    their positions in the sample and ``anchors`` their (count, n) anchor cells."""
+
+    c: int
+    members: np.ndarray
+    anchors: np.ndarray
+
+    def dilate(self, lam: float, m: int) -> tuple[np.ndarray, int, bool]:
+        """(anchor cells, cells per axis, saturated) of the snapped dilates lam Q,
+        as ``dilate`` gives them: the torus, anchored at cell 0, when saturated."""
+        first, size = _snapped(self.c, lam)
+        if size >= m:
+            return np.zeros_like(self.anchors), m, True
+        return (self.anchors + first) % m, size, False
+
+    def dyadic_dilations(self, m: int, k_max: int) -> Iterator[tuple[int, np.ndarray, int, bool]]:
+        """Yield (k, anchor cells, cells per axis, saturated) of 2^k Q, as
+        ``dyadic_dilations`` walks each cube of the block: Q itself at k = 0,
+        then up to k_max or the first saturated dilate, the same k for all."""
+        yield 0, self.anchors, self.c, False
+        for k in range(1, k_max + 1):
+            anchors, size, saturated = self.dilate(float(2 ** k), m)
+            yield k, anchors, size, saturated
+            if saturated:
+                return
+
+
+def cubes_at(anchors: np.ndarray, size: int, m: int) -> list[Cube]:
+    """The cubes of ``size`` cells per axis at the anchor cells ``anchors``,
+    with the floats ``dilate`` gives them."""
+    h = 1.0 / m
+    return [Cube(tuple([a * h for a in row]), size * h) for row in anchors.tolist()]
+
+
+def sample_blocks(cubes: Sequence[Cube], m: int) -> list[CubeBlock]:
+    """The cubes grouped by cells per axis, coarsest first, as ``CubeBlock``s."""
+    if not cubes:
+        return []
+    x = np.array([q.anchor + (q.side,) for q in cubes]) * m
+    cells = np.rint(x).astype(np.int64)
+    if np.any(np.abs(x - cells) > ALIGN_TOL * m) or np.any(cells[:, -1] < 1):
+        raise ParameterError(f"a sampled cube is not a cube of the 1/{m} cell lattice")
+    sides = cells[:, -1]
+    return [CubeBlock(int(c), np.flatnonzero(sides == c), cells[sides == c, :-1] % m)
+            for c in sorted(set(sides.tolist()), reverse=True)]
+
+
+def _axis_cells(anchors: np.ndarray, size: int, m: int) -> list[np.ndarray]:
+    """Per axis, the (count, size) wrapped cells of the cubes at ``anchors``."""
+    return [(anchors[:, ax, None] + np.arange(size)) % m for ax in range(anchors.shape[1])]
+
+
+def _outer(per_axis: list[np.ndarray], combine) -> np.ndarray:
+    """``combine`` of the per-axis arrays over the cells of each cube, broadcast
+    axis by axis and flattened in C order to one row per cube: O(size) work
+    per axis before the one pass over the size^n cells."""
+    count, n = len(per_axis[0]), len(per_axis)
+    out = None
+    for ax, x in enumerate(per_axis):
+        x = x.reshape((count,) + (1,) * ax + (-1,) + (1,) * (n - 1 - ax))
+        out = x if out is None else combine(out, x)
+    return out.reshape(count, -1)
+
+
+def cell_rows(anchors: np.ndarray, size: int, m: int) -> np.ndarray:
+    """(count, size^n) flat cell indices of the cubes of ``size`` cells per axis
+    at the anchor cells ``anchors``: each row in the C order of its cube, as
+    ``Cube.index`` reads it, so a row gathers that cube's ``restrict``."""
+    return _outer(_axis_cells(anchors, size, m), lambda a, b: a * m + b)
+
+
+def cell_membership(anchors: np.ndarray, size: int, inner: np.ndarray, inner_size: int, m: int) -> np.ndarray:
+    """Boolean rows matching ``cell_rows(anchors, size, m)``: True where the
+    cell lies in the cube of ``inner_size`` cells at the anchor cells of the
+    same row of ``inner``."""
+    per_axis = [(cells - inner[:, ax, None]) % m < inner_size
+                for ax, cells in enumerate(_axis_cells(anchors, size, m))]
+    return _outer(per_axis, np.logical_and)
+
+
+# ---------------------------------------------------------------------------
 # Whitney decomposition
 # ---------------------------------------------------------------------------
 
@@ -350,13 +436,6 @@ class DisjointFamily:
 
     parent: Cube
     members: tuple[Cube, ...]
-
-
-def cube_wraps(q: Cube) -> bool:
-    """True when some axis interval crosses the torus seam."""
-    if q.side >= 1.0:
-        return False
-    return any(a + q.side > 1.0 + ALIGN_TOL for a in q.anchor)
 
 
 def descendant(q: Cube, g: int, k: Sequence[int]) -> Cube:

@@ -86,7 +86,7 @@ class Field:
 
 
 def _cell_measures(f: Field, q: Cube, w: Optional[Weight]) -> tuple[np.ndarray, np.ndarray]:
-    """(|f| samples on q, cell measures) with matching flat ordering."""
+    """(|f| samples on q, cell measures) as one row each, with matching ordering."""
     m = f.resolution
     vals = np.abs(f.restrict(q))
     if w is None:
@@ -98,41 +98,38 @@ def _cell_measures(f: Field, q: Cube, w: Optional[Weight]) -> tuple[np.ndarray, 
         mu = dens[q.index(m)].ravel() * f.cell_volume
     if vals.size == 0:
         raise ParameterError("cube contains no cells at this resolution")
-    return vals, mu
+    return vals[None], mu[None]
 
 
-def _power_mean(vals: np.ndarray, mu: np.ndarray, p: float) -> float:
-    """(sum mu |f|^p / sum mu)^(1/p) for finite p > 0."""
-    return float((np.power(vals, p) * mu).sum() / float(mu.sum())) ** (1.0 / p)
+# The row kernels below take |f| and the cell measures mu on the cells of
+# cubes, one C-contiguous row per cube (a (1, N) mu serves every row), and
+# reduce along the last axis.  numpy sums each row of such a reduction
+# pairwise, as it sums that row alone, so a row's value does not depend on
+# the other rows.  The roots and logarithms of the per-row scalars are taken
+# one row at a time with Python's float operations.
 
 
-def lp_average(f: Field, q: Cube, p: float, w: Optional[Weight] = None) -> float:
-    """Normalized L^p average (integral mean of |f|^p over q, to the 1/p)."""
-    if not (p >= 1.0):
-        raise ParameterError(f"p must be >= 1, got {p}")
-    vals, mu = _cell_measures(f, q, w)
+def power_means(vals: np.ndarray, mu: np.ndarray, p: float) -> np.ndarray:
+    """(sum mu |f|^p / sum mu)^(1/p) per row, for finite p > 0; the row max for p = inf."""
     if math.isinf(p):
-        return float(vals.max())
-    return _power_mean(vals, mu, p)
+        return vals.max(axis=-1)
+    means = (np.power(vals, p) * mu).sum(axis=-1) / mu.sum(axis=-1)
+    return np.array([x ** (1.0 / p) for x in means.tolist()])
 
 
-def weak_lq_norm(f: Field, q_cube: Cube, q: float, w: Optional[Weight] = None) -> float:
-    """Weak-L^q quasinorm sup_t t (mu{|f|>t}/mu(Q))^{1/q}, exact from order statistics.
+def weak_lq_norms(vals: np.ndarray, mu: np.ndarray, q: float) -> np.ndarray:
+    """Weak-L^q quasinorm sup_t t (mu{|f|>t}/mu(Q))^{1/q} per row, exact from order statistics.
 
     On a discrete measure the supremum is attained as t increases to a sample
     value, where the superlevel set is {|f| >= v}; scanning the sorted values
-    with their cumulative measures is therefore exact.
+    with their cumulative measures is therefore exact.  A row of zeros has
+    norm 0.
     """
-    if not (q > 0):
-        raise ParameterError(f"q must be positive, got {q}")
-    vals, mu = _cell_measures(f, q_cube, w)
-    order = np.argsort(-vals, kind="stable")
-    vs = vals[order]
-    cum = np.cumsum(mu[order])
-    total = cum[-1]
-    if vs[0] == 0.0:
-        return 0.0
-    return float(np.max(vs * np.power(cum / total, 1.0 / q)))
+    order = np.argsort(-vals, axis=-1, kind="stable")
+    vs = np.take_along_axis(vals, order, axis=-1)
+    cum = np.cumsum(np.take_along_axis(np.broadcast_to(mu, vals.shape), order, axis=-1), axis=-1)
+    norms = np.max(vs * np.power(cum / cum[:, -1:], 1.0 / q), axis=-1)
+    return np.where(vs[:, 0] == 0.0, 0.0, norms)
 
 
 _LOG2 = math.log(2.0)
@@ -140,31 +137,59 @@ _LOG2 = math.log(2.0)
 _NEWTON_STEPS = 64
 
 
-def exp_luxemburg_norm(f: Field, q: Cube, w: Optional[Weight] = None) -> float:
-    """Luxemburg norm of the exponential Orlicz class on q.
+def exp_luxemburg_norms(vals: np.ndarray, mu: np.ndarray) -> np.ndarray:
+    """Luxemburg norm of the exponential Orlicz class per row.
 
     Solves mean(exp(|f|/lam) - 1) = 1 for lam = 1/s by Newton's method on the
     gauge h(s) = log mean(exp(s|f|)) = log 2, evaluated as s max|f| +
     log mean(exp(s(|f| - max|f|))) so that it cannot overflow.  h is convex
     and increasing, and Jensen's inequality gives h(s0) >= log 2 at s0 =
-    log 2 / mean|f|, so the iterates fall monotonically to the root; the
-    iteration stops at the first step that does not lower s.
+    log 2 / mean|f|, so the iterates fall monotonically to the root; a row's
+    iteration stops at its first step that does not lower s.  A row of zeros
+    has norm 0.
     """
-    vals, mu = _cell_measures(f, q, w)
-    vmax = float(vals.max())
-    if vmax == 0.0:
-        return 0.0
-    nu = mu / mu.sum()
-    below, nu_vals = vals - vmax, nu * vals
-    s = _LOG2 / float(nu_vals.sum())
+    vmax = vals.max(axis=-1)
+    out = np.zeros(len(vals))
+    live = np.flatnonzero(vmax != 0.0)
+    vals, vmax = vals[live], vmax[live]
+    mu = np.broadcast_to(mu, (len(live), vals.shape[-1])) if len(mu) == 1 else mu[live]
+    nu = mu / mu.sum(axis=-1, keepdims=True)
+    below, nu_vals = vals - vmax[:, None], nu * vals
+    s = _LOG2 / nu_vals.sum(axis=-1)
     for _ in range(_NEWTON_STEPS):
-        tilt = np.exp(s * below)
-        z = float((nu * tilt).sum())
-        step = (s * vmax + math.log(z) - _LOG2) * z / float((nu_vals * tilt).sum())
-        if not s - step < s:
-            return 1.0 / s
-        s -= step
-    raise NumericError(f"Luxemburg Newton iteration did not converge in {_NEWTON_STEPS} steps")
+        if not len(live):
+            return out
+        tilt = np.exp(s[:, None] * below)
+        z = (nu * tilt).sum(axis=-1)
+        log_z = np.array([math.log(x) for x in z.tolist()])
+        step = (s * vmax + log_z - _LOG2) * z / (nu_vals * tilt).sum(axis=-1)
+        done = ~(s - step < s)
+        out[live[done]] = 1.0 / s[done]
+        keep = ~done
+        live, vmax, s = live[keep], vmax[keep], (s - step)[keep]
+        below, nu, nu_vals = below[keep], nu[keep], nu_vals[keep]
+    if len(live):
+        raise NumericError(f"Luxemburg Newton iteration did not converge in {_NEWTON_STEPS} steps")
+    return out
+
+
+def lp_average(f: Field, q: Cube, p: float, w: Optional[Weight] = None) -> float:
+    """Normalized L^p average (integral mean of |f|^p over q, to the 1/p)."""
+    if not (p >= 1.0):
+        raise ParameterError(f"p must be >= 1, got {p}")
+    return float(power_means(*_cell_measures(f, q, w), p)[0])
+
+
+def weak_lq_norm(f: Field, q_cube: Cube, q: float, w: Optional[Weight] = None) -> float:
+    """Weak-L^q quasinorm of f on q_cube (``weak_lq_norms``)."""
+    if not (q > 0):
+        raise ParameterError(f"q must be positive, got {q}")
+    return float(weak_lq_norms(*_cell_measures(f, q_cube, w), q)[0])
+
+
+def exp_luxemburg_norm(f: Field, q: Cube, w: Optional[Weight] = None) -> float:
+    """Luxemburg norm of the exponential Orlicz class on q (``exp_luxemburg_norms``)."""
+    return float(exp_luxemburg_norms(*_cell_measures(f, q, w))[0])
 
 
 def kolmogorov_check(
@@ -173,8 +198,8 @@ def kolmogorov_check(
     """(L^r average, kolmogorov_factor(r, q) x weak-L^q norm); the first never exceeds the second."""
     if not (0 < r < q):
         raise ParameterError(f"need 0 < r < q, got r={r}, q={q}")
-    lhs = _power_mean(*_cell_measures(f, q_cube, w), r)
-    return lhs, kolmogorov_factor(r, q) * weak_lq_norm(f, q_cube, q, w)
+    vals, mu = _cell_measures(f, q_cube, w)
+    return float(power_means(vals, mu, r)[0]), kolmogorov_factor(r, q) * float(weak_lq_norms(vals, mu, q)[0])
 
 
 def kolmogorov_factor(r: float, q: float) -> float:

@@ -34,7 +34,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from osclab._support import DataError, NumericError, ParameterError
-from osclab.cubes import Cube, descendant, dilate
+from osclab.cubes import Cube, CubeBlock, cell_membership, cell_rows, descendant, dilate
 from osclab.grid import Field, lp_average, scale_sweep_max, sliding_central_moments, sliding_cube_means
 
 
@@ -59,11 +59,13 @@ class EllipticOperator:
     stencil, L u(x) = sum_o b_o(x) u(x + o) with one coefficient array b_o
     per offset o (_assemble; they sum to zero, so L annihilates constants),
     as the rows of ``weights`` and the flat cell indices ``neighbours`` of
-    x + o; the ``shifts`` gamma_j of the Krylov backend and its dimension
-    ``krylov_dim``; and the inner solve with I + gamma_j L for each shift: in
-    1-D the cyclic ``reductions`` of that periodic tridiagonal matrix, in
-    higher dimensions the FFT ``preconditioners`` 1 / (1 + gamma_j sigma),
-    sigma the symbol of the same stencil at the mean coefficient.
+    x + o; the ``shifts`` gamma_j of the Krylov backend, its dimension
+    ``krylov_dim`` and the ``krylov_cap`` up to which a basis that fails its
+    check grows (twice the dimension); and the inner solve with I + gamma_j L
+    for each shift: in 1-D the cyclic ``reductions`` of that periodic
+    tridiagonal matrix, in higher dimensions the FFT ``preconditioners``
+    1 / (1 + gamma_j sigma), sigma the symbol of the same stencil at the mean
+    coefficient.
     """
 
     def __init__(self, coeffs: np.ndarray, dimension: int):
@@ -100,6 +102,7 @@ class EllipticOperator:
         self.weights = np.stack([band.ravel() for band in bands.values()])
         self.shifts = _shifts(m)
         self.krylov_dim = _STEPS_PER_SHIFT * (len(self.shifts) + 1) + _CHECK_GAP
+        self.krylov_cap = 2 * self.krylov_dim
         if n == 1:
             self.reductions = [_cyclic_reduction(g * bands[(-1,)], 1.0 + g * bands[(0,)], g * bands[(1,)])
                                for g in self.shifts]
@@ -238,7 +241,10 @@ _SHIFT_RATIO = 16.0
 # in the 2-norm relative to ||g - mean(g)||.  That difference is about the
 # error of the shorter basis; the k steps have been 10 to 100 times closer
 # wherever measured, so a white-noise field at 1-D m = 1024 and t = h^2
-# passes with a gap of 8e-8 and an error of 6e-10.
+# passes with a gap of 8e-8 and an error of 6e-10.  A basis that fails the
+# check grows by _CHECK_GAP steps and is checked again, up to the operator's
+# krylov_cap (at a(x) in [0.01, 1.99], 2-D m = 32 and 64 need 50 steps, 10
+# more than k).
 _STEPS_PER_SHIFT = 10
 _CHECK_GAP = 10
 _CHECK_TOL = 1e-6
@@ -272,68 +278,98 @@ def _krylov_apply(op: EllipticOperator, fields: Sequence[Field], columns, count:
     mean of that part is then removed, so the output's mean is exactly
     mean(g).  A g_0 that vanishes, or a basis that breaks down early, spans
     an invariant subspace; any other result must agree with the same formula
-    on the leading k - _CHECK_GAP vectors of its basis, or NumericError.
-    A result is real when L and its field are.
+    on the leading k - _CHECK_GAP vectors of its basis.  A basis that does
+    not grows by _CHECK_GAP steps until it does, or NumericError once it has
+    ``op.krylov_cap`` steps.  A result is real when L and its field are.
     """
     shape = fields[0].values.shape
     dtype = np.result_type(np.float64, op.weights, *(g.values for g in fields))
     means = [np.mean(g.values) for g in fields]
     bases = _arnoldi(op, [(g.values - mean).astype(dtype).ravel() for g, mean in zip(fields, means)], shape)
     out = [[None] * len(fields) for _ in range(count)]
-    for j, (g, mean, (beta, basis, hess, exact)) in enumerate(zip(fields, means, bases)):
-        dim = len(basis)
-        coefs = columns(_projected(hess[:dim, :dim], op.shifts)) if dim else [None] * count
-        if not exact:
+    for j, (g, mean, basis) in enumerate(zip(fields, means, bases)):
+        while True:
+            dim = basis.dim
+            coefs = columns(_projected(basis.hess[:dim, :dim], op.shifts)) if dim else [None] * count
+            if basis.exact:
+                break
             cut = dim - _CHECK_GAP
             gap = max(float(np.linalg.norm(np.concatenate([c[:cut] - d, c[cut:]])))
-                      for c, d in zip(coefs, columns(_projected(hess[:cut, :cut], op.shifts))))
-            if gap > _CHECK_TOL:
+                      for c, d in zip(coefs, columns(_projected(basis.hess[:cut, :cut], op.shifts))))
+            if gap <= _CHECK_TOL:
+                break
+            if dim + _CHECK_GAP > op.krylov_cap:
                 raise NumericError(f"Krylov dimensions {dim} and {cut} differ by {gap:.3g} relative to the field, "
                                    f"above {_CHECK_TOL:g}")
+            _grow(op, [basis], shape, dim + _CHECK_GAP)
         for i, c in enumerate(coefs):
             if c is None:  # g is constant
                 values = np.full(shape, mean, dtype)
             else:
-                part = beta * (c @ basis)
+                part = basis.beta * (c @ basis.rows[:basis.dim])
                 values = (mean + (part - np.mean(part))).reshape(shape)
             out[i][j] = Field(values if (op.is_complex or g.is_complex) else values.real)
     return out
 
 
-def _arnoldi(op: EllipticOperator, starts: Sequence[np.ndarray], shape: tuple) -> list:
-    """(||g||, V, H, exact) for each flattened start vector g: the rational
-    Arnoldi basis V of g, its dim vectors as rows, step j solving with
-    I + gamma_j L, and the Hessenberg H of those steps, whose leading dim x dim
-    block the projection reads, with classical Gram-Schmidt run twice.
-    ``exact`` when the basis stopped on an invariant subspace (g = 0 or a
-    breakdown) before the operator's ``krylov_dim``.  The solves of a step
-    run on the block of all growing bases (_shifted_solve), column by column
-    the same operations as for that start alone, so batching does not change
-    a bit."""
+class _Basis:
+    """A rational Arnoldi basis of one start vector g as far as it has grown:
+    ``beta`` = ||g||, the orthonormal ``rows`` V (its first ``dim`` rows the
+    basis, the next one the vector the next step starts from) and the
+    Hessenberg ``hess`` of the ``dim`` steps; ``exact`` once it has stopped
+    on an invariant subspace (g = 0 or a breakdown).  A plain class: a
+    dataclass would add a millisecond to every import of the package."""
+
+    def __init__(self, beta: float, rows: np.ndarray, hess: np.ndarray, exact: bool):
+        self.beta, self.rows, self.hess, self.dim, self.exact = beta, rows, hess, 0, exact
+
+
+def _arnoldi(op: EllipticOperator, starts: Sequence[np.ndarray], shape: tuple) -> list[_Basis]:
+    """The rational Arnoldi basis of each flattened start vector g, grown to
+    the operator's ``krylov_dim`` steps or an invariant subspace (_grow)."""
     k = op.krylov_dim
-    betas = [float(np.linalg.norm(g)) for g in starts]
-    bases = [np.empty((k + 1, g.size), dtype=g.dtype) for g in starts]
-    hess = [np.zeros((k + 1, k), dtype=g.dtype) for g in starts]
-    dims = [None if beta > 0 else 0 for beta in betas]  # None while the basis grows
-    for basis, g, beta in zip(bases, starts, betas):
+    bases = []
+    for g in starts:
+        beta = float(np.linalg.norm(g))
+        basis = _Basis(beta, np.empty((k + 1, g.size), dtype=g.dtype), np.zeros((k + 1, k), dtype=g.dtype), beta == 0)
         if beta > 0:
-            basis[0] = g / beta
-    for step in range(k):
-        growing = [j for j, dim in enumerate(dims) if dim is None]
+            basis.rows[0] = g / beta
+        bases.append(basis)
+    _grow(op, bases, shape, k)
+    return bases
+
+
+def _grow(op: EllipticOperator, bases: Sequence[_Basis], shape: tuple, steps: int) -> None:
+    """Take each basis of ``bases`` on to ``steps`` steps unless it stops on an
+    invariant subspace first: step j solves with I + gamma_j L and adds the
+    vector to the basis by classical Gram-Schmidt run twice, which also
+    writes column j of the Hessenberg.  The solves of a step run on the block
+    of all growing bases (_shifted_solve), column by column the same
+    operations as for that start alone, so batching does not change a bit;
+    nor does growing a basis in several calls."""
+    for basis in bases:
+        if len(basis.rows) < steps + 1:  # room for the rows and columns of the new steps
+            basis.rows = np.concatenate([basis.rows, np.empty((steps + 1 - len(basis.rows),
+                                                               basis.rows.shape[1]), basis.rows.dtype)])
+            hess = np.zeros((steps + 1, steps), dtype=basis.hess.dtype)
+            hess[:len(basis.hess), :basis.hess.shape[1]] = basis.hess
+            basis.hess = hess
+    while True:
+        growing = [b for b in bases if not b.exact and b.dim < steps]
         if not growing:
-            break
-        block = np.stack([bases[j][step] for j in growing]).reshape((-1,) + shape)
-        for j, w in zip(growing, _shifted_solve(op, step % len(op.shifts), block).reshape(len(growing), -1)):
+            return
+        step = growing[0].dim  # the bases of one call grow in step
+        block = np.stack([b.rows[step] for b in growing]).reshape((-1,) + shape)
+        for b, w in zip(growing, _shifted_solve(op, step % len(op.shifts), block).reshape(len(growing), -1)):
             before = np.linalg.norm(w)
-            w, h = _cgs2(bases[j][: step + 1], w)
+            w, h = _cgs2(b.rows[: step + 1], w)
             norm = np.linalg.norm(w)
-            hess[j][: step + 1, step], hess[j][step + 1, step] = h, norm
+            b.hess[: step + 1, step], b.hess[step + 1, step] = h, norm
+            b.dim = step + 1
             if norm <= _BREAKDOWN * before:
-                dims[j] = step + 1
+                b.exact = True
             else:
-                bases[j][step + 1] = w / norm
-    return [(beta, basis[: k if dim is None else dim], h, dim is not None)
-            for beta, basis, h, dim in zip(betas, bases, hess, dims)]
+                b.rows[step + 1] = w / norm
 
 
 def _cgs2(basis: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -603,6 +639,24 @@ class OscillationFamily:
         out = f.values.copy()
         out[(dilate(q, 2.0, m).cube if self.has_replace_comm else q).index(m)] -= avg
         return Field(out)
+
+    def b_rows(self, f: Field, block: CubeBlock):
+        """For a family that depends on cube position: the function (anchor
+        cells, size) -> B_Q f on the cells of the cubes of ``size`` cells per
+        axis at those anchors, one row per cube Q of ``block`` (each row's cube
+        containing Q's), as ``apply_B(f, Q).restrict`` of that cube reads it:
+        f - f_Q where apply_B subtracts it, f elsewhere, f_Q the row mean of f
+        on Q.  No B_Q f is formed as a field."""
+        if self.sidelength_only:
+            raise ParameterError("family depends only on the sidelength; gather from its B field per side")
+        m, flat = f.resolution, f.values.ravel()
+        f_q = flat[cell_rows(block.anchors, block.c, m)].mean(axis=1, keepdims=True)
+        support, support_size, _ = block.dilate(2.0 if self.has_replace_comm else 1.0, m)
+
+        def rows(anchors: np.ndarray, size: int) -> np.ndarray:
+            vals = flat[cell_rows(anchors, size, m)]
+            return np.where(cell_membership(anchors, size, support, support_size, m), vals - f_q, vals)
+        return rows
 
     def apply_A(self, f: Field, q: Cube) -> Field:
         return Field(f.values - self.apply_B(f, q).values)

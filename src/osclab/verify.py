@@ -19,11 +19,14 @@ import numpy as np
 from osclab._support import ParameterError, ratio, rng_from_seed
 from osclab.cubes import (
     Cube,
-    cube_wraps,
+    CubeBlock,
+    cell_rows,
     dilate,
     dyadic_dilations,
     dyadic_generation,
     full_torus,
+    cubes_at,
+    sample_blocks,
     whitney_check,
     whitney_decompose,
 )
@@ -37,12 +40,12 @@ from osclab.functionals import (
 )
 from osclab.grid import (
     Field,
-    exp_luxemburg_norm,
-    kolmogorov_check,
+    exp_luxemburg_norms,
     kolmogorov_factor,
     lp_average,
     maximal_function,
-    weak_lq_norm,
+    power_means,
+    weak_lq_norms,
 )
 from osclab.operators import OscillationFamily, sharp_maximal
 from osclab.weights import Weight
@@ -81,10 +84,27 @@ def make_cube_sample(dimension: int, m: int, min_cells: int, off_dyadic: int, se
 def measured_oscillation(f: Field, cubes: Sequence[Cube]) -> ConstantFunctional:
     """Constant functional holding the measured oscillation sup_Q mean_Q |f - f_Q|."""
     best = 0.0
-    for q in cubes:
-        vals = f.restrict(q)
-        best = max(best, float(np.abs(vals - vals.mean()).mean()))
+    m, flat = f.resolution, f.values.ravel()
+    for block in sample_blocks(cubes, m):
+        for part in _parts(block, block.c ** f.dimension):
+            vals = flat[cell_rows(part.anchors, part.c, m)]
+            best = max(best, float(np.abs(vals - vals.mean(axis=1, keepdims=True)).mean(axis=1).max()))
     return ConstantFunctional(best)
+
+
+# A block of cubes is gathered in parts of at most this many cells (or one
+# cube, when a single cube is larger), so memory stays bounded when a sample
+# holds many cubes whose dilates cover the torus.
+_ROW_CELLS = 1 << 16
+
+
+def _parts(block: CubeBlock, width: int) -> list[CubeBlock]:
+    """``block`` in consecutive parts whose rows of ``width`` cells fit in _ROW_CELLS."""
+    step = max(1, _ROW_CELLS // width)
+    if step >= len(block.members):
+        return [block]
+    return [CubeBlock(block.c, block.members[i:i + step], block.anchors[i:i + step])
+            for i in range(0, len(block.members), step)]
 
 
 def two_q_functional(a: Functional) -> DilationSeries:
@@ -97,13 +117,17 @@ class Rung:
     """Everything a harness needs at one grid resolution.
 
     ``denominator`` is the conclusion right-hand side evaluated at Q (wrap
-    the 2Q dilation inside it when the statement asks for one).  ``cache``
-    holds B_Q f (``b_field``), keyed by the cube's value (equal cubes share an
-    entry; a family that depends only on the sidelength keeps one per side),
-    and the walk of the hypothesis over the cube sample (``hypothesis_rows``).
-    Rungs made from this one by ``dataclasses.replace`` share it, and its keys
-    carry the material an entry was computed from, so a rung with other
-    material never reads an entry that is not its own.
+    the 2Q dilation inside it when the statement asks for one).  The
+    harnesses read B_Q f on the cells of the sampled cubes and their
+    dilates as gathered rows, one block per cell count (``b_rows``); no
+    B_Q f is formed as a field, except for a family that depends only on
+    the sidelength, whose rows gather from its one B field per side.
+    ``cache`` holds those B fields and any other ``b_field`` (keyed by the
+    cube's value; one per side for such a family), the sample's blocks,
+    and the walk of the hypothesis over the sample (``hypothesis_rows``).
+    Rungs made from this one by ``dataclasses.replace`` share it, and its
+    keys carry the material an entry was computed from, so a rung with
+    other material never reads an entry that is not its own.
     """
 
     m: int
@@ -127,6 +151,24 @@ class Rung:
             self.cache[key] = (f, fam, fam.apply_B(f, q))
         return self.cache[key][2]
 
+    def blocks(self) -> list[CubeBlock]:
+        """The cube sample as ``CubeBlock``s, one per cell count, built once."""
+        key = ("blocks", self.m, id(self.cube_sample))
+        if key not in self.cache:
+            # the entry keeps the sample alive, so its id stays unique
+            self.cache[key] = (self.cube_sample, sample_blocks(self.cube_sample, self.m))
+        return self.cache[key][1]
+
+    def b_rows(self, block: CubeBlock):
+        """The function (anchor cells, size) -> B_Q f on the cells of the cubes
+        of ``size`` cells per axis at those anchors, one C-ordered row per cube
+        Q of ``block``: the family's ``b_rows``, or for a family that depends
+        only on the sidelength a gather from its B field of that side."""
+        if not self.family.sidelength_only:
+            return self.family.b_rows(self.field, block)
+        b = self.b_field(self.cube_sample[block.members[0]]).values.ravel()
+        return lambda anchors, size: b[cell_rows(anchors, size, self.m)]
+
     def hypothesis_rows(self, k_max: int) -> list:
         """The rows (Q, k, num, den, val, saturated) of the hypothesis walk
         over the cube sample up to the 2^{k_max} dilates, walked once per rung.
@@ -140,17 +182,35 @@ class Rung:
         key = ("hypothesis", self.m, *map(id, material))
         entry = self.cache.get(key)
         if entry is None or entry[1] < k_max:
-            p0 = self.family.p0
-            rows = []
-            for q in self.cube_sample:
-                bf = self.b_field(q)
-                for k, d in dyadic_dilations(q, self.m, k_max):
-                    num = lp_average(bf, d.cube, p0)
-                    den = self.hypothesis.eval(d.cube)
-                    rows.append((q, k, num, den, ratio(num, den), d.saturated))
             # the entry keeps the material alive, so its ids stay unique
-            entry = self.cache[key] = (material, k_max, rows)
+            entry = self.cache[key] = (material, k_max, self._walk(k_max))
         return [row for row in entry[2] if row[1] <= k_max]
+
+    def _walk(self, k_max: int) -> list:
+        """The hypothesis walk up to the 2^{k_max} dilates, block by block: the
+        L^{p0} averages of |B_Q f| on the dyadic dilates 2^k Q of all cubes of
+        one cell count at once, then the rows in sample order, Q by Q and k by
+        k, each against hypothesis(2^k Q)."""
+        m, n, p0 = self.m, self.field.dimension, self.family.p0
+        walked = [None] * len(self.cube_sample)  # per cube: its (k, 2^k Q, num, saturated)
+        for block in self.blocks():
+            widest = list(block.dyadic_dilations(m, k_max))[-1][2]
+            for part in _parts(block, widest ** n):
+                b_rows = self.b_rows(part)
+                per_k = []
+                for k, anchors, size, saturated in part.dyadic_dilations(m, k_max):
+                    unit = np.full((1, size ** n), self.field.cell_volume)
+                    nums = power_means(np.abs(b_rows(anchors, size)), unit, p0).tolist()
+                    per_k.append((k, None if k == 0 else cubes_at(anchors, size, m), nums, saturated))
+                for j, i in enumerate(part.members.tolist()):
+                    walked[i] = [(k, self.cube_sample[i] if cubes is None else cubes[j], nums[j], saturated)
+                                 for k, cubes, nums, saturated in per_k]
+        rows = []
+        for q, steps in zip(self.cube_sample, walked):
+            for k, cube, num, saturated in steps:
+                den = self.hypothesis.eval(cube)
+                rows.append((q, k, num, den, ratio(num, den), saturated))
+        return rows
 
 
 def _stable(per_resolution: dict) -> bool:
@@ -220,7 +280,7 @@ class VerifyReport:
 def _sweep(
     rungs: Sequence[Rung],
     hyp_k_max: int,
-    norm: Callable[[Rung, Field, Cube], float],
+    norm: Callable[[np.ndarray, np.ndarray], np.ndarray],
     extras: dict,
 ) -> tuple[VerifyReport, list]:
     """The rung loop and pass rule of the weak, strong and exponential harnesses.
@@ -229,12 +289,14 @@ def _sweep(
     the worst ratio of the conclusion ``norm`` of B_Q f against the
     denominator functional at Q (statements whose right-hand side lives on a
     dilate, e.g. the expanded functional at 2Q, wrap that dilation inside
-    the functional).  Rows (m, cube, num, den, ratio, flags) carry a flag
-    bitmask recording whether the companion 2Q dilation saturated (bit 0) or
-    wrapped around the torus seam (bit 1).  The report passes on a finite
-    hypothesis constant and a stable ladder; its warnings count each rung's
-    saturated dilations and, on an unstable ladder, name the worst cube.
-    Returns the report and the rows.
+    the functional).  ``norm`` is a row kernel of ``osclab.grid``: it maps
+    |B_Q f| and the cell measures of the rung's weight on Q, one row per
+    cube of a block, to the norms.  Rows (m, cube, num, den, ratio, flags)
+    carry a flag bitmask recording whether the companion 2Q dilation
+    saturated (bit 0) or wrapped around the torus seam (bit 1).  The report
+    passes on a finite hypothesis constant and a stable ladder; its warnings
+    count each rung's saturated dilations and, on an unstable ladder, name
+    the worst cube.  Returns the report and the rows.
     """
     hyp = 0.0
     per_res = {}
@@ -245,14 +307,24 @@ def _sweep(
         hyp = max(hyp, hyp_rep.constant)
         if hyp_rep.saturated_cubes:
             warnings.append(f"m={rung.m}: {hyp_rep.saturated_cubes} saturated dilations")
+        m, n, vol = rung.m, rung.field.dimension, rung.field.cell_volume
+        dens = None if rung.weight is None else rung.weight.density.values
+        if dens is not None and dens.shape != rung.field.values.shape:
+            raise ParameterError("weight resolution does not match the field")
+        nums = np.empty(len(rung.cube_sample))
+        flags = np.empty(len(rung.cube_sample), dtype=int)
+        for block in rung.blocks():
+            for part in _parts(block, block.c ** n):
+                q_rows = cell_rows(part.anchors, part.c, m)
+                mu = np.full((1, q_rows.shape[1]), vol) if dens is None else dens.ravel()[q_rows] * vol
+                nums[part.members] = norm(np.abs(rung.b_rows(part)(part.anchors, part.c)), mu)
+            two_q, size, saturated = block.dilate(2.0, m)
+            flags[block.members] = 1 if saturated else 2 * np.any(two_q + size > m, axis=1)
         best = 0.0
-        for q in rung.cube_sample:
-            num = norm(rung, rung.b_field(q), q)
-            two_q = dilate(q, 2.0, rung.m)
+        for q, num, flag in zip(rung.cube_sample, nums.tolist(), flags.tolist()):
             den = rung.denominator.eval(q)
             val = ratio(num, den)
-            flags = int(two_q.saturated) | (2 * int(cube_wraps(two_q.cube)))
-            rows.append((rung.m, q.to_dict(), num, den, val, flags))
+            rows.append((rung.m, q.to_dict(), num, den, val, flag))
             best = max(best, val)
         per_res[rung.m] = best
     stable = _stable(per_res)
@@ -282,8 +354,7 @@ def verify_weak_improvement(
         raise ParameterError("a summability condition report is required")
     if not math.isfinite(condition_report.measured_constant):
         raise ParameterError("condition report carries an infinite constant")
-    return _sweep(rungs, 3, lambda rung, bf, q_cube: weak_lq_norm(bf, q_cube, q, rung.weight),
-                  {"q": q, "condition": condition_report})
+    return _sweep(rungs, 3, lambda vals, mu: weak_lq_norms(vals, mu, q), {"q": q, "condition": condition_report})
 
 
 def verify_strong(
@@ -297,19 +368,20 @@ def verify_strong(
     On every sampled cube the L^r norm is checked against the weak-L^q norm
     times (q/(q-r))^{1/r}; the worst slack of that inequality is reported.
     """
-    if not (r < q):
-        raise ParameterError(f"need r < q, got r={r}, q={q}")
+    if not (0 < r < q):
+        raise ParameterError(f"need 0 < r < q, got r={r}, q={q}")
     if condition_report is None:
         raise ParameterError("a summability condition report is required")
+    factor = kolmogorov_factor(r, q)
     worst_gap = -math.inf
 
-    def strong_norm(rung: Rung, bf: Field, q_cube: Cube) -> float:
+    def strong_norm(vals: np.ndarray, mu: np.ndarray) -> np.ndarray:
         nonlocal worst_gap
-        strong, bound = kolmogorov_check(bf, q_cube, r, q, rung.weight)
-        worst_gap = max(worst_gap, strong - bound)
+        strong = power_means(vals, mu, r)
+        worst_gap = max(worst_gap, float(np.max(strong - factor * weak_lq_norms(vals, mu, q))))
         return strong
 
-    rep, rows = _sweep(rungs, 2, strong_norm, {"q": q, "r": r, "kolmogorov_factor": kolmogorov_factor(r, q)})
+    rep, rows = _sweep(rungs, 2, strong_norm, {"q": q, "r": r, "kolmogorov_factor": factor})
     scale = max((row[2] for row in rows), default=1.0) or 1.0
     kolmogorov_ok = worst_gap <= 1e-10 * scale
     rep.extras["kolmogorov_ok"] = kolmogorov_ok
@@ -326,7 +398,7 @@ def verify_exponential(rungs: Sequence[Rung], dinf_report: ConditionReport) -> V
     """
     if dinf_report.condition != "Dinf" or not dinf_report.passed:
         raise ParameterError("exponential harness requires a passing Dinf condition report")
-    rep, _rows = _sweep(rungs, 2, lambda rung, bf, q_cube: exp_luxemburg_norm(bf, q_cube, rung.weight),
+    rep, _rows = _sweep(rungs, 2, exp_luxemburg_norms,
                         {"weighted": any(r.weight is not None for r in rungs),
                          "dinf_constant": dinf_report.measured_constant})
     return rep

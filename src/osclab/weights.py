@@ -131,7 +131,8 @@ def weight_report(
     """Measure A_p and RH_p constants over the sample and fit theta.
 
     A_infinity membership is probed (not decided) by the finiteness of the
-    measured RH constant at ``AINF_PROBE_R``.
+    measured RH constant at ``AINF_PROBE_R``, read from the RH constants when
+    ``ps`` holds that exponent.
     """
     if not cube_sample:
         raise ParameterError("cube sample must be nonempty")
@@ -144,7 +145,8 @@ def weight_report(
         ap[pv] = max(ap_constant_on_cube(w, q, pv) for q in cube_sample)
         if pv > 1.0:
             rh[pv] = max(rh_constant_on_cube(w, q, pv) for q in cube_sample)
-    probe = max(rh_constant_on_cube(w, q, AINF_PROBE_R) for q in cube_sample)
+    probe = rh[AINF_PROBE_R] if AINF_PROBE_R in rh else max(
+        rh_constant_on_cube(w, q, AINF_PROBE_R) for q in cube_sample)
     rng = rng_from_seed(seed)
     theta = _theta_fit(w, cube_sample, rng)
     return WeightReport(

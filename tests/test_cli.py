@@ -252,9 +252,11 @@ def test_load_reports_a_missing_top_level_key(tmp_path, key):
     "config, overrides",
     [("classical-jn", ["resolution_ladder=[64,128]"]), ("weighted-power", [])],
 )
-def test_harnesses_compute_each_b_field_once(monkeypatch, config, overrides):
-    # every harness reads B_Q f from its rung's cache, so a (rung field, cube)
-    # pair reaches OscillationFamily.apply_B at most once per run
+def test_averaging_harnesses_form_no_b_field_but_good_lambdas(monkeypatch, config, overrides):
+    # the hypothesis walk and the weak, strong and exponential sweeps read
+    # B_Q f of an averaging family on gathered rows, so the only B_Q f of a
+    # rung field formed as a field is the good-lambda harness's one cube
+    cfg = ExperimentConfig.load(bundled_config_path(config), overrides)
     rung_fields = set()
     build_rung = cli.build_rung
 
@@ -268,54 +270,38 @@ def test_harnesses_compute_each_b_field_once(monkeypatch, config, overrides):
 
     def counting_apply_b(self, f, q):
         if id(f) in rung_fields:
-            calls[(id(f), q.anchor, q.side)] += 1
+            calls[q] += 1
         return apply_b(self, f, q)
 
     monkeypatch.setattr(cli, "build_rung", recording_build_rung)
     monkeypatch.setattr(OscillationFamily, "apply_B", counting_apply_b)
-    cli.run_pipeline(ExperimentConfig.load(bundled_config_path(config), overrides))
-    assert calls and max(calls.values()) == 1, calls.most_common(1)
+    cli.run_pipeline(cfg)
+    assert rung_fields
+    good_lambda = {cfg.good_lambda["cube"]: 1} if "good-lambda" in cfg.harnesses else {}
+    assert dict(calls) == good_lambda
 
 
 @pytest.mark.parametrize(
     "config, overrides",
-    [("classical-jn", ["resolution_ladder=[64,128]"]), ("weighted-power", [])],
+    [("classical-jn", ["resolution_ladder=[64,128]"]), ("weighted-power", []), ("epi-pair", [])],
 )
-def test_harnesses_walk_each_hypothesis_row_once(monkeypatch, config, overrides):
-    # every harness reads the hypothesis rows from its rung's cache, so the
-    # norm of a cached B field on the dilate 2^k Q of a sampled cube Q reaches
-    # lp_average at most once per run.  Rows are keyed by the cube object, not
-    # its value: a sample may hold an off-dyadic cube equal to a dyadic one, and
-    # a cube of side 1 has the same value at k = 0 and k = 1.
-    b_fields = set()
-    b_field = verify.Rung.b_field
-
-    def recording_b_field(self, q):
-        bf = b_field(self, q)
-        b_fields.add(id(bf))
-        return bf
-
-    row = {}
-    dyadic_dilations = verify.dyadic_dilations
-
-    def tracking_dyadic_dilations(q, m, k_max=None):
-        for k, d in dyadic_dilations(q, m, k_max):
-            row["key"] = (id(q), k)
-            yield k, d
-
+def test_harnesses_walk_each_rung_once_per_deepest_k_max(monkeypatch, config, overrides):
+    # every harness reads the hypothesis rows from its rung's cache, which
+    # keeps the walk at the deepest k_max asked for, so the block walk runs at
+    # most once per rung material and k_max; these configs ask for their
+    # deepest first, so once per rung
+    walk = verify.Rung._walk
     calls = Counter()
-    lp_average = verify.lp_average
 
-    def counting_lp_average(f, q, p, *args):
-        if id(f) in b_fields:
-            calls[(id(f), *row["key"])] += 1
-        return lp_average(f, q, p, *args)
+    def counting_walk(self, k_max):
+        calls[(self.m, id(self.field), id(self.family), id(self.hypothesis), id(self.cube_sample), k_max)] += 1
+        return walk(self, k_max)
 
-    monkeypatch.setattr(verify.Rung, "b_field", recording_b_field)
-    monkeypatch.setattr(verify, "dyadic_dilations", tracking_dyadic_dilations)
-    monkeypatch.setattr(verify, "lp_average", counting_lp_average)
-    cli.run_pipeline(ExperimentConfig.load(bundled_config_path(config), overrides))
+    monkeypatch.setattr(verify.Rung, "_walk", counting_walk)
+    cfg = ExperimentConfig.load(bundled_config_path(config), overrides)
+    cli.run_pipeline(cfg)
     assert calls and max(calls.values()) == 1, calls.most_common(1)
+    assert len({key[:-1] for key in calls}) == len(calls)
 
 
 def test_emit_refuses_empty_report(tmp_path):

@@ -18,12 +18,16 @@ from osclab.cubes import (
     _generation_means,
     _random_packing,
     _stopping_time_family,
+    cell_membership,
+    cell_rows,
+    cubes_at,
     descendant,
     Dilation,
     dilate,
     dyadic_dilations,
     dyadic_generation,
     full_torus,
+    sample_blocks,
     sample_disjoint_families,
     whitney_check,
     whitney_decompose,
@@ -586,9 +590,29 @@ def test_full_torus_contains_everything():
     assert not t.disjoint_from(Cube((0.5, 0.5), 0.25))
 
 
-def test_cube_wraps_detection():
-    from osclab.cubes import cube_wraps
-
-    assert cube_wraps(Cube((0.875,), 0.25))
-    assert not cube_wraps(Cube((0.5,), 0.25))
-    assert not cube_wraps(Cube((0.0,), 1.0))
+@pytest.mark.parametrize("dim, m", [(1, 64), (2, 16)])
+def test_cube_blocks_match_the_per_cube_geometry(dim, m):
+    # every dyadic cube and random lattice cubes of every side, seam-crossing
+    # and side-1 ones among them: a block's rows gather each cube's cells in
+    # the order of Cube.index, its dilates are dilate's, with the same
+    # saturation, and membership in 2Q is 2Q's mask
+    rng = np.random.Generator(np.random.Philox(3))
+    cubes = [q for g in range(m.bit_length()) for q in dyadic_generation(full_torus(dim), g)]
+    cubes += [Cube(tuple(int(a) / m for a in rng.integers(0, m, dim)), 2 ** int(rng.integers(0, m.bit_length())) / m)
+              for _ in range(40)]
+    cells = np.arange(m ** dim).reshape((m,) * dim)
+    blocks = sample_blocks(cubes, m)
+    assert sorted(i for b in blocks for i in b.members.tolist()) == list(range(len(cubes)))
+    for block in blocks:
+        two_q, two_size, _ = block.dilate(2.0, m)
+        walk = list(block.dyadic_dilations(m, 4))
+        for j, i in enumerate(block.members.tolist()):
+            q = cubes[i]
+            assert q.cells_per_axis(m) == block.c
+            want = list(dyadic_dilations(q, m, 4))
+            assert [(k, saturated) for k, _a, _s, saturated in walk] == [(k, d.saturated) for k, d in want]
+            for (k, anchors, size, _saturated), (_k, d) in zip(walk, want):
+                assert np.array_equal(cell_rows(anchors, size, m)[j], cells[d.cube.index(m)].ravel())
+                assert k == 0 or cubes_at(anchors, size, m)[j] == d.cube
+                inside = cell_membership(anchors, size, two_q, two_size, m)[j]
+                assert np.array_equal(inside, dilate(q, 2.0, m).cube.mask(m)[d.cube.index(m)].ravel())

@@ -14,11 +14,14 @@ from osclab.cubes import Cube, full_torus
 from osclab.grid import (
     Field,
     exp_luxemburg_norm,
+    exp_luxemburg_norms,
     kolmogorov_check,
     lp_average,
     make_field,
     maximal_function,
+    power_means,
     weak_lq_norm,
+    weak_lq_norms,
 )
 from osclab.weights import Weight
 
@@ -253,6 +256,35 @@ def test_maximal_weak_1_1_constant_finite_and_stable():
         consts.append(best / l1)
     assert all(np.isfinite(c) for c in consts)
     assert max(consts) / min(consts) < 2.0
+
+
+# ---------------------------------------------------------------------------
+# row kernels
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("width", [1, 7, 64, 300])
+@pytest.mark.parametrize("weighted", [False, True])
+def test_row_kernels_give_each_row_what_it_gives_alone(width, weighted):
+    # each row of a block reduces as that row alone does, bit for bit, with
+    # zero rows (norm 0) and rows that stop Newton at different steps mixed in
+    rng = np.random.Generator(np.random.Philox(11))
+    vals = np.abs(rng.standard_cauchy(size=(9, width)))
+    vals[2] = 0.0
+    vals[5] = 3.0
+    vals[7, : width // 2] = 0.0
+    mu = rng.uniform(0.5, 2.0, size=(9, width)) / width if weighted else np.full((1, width), 1.0 / width)
+    rows = {"weak": weak_lq_norms(vals, mu, 1.5), "exp": exp_luxemburg_norms(vals, mu),
+            "p2": power_means(vals, mu, 2.0), "p0.75": power_means(vals, mu, 0.75),
+            "inf": power_means(vals, mu, math.inf)}
+    for i in range(len(vals)):
+        one, one_mu = vals[i:i + 1].copy(), mu[i:i + 1].copy() if weighted else mu
+        alone = {"weak": weak_lq_norms(one, one_mu, 1.5), "exp": exp_luxemburg_norms(one, one_mu),
+                 "p2": power_means(one, one_mu, 2.0), "p0.75": power_means(one, one_mu, 0.75),
+                 "inf": power_means(one, one_mu, math.inf)}
+        for name, got in rows.items():
+            assert got[i] == alone[name][0], (name, i)
+    assert rows["weak"][2] == rows["exp"][2] == rows["p2"][2] == 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -459,9 +459,10 @@ def test_us_non_hermitian_matches_dense_expm(expm_operators, case, s, big_n):
 
 def test_krylov_check_rejects_a_basis_too_small():
     # 12 steps against the leading 2 of the same basis: they disagree far
-    # beyond the check's tolerance, for e^{-tL} and for U_s alike
+    # beyond the check's tolerance, for e^{-tL} and for U_s alike, and a cap
+    # of 12 steps leaves the basis no room to grow
     op = variable_operator(64)
-    op.krylov_dim = 12
+    op.krylov_dim = op.krylov_cap = 12
     f = make_field("random-smooth", 1, 64, seed=6, band=4)
     with pytest.raises(NumericError, match="Krylov dimensions 12 and 2 differ"):
         heat(op, 0.01, f)
@@ -601,6 +602,28 @@ def test_preconditioned_gmres_raises_at_its_step_cap(monkeypatch):
     monkeypatch.setattr(operators, "_INNER_MAXIT", 40)
     with pytest.raises(NumericError, match="in 40 steps"):
         _gmres(op, 0, make_field("random-normal", 2, 32, seed=1).values)
+
+
+def test_refused_krylov_basis_grows_until_its_check_passes(monkeypatch):
+    # at contrast 200, 2-D m = 32, the log-distance field at t = 1/4 fails the
+    # check with the fixed 40 steps (a gap of 6e-6); the basis grows to 50,
+    # passes, and is 1.5e-10 from the dense exponential of the stencil
+    m = 32
+    op = high_contrast_operator_2d(m)
+    assert op.krylov_dim == 40
+    grown = []
+    grow = operators._grow
+
+    def recording_grow(op, bases, shape, steps):
+        grown.append((len(bases), steps))
+        return grow(op, bases, shape, steps)
+
+    monkeypatch.setattr(operators, "_grow", recording_grow)
+    f = make_field("log-distance", 2, m, center=0.5)
+    got = heat(op, 0.25, f).values.ravel()
+    assert grown == [(1, 40), (1, 50)]
+    want = expm(-0.25 * dense_matrix(op)) @ f.values.ravel()
+    assert np.max(np.abs(got - want)) / np.max(np.abs(want)) <= 1e-9
 
 
 # Real 1-D and 2-D stencils, a real non-symmetric and a complex stencil, and a

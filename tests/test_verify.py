@@ -2,16 +2,30 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from osclab._support import ParameterError
-from osclab.cubes import Cube, sample_disjoint_families
+from osclab._support import ParameterError, ratio
+from osclab.cubes import Cube, cell_rows, dyadic_dilations, sample_disjoint_families
 from osclab.functionals import ConstantFunctional, estimate_condition, tilde_expand
-from osclab.grid import Field, make_field, maximal_function
+from osclab.grid import (
+    Field,
+    exp_luxemburg_norm,
+    exp_luxemburg_norms,
+    kolmogorov_check,
+    kolmogorov_factor,
+    lp_average,
+    make_field,
+    maximal_function,
+    power_means,
+    weak_lq_norm,
+    weak_lq_norms,
+)
 from osclab.operators import EllipticOperator, make_family, measure_offdiagonal, sharp_maximal
+from osclab import verify
 from osclab.verify import (
     BmoRung,
     Rung,
@@ -259,6 +273,133 @@ def test_weighted_unit_weight_reproduces_unweighted_exactly():
     rep, _rows = verify_weak_improvement([rung], 2.0, cond)
     rep_w, _rows = verify_weak_improvement([rung_w], 2.0, cond)
     assert rep_w.conclusion_constant == rep.conclusion_constant  # bitwise
+
+
+# ---------------------------------------------------------------------------
+# row blocks against the per-cube path
+# ---------------------------------------------------------------------------
+
+
+def per_cube_walk(rung: Rung, k_max: int) -> list:
+    """The hypothesis walk one cube at a time, on the field B_Q f of each cube."""
+    rows = []
+    for q in rung.cube_sample:
+        bf = rung.family.apply_B(rung.field, q)
+        for k, d in dyadic_dilations(q, rung.m, k_max):
+            num = lp_average(bf, d.cube, rung.family.p0)
+            den = rung.hypothesis.eval(d.cube)
+            rows.append((q, k, num, den, ratio(num, den), d.saturated))
+    return rows
+
+
+def assert_rows_equal_per_cube(rung: Rung, q: float = 2.0, r: float = 1.5, k_max: int = 3) -> None:
+    """The block walk and the weak, strong and exponential row kernels on the
+    gathered |B_Q f| give, bit for bit, what the per-cube functions give on
+    the field B_Q f of each sampled cube; so do the weak sweep's rows."""
+    assert rung.hypothesis_rows(k_max) == per_cube_walk(rung, k_max)
+    m, vol = rung.m, rung.field.cell_volume
+    factor = kolmogorov_factor(r, q)
+    seen = []
+    for block in rung.blocks():
+        q_rows = cell_rows(block.anchors, block.c, m)
+        mu = (np.full((1, q_rows.shape[1]), vol) if rung.weight is None
+              else rung.weight.density.values.ravel()[q_rows] * vol)
+        vals = np.abs(rung.b_rows(block)(block.anchors, block.c))
+        weak = weak_lq_norms(vals, mu, q).tolist()
+        strong = power_means(vals, mu, r).tolist()
+        lux = exp_luxemburg_norms(vals, mu).tolist()
+        for j, i in enumerate(block.members.tolist()):
+            cube = rung.cube_sample[i]
+            bf = rung.family.apply_B(rung.field, cube)
+            assert weak[j] == weak_lq_norm(bf, cube, q, rung.weight), cube
+            assert (strong[j], factor * weak[j]) == kolmogorov_check(bf, cube, r, q, rung.weight), cube
+            assert lux[j] == exp_luxemburg_norm(bf, cube, rung.weight), cube
+            seen.append(i)
+    assert sorted(seen) == list(range(len(rung.cube_sample)))
+    _rep, rows = verify_weak_improvement([rung], q, dq_report_for(ConstantFunctional(1.0), m, q))
+    assert [row[2] for row in rows] == [weak_lq_norm(rung.family.apply_B(rung.field, cube), cube, q, rung.weight)
+                                       for cube in rung.cube_sample]
+
+
+def bundled_rung(config: str, overrides=()) -> Rung:
+    from osclab.cli import ExperimentConfig, build_rung, bundled_config_path
+
+    cfg = ExperimentConfig.load(bundled_config_path(config), list(overrides))
+    return build_rung(cfg, cfg.resolution_ladder[0])[0]
+
+
+@pytest.mark.parametrize("config", ["classical-jn", "weighted-power", "epi-pair"])
+def test_block_rows_equal_the_per_cube_path_on_bundled_rungs(config):
+    rung = bundled_rung(config)
+    assert rung.family.sidelength_only == (config == "epi-pair")
+    assert (rung.weight is not None) == (config == "weighted-power")
+    assert_rows_equal_per_cube(rung)
+    if rung.family.sidelength_only:  # its rows gather from the B field per side
+        with pytest.raises(ParameterError, match="per side"):
+            rung.family.b_rows(rung.field, rung.blocks()[0])
+
+
+def test_block_rows_equal_the_per_cube_path_with_the_unit_weight():
+    from osclab.weights import ones_weight
+
+    rung = bundled_rung("weighted-power")
+    assert_rows_equal_per_cube(dataclasses.replace(rung, weight=ones_weight(1, rung.m)))
+
+
+@pytest.mark.parametrize("row_cells", [None, 40])
+@pytest.mark.parametrize("kind", ["classical-average", "extended-average"])
+def test_block_rows_equal_the_per_cube_path_on_2d_seam_crossing_cubes(monkeypatch, kind, row_cells):
+    # row_cells = 40: every block is gathered in parts of a cube or two
+    if row_cells is not None:
+        monkeypatch.setattr(verify, "_ROW_CELLS", row_cells)
+    m = 32
+    cubes = make_cube_sample(2, m, 4, 16, seed=5)
+    assert any(a + q.side > 1.0 for q in cubes for a in q.anchor)  # some cubes cross the seam
+    f = make_field("random-smooth", 2, m, seed=3, band=3)
+    a = measured_oscillation(f, cubes)
+    assert a.value == max(float(np.abs(f.restrict(q) - f.restrict(q).mean()).mean()) for q in cubes)
+    rung = Rung(m, f, make_family(kind, (1.0, math.inf)), a, two_q_functional(a), cubes)
+    assert_rows_equal_per_cube(rung, k_max=4)
+
+
+def test_block_walk_of_a_side_one_cube_off_the_origin():
+    # k = 0 is the cube itself, its cells in the order from its anchor across
+    # the seam and not saturated; k = 1 is the saturated torus
+    m = 64
+    q = Cube((0.375,), 1.0)
+    f = make_field("log-distance", 1, m, center=0.5)
+    fam = make_family("extended-average", (1.0, math.inf))
+    rung = Rung(m, f, fam, ConstantFunctional(1.0), ConstantFunctional(1.0), [Cube((0.25,), 0.25), q])
+    rows = rung.hypothesis_rows(3)
+    assert [(row[1], row[5]) for row in rows if row[0] is q] == [(0, False), (1, True)]
+    assert_rows_equal_per_cube(rung)
+
+
+def test_zero_rows_have_zero_weak_and_exponential_norms():
+    m = 64
+    f = make_field("constant", 1, m, value=2.0)
+    cubes = make_cube_sample(1, m, 8, 4, seed=0)
+    rung = Rung(m, f, make_family("classical-average", (1.0, math.inf)), ConstantFunctional(1.0),
+                ConstantFunctional(1.0), cubes)
+    for block in rung.blocks():
+        vals = np.abs(rung.b_rows(block)(block.anchors, block.c))
+        assert not vals.any()
+        mu = np.full((1, vals.shape[1]), f.cell_volume)
+        assert weak_lq_norms(vals, mu, 2.0).tolist() == [0.0] * len(vals)
+        assert exp_luxemburg_norms(vals, mu).tolist() == [0.0] * len(vals)
+    assert_rows_equal_per_cube(rung)
+
+
+def test_sweep_flags_mark_a_saturated_or_seam_crossing_two_q():
+    # bit 0: 2Q is the torus; bit 1: 2Q crosses the seam on some axis
+    m = 32
+    cubes = [Cube((0.0, 0.0), 0.5), Cube((0.875, 0.25), 0.125), Cube((0.25, 0.96875), 0.125),
+             Cube((0.25, 0.5), 0.125), Cube((0.0, 0.0), 0.25)]
+    f = make_field("random-smooth", 2, m, seed=3, band=3)
+    a = ConstantFunctional(1.0)
+    rung = Rung(m, f, make_family("extended-average", (1.0, math.inf)), a, a, cubes)
+    _rep, rows = verify_weak_improvement([rung], 2.0, dq_report_for(a, m, 2.0))
+    assert [row[5] for row in rows] == [1, 2, 2, 0, 2]
 
 
 # ---------------------------------------------------------------------------

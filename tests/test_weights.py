@@ -10,6 +10,7 @@ from osclab.cubes import Cube, full_torus
 from osclab.grid import Field, make_field
 from osclab.verify import make_cube_sample
 from osclab.weights import (
+    AINF_PROBE_R,
     Weight,
     ap_constant_on_cube,
     ones_weight,
@@ -170,3 +171,24 @@ def test_report_serialization():
     rep = weight_report(w, [2.0], make_cube_sample(1, 16, min_cells=4, off_dyadic=16, seed=0), seed=0)
     d = report_tree(rep)
     assert set(d) >= {"ap", "rh", "theta", "cubes_sampled", "seed"}
+
+
+@pytest.mark.parametrize("ps", [[1.0, 1.5, 2.0, 4.0], [1.0, 3.0]])
+def test_ainf_probe_reads_the_rh_constant_at_its_exponent(monkeypatch, ps):
+    # RH at AINF_PROBE_R is measured once: the probe reads rh[2.0] when ps
+    # holds 2, and sweeps the sample itself otherwise
+    from osclab import weights
+
+    w = power_weight(64)
+    sample = make_cube_sample(1, 64, min_cells=4, off_dyadic=8, seed=1)
+    calls = []
+    rh_on_cube = weights.rh_constant_on_cube
+
+    def counting(w, q, p):
+        calls.append(p)
+        return rh_on_cube(w, q, p)
+
+    monkeypatch.setattr(weights, "rh_constant_on_cube", counting)
+    rep = weight_report(w, ps, sample, seed=0)
+    assert calls.count(AINF_PROBE_R) == len(sample)
+    assert rep.ainf_probe_constant == max(rh_on_cube(w, q, AINF_PROBE_R) for q in sample)

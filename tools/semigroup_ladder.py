@@ -19,7 +19,9 @@ over all dyadic times t = (2^k / m)^2, k = 0..log2 m, and its error:
   runs one) and printed first, with that process's peak resident set
   (``ru_maxrss``) before and after the solve; and ``semigroup_apply`` on
   three fields at m = 32, 64, 128, where a NumericError (the a-posteriori
-  check refusing the basis) is printed as the rung's result.
+  check refusing a basis grown to the operator's ``krylov_cap``) is printed
+  as the rung's result.  ``k`` is the dimension every basis starts with; a
+  basis that fails its check grows past it.
 
 The error is the largest |difference| over times, fields and cells, divided by
 the largest |f|, against the same backend with 20 more basis vectors
