@@ -18,7 +18,7 @@ cell-centered grid and provides, on top of it:
 """
 
 from osclab.cubes import Cube, dilate
-from osclab.grid import Field, exp_luxemburg_norm, kolmogorov_check, lp_average, maximal_function, weak_lq_norm
+from osclab.grid import Field, lp_average, maximal_function
 from osclab.weights import Weight
 
 __version__ = "0.1.0"
@@ -28,10 +28,7 @@ __all__ = [
     "Field",
     "Weight",
     "dilate",
-    "exp_luxemburg_norm",
-    "kolmogorov_check",
     "lp_average",
     "maximal_function",
-    "weak_lq_norm",
     "__version__",
 ]

@@ -181,17 +181,6 @@ def concentric(q: Cube, lam: float) -> Dilation:
     return Dilation(Cube(tuple((c - side / 2.0) % 1.0 for c in q.center), side), False)
 
 
-def dyadic_dilations(q: Cube, m: int, k_max: Optional[int] = None) -> Iterator[tuple[int, Dilation]]:
-    """Yield (k, 2^k q) for k = 0, 1, ... stopping after the first saturated cube."""
-    k = 0
-    while True:
-        d = Dilation(q, False) if k == 0 else dilate(q, float(2 ** k), m)
-        yield k, d
-        if d.saturated or (k_max is not None and k >= k_max):
-            return
-        k += 1
-
-
 # ---------------------------------------------------------------------------
 # Cube samples as arrays
 # ---------------------------------------------------------------------------
@@ -214,9 +203,10 @@ class CubeBlock(NamedTuple):
         return (self.anchors + first) % m, size, False
 
     def dyadic_dilations(self, m: int, k_max: int) -> Iterator[tuple[int, np.ndarray, int, bool]]:
-        """Yield (k, anchor cells, cells per axis, saturated) of 2^k Q, as
-        ``dyadic_dilations`` walks each cube of the block: Q itself at k = 0,
-        then up to k_max or the first saturated dilate, the same k for all."""
+        """Yield (k, anchor cells, cells per axis, saturated) of the dyadic
+        dilates 2^k Q of the block's cubes: Q itself at k = 0, unsaturated
+        even when it is the torus, then ``dilate``'s 2^k Q up to k_max or the
+        first saturated dilate, the same k for all."""
         yield 0, self.anchors, self.c, False
         for k in range(1, k_max + 1):
             anchors, size, saturated = self.dilate(float(2 ** k), m)

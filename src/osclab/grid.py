@@ -85,22 +85,6 @@ class Field:
         return full_torus(self.dimension)
 
 
-def _cell_measures(f: Field, q: Cube, w: Optional[Weight]) -> tuple[np.ndarray, np.ndarray]:
-    """(|f| samples on q, cell measures) as one row each, with matching ordering."""
-    m = f.resolution
-    vals = np.abs(f.restrict(q))
-    if w is None:
-        mu = np.full(vals.shape, f.cell_volume)
-    else:
-        dens = w.density.values
-        if dens.shape != f.values.shape:
-            raise ParameterError("weight resolution does not match the field")
-        mu = dens[q.index(m)].ravel() * f.cell_volume
-    if vals.size == 0:
-        raise ParameterError("cube contains no cells at this resolution")
-    return vals[None], mu[None]
-
-
 # The row kernels below take |f| and the cell measures mu on the cells of
 # cubes, one C-contiguous row per cube (a (1, N) mu serves every row), and
 # reduce along the last axis.  numpy sums each row of such a reduction
@@ -174,32 +158,18 @@ def exp_luxemburg_norms(vals: np.ndarray, mu: np.ndarray) -> np.ndarray:
 
 
 def lp_average(f: Field, q: Cube, p: float, w: Optional[Weight] = None) -> float:
-    """Normalized L^p average (integral mean of |f|^p over q, to the 1/p)."""
+    """Normalized L^p average (integral mean of |f|^p over q, to the 1/p):
+    ``power_means`` on the one row of q's cells, under the measure of w."""
     if not (p >= 1.0):
         raise ParameterError(f"p must be >= 1, got {p}")
-    return float(power_means(*_cell_measures(f, q, w), p)[0])
-
-
-def weak_lq_norm(f: Field, q_cube: Cube, q: float, w: Optional[Weight] = None) -> float:
-    """Weak-L^q quasinorm of f on q_cube (``weak_lq_norms``)."""
-    if not (q > 0):
-        raise ParameterError(f"q must be positive, got {q}")
-    return float(weak_lq_norms(*_cell_measures(f, q_cube, w), q)[0])
-
-
-def exp_luxemburg_norm(f: Field, q: Cube, w: Optional[Weight] = None) -> float:
-    """Luxemburg norm of the exponential Orlicz class on q (``exp_luxemburg_norms``)."""
-    return float(exp_luxemburg_norms(*_cell_measures(f, q, w))[0])
-
-
-def kolmogorov_check(
-    f: Field, q_cube: Cube, r: float, q: float, w: Optional[Weight] = None
-) -> tuple[float, float]:
-    """(L^r average, kolmogorov_factor(r, q) x weak-L^q norm); the first never exceeds the second."""
-    if not (0 < r < q):
-        raise ParameterError(f"need 0 < r < q, got r={r}, q={q}")
-    vals, mu = _cell_measures(f, q_cube, w)
-    return float(power_means(vals, mu, r)[0]), kolmogorov_factor(r, q) * float(weak_lq_norms(vals, mu, q)[0])
+    vals = np.abs(f.restrict(q))
+    if w is None:
+        mu = np.full(vals.shape, f.cell_volume)
+    elif w.density.values.shape != f.values.shape:
+        raise ParameterError("weight resolution does not match the field")
+    else:
+        mu = w.density.restrict(q) * f.cell_volume
+    return float(power_means(vals[None], mu[None], p)[0])
 
 
 def kolmogorov_factor(r: float, q: float) -> float:

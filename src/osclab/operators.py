@@ -174,10 +174,13 @@ def _fourier_apply(op: EllipticOperator, multiplier: np.ndarray, f: Field) -> Fi
 def semigroup_apply(op: EllipticOperator, times: Sequence[float],
                     fields: Sequence[Field]) -> list[list[Field]]:
     """e^{-tL} g for every time t and field g, ``out[i][j]`` for time i and field j:
-    the exact multiplier when A is constant, and the rational Krylov backend
-    (_krylov_apply) on the stencil.  There every time of the call reads one
-    basis per field, built with the operator's fixed shifts, so a time's
-    result does not depend on the other times or fields of the call.
+    the exact multiplier when A is constant, each result on its own, and the
+    rational Krylov backend (_krylov_apply) on the stencil.  There the fields
+    of a call are independent: each reads its own basis, built with the
+    operator's fixed shifts.  The times of a call share their field's basis
+    and its growth, which stops once the check passes for every time; so a
+    time's result may differ from the one its lone call gives, by no more
+    than the check tolerance, and every result passes the check.
     """
     times = [float(t) for t in times]
     for t in times:

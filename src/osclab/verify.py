@@ -22,7 +22,6 @@ from osclab.cubes import (
     CubeBlock,
     cell_rows,
     dilate,
-    dyadic_dilations,
     dyadic_generation,
     full_torus,
     cubes_at,
@@ -42,7 +41,6 @@ from osclab.grid import (
     Field,
     exp_luxemburg_norms,
     kolmogorov_factor,
-    lp_average,
     maximal_function,
     power_means,
     weak_lq_norms,
@@ -85,10 +83,9 @@ def measured_oscillation(f: Field, cubes: Sequence[Cube]) -> ConstantFunctional:
     """Constant functional holding the measured oscillation sup_Q mean_Q |f - f_Q|."""
     best = 0.0
     m, flat = f.resolution, f.values.ravel()
-    for block in sample_blocks(cubes, m):
-        for part in _parts(block, block.c ** f.dimension):
-            vals = flat[cell_rows(part.anchors, part.c, m)]
-            best = max(best, float(np.abs(vals - vals.mean(axis=1, keepdims=True)).mean(axis=1).max()))
+    for part, _dilates in _dilate_parts(sample_blocks(cubes, m), m, f.dimension, 0):
+        vals = flat[cell_rows(part.anchors, part.c, m)]
+        best = max(best, float(np.abs(vals - vals.mean(axis=1, keepdims=True)).mean(axis=1).max()))
     return ConstantFunctional(best)
 
 
@@ -98,13 +95,17 @@ def measured_oscillation(f: Field, cubes: Sequence[Cube]) -> ConstantFunctional:
 _ROW_CELLS = 1 << 16
 
 
-def _parts(block: CubeBlock, width: int) -> list[CubeBlock]:
-    """``block`` in consecutive parts whose rows of ``width`` cells fit in _ROW_CELLS."""
-    step = max(1, _ROW_CELLS // width)
-    if step >= len(block.members):
-        return [block]
-    return [CubeBlock(block.c, block.members[i:i + step], block.anchors[i:i + step])
-            for i in range(0, len(block.members), step)]
+def _dilate_parts(blocks: Sequence[CubeBlock], m: int, n: int, k_max: int):
+    """The one walk over the blocks of a cube sample and the dyadic dilates
+    of their cubes: each block in consecutive parts whose rows of its widest
+    dilate fit in _ROW_CELLS, yielded as (part, its ``dyadic_dilations(m,
+    k_max)`` as a list)."""
+    for block in blocks:
+        widest = list(block.dyadic_dilations(m, k_max))[-1][2]
+        step = max(1, _ROW_CELLS // widest ** n)
+        for i in range(0, len(block.members), step):
+            part = CubeBlock(block.c, block.members[i:i + step], block.anchors[i:i + step])
+            yield part, list(part.dyadic_dilations(m, k_max))
 
 
 def two_q_functional(a: Functional) -> DilationSeries:
@@ -121,13 +122,14 @@ class Rung:
     harnesses read B_Q f on the cells of the sampled cubes and their
     dilates as gathered rows, one block per cell count (``b_rows``); no
     B_Q f is formed as a field, except for a family that depends only on
-    the sidelength, whose rows gather from its one B field per side.
-    ``cache`` holds those B fields and any other ``b_field`` (keyed by the
-    cube's value; one per side for such a family), the sample's blocks,
-    and the walk of the hypothesis over the sample (``hypothesis_rows``).
-    Rungs made from this one by ``dataclasses.replace`` share it, and its
-    keys carry the material an entry was computed from, so a rung with
-    other material never reads an entry that is not its own.
+    the sidelength, whose rows gather from its B field at each side of the
+    sample, all sides from one ``apply_B_scales`` call.  ``cache`` holds one
+    memo per rung material (m, field, family, hypothesis, cube_sample),
+    keyed by their identities: the sample's blocks, those B fields and the
+    walk of the hypothesis over the sample (``hypothesis_rows``).  Rungs
+    made from this one by ``dataclasses.replace`` share the cache; one with
+    only another ``denominator`` or ``weight`` reads the same memo, one with
+    other material a memo of its own.
     """
 
     m: int
@@ -139,25 +141,18 @@ class Rung:
     weight: Optional[Weight] = None
     cache: dict = dc_field(default_factory=dict, repr=False, compare=False)
 
-    def b_field(self, q: Cube) -> Field:
-        """B_Q f of this rung's field, computed once per cube.
-
-        Families that depend only on the sidelength keep one entry per side.
-        """
-        fam, f = self.family, self.field
-        key = (id(f), id(fam), q.side if fam.sidelength_only else q)
-        if key not in self.cache:
-            # the entry keeps f and fam alive, so their ids stay unique
-            self.cache[key] = (f, fam, fam.apply_B(f, q))
-        return self.cache[key][2]
+    def _memo(self) -> _Memo:
+        """The memo of this rung's material, made on first use."""
+        material = (self.field, self.family, self.hypothesis, self.cube_sample)
+        key = (self.m, *map(id, material))
+        memo = self.cache.get(key)
+        if memo is None:
+            memo = self.cache[key] = _Memo(material, sample_blocks(self.cube_sample, self.m))
+        return memo
 
     def blocks(self) -> list[CubeBlock]:
-        """The cube sample as ``CubeBlock``s, one per cell count, built once."""
-        key = ("blocks", self.m, id(self.cube_sample))
-        if key not in self.cache:
-            # the entry keeps the sample alive, so its id stays unique
-            self.cache[key] = (self.cube_sample, sample_blocks(self.cube_sample, self.m))
-        return self.cache[key][1]
+        """The cube sample as ``CubeBlock``s, one per cell count."""
+        return self._memo().blocks
 
     def b_rows(self, block: CubeBlock):
         """The function (anchor cells, size) -> B_Q f on the cells of the cubes
@@ -166,7 +161,12 @@ class Rung:
         only on the sidelength a gather from its B field of that side."""
         if not self.family.sidelength_only:
             return self.family.b_rows(self.field, block)
-        b = self.b_field(self.cube_sample[block.members[0]]).values.ravel()
+        memo = self._memo()
+        if memo.b_fields is None:
+            sides = [self.cube_sample[b.members[0]].side for b in memo.blocks]
+            per_side = self.family.apply_B_scales(sides, [self.field])
+            memo.b_fields = {b.c: bf.values.ravel() for b, (bf,) in zip(memo.blocks, per_side)}
+        b = memo.b_fields[block.c]
         return lambda anchors, size: b[cell_rows(anchors, size, self.m)]
 
     def hypothesis_rows(self, k_max: int) -> list:
@@ -175,16 +175,13 @@ class Rung:
 
         The walk is kept at the deepest ``k_max`` asked for so far; a shallower
         request filters it to k <= k_max, which are the rows a fresh walk gives
-        because ``dyadic_dilations`` yields the same prefix and stops at the
-        same saturation.
+        because ``CubeBlock.dyadic_dilations`` yields the same prefix and stops
+        at the same saturation.
         """
-        material = (self.field, self.family, self.hypothesis, self.cube_sample)
-        key = ("hypothesis", self.m, *map(id, material))
-        entry = self.cache.get(key)
-        if entry is None or entry[1] < k_max:
-            # the entry keeps the material alive, so its ids stay unique
-            entry = self.cache[key] = (material, k_max, self._walk(k_max))
-        return [row for row in entry[2] if row[1] <= k_max]
+        memo = self._memo()
+        if memo.walk is None or memo.walk[0] < k_max:
+            memo.walk = (k_max, self._walk(k_max))
+        return [row for row in memo.walk[1] if row[1] <= k_max]
 
     def _walk(self, k_max: int) -> list:
         """The hypothesis walk up to the 2^{k_max} dilates, block by block: the
@@ -193,24 +190,32 @@ class Rung:
         k, each against hypothesis(2^k Q)."""
         m, n, p0 = self.m, self.field.dimension, self.family.p0
         walked = [None] * len(self.cube_sample)  # per cube: its (k, 2^k Q, num, saturated)
-        for block in self.blocks():
-            widest = list(block.dyadic_dilations(m, k_max))[-1][2]
-            for part in _parts(block, widest ** n):
-                b_rows = self.b_rows(part)
-                per_k = []
-                for k, anchors, size, saturated in part.dyadic_dilations(m, k_max):
-                    unit = np.full((1, size ** n), self.field.cell_volume)
-                    nums = power_means(np.abs(b_rows(anchors, size)), unit, p0).tolist()
-                    per_k.append((k, None if k == 0 else cubes_at(anchors, size, m), nums, saturated))
-                for j, i in enumerate(part.members.tolist()):
-                    walked[i] = [(k, self.cube_sample[i] if cubes is None else cubes[j], nums[j], saturated)
-                                 for k, cubes, nums, saturated in per_k]
+        for part, dilates in _dilate_parts(self.blocks(), m, n, k_max):
+            b_rows = self.b_rows(part)
+            per_k = []
+            for k, anchors, size, saturated in dilates:
+                unit = np.full((1, size ** n), self.field.cell_volume)
+                nums = power_means(np.abs(b_rows(anchors, size)), unit, p0).tolist()
+                per_k.append((k, None if k == 0 else cubes_at(anchors, size, m), nums, saturated))
+            for j, i in enumerate(part.members.tolist()):
+                walked[i] = [(k, self.cube_sample[i] if cubes is None else cubes[j], nums[j], saturated)
+                             for k, cubes, nums, saturated in per_k]
         rows = []
         for q, steps in zip(self.cube_sample, walked):
             for k, cube, num, saturated in steps:
                 den = self.hypothesis.eval(cube)
                 rows.append((q, k, num, den, ratio(num, den), saturated))
         return rows
+
+
+class _Memo:
+    """What a rung computes once per material: the sample's ``blocks``, a
+    sidelength-only family's flat B fields by cell count (``b_fields``) and
+    the deepest hypothesis ``walk`` so far, as (k_max, rows).  It holds the
+    ``material`` too, so the ids in its key stay unique."""
+
+    def __init__(self, material: tuple, blocks: list[CubeBlock]):
+        self.material, self.blocks, self.b_fields, self.walk = material, blocks, None, None
 
 
 def _stable(per_resolution: dict) -> bool:
@@ -313,13 +318,12 @@ def _sweep(
             raise ParameterError("weight resolution does not match the field")
         nums = np.empty(len(rung.cube_sample))
         flags = np.empty(len(rung.cube_sample), dtype=int)
-        for block in rung.blocks():
-            for part in _parts(block, block.c ** n):
-                q_rows = cell_rows(part.anchors, part.c, m)
-                mu = np.full((1, q_rows.shape[1]), vol) if dens is None else dens.ravel()[q_rows] * vol
-                nums[part.members] = norm(np.abs(rung.b_rows(part)(part.anchors, part.c)), mu)
-            two_q, size, saturated = block.dilate(2.0, m)
-            flags[block.members] = 1 if saturated else 2 * np.any(two_q + size > m, axis=1)
+        for part, _dilates in _dilate_parts(rung.blocks(), m, n, 0):
+            q_rows = cell_rows(part.anchors, part.c, m)
+            mu = np.full((1, q_rows.shape[1]), vol) if dens is None else dens.ravel()[q_rows] * vol
+            nums[part.members] = norm(np.abs(rung.b_rows(part)(part.anchors, part.c)), mu)
+            two_q, size, saturated = part.dilate(2.0, m)
+            flags[part.members] = 1 if saturated else 2 * np.any(two_q + size > m, axis=1)
         best = 0.0
         for q, num, flag in zip(rung.cube_sample, nums.tolist(), flags.tolist()):
             den = rung.denominator.eval(q)
@@ -449,7 +453,7 @@ def verify_good_lambda(
     p0, q0 = fam.p0, fam.q0
     vol_cell = f.cell_volume
 
-    bq = rung.b_field(q_cube)
+    bq = fam.apply_B(f, q_cube)
     bq2 = fam.apply_B(bq, q_cube)
     alt = bq.values - (bq.values - bq2.values)  # B_Q - A_Q B_Q, with A_Q = I - B_Q
     scale = float(np.max(np.abs(bq2.values)) + 1e-300)
@@ -493,7 +497,7 @@ def verify_good_lambda(
     prop_const = 0.0
     warnings = []
     struct_factor = (lam / s_mult) ** p0 + (0.0 if math.isinf(q0) else s_mult ** (-q0))
-    g_field = Field(g_vals)
+    g_flat = g_vals.ravel()
     for t in ts:
         omega_t = mg > t
         omega_st = mg > s_mult * t
@@ -511,11 +515,14 @@ def verify_good_lambda(
             chk = whitney_check(omega_t, cubes, m)
             chk["t"] = float(t)
             whitney.append(chk)
-            for w_cube in cubes:
-                if w_cube.disjoint_from(q_cube):
-                    continue
-                for _k, d in dyadic_dilations(w_cube, m):
-                    prop_const = max(prop_const, lp_average(g_field, d.cube, p0) / t)
+            # the L^{p0} averages of G on every dyadic dilate of the Whitney
+            # cubes that meet Q, to saturation (by k = log2 m at the latest)
+            meeting = [w_cube for w_cube in cubes if not w_cube.disjoint_from(q_cube)]
+            for _part, dilates in _dilate_parts(sample_blocks(meeting, m), m, f.dimension, m.bit_length()):
+                for _k, anchors, size, _saturated in dilates:
+                    unit = np.full((1, size ** f.dimension), vol_cell)
+                    means = power_means(g_flat[cell_rows(anchors, size, m)], unit, p0)
+                    prop_const = max(prop_const, float(means.max()) / t)
     branches = {r[1] for r in rows}
     finite = all(math.isfinite(r[5]) for r in rows)
     invariants_ok = all(

@@ -10,7 +10,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from osclab import cli, verify
+from osclab import cli, operators, verify
 from osclab._support import ParameterError
 from osclab.cli import (
     ExperimentConfig,
@@ -248,6 +248,20 @@ def test_load_reports_a_missing_top_level_key(tmp_path, key):
         ExperimentConfig.load(str(path))
 
 
+def recording_rungs(monkeypatch) -> list:
+    """The rungs ``cli.build_rung`` builds from now on, in order."""
+    rungs = []
+    build_rung = cli.build_rung
+
+    def recording_build_rung(cfg, m):
+        rung, profile = build_rung(cfg, m)
+        rungs.append(rung)
+        return rung, profile
+
+    monkeypatch.setattr(cli, "build_rung", recording_build_rung)
+    return rungs
+
+
 @pytest.mark.parametrize(
     "config, overrides",
     [("classical-jn", ["resolution_ladder=[64,128]"]), ("weighted-power", [])],
@@ -257,26 +271,18 @@ def test_averaging_harnesses_form_no_b_field_but_good_lambdas(monkeypatch, confi
     # B_Q f of an averaging family on gathered rows, so the only B_Q f of a
     # rung field formed as a field is the good-lambda harness's one cube
     cfg = ExperimentConfig.load(bundled_config_path(config), overrides)
-    rung_fields = set()
-    build_rung = cli.build_rung
-
-    def recording_build_rung(cfg, m):
-        rung, profile = build_rung(cfg, m)
-        rung_fields.add(id(rung.field))
-        return rung, profile
-
+    rungs = recording_rungs(monkeypatch)
     calls = Counter()
     apply_b = OscillationFamily.apply_B
 
     def counting_apply_b(self, f, q):
-        if id(f) in rung_fields:
+        if any(f is rung.field for rung in rungs):
             calls[q] += 1
         return apply_b(self, f, q)
 
-    monkeypatch.setattr(cli, "build_rung", recording_build_rung)
     monkeypatch.setattr(OscillationFamily, "apply_B", counting_apply_b)
     cli.run_pipeline(cfg)
-    assert rung_fields
+    assert rungs
     good_lambda = {cfg.good_lambda["cube"]: 1} if "good-lambda" in cfg.harnesses else {}
     assert dict(calls) == good_lambda
 
@@ -302,6 +308,41 @@ def test_harnesses_walk_each_rung_once_per_deepest_k_max(monkeypatch, config, ov
     cli.run_pipeline(cfg)
     assert calls and max(calls.values()) == 1, calls.most_common(1)
     assert len({key[:-1] for key in calls}) == len(calls)
+
+
+@pytest.mark.parametrize(
+    "config, overrides",
+    [("classical-jn", ["resolution_ladder=[64,128]"]), ("weighted-power", [])],
+)
+def test_a_full_run_leaves_one_memo_per_rung_material(monkeypatch, config, overrides):
+    # the exponential and weighted-identity harnesses replace only the
+    # denominator or the weight, so they read the memo of the rung they
+    # were made from
+    rungs = recording_rungs(monkeypatch)
+    cli.run_pipeline(ExperimentConfig.load(bundled_config_path(config), overrides))
+    assert rungs
+    for rung in rungs:
+        (key,) = rung.cache
+        assert key == (rung.m, id(rung.field), id(rung.family), id(rung.hypothesis), id(rung.cube_sample))
+
+
+def test_epi_pair_hyp_k_makes_one_semigroup_call_per_rung(monkeypatch):
+    # the semigroup family's B fields at every side of the sample come from
+    # one apply_B_scales call, so one semigroup_apply call on the rung field
+    rungs = recording_rungs(monkeypatch)
+    calls = Counter()
+    semigroup_apply = operators.semigroup_apply
+
+    def counting_semigroup_apply(op, times, fields):
+        for rung in rungs:
+            calls[id(rung)] += any(g is rung.field for g in fields)
+        return semigroup_apply(op, times, fields)
+
+    monkeypatch.setattr(operators, "semigroup_apply", counting_semigroup_apply)
+    cfg = ExperimentConfig.load(bundled_config_path("epi-pair"))
+    assert "hyp-k" in cfg.harnesses and cfg.family["kind"] == "semigroup"
+    cli.run_pipeline(cfg)
+    assert rungs and calls == {id(rung): 1 for rung in rungs}
 
 
 def test_emit_refuses_empty_report(tmp_path):

@@ -24,7 +24,6 @@ from osclab.cubes import (
     descendant,
     Dilation,
     dilate,
-    dyadic_dilations,
     dyadic_generation,
     full_torus,
     sample_blocks,
@@ -105,10 +104,32 @@ def test_dilate_rejects_shrinking():
         dilate(Cube((0.0,), 0.5), 0.5, 16)
 
 
-def test_dyadic_dilations_stop_at_saturation():
-    q = Cube((0.0,), 0.125)
-    ks = [k for k, d in dyadic_dilations(q, 64)]
-    assert ks == [0, 1, 2, 3]  # 2^3 * 1/8 = 1 saturates
+def per_cube_dilates(q: Cube, m: int, k_max: int) -> list:
+    """(k, 2^k q, saturated): q itself at k = 0, then ``dilate``'s 2^k q up
+    to k_max or the first saturated one."""
+    out = [(0, q, False)]
+    for k in range(1, k_max + 1):
+        d = dilate(q, float(2 ** k), m)
+        out.append((k, d.cube, d.saturated))
+        if d.saturated:
+            break
+    return out
+
+
+def test_block_dyadic_dilations_stop_at_saturation():
+    # 2^3 * 1/8 = 1 saturates; a side-1 cube off the origin is itself,
+    # unsaturated and anchored at its own cell, at k = 0, and the saturated
+    # torus, anchored at cell 0, at k = 1
+    m = 64
+    block, = sample_blocks([Cube((0.0,), 0.125), Cube((0.5,), 0.125)], m)
+    walk = list(block.dyadic_dilations(m, 10))
+    assert [(k, size, saturated) for k, _a, size, saturated in walk] == [
+        (0, 8, False), (1, 16, False), (2, 32, False), (3, m, True)]
+    assert walk[-1][1].tolist() == [[0], [0]]
+    side_one, = sample_blocks([Cube((0.375,), 1.0)], m)
+    walk = list(side_one.dyadic_dilations(m, 10))
+    assert [(k, anchors.tolist(), size, saturated) for k, anchors, size, saturated in walk] == [
+        (0, [[24]], m, False), (1, [[0]], m, True)]
 
 
 def lattice_cubes(dim, m):
@@ -609,10 +630,10 @@ def test_cube_blocks_match_the_per_cube_geometry(dim, m):
         for j, i in enumerate(block.members.tolist()):
             q = cubes[i]
             assert q.cells_per_axis(m) == block.c
-            want = list(dyadic_dilations(q, m, 4))
-            assert [(k, saturated) for k, _a, _s, saturated in walk] == [(k, d.saturated) for k, d in want]
-            for (k, anchors, size, _saturated), (_k, d) in zip(walk, want):
-                assert np.array_equal(cell_rows(anchors, size, m)[j], cells[d.cube.index(m)].ravel())
-                assert k == 0 or cubes_at(anchors, size, m)[j] == d.cube
+            want = per_cube_dilates(q, m, 4)
+            assert [(k, saturated) for k, _a, _s, saturated in walk] == [(k, saturated) for k, _d, saturated in want]
+            for (k, anchors, size, _saturated), (_k, d, _sat) in zip(walk, want):
+                assert np.array_equal(cell_rows(anchors, size, m)[j], cells[d.index(m)].ravel())
+                assert k == 0 or cubes_at(anchors, size, m)[j] == d
                 inside = cell_membership(anchors, size, two_q, two_size, m)[j]
-                assert np.array_equal(inside, dilate(q, 2.0, m).cube.mask(m)[d.cube.index(m)].ravel())
+                assert np.array_equal(inside, dilate(q, 2.0, m).cube.mask(m)[d.index(m)].ravel())

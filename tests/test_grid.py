@@ -13,14 +13,12 @@ from osclab._support import DataError, ParameterError
 from osclab.cubes import Cube, full_torus
 from osclab.grid import (
     Field,
-    exp_luxemburg_norm,
     exp_luxemburg_norms,
-    kolmogorov_check,
+    kolmogorov_factor,
     lp_average,
     make_field,
     maximal_function,
     power_means,
-    weak_lq_norm,
     weak_lq_norms,
 )
 from osclab.weights import Weight
@@ -29,6 +27,14 @@ from osclab.weights import Weight
 def rnd_field(seed: int, m: int = 16, dim: int = 1) -> Field:
     rng = np.random.Generator(np.random.Philox(seed))
     return Field(rng.normal(size=(m,) * dim))
+
+
+def one_row(f: Field, q: Cube, w: Weight = None) -> tuple[np.ndarray, np.ndarray]:
+    """|f| on the cells of q and their measures (w dx, or dx without w), one
+    row each: the row kernels' input for the one cube q."""
+    vals = np.abs(f.restrict(q))[None]
+    dens = np.ones(vals.shape) if w is None else w.density.restrict(q)[None]
+    return vals, dens * f.cell_volume
 
 
 # ---------------------------------------------------------------------------
@@ -79,20 +85,20 @@ def test_constant_integral_exact():
 
 
 # ---------------------------------------------------------------------------
-# weak_lq_norm
+# weak_lq_norms on one row
 # ---------------------------------------------------------------------------
 
 
 def test_weak_norm_constant():
     f = make_field("constant", 1, 8, value=4.0)
-    assert weak_lq_norm(f, full_torus(1), 2.0) == pytest.approx(4.0, rel=1e-14)
+    assert weak_lq_norms(*one_row(f, full_torus(1)), 2.0)[0] == pytest.approx(4.0, rel=1e-14)
 
 
 def test_weak_norm_indicator():
     m = 16
     f = make_field("indicator", 1, m, cube={"anchor": [0.0], "side": 0.25})
     q = Cube((0.0,), 0.5)
-    assert weak_lq_norm(f, q, 2.0) == pytest.approx(math.sqrt(0.5), rel=1e-14)
+    assert weak_lq_norms(*one_row(f, q), 2.0)[0] == pytest.approx(math.sqrt(0.5), rel=1e-14)
 
 
 def brute_force_weak(vals: np.ndarray, q: float) -> float:
@@ -109,20 +115,20 @@ def brute_force_weak(vals: np.ndarray, q: float) -> float:
 def test_weak_norm_matches_brute_force():
     for seed in range(25):
         f = rnd_field(seed, m=32)
-        got = weak_lq_norm(f, full_torus(1), 1.5)
+        got = weak_lq_norms(*one_row(f, full_torus(1)), 1.5)[0]
         want = brute_force_weak(f.values, 1.5)
         assert got == pytest.approx(want, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
-# exp_luxemburg_norm
+# exp_luxemburg_norms on one row
 # ---------------------------------------------------------------------------
 
 
 def test_exp_norm_constant_closed_form():
     c = 2.0
     f = make_field("constant", 1, 16, value=c)
-    got = exp_luxemburg_norm(f, full_torus(1))
+    got = exp_luxemburg_norms(*one_row(f, full_torus(1)))[0]
     assert got == pytest.approx(c / math.log(2.0), rel=1e-9)
 
 
@@ -131,20 +137,20 @@ def test_exp_norm_half_indicator_closed_form():
     c = 3.0
     m = 16
     f = Field(c * np.concatenate([np.ones(m // 2), np.zeros(m // 2)]))
-    got = exp_luxemburg_norm(f, full_torus(1))
+    got = exp_luxemburg_norms(*one_row(f, full_torus(1)))[0]
     assert got == pytest.approx(c / math.log(3.0), rel=1e-9)
 
 
 def test_exp_norm_zero_field():
     f = make_field("constant", 1, 8, value=0.0)
-    assert exp_luxemburg_norm(f, full_torus(1)) == 0.0
+    assert exp_luxemburg_norms(*one_row(f, full_torus(1)))[0] == 0.0
 
 
 def test_exp_norm_gauge_residual():
     # at the returned lambda the gauge integral sits in [1 - tol, 1]
     for seed in range(5):
         f = rnd_field(seed, m=32)
-        lam = exp_luxemburg_norm(f, full_torus(1))
+        lam = exp_luxemburg_norms(*one_row(f, full_torus(1)))[0]
         vals = np.abs(f.values)
         gauge = np.mean(np.expm1(vals / lam))
         assert gauge <= 1.0 + 1e-9
@@ -161,7 +167,7 @@ def test_exp_norm_two_level_weighted_closed_form(dim, m, gamma):
     on_e = make_field("indicator", dim, m, cube={"anchor": [0.25] * dim, "side": 0.25}).values == 1.0
     density = w.density.values
     nu_e = math.fsum(density[on_e]) / math.fsum(density.ravel())
-    got = exp_luxemburg_norm(Field(c * on_e), full_torus(dim), w)
+    got = exp_luxemburg_norms(*one_row(Field(c * on_e), full_torus(dim), w))[0]
     assert got == pytest.approx(c / math.log1p(1.0 / nu_e), rel=1e-13)
 
 
@@ -169,7 +175,7 @@ def test_exp_norm_two_level_weighted_closed_form(dim, m, gamma):
                                make_field("fourier-mode", 2, 16, k=[1, 2])])
 def test_exp_norm_constant_modulus_is_its_starting_point(f):
     # |f| = c: the Jensen start log 2 / mean|f| is already the root c / ln 2
-    got = exp_luxemburg_norm(f, full_torus(f.dimension))
+    got = exp_luxemburg_norms(*one_row(f, full_torus(f.dimension)))[0]
     assert got == pytest.approx(float(np.max(np.abs(f.values))) / math.log(2.0), rel=1e-14)
 
 
@@ -185,7 +191,7 @@ def test_exp_norm_spike_far_above_its_mean():
     density[0] = 1e-40
     nu = density / density.sum()
     assert 1.0 / np.sum(nu * vals) == pytest.approx(1e6)
-    lam = exp_luxemburg_norm(Field(vals), full_torus(1), Weight(Field(density)))
+    lam = exp_luxemburg_norms(*one_row(Field(vals), full_torus(1), Weight(Field(density))))[0]
     assert lam < 1.0 / 64.0
     assert abs(np.sum(nu * np.expm1(vals / lam)) - 1.0) <= 1e-12
 
@@ -288,13 +294,19 @@ def test_row_kernels_give_each_row_what_it_gives_alone(width, weighted):
 
 
 # ---------------------------------------------------------------------------
-# kolmogorov_check
+# Kolmogorov's inequality on one row
 # ---------------------------------------------------------------------------
+
+
+def kolmogorov_sides(f: Field, q_cube: Cube, r: float, q: float) -> tuple[float, float]:
+    """(L^r average, kolmogorov_factor(r, q) x weak-L^q norm) of f on q_cube."""
+    vals, mu = one_row(f, q_cube)
+    return float(power_means(vals, mu, r)[0]), kolmogorov_factor(r, q) * float(weak_lq_norms(vals, mu, q)[0])
 
 
 def test_kolmogorov_constant():
     f = make_field("constant", 1, 8, value=5.0)
-    lhs, rhs = kolmogorov_check(f, full_torus(1), 1.0, 2.0)
+    lhs, rhs = kolmogorov_sides(f, full_torus(1), 1.0, 2.0)
     assert lhs == pytest.approx(5.0, rel=1e-14)
     assert rhs == pytest.approx(10.0, rel=1e-14)
 
@@ -304,16 +316,10 @@ def test_kolmogorov_indicator_closed_form():
     frac = 0.25
     f = make_field("indicator", 1, m, cube={"anchor": [0.0], "side": frac})
     r, q = 1.0, 2.0
-    lhs, rhs = kolmogorov_check(f, full_torus(1), r, q)
+    lhs, rhs = kolmogorov_sides(f, full_torus(1), r, q)
     assert lhs == pytest.approx(frac, rel=1e-13)
     assert rhs == pytest.approx(2.0 * math.sqrt(frac), rel=1e-13)
     assert lhs <= rhs
-
-
-def test_kolmogorov_rejects_bad_exponents():
-    f = rnd_field(0)
-    with pytest.raises(ParameterError):
-        kolmogorov_check(f, full_torus(1), 2.0, 2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -340,7 +346,7 @@ def test_weak_below_strong(seed, q):
         if q >= 1
         else float((np.abs(f.restrict(cube)) ** q).mean() ** (1 / q))
     )
-    assert weak_lq_norm(f, cube, q) <= strong * (1 + 1e-12)
+    assert weak_lq_norms(*one_row(f, cube), q)[0] <= strong * (1 + 1e-12)
 
 
 @settings(max_examples=40, deadline=None)
@@ -350,9 +356,11 @@ def test_homogeneity(seed, c):
     q = full_torus(1)
     scaled = Field(c * f.values)
     assert lp_average(scaled, q, 2.0) == pytest.approx(c * lp_average(f, q, 2.0), rel=1e-12)
-    assert weak_lq_norm(scaled, q, 2.0) == pytest.approx(c * weak_lq_norm(f, q, 2.0), rel=1e-12)
-    assert exp_luxemburg_norm(scaled, q) == pytest.approx(
-        c * exp_luxemburg_norm(f, q), rel=1e-8
+    assert weak_lq_norms(*one_row(scaled, q), 2.0)[0] == pytest.approx(
+        c * weak_lq_norms(*one_row(f, q), 2.0)[0], rel=1e-12
+    )
+    assert exp_luxemburg_norms(*one_row(scaled, q))[0] == pytest.approx(
+        c * exp_luxemburg_norms(*one_row(f, q))[0], rel=1e-8
     )
 
 

@@ -626,6 +626,36 @@ def test_refused_krylov_basis_grows_until_its_check_passes(monkeypatch):
     assert np.max(np.abs(got - want)) / np.max(np.abs(want)) <= 1e-9
 
 
+def test_times_of_one_call_share_their_basis_and_its_growth(monkeypatch):
+    # the operator and field of the test above: t = 1/16 alone passes the
+    # check with the fixed 40 steps; beside t = 1/4 it reads the basis grown
+    # to 50 for that time, and each time stays within the check tolerance of
+    # its lone call, relative to ||g - mean(g)|| as the check measures it
+    m = 32
+    op = high_contrast_operator_2d(m)
+    grown = []
+    grow = operators._grow
+
+    def recording_grow(op, bases, shape, steps):
+        grown.append(steps)
+        return grow(op, bases, shape, steps)
+
+    monkeypatch.setattr(operators, "_grow", recording_grow)
+    f = make_field("log-distance", 2, m, center=0.5)
+    times = [1 / 16, 1 / 4]
+    lone = []
+    for t in times:
+        grown.clear()
+        lone.append(heat(op, t, f).values)
+        assert grown == ([40] if t == 1 / 16 else [40, 50])
+    grown.clear()
+    shared = semigroup_apply(op, times, [f])
+    assert grown == [40, 50]
+    scale = np.linalg.norm(f.values - np.mean(f.values))
+    for (got,), want in zip(shared, lone):
+        assert np.linalg.norm(got.values - want) <= operators._CHECK_TOL * scale
+
+
 # Real 1-D and 2-D stencils, a real non-symmetric and a complex stencil, and a
 # constant operator on the spectral path.
 BATCH_OPERATORS = {

@@ -9,19 +9,14 @@ import numpy as np
 import pytest
 
 from osclab._support import ParameterError, ratio
-from osclab.cubes import Cube, cell_rows, dyadic_dilations, sample_disjoint_families
+from osclab.cubes import Cube, dilate, sample_disjoint_families, whitney_decompose
 from osclab.functionals import ConstantFunctional, estimate_condition, tilde_expand
 from osclab.grid import (
     Field,
-    exp_luxemburg_norm,
     exp_luxemburg_norms,
-    kolmogorov_check,
-    kolmogorov_factor,
-    lp_average,
     make_field,
     maximal_function,
     power_means,
-    weak_lq_norm,
     weak_lq_norms,
 )
 from osclab.operators import EllipticOperator, make_family, measure_offdiagonal, sharp_maximal
@@ -123,18 +118,43 @@ def test_hypothesis_infinite_when_functional_vanishes():
     assert math.isinf(rep.constant)
 
 
-def test_replaced_rung_with_other_field_reads_its_own_b_field():
-    import dataclasses
+def test_replaced_rung_with_other_field_reads_its_own_b_rows():
+    # a sidelength-only family's rows gather from the B fields in the memo of
+    # the rung's material; a rung replaced with another field shares the
+    # cache, gets a memo of its own and reads B_Q of its own field
+    m = 64
+    fam = make_family("semigroup", (1.0, math.inf), operator=identity_op(m))
+    f = make_field("log-distance", 1, m, center=0.5)
+    g = make_field("random-smooth", 1, m, seed=1, band=3)
+    a = ConstantFunctional(1.0)
+    rung = Rung(m, f, fam, a, a, make_cube_sample(1, m, 8, 4, seed=0))
+
+    def rows(r):
+        return [r.b_rows(block)(block.anchors, block.c) for block in r.blocks()]
+
+    own = rows(rung)
+    other = dataclasses.replace(rung, field=g)
+    theirs = rows(other)
+    assert other.cache is rung.cache and len(rung.cache) == 2
+    for block, got in zip(other.blocks(), theirs):
+        for j, i in enumerate(block.members.tolist()):
+            q = other.cube_sample[i]
+            assert np.array_equal(got[j], fam.apply_B(g, q).restrict(q)), q
+    assert all(np.array_equal(x, y) for x, y in zip(rows(rung), own))
+    assert not all(np.array_equal(x, y) for x, y in zip(theirs, own))
+
+
+def test_replaced_rung_with_other_denominator_or_weight_shares_the_memo():
+    from osclab.weights import ones_weight
 
     m = 64
     rung, _ = classical_jn_rung(m)
-    g = make_field("random-smooth", 1, m, seed=1, band=3)
-    q = rung.cube_sample[3]
-    own = rung.b_field(q)
-    other = dataclasses.replace(rung, field=g)
-    assert other.cache is rung.cache
-    assert np.array_equal(other.b_field(q).values, rung.family.apply_B(g, q).values)
-    assert rung.b_field(q) is own
+    walk = rung.hypothesis_rows(3)
+    for other in (dataclasses.replace(rung, denominator=ConstantFunctional(1.0)),
+                  dataclasses.replace(rung, weight=ones_weight(1, m))):
+        assert other.hypothesis_rows(3) is not walk and other.hypothesis_rows(3) == walk
+        assert other.blocks() is rung.blocks()
+    assert len(rung.cache) == 1
 
 
 def hypothesis_walk(rung, k_max) -> tuple:
@@ -159,8 +179,6 @@ def test_cached_hypothesis_walk_equals_a_fresh_walk(first, then):
      ("cube_sample", lambda rung: rung.cube_sample[::2])],
 )
 def test_replaced_rung_with_other_material_reads_its_own_hypothesis_walk(key, value):
-    import dataclasses
-
     m = 64
     rung, _ = classical_jn_rung(m)
     own = hypothesis_walk(rung, 3)
@@ -280,52 +298,69 @@ def test_weighted_unit_weight_reproduces_unweighted_exactly():
 # ---------------------------------------------------------------------------
 
 
+def per_cube_dilates(q: Cube, m: int, k_max: int) -> list:
+    """(k, 2^k Q, saturated): Q itself at k = 0, then ``dilate``'s 2^k Q up to
+    k_max or the first saturated one."""
+    out = [(0, q, False)]
+    for k in range(1, k_max + 1):
+        d = dilate(q, float(2 ** k), m)
+        out.append((k, d.cube, d.saturated))
+        if d.saturated:
+            break
+    return out
+
+
+def one_row(bf: Field, cube: Cube, weight=None) -> tuple[np.ndarray, np.ndarray]:
+    """|B_Q f| on the cells of ``cube`` and their measures, one row each."""
+    vals = np.abs(bf.restrict(cube))[None]
+    dens = np.ones(vals.shape) if weight is None else weight.density.restrict(cube)[None]
+    return vals, dens * bf.cell_volume
+
+
 def per_cube_walk(rung: Rung, k_max: int) -> list:
     """The hypothesis walk one cube at a time, on the field B_Q f of each cube."""
     rows = []
     for q in rung.cube_sample:
         bf = rung.family.apply_B(rung.field, q)
-        for k, d in dyadic_dilations(q, rung.m, k_max):
-            num = lp_average(bf, d.cube, rung.family.p0)
-            den = rung.hypothesis.eval(d.cube)
-            rows.append((q, k, num, den, ratio(num, den), d.saturated))
+        for k, cube, saturated in per_cube_dilates(q, rung.m, k_max):
+            num = float(power_means(*one_row(bf, cube), rung.family.p0)[0])
+            den = rung.hypothesis.eval(cube)
+            rows.append((q, k, num, den, ratio(num, den), saturated))
     return rows
 
 
 def assert_rows_equal_per_cube(rung: Rung, q: float = 2.0, r: float = 1.5, k_max: int = 3) -> None:
     """The block walk and the weak, strong and exponential row kernels on the
-    gathered |B_Q f| give, bit for bit, what the per-cube functions give on
-    the field B_Q f of each sampled cube; so do the weak sweep's rows."""
+    gathered |B_Q f| of each block give, bit for bit, what the kernels give
+    on one row of the field B_Q f of each sampled cube; so do the weak
+    sweep's rows."""
     assert rung.hypothesis_rows(k_max) == per_cube_walk(rung, k_max)
-    m, vol = rung.m, rung.field.cell_volume
-    factor = kolmogorov_factor(r, q)
     seen = []
     for block in rung.blocks():
-        q_rows = cell_rows(block.anchors, block.c, m)
-        mu = (np.full((1, q_rows.shape[1]), vol) if rung.weight is None
-              else rung.weight.density.values.ravel()[q_rows] * vol)
+        cubes = [rung.cube_sample[i] for i in block.members.tolist()]
+        ones = [one_row(rung.family.apply_B(rung.field, cube), cube, rung.weight) for cube in cubes]
         vals = np.abs(rung.b_rows(block)(block.anchors, block.c))
+        mu = ones[0][1] if rung.weight is None else np.concatenate([one[1] for one in ones])
         weak = weak_lq_norms(vals, mu, q).tolist()
         strong = power_means(vals, mu, r).tolist()
         lux = exp_luxemburg_norms(vals, mu).tolist()
-        for j, i in enumerate(block.members.tolist()):
-            cube = rung.cube_sample[i]
-            bf = rung.family.apply_B(rung.field, cube)
-            assert weak[j] == weak_lq_norm(bf, cube, q, rung.weight), cube
-            assert (strong[j], factor * weak[j]) == kolmogorov_check(bf, cube, r, q, rung.weight), cube
-            assert lux[j] == exp_luxemburg_norm(bf, cube, rung.weight), cube
+        for j, (i, cube, one) in enumerate(zip(block.members.tolist(), cubes, ones)):
+            assert weak[j] == weak_lq_norms(*one, q)[0], cube
+            assert strong[j] == power_means(*one, r)[0], cube
+            assert lux[j] == exp_luxemburg_norms(*one)[0], cube
             seen.append(i)
     assert sorted(seen) == list(range(len(rung.cube_sample)))
-    _rep, rows = verify_weak_improvement([rung], q, dq_report_for(ConstantFunctional(1.0), m, q))
-    assert [row[2] for row in rows] == [weak_lq_norm(rung.family.apply_B(rung.field, cube), cube, q, rung.weight)
-                                       for cube in rung.cube_sample]
+    _rep, rows = verify_weak_improvement([rung], q, dq_report_for(ConstantFunctional(1.0), rung.m, q))
+    assert [row[2] for row in rows] == [
+        weak_lq_norms(*one_row(rung.family.apply_B(rung.field, cube), cube, rung.weight), q)[0]
+        for cube in rung.cube_sample]
 
 
-def bundled_rung(config: str, overrides=()) -> Rung:
+def bundled_rung(config: str, overrides=(), rung: int = 0) -> Rung:
     from osclab.cli import ExperimentConfig, build_rung, bundled_config_path
 
     cfg = ExperimentConfig.load(bundled_config_path(config), list(overrides))
-    return build_rung(cfg, cfg.resolution_ladder[0])[0]
+    return build_rung(cfg, cfg.resolution_ladder[rung])[0]
 
 
 @pytest.mark.parametrize("config", ["classical-jn", "weighted-power", "epi-pair"])
@@ -431,6 +466,63 @@ def test_good_lambda_log_field_full_run():
     assert all(math.isfinite(r[5]) for r in rep.rows)
     assert math.isfinite(rep.whitney_prop_constant)
     assert rep.passed
+
+
+def per_cube_whitney_constant(rung: Rung, q_cube: Cube, rows: list, k_max: int) -> tuple[float, int]:
+    """Good-lambda's Whitney constant one cube at a time: the largest L^{p0}
+    average of G = |B_Q^2 f| chi_{2Q}, over t, on every dyadic dilate, up to
+    k_max or saturation, of each Whitney cube of {M_{p0} G > t} that meets
+    Q, for the t of the Whitney ``rows`` of a report; and how many of those
+    Whitney cubes cross the seam."""
+    fam, m, p0 = rung.family, rung.m, rung.family.p0
+    bq2 = fam.apply_B(fam.apply_B(rung.field, q_cube), q_cube)
+    g = Field(np.where(dilate(q_cube, 2.0, m).cube.mask(m), np.abs(bq2.values), 0.0))
+    mg = maximal_function(g, p0).values
+    best, crossing = 0.0, 0
+    for t, branch, *_ in rows:
+        omega = mg > t
+        if branch != "whitney" or not omega.any() or omega.all():
+            continue
+        for w in whitney_decompose(omega, q_cube):
+            if w.disjoint_from(q_cube):
+                continue
+            crossing += any(a + w.side > 1.0 for a in w.anchor)
+            for _k, cube, _saturated in per_cube_dilates(w, m, k_max):
+                best = max(best, float(power_means(*one_row(g, cube), p0)[0]) / t)
+    return best, crossing
+
+
+def whitney_case(case: str) -> tuple[Rung, Cube]:
+    if case == "classical-jn-1024":
+        rung = bundled_rung("classical-jn", rung=2)
+        assert rung.m == 1024
+        return rung, Cube((0.25,), 0.25)
+    if case == "2d-seam":
+        # Q sits at an odd cell, so the Whitney cubes of its dyadic grid that
+        # straddle cell 0 cross the seam
+        dim, m, f = 2, 32, make_field("indicator", 2, 32, cube={"anchor": [0.9375, 0.9375], "side": 0.125})
+        q_cube = Cube((29 / 32, 29 / 32), 0.5)
+    else:
+        # a spike in 2Q two cells beyond Q: the Whitney cubes that meet Q
+        # reach it first with their 2^3 dilates
+        dim, m, f = 1, 64, make_field("spike", 1, 64, amp=10.0, cell=[34])
+        q_cube = Cube((0.25,), 0.25)
+    cubes = make_cube_sample(dim, m, 4, 8, seed=0)
+    a = measured_oscillation(f, cubes)
+    return Rung(m, f, make_family("extended-average", (1.0, math.inf)), a, two_q_functional(a), cubes), q_cube
+
+
+@pytest.mark.parametrize("case", ["classical-jn-1024", "2d-seam", "1d-spike-beside-q"])
+def test_good_lambda_whitney_constant_equals_the_per_cube_walk(case):
+    rung, q_cube = whitney_case(case)
+    rep = verify_good_lambda(rung, q_cube, s_mult=4.0, lam=0.5, q_exp=2.0, t_points=20)
+    want, crossing = per_cube_whitney_constant(rung, q_cube, rep.rows, k_max=rung.m)  # to saturation
+    assert rep.passed and want > 0.0
+    assert rep.whitney_prop_constant == want
+    if case == "2d-seam":
+        assert crossing > 0
+    if case == "1d-spike-beside-q":
+        assert per_cube_whitney_constant(rung, q_cube, rep.rows, k_max=2)[0] == 0.0
 
 
 def test_good_lambda_parameter_validation():
