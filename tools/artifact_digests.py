@@ -4,8 +4,9 @@ Usage: python tools/artifact_digests.py OUT
 
 Runs each bundled config of ``src/osclab/configs`` twice, at its own seed and
 with ``--set seed=1``, into ``OUT/<seed>/<config>`` (``<seed>`` is ``bundled``
-or ``1``), then prints a header line with the Python and numpy versions
-and one line ``sha256  <seed>/<config>/<file>`` per artifact, sorted
+or ``1``), and each named override set of ``OVERRIDE_SETS`` once, into
+``OUT/overrides/<name>``; then prints a header line with the Python and
+numpy versions and one line ``sha256  <path>/<file>`` per artifact, sorted
 by path.  ``manifest.json`` holds timings and is left out.  Reports are
 byte-identical for a given (config, seed) on one set of versions, so the
 output is ``tests/artifact_digests.sha256``, which the test suite checks; a
@@ -29,6 +30,21 @@ from osclab.cli import bundled_config_path, run_experiment  # noqa: E402
 
 SEEDS = {"bundled": [], "1": ["seed=1"]}
 
+#: name -> (bundled config, overrides): runs on paths no bundled config reaches
+OVERRIDE_SETS = {
+    # a semigroup family's hypothesis walk and a tilde series over the measured oscillation
+    "semigroup-tilde": ("classical-jn", ['family={"kind":"semigroup","p0":1,"q0":"inf","N":1,'
+                                         '"operator":{"kind":"variable-1d"}}', "variant=tilde"]),
+    # the weak, strong and exponential sweeps in 2-D
+    "jn-2d": ("classical-jn", ["dimension=2", "resolution_ladder=[64,128]", "good_lambda.cube=null",
+                               'harnesses=["hypothesis","weak","strong","exponential"]']),
+    # a power functional on cubes of one cell, whose dilates grow by whole cells only from 2 cells on
+    "lipschitz-tilde": ("classical-jn", ['functional={"kind":"bmo-lipschitz","alpha":0.5}',
+                                         "cube_sample.min_cells=1", "variant=tilde",
+                                         "resolution_ladder=[32,64]"]),
+    "weighted-alternative": ("weighted-power", ["variant=alternative"]),
+}
+
 
 def versions() -> str:
     """The header line: the versions the digests hold for."""
@@ -36,19 +52,22 @@ def versions() -> str:
 
 
 def digests(out: str) -> list[str]:
-    """Run the bundled configs into ``out``; one ``sha256  path`` line per artifact, sorted by path."""
+    """Run the bundled configs and the override sets into ``out``; one ``sha256  path``
+    line per artifact, sorted by path."""
     configs = sorted(name[:-5] for name in os.listdir(os.path.join(ROOT, "src", "osclab", "configs"))
                      if name.endswith(".json"))
+    runs = [(os.path.join(seed, config), config, overrides)
+            for seed, overrides in SEEDS.items() for config in configs]
+    runs += [(os.path.join("overrides", name), config, overrides)
+             for name, (config, overrides) in OVERRIDE_SETS.items()]
     lines = []
-    for seed, overrides in SEEDS.items():
-        for config in configs:
-            where = os.path.join(seed, config)
-            run_experiment(bundled_config_path(config), os.path.join(out, where), overrides)
-            for name in sorted(os.listdir(os.path.join(out, where))):
-                if name == "manifest.json":
-                    continue
-                with open(os.path.join(out, where, name), "rb") as fh:
-                    lines.append((f"{where}/{name}", hashlib.sha256(fh.read()).hexdigest()))
+    for where, config, overrides in runs:
+        run_experiment(bundled_config_path(config), os.path.join(out, where), overrides)
+        for name in sorted(os.listdir(os.path.join(out, where))):
+            if name == "manifest.json":
+                continue
+            with open(os.path.join(out, where, name), "rb") as fh:
+                lines.append((f"{where}/{name}", hashlib.sha256(fh.read()).hexdigest()))
     return [f"{digest}  {path}" for path, digest in sorted(lines)]
 
 
