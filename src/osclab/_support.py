@@ -91,11 +91,11 @@ def check_kind(table: dict, spec: Any, path: str, default_kind: Optional[str] = 
 
 def build_kind(table: dict, spec: Any, path: str, *context, default_kind: Optional[str] = None):
     """Call the builder of ``spec``'s kind on ``context`` and the spec's keys; a value
-    it cannot convert (``float("x")``) raises ParameterError naming ``path``."""
+    it cannot convert (``float("x")``) or rejects raises ParameterError naming ``path``."""
     builder = check_kind(table, spec, path, default_kind)
     try:
         return builder(*context, **{k: v for k, v in spec.items() if k != "kind"})
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, ParameterError) as exc:
         raise ParameterError(f"{path}: {exc}") from exc
 
 

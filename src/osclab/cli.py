@@ -452,14 +452,14 @@ def _condition_for(cfg: ExperimentConfig, rung: Rung, q: float):
     fams = [fam for i, root in enumerate(roots)
             for fam in sample_disjoint_families(root, cfg.condition_families, cfg.seed + i, rung.m,
                                                 field_values=np.abs(rung.field.values))]
-    return estimate_condition(rung.denominator, "Dr", r=q, mu=rung.weight,
+    return estimate_condition(rung.denominator, "Dr", rung.m, r=q, mu=rung.weight,
                               families=fams, seed=cfg.seed)
 
 
 def _dinf_for(cfg: ExperimentConfig, rung: Rung):
     pairs = [(descendant(q, 1, (0,) * q.dimension), q) for q in rung.cube_sample[:24]
              if (cells := q.cells_per_axis(rung.m)) >= 2 and cells % 2 == 0]
-    return estimate_condition(rung.hypothesis, "Dinf", cube_pairs=pairs, seed=cfg.seed)
+    return estimate_condition(rung.hypothesis, "Dinf", rung.m, cube_pairs=pairs, seed=cfg.seed)
 
 
 @dataclass
@@ -553,7 +553,7 @@ def _pair_dq(ctx: HarnessContext) -> tuple[dict, bool]:
     root, families, _, _ = _epi(cfg.dimension, **cfg.epi)
     fams = sample_disjoint_families(root, families, cfg.seed, target.m,
                                     field_values=np.abs(target.field.values))
-    rep = estimate_condition(tilde, "pair", r=ctx.q, mu=target.weight,
+    rep = estimate_condition(tilde, "pair", target.m, r=ctx.q, mu=target.weight,
                              families=fams, partner=bar, seed=cfg.seed)
     return {"pair_dq": report_tree(rep)}, rep.passed
 

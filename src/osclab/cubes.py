@@ -54,10 +54,6 @@ class Cube:
     def volume(self) -> float:
         return self.side ** self.dimension
 
-    @property
-    def center(self) -> tuple[float, ...]:
-        return tuple((a + self.side / 2.0) % 1.0 for a in self.anchor)
-
     def cells_per_axis(self, m: int) -> int:
         c = _to_cells(self.side, m, "side")
         if c < 1:
@@ -173,17 +169,14 @@ def dilate(q: Cube, lam: float, m: int) -> Dilation:
     return Dilation(Cube(tuple([((int(a * m) + first) % m) * h for a in q.anchor]), size * h), False)
 
 
-def concentric(q: Cube, lam: float) -> Dilation:
-    """The exact, unsnapped concentric dilation ``lam * q``, saturated at the torus."""
-    side = lam * q.side
-    if side >= 1.0:
-        return Dilation(full_torus(q.dimension), True)
-    return Dilation(Cube(tuple((c - side / 2.0) % 1.0 for c in q.center), side), False)
-
-
 # ---------------------------------------------------------------------------
 # Cube samples as arrays
 # ---------------------------------------------------------------------------
+
+# Rows of cells are gathered in parts of at most this many cells (or one cube,
+# when a single cube is larger), so memory stays bounded when many cubes, or
+# their dilates, cover much of the torus.
+ROW_CELLS = 1 << 16
 
 
 class CubeBlock(NamedTuple):
@@ -213,13 +206,6 @@ class CubeBlock(NamedTuple):
             yield k, anchors, size, saturated
             if saturated:
                 return
-
-
-def cubes_at(anchors: np.ndarray, size: int, m: int) -> list[Cube]:
-    """The cubes of ``size`` cells per axis at the anchor cells ``anchors``,
-    with the floats ``dilate`` gives them."""
-    h = 1.0 / m
-    return [Cube(tuple([a * h for a in row]), size * h) for row in anchors.tolist()]
 
 
 def sample_blocks(cubes: Sequence[Cube], m: int) -> list[CubeBlock]:

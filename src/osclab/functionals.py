@@ -1,11 +1,12 @@
 """Cube functionals, their dilation-series expansions, and summability estimators.
 
-A functional assigns a nonnegative number to every cube.  The built-in kinds
-cover power laws in the sidelength, fractional averages against a weight,
-the reduced Poincare right-hand side, and constants.  Every expansion of a
-functional (the expanded Poincare functional, the tilde/bar expansions and the
-eta series) is one ``DilationSeries`` over the dyadic dilates 2^k Q; on the
-torus the dilates saturate, and the series tail beyond the saturation index
+A functional assigns a nonnegative number to every cube; ``Functional.values``
+gives it on a block of lattice cubes at once.  The built-in kinds cover power
+laws in the sidelength, fractional averages against a weight, the reduced
+Poincare right-hand side, and constants.  Every expansion of a functional
+(the expanded Poincare functional, the tilde/bar expansions and the eta
+series) is one ``DilationSeries`` over the dyadic dilates 2^k Q; on the torus
+the dilates saturate, and the series tail beyond the saturation index
 collapses to full-torus terms summed in closed form.
 
 Summability conditions over disjoint families (D_r and friends) are measured
@@ -15,6 +16,7 @@ constants are suprema over the sample, never claims about all cubes.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -22,10 +24,19 @@ from typing import Optional, Sequence
 import numpy as np
 
 from osclab._support import ParameterError, build_kind, ratio
-from osclab.cubes import Cube, DisjointFamily, concentric, dilate, full_torus
-from osclab.grid import Field, lp_average
+from osclab.cubes import ROW_CELLS, Cube, CubeBlock, DisjointFamily, cell_rows, sample_blocks
+from osclab.grid import Field, power_means
 from osclab.operators import OffDiagonalProfile
 from osclab.weights import Weight
+
+
+def _real(key: str, value, lo: float, lo_open: bool = False) -> float:
+    """``value`` as a float, finite and at least ``lo`` (above it if ``lo_open``);
+    a ParameterError naming ``key`` otherwise."""
+    x = float(value)
+    if not (math.isfinite(x) and (x > lo if lo_open else x >= lo)):
+        raise ParameterError(f"{key} must be a finite number {'>' if lo_open else '>='} {lo:g}, got {x}")
+    return x
 
 
 # ---------------------------------------------------------------------------
@@ -39,22 +50,17 @@ HORIZON = 48
 
 # Sequence builders: (*, the kind's config keys) -> (gamma_k for k >= 0, exact
 # tail sum from k0 >= 0, the length of a table beyond which gamma is zero or
-# None for a decreasing gamma): geometric scale 2^{-sigma k} and a table of
-# values.
+# None for a decreasing gamma): geometric 2^{-sigma k} and a table of values.
 
 
-def _geometric(*, sigma, scale=1.0):
-    sigma, scale = float(sigma), float(scale)
-    if sigma <= 0 or scale < 0:
-        raise ParameterError("geometric sequence needs sigma > 0 to be summable and scale >= 0")
+def _geometric(*, sigma):
+    sigma = _real("sigma", sigma, 0.0, lo_open=True)  # > 0: summable
     r = 2.0 ** (-sigma)
-    return (lambda k: scale * 2.0 ** (-sigma * k)), (lambda k0: scale * r ** k0 / (1.0 - r)), None
+    return (lambda k: 2.0 ** (-sigma * k)), (lambda k0: r ** k0 / (1.0 - r)), None
 
 
 def _table(*, values):
-    vals = [float(v) for v in values]
-    if any(v < 0 for v in vals):
-        raise ParameterError("sequence entries must be nonnegative")
+    vals = [_real("each of values", v, 0.0) for v in values]
     return (lambda k: vals[k] if k < len(vals) else 0.0), (lambda k0: float(sum(vals[k0:]))), len(vals)
 
 
@@ -92,26 +98,25 @@ class Coeffs:
 
 
 class Functional:
-    """Base: deterministic nonnegative cube functional with per-cube memoization."""
+    """Base: a deterministic nonnegative cube functional, evaluated on blocks of
+    lattice cubes (``values``)."""
 
     kind = "abstract"
-
-    def __init__(self):
-        self._memo: dict = {}
 
     #: grid resolution backing the functional, when it has one
     resolution: Optional[int] = None
 
-    def eval(self, q: Cube) -> float:
-        """a(q), memoized by the cube's value: equal cubes share one evaluation."""
-        if q not in self._memo:
-            val = float(self._eval(q))
-            if val < 0:
-                raise ParameterError(f"functional {self.kind} produced a negative value")
-            self._memo[q] = val
-        return self._memo[q]
+    def values(self, c: int, anchors: np.ndarray, m: int) -> np.ndarray:
+        """a(Q) for each cube Q of c cells per axis at the (count, n) anchor
+        cells ``anchors`` of the 1/m lattice, one value per row."""
+        if self.resolution not in (None, m):
+            raise ParameterError(f"functional {self.kind} lives on the 1/{self.resolution} lattice, not 1/{m}")
+        vals = self._values(c, anchors, m)
+        if not np.all(vals >= 0):
+            raise ParameterError(f"functional {self.kind} produced a negative or NaN value")
+        return vals
 
-    def _eval(self, q: Cube) -> float:
+    def _values(self, c: int, anchors: np.ndarray, m: int) -> np.ndarray:
         raise NotImplementedError
 
 
@@ -119,13 +124,10 @@ class ConstantFunctional(Functional):
     kind = "constant"
 
     def __init__(self, value: float):
-        super().__init__()
-        if value < 0:
-            raise ParameterError("constant functional must be nonnegative")
-        self.value = float(value)
+        self.value = _real("value", value, 0.0)
 
-    def _eval(self, q: Cube) -> float:
-        return self.value
+    def _values(self, c, anchors, m):
+        return np.full(len(anchors), self.value)
 
 
 class PowerFunctional(Functional):
@@ -134,13 +136,10 @@ class PowerFunctional(Functional):
     kind = "bmo-lipschitz"
 
     def __init__(self, alpha: float):
-        super().__init__()
-        if alpha < 0:
-            raise ParameterError("alpha must be >= 0")
-        self.alpha = float(alpha)
+        self.alpha = _real("alpha", alpha, 0.0)
 
-    def _eval(self, q: Cube) -> float:
-        return q.side ** self.alpha
+    def _values(self, c, anchors, m):
+        return np.full(len(anchors), (c / m) ** self.alpha)
 
 
 class FractionalFunctional(Functional):
@@ -149,16 +148,14 @@ class FractionalFunctional(Functional):
     kind = "fractional"
 
     def __init__(self, alpha: float, s: float, u: Weight):
-        super().__init__()
-        if not (0 < alpha < u.dimension):
+        self.alpha, self.s, self.u = _real("alpha", alpha, 0.0, lo_open=True), _real("s", s, 1.0), u
+        if not self.alpha < u.dimension:
             raise ParameterError("need 0 < alpha < n")
-        if s < 1:
-            raise ParameterError("need s >= 1")
-        self.alpha, self.s, self.u = float(alpha), float(s), u
         self.resolution = u.resolution
 
-    def _eval(self, q: Cube) -> float:
-        return q.side ** self.alpha * (self.u.mass(q) / q.volume) ** (1.0 / self.s)
+    def _values(self, c, anchors, m):
+        cubes = [Cube(tuple([a / m for a in row]), c / m) for row in anchors.tolist()]
+        return np.array([q.side ** self.alpha * (self.u.mass(q) / q.volume) ** (1.0 / self.s) for q in cubes])
 
 
 class ReducedPoincare(Functional):
@@ -167,44 +164,52 @@ class ReducedPoincare(Functional):
     kind = "reduced-poincare"
 
     def __init__(self, h: Field, s: float, weight: Optional[Weight] = None):
-        super().__init__()
-        if s < 1:
-            raise ParameterError("need s >= 1")
+        self.s = _real("s", s, 1.0)
         if h.is_complex or np.min(h.values) < 0:
             raise ParameterError("h must be a nonnegative real field")
-        self.h, self.s, self.weight = h, float(s), weight
+        if weight is not None and weight.density.values.shape != h.values.shape:
+            raise ParameterError("the weight must have the resolution and dimension of h")
+        self.h, self.weight = h, weight
         self.resolution = h.resolution
 
-    def _eval(self, q: Cube) -> float:
-        return q.side * lp_average(self.h, q, self.s, self.weight)
+    def _values(self, c, anchors, m):  # lp_average's arithmetic on gathered rows
+        h, n, vol = np.abs(self.h.values.ravel()), self.h.dimension, self.h.cell_volume
+        step = max(1, ROW_CELLS // c ** n)
+        means = []
+        for i in range(0, len(anchors), step):
+            rows = cell_rows(anchors[i:i + step], c, m)
+            mu = np.full((1, c ** n), vol) if self.weight is None else self.weight.density.values.ravel()[rows] * vol
+            means.append(power_means(h[rows], mu, self.s))
+        return (c / m) * np.concatenate(means)
 
 
 class DilationSeries(Functional):
-    """sum_{k >= start} gamma_k a(2^k Q) over a base functional a, the dilates snapped
-    when grid-backed; from the first saturated dilate on, the tail is tail_sum(k) a(torus)."""
+    """sum_{k >= start} gamma_k a(2^k Q) over a base functional a, the dilates
+    snapped (``dilate``'s) when grid-backed and exact (c 2^k cells) otherwise;
+    from the first saturated dilate on (Q itself with m cells, at k = 0), the
+    tail is tail_sum(k) a(torus).  A block saturates at one k, by log2 m."""
 
     kind = "dilation-series"
 
     def __init__(self, base: Functional, coeffs: Coeffs, start: int):
-        super().__init__()
         self.base = base
         self.coeffs = coeffs
         self.start = start
         self.resolution = base.resolution
 
-    def _eval(self, q: Cube) -> float:
-        total = 0.0
-        for k in range(self.start, 201):
-            if k == 0:
-                cube_k, saturated = q, q.side >= 1.0
+    def _values(self, c, anchors, m):
+        block = CubeBlock(c, np.arange(len(anchors)), anchors)
+        total = np.zeros(len(anchors))
+        for k in itertools.count(self.start):
+            if k == 0 or self.resolution is None:
+                cells, size = anchors, c * 2 ** k
+                saturated = size >= m
             else:
-                lam = float(2 ** k)
-                d = concentric(q, lam) if self.resolution is None else dilate(q, lam, self.resolution)
-                cube_k, saturated = d.cube, d.saturated
+                cells, size, saturated = block.dilate(float(2 ** k), m)
             if saturated:
-                return total + self.coeffs.tail_sum(k) * self.base.eval(full_torus(q.dimension))
-            total += self.coeffs.at(k) * self.base.eval(cube_k)
-        raise ParameterError("dilation series failed to saturate")
+                torus = self.base.values(m, np.zeros((1, anchors.shape[1]), dtype=np.int64), m)
+                return total + self.coeffs.tail_sum(k) * torus[0]
+            total = total + self.coeffs.at(k) * self.base.values(size, cells, m)
 
     def collapse(self) -> "DilationSeries":
         """Fold the outer series into the expanded-Poincare base coefficients.
@@ -220,7 +225,6 @@ class DilationSeries(Functional):
                 total += self.coeffs.at(k) * self.base.coeffs.at(bigj - k)
             conv.append(total)
         return DilationSeries(reduced, Coeffs("table", values=conv), start=0)
-
 
 def expanded_poincare(h: Field, s: float, gamma: Coeffs, weight: Optional[Weight] = None) -> DilationSeries:
     """a(Q) = sum_{k >= 0} gamma_k l(2^k Q) (mean_{2^k Q} h^s dmu)^{1/s}: the
@@ -348,9 +352,20 @@ def _measure_of(mu: Optional[Weight], q: Cube) -> float:
     return q.volume if mu is None else mu.mass(q)
 
 
+def cube_values(a: Functional, cubes: Sequence[Cube], m: int) -> dict:
+    """a(Q) for each distinct cube Q of ``cubes``, lattice cubes of 1/m, by value:
+    the cubes grouped with ``sample_blocks``, each block evaluated at once."""
+    distinct = list(dict.fromkeys(cubes))
+    out = {}
+    for block in sample_blocks(distinct, m):
+        out.update(zip([distinct[i] for i in block.members.tolist()], a.values(block.c, block.anchors, m).tolist()))
+    return out
+
+
 def estimate_condition(
     a: Functional,
     condition: str,
+    m: int,
     r: Optional[float] = None,
     mu: Optional[Weight] = None,
     families: Optional[Sequence[DisjointFamily]] = None,
@@ -358,7 +373,8 @@ def estimate_condition(
     partner: Optional[Functional] = None,
     seed: int = 0,
 ) -> ConditionReport:
-    """Measure the defining ratio of a summability condition over probes.
+    """Measure the defining ratio of a summability condition over probes, cubes
+    of the 1/m lattice.
 
     ``Dr`` and ``pair`` run over disjoint families, ``Dinf`` over nested cube
     pairs (R, Q).  A zero denominator against a nonzero numerator records an
@@ -371,8 +387,9 @@ def estimate_condition(
         if not cube_pairs:
             raise ParameterError("Dinf estimation needs nested cube pairs")
         count = len(cube_pairs)
+        vals = cube_values(a, [q for pair in cube_pairs for q in pair], m)
         for small, big in cube_pairs:
-            best = max(best, ratio(a.eval(small), a.eval(big)))
+            best = max(best, ratio(vals[small], vals[big]))
     else:
         if not families:
             raise ParameterError(f"{condition} estimation needs disjoint families")
@@ -381,11 +398,11 @@ def estimate_condition(
         if r is None or r < 1:
             raise ParameterError(f"{condition} needs the exponent r >= 1")
         count = len(families)
+        vals = cube_values(a, [qi for fam in families for qi in fam.members], m)
+        denoms = cube_values(partner if condition == "pair" else a, [fam.parent for fam in families], m)
         for fam in families:
-            parent_meas = _measure_of(mu, fam.parent)
-            denom_f = partner if condition == "pair" else a
-            denom = denom_f.eval(fam.parent) * parent_meas ** (1.0 / r)
-            num = sum(a.eval(qi) ** r * _measure_of(mu, qi) for qi in fam.members) ** (1.0 / r)
+            denom = denoms[fam.parent] * _measure_of(mu, fam.parent) ** (1.0 / r)
+            num = sum(vals[qi] ** r * _measure_of(mu, qi) for qi in fam.members) ** (1.0 / r)
             best = max(best, ratio(num, denom))
     return ConditionReport(
         condition=condition,
@@ -395,4 +412,3 @@ def estimate_condition(
         passed=math.isfinite(best),
         weighted=mu is not None,
     )
-

@@ -18,13 +18,13 @@ import numpy as np
 
 from osclab._support import ParameterError, ratio, rng_from_seed
 from osclab.cubes import (
+    ROW_CELLS,
     Cube,
     CubeBlock,
     cell_rows,
     dilate,
     dyadic_generation,
     full_torus,
-    cubes_at,
     sample_blocks,
     whitney_check,
     whitney_decompose,
@@ -35,6 +35,7 @@ from osclab.functionals import (
     ConstantFunctional,
     DilationSeries,
     Functional,
+    cube_values,
     eta_exponential,
 )
 from osclab.grid import (
@@ -89,20 +90,14 @@ def measured_oscillation(f: Field, cubes: Sequence[Cube]) -> ConstantFunctional:
     return ConstantFunctional(best)
 
 
-# A block of cubes is gathered in parts of at most this many cells (or one
-# cube, when a single cube is larger), so memory stays bounded when a sample
-# holds many cubes whose dilates cover the torus.
-_ROW_CELLS = 1 << 16
-
-
 def _dilate_parts(blocks: Sequence[CubeBlock], m: int, n: int, k_max: int):
     """The one walk over the blocks of a cube sample and the dyadic dilates
     of their cubes: each block in consecutive parts whose rows of its widest
-    dilate fit in _ROW_CELLS, yielded as (part, its ``dyadic_dilations(m,
+    dilate fit in ROW_CELLS, yielded as (part, its ``dyadic_dilations(m,
     k_max)`` as a list)."""
     for block in blocks:
         widest = list(block.dyadic_dilations(m, k_max))[-1][2]
-        step = max(1, _ROW_CELLS // widest ** n)
+        step = max(1, ROW_CELLS // widest ** n)
         for i in range(0, len(block.members), step):
             part = CubeBlock(block.c, block.members[i:i + step], block.anchors[i:i + step])
             yield part, list(part.dyadic_dilations(m, k_max))
@@ -117,19 +112,21 @@ def two_q_functional(a: Functional) -> DilationSeries:
 class Rung:
     """Everything a harness needs at one grid resolution.
 
-    ``denominator`` is the conclusion right-hand side evaluated at Q (wrap
-    the 2Q dilation inside it when the statement asks for one).  The
-    harnesses read B_Q f on the cells of the sampled cubes and their
-    dilates as gathered rows, one block per cell count (``b_rows``); no
-    B_Q f is formed as a field, except for a family that depends only on
-    the sidelength, whose rows gather from its B field at each side of the
-    sample, all sides from one ``apply_B_scales`` call.  ``cache`` holds one
-    memo per rung material (m, field, family, hypothesis, cube_sample),
-    keyed by their identities: the sample's blocks, those B fields and the
-    walk of the hypothesis over the sample (``hypothesis_rows``).  Rungs
-    made from this one by ``dataclasses.replace`` share the cache; one with
-    only another ``denominator`` or ``weight`` reads the same memo, one with
-    other material a memo of its own.
+    ``denominator`` is the conclusion right-hand side at Q (wrap the 2Q
+    dilation inside it when the statement asks for one); it and the
+    ``hypothesis`` are evaluated on the sample's blocks
+    (``Functional.values``), never one cube at a time.  The harnesses read
+    B_Q f on the cells of the sampled cubes and their dilates as gathered
+    rows, one block per cell count (``b_rows``); no B_Q f is formed as a
+    field, except for a family that depends only on the sidelength, whose
+    rows gather from its B field at each side of the sample, all sides from
+    one ``apply_B_scales`` call.  ``cache`` holds one memo per rung material
+    (m, field, family, hypothesis, cube_sample), keyed by their identities:
+    the sample's blocks, those B fields and the walk of the hypothesis over
+    the sample (``hypothesis_rows``).  Rungs made from this one by
+    ``dataclasses.replace`` share the cache; one with only another
+    ``denominator`` or ``weight`` reads the same memo, one with other
+    material a memo of its own.
     """
 
     m: int
@@ -184,28 +181,23 @@ class Rung:
         return [row for row in memo.walk[1] if row[1] <= k_max]
 
     def _walk(self, k_max: int) -> list:
-        """The hypothesis walk up to the 2^{k_max} dilates, block by block: the
-        L^{p0} averages of |B_Q f| on the dyadic dilates 2^k Q of all cubes of
-        one cell count at once, then the rows in sample order, Q by Q and k by
-        k, each against hypothesis(2^k Q)."""
+        """The hypothesis walk up to the 2^{k_max} dilates, part by part of each
+        block: on the dyadic dilates 2^k Q of all cubes of a part at once, the
+        L^{p0} averages of |B_Q f| and the hypothesis' ``values``; then the
+        rows in sample order, Q by Q and k by k."""
         m, n, p0 = self.m, self.field.dimension, self.family.p0
-        walked = [None] * len(self.cube_sample)  # per cube: its (k, 2^k Q, num, saturated)
+        walked = [None] * len(self.cube_sample)  # per cube: its (k, num, den, saturated)
         for part, dilates in _dilate_parts(self.blocks(), m, n, k_max):
             b_rows = self.b_rows(part)
             per_k = []
             for k, anchors, size, saturated in dilates:
                 unit = np.full((1, size ** n), self.field.cell_volume)
                 nums = power_means(np.abs(b_rows(anchors, size)), unit, p0).tolist()
-                per_k.append((k, None if k == 0 else cubes_at(anchors, size, m), nums, saturated))
+                per_k.append((k, nums, self.hypothesis.values(size, anchors, m).tolist(), saturated))
             for j, i in enumerate(part.members.tolist()):
-                walked[i] = [(k, self.cube_sample[i] if cubes is None else cubes[j], nums[j], saturated)
-                             for k, cubes, nums, saturated in per_k]
-        rows = []
-        for q, steps in zip(self.cube_sample, walked):
-            for k, cube, num, saturated in steps:
-                den = self.hypothesis.eval(cube)
-                rows.append((q, k, num, den, ratio(num, den), saturated))
-        return rows
+                walked[i] = [(k, nums[j], dens[j], saturated) for k, nums, dens, saturated in per_k]
+        return [(q, k, num, den, ratio(num, den), saturated)
+                for q, steps in zip(self.cube_sample, walked) for k, num, den, saturated in steps]
 
 
 class _Memo:
@@ -294,11 +286,12 @@ def _sweep(
     the worst ratio of the conclusion ``norm`` of B_Q f against the
     denominator functional at Q (statements whose right-hand side lives on a
     dilate, e.g. the expanded functional at 2Q, wrap that dilation inside
-    the functional).  ``norm`` is a row kernel of ``osclab.grid``: it maps
-    |B_Q f| and the cell measures of the rung's weight on Q, one row per
-    cube of a block, to the norms.  Rows (m, cube, num, den, ratio, flags)
-    carry a flag bitmask recording whether the companion 2Q dilation
-    saturated (bit 0) or wrapped around the torus seam (bit 1).  The report
+    the functional).  Per part of each block of the sample: ``norm``, a row
+    kernel of ``osclab.grid``, maps |B_Q f| and the cell measures of the
+    rung's weight on Q, one row per cube, to the norms, and the
+    denominator's ``values`` give its value at each Q.  Rows (m, cube, num,
+    den, ratio, flags) carry a flag bitmask recording whether the companion
+    2Q dilation saturated (bit 0) or wrapped around the torus seam (bit 1).  The report
     passes on a finite hypothesis constant and a stable ladder; its warnings
     count each rung's saturated dilations and, on an unstable ladder, name
     the worst cube.  Returns the report and the rows.
@@ -313,20 +306,20 @@ def _sweep(
         if hyp_rep.saturated_cubes:
             warnings.append(f"m={rung.m}: {hyp_rep.saturated_cubes} saturated dilations")
         m, n, vol = rung.m, rung.field.dimension, rung.field.cell_volume
-        dens = None if rung.weight is None else rung.weight.density.values
-        if dens is not None and dens.shape != rung.field.values.shape:
+        density = None if rung.weight is None else rung.weight.density.values
+        if density is not None and density.shape != rung.field.values.shape:
             raise ParameterError("weight resolution does not match the field")
-        nums = np.empty(len(rung.cube_sample))
+        nums, dens = np.empty(len(rung.cube_sample)), np.empty(len(rung.cube_sample))
         flags = np.empty(len(rung.cube_sample), dtype=int)
         for part, _dilates in _dilate_parts(rung.blocks(), m, n, 0):
             q_rows = cell_rows(part.anchors, part.c, m)
-            mu = np.full((1, q_rows.shape[1]), vol) if dens is None else dens.ravel()[q_rows] * vol
+            mu = np.full((1, q_rows.shape[1]), vol) if density is None else density.ravel()[q_rows] * vol
             nums[part.members] = norm(np.abs(rung.b_rows(part)(part.anchors, part.c)), mu)
+            dens[part.members] = rung.denominator.values(part.c, part.anchors, m)
             two_q, size, saturated = part.dilate(2.0, m)
             flags[part.members] = 1 if saturated else 2 * np.any(two_q + size > m, axis=1)
         best = 0.0
-        for q, num, flag in zip(rung.cube_sample, nums.tolist(), flags.tolist()):
-            den = rung.denominator.eval(q)
+        for q, num, den, flag in zip(rung.cube_sample, nums.tolist(), dens.tolist(), flags.tolist()):
             val = ratio(num, den)
             rows.append((rung.m, q.to_dict(), num, den, val, flag))
             best = max(best, val)
@@ -462,7 +455,7 @@ def verify_good_lambda(
     g_vals = np.where(dilate(q_cube, 2.0, m).cube.mask(m), np.abs(bq2.values), 0.0)
     mg = maximal_function(Field(g_vals), p0).values
 
-    denom = rung.denominator.eval(q_cube)
+    denom = cube_values(rung.denominator, [q_cube], m)[q_cube]
     if denom <= 0:
         raise ParameterError("conclusion functional vanishes on 2Q")
     # smallest c0 with |Omega_t| <= (c0 denom / t)^{p0} |Q| for all t, computed

@@ -95,8 +95,8 @@ def test_criterion_1_exact_inequalities():
 
         h = Field(np.abs(f.values) + 0.05)
         a = ReducedPoincare(h, 1.0)
-        c_lo = estimate_condition(a, "Dr", r=1.5, families=families).measured_constant
-        c_hi = estimate_condition(a, "Dr", r=3.0, families=families).measured_constant
+        c_lo = estimate_condition(a, "Dr", m, r=1.5, families=families).measured_constant
+        c_hi = estimate_condition(a, "Dr", m, r=3.0, families=families).measured_constant
         if c_lo > c_hi * (1 + REL_SLACK):
             violations["dr-ds"] += 1
 

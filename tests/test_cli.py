@@ -407,6 +407,25 @@ def test_cli_main_exits_2_on_a_config_error(tmp_path, capsys, args, message):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize(
+    "functional, key",
+    [
+        ('{"kind":"constant","value":NaN}', "value"),
+        ('{"kind":"constant","value":Infinity}', "value"),
+        ('{"kind":"bmo-lipschitz","alpha":NaN}', "alpha"),
+        ('{"kind":"expanded-poincare","s":NaN}', "s"),
+        ('{"kind":"expanded-poincare","gamma":{"kind":"geometric","sigma":NaN}}', "gamma: sigma"),
+        ('{"kind":"expanded-poincare","gamma":{"kind":"table","values":[1,NaN]}}', "gamma: each of values"),
+    ],
+)
+def test_a_non_finite_functional_parameter_exits_2_naming_its_key(tmp_path, capsys, functional, key):
+    # NaN passes every x < 0 check: a NaN constant read 0.0 constants and passed every harness
+    args = ["run", "--config", "classical-jn", "--out", str(tmp_path / "x"), "--set", f"functional={functional}",
+            "--set", 'harnesses=["hypothesis","weak","strong","exponential"]']
+    assert main(args) == 2
+    assert capsys.readouterr().err.startswith(f"osclab: error: functional: {key} must be a finite number")
+
+
 def test_cli_main_exits_2_on_a_config_that_is_not_json(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text('{"name": ')

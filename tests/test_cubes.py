@@ -14,15 +14,12 @@ from osclab.cubes import (
     Cube,
     DisjointFamily,
     SummedAreaTable,
-    concentric,
     _generation_means,
     _random_packing,
     _stopping_time_family,
     cell_membership,
     cell_rows,
-    cubes_at,
     descendant,
-    Dilation,
     dilate,
     dyadic_generation,
     full_torus,
@@ -31,7 +28,6 @@ from osclab.cubes import (
     whitney_check,
     whitney_decompose,
 )
-from osclab.functionals import Functional
 from osclab.grid import Field
 
 
@@ -170,48 +166,6 @@ def test_dilate_is_the_least_lattice_cube_containing_the_exact_dilate(dim, ms):
                 want, saturated = least_lattice_dilate(q, lam, m)
                 d = dilate(q, lam, m)
                 assert (d.cube, d.saturated) == (want, saturated), (q, lam, m)
-
-
-def test_concentric_is_exact_and_saturates_at_the_torus():
-    q = Cube((0.875,), 0.125)
-    assert concentric(q, 2.0) == Dilation(Cube((0.8125,), 0.25), False)
-    assert concentric(q, 3.0) == Dilation(Cube((0.75,), 0.375), False)
-    assert concentric(q, 8.0) == Dilation(full_torus(1), True)
-    # where the dilate grows by whole cells on each side, the exact and the
-    # snapped dilate are the same cube
-    for q in lattice_cubes(2, 8):
-        for lam in (2.0, 4.0):
-            if (q.side * 8 * (lam - 1)) % 2 == 0:
-                assert concentric(q, lam) == dilate(q, lam, 8), (q, lam)
-
-
-class CountingFunctional(Functional):
-    """a(Q) = l(Q), counting its evaluations."""
-
-    kind = "counting"
-
-    def __init__(self):
-        super().__init__()
-        self.calls = 0
-
-    def _eval(self, q):
-        self.calls += 1
-        return q.side
-
-
-def test_equal_cubes_share_one_evaluation():
-    # the memo is keyed by cube value: the same cube reached by a dilation, a
-    # descent across the seam, an exact dilate or from JSON is evaluated once
-    a = CountingFunctional()
-    built = [
-        dilate(Cube((0.25, 0.5), 0.125), 2.0, 64).cube,
-        descendant(Cube((0.9375, 0.1875), 0.5), 1, (1, 1)),
-        concentric(Cube((0.25, 0.5), 0.125), 2.0).cube,
-        Cube.from_dict({"anchor": [0.1875, 0.4375], "side": 0.25}),
-    ]
-    assert len(set(built)) == 1
-    assert [a.eval(q) for q in built] == [0.25] * 4
-    assert a.calls == 1
 
 
 # ---------------------------------------------------------------------------
@@ -634,6 +588,6 @@ def test_cube_blocks_match_the_per_cube_geometry(dim, m):
             assert [(k, saturated) for k, _a, _s, saturated in walk] == [(k, saturated) for k, _d, saturated in want]
             for (k, anchors, size, _saturated), (_k, d, _sat) in zip(walk, want):
                 assert np.array_equal(cell_rows(anchors, size, m)[j], cells[d.index(m)].ravel())
-                assert k == 0 or cubes_at(anchors, size, m)[j] == d
+                assert (tuple(anchors[j].tolist()), size) == (d.anchor_cells(m), d.cells_per_axis(m))
                 inside = cell_membership(anchors, size, two_q, two_size, m)[j]
                 assert np.array_equal(inside, dilate(q, 2.0, m).cube.mask(m)[d.index(m)].ravel())

@@ -2,22 +2,32 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 from osclab._support import ParameterError, report_tree
-from osclab.cubes import Cube, DisjointFamily, full_torus, sample_disjoint_families
+from osclab.cubes import (
+    Cube,
+    DisjointFamily,
+    descendant,
+    dilate,
+    full_torus,
+    sample_disjoint_families,
+)
 from osclab.functionals import (
     HORIZON,
     Coeffs,
     ConstantFunctional,
     DilationSeries,
     FractionalFunctional,
+    Functional,
     PowerFunctional,
     ReducedPoincare,
     bar_expand,
+    cube_values,
     estimate_condition,
     eta_alternative,
     eta_exponential,
@@ -25,8 +35,9 @@ from osclab.functionals import (
     gamma_tilde_from_profile,
     tilde_expand,
 )
-from osclab.grid import Field, make_field
+from osclab.grid import Field, lp_average, make_field
 from osclab.operators import EllipticOperator, OffDiagonalProfile, make_family, measure_offdiagonal
+from osclab.verify import two_q_functional
 from osclab.weights import Weight, ones_weight
 
 
@@ -42,23 +53,28 @@ def gauss_profile(rate: float = 1.0, p0: float = 1.0, n: int = 1, kind: str = "s
     )
 
 
+def value(a: Functional, q: Cube, m: int) -> float:
+    """a(q) on one cube of the 1/m lattice."""
+    return cube_values(a, [q], m)[q]
+
+
 # ---------------------------------------------------------------------------
 # basic kinds
 # ---------------------------------------------------------------------------
 
 
 def test_bmo_lipschitz_values():
-    assert PowerFunctional(0.0).eval(Cube((0.5,), 0.25)) == 1.0
+    assert value(PowerFunctional(0.0), Cube((0.5,), 0.25), 64) == 1.0
     # alpha = n on a cube of side 1/4 gives |Q| = 4^{-n}
-    assert PowerFunctional(1.0).eval(Cube((0.5,), 0.25)) == pytest.approx(0.25)
-    assert PowerFunctional(2.0).eval(Cube((0.25, 0.25), 0.25)) == pytest.approx(1 / 16)
+    assert value(PowerFunctional(1.0), Cube((0.5,), 0.25), 64) == pytest.approx(0.25)
+    assert value(PowerFunctional(2.0), Cube((0.25, 0.25), 0.25), 64) == pytest.approx(1 / 16)
 
 
 def test_reduced_poincare_unit_average():
     h = make_field("constant", 1, 32, value=1.0)
     a = ReducedPoincare(h, 1.0)
     q = Cube((0.25,), 0.25)
-    assert a.eval(q) == pytest.approx(q.side)
+    assert value(a, q, 32) == pytest.approx(q.side)
 
 
 def test_fractional_functional_value():
@@ -66,7 +82,7 @@ def test_fractional_functional_value():
     a = FractionalFunctional(0.5, 2.0, u)
     q = Cube((0.0,), 0.25)
     # u(Q)/|Q| = 1 for the unit weight
-    assert a.eval(q) == pytest.approx(0.25 ** 0.5)
+    assert value(a, q, 32) == pytest.approx(0.25 ** 0.5)
 
 
 def test_constant_functional_tilde_is_summed_sequence():
@@ -75,14 +91,142 @@ def test_constant_functional_tilde_is_summed_sequence():
     at = tilde_expand(a, prof)
     gam = gamma_tilde_from_profile(prof)
     expected = gam.tail_sum(1)
-    assert at.eval(Cube((0.0,), 0.25)) == pytest.approx(expected, rel=1e-12)
+    assert value(at, Cube((0.0,), 0.25), 64) == pytest.approx(expected, rel=1e-12)
 
 
-def test_memoization_is_deterministic():
-    h = make_field("random-smooth", 1, 64, seed=3, band=4)
-    a = ReducedPoincare(Field(np.abs(h.values)), 2.0)
-    q = Cube((0.125,), 0.25)
-    assert a.eval(q) == a.eval(q)
+# ---------------------------------------------------------------------------
+# block values against the definitions
+# ---------------------------------------------------------------------------
+
+
+def reference(a: Functional, q: Cube, m: int) -> float:
+    """a(q) from the definitions, one cube at a time: the exact side for a power
+    or constant base, the cells of ``Cube.index`` (through ``lp_average`` and
+    ``Weight.mass``) for a grid-backed one, and a series summed in k order over
+    ``dilate``'s 2^k q, or over the exact 2^k q when its base has no grid."""
+    if isinstance(a, ConstantFunctional):
+        return a.value
+    if isinstance(a, PowerFunctional):
+        return q.side ** a.alpha
+    if isinstance(a, FractionalFunctional):
+        return q.side ** a.alpha * (a.u.mass(q) / q.volume) ** (1.0 / a.s)
+    if isinstance(a, ReducedPoincare):
+        return q.side * lp_average(a.h, q, a.s, a.weight)
+    torus = full_torus(q.dimension)
+    total = 0.0
+    for k in itertools.count(a.start):
+        if k == 0:
+            cube, saturated = q, q.side >= 1.0
+        elif a.resolution is None:
+            side = 2 ** k * q.side
+            cube, saturated = (torus, True) if side >= 1.0 else (Cube(q.anchor, side), False)
+        else:
+            d = dilate(q, float(2 ** k), m)
+            cube, saturated = d.cube, d.saturated
+        if saturated:
+            return total + a.coeffs.tail_sum(k) * reference(a.base, torus, m)
+        total += a.coeffs.at(k) * reference(a.base, cube, m)
+
+
+def every_kind(dimension: int, m: int) -> dict:
+    """One functional of each kind, and nested series, at resolution m."""
+    h = Field(np.abs(make_field("random-smooth", dimension, m, seed=5, band=3).values) + 0.05)
+    w = Weight(make_field("power-distance", dimension, m, gamma=-0.5, center=0.5))
+    prof = gauss_profile(rate=0.05, p0=1.0, n=dimension)
+    ep = expanded_poincare(h, 1.0, Coeffs("geometric", sigma=2.0))
+    collapsed = tilde_expand(ep, prof).collapse()
+    power = PowerFunctional(0.5)
+    return {
+        "constant": ConstantFunctional(0.7),
+        "bmo-lipschitz": power,
+        "fractional": FractionalFunctional(0.5, 2.0, w),
+        "reduced-poincare": ReducedPoincare(h, 2.0),
+        "weighted reduced-poincare": ReducedPoincare(h, 1.5, w),
+        "expanded-poincare": ep,
+        "2Q of tilde over expanded-poincare": two_q_functional(tilde_expand(ep, prof)),
+        "collapse": collapsed,
+        "bar_expand": bar_expand(collapsed, q=1.5),
+        "2Q of tilde over bmo-lipschitz": two_q_functional(tilde_expand(power, prof)),
+        "eta series over a constant": DilationSeries(ConstantFunctional(1.0), eta_exponential(prof), start=1),
+    }
+
+
+@pytest.mark.parametrize("dimension, m", [(1, 32), (2, 16)])
+@pytest.mark.parametrize("c", [1, 2, 3, 5, 8, "m"])
+def test_block_values_equal_the_definitions(dimension, m, c):
+    # odd and even c (c = 1 under bmo-lipschitz reads the exact dilates 2, 4,
+    # ... cells, where the snapped ones have 3, 7, ...), the anchor cell m - 1,
+    # whose cube (c > 1) and dilates cross the seam, and the torus, which
+    # saturates at k = 0
+    c = m if c == "m" else c
+    rng = np.random.Generator(np.random.Philox(7))
+    anchors = np.vstack([np.zeros((1, dimension), dtype=np.int64), np.full((1, dimension), m - 1),
+                         rng.integers(0, m, (6, dimension))])
+    cubes = [Cube(tuple(a / m for a in row), c / m) for row in anchors.tolist()]
+    for name, a in every_kind(dimension, m).items():
+        got = a.values(c, anchors, m)
+        assert got.tolist() == [reference(a, q, m) for q in cubes], name
+
+
+def test_cube_values_evaluate_each_distinct_cube_once():
+    # the same cube reached by a dilation, by a descent across the seam and
+    # from JSON is one row; repeats of it are not evaluated again
+    rows = []
+
+    class Counting(PowerFunctional):
+        def _values(self, c, anchors, m):
+            rows.extend(anchors.tolist())
+            return super()._values(c, anchors, m)
+
+    q = dilate(Cube((0.25, 0.5), 0.125), 2.0, 64).cube
+    built = [q, descendant(Cube((0.9375, 0.1875), 0.5), 1, (1, 1)),
+             Cube.from_dict({"anchor": [0.1875, 0.4375], "side": 0.25}), q, Cube((0.0, 0.0), 0.25)]
+    vals = cube_values(Counting(1.0), built, 64)
+    assert vals == {q: 0.25, Cube((0.0, 0.0), 0.25): 0.25}
+    assert sorted(rows) == [[0, 0], [12, 28]]
+
+
+@pytest.mark.parametrize(
+    "build, key",
+    [
+        (lambda: ConstantFunctional(math.nan), "value"),
+        (lambda: ConstantFunctional(math.inf), "value"),
+        (lambda: PowerFunctional(math.nan), "alpha"),
+        (lambda: FractionalFunctional(math.nan, 2.0, ones_weight(1, 16)), "alpha"),
+        (lambda: FractionalFunctional(0.5, math.nan, ones_weight(1, 16)), "s"),
+        (lambda: FractionalFunctional(0.5, math.inf, ones_weight(1, 16)), "s"),
+        (lambda: expanded_poincare(make_field("constant", 1, 16, value=1.0), math.nan,
+                                   Coeffs("geometric", sigma=2.0)), "s"),
+        (lambda: Coeffs("geometric", sigma=math.nan), "sigma"),
+        (lambda: Coeffs("geometric", sigma=math.inf), "sigma"),
+        (lambda: Coeffs("table", values=[1.0, math.nan]), "each of values"),
+    ],
+)
+def test_builders_reject_non_finite_parameters(build, key):
+    with pytest.raises(ParameterError, match=f"{key} must be a finite number"):
+        build()
+
+
+def test_values_reject_nan_and_another_lattice():
+    class Nan(ConstantFunctional):
+        def _values(self, c, anchors, m):
+            return np.full(len(anchors), math.nan)
+
+    anchors = np.zeros((1, 1), dtype=np.int64)
+    with pytest.raises(ParameterError, match="NaN"):
+        Nan(1.0).values(2, anchors, 32)
+    # a weight of another resolution is rejected when the functional is built,
+    # not read at the wrong cells
+    h = make_field("constant", 1, 32, value=1.0)
+    with pytest.raises(ParameterError, match="resolution"):
+        ReducedPoincare(h, 1.0, ones_weight(1, 64))
+    # a grid-backed functional is evaluated on its own lattice only
+    a = expanded_poincare(h, 1.0, Coeffs("geometric", sigma=2.0))
+    for grid_backed in (a, a.base, FractionalFunctional(0.5, 2.0, ones_weight(1, 32))):
+        assert grid_backed.values(2, anchors, 32) >= 0.0
+        with pytest.raises(ParameterError, match="1/32 lattice"):
+            grid_backed.values(2, anchors, 64)
+    assert PowerFunctional(1.0).values(2, anchors, 64) == 2 / 64
 
 
 def test_supified_table_keeps_every_entry():
@@ -152,8 +296,8 @@ def test_doubling_base_tilde_comparable():
     prof = gauss_profile()
     at = tilde_expand(a, prof)
     q = Cube((0.0,), 1 / 64)
-    va, vat = a.eval(q), at.eval(q)
-    assert vat >= a.eval(Cube((0.0,), 1 / 32)) * 0.99
+    va, vat = value(a, q, 64), value(at, q, 64)
+    assert vat >= value(a, Cube((0.0,), 1 / 32), 64) * 0.99
     assert vat <= 50 * va  # crude comparability bound on the sample cube
 
 
@@ -236,11 +380,11 @@ def test_collapse_matches_direct_series():
     at = tilde_expand(a, prof)
     collapsed = at.collapse()
     for q in (Cube((0.25, 0.25), 0.25), Cube((0.5, 0.0), 0.125)):
-        assert collapsed.eval(q) == pytest.approx(at.eval(q), rel=1e-10)
+        assert value(collapsed, q, m) == pytest.approx(value(at, q, m), rel=1e-10)
 
 
 def test_collapse_and_bar_expand_keep_the_reduced_poincare_base():
-    # a~, a-bar and a are series over one ReducedPoincare, so they share its memo
+    # a~, a-bar and a are series over one ReducedPoincare
     h = Field(np.abs(make_field("random-smooth", 2, 32, seed=9, band=2).values) + 0.05)
     a = expanded_poincare(h, 1.0, Coeffs("geometric", sigma=2.0))
     assert isinstance(a, DilationSeries) and isinstance(a.base, ReducedPoincare) and a.start == 0
@@ -270,7 +414,7 @@ def test_constant_functional_dr_is_one():
     q = Cube((0.0,), 0.5)
     fams = sample_disjoint_families(q, 6, seed=4, m=64)
     for r in (1.0, 2.0, 4.0):
-        rep = estimate_condition(a, "Dr", r=r, families=fams)
+        rep = estimate_condition(a, "Dr", 64, r=r, families=fams)
         assert rep.measured_constant == pytest.approx(1.0, abs=1e-12)
         assert rep.passed
 
@@ -281,7 +425,7 @@ def test_bmo_functional_dinf_is_one():
         (Cube((0.0,), 0.125), Cube((0.0,), 0.5)),
         (Cube((0.25,), 0.25), Cube((0.0,), 0.5)),
     ]
-    rep = estimate_condition(a, "Dinf", cube_pairs=pairs)
+    rep = estimate_condition(a, "Dinf", 64, cube_pairs=pairs)
     assert rep.measured_constant <= 1.0 + 1e-12
 
 
@@ -291,7 +435,7 @@ def test_dr_monotone_in_r_on_shared_families():
     a = ReducedPoincare(h, 1.0)
     fams = sample_disjoint_families(Cube((0.0,), 0.5), 12, seed=8, m=m)
     consts = [
-        estimate_condition(a, "Dr", r=r, families=fams).measured_constant
+        estimate_condition(a, "Dr", m, r=r, families=fams).measured_constant
         for r in (1.0, 2.0, 3.0, 5.0)
     ]
     for lo, hi in zip(consts, consts[1:]):
@@ -304,8 +448,8 @@ def test_dinf_bounds_dr_on_matched_probes():
     a = ReducedPoincare(h, 1.0)
     fams = sample_disjoint_families(Cube((0.0,), 0.5), 8, seed=3, m=m)
     pairs = [(qi, fam.parent) for fam in fams for qi in fam.members]
-    dinf = estimate_condition(a, "Dinf", cube_pairs=pairs).measured_constant
-    dr = estimate_condition(a, "Dr", r=2.0, families=fams).measured_constant
+    dinf = estimate_condition(a, "Dinf", m, cube_pairs=pairs).measured_constant
+    dr = estimate_condition(a, "Dr", m, r=2.0, families=fams).measured_constant
     assert dr <= dinf * (1 + 1e-12)
 
 
@@ -318,9 +462,9 @@ def test_d1_implies_d0_chain_on_matched_probes():
     big = Cube((0.0,), 0.25)  # l(big) <= 4 l(small), small inside big
     assert big.contains_cube(small)
     d1 = estimate_condition(
-        a, "Dr", r=1.0, families=[DisjointFamily(big, (small,))]
+        a, "Dr", m, r=1.0, families=[DisjointFamily(big, (small,))]
     ).measured_constant
-    ratio_d0 = a.eval(small) / a.eval(big)
+    ratio_d0 = value(a, small, m) / value(a, big, m)
     eight_small = Cube((0.0,), 1.0)  # 8 * 0.125 saturates the torus
     vol_ratio = eight_small.volume / small.volume
     assert ratio_d0 <= d1 * vol_ratio * (1 + 1e-12)
@@ -336,8 +480,8 @@ def test_pair_condition_singleton_sanity():
     bar = bar_expand(at, q=1.5)
     q = Cube((0.25, 0.25), 0.25)
     fams = [DisjointFamily(q, (q,))]
-    rep = estimate_condition(at, "pair", r=1.5, families=fams, partner=bar)
-    assert rep.measured_constant >= at.eval(q) / bar.eval(q) * (1 - 1e-12)
+    rep = estimate_condition(at, "pair", m, r=1.5, families=fams, partner=bar)
+    assert rep.measured_constant >= value(at, q, m) / value(bar, q, m) * (1 - 1e-12)
     assert math.isfinite(rep.measured_constant)
 
 
@@ -346,18 +490,18 @@ def test_zero_denominator_reports_infinite_constant():
     one = ConstantFunctional(1.0)
 
     class Mixed(ConstantFunctional):
-        def _eval(self, q):
-            return 1.0 if q.side < 0.5 else 0.0
+        def _values(self, c, anchors, m):
+            return np.full(len(anchors), 1.0 if c / m < 0.5 else 0.0)
 
     mixed = Mixed(0.0)
     q = Cube((0.0,), 0.5)
     fams = sample_disjoint_families(q, 2, seed=0, m=32)
-    rep = estimate_condition(mixed, "Dr", r=2.0, families=fams)
+    rep = estimate_condition(mixed, "Dr", 32, r=2.0, families=fams)
     assert math.isinf(rep.measured_constant)
     assert not rep.passed
-    rep0 = estimate_condition(zero, "Dr", r=2.0, families=fams)
+    rep0 = estimate_condition(zero, "Dr", 32, r=2.0, families=fams)
     assert rep0.measured_constant == 0.0
-    assert one.eval(q) == 1.0
+    assert value(one, q, 32) == 1.0
 
 
 def test_reduced_poincare_below_sobolev_finite():
@@ -365,7 +509,7 @@ def test_reduced_poincare_below_sobolev_finite():
     h = Field(np.abs(make_field("random-smooth", 2, m, seed=13, band=3).values) + 0.02)
     a = ReducedPoincare(h, 1.0)  # s* = 2 in two dimensions
     fams = sample_disjoint_families(Cube((0.0, 0.0), 0.5), 30, seed=5, m=m)
-    rep = estimate_condition(a, "Dr", r=1.9, families=fams)
+    rep = estimate_condition(a, "Dr", m, r=1.9, families=fams)
     assert math.isfinite(rep.measured_constant)
     assert rep.measured_constant >= 1.0 - 1e-12
 
@@ -373,7 +517,7 @@ def test_reduced_poincare_below_sobolev_finite():
 def test_condition_report_serializes():
     a = ConstantFunctional(1.0)
     fams = sample_disjoint_families(Cube((0.0,), 0.5), 3, seed=1, m=16)
-    rep = estimate_condition(a, "Dr", r=2.0, families=fams, seed=1)
+    rep = estimate_condition(a, "Dr", 16, r=2.0, families=fams, seed=1)
     d = report_tree(rep)
     assert d["families"] == {"seed": 1, "count": 3}
     assert d["passed"] is True
@@ -390,5 +534,5 @@ def test_reduced_poincare_quasi_increasing_when_s_at_least_n():
         big = Cube((anchor,), 0.25)
         pairs.append((Cube((anchor,), 0.0625), big))
         pairs.append((Cube(((anchor + 0.125) % 1.0,), 0.125), big))
-    rep = estimate_condition(a, "Dinf", cube_pairs=pairs)
+    rep = estimate_condition(a, "Dinf", m, cube_pairs=pairs)
     assert rep.measured_constant <= 1.0 + 1e-12

@@ -163,7 +163,7 @@ def _one_report_of_each_kind() -> list:
     rung = Rung(m, f, family, a, two_q_functional(a), cubes)
     q = Cube((0.25,), 0.25)
     families = sample_disjoint_families(Cube((0.0,), 0.5), 3, seed=0, m=m)
-    condition = estimate_condition(a, "Dr", r=2.0, families=families)
+    condition = estimate_condition(a, "Dr", m, r=2.0, families=families)
     probes = [make_field("constant", 1, m, value=1.0), f]
     return [
         check_hypothesis(rung, 2),

@@ -10,7 +10,7 @@ import pytest
 
 from osclab._support import ParameterError, dotted
 from osclab.cli import KIND_SECTIONS, OPERATORS, SECTIONS, ExperimentConfig, build_rung, bundled_config_path
-from osclab.cubes import Cube
+from osclab.cubes import Cube, sample_blocks
 from osclab.functionals import Coeffs, Functional
 from osclab.grid import Field
 from osclab.operators import EllipticOperator
@@ -185,7 +185,8 @@ def test_every_kind_builds(path, kind, dimension, m):
     if isinstance(built, Field):
         assert built.values.shape == (m,) * dimension
     if isinstance(built, Functional):
-        assert built.eval(Cube((0.25,) * dimension, 0.25)) >= 0.0
+        block, = sample_blocks([Cube((0.25,) * dimension, 0.25)], m)
+        assert built.values(block.c, block.anchors, m) >= 0.0
 
 
 # One malformed value of one key per kind that has keys.  ``random-normal``'s

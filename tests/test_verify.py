@@ -10,7 +10,7 @@ import pytest
 
 from osclab._support import ParameterError, ratio
 from osclab.cubes import Cube, dilate, sample_disjoint_families, whitney_decompose
-from osclab.functionals import ConstantFunctional, estimate_condition, tilde_expand
+from osclab.functionals import ConstantFunctional, cube_values, estimate_condition, tilde_expand
 from osclab.grid import (
     Field,
     exp_luxemburg_norms,
@@ -62,12 +62,12 @@ def classical_jn_rung(m: int, scale: float = 1.0) -> tuple[Rung, object]:
 
 def dinf_report_for(a) -> object:
     pairs = [(Cube((0.25,), 0.125), Cube((0.25,), 0.25)), (Cube((0.0,), 0.25), Cube((0.0,), 0.5))]
-    return estimate_condition(a, "Dinf", cube_pairs=pairs)
+    return estimate_condition(a, "Dinf", 64, cube_pairs=pairs)
 
 
 def dq_report_for(a, m: int, r: float) -> object:
     fams = sample_disjoint_families(Cube((0.0,), 0.5), 6, seed=2, m=m)
-    return estimate_condition(a, "Dr", r=r, families=fams)
+    return estimate_condition(a, "Dr", m, r=r, families=fams)
 
 
 # ---------------------------------------------------------------------------
@@ -261,7 +261,7 @@ def test_exponential_constant_field_zero_and_dinf_gate():
     rung = Rung(m, f, fam, a, exponential_denominator(a, prof), make_cube_sample(1, m, 8, 4, seed=0))
     rep = verify_exponential([rung], dinf_report_for(a))
     assert rep.conclusion_constant == 0.0
-    bad = estimate_condition(a, "Dr", r=2.0, families=sample_disjoint_families(Cube((0.0,), 0.5), 3, seed=0, m=m))
+    bad = estimate_condition(a, "Dr", m, r=2.0, families=sample_disjoint_families(Cube((0.0,), 0.5), 3, seed=0, m=m))
     with pytest.raises(ParameterError):
         verify_exponential([rung], bad)
 
@@ -324,7 +324,7 @@ def per_cube_walk(rung: Rung, k_max: int) -> list:
         bf = rung.family.apply_B(rung.field, q)
         for k, cube, saturated in per_cube_dilates(q, rung.m, k_max):
             num = float(power_means(*one_row(bf, cube), rung.family.p0)[0])
-            den = rung.hypothesis.eval(cube)
+            den = cube_values(rung.hypothesis, [cube], rung.m)[cube]
             rows.append((q, k, num, den, ratio(num, den), saturated))
     return rows
 
@@ -386,7 +386,7 @@ def test_block_rows_equal_the_per_cube_path_with_the_unit_weight():
 def test_block_rows_equal_the_per_cube_path_on_2d_seam_crossing_cubes(monkeypatch, kind, row_cells):
     # row_cells = 40: every block is gathered in parts of a cube or two
     if row_cells is not None:
-        monkeypatch.setattr(verify, "_ROW_CELLS", row_cells)
+        monkeypatch.setattr(verify, "ROW_CELLS", row_cells)
     m = 32
     cubes = make_cube_sample(2, m, 4, 16, seed=5)
     assert any(a + q.side > 1.0 for q in cubes for a in q.anchor)  # some cubes cross the seam
