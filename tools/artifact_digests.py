@@ -43,6 +43,8 @@ OVERRIDE_SETS = {
                                          "cube_sample.min_cells=1", "variant=tilde",
                                          "resolution_ladder=[32,64]"]),
     "weighted-alternative": ("weighted-power", ["variant=alternative"]),
+    # the weight report and the weighted sweeps in 2-D, off-dyadic cubes across the seam
+    "weighted-2d": ("weighted-power", ["dimension=2", "resolution_ladder=[32,64]"]),
 }
 
 
