@@ -195,6 +195,13 @@ class CubeBlock(NamedTuple):
             return np.zeros_like(self.anchors), m, True
         return (self.anchors + first) % m, size, False
 
+    def parts(self, width: int, n: int) -> Iterator["CubeBlock"]:
+        """The block in consecutive sub-blocks whose rows of ``width`` cells
+        per axis fit in ROW_CELLS, or one cube each when one row is larger."""
+        step = max(1, ROW_CELLS // width ** n)
+        for i in range(0, len(self.members), step):
+            yield CubeBlock(self.c, self.members[i:i + step], self.anchors[i:i + step])
+
     def dyadic_dilations(self, m: int, k_max: int) -> Iterator[tuple[int, np.ndarray, int, bool]]:
         """Yield (k, anchor cells, cells per axis, saturated) of the dyadic
         dilates 2^k Q of the block's cubes: Q itself at k = 0, unsaturated

@@ -24,7 +24,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from osclab._support import ParameterError, build_kind, ratio
-from osclab.cubes import ROW_CELLS, Cube, CubeBlock, DisjointFamily, cell_rows, sample_blocks
+from osclab.cubes import Cube, CubeBlock, DisjointFamily, cell_rows, sample_blocks
 from osclab.grid import Field, power_means
 from osclab.operators import OffDiagonalProfile
 from osclab.weights import Weight
@@ -174,10 +174,9 @@ class ReducedPoincare(Functional):
 
     def _values(self, c, anchors, m):  # lp_average's arithmetic on gathered rows
         h, n, vol = np.abs(self.h.values.ravel()), self.h.dimension, self.h.cell_volume
-        step = max(1, ROW_CELLS // c ** n)
         means = []
-        for i in range(0, len(anchors), step):
-            rows = cell_rows(anchors[i:i + step], c, m)
+        for part in CubeBlock(c, np.arange(len(anchors)), anchors).parts(c, n):
+            rows = cell_rows(part.anchors, c, m)
             mu = np.full((1, c ** n), vol) if self.weight is None else self.weight.density.values.ravel()[rows] * vol
             means.append(power_means(h[rows], mu, self.s))
         return (c / m) * np.concatenate(means)

@@ -18,7 +18,6 @@ import numpy as np
 
 from osclab._support import ParameterError, ratio, rng_from_seed
 from osclab.cubes import (
-    ROW_CELLS,
     Cube,
     CubeBlock,
     cell_rows,
@@ -84,22 +83,21 @@ def measured_oscillation(f: Field, cubes: Sequence[Cube]) -> ConstantFunctional:
     """Constant functional holding the measured oscillation sup_Q mean_Q |f - f_Q|."""
     best = 0.0
     m, flat = f.resolution, f.values.ravel()
-    for part, _dilates in _dilate_parts(sample_blocks(cubes, m), m, f.dimension, 0):
-        vals = flat[cell_rows(part.anchors, part.c, m)]
-        best = max(best, float(np.abs(vals - vals.mean(axis=1, keepdims=True)).mean(axis=1).max()))
+    for block in sample_blocks(cubes, m):
+        for part in block.parts(block.c, f.dimension):
+            vals = flat[cell_rows(part.anchors, part.c, m)]
+            best = max(best, float(np.abs(vals - vals.mean(axis=1, keepdims=True)).mean(axis=1).max()))
     return ConstantFunctional(best)
 
 
 def _dilate_parts(blocks: Sequence[CubeBlock], m: int, n: int, k_max: int):
     """The one walk over the blocks of a cube sample and the dyadic dilates
-    of their cubes: each block in consecutive parts whose rows of its widest
+    of their cubes: each block in its ``parts`` whose rows of its widest
     dilate fit in ROW_CELLS, yielded as (part, its ``dyadic_dilations(m,
     k_max)`` as a list)."""
     for block in blocks:
         widest = list(block.dyadic_dilations(m, k_max))[-1][2]
-        step = max(1, ROW_CELLS // widest ** n)
-        for i in range(0, len(block.members), step):
-            part = CubeBlock(block.c, block.members[i:i + step], block.anchors[i:i + step])
+        for part in block.parts(widest, n):
             yield part, list(part.dyadic_dilations(m, k_max))
 
 
@@ -436,7 +434,8 @@ def verify_good_lambda(
     each probed t yields the triple (|Omega_{st} cap Q|, structural term,
     tail term) and the smallest constant making the inequality hold.  In the
     non-trivial branch the level set is Whitney-decomposed on the dyadic grid
-    adapted to Q and the decomposition invariants are recorded.
+    adapted to Q and the decomposition invariants are recorded; it passes
+    only when a Whitney cube meets Q, so ``whitney_prop_constant`` > 0.
     """
     if not (s_mult > 1.0):
         raise ParameterError("threshold multiplier must exceed 1")
@@ -522,10 +521,12 @@ def verify_good_lambda(
         chk["disjoint"] and chk["cover"] and chk["ten_q_touches_complement"]
         for chk in whitney
     )
+    if whitney and prop_const == 0.0:
+        warnings.append("no Whitney cube meets Q: the Whitney branch measured nothing")
     passed = (
         finite
         and branches == {"trivial", "whitney"}
-        and len(whitney) >= 1
+        and prop_const > 0.0  # a Whitney cube met Q, so a decomposition was measured
         and invariants_ok
     )
     return GoodLambdaReport(

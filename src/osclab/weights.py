@@ -4,7 +4,9 @@ A weight is a strictly positive field; its cube masses w(Q) come from a
 prefix-sum table, so repeated queries are O(2^n) regardless of cube size.
 The A_p / RH_p constants reported here are measured over a declared cube
 sample, never claimed as true suprema; the report carries the sample size and
-seed so results are reproducible.
+seed so results are reproducible.  The row kernels ``ap_ratios`` and
+``rh_ratios`` read them from the density gathered on the sample's blocks,
+one C-ordered row per cube, each row as the cube's own restriction reads.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from osclab._support import DataError, ParameterError, rng_from_seed
-from osclab.cubes import Cube, SummedAreaTable
+from osclab.cubes import Cube, SummedAreaTable, cell_rows, sample_blocks
 from osclab.grid import Field
 
 #: the exponent r of the A_infinity probe: the RH_r constant over the sample
@@ -50,9 +52,6 @@ class Weight:
         raw = self._masses.box_sum(q.anchor_cells(m), q.cells_per_axis(m))
         return raw * self.density.cell_volume
 
-    def restrict(self, q: Cube) -> np.ndarray:
-        return self.density.restrict(q)
-
 
 def ones_weight(dimension: int, m: int) -> Weight:
     return Weight(Field(np.ones((m,) * dimension)))
@@ -71,41 +70,39 @@ class WeightReport:
     ainf_probe_r: float = AINF_PROBE_R
 
 
-def ap_constant_on_cube(w: Weight, q: Cube, p: float) -> float:
-    """Defining A_p ratio on a single cube (ess-inf form when p = 1)."""
-    vals = w.restrict(q)
-    mean = float(vals.mean())
+def ap_ratios(rows: np.ndarray, p: float) -> list[float]:
+    """Defining A_p ratio of each density row (ess-inf form when p = 1)."""
+    means = rows.mean(axis=-1).tolist()
     if p == 1.0:
-        return mean / float(vals.min())
+        return [mean / low for mean, low in zip(means, rows.min(axis=-1).tolist())]
     if p <= 1.0:
         raise ParameterError(f"A_p needs p >= 1, got {p}")
     pprime = p / (p - 1.0)
-    dual = float(np.power(vals, 1.0 - pprime).mean()) ** (p - 1.0)
-    return mean * dual
+    duals = np.power(rows, 1.0 - pprime).mean(axis=-1).tolist()
+    return [mean * dual ** (p - 1.0) for mean, dual in zip(means, duals)]
 
 
-def rh_constant_on_cube(w: Weight, q: Cube, p: float) -> float:
-    """Defining reverse-Holder ratio on a single cube."""
+def rh_ratios(rows: np.ndarray, p: float) -> list[float]:
+    """Defining reverse-Holder ratio of each density row."""
     if p <= 1.0:
         raise ParameterError(f"RH_p needs p > 1, got {p}")
-    vals = w.restrict(q)
-    return float(np.power(vals, p).mean()) ** (1.0 / p) / float(vals.mean())
+    highs = np.power(rows, p).mean(axis=-1).tolist()
+    return [high ** (1.0 / p) / mean for high, mean in zip(highs, rows.mean(axis=-1).tolist())]
 
 
-def _theta_fit(w: Weight, cubes: Sequence[Cube], rng: np.random.Generator) -> float:
+def _theta_fit(w: Weight, cubes: Sequence[Cube], rows: Sequence[np.ndarray], rng: np.random.Generator) -> float:
     """Largest theta with w(S)/w(Q) <= 4 (|S|/|Q|)^theta over sampled subsets.
 
-    Subsets are dyadic subcubes plus random cell subsets of each sampled cube;
-    the constraint bound is exact on the sample, then clamped to (0, 1].
+    Subsets are random cell subsets of each sampled cube, drawn from its
+    density row cube by cube in sample order; the constraint bound is exact
+    on the sample, then clamped to (0, 1].
     """
-    m = w.resolution
     xs, ys = [], []
     log4 = math.log(4.0)
-    for q in cubes:
+    vol_cell = w.density.cell_volume
+    for q, flat_density in zip(cubes, rows):
         wq = w.mass(q)
-        count = q.cell_count(m)
-        flat_density = w.density.values[q.index(m)].ravel()
-        vol_cell = w.density.cell_volume
+        count = flat_density.size
         for frac in (0.5, 0.25, 0.0625):
             k = max(1, int(round(count * frac)))
             if k >= count:
@@ -130,33 +127,29 @@ def weight_report(
 ) -> WeightReport:
     """Measure A_p and RH_p constants over the sample and fit theta.
 
-    A_infinity membership is probed (not decided) by the finiteness of the
-    measured RH constant at ``AINF_PROBE_R``, read from the RH constants when
-    ``ps`` holds that exponent.
+    The row kernels read every constant from the density gathered on the
+    sample's blocks, one row per cube, in parts of at most ``ROW_CELLS``
+    cells.  A_infinity membership is probed (not decided) by the finiteness
+    of the measured RH constant at ``AINF_PROBE_R``, measured once.
     """
     if not cube_sample:
         raise ParameterError("cube sample must be nonempty")
-    for pv in ps:
-        if pv < 1.0:
-            raise ParameterError(f"A_p exponents must be >= 1, got {pv}")
-    ap = {}
-    rh = {}
-    for pv in ps:
-        ap[pv] = max(ap_constant_on_cube(w, q, pv) for q in cube_sample)
-        if pv > 1.0:
-            rh[pv] = max(rh_constant_on_cube(w, q, pv) for q in cube_sample)
-    probe = rh[AINF_PROBE_R] if AINF_PROBE_R in rh else max(
-        rh_constant_on_cube(w, q, AINF_PROBE_R) for q in cube_sample)
-    rng = rng_from_seed(seed)
-    theta = _theta_fit(w, cube_sample, rng)
-    return WeightReport(
-        ap=ap,
-        rh=rh,
-        theta=theta,
-        cubes_sampled=len(cube_sample),
-        seed=seed,
-        ainf_probe_constant=probe,
-    )
+    m, density = w.resolution, w.density.values.ravel()
+    ap = dict.fromkeys(ps, 0.0)
+    rh = dict.fromkeys([pv for pv in ps if pv > 1.0] + [AINF_PROBE_R], 0.0)
+    rows = {}
+    for block in sample_blocks(cube_sample, m):
+        for part in block.parts(block.c, w.dimension):
+            part_rows = density[cell_rows(part.anchors, part.c, m)]
+            for pv in ap:
+                ap[pv] = max(ap[pv], *ap_ratios(part_rows, pv))
+            for pv in rh:
+                rh[pv] = max(rh[pv], *rh_ratios(part_rows, pv))
+            rows.update(zip(part.members.tolist(), part_rows))
+    probe = rh[AINF_PROBE_R] if AINF_PROBE_R in ps else rh.pop(AINF_PROBE_R)
+    theta = _theta_fit(w, cube_sample, [rows[i] for i in range(len(cube_sample))], rng_from_seed(seed))
+    return WeightReport(ap=ap, rh=rh, theta=theta, cubes_sampled=len(cube_sample), seed=seed,
+                        ainf_probe_constant=probe)
 
 
 def rh_subset_check(w: Weight, q: Cube, subset_mask: np.ndarray, p: float) -> tuple[float, float]:
@@ -170,7 +163,7 @@ def rh_subset_check(w: Weight, q: Cube, subset_mask: np.ndarray, p: float) -> tu
         raise ParameterError("subset is empty")
     if bool((subset_mask & ~q.mask(m)).any()):
         raise ParameterError("subset must be contained in the cube")
-    c = rh_constant_on_cube(w, q, p)
+    c = rh_ratios(w.density.restrict(q)[None], p)[0]
     lhs = float(w.density.values[subset_mask].sum()) * w.density.cell_volume / w.mass(q)
     pprime = p / (p - 1.0)
     frac = subset_mask.sum() / q.cell_count(m)

@@ -591,3 +591,20 @@ def test_cube_blocks_match_the_per_cube_geometry(dim, m):
                 assert (tuple(anchors[j].tolist()), size) == (d.anchor_cells(m), d.cells_per_axis(m))
                 inside = cell_membership(anchors, size, two_q, two_size, m)[j]
                 assert np.array_equal(inside, dilate(q, 2.0, m).cube.mask(m)[d.index(m)].ravel())
+
+
+@pytest.mark.parametrize("dim, width, row_cells, sizes", [
+    (1, 4, 10, [2, 2, 2, 1]),  # 10 // 4 rows of 4 cells per part
+    (2, 3, 20, [2, 2, 2, 1]),  # 20 // 9
+    (2, 8, 20, [1] * 7),  # one row of 64 cells is larger: one cube each
+])
+def test_block_parts_split_in_order_within_the_row_budget(monkeypatch, dim, width, row_cells, sizes):
+    monkeypatch.setattr("osclab.cubes.ROW_CELLS", row_cells)
+    rng = np.random.Generator(np.random.Philox(1))
+    cubes = [Cube(tuple(int(a) / 16 for a in rng.integers(0, 16, dim)), 0.125) for _ in range(sum(sizes))]
+    block, = sample_blocks(cubes, 16)
+    parts = list(block.parts(width, dim))
+    assert [len(p.members) for p in parts] == sizes
+    assert all(p.c == block.c for p in parts)
+    assert np.array_equal(np.concatenate([p.members for p in parts]), block.members)
+    assert np.array_equal(np.concatenate([p.anchors for p in parts]), block.anchors)

@@ -20,7 +20,6 @@ from osclab.grid import (
     weak_lq_norms,
 )
 from osclab.operators import EllipticOperator, make_family, measure_offdiagonal, sharp_maximal
-from osclab import verify
 from osclab.verify import (
     BmoRung,
     Rung,
@@ -386,7 +385,7 @@ def test_block_rows_equal_the_per_cube_path_with_the_unit_weight():
 def test_block_rows_equal_the_per_cube_path_on_2d_seam_crossing_cubes(monkeypatch, kind, row_cells):
     # row_cells = 40: every block is gathered in parts of a cube or two
     if row_cells is not None:
-        monkeypatch.setattr(verify, "ROW_CELLS", row_cells)
+        monkeypatch.setattr("osclab.cubes.ROW_CELLS", row_cells)
     m = 32
     cubes = make_cube_sample(2, m, 4, 16, seed=5)
     assert any(a + q.side > 1.0 for q in cubes for a in q.anchor)  # some cubes cross the seam
@@ -505,11 +504,18 @@ def whitney_case(case: str) -> tuple[Rung, Cube]:
     else:
         # a spike in 2Q two cells beyond Q: the Whitney cubes that meet Q
         # reach it first with their 2^3 dilates
-        dim, m, f = 1, 64, make_field("spike", 1, 64, amp=10.0, cell=[34])
-        q_cube = Cube((0.25,), 0.25)
+        return spike_rung(34), Cube((0.25,), 0.25)
     cubes = make_cube_sample(dim, m, 4, 8, seed=0)
     a = measured_oscillation(f, cubes)
     return Rung(m, f, make_family("extended-average", (1.0, math.inf)), a, two_q_functional(a), cubes), q_cube
+
+
+def spike_rung(cell: int) -> Rung:
+    """A 1-D m = 64 extended-average rung on a spike at ``cell``."""
+    m, f = 64, make_field("spike", 1, 64, amp=10.0, cell=[cell])
+    cubes = make_cube_sample(1, m, 4, 8, seed=0)
+    a = measured_oscillation(f, cubes)
+    return Rung(m, f, make_family("extended-average", (1.0, math.inf)), a, two_q_functional(a), cubes)
 
 
 @pytest.mark.parametrize("case", ["classical-jn-1024", "2d-seam", "1d-spike-beside-q"])
@@ -523,6 +529,18 @@ def test_good_lambda_whitney_constant_equals_the_per_cube_walk(case):
         assert crossing > 0
     if case == "1d-spike-beside-q":
         assert per_cube_whitney_constant(rung, q_cube, rep.rows, k_max=2)[0] == 0.0
+
+
+@pytest.mark.parametrize("cell", [35, 37, 39])
+def test_good_lambda_does_not_pass_when_no_whitney_cube_meets_q(cell):
+    # a spike in 2Q three or more cells beyond Q = [1/4, 1/2): the level sets
+    # are Whitney-decomposed, but no Whitney cube meets Q, so the branch
+    # measured nothing
+    rep = verify_good_lambda(spike_rung(cell), Cube((0.25,), 0.25), s_mult=4.0, lam=0.5, q_exp=2.0, t_points=20)
+    assert rep.whitney and {r[1] for r in rep.rows} == {"trivial", "whitney"}
+    assert rep.whitney_prop_constant == 0.0
+    assert not rep.passed
+    assert any("no Whitney cube meets Q" in w for w in rep.warnings)
 
 
 def test_good_lambda_parameter_validation():

@@ -2,30 +2,120 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
-from osclab._support import DataError, ParameterError, report_tree
-from osclab.cubes import Cube, full_torus
+from osclab._support import DataError, ParameterError, report_tree, rng_from_seed
+from osclab.cubes import Cube, cell_rows, full_torus, sample_blocks
 from osclab.grid import Field, make_field
 from osclab.verify import make_cube_sample
 from osclab.weights import (
     AINF_PROBE_R,
     Weight,
-    ap_constant_on_cube,
+    ap_ratios,
     ones_weight,
-    rh_constant_on_cube,
+    rh_ratios,
     rh_subset_check,
     weight_report,
 )
 
 
-def power_weight(m: int, gamma: float = -0.5) -> Weight:
-    return Weight(make_field("power-distance", 1, m, center=0.5, gamma=gamma))
+def power_weight(m: int, gamma: float = -0.5, dimension: int = 1) -> Weight:
+    return Weight(make_field("power-distance", dimension, m, center=0.5, gamma=gamma))
 
 
-def spike_weight(m: int) -> Weight:
-    return Weight(make_field("spike", 1, m, amp=10.0, cell=(m // 3,)))
+def spike_weight(m: int, dimension: int = 1) -> Weight:
+    return Weight(make_field("spike", dimension, m, amp=10.0, cell=(m // 3,) * dimension))
+
+
+# ---------------------------------------------------------------------------
+# per-cube reference: the defining ratios on one cube's restriction at a time
+# ---------------------------------------------------------------------------
+
+
+def ap_constant_on_cube(w: Weight, q: Cube, p: float) -> float:
+    """Defining A_p ratio on a single cube (ess-inf form when p = 1)."""
+    vals = w.density.restrict(q)
+    mean = float(vals.mean())
+    if p == 1.0:
+        return mean / float(vals.min())
+    pprime = p / (p - 1.0)
+    dual = float(np.power(vals, 1.0 - pprime).mean()) ** (p - 1.0)
+    return mean * dual
+
+
+def rh_constant_on_cube(w: Weight, q: Cube, p: float) -> float:
+    """Defining reverse-Holder ratio on a single cube."""
+    vals = w.density.restrict(q)
+    return float(np.power(vals, p).mean()) ** (1.0 / p) / float(vals.mean())
+
+
+def theta_on_cubes(w: Weight, cubes, seed: int) -> float:
+    """The theta fit with each cube's cells read through its own index."""
+    rng = rng_from_seed(seed)
+    m, log4, theta = w.resolution, math.log(4.0), 1.0
+    for q in cubes:
+        wq, count = w.mass(q), q.cell_count(m)
+        flat_density = w.density.values[q.index(m)].ravel()
+        for frac in (0.5, 0.25, 0.0625):
+            k = max(1, int(round(count * frac)))
+            if k >= count:
+                continue
+            for _ in range(2):
+                pick = rng.choice(count, size=k, replace=False)
+                ws = float(flat_density[pick].sum()) * w.density.cell_volume
+                x, y = math.log(k / count), math.log(ws / wq)
+                if x < -1e-12:
+                    theta = min(theta, (y - log4) / x)
+    return max(min(theta, 1.0), 1e-9)
+
+
+def weight_case(case: str):
+    """(weight, sample): 1-D m = 64 and 2-D m = 16, off-dyadic cubes across the seam."""
+    dimension, m, kind = {"1d-power": (1, 64, "power"), "1d-spike": (1, 64, "spike"),
+                          "2d-power": (2, 16, "power"), "2d-spike": (2, 16, "spike")}[case]
+    w = power_weight(m, -1.5, dimension) if kind == "power" else spike_weight(m, dimension)
+    sample = make_cube_sample(dimension, m, min_cells=2, off_dyadic=24, seed=4)
+    assert any(a + q.side > 1.0 for q in sample for a in q.anchor)  # some cubes cross the seam
+    return w, sample
+
+
+@pytest.mark.parametrize("row_cells", [None, 20])
+@pytest.mark.parametrize("case", ["1d-power", "1d-spike", "2d-power", "2d-spike"])
+def test_block_weight_report_equals_the_per_cube_reference(monkeypatch, case, row_cells):
+    # row_cells = 20: every block of more than a few cells is gathered in parts
+    if row_cells is not None:
+        monkeypatch.setattr("osclab.cubes.ROW_CELLS", row_cells)
+    w, sample = weight_case(case)
+    ps = [1.0, 1.5, 2.0, 4.0]
+    rep = weight_report(w, ps, sample, seed=7)
+    assert rep.ap == {p: max(ap_constant_on_cube(w, q, p) for q in sample) for p in ps}
+    assert rep.rh == {p: max(rh_constant_on_cube(w, q, p) for q in sample) for p in ps[1:]}
+    assert rep.ainf_probe_constant == rep.rh[AINF_PROBE_R]
+    assert rep.theta == theta_on_cubes(w, sample, seed=7)
+    assert rep.cubes_sampled == len(sample)
+
+
+@pytest.mark.parametrize("case", ["1d-power", "2d-power"])
+def test_row_kernels_equal_the_per_cube_ratios_row_by_row(case):
+    w, sample = weight_case(case)
+    m = w.resolution
+    for block in sample_blocks(sample, m):
+        rows = w.density.values.ravel()[cell_rows(block.anchors, block.c, m)]
+        cubes = [sample[i] for i in block.members.tolist()]
+        for p in (1.0, 1.5, 2.0, 4.0):
+            assert ap_ratios(rows, p) == [ap_constant_on_cube(w, q, p) for q in cubes]
+            if p > 1.0:
+                assert rh_ratios(rows, p) == [rh_constant_on_cube(w, q, p) for q in cubes]
+
+
+@pytest.mark.parametrize("case", ["1d-spike", "2d-power"])
+def test_theta_fit_binds_below_one(case):
+    # the comparison is not clamped on these cases, so the draws are compared
+    w, sample = weight_case(case)
+    assert weight_report(w, [2.0], sample, seed=7).theta < 1.0
 
 
 def test_weight_requires_positive_density():
@@ -40,14 +130,14 @@ def test_mass_additivity_and_cache():
     right = Cube((0.5,), 0.25)
     assert w.mass(q) == pytest.approx(w.mass(left) + w.mass(right), rel=1e-12)
     # mass equals the direct cell sum
-    direct = w.restrict(q).sum() * w.density.cell_volume
+    direct = w.density.restrict(q).sum() * w.density.cell_volume
     assert w.mass(q) == pytest.approx(direct, rel=1e-12)
 
 
 def test_mass_wraps_around_torus():
     w = spike_weight(16)
     q = Cube((0.75,), 0.5)  # wraps through 0
-    direct = w.restrict(q).sum() * w.density.cell_volume
+    direct = w.density.restrict(q).sum() * w.density.cell_volume
     assert w.mass(q) == pytest.approx(direct, rel=1e-12)
 
 
@@ -67,7 +157,7 @@ def test_power_weight_a1_stable_under_refinement():
     for m in (128, 256):
         w = power_weight(m)
         sample = make_cube_sample(1, m, min_cells=8, off_dyadic=16, seed=0)
-        consts.append(max(ap_constant_on_cube(w, q, 1.0) for q in sample))
+        consts.append(weight_report(w, [1.0], sample).ap[1.0])
     assert all(np.isfinite(c) for c in consts)
     assert max(consts) / min(consts) < 2.0
 
@@ -97,7 +187,7 @@ def test_a1_left_comparison_inequality():
     # |S|/|Q| <= A1 * w(S)/w(Q) on sampled subcubes of sampled cubes
     w = power_weight(64)
     sample = make_cube_sample(1, 64, min_cells=8, off_dyadic=16, seed=5)
-    a1 = max(ap_constant_on_cube(w, q, 1.0) for q in sample)
+    a1 = weight_report(w, [1.0], sample).ap[1.0]
     m = 64
     for q in sample[:12]:
         c = q.cells_per_axis(m)
@@ -134,7 +224,7 @@ def test_rh_subset_check_spike_direct_masses():
     e = np.zeros(m, dtype=bool)
     e[spike_cell] = True
     lhs, rhs = rh_subset_check(w, q, e, 2.0)
-    direct = w.density.values[spike_cell] / w.restrict(q).sum()
+    direct = w.density.values[spike_cell] / w.density.restrict(q).sum()
     assert lhs == pytest.approx(direct, rel=1e-12)
     assert lhs <= rhs * (1 + 1e-12)
 
@@ -175,20 +265,21 @@ def test_report_serialization():
 
 @pytest.mark.parametrize("ps", [[1.0, 1.5, 2.0, 4.0], [1.0, 3.0]])
 def test_ainf_probe_reads_the_rh_constant_at_its_exponent(monkeypatch, ps):
-    # RH at AINF_PROBE_R is measured once: the probe reads rh[2.0] when ps
-    # holds 2, and sweeps the sample itself otherwise
+    # RH at AINF_PROBE_R is measured once, one row per cube: the probe reads
+    # rh[2.0] when ps holds 2, and is measured for itself otherwise
     from osclab import weights
 
     w = power_weight(64)
     sample = make_cube_sample(1, 64, min_cells=4, off_dyadic=8, seed=1)
-    calls = []
-    rh_on_cube = weights.rh_constant_on_cube
+    rows = {}
+    rh_ratios = weights.rh_ratios
 
-    def counting(w, q, p):
-        calls.append(p)
-        return rh_on_cube(w, q, p)
+    def counting(block_rows, p):
+        rows[p] = rows.get(p, 0) + len(block_rows)
+        return rh_ratios(block_rows, p)
 
-    monkeypatch.setattr(weights, "rh_constant_on_cube", counting)
+    monkeypatch.setattr(weights, "rh_ratios", counting)
     rep = weight_report(w, ps, sample, seed=0)
-    assert calls.count(AINF_PROBE_R) == len(sample)
-    assert rep.ainf_probe_constant == max(rh_on_cube(w, q, AINF_PROBE_R) for q in sample)
+    assert rows[AINF_PROBE_R] == len(sample)
+    assert rep.ainf_probe_constant == max(rh_constant_on_cube(w, q, AINF_PROBE_R) for q in sample)
+    assert set(rep.rh) == {p for p in ps if p > 1.0}
