@@ -45,6 +45,13 @@ OVERRIDE_SETS = {
     "weighted-alternative": ("weighted-power", ["variant=alternative"]),
     # the weight report and the weighted sweeps in 2-D, off-dyadic cubes across the seam
     "weighted-2d": ("weighted-power", ["dimension=2", "resolution_ladder=[32,64]"]),
+    # the bmo harness on a positional family: the sharp maximal windows and moments
+    "jn-bmo": ("classical-jn", ['harnesses=["bmo"]']),
+    "jn-bmo-2d": ("classical-jn", ['harnesses=["bmo"]', "dimension=2", "resolution_ladder=[16,32]",
+                                   "good_lambda.cube=null"]),
+    # the Lipschitz-scale sup, with exponents off the moment path (1.5, 3)
+    "jn-bmo-lipschitz": ("classical-jn", ['harnesses=["bmo"]', "bmo.alpha=0.5", "bmo.ps=[1,1.5,2,3,4]",
+                                          "resolution_ladder=[128,256]"]),
 }
 
 
