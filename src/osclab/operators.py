@@ -31,7 +31,7 @@ from dataclasses import dataclass, field as dc_field
 from typing import Optional, Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from osclab._support import DataError, NumericError, ParameterError
 from osclab.cubes import Cube, CubeBlock, cell_membership, cell_rows, descendant, dilate
@@ -893,27 +893,91 @@ def audit_family(
 _WINDOW_BLOCK = 1 << 15
 
 
-def _anchored_deviations(f: Field, c: int):
-    """Yield (anchor index, |f - f_Q|) for blocks of anchored c-cell windows Q.
+def _anchored_deviations(f: Field, c: int, anchors: np.ndarray):
+    """Yield (block of ``anchors``, |f - f_Q|) for the c-cell windows Q at the
+    flat anchor cell indices ``anchors``, gathered in blocks within
+    _WINDOW_BLOCK.
 
     The deviations of one window form one contiguous row, so a row mean is
-    the same pairwise sum as the mean over that window alone.
+    the same pairwise sum as the mean over that window alone, whichever
+    windows share its block.
     """
-    vals = f.values
     n, m = f.dimension, f.resolution
-    size = c ** n
-    windows = sliding_window_view(np.pad(vals, [(0, c - 1)] * n, mode="wrap"), (c,) * n)
-    rows = max(1, _WINDOW_BLOCK // size)
-    for lead in np.ndindex(*(m,) * (n - 1)):
-        for a in range(0, m, rows):
-            ix = lead + (slice(a, a + rows),)
-            win = np.array(windows[ix]).reshape(-1, size)
-            win -= win.mean(axis=1, keepdims=True)
-            yield ix, np.abs(win) if f.is_complex else np.abs(win, out=win)
+    wrapped = f.values
+    for ax in range(n):  # the first c - 1 cells again after the last, per axis
+        wrapped = np.concatenate([wrapped, wrapped[(slice(None),) * ax + (slice(c - 1),)]], axis=ax)
+    windows = as_strided(wrapped, (m,) * n + (c,) * n, wrapped.strides * 2, writeable=False)
+    rows = max(1, _WINDOW_BLOCK // c ** n)
+    for a in range(0, len(anchors), rows):
+        block = anchors[a:a + rows]
+        win = windows[np.unravel_index(block, (m,) * n)].reshape(len(block), -1)
+        win -= win.mean(axis=1, keepdims=True)
+        yield block, np.abs(win) if f.is_complex else np.abs(win, out=win)
+
+
+def _window_stats(dev: np.ndarray, x: float, weight: float) -> np.ndarray:
+    """weight (mean_Q |f - f_Q|^x)^{1/x} per row of window deviations."""
+    return weight * np.power((dev if x == 1.0 else np.power(dev, x)).mean(axis=1), 1.0 / x)
 
 
 # exponent p -> index of the p-th central moment in sliding_central_moments
 _MOMENT_OF = {2.0: 1, 4.0: 3}
+
+
+def _exponents(family: OscillationFamily, fields: Sequence[Field], ps: Sequence[float]) -> list[float]:
+    ps = [float(x) for x in ps]
+    for x in ps:
+        if not (family.p0 <= x and (x < family.q0 or x == family.p0)):
+            raise ParameterError(f"p={x} outside [{family.p0}, {family.q0})")
+    if not fields:
+        raise ParameterError("need at least one field")
+    return ps
+
+
+def _anchored_stats(family: OscillationFamily, fields: Sequence[Field], ps: list[float], alpha: float):
+    """Yield (c, stat) for c = 1, 2, 4, ..., m: stat[j, k] at anchor a is
+    |Q|^{-alpha/n} (mean_Q |B_Q f|^p)^{1/p} for field j, exponent k and the
+    cube Q of c cells at a.
+
+    Each B_Q f (or window deviation) is computed once and raised to every
+    exponent, and a scale-only family gets the B fields of every scale and
+    field from apply_B_scales.  For a positional family, B_Q f on Q is
+    f - f_Q.  At p = 2 and p = 4 of a real field the mean is then the central
+    moment M2 or M4 of f on Q, read for every anchored window of every scale
+    from sliding_central_moments in O(m^n) per scale; complex fields and
+    every other p take the windows, O(m^n c^n) per scale.
+    """
+    m, n = fields[0].resolution, fields[0].dimension
+    cs = [2 ** k for k in range(m.bit_length())]
+    b = family.apply_B_scales([c / m for c in cs], fields) if family.sidelength_only else None
+    real = [j for j, g in enumerate(fields) if not g.is_complex]
+    by_moment = [(k, _MOMENT_OF[x]) for k, x in enumerate(ps) if x in _MOMENT_OF]
+    moments = None
+    if b is None and real and by_moment:
+        moments = sliding_central_moments(np.stack([fields[j].values for j in real]), n)
+    windowed = [[(k, x) for k, x in enumerate(ps) if g.is_complex or x not in _MOMENT_OF] for g in fields]
+    every = np.arange(m ** n)
+    for i, c in enumerate(cs):
+        weight = (c / m) ** (-alpha) if alpha else 1.0
+        if b is not None:
+            dev = np.abs(np.stack([g.values for g in b[i]]))
+            b[i] = None
+            stat = sliding_cube_means(np.stack([np.power(dev, x) for x in ps], axis=1), c, n)
+            for k, x in enumerate(ps):
+                stat[:, k] = weight * np.power(stat[:, k], 1.0 / x)
+            yield c, stat
+            continue
+        stat = np.empty((len(fields), len(ps)) + fields[0].values.shape)
+        if moments is not None:
+            _, mom = next(moments)
+            for k, r in by_moment:
+                stat[real, k] = weight * np.power(mom[r], 1.0 / ps[k])
+        flat = stat.reshape(len(fields), len(ps), -1)
+        for j, g in enumerate(fields):
+            for block, dev in (_anchored_deviations(g, c, every) if windowed[j] else ()):
+                for k, x in windowed[j]:
+                    flat[j, k, block] = _window_stats(dev, x, weight)
+        yield c, stat
 
 
 def sharp_maximal(
@@ -928,58 +992,95 @@ def sharp_maximal(
     Admissible cubes are those of the restricted maximal-function family.
     With alpha = 0 the sup-norm of the result is the oscillation BMO seminorm
     of f for this family; positive alpha gives the Lipschitz-scale variant.
+    sharp_seminorms gives those sup-norms, bit for bit, without the fields.
 
-    One sweep over the scales serves every field and exponent: each B_Q f
-    (or window deviation) is computed once and raised to every exponent, a
-    scale-only family gets the B fields of every scale and field from
-    apply_B_scales, and the statistics of all fields go to one
-    scale_sweep_max on a leading axis.
-
-    For a positional family, B_Q f on Q is f - f_Q.  At p = 2 and p = 4 of a
-    real field the mean is then the central moment M2 or M4 of f on Q, read
-    for every anchored window of every scale from sliding_central_moments in
-    O(m^n) per scale; complex fields and every other p take the windows,
-    O(m^n c^n) per scale.
+    One sweep over the scales (_anchored_stats) serves every field and
+    exponent, and the statistics of all fields go to one scale_sweep_max on
+    a leading axis.
     """
-    ps = [float(x) for x in ps]
-    for x in ps:
-        if not (family.p0 <= x and (x < family.q0 or x == family.p0)):
-            raise ParameterError(f"p={x} outside [{family.p0}, {family.q0})")
-    if not fields:
-        raise ParameterError("need at least one field")
+    ps = _exponents(family, fields, ps)
+    per_field = scale_sweep_max(_anchored_stats(family, fields, ps, alpha), fields[0].dimension)
+    return [[Field(v) for v in stats] for stats in per_field]
+
+
+# The slack of sharp_seminorms' bound, in units of (n log2 m + 1) eps max|f|.
+_SLACK = 64.0
+
+
+def sharp_seminorms(
+    family: OscillationFamily,
+    fields: Sequence[Field],
+    ps: Sequence[float],
+    alpha: float = 0.0,
+) -> list[list[float]]:
+    """The sup-norms of sharp_maximal's fields without the fields: ``out[j][k]``
+    equals ``float(np.max(sharp_maximal(family, fields, ps, alpha)[j][k].values))``
+    bit for bit, the max of the same window statistics over anchors and scales.
+
+    A real field of a positional family, with every p <= 4, skips windows.
+    By Lyapunov's inequality (mean|g|^p)^{1/p} is nondecreasing in p, so the
+    exact sliding moments that give p = 2 and 4 bound every window: M2^{1/2}
+    for p <= 2, M4^{1/4} for 2 < p <= 4.  Per field the window of the largest
+    bound at each scale is evaluated first, to seed ``best``; then only the
+    anchors where ``w (bound + slack) < best`` is false, w the scale's weight,
+    so a window whose bound is inf or NaN is kept.  A skipped window's
+    statistic is below ``best``, itself a window's statistic.
+
+    The slack covers the rounding of both sides, and it must be absolute: a
+    computed mean is off by up to a few eps max|f| per halving level, n log2 m
+    levels in all, and the moments' merges carry that error into the roots
+    at about that order, however small the deviations are (on 1 + 1e-12
+    noise in 1-D the p = 3 statistic exceeds M4^{1/4} by up to 6e-4 of
+    itself, still under eps max|f|).  The relative rounding of the means,
+    powers and roots adds at most (n log2 m + 24) eps of a statistic below
+    2 max|f|.  A slack of _SLACK (n log2 m + 1) eps max|f| covers both with
+    room.
+
+    Complex fields, p > 4 and scale-only families have no bound: they take
+    every window or B field, as sharp_maximal does, reduced by a max per
+    scale instead of scale_sweep_max's lift to cells.
+    """
+    ps = _exponents(family, fields, ps)
     m, n = fields[0].resolution, fields[0].dimension
-    cs = [2 ** k for k in range(m.bit_length())]
-    b = family.apply_B_scales([c / m for c in cs], fields) if family.sidelength_only else None
-    # positional family: p = 2 and p = 4 of a real field are its central moments
-    real = [j for j, g in enumerate(fields) if not g.is_complex]
-    by_moment = [(k, _MOMENT_OF[x]) for k, x in enumerate(ps) if x in _MOMENT_OF]
-    moments = None
-    if b is None and real and by_moment:
-        moments = sliding_central_moments(np.stack([fields[j].values for j in real]), n)
-    windowed = [[(k, x) for k, x in enumerate(ps) if g.is_complex or x not in _MOMENT_OF] for g in fields]
+    grid = tuple(range(-n, 0))
+    out = np.full((len(fields), len(ps)), -np.inf)
+    bounded = [] if family.sidelength_only or max(ps) > 4.0 else [j for j, g in enumerate(fields)
+                                                                  if not g.is_complex]
+    rest = [j for j in range(len(fields)) if j not in bounded]
+    if rest:
+        for _, stat in _anchored_stats(family, [fields[j] for j in rest], ps, alpha):
+            out[rest] = np.maximum(out[rest], stat.max(axis=grid))
+    if not bounded:
+        return out.tolist()
+    windowed = [(k, x) for k, x in enumerate(ps) if x not in _MOMENT_OF]
+    roots = [_MOMENT_OF[2.0 if x <= 2.0 else 4.0] for _, x in windowed]  # the moment bounding each
+    bounds = []  # per scale: c, w and the roots of the moments of ``roots``, one row per field
+    for c, mom in sliding_central_moments(np.stack([fields[j].values for j in bounded]), n):
+        weight = (c / m) ** (-alpha) if alpha else 1.0
+        for k, x in enumerate(ps):
+            if x in _MOMENT_OF:
+                top = (weight * np.power(mom[_MOMENT_OF[x]], 1.0 / x)).max(axis=grid)
+                out[bounded, k] = np.maximum(out[bounded, k], top)
+        if windowed:
+            bounds.append((c, weight, {r: np.power(mom[r], 1.0 / (r + 1)).reshape(len(bounded), -1)
+                                       for r in set(roots)}))
+    slack = _SLACK * (n * math.log2(m) + 1) * np.finfo(np.float64).eps
+    for i, j in enumerate(bounded):
+        f = fields[j]
+        best = np.full(len(windowed), -np.inf)
 
-    def scales():
-        for i, c in enumerate(cs):
-            side = c / m
-            weight = side ** (-alpha) if alpha else 1.0
-            if b is not None:
-                dev = np.abs(np.stack([g.values for g in b[i]]))
-                b[i] = None
-                stat = sliding_cube_means(np.stack([np.power(dev, x) for x in ps], axis=1), c, n)
-            else:
-                stat = np.empty((len(fields), len(ps)) + fields[0].values.shape)
-                if moments is not None:
-                    _, mom = next(moments)
-                    for k, r in by_moment:
-                        stat[real, k] = mom[r]
-                for j, g in enumerate(fields):
-                    if not windowed[j]:
-                        continue
-                    for ix, dev in _anchored_deviations(g, c):
-                        for k, x in windowed[j]:
-                            stat[(j, k) + ix] = (dev if x == 1.0 else np.power(dev, x)).mean(axis=1)
-            for k, x in enumerate(ps):
-                stat[:, k] = weight * np.power(stat[:, k], 1.0 / x)
-            yield c, stat
+        def evaluate(c: int, weight: float, anchors: np.ndarray) -> None:
+            for _, dev in _anchored_deviations(f, c, anchors):
+                for w, (_, x) in enumerate(windowed):
+                    best[w] = np.maximum(best[w], _window_stats(dev, x, weight).max())
 
-    return [[Field(v) for v in per_field] for per_field in scale_sweep_max(scales(), n)]
+        for c, weight, root in bounds:
+            evaluate(c, weight, np.unique([root[r][i].argmax() for r in root]))
+        tol = slack * float(np.max(np.abs(f.values)))
+        for c, weight, root in bounds:
+            kept = np.zeros(m ** n, dtype=bool)
+            for w, r in enumerate(roots):
+                kept |= ~(weight * (root[r][i] + tol) < best[w])
+            evaluate(c, weight, np.flatnonzero(kept))
+        out[j, [k for k, _ in windowed]] = best
+    return out.tolist()

@@ -45,7 +45,7 @@ from osclab.grid import (
     power_means,
     weak_lq_norms,
 )
-from osclab.operators import OscillationFamily, sharp_maximal
+from osclab.operators import OscillationFamily, sharp_maximal, sharp_seminorms
 from osclab.weights import Weight
 
 STABILITY_SLACK = 2.0
@@ -575,6 +575,11 @@ def verify_bmo_equivalence(
     statement and the harness refuses.  Also measures the pointwise constant
     in the comparison of the p-sharp maximal against M_s of the p0-sharp
     maximal.
+
+    Every rung but the smallest reads its seminorms from sharp_seminorms,
+    without the fields.  The pointwise comparison runs on the smallest rung
+    (cost control), on one sharp_maximal sweep at alpha = 0 over p0 and ps;
+    with alpha = 0 that sweep's sup-norms are also the rung's seminorms.
     """
     fam0 = rungs[0].family
     if fam0.sidelength_only:
@@ -588,9 +593,6 @@ def verify_bmo_equivalence(
         raise ParameterError("all exponents must be >= p0")
     if not (ps[-1] < s_exp):
         raise ParameterError("need max(ps) < s for the pointwise comparison")
-    # The pointwise comparison of the p-sharp maximal against M_s of the
-    # p0-sharp maximal runs on the smallest rung (cost control) at alpha = 0;
-    # with alpha = 0 it reuses that rung's seminorm sweep, extended by p0.
     target = min(rungs, key=lambda r: r.m)
     p0 = target.family.p0
     jn2_ps = [p for p in ps if p != p0]
@@ -601,25 +603,24 @@ def verify_bmo_equivalence(
     for rung in rungs:
         per_field: dict = {}
         per_ratio: dict = {}
-        reuse = rung is target and alpha == 0.0
-        exps = sorted({p0, *ps}) if reuse else ps
-        sharps = sharp_maximal(rung.family, rung.fields, exps, alpha)
-        if rung is target and not reuse:
-            jn2_sharps = sharp_maximal(rung.family, rung.fields, [p0] + jn2_ps, 0.0)
-        for i in range(len(rung.fields)):
-            sharp = dict(zip(exps, sharps[i]))
-            vals = {p: float(np.max(sharp[p].values)) for p in ps}
-            seq = [vals[p] for p in ps]
+        sharps = None
+        if rung is target:
+            exps = sorted({p0, *ps})
+            sharps = [dict(zip(exps, per)) for per in sharp_maximal(rung.family, rung.fields, exps, 0.0)]
+        if sharps is not None and alpha == 0.0:
+            values = [[float(np.max(sharp[p].values)) for p in ps] for sharp in sharps]
+        else:
+            values = sharp_seminorms(rung.family, rung.fields, ps, alpha)
+        for i, seq in enumerate(values):
             for lo, hi in zip(seq, seq[1:]):
                 if lo > hi * (1 + 1e-12):
                     monotone_ok = False
             top, bot = max(seq), min(seq)
-            per_field[i] = vals
+            per_field[i] = dict(zip(ps, seq))
             per_ratio[i] = 1.0 if top == 0.0 else (math.inf if bot == 0.0 else top / bot)
-            if rung is not target:
+            if sharps is None:
                 continue
-            if not reuse:
-                sharp = dict(zip([p0] + jn2_ps, jn2_sharps[i]))
+            sharp = sharps[i]
             maj = maximal_function(sharp[p0], s_exp).values
             mask = maj > 0
             for p in jn2_ps:

@@ -28,6 +28,7 @@ from osclab.operators import (
     measure_offdiagonal,
     semigroup_apply,
     sharp_maximal,
+    sharp_seminorms,
     u_s_apply,
 )
 
@@ -1075,9 +1076,10 @@ def test_profile_computes_each_distinct_input_once(monkeypatch, name):
 # ---------------------------------------------------------------------------
 
 
-def brute_sharp_classical(vals: np.ndarray, ps) -> list[np.ndarray]:
+def brute_sharp_classical(vals: np.ndarray, ps, alpha: float = 0.0) -> list[np.ndarray]:
     """Classical sharp maximal function of ``vals`` at each exponent of ``ps``,
-    by direct enumeration of every wrapped anchored window of every dyadic side."""
+    each window weighted by |Q|^{-alpha/n}, by direct enumeration of every
+    wrapped anchored window of every dyadic side."""
     m = vals.shape[0]
     out = [np.zeros(vals.shape) for _ in ps]
     c = 1
@@ -1086,7 +1088,7 @@ def brute_sharp_classical(vals: np.ndarray, ps) -> list[np.ndarray]:
             idx = np.ix_(*[(np.arange(c) + a) % m for a in anchor])
             dev = np.abs(vals[idx] - vals[idx].mean())
             for o, p in zip(out, ps):
-                o[idx] = np.maximum(o[idx], (dev ** p).mean() ** (1 / p))
+                o[idx] = np.maximum(o[idx], (c / m) ** -alpha * (dev ** p).mean() ** (1 / p))
         c *= 2
     return out
 
@@ -1219,14 +1221,14 @@ def test_sharp_maximal_window_memory_bounded():
     m = 4096  # an m x m float64 window matrix would take 128 MB
     fam = make_family("extended-average", (1.0, math.inf))
     f = make_field("random-smooth", 1, m, seed=3, band=6)
-    tracemalloc.start()
-    try:
-        sharp_maximal(fam, [f], [1.0, 2.0, 4.0])
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 16 * 2 ** 20, peak
-
+    for sweep in (sharp_maximal, sharp_seminorms):
+        tracemalloc.start()
+        try:
+            sweep(fam, [f], [1.0, 2.0, 4.0])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2 ** 20, (sweep.__name__, peak)
 
 
 def _spy_sharp_paths(monkeypatch) -> dict:
@@ -1234,9 +1236,9 @@ def _spy_sharp_paths(monkeypatch) -> dict:
     seen = {"windows": [], "moments": []}
     windows, moments = operators._anchored_deviations, operators.sliding_central_moments
 
-    def spy_windows(f, c):
+    def spy_windows(f, c, anchors):
         seen["windows"].append(f.is_complex)
-        return windows(f, c)
+        return windows(f, c, anchors)
 
     def spy_moments(g, dimension=None):
         seen["moments"].append(g.shape)
@@ -1302,3 +1304,109 @@ def test_sharp_maximal_moment_memory_bounded():
         tracemalloc.stop()
     # the moment arrays are O(fields * m^n); one scale's windows alone would take 1.5 GB
     assert peak < 16 * 2 ** 20, peak
+
+
+def seminorm_fields(dim: int, m: int) -> dict:
+    """Fields where the Lyapunov bound of sharp_seminorms is tight or its
+    rounding slack matters, and one it does not apply to."""
+    rng = np.random.Generator(np.random.Philox(11))
+    # on a window with as many -1 as +1, |f - f_Q| = 1: the bound holds with equality at every p
+    sign = np.where(rng.normal(size=(m,) * dim) < 0, -1.0, 1.0)
+    spike = np.ones((m,) * dim)
+    spike[(m // 3,) * dim] += 10.0
+    return {
+        "sign": Field(sign),
+        "noise-on-one": Field(1.0 + 1e-12 * rng.normal(size=(m,) * dim)),
+        "offset-sign": Field(3.3 * sign + 1e8),
+        "spike": Field(spike),
+        "log-distance-offset": Field(make_field("log-distance", dim, m, center=0.3).values + 1e6),
+        "complex": make_field("random-normal", dim, m, seed=6, complex=True),
+    }
+
+
+SEMINORM_FAMILIES = {
+    "extended-average-1d": (1, 64, lambda m: make_family("extended-average", (1.0, math.inf))),
+    "extended-average-2d": (2, 16, lambda m: make_family("extended-average", (1.0, math.inf))),
+    "semigroup-spectral-1d": (1, 64, lambda m: make_family("semigroup", (1.0, math.inf), identity_operator(m))),
+    "semigroup-spectral-2d": (2, 16, lambda m: make_family("semigroup", (1.0, math.inf), identity_operator(m, 2))),
+}
+# every exponent alone, the bounded sweep (every p <= 4) and a sweep with p > 4
+SEMINORM_PS = [[1.0], [1.5], [2.0], [3.0], [4.0], [8.0], [1.0, 1.5, 2.0, 3.0, 4.0], [1.0, 1.5, 2.0, 3.0, 4.0, 8.0]]
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.5])
+@pytest.mark.parametrize("case", sorted(SEMINORM_FAMILIES))
+def test_sharp_seminorms_equal_the_max_of_sharp_maximal(case, alpha):
+    dim, m, build = SEMINORM_FAMILIES[case]
+    fam = build(m)
+    named = seminorm_fields(dim, m)
+    fields = list(named.values())
+    for ps in SEMINORM_PS:
+        got = sharp_seminorms(fam, fields, ps, alpha)
+        for name, per_field, sharps in zip(named, got, sharp_maximal(fam, fields, ps, alpha)):
+            assert per_field == [float(np.max(g.values)) for g in sharps], (name, ps)
+
+
+@pytest.mark.parametrize("dim, m", [(1, 32), (2, 8)])
+def test_sharp_seminorms_match_brute_force(dim, m):
+    fam = make_family("extended-average", (1.0, math.inf))
+    named = seminorm_fields(dim, m)
+    for alpha in (0.0, 0.5):
+        for ps in ([1.0, 1.5, 2.0, 3.0, 4.0], [1.0, 1.5, 2.0, 3.0, 4.0, 8.0]):
+            got = sharp_seminorms(fam, list(named.values()), ps, alpha)
+            for (name, f), per_field in zip(named.items(), got):
+                want = [float(np.max(b)) for b in brute_sharp_classical(f.values, ps, alpha)]
+                # p = 2 and 4 come from the sliding moments, whose rounding is a few eps max|f|
+                atol = 16 * np.finfo(float).eps * float(np.max(np.abs(f.values)))
+                assert np.allclose(per_field, want, rtol=1e-12, atol=atol), (name, alpha, ps)
+
+
+def test_sharp_seminorms_prune_most_windows(monkeypatch):
+    # the bmo harness's fields at m = 2048 (log-distance, random-smooth at field_seeds 32..35)
+    m = 2048
+    fam = make_family("extended-average", (1.0, math.inf))
+    fields = [make_field("log-distance", 1, m, center=0.5)] + [
+        make_field("random-smooth", 1, m, seed=s, band=6) for s in (32, 33, 34, 35)]
+    windows, gathered = operators._anchored_deviations, Counter()
+
+    def spy(f, c, anchors):
+        for block, dev in windows(f, c, anchors):
+            gathered[spy.sweep] += dev.size
+            yield block, dev
+
+    monkeypatch.setattr(operators, "_anchored_deviations", spy)
+    spy.sweep = "full"
+    want = [[float(np.max(g.values)) for g in per] for per in sharp_maximal(fam, fields, [1.0, 2.0, 4.0])]
+    spy.sweep = "pruned"
+    assert sharp_seminorms(fam, fields, [1.0, 2.0, 4.0]) == want
+    assert gathered["full"] == len(fields) * m * (2 * m - 1)  # every p = 1 window of every side
+    assert gathered["pruned"] <= 0.25 * gathered["full"], gathered
+
+
+@pytest.mark.parametrize("dim, m", [(1, 64), (1, 512), (2, 32)])
+def test_sharp_seminorms_slack_covers_every_window(dim, m):
+    # each window's statistic against its Lyapunov bound, both as computed:
+    # rounding lifts some statistics above their bound, and in 1-D on
+    # 1 + 1e-12 noise by more than a relative margin of 1e-6 would allow
+    from osclab.grid import sliding_central_moments
+
+    fam = make_family("extended-average", (1.0, math.inf))
+    ps, moments = [1.0, 1.5, 3.0], [1, 1, 3]  # M2 bounds p <= 2, M4 bounds p <= 4
+    relative = {}
+    for name, f in seminorm_fields(dim, m).items():
+        if f.is_complex:
+            continue
+        eps_f = np.finfo(float).eps * float(np.max(np.abs(f.values)))
+        tol = operators._SLACK * (dim * math.log2(m) + 1) * eps_f
+        relative[name] = 0.0
+        scales = zip(operators._anchored_stats(fam, [f], ps, 0.0), sliding_central_moments(f.values[None], dim))
+        for (_, stat), (_, mom) in scales:
+            for k, r in enumerate(moments):
+                bound = np.power(mom[r][0], 1.0 / (r + 1))
+                assert np.all(stat[0, k] <= bound + tol), (name, ps[k])
+                over = stat[0, k] > bound
+                if over.any():
+                    relative[name] = max(relative[name], float(np.max((stat[0, k] - bound)[over] / stat[0, k][over])))
+    assert relative["offset-sign"] > 0.0, relative  # the bound alone is not sound
+    if dim == 1:  # nor a relative margin
+        assert relative["noise-on-one"] > 1e-6, relative

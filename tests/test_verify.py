@@ -557,10 +557,10 @@ def test_good_lambda_parameter_validation():
 # ---------------------------------------------------------------------------
 
 
-def bmo_fields(m: int) -> list[Field]:
+def bmo_fields(m: int, dim: int = 1) -> list[Field]:
     return [
-        make_field("log-distance", 1, m, center=0.5),
-        make_field("random-smooth", 1, m, seed=21, band=6),
+        make_field("log-distance", dim, m, center=0.5),
+        make_field("random-smooth", dim, m, seed=21, band=6),
     ]
 
 
@@ -646,8 +646,22 @@ def test_bmo_equivalence_matches_per_exponent_sweeps(alpha, ps):
         BmoRung(m, make_family("semigroup", (1.0, math.inf), operator=identity_op(m)), bmo_fields(m))
         for m in (64, 32)
     ]
+    assert_bmo_matches_per_exponent_sweeps(rungs, ps, alpha)
+
+
+def assert_bmo_matches_per_exponent_sweeps(rungs, ps, alpha):
     rep = verify_bmo_equivalence(rungs, ps=ps, s_exp=8.0, alpha=alpha)
     seminorms, ratios, jn2 = per_exponent_bmo_reference(rungs, ps, 8.0, alpha)
     assert rep.seminorms == seminorms
     assert rep.ratios == ratios
     assert rep.jn2_constant == jn2
+
+
+@pytest.mark.parametrize("dim, ladder", [(1, (256, 64)), (2, (32, 16))])
+@pytest.mark.parametrize("ps", [[1.5, 3.0, 4.0], [1.0, 2.0, 4.0]])
+@pytest.mark.parametrize("alpha", [0.0, 0.5])
+def test_bmo_equivalence_matches_per_exponent_sweeps_on_extended_averages(alpha, ps, dim, ladder):
+    # the larger rung reads sharp_seminorms, whose pruned window sup must
+    # give the bits of the full sweep's max
+    rungs = [BmoRung(m, make_family("extended-average", (1.0, math.inf)), bmo_fields(m, dim)) for m in ladder]
+    assert_bmo_matches_per_exponent_sweeps(rungs, ps, alpha)
