@@ -52,6 +52,11 @@ OVERRIDE_SETS = {
     # the Lipschitz-scale sup, with exponents off the moment path (1.5, 3)
     "jn-bmo-lipschitz": ("classical-jn", ['harnesses=["bmo"]', "bmo.alpha=0.5", "bmo.ps=[1,1.5,2,3,4]",
                                           "resolution_ladder=[128,256]"]),
+    # the pair condition on a root of 12 cells across the seam: odd-sided nodes, wrapped anchors
+    "epi-seam": ("epi-pair", ['epi.root={"anchor":[0.8125,0.875],"side":0.375}']),
+    # a theta below the clamp, and the weighted Dr condition on spike masses
+    "weighted-theta": ("weighted-power", ['weight={"kind":"spike"}', "cube_sample.min_cells=2",
+                                          "resolution_ladder=[64]"]),
 }
 
 
