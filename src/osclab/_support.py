@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import functools
 import inspect
 import json
 import math
@@ -62,14 +63,21 @@ def check_keys(reader: Callable, spec: Any, path: str) -> dict:
     raises ParameterError naming its dotted path."""
     if not isinstance(spec, dict):
         raise ParameterError(f"config section {path or '(top level)'} must be an object, got {spec!r}")
-    params = inspect.signature(reader, eval_str=True).parameters.values()
-    keys = {p.name: p for p in params if p.kind is p.KEYWORD_ONLY}
+    keys = dict(_keyword_only(reader))
     unknown = [dotted(path, k) for k in sorted(set(spec) - set(keys))]
     missing = [dotted(path, k) for k, p in keys.items() if p.default is p.empty and k not in spec]
     if unknown or missing:
         raise ParameterError(f"unknown config key(s): {', '.join(unknown)}" if unknown
                              else f"missing config key(s): {', '.join(missing)}")
     return keys
+
+
+@functools.cache
+def _keyword_only(reader: Callable) -> dict:
+    """The keyword-only parameters of ``reader`` by name, read once per reader:
+    ``eval_str`` evaluates every annotation string of the signature."""
+    params = inspect.signature(reader, eval_str=True).parameters.values()
+    return {p.name: p for p in params if p.kind is p.KEYWORD_ONLY}
 
 
 def dotted(path: str, key: str) -> str:

@@ -229,8 +229,16 @@ def sample_blocks(cubes: Sequence[Cube], m: int) -> list[CubeBlock]:
 
 
 def _axis_cells(anchors: np.ndarray, size: int, m: int) -> list[np.ndarray]:
-    """Per axis, the (count, size) wrapped cells of the cubes at ``anchors``."""
-    return [(anchors[:, ax, None] + np.arange(size)) % m for ax in range(anchors.shape[1])]
+    """Per axis, the (count, size) wrapped cells of the cubes at ``anchors``.
+
+    The anchors lie in [0, m) and size is at most m, so a cell wraps by one
+    subtraction of m, where it reaches m.
+    """
+    out = []
+    for ax in range(anchors.shape[1]):
+        x = anchors[:, ax, None] + np.arange(size)
+        out.append(np.subtract(x, m, out=x, where=x >= m))
+    return out
 
 
 def _outer(per_axis: list[np.ndarray], combine) -> np.ndarray:
@@ -413,12 +421,22 @@ def whitney_check(omega: np.ndarray, cubes: Sequence[Cube], m: int) -> dict:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DisjointFamily:
-    """A family of pairwise-disjoint subcubes of a parent cube."""
+    """A family of pairwise-disjoint dyadic subcubes of a parent cube, held as
+    nodes: row i of ``nodes`` is (g, k_1, ..., k_n), and member i is
+    ``descendant(parent, g, k)``."""
 
     parent: Cube
-    members: tuple[Cube, ...]
+    nodes: np.ndarray
+
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, DisjointFamily) and self.parent == other.parent
+                and np.array_equal(self.nodes, other.nodes))
+
+    def cubes(self) -> list[Cube]:
+        """The members as cubes, in member order."""
+        return [descendant(self.parent, g, k) for g, *k in self.nodes.tolist()]
 
 
 def descendant(q: Cube, g: int, k: Sequence[int]) -> Cube:
@@ -437,31 +455,42 @@ def dyadic_generation(q: Cube, g: int) -> list[Cube]:
     return [descendant(q, g, k) for k in itertools.product(range(2 ** g), repeat=q.dimension)]
 
 
-def _random_packing(q: Cube, rng: np.random.Generator, max_depth: int) -> list[Cube]:
-    """Random disjoint dyadic subcubes of q down to generation ``max_depth``.
+def _doubles(rng: np.random.Generator, size: int = 4096) -> Iterator[float]:
+    """The doubles of successive ``rng.random()`` calls, read from buffers that
+    ``rng.random(size)`` fills with the same stream."""
+    while True:
+        yield from rng.random(size).tolist()
 
-    ``max_depth`` may not exceed the number of times q's cell count halves
-    evenly, so that every node split is a whole number of cells.
+
+def _random_packing(draws: Iterator[float], n: int, max_depth: int) -> list[int]:
+    """Heap ids of random disjoint dyadic nodes of a root in n dimensions, down
+    to generation ``max_depth``, in the order the walk takes them; the root
+    alone when it takes none.
+
+    The root's id is 1 and a child's is its parent's times 2^n plus the C-order
+    index of its corner.  Depth first from the root: a node below the root
+    is kept when its draw is below 0.35 or it lies at ``max_depth``, else
+    each child, in C order, is visited when its draw is below 0.75.
+    ``max_depth`` may not exceed the number of times the root's cell count
+    halves evenly, so that every node split is a whole number of cells.
     """
-    chosen: list[Cube] = []
+    chosen: list[int] = []
+    fan = 1 << n
 
-    def walk(node: Cube, depth: int) -> None:
-        if depth >= 1 and rng.random() < 0.35:
+    def walk(g: int, node: int) -> None:
+        if g >= 1 and next(draws) < 0.35:
             chosen.append(node)
             return
-        if depth >= max_depth:
-            if depth >= 1:
+        if g >= max_depth:
+            if g >= 1:
                 chosen.append(node)
             return
-        for child in dyadic_generation(node, 1):
-            if rng.random() < 0.75:
-                walk(child, depth + 1)
+        for child in range(node * fan, (node + 1) * fan):
+            if next(draws) < 0.75:
+                walk(g + 1, child)
 
-    walk(q, 0)
-    if not chosen:
-        chosen = [q]
-    chosen.sort(key=Cube.sort_key)
-    return chosen
+    walk(0, 1)
+    return chosen or [1]
 
 
 def _generation_means(block: np.ndarray) -> list[np.ndarray]:
@@ -486,28 +515,59 @@ def _generation_means(block: np.ndarray) -> list[np.ndarray]:
         b *= 2
 
 
-def _stopping_time_family(q: Cube, rng: np.random.Generator, means: list[np.ndarray]) -> list[Cube]:
-    """Maximal dyadic subcubes where the local average of |values| exceeds a threshold.
+class _NodeTable(NamedTuple):
+    """The dyadic nodes of a root from generation 0, in the order
+    ``Cube.sort_key`` gives their cubes: by generation, then by wrapped anchor
+    cells.  ``nodes`` holds their (g, k) rows and ``rank`` the row of each
+    heap id (``_random_packing``'s) down to the packing depth.  With a field,
+    ``means`` holds each node's mean of |values| and ``covered`` the largest
+    mean of its strict ancestors of generation >= 1; both read -inf where
+    there are none, and at the root, which is never chosen."""
 
-    ``means`` are the node means of |values| over q by generation
-    (``_generation_means``); a node is chosen when its mean exceeds tau and
-    no ancestor below q was chosen.
-    """
-    tau = float(means[0].item()) * float(rng.uniform(1.05, 3.0))
-    out: list[Cube] = []
-    taken = np.zeros(means[0].shape, dtype=bool)
-    for g in range(1, len(means)):
-        for ax in range(taken.ndim):
-            taken = taken.repeat(2, axis=ax)
-        hit = (means[g] > tau) & ~taken
-        out.extend(descendant(q, g, k) for k in np.argwhere(hit))
-        taken |= hit
-        if taken.all():
-            break
-    if not out:
-        out = _random_packing(q, rng, max_depth=min(2, len(means) - 1))
-    out.sort(key=Cube.sort_key)
-    return out
+    nodes: np.ndarray
+    rank: list
+    means: Optional[np.ndarray]
+    covered: Optional[np.ndarray]
+
+    def packing(self, ids: Sequence[int]) -> np.ndarray:
+        """The (g, k) rows of the nodes of heap ids ``ids``, in family order."""
+        return self.nodes[sorted([self.rank[i] for i in ids])]
+
+    def stopping_time(self, tau: float) -> np.ndarray:
+        """The maximal nodes below the root whose mean exceeds tau, in family
+        order: a node is taken when its mean exceeds tau and no ancestor's
+        below the root does.  That is the walk down the generations that takes
+        each node above tau and skips the nodes under a taken one; a mean
+        equal to tau is not above it, so the choice passes to the children."""
+        return self.nodes[(self.means > tau) & ~(self.covered > tau)]
+
+
+def _node_table(q: Cube, m: int, depth: int, means: Optional[list[np.ndarray]] = None) -> _NodeTable:
+    """The ``_NodeTable`` of q on the 1/m lattice down to generation ``depth``
+    or, given the node means ``means`` of ``_generation_means``, down to their
+    last generation, which is no shallower."""
+    c, anchor, n = q.cells_per_axis(m), q.anchor_cells(m), q.dimension
+    corners = np.indices((2,) * n).reshape(n, -1).T
+    ids, k = np.ones(1, dtype=np.int64), np.zeros((1, n), dtype=np.int64)
+    mean = covered = np.full(1, -np.inf)
+    gens = [(ids, k, mean, covered)]
+    for g in range(1, depth + 1 if means is None else len(means)):
+        ids = (ids[:, None] * (1 << n) + np.arange(1 << n)).ravel()  # children follow their parent
+        k = (2 * k[:, None] + corners).reshape(-1, n)
+        if means is not None:
+            mean, covered = means[g][tuple(k.T)], np.repeat(np.fmax(covered, mean), 1 << n)
+        gens.append((ids, k, mean, covered))
+    g = np.concatenate([np.full(len(x[0]), i) for i, x in enumerate(gens)])
+    ids, k = (np.concatenate([x[j] for x in gens]) for j in (0, 1))
+    order = np.lexsort(np.column_stack([g, (np.asarray(anchor) + k * (c >> g)[:, None]) % m]).T[::-1])
+    rank = np.zeros(1 << (depth + 1) * n, dtype=np.int64)
+    top = np.flatnonzero(ids[order] < len(rank))
+    rank[ids[order][top]] = top
+    nodes = np.column_stack([g, k])[order]
+    if means is None:
+        return _NodeTable(nodes, rank.tolist(), None, None)
+    mean, covered = (np.concatenate([x[j] for x in gens])[order] for j in (2, 3))
+    return _NodeTable(nodes, rank.tolist(), mean, covered)
 
 
 def sample_disjoint_families(
@@ -517,34 +577,43 @@ def sample_disjoint_families(
     m: int,
     field_values: Optional[np.ndarray] = None,
 ) -> list[DisjointFamily]:
-    """Seeded families of pairwise-disjoint subcubes of ``q``.
+    """Seeded families of pairwise-disjoint dyadic subcubes of ``q``.
 
     Family #1 is always the singleton {q}; family #2 (when requested) the full
-    generation-1 tiling.  Further families alternate random dyadic packings at
-    mixed generations with stopping-time families driven by ``field_values``
-    (packings only, when no field is supplied).
+    generation-1 tiling, in C order of the offsets.  Further families
+    alternate random dyadic packings at mixed generations (``_random_packing``,
+    down to generation 4 or as deep as q halves evenly) with stopping-time
+    families driven by ``field_values`` (packings only, when no field is
+    supplied): the maximal nodes whose mean of |values| exceeds
+    tau = mean_q |values| x uniform(1.05, 3), or a random packing two
+    generations deep when no node does.  Every draw reads one seeded stream
+    in turn, and the families read q's node table; members other than #2's
+    are in ``Cube.sort_key`` order.
     """
     if count < 1:
         raise ParameterError("count must be >= 1")
-    rng = rng_from_seed(seed)
-    cells = q.cells_per_axis(m)
-    max_depth = 0
-    while cells % 2 == 0 and max_depth < 4:
-        cells //= 2
-        max_depth += 1
+    draws = _doubles(rng_from_seed(seed))
+    c, n = q.cells_per_axis(m), q.dimension
+    halvings = (c & -c).bit_length() - 1
+    max_depth = min(4, halvings)
 
-    families: list[DisjointFamily] = [DisjointFamily(q, (q,))]
+    families = [DisjointFamily(q, np.zeros((1, n + 1), dtype=np.int64))]
     if count >= 2 and max_depth >= 1:
-        families.append(DisjointFamily(q, tuple(dyadic_generation(q, 1))))
-    means = None
+        tiling = np.indices((2,) * n).reshape(n, -1).T
+        families.append(DisjointFamily(q, np.column_stack([np.ones(len(tiling), dtype=np.int64), tiling])))
+    table = base = None
     i = 0
     while len(families) < count:
+        if table is None:
+            means = None if field_values is None else _generation_means(np.abs(field_values[q.index(m)]))
+            base = None if means is None else float(means[0].item())
+            table = _node_table(q, m, max_depth, means)
         if field_values is not None and i % 2 == 1:
-            if means is None:
-                means = _generation_means(np.abs(field_values[q.index(m)]))
-            members = _stopping_time_family(q, rng, means)
+            nodes = table.stopping_time(base * (1.05 + (3.0 - 1.05) * next(draws)))
+            if not len(nodes):
+                nodes = table.packing(_random_packing(draws, n, min(2, halvings)))
         else:
-            members = _random_packing(q, rng, max_depth)
-        families.append(DisjointFamily(q, tuple(members)))
+            nodes = table.packing(_random_packing(draws, n, max_depth))
+        families.append(DisjointFamily(q, nodes))
         i += 1
     return families[:count]

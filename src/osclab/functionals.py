@@ -361,6 +361,37 @@ def cube_values(a: Functional, cubes: Sequence[Cube], m: int) -> dict:
     return out
 
 
+def _member_terms(a: Functional, families: Sequence[DisjointFamily], m: int, r: float,
+                  mu: Optional[Weight]) -> tuple[list[float], list[int]]:
+    """a(Q)^r mu(Q) of each distinct member Q of ``families`` on the 1/m
+    lattice, and the index of each member's term in member order.
+
+    The members are read as (cells per axis, anchor cells) from their nodes,
+    and each distinct cube is evaluated once: one ``a.values`` call per size,
+    one measure per cube.
+    """
+    n = families[0].parent.dimension
+    parents = [fam.parent for fam in families]
+    roots = {p: (p.cells_per_axis(m), *p.anchor_cells(m)) for p in dict.fromkeys(parents)}
+    root = np.repeat(np.array([roots[p] for p in parents]), [len(fam.nodes) for fam in families], axis=0)
+    nodes = np.concatenate([fam.nodes for fam in families])
+    sizes = root[:, 0] >> nodes[:, 0]
+    flat = np.ravel_multi_index(tuple(((root[:, 1:] + nodes[:, 1:] * sizes[:, None]) % m).T), (m,) * n)
+    keys, where = np.unique(sizes * m ** n + flat, return_inverse=True)
+    sizes, flat = np.divmod(keys, m ** n)
+    anchors = np.column_stack(np.unravel_index(flat, (m,) * n))
+    vals = np.empty(len(keys))
+    for c in np.unique(sizes).tolist():
+        rows = sizes == c
+        vals[rows] = a.values(c, anchors[rows], m)
+    if mu is None:
+        measures = [(c / m) ** n for c in sizes.tolist()]
+    else:
+        measures = [mu.mass(Cube(tuple([x / m for x in anchor]), c / m))
+                    for c, anchor in zip(sizes.tolist(), anchors.tolist())]
+    return [v ** r * w for v, w in zip(vals.tolist(), measures)], where.tolist()
+
+
 def estimate_condition(
     a: Functional,
     condition: str,
@@ -376,7 +407,9 @@ def estimate_condition(
     of the 1/m lattice.
 
     ``Dr`` and ``pair`` run over disjoint families, ``Dinf`` over nested cube
-    pairs (R, Q).  A zero denominator against a nonzero numerator records an
+    pairs (R, Q).  Each distinct member of the families is evaluated once
+    (``_member_terms``), and each family sums its members' terms in member
+    order.  A zero denominator against a nonzero numerator records an
     infinite constant rather than raising.
     """
     if condition not in CONDITIONS:
@@ -397,12 +430,14 @@ def estimate_condition(
         if r is None or r < 1:
             raise ParameterError(f"{condition} needs the exponent r >= 1")
         count = len(families)
-        vals = cube_values(a, [qi for fam in families for qi in fam.members], m)
-        denoms = cube_values(partner if condition == "pair" else a, [fam.parent for fam in families], m)
+        terms, where = _member_terms(a, families, m, r, mu)
+        parents = cube_values(partner if condition == "pair" else a, [fam.parent for fam in families], m)
+        denoms = {p: v * _measure_of(mu, p) ** (1.0 / r) for p, v in parents.items()}
+        end = 0
         for fam in families:
-            denom = denoms[fam.parent] * _measure_of(mu, fam.parent) ** (1.0 / r)
-            num = sum(vals[qi] ** r * _measure_of(mu, qi) for qi in fam.members) ** (1.0 / r)
-            best = max(best, ratio(num, denom))
+            start, end = end, end + len(fam.nodes)
+            num = sum([terms[i] for i in where[start:end]]) ** (1.0 / r)
+            best = max(best, ratio(num, denoms[fam.parent]))
     return ConditionReport(
         condition=condition,
         r=r,

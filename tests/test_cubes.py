@@ -14,9 +14,10 @@ from osclab.cubes import (
     Cube,
     DisjointFamily,
     SummedAreaTable,
+    _doubles,
     _generation_means,
+    _node_table,
     _random_packing,
-    _stopping_time_family,
     cell_membership,
     cell_rows,
     descendant,
@@ -28,7 +29,17 @@ from osclab.cubes import (
     whitney_check,
     whitney_decompose,
 )
+from osclab.functionals import (
+    Coeffs,
+    FractionalFunctional,
+    bar_expand,
+    estimate_condition,
+    expanded_poincare,
+    tilde_expand,
+)
 from osclab.grid import Field
+from osclab.operators import OffDiagonalProfile
+from osclab.weights import Weight
 
 
 def cell_mask(cubes, m, dim) -> np.ndarray:
@@ -323,9 +334,9 @@ def test_whitney_respects_grid_anchor():
 def test_families_first_two_are_canonical():
     q = Cube((0.0,), 0.5)
     fams = sample_disjoint_families(q, 4, seed=5, m=64)
-    assert fams[0].members == (q,)
-    assert len(fams[1].members) == 2  # generation-1 tiling in 1-D
-    mask = cell_mask(fams[1].members, 64, 1)
+    assert fams[0].cubes() == [q]
+    assert len(fams[1].nodes) == 2  # generation-1 tiling in 1-D
+    mask = cell_mask(fams[1].cubes(), 64, 1)
     assert np.array_equal(mask, cell_mask([q], 64, 1))
 
 
@@ -334,10 +345,12 @@ def test_families_reproducible_and_disjoint():
     a = sample_disjoint_families(q, 6, seed=9, m=32)
     b = sample_disjoint_families(q, 6, seed=9, m=32)
     assert a == b
+    assert a != sample_disjoint_families(q, 6, seed=10, m=32)
     for fam in a:
-        for i, x in enumerate(fam.members):
+        members = fam.cubes()
+        for i, x in enumerate(members):
             assert q.contains_cube(x)
-            for y in fam.members[i + 1 :]:
+            for y in members[i + 1 :]:
                 assert x.disjoint_from(y)
 
 
@@ -349,15 +362,41 @@ def test_families_stopping_time_strategy():
     fams = sample_disjoint_families(q, 5, seed=3, m=64, field_values=vals)
     assert len(fams) == 5
     for fam in fams[2:]:
-        for i, x in enumerate(fam.members):
-            for y in fam.members[i + 1 :]:
+        members = fam.cubes()
+        for i, x in enumerate(members):
+            for y in members[i + 1 :]:
                 assert x.disjoint_from(y)
 
 
 def test_family_count_one_is_singleton():
     q = Cube((0.0,), 0.5)
     fams = sample_disjoint_families(q, 1, seed=0, m=16)
-    assert fams == [DisjointFamily(q, (q,))]
+    assert fams == [DisjointFamily(q, np.zeros((1, 2), dtype=np.int64))]
+    assert fams[0].cubes() == [q]
+
+
+def reference_random_packing(q, rng, max_depth):
+    """The per-node Cube walk: random disjoint dyadic subcubes of q down to
+    generation ``max_depth``, one ``rng.random()`` per decision."""
+    chosen = []
+
+    def walk(node, depth):
+        if depth >= 1 and rng.random() < 0.35:
+            chosen.append(node)
+            return
+        if depth >= max_depth:
+            if depth >= 1:
+                chosen.append(node)
+            return
+        for child in dyadic_generation(node, 1):
+            if rng.random() < 0.75:
+                walk(child, depth + 1)
+
+    walk(q, 0)
+    if not chosen:
+        chosen = [q]
+    chosen.sort(key=Cube.sort_key)
+    return chosen
 
 
 def reference_stopping_time_family(q, m, rng, values):
@@ -379,7 +418,7 @@ def reference_stopping_time_family(q, m, rng, values):
     if not out:
         # a random packing two generations deep, or as deep as q halves evenly
         cells = q.cells_per_axis(m)
-        out = _random_packing(q, rng, max_depth=min(2, (cells & -cells).bit_length() - 1))
+        out = reference_random_packing(q, rng, max_depth=min(2, (cells & -cells).bit_length() - 1))
     out.sort(key=Cube.sort_key)
     return out
 
@@ -430,6 +469,19 @@ WALK_CASES = [
 ]
 
 
+def halvings(cells):
+    return (cells & -cells).bit_length() - 1
+
+
+def stopping_time_cubes(q, table, tau, draws, cells):
+    """The stopping-time family at tau from the node table, or its fallback
+    packing from ``draws``, as cubes."""
+    nodes = table.stopping_time(tau)
+    if not len(nodes):
+        nodes = table.packing(_random_packing(draws, q.dimension, min(2, halvings(cells))))
+    return DisjointFamily(q, nodes).cubes()
+
+
 @pytest.mark.parametrize("dim, m, anchor, cells", WALK_CASES)
 def test_stopping_time_walk_matches_per_node_walk(dim, m, anchor, cells):
     q = Cube(anchor, cells / m)
@@ -438,20 +490,95 @@ def test_stopping_time_walk_matches_per_node_walk(dim, m, anchor, cells):
         for seed in (0, 7):
             got = sample_disjoint_families(q, 10, seed, m, field_values=values)
             # after the two canonical families, draws alternate a random
-            # packing and a stopping-time family on one generator
+            # packing and a stopping-time family on one sequential generator
             rng = rng_from_seed(seed)
             want = [[q]] + ([dyadic_generation(q, 1)] if cells % 2 == 0 else [])
-            max_depth = min(4, (cells & -cells).bit_length() - 1)
+            max_depth = min(4, halvings(cells))
             for i in range(10 - len(want)):
                 want.append(reference_stopping_time_family(q, m, rng, values) if i % 2
-                            else _random_packing(q, rng, max_depth))
-            assert got == [DisjointFamily(q, tuple(w)) for w in want], (
-                name, seed)
+                            else reference_random_packing(q, rng, max_depth))
+            assert all(fam.parent == q for fam in got)
+            assert [fam.cubes() for fam in got] == want, (name, seed)
             # the same draws in the same order: the next draw agrees
-            rng_a, rng_b = rng_from_seed(seed), rng_from_seed(seed)
+            draws, rng_b = _doubles(rng_from_seed(seed)), rng_from_seed(seed)
             means = _generation_means(np.abs(values[q.index(m)]))
-            assert _stopping_time_family(q, rng_a, means) == reference_stopping_time_family(q, m, rng_b, values)
-            assert rng_a.random() == rng_b.random()
+            table = _node_table(q, m, max_depth, means)
+            tau = float(means[0].item()) * (1.05 + (3.0 - 1.05) * next(draws))
+            got = stopping_time_cubes(q, table, tau, draws, cells)
+            assert got == reference_stopping_time_family(q, m, rng_b, values)
+            assert next(draws) == rng_b.random()
+
+
+@pytest.mark.parametrize("dim, m, anchor, cells", WALK_CASES)
+def test_node_table_is_in_family_order(dim, m, anchor, cells):
+    # every node down to the packing depth, sorted as Cube.sort_key sorts the
+    # cubes, and each heap id (root 1, child id * 2^n + corner) ranks its node
+    q = Cube(anchor, cells / m)
+    depth = min(4, halvings(cells))
+    table = _node_table(q, m, depth)
+    want = sorted((descendant(q, g, k) for g in range(depth + 1)
+                   for k in itertools.product(range(2 ** g), repeat=dim)), key=Cube.sort_key)
+    assert DisjointFamily(q, table.nodes).cubes() == want
+    for g in range(depth + 1):
+        for k in itertools.product(range(2 ** g), repeat=dim):
+            heap = 1
+            for j in range(g - 1, -1, -1):
+                heap = heap * 2 ** dim + sum(((ki >> j) & 1) << (dim - 1 - ax) for ax, ki in enumerate(k))
+            assert table.nodes[table.rank[heap]].tolist() == [g, *k]
+
+
+def reference_ratios(a, m, r, families, mu=None, partner=None):
+    """The defining ratio of each family member by member: a(Q) of each
+    member and parent from its own one-row ``values`` call, its measure from
+    its own cube."""
+    def term(f, q):
+        return f.values(q.cells_per_axis(m), np.array([q.anchor_cells(m)]), m).tolist()[0]
+
+    def measure(q):
+        return q.volume if mu is None else mu.mass(q)
+
+    return [sum(term(a, qi) ** r * measure(qi) for qi in fam.cubes()) ** (1.0 / r)
+            / (term(partner or a, fam.parent) * measure(fam.parent) ** (1.0 / r)) for fam in families]
+
+
+@pytest.mark.parametrize("dim, m, anchor, cells", WALK_CASES)
+def test_conditions_read_per_node_equal_per_member_reference(dim, m, anchor, cells):
+    # each distinct member is evaluated once, on blocks by size, and each
+    # family sums its terms in member order: the same floats as member by
+    # member, for every family alone and for all of them, over two parents
+    q = Cube(anchor, cells / m)
+    values = walk_fields(dim, m)["spiky"]
+    h, mu = Field(np.sqrt(values)), Weight(Field(values))
+    fams = sample_disjoint_families(q, 12, 3, m, field_values=values)
+    fams += sample_disjoint_families(Cube((0.0,) * dim, 0.5), 4, 5, m)
+    profile = OffDiagonalProfile(alpha={k: 2.0 ** -k for k in range(2, 9)}, beta=None,
+                                 exponents=(1.0, math.inf), probe_spec={"kind": "averaging", "dimension": dim})
+    tilde = tilde_expand(expanded_poincare(h, 1.0, Coeffs("geometric", sigma=2.0)), profile).collapse()
+    spiky = FractionalFunctional(0.1, 1.0, mu)  # large on small cubes at spikes
+    beaten = []
+    for condition, a, r, weight, partner in (("Dr", spiky, 1.0, None, None), ("Dr", spiky, 1.7, mu, None),
+                                             ("pair", spiky, 1.5, None, tilde),
+                                             ("pair", tilde, 1.5, mu, bar_expand(tilde, q=1.5))):
+        want = reference_ratios(a, m, r, fams, mu=weight, partner=partner)
+        got = [estimate_condition(a, condition, m, r=r, mu=weight, families=[fam], partner=partner)
+               for fam in fams]
+        assert [rep.measured_constant for rep in got] == want, condition
+        rep = estimate_condition(a, condition, m, r=r, mu=weight, families=fams, partner=partner)
+        assert rep.measured_constant == max(want), condition
+        beaten.append(max(want) > want[0])
+    assert any(beaten)  # some constant is not the singleton's
+
+
+def test_buffered_doubles_equal_sequential_draws():
+    # the stream crosses buffer refills; uniform(1.05, 3.0) is numpy's low + (high - low) u
+    for seed in (0, 4242, 2 ** 40 + 3):
+        rng, draws = rng_from_seed(seed), _doubles(rng_from_seed(seed))
+        pattern = np.random.default_rng(seed).random(10_000) < 0.2
+        for uniform in pattern.tolist():
+            if uniform:
+                assert 1.05 + (3.0 - 1.05) * next(draws) == float(rng.uniform(1.05, 3.0))
+            else:
+                assert next(draws) == rng.random()
 
 
 @pytest.mark.parametrize("dim, m, anchor, cells", WALK_CASES)
@@ -470,11 +597,13 @@ def test_generation_means_equal_per_node_means(dim, m, anchor, cells):
 def test_stopping_time_walk_with_ties_at_tau(dim, m):
     # a block-constant field, with tau set to exactly the mean of one node:
     # nodes whose mean equals tau are not chosen, their children are visited,
-    # and a tau above every mean falls back to the random packing
+    # and a tau above every mean leaves no node, so the family falls back to
+    # the random packing
     q = Cube((0.0,) * dim, 1.0)
     values = walk_fields(dim, m)["blocks"]
     base = float(np.abs(values).mean())
     means = _generation_means(np.abs(values))
+    table = _node_table(q, m, 4, means)
     ties = 0
     for g in (1, 2, 3):
         for level in np.unique(means[g]):
@@ -487,16 +616,16 @@ def test_stopping_time_walk_with_ties_at_tau(dim, m):
             else:
                 continue
             ties += 1
-            got = _stopping_time_family(q, FixedUniform(3, factor), means)
-            rng_b = FixedUniform(3, factor)
-            want = reference_stopping_time_family(q, m, rng_b, values)
+            got = stopping_time_cubes(q, table, base * factor, _doubles(rng_from_seed(3)), m)
+            want = reference_stopping_time_family(q, m, FixedUniform(3, factor), values)
             assert got == want, (g, target)
     assert ties >= 3
     over = float(values.max()) / base * 2.0
-    rng_a, rng_b = FixedUniform(5, over), FixedUniform(5, over)
-    fallback = _stopping_time_family(q, rng_a, means)
+    assert not len(table.stopping_time(base * over))
+    draws, rng_b = _doubles(rng_from_seed(5)), FixedUniform(5, over)
+    fallback = stopping_time_cubes(q, table, base * over, draws, m)
     assert fallback == reference_stopping_time_family(q, m, rng_b, values)
-    assert rng_a.random() == rng_b.random()
+    assert next(draws) == rng_b.random()
 
 
 # ---------------------------------------------------------------------------
@@ -608,3 +737,23 @@ def test_block_parts_split_in_order_within_the_row_budget(monkeypatch, dim, widt
     assert all(p.c == block.c for p in parts)
     assert np.array_equal(np.concatenate([p.members for p in parts]), block.members)
     assert np.array_equal(np.concatenate([p.anchors for p in parts]), block.anchors)
+
+
+@pytest.mark.parametrize("dim, m", [(1, 16), (2, 8)])
+def test_cell_rows_wrap_as_the_modulo_does(dim, m):
+    # the largest wrap: anchors at m - 1 and at 0 on each axis, cubes of every
+    # size up to m; the rows and the membership are those of the % m form
+    anchors = np.array(list(itertools.product((0, m - 1, m // 2), repeat=dim)))
+    inner = np.roll(anchors, 1, axis=0)
+    for size in range(1, m + 1):
+        per_axis = [(anchors[:, ax, None] + np.arange(size)) % m for ax in range(dim)]
+        rows = per_axis[0]
+        for cells in per_axis[1:]:
+            rows = (rows[:, :, None] * m + cells[:, None, :]).reshape(len(anchors), -1)
+        assert np.array_equal(cell_rows(anchors, size, m), rows), size
+        for inner_size in (1, m // 2, m):
+            member = [(cells - inner[:, ax, None]) % m < inner_size for ax, cells in enumerate(per_axis)]
+            inside = member[0]
+            for more in member[1:]:
+                inside = (inside[:, :, None] & more[:, None, :]).reshape(len(anchors), -1)
+            assert np.array_equal(cell_membership(anchors, size, inner, inner_size, m), inside), (size, inner_size)

@@ -447,7 +447,7 @@ def test_dinf_bounds_dr_on_matched_probes():
     h = Field(np.abs(make_field("random-smooth", 1, m, seed=2, band=3).values) + 0.1)
     a = ReducedPoincare(h, 1.0)
     fams = sample_disjoint_families(Cube((0.0,), 0.5), 8, seed=3, m=m)
-    pairs = [(qi, fam.parent) for fam in fams for qi in fam.members]
+    pairs = [(qi, fam.parent) for fam in fams for qi in fam.cubes()]
     dinf = estimate_condition(a, "Dinf", m, cube_pairs=pairs).measured_constant
     dr = estimate_condition(a, "Dr", m, r=2.0, families=fams).measured_constant
     assert dr <= dinf * (1 + 1e-12)
@@ -461,9 +461,9 @@ def test_d1_implies_d0_chain_on_matched_probes():
     small = Cube((0.125,), 0.125)
     big = Cube((0.0,), 0.25)  # l(big) <= 4 l(small), small inside big
     assert big.contains_cube(small)
-    d1 = estimate_condition(
-        a, "Dr", m, r=1.0, families=[DisjointFamily(big, (small,))]
-    ).measured_constant
+    family = DisjointFamily(big, np.array([[1, 1]]))  # generation 1, offset 1
+    assert family.cubes() == [small]
+    d1 = estimate_condition(a, "Dr", m, r=1.0, families=[family]).measured_constant
     ratio_d0 = value(a, small, m) / value(a, big, m)
     eight_small = Cube((0.0,), 1.0)  # 8 * 0.125 saturates the torus
     vol_ratio = eight_small.volume / small.volume
@@ -479,7 +479,7 @@ def test_pair_condition_singleton_sanity():
     at = tilde_expand(a, prof).collapse()
     bar = bar_expand(at, q=1.5)
     q = Cube((0.25, 0.25), 0.25)
-    fams = [DisjointFamily(q, (q,))]
+    fams = [DisjointFamily(q, np.zeros((1, 3), dtype=np.int64))]
     rep = estimate_condition(at, "pair", m, r=1.5, families=fams, partner=bar)
     assert rep.measured_constant >= value(at, q, m) / value(bar, q, m) * (1 - 1e-12)
     assert math.isfinite(rep.measured_constant)

@@ -224,3 +224,25 @@ def test_a_kind_rejects_a_malformed_value_of_its_own_key(path, kind):
     spec = {**full_spec(path, kind, 2), **MALFORMED[path, kind]}
     with pytest.raises(ParameterError):
         built_section(path, spec, 2, 32)
+
+
+def test_check_keys_reads_each_reader_signature_once(monkeypatch):
+    # the keyword-only parameters are read once per reader; unknown and
+    # missing keys still name their dotted path
+    from osclab import _support
+
+    def reader(context, *, alpha: float, beta: int = 2):  # annotations are strings here
+        return context
+
+    assert list(_support.check_keys(reader, {"alpha": 1.0}, "sec")) == ["alpha", "beta"]
+
+    def no_signature(*args, **kwargs):
+        raise AssertionError("inspect.signature called again")
+
+    monkeypatch.setattr(_support.inspect, "signature", no_signature)
+    keys = _support.check_keys(reader, {"alpha": 1.0, "beta": 3}, "sec")
+    assert keys["alpha"].annotation is float and keys["beta"].default == 2
+    with pytest.raises(ParameterError, match=r"unknown config key\(s\): sec\.gamma$"):
+        _support.check_keys(reader, {"alpha": 1.0, "gamma": 0}, "sec")
+    with pytest.raises(ParameterError, match=r"missing config key\(s\): outer\.sec\.alpha$"):
+        _support.check_keys(reader, {}, "outer.sec")
