@@ -376,19 +376,21 @@ def _member_terms(a: Functional, families: Sequence[DisjointFamily], m: int, r: 
     root = np.repeat(np.array([roots[p] for p in parents]), [len(fam.nodes) for fam in families], axis=0)
     nodes = np.concatenate([fam.nodes for fam in families])
     sizes = root[:, 0] >> nodes[:, 0]
-    flat = np.ravel_multi_index(tuple(((root[:, 1:] + nodes[:, 1:] * sizes[:, None]) % m).T), (m,) * n)
-    keys, where = np.unique(sizes * m ** n + flat, return_inverse=True)
-    sizes, flat = np.divmod(keys, m ** n)
-    anchors = np.column_stack(np.unravel_index(flat, (m,) * n))
-    vals = np.empty(len(keys))
-    for c in np.unique(sizes).tolist():
-        rows = sizes == c
-        vals[rows] = a.values(c, anchors[rows], m)
+    cells = np.column_stack([sizes, (root[:, 1:] + nodes[:, 1:] * sizes[:, None]) % m])
+    keys = np.ravel_multi_index(tuple(cells.T), (m + 1,) + (m,) * n)
+    order = np.argsort(keys, kind="stable")
+    first = np.concatenate([[True], np.diff(keys[order]) != 0])
+    where = np.empty(len(keys), dtype=np.int64)
+    where[order] = np.cumsum(first) - 1
+    cubes = cells[order[first]]
+    vals = np.empty(len(cubes))
+    for c in sorted(set(cubes[:, 0].tolist())):
+        rows = cubes[:, 0] == c
+        vals[rows] = a.values(c, cubes[rows, 1:], m)
     if mu is None:
-        measures = [(c / m) ** n for c in sizes.tolist()]
+        measures = [(c / m) ** n for c in cubes[:, 0].tolist()]
     else:
-        measures = [mu.mass(Cube(tuple([x / m for x in anchor]), c / m))
-                    for c, anchor in zip(sizes.tolist(), anchors.tolist())]
+        measures = [mu.mass(Cube(tuple([x / m for x in anchor]), c / m)) for c, *anchor in cubes.tolist()]
     return [v ** r * w for v, w in zip(vals.tolist(), measures)], where.tolist()
 
 
