@@ -945,7 +945,9 @@ def _anchored_stats(family: OscillationFamily, fields: Sequence[Field], ps: list
     f - f_Q.  At p = 2 and p = 4 of a real field the mean is then the central
     moment M2 or M4 of f on Q, read for every anchored window of every scale
     from sliding_central_moments in O(m^n) per scale; complex fields and
-    every other p take the windows, O(m^n c^n) per scale.
+    every other p take the windows, O(m^n c^n) per scale for c < m.  At
+    c = m every window is the torus: it is gathered once, at anchor 0, and
+    its statistic is every anchor's, O(m^n).
     """
     m, n = fields[0].resolution, fields[0].dimension
     cs = [2 ** k for k in range(m.bit_length())]
@@ -958,6 +960,7 @@ def _anchored_stats(family: OscillationFamily, fields: Sequence[Field], ps: list
     windowed = [[(k, x) for k, x in enumerate(ps) if g.is_complex or x not in _MOMENT_OF] for g in fields]
     every = np.arange(m ** n)
     for i, c in enumerate(cs):
+        torus = c == m
         weight = (c / m) ** (-alpha) if alpha else 1.0
         if b is not None:
             dev = np.abs(np.stack([g.values for g in b[i]]))
@@ -974,9 +977,9 @@ def _anchored_stats(family: OscillationFamily, fields: Sequence[Field], ps: list
                 stat[real, k] = weight * np.power(mom[r], 1.0 / ps[k])
         flat = stat.reshape(len(fields), len(ps), -1)
         for j, g in enumerate(fields):
-            for block, dev in (_anchored_deviations(g, c, every) if windowed[j] else ()):
+            for block, dev in (_anchored_deviations(g, c, every[:1] if torus else every) if windowed[j] else ()):
                 for k, x in windowed[j]:
-                    flat[j, k, block] = _window_stats(dev, x, weight)
+                    flat[j, k, slice(None) if torus else block] = _window_stats(dev, x, weight)
         yield c, stat
 
 
@@ -996,7 +999,8 @@ def sharp_maximal(
 
     One sweep over the scales (_anchored_stats) serves every field and
     exponent, and the statistics of all fields go to one scale_sweep_max on
-    a leading axis.
+    a leading axis.  A windowed exponent costs O(m^n c^n) per scale c < m
+    and O(m^n) at c = m, whose one window, the torus, is read at anchor 0.
     """
     ps = _exponents(family, fields, ps)
     per_field = scale_sweep_max(_anchored_stats(family, fields, ps, alpha), fields[0].dimension)
@@ -1024,7 +1028,9 @@ def sharp_seminorms(
     bound at each scale is evaluated first, to seed ``best``; then only the
     anchors where ``w (bound + slack) < best`` is false, w the scale's weight,
     so a window whose bound is inf or NaN is kept.  A skipped window's
-    statistic is below ``best``, itself a window's statistic.
+    statistic is below ``best``, itself a window's statistic.  At c = m the
+    seed is anchor 0 alone, whose window, the torus, is every anchor's, as in
+    _anchored_stats; the kept pass covers c < m.
 
     The slack covers the rounding of both sides, and it must be absolute: a
     computed mean is off by up to a few eps max|f| per halving level, n log2 m
@@ -1075,9 +1081,9 @@ def sharp_seminorms(
                     best[w] = np.maximum(best[w], _window_stats(dev, x, weight).max())
 
         for c, weight, root in bounds:
-            evaluate(c, weight, np.unique([root[r][i].argmax() for r in root]))
+            evaluate(c, weight, sorted({int(root[r][i].argmax()) for r in root} if c < m else {0}))
         tol = slack * float(np.max(np.abs(f.values)))
-        for c, weight, root in bounds:
+        for c, weight, root in bounds[:-1]:  # the seed read c = m, the torus, at anchor 0
             kept = np.zeros(m ** n, dtype=bool)
             for w, r in enumerate(roots):
                 kept |= ~(weight * (root[r][i] + tol) < best[w])

@@ -3,8 +3,8 @@ defines a function, class or method that nothing in the package mentions
 (a re-export in ``__init__`` does not count), or a ``to_dict`` other than
 the cube codec's; each report object writes exactly its dataclass fields;
 the README's tables of config sections and kinds are the readers'
-signatures, its command-line block is the parser's, and importing the
-command line loads no scipy module."""
+signatures, its command-line block is the parser's, importing the command
+line loads no scipy module, and a bmo run loads no numpy.ma module."""
 
 from __future__ import annotations
 
@@ -244,3 +244,18 @@ def test_importing_the_cli_loads_no_scipy_module():
     modules = listed.stdout.split()
     assert "osclab.cli" in modules
     assert [m for m in modules if m == "scipy" or m.startswith("scipy.")] == []
+
+
+def test_a_bmo_run_loads_no_numpy_ma_module(tmp_path):
+    # numpy.ma costs about 10 ms to import, and np.unique is one call that
+    # imports it: the bmo harness's two paths (sharp_maximal on the smallest
+    # rung, sharp_seminorms above it) must not load it
+    path = os.pathsep.join(filter(None, [os.path.join(ROOT, "src"), os.environ.get("PYTHONPATH")]))
+    run = ("import sys; from osclab.cli import bundled_config_path, run_experiment; "
+           "run_experiment(bundled_config_path('classical-jn'), sys.argv[1], "
+           "['harnesses=[\"bmo\"]', 'resolution_ladder=[64,128]']); print(*sys.modules)")
+    listed = subprocess.run([sys.executable, "-c", run, str(tmp_path / "out")],
+                            env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, check=True)
+    modules = listed.stdout.split()
+    assert "osclab.verify" in modules and os.path.exists(tmp_path / "out" / "report.json")
+    assert [m for m in modules if m == "numpy.ma" or m.startswith("numpy.ma.")] == []

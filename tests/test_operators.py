@@ -1361,6 +1361,34 @@ def test_sharp_seminorms_match_brute_force(dim, m):
                 assert np.allclose(per_field, want, rtol=1e-12, atol=atol), (name, alpha, ps)
 
 
+@pytest.mark.parametrize("dim, m", [(1, 64), (2, 16)])
+def test_the_torus_window_is_gathered_once_per_field(monkeypatch, dim, m):
+    # at side m every anchored window is the whole torus, so one gather at
+    # anchor 0 gives the statistic of every anchor
+    fam = make_family("extended-average", (1.0, math.inf))
+    fields = [make_field("random-smooth", dim, m, seed=4, band=5),
+              make_field("random-normal", dim, m, seed=6, complex=True)]
+    windows, gathered = operators._anchored_deviations, Counter()
+
+    def spy(f, c, anchors):
+        for block, dev in windows(f, c, anchors):
+            gathered[f.is_complex] += dev.size
+            yield block, dev
+
+    monkeypatch.setattr(operators, "_anchored_deviations", spy)
+    sharp_maximal(fam, fields, [1.0])
+    below = sum(m ** dim * c ** dim for c in (2 ** k for k in range(m.bit_length() - 1)))
+    assert gathered == {False: below + m ** dim, True: below + m ** dim}
+    ps = [1.0, 1.5, 3.0]
+    *_, (c, stat) = operators._anchored_stats(fam, fields, ps, 0.0)
+    assert c == m
+    for f, per_field in zip(fields, stat):
+        for p, s in zip(ps, per_field):
+            assert np.all(s == s.flat[0]), (f.is_complex, p)
+            want = np.mean(np.abs(f.values - f.values.mean()) ** p) ** (1 / p)
+            assert s.flat[0] == pytest.approx(want, rel=1e-13, abs=0.0), (f.is_complex, p)
+
+
 def test_sharp_seminorms_prune_most_windows(monkeypatch):
     # the bmo harness's fields at m = 2048 (log-distance, random-smooth at field_seeds 32..35)
     m = 2048
@@ -1379,7 +1407,8 @@ def test_sharp_seminorms_prune_most_windows(monkeypatch):
     want = [[float(np.max(g.values)) for g in per] for per in sharp_maximal(fam, fields, [1.0, 2.0, 4.0])]
     spy.sweep = "pruned"
     assert sharp_seminorms(fam, fields, [1.0, 2.0, 4.0]) == want
-    assert gathered["full"] == len(fields) * m * (2 * m - 1)  # every p = 1 window of every side
+    # every p = 1 window of every side below m, and the torus once
+    assert gathered["full"] == len(fields) * (m * (m - 1) + m)
     assert gathered["pruned"] <= 0.25 * gathered["full"], gathered
 
 
