@@ -57,6 +57,8 @@ OVERRIDE_SETS = {
     # a theta below the clamp, and the weighted Dr condition on spike masses
     "weighted-theta": ("weighted-power", ['weight={"kind":"spike"}', "cube_sample.min_cells=2",
                                           "resolution_ladder=[64]"]),
+    # the RH subsets, the theta fit and the weighted Dr condition on off-dyadic cubes across the seam
+    "rh-seam": ("weighted-power", ["resolution_ladder=[16]", "cube_sample.min_cells=8"]),
 }
 
 
