@@ -38,7 +38,7 @@ from osclab._support import (
     report_tree,
     rng_from_seed,
 )
-from osclab.cubes import Cube, descendant, sample_disjoint_families
+from osclab.cubes import Cube, cell_rows, descendant, sample_disjoint_families
 from osclab.functionals import (
     COEFFS,
     Coeffs,
@@ -415,7 +415,7 @@ def build_profile(cfg: ExperimentConfig, family, m: int, *, cube_side_cells: _co
 
 
 def _cube_sample(dimension: int, m: int, seed: int, *, min_cells: _pow2 = 8,
-                 off_dyadic: _count(0) = 32) -> list[Cube]:
+                 off_dyadic: _count(0) = 32) -> np.ndarray:
     return make_cube_sample(dimension, m, min_cells, off_dyadic, seed)
 
 
@@ -448,17 +448,17 @@ class RunManifest:
 
 
 def _condition_for(cfg: ExperimentConfig, rung: Rung, q: float):
-    roots = [c for c in rung.cube_sample if 0.2 <= c.side <= 0.5][:2] or [rung.cube_sample[0]]
+    m, sample = rung.m, rung.cube_sample.tolist()
+    roots = [row for row in sample if 0.2 <= row[0] / m <= 0.5][:2] or sample[:1]
     fams = [fam for i, root in enumerate(roots)
-            for fam in sample_disjoint_families(root, cfg.condition_families, cfg.seed + i, rung.m,
+            for fam in sample_disjoint_families(Cube.from_row(root, m), cfg.condition_families, cfg.seed + i, m,
                                                 field_values=np.abs(rung.field.values))]
-    return estimate_condition(rung.denominator, "Dr", rung.m, r=q, mu=rung.weight,
-                              families=fams, seed=cfg.seed)
+    return estimate_condition(rung.denominator, "Dr", m, r=q, mu=rung.weight, families=fams, seed=cfg.seed)
 
 
 def _dinf_for(cfg: ExperimentConfig, rung: Rung):
-    pairs = [(descendant(q, 1, (0,) * q.dimension), q) for q in rung.cube_sample[:24]
-             if (cells := q.cells_per_axis(rung.m)) >= 2 and cells % 2 == 0]
+    """Dinf over the pairs (child at offset 0, cube) of the first 24 sampled cubes of even cell count."""
+    pairs = [((c // 2, *a), (c, *a)) for c, *a in rung.cube_sample[:24].tolist() if c >= 2 and c % 2 == 0]
     return estimate_condition(rung.hypothesis, "Dinf", rung.m, cube_pairs=pairs, seed=cfg.seed)
 
 
@@ -598,14 +598,14 @@ def _rh_sets(ctx: HarnessContext) -> tuple[dict, bool]:
     m = target.m
     worst = 0.0
     checked = 0
-    for q_cube in target.cube_sample[:16]:
-        idx = np.flatnonzero(q_cube.mask(m))
+    for c, *anchor in target.cube_sample[:16].tolist():
+        idx = np.sort(cell_rows(np.array([anchor]), c, m)[0])  # the cube's cells in flat order
         for _ in range(4):
             k = int(rng.integers(1, idx.size + 1))
             pick = rng.choice(idx, size=k, replace=False)
             e = np.zeros(m ** cfg.dimension, dtype=bool)
             e[pick] = True
-            lhs, rhs = rh_subset_check(target.weight, q_cube, e.reshape((m,) * cfg.dimension), 2.0)
+            lhs, rhs = rh_subset_check(target.weight, c, anchor, e.reshape((m,) * cfg.dimension), 2.0)
             worst = max(worst, lhs / rhs if rhs > 0 else math.inf)
             checked += 1
     ok = worst <= 1.0 + 1e-9
@@ -726,7 +726,8 @@ def run_pipeline(cfg: ExperimentConfig) -> tuple[dict, dict]:
 
     t0 = time.perf_counter()
     # the family audit: the pair (half of the first sampled cube, that cube), probes of seed + 23
-    small, cube = rungs[0], rungs[0].cube_sample[0]
+    small = rungs[0]
+    cube = Cube.from_row(small.cube_sample[0].tolist(), small.m)
     probes = _probe_fields(cfg.dimension, small.m, cfg.seed + 23)
     report["audit"] = report_tree(audit_family(small.family, probes,
                                                [(descendant(cube, 1, (0,) * cfg.dimension), cube)]))

@@ -5,6 +5,12 @@ intervals [a_i, a_i + side) taken mod 1; its cell set on an m-per-axis grid is
 well defined whenever anchor and side are multiples of the cell width h = 1/m.
 Because every resolution in play is a power of two, those coordinates are
 exactly representable in binary floating point and snapping is loss-free.
+
+Below the config and report codec a list of cubes is an integer
+``(count, 1 + n)`` array of lattice rows (c, a_1, ..., a_n): c cells per
+axis at the anchor cells a of the 1/m lattice.  ``Cube.to_row`` and
+``Cube.from_row`` convert one cube, and ``cube_blocks`` groups the rows by
+size into ``CubeBlock``s.
 """
 
 from __future__ import annotations
@@ -63,6 +69,17 @@ class Cube:
     def anchor_cells(self, m: int) -> tuple[int, ...]:
         return tuple(_to_cells(a, m, "anchor") % m for a in self.anchor)
 
+    def to_row(self, m: int) -> tuple[int, ...]:
+        """The lattice row (c, a_1, ..., a_n) of the cube on the 1/m lattice."""
+        return (self.cells_per_axis(m), *self.anchor_cells(m))
+
+    @staticmethod
+    def from_row(row: Sequence[int], m: int) -> "Cube":
+        """The cube of the lattice row (c, a_1, ..., a_n) of the 1/m lattice:
+        the same floats as any other route to it, since m is a power of two."""
+        c, *anchor = row
+        return Cube(tuple([int(a) / m for a in anchor]), int(c) / m)
+
     def cell_arrays(self, m: int) -> tuple[np.ndarray, ...]:
         """Per-axis wrapped cell-index arrays; feed to ``np.ix_`` to slice fields."""
         c = self.cells_per_axis(m)
@@ -89,9 +106,6 @@ class Cube:
         out[self.index(m)] = True
         return out
 
-    def cell_count(self, m: int) -> int:
-        return self.cells_per_axis(m) ** self.dimension
-
     def contains_cube(self, other: "Cube") -> bool:
         """Torus interval containment per axis (exact up to lattice tolerance)."""
         if other.side > self.side + ALIGN_TOL:
@@ -105,17 +119,6 @@ class Cube:
             if d + other.side > self.side + ALIGN_TOL:
                 return False
         return True
-
-    def disjoint_from(self, other: "Cube") -> bool:
-        """True when the two cubes share no torus volume."""
-        if self.side >= 1.0 or other.side >= 1.0:
-            return False
-        for a, b in zip(self.anchor, other.anchor):
-            d = (b - a) % 1.0
-            overlap = d < self.side - ALIGN_TOL or d + other.side > 1.0 + ALIGN_TOL
-            if not overlap:
-                return True
-        return False
 
     def sort_key(self):
         return (-self.side, self.anchor)
@@ -215,16 +218,11 @@ class CubeBlock(NamedTuple):
                 return
 
 
-def sample_blocks(cubes: Sequence[Cube], m: int) -> list[CubeBlock]:
-    """The cubes grouped by cells per axis, coarsest first, as ``CubeBlock``s."""
-    if not cubes:
-        return []
-    x = np.array([q.anchor + (q.side,) for q in cubes]) * m
-    cells = np.rint(x).astype(np.int64)
-    if np.any(np.abs(x - cells) > ALIGN_TOL * m) or np.any(cells[:, -1] < 1):
-        raise ParameterError(f"a sampled cube is not a cube of the 1/{m} cell lattice")
-    sides = cells[:, -1]
-    return [CubeBlock(int(c), np.flatnonzero(sides == c), cells[sides == c, :-1] % m)
+def cube_blocks(rows: np.ndarray) -> list[CubeBlock]:
+    """The lattice rows (c, a_1, ..., a_n) grouped by cells per axis, coarsest
+    first, as ``CubeBlock``s; members keep their row order."""
+    sides = rows[:, 0]
+    return [CubeBlock(c, np.flatnonzero(sides == c), rows[sides == c, 1:])
             for c in sorted(set(sides.tolist()), reverse=True)]
 
 
@@ -448,11 +446,6 @@ def descendant(q: Cube, g: int, k: Sequence[int]) -> Cube:
     """
     side = q.side / 2 ** g
     return Cube(tuple([(a + int(ki) * side) % 1.0 for a, ki in zip(q.anchor, k)]), side)
-
-
-def dyadic_generation(q: Cube, g: int) -> list[Cube]:
-    """The 2^{g n} generation-g descendants of q, in C order of their offsets."""
-    return [descendant(q, g, k) for k in itertools.product(range(2 ** g), repeat=q.dimension)]
 
 
 def _doubles(rng: np.random.Generator, size: int = 4096) -> Iterator[float]:

@@ -2,8 +2,7 @@
 
 A functional assigns a nonnegative number to every cube; ``Functional.values``
 gives it on a block of lattice cubes at once.  The built-in kinds cover power
-laws in the sidelength, fractional averages against a weight, the reduced
-Poincare right-hand side, and constants.  Every expansion of a functional
+laws in the sidelength, the reduced Poincare right-hand side, and constants.  Every expansion of a functional
 (the expanded Poincare functional, the tilde/bar expansions and the eta
 series) is one ``DilationSeries`` over the dyadic dilates 2^k Q; on the torus
 the dilates saturate, and the series tail beyond the saturation index
@@ -24,7 +23,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from osclab._support import ParameterError, build_kind, ratio
-from osclab.cubes import Cube, CubeBlock, DisjointFamily, cell_rows, sample_blocks
+from osclab.cubes import CubeBlock, DisjointFamily, cell_rows
 from osclab.grid import Field, power_means
 from osclab.operators import OffDiagonalProfile
 from osclab.weights import Weight
@@ -140,22 +139,6 @@ class PowerFunctional(Functional):
 
     def _values(self, c, anchors, m):
         return np.full(len(anchors), (c / m) ** self.alpha)
-
-
-class FractionalFunctional(Functional):
-    """a(Q) = l(Q)^alpha (u(Q)/|Q|)^{1/s} for a weight u."""
-
-    kind = "fractional"
-
-    def __init__(self, alpha: float, s: float, u: Weight):
-        self.alpha, self.s, self.u = _real("alpha", alpha, 0.0, lo_open=True), _real("s", s, 1.0), u
-        if not self.alpha < u.dimension:
-            raise ParameterError("need 0 < alpha < n")
-        self.resolution = u.resolution
-
-    def _values(self, c, anchors, m):
-        cubes = [Cube(tuple([a / m for a in row]), c / m) for row in anchors.tolist()]
-        return np.array([q.side ** self.alpha * (self.u.mass(q) / q.volume) ** (1.0 / self.s) for q in cubes])
 
 
 class ReducedPoincare(Functional):
@@ -347,36 +330,18 @@ class ConditionReport:
     weighted: bool
 
 
-def _measure_of(mu: Optional[Weight], q: Cube) -> float:
-    return q.volume if mu is None else mu.mass(q)
+def _distinct_values(a: Functional, cells: np.ndarray, m: int,
+                     mu: Optional[Weight]) -> tuple[list[float], list[float], list[int]]:
+    """The one distinct-cube evaluator of the conditions: for the distinct
+    lattice rows (c, a_1, ..., a_n) of ``cells`` on the 1/m lattice, a(Q)
+    and mu(Q) (|Q| when mu is None), and the index of each row of ``cells``
+    among them.
 
-
-def cube_values(a: Functional, cubes: Sequence[Cube], m: int) -> dict:
-    """a(Q) for each distinct cube Q of ``cubes``, lattice cubes of 1/m, by value:
-    the cubes grouped with ``sample_blocks``, each block evaluated at once."""
-    distinct = list(dict.fromkeys(cubes))
-    out = {}
-    for block in sample_blocks(distinct, m):
-        out.update(zip([distinct[i] for i in block.members.tolist()], a.values(block.c, block.anchors, m).tolist()))
-    return out
-
-
-def _member_terms(a: Functional, families: Sequence[DisjointFamily], m: int, r: float,
-                  mu: Optional[Weight]) -> tuple[list[float], list[int]]:
-    """a(Q)^r mu(Q) of each distinct member Q of ``families`` on the 1/m
-    lattice, and the index of each member's term in member order.
-
-    The members are read as (cells per axis, anchor cells) from their nodes,
-    and each distinct cube is evaluated once: one ``a.values`` call per size,
-    one measure per cube.
+    Rows are told apart by one integer key per cube, sorted, so each distinct
+    cube is evaluated once: one ``a.values`` call per size, one measure per
+    cube.
     """
-    n = families[0].parent.dimension
-    parents = [fam.parent for fam in families]
-    roots = {p: (p.cells_per_axis(m), *p.anchor_cells(m)) for p in dict.fromkeys(parents)}
-    root = np.repeat(np.array([roots[p] for p in parents]), [len(fam.nodes) for fam in families], axis=0)
-    nodes = np.concatenate([fam.nodes for fam in families])
-    sizes = root[:, 0] >> nodes[:, 0]
-    cells = np.column_stack([sizes, (root[:, 1:] + nodes[:, 1:] * sizes[:, None]) % m])
+    n = cells.shape[1] - 1
     keys = np.ravel_multi_index(tuple(cells.T), (m + 1,) + (m,) * n)
     order = np.argsort(keys, kind="stable")
     first = np.concatenate([[True], np.diff(keys[order]) != 0])
@@ -390,8 +355,17 @@ def _member_terms(a: Functional, families: Sequence[DisjointFamily], m: int, r: 
     if mu is None:
         measures = [(c / m) ** n for c in cubes[:, 0].tolist()]
     else:
-        measures = [mu.mass(Cube(tuple([x / m for x in anchor]), c / m)) for c, *anchor in cubes.tolist()]
-    return [v ** r * w for v, w in zip(vals.tolist(), measures)], where.tolist()
+        measures = [mu.mass(c, anchor) for c, *anchor in cubes.tolist()]
+    return vals.tolist(), measures, where.tolist()
+
+
+def _member_rows(families: Sequence[DisjointFamily], parents: np.ndarray, m: int) -> np.ndarray:
+    """The lattice rows of the members of ``families``, in member order, from
+    their nodes and the rows ``parents`` of their parents."""
+    root = np.repeat(parents, [len(fam.nodes) for fam in families], axis=0)
+    nodes = np.concatenate([fam.nodes for fam in families])
+    sizes = root[:, 0] >> nodes[:, 0]
+    return np.column_stack([sizes, (root[:, 1:] + nodes[:, 1:] * sizes[:, None]) % m])
 
 
 def estimate_condition(
@@ -401,7 +375,7 @@ def estimate_condition(
     r: Optional[float] = None,
     mu: Optional[Weight] = None,
     families: Optional[Sequence[DisjointFamily]] = None,
-    cube_pairs: Optional[Sequence[tuple[Cube, Cube]]] = None,
+    cube_pairs: Optional[Sequence[tuple[Sequence[int], Sequence[int]]]] = None,
     partner: Optional[Functional] = None,
     seed: int = 0,
 ) -> ConditionReport:
@@ -409,8 +383,9 @@ def estimate_condition(
     of the 1/m lattice.
 
     ``Dr`` and ``pair`` run over disjoint families, ``Dinf`` over nested cube
-    pairs (R, Q).  Each distinct member of the families is evaluated once
-    (``_member_terms``), and each family sums its members' terms in member
+    pairs (R, Q), each given as the lattice rows (c, a_1, ..., a_n) of R and
+    Q.  Each distinct member, parent and pair cube is evaluated once
+    (``_distinct_values``), and each family sums its members' terms in member
     order.  A zero denominator against a nonzero numerator records an
     infinite constant rather than raising.
     """
@@ -421,8 +396,9 @@ def estimate_condition(
         if not cube_pairs:
             raise ParameterError("Dinf estimation needs nested cube pairs")
         count = len(cube_pairs)
-        vals = cube_values(a, [q for pair in cube_pairs for q in pair], m)
-        for small, big in cube_pairs:
+        cells = np.array(cube_pairs, dtype=np.int64)
+        vals, _measures, where = _distinct_values(a, cells.reshape(2 * count, -1), m, None)
+        for small, big in zip(where[::2], where[1::2]):
             best = max(best, ratio(vals[small], vals[big]))
     else:
         if not families:
@@ -432,14 +408,17 @@ def estimate_condition(
         if r is None or r < 1:
             raise ParameterError(f"{condition} needs the exponent r >= 1")
         count = len(families)
-        terms, where = _member_terms(a, families, m, r, mu)
-        parents = cube_values(partner if condition == "pair" else a, [fam.parent for fam in families], m)
-        denoms = {p: v * _measure_of(mu, p) ** (1.0 / r) for p, v in parents.items()}
+        rows = {p: p.to_row(m) for p in dict.fromkeys(fam.parent for fam in families)}
+        parents = np.array([rows[fam.parent] for fam in families])
+        vals, measures, where = _distinct_values(a, _member_rows(families, parents, m), m, mu)
+        terms = [v ** r * w for v, w in zip(vals, measures)]
+        vals, measures, parent_at = _distinct_values(partner if condition == "pair" else a, parents, m, mu)
+        denoms = [v * w ** (1.0 / r) for v, w in zip(vals, measures)]
         end = 0
-        for fam in families:
+        for fam, parent in zip(families, parent_at):
             start, end = end, end + len(fam.nodes)
             num = sum([terms[i] for i in where[start:end]]) ** (1.0 / r)
-            best = max(best, ratio(num, denoms[fam.parent]))
+            best = max(best, ratio(num, denoms[parent]))
     return ConditionReport(
         condition=condition,
         r=r,

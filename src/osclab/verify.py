@@ -21,10 +21,8 @@ from osclab.cubes import (
     Cube,
     CubeBlock,
     cell_rows,
+    cube_blocks,
     dilate,
-    dyadic_generation,
-    full_torus,
-    sample_blocks,
     whitney_check,
     whitney_decompose,
 )
@@ -34,7 +32,6 @@ from osclab.functionals import (
     ConstantFunctional,
     DilationSeries,
     Functional,
-    cube_values,
     eta_exponential,
 )
 from osclab.grid import (
@@ -56,34 +53,38 @@ STABILITY_SLACK = 2.0
 # ---------------------------------------------------------------------------
 
 
-def make_cube_sample(dimension: int, m: int, min_cells: int, off_dyadic: int, seed: int) -> list[Cube]:
-    """All dyadic cubes of >= min_cells per axis (the generations of the torus,
-    coarsest first) plus seeded off-dyadic cubes.
+def make_cube_sample(dimension: int, m: int, min_cells: int, off_dyadic: int, seed: int) -> np.ndarray:
+    """The lattice rows (c, a_1, ..., a_n) of all dyadic cubes of >= min_cells
+    per axis (the generations of the torus, coarsest first, each in C order
+    of its anchors) plus seeded off-dyadic cubes.
 
     Dyadic-only sampling can hide translation effects, hence the off-lattice
     extras; the seed makes the sample reproducible.
     """
-    cubes: list[Cube] = []
-    torus = full_torus(dimension)
+    rows = []
     for g in range(m.bit_length()):  # generations down to single cells, whatever min_cells says
-        if m >> g < min_cells:
+        c = m >> g
+        if c < min_cells:
             break
-        cubes.extend(dyadic_generation(torus, g))
+        anchors = np.indices((1 << g,) * dimension).reshape(dimension, -1).T * c
+        rows.append(np.column_stack([np.full(len(anchors), c), anchors]))
     rng = rng_from_seed(seed)
     lo = int(math.log2(min_cells))
     hi = max(lo + 1, int(math.log2(m)))
+    draws = []
     for _ in range(off_dyadic):
         c = 2 ** int(rng.integers(lo, hi))
-        anchor = tuple(int(rng.integers(0, m)) / m for _ in range(dimension))
-        cubes.append(Cube(anchor, c / m))
-    return cubes
+        draws.append([c] + [int(rng.integers(0, m)) for _ in range(dimension)])
+    rows.append(np.array(draws, dtype=np.int64).reshape(-1, 1 + dimension))
+    return np.concatenate(rows)
 
 
-def measured_oscillation(f: Field, cubes: Sequence[Cube]) -> ConstantFunctional:
-    """Constant functional holding the measured oscillation sup_Q mean_Q |f - f_Q|."""
+def measured_oscillation(f: Field, cubes: np.ndarray) -> ConstantFunctional:
+    """Constant functional holding the measured oscillation sup_Q mean_Q |f - f_Q|
+    over the lattice rows ``cubes``."""
     best = 0.0
     m, flat = f.resolution, f.values.ravel()
-    for block in sample_blocks(cubes, m):
+    for block in cube_blocks(cubes):
         for part in block.parts(block.c, f.dimension):
             vals = flat[cell_rows(part.anchors, part.c, m)]
             best = max(best, float(np.abs(vals - vals.mean(axis=1, keepdims=True)).mean(axis=1).max()))
@@ -124,7 +125,8 @@ class Rung:
     the sample (``hypothesis_rows``).  Rungs made from this one by
     ``dataclasses.replace`` share the cache; one with only another
     ``denominator`` or ``weight`` reads the same memo, one with other
-    material a memo of its own.
+    material a memo of its own.  ``cube_sample`` holds the lattice rows
+    (c, a_1, ..., a_n) of the sampled cubes.
     """
 
     m: int
@@ -132,7 +134,7 @@ class Rung:
     family: OscillationFamily
     hypothesis: Functional
     denominator: Functional
-    cube_sample: list[Cube]
+    cube_sample: np.ndarray
     weight: Optional[Weight] = None
     cache: dict = dc_field(default_factory=dict, repr=False, compare=False)
 
@@ -142,7 +144,7 @@ class Rung:
         key = (self.m, *map(id, material))
         memo = self.cache.get(key)
         if memo is None:
-            memo = self.cache[key] = _Memo(material, sample_blocks(self.cube_sample, self.m))
+            memo = self.cache[key] = _Memo(material, cube_blocks(self.cube_sample))
         return memo
 
     def blocks(self) -> list[CubeBlock]:
@@ -158,15 +160,15 @@ class Rung:
             return self.family.b_rows(self.field, block)
         memo = self._memo()
         if memo.b_fields is None:
-            sides = [self.cube_sample[b.members[0]].side for b in memo.blocks]
-            per_side = self.family.apply_B_scales(sides, [self.field])
+            per_side = self.family.apply_B_scales([b.c / self.m for b in memo.blocks], [self.field])
             memo.b_fields = {b.c: bf.values.ravel() for b, (bf,) in zip(memo.blocks, per_side)}
         b = memo.b_fields[block.c]
         return lambda anchors, size: b[cell_rows(anchors, size, self.m)]
 
     def hypothesis_rows(self, k_max: int) -> list:
         """The rows (Q, k, num, den, val, saturated) of the hypothesis walk
-        over the cube sample up to the 2^{k_max} dilates, walked once per rung.
+        over the cube sample up to the 2^{k_max} dilates, walked once per rung;
+        Q is the cube's lattice row as a tuple of ints.
 
         The walk is kept at the deepest ``k_max`` asked for so far; a shallower
         request filters it to k <= k_max, which are the rows a fresh walk gives
@@ -194,8 +196,8 @@ class Rung:
                 per_k.append((k, nums, self.hypothesis.values(size, anchors, m).tolist(), saturated))
             for j, i in enumerate(part.members.tolist()):
                 walked[i] = [(k, nums[j], dens[j], saturated) for k, nums, dens, saturated in per_k]
-        return [(q, k, num, den, ratio(num, den), saturated)
-                for q, steps in zip(self.cube_sample, walked) for k, num, den, saturated in steps]
+        return [(tuple(q), k, num, den, ratio(num, den), saturated)
+                for q, steps in zip(self.cube_sample.tolist(), walked) for k, num, den, saturated in steps]
 
 
 class _Memo:
@@ -317,9 +319,9 @@ def _sweep(
             two_q, size, saturated = part.dilate(2.0, m)
             flags[part.members] = 1 if saturated else 2 * np.any(two_q + size > m, axis=1)
         best = 0.0
-        for q, num, den, flag in zip(rung.cube_sample, nums.tolist(), dens.tolist(), flags.tolist()):
+        for q, num, den, flag in zip(rung.cube_sample.tolist(), nums.tolist(), dens.tolist(), flags.tolist()):
             val = ratio(num, den)
-            rows.append((rung.m, q.to_dict(), num, den, val, flag))
+            rows.append((m, Cube.from_row(q, m).to_dict(), num, den, val, flag))
             best = max(best, val)
         per_res[rung.m] = best
     stable = _stable(per_res)
@@ -454,7 +456,8 @@ def verify_good_lambda(
     g_vals = np.where(dilate(q_cube, 2.0, m).cube.mask(m), np.abs(bq2.values), 0.0)
     mg = maximal_function(Field(g_vals), p0).values
 
-    denom = cube_values(rung.denominator, [q_cube], m)[q_cube]
+    q_row = q_cube.to_row(m)
+    denom = rung.denominator.values(q_row[0], np.array([q_row[1:]]), m).tolist()[0]
     if denom <= 0:
         raise ParameterError("conclusion functional vanishes on 2Q")
     # smallest c0 with |Omega_t| <= (c0 denom / t)^{p0} |Q| for all t, computed
@@ -508,9 +511,13 @@ def verify_good_lambda(
             chk["t"] = float(t)
             whitney.append(chk)
             # the L^{p0} averages of G on every dyadic dilate of the Whitney
-            # cubes that meet Q, to saturation (by k = log2 m at the latest)
-            meeting = [w_cube for w_cube in cubes if not w_cube.disjoint_from(q_cube)]
-            for _part, dilates in _dilate_parts(sample_blocks(meeting, m), m, f.dimension, m.bit_length()):
+            # cubes that meet Q, to saturation (by k = log2 m at the latest):
+            # two cubes meet when, on every axis, one's anchor cell lies among
+            # the other's cells, mod m
+            w_rows = np.array([w_cube.to_row(m) for w_cube in cubes])
+            ahead = (np.array(q_row[1:]) - w_rows[:, 1:]) % m
+            meets = np.all((ahead < w_rows[:, :1]) | (-ahead % m < q_row[0]), axis=1)
+            for _part, dilates in _dilate_parts(cube_blocks(w_rows[meets]), m, f.dimension, m.bit_length()):
                 for _k, anchors, size, _saturated in dilates:
                     unit = np.full((1, size ** f.dimension), vol_cell)
                     means = power_means(g_flat[cell_rows(anchors, size, m)], unit, p0)

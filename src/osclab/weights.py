@@ -7,6 +7,7 @@ sample, never claimed as true suprema; the report carries the sample size and
 seed so results are reproducible.  The row kernels ``ap_ratios`` and
 ``rh_ratios`` read them from the density gathered on the sample's blocks,
 one C-ordered row per cube, each row as the cube's own restriction reads.
+Cubes are lattice rows (c, a_1, ..., a_n) of the weight's 1/m lattice.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from osclab._support import DataError, ParameterError, rng_from_seed
-from osclab.cubes import Cube, SummedAreaTable, cell_rows, sample_blocks
+from osclab.cubes import SummedAreaTable, cell_rows, cube_blocks
 from osclab.grid import Field
 
 #: the exponent r of the A_infinity probe: the RH_r constant over the sample
@@ -46,11 +47,10 @@ class Weight:
     def dimension(self) -> int:
         return self.density.dimension
 
-    def mass(self, q: Cube) -> float:
-        """w(Q) = integral of the density over the cube (cell sums, exact)."""
-        m = self.resolution
-        raw = self._masses.box_sum(q.anchor_cells(m), q.cells_per_axis(m))
-        return raw * self.density.cell_volume
+    def mass(self, c: int, anchor: Sequence[int]) -> float:
+        """w(Q) = integral of the density over the cube of c cells per axis at
+        the anchor cells ``anchor`` (cell sums, exact)."""
+        return self._masses.box_sum(anchor, c) * self.density.cell_volume
 
 
 def ones_weight(dimension: int, m: int) -> Weight:
@@ -90,7 +90,7 @@ def rh_ratios(rows: np.ndarray, p: float) -> list[float]:
     return [high ** (1.0 / p) / mean for high, mean in zip(highs, rows.mean(axis=-1).tolist())]
 
 
-def _theta_fit(w: Weight, cubes: Sequence[Cube], rows: Sequence[np.ndarray], rng: np.random.Generator) -> float:
+def _theta_fit(w: Weight, cubes: np.ndarray, rows: Sequence[np.ndarray], rng: np.random.Generator) -> float:
     """Largest theta with w(S)/w(Q) <= 4 (|S|/|Q|)^theta over sampled subsets.
 
     Subsets are random cell subsets of each sampled cube, drawn from its
@@ -100,8 +100,8 @@ def _theta_fit(w: Weight, cubes: Sequence[Cube], rows: Sequence[np.ndarray], rng
     xs, ys = [], []
     log4 = math.log(4.0)
     vol_cell = w.density.cell_volume
-    for q, flat_density in zip(cubes, rows):
-        wq = w.mass(q)
+    for (c, *anchor), flat_density in zip(cubes.tolist(), rows):
+        wq = w.mass(c, anchor)
         count = flat_density.size
         for frac in (0.5, 0.25, 0.0625):
             k = max(1, int(round(count * frac)))
@@ -122,23 +122,24 @@ def _theta_fit(w: Weight, cubes: Sequence[Cube], rows: Sequence[np.ndarray], rng
 def weight_report(
     w: Weight,
     ps: Sequence[float],
-    cube_sample: Sequence[Cube],
+    cube_sample: np.ndarray,
     seed: int = 0,
 ) -> WeightReport:
-    """Measure A_p and RH_p constants over the sample and fit theta.
+    """Measure A_p and RH_p constants over the lattice rows ``cube_sample`` and
+    fit theta.
 
     The row kernels read every constant from the density gathered on the
     sample's blocks, one row per cube, in parts of at most ``ROW_CELLS``
     cells.  A_infinity membership is probed (not decided) by the finiteness
     of the measured RH constant at ``AINF_PROBE_R``, measured once.
     """
-    if not cube_sample:
+    if not len(cube_sample):
         raise ParameterError("cube sample must be nonempty")
     m, density = w.resolution, w.density.values.ravel()
     ap = dict.fromkeys(ps, 0.0)
     rh = dict.fromkeys([pv for pv in ps if pv > 1.0] + [AINF_PROBE_R], 0.0)
     rows = {}
-    for block in sample_blocks(cube_sample, m):
+    for block in cube_blocks(cube_sample):
         for part in block.parts(block.c, w.dimension):
             part_rows = density[cell_rows(part.anchors, part.c, m)]
             for pv in ap:
@@ -152,20 +153,22 @@ def weight_report(
                         ainf_probe_constant=probe)
 
 
-def rh_subset_check(w: Weight, q: Cube, subset_mask: np.ndarray, p: float) -> tuple[float, float]:
-    """(w(E)/w(Q), C (|E|/|Q|)^{1/p'}) for a cell subset E of Q.
+def rh_subset_check(w: Weight, c: int, anchor: Sequence[int], subset_mask: np.ndarray,
+                    p: float) -> tuple[float, float]:
+    """(w(E)/w(Q), C (|E|/|Q|)^{1/p'}) for a cell subset E of the cube Q of c
+    cells per axis at the anchor cells ``anchor``.
 
     With C the reverse-Holder constant measured on Q itself the comparison is
     a direct consequence of Holder's inequality, so lhs <= rhs holds exactly.
     """
-    m = w.resolution
     if not bool(subset_mask.any()):
         raise ParameterError("subset is empty")
-    if bool((subset_mask & ~q.mask(m)).any()):
+    cells = cell_rows(np.array([anchor]), c, w.resolution)
+    if subset_mask.ravel()[cells].sum() < subset_mask.sum():
         raise ParameterError("subset must be contained in the cube")
-    c = rh_ratios(w.density.restrict(q)[None], p)[0]
-    lhs = float(w.density.values[subset_mask].sum()) * w.density.cell_volume / w.mass(q)
+    constant = rh_ratios(w.density.values.ravel()[cells], p)[0]
+    lhs = float(w.density.values[subset_mask].sum()) * w.density.cell_volume / w.mass(c, anchor)
     pprime = p / (p - 1.0)
-    frac = subset_mask.sum() / q.cell_count(m)
-    rhs = c * float(frac) ** (1.0 / pprime)
+    frac = subset_mask.sum() / c ** w.dimension
+    rhs = constant * float(frac) ** (1.0 / pprime)
     return lhs, rhs

@@ -20,18 +20,17 @@ from osclab.cubes import (
     _random_packing,
     cell_membership,
     cell_rows,
+    cube_blocks,
     descendant,
     dilate,
-    dyadic_generation,
     full_torus,
-    sample_blocks,
     sample_disjoint_families,
     whitney_check,
     whitney_decompose,
 )
 from osclab.functionals import (
     Coeffs,
-    FractionalFunctional,
+    Functional,
     bar_expand,
     estimate_condition,
     expanded_poincare,
@@ -40,6 +39,21 @@ from osclab.functionals import (
 from osclab.grid import Field
 from osclab.operators import OffDiagonalProfile
 from osclab.weights import Weight
+
+
+def generation(q, g) -> list:
+    """The 2^{g n} generation-g descendants of q, in C order of their offsets."""
+    return [descendant(q, g, k) for k in itertools.product(range(2 ** g), repeat=q.dimension)]
+
+
+def rows_of(cubes, m) -> np.ndarray:
+    """The lattice rows (c, a_1, ..., a_n) of ``cubes`` on the 1/m lattice."""
+    return np.array([q.to_row(m) for q in cubes])
+
+
+def disjoint(x, y, m) -> bool:
+    """True when the cubes share no cell of the 1/m lattice, by their cell masks."""
+    return not (x.mask(m) & y.mask(m)).any()
 
 
 def cell_mask(cubes, m, dim) -> np.ndarray:
@@ -73,13 +87,13 @@ def test_dilate_saturates_to_full_torus():
     q = Cube((0.5,), 0.25)
     d = dilate(q, 8.0, 16)
     assert d.saturated
-    assert d.cube.cell_count(16) == 16
+    assert d.cube.cells_per_axis(16) ** d.cube.dimension == 16
 
 
 def test_dilate_saturation_2d_cell_count():
     q = Cube((0.0, 0.5), 0.25)
     d = dilate(q, 8.0, 8)
-    assert d.saturated and d.cube.cell_count(8) == 64
+    assert d.saturated and d.cube.cells_per_axis(8) ** d.cube.dimension == 64
 
 
 def test_dilate_contains_exact_concentric_cube():
@@ -128,12 +142,12 @@ def test_block_dyadic_dilations_stop_at_saturation():
     # unsaturated and anchored at its own cell, at k = 0, and the saturated
     # torus, anchored at cell 0, at k = 1
     m = 64
-    block, = sample_blocks([Cube((0.0,), 0.125), Cube((0.5,), 0.125)], m)
+    block, = cube_blocks(np.array([[8, 0], [8, 32]]))
     walk = list(block.dyadic_dilations(m, 10))
     assert [(k, size, saturated) for k, _a, size, saturated in walk] == [
         (0, 8, False), (1, 16, False), (2, 32, False), (3, m, True)]
     assert walk[-1][1].tolist() == [[0], [0]]
-    side_one, = sample_blocks([Cube((0.375,), 1.0)], m)
+    side_one, = cube_blocks(np.array([[m, 24]]))
     walk = list(side_one.dyadic_dilations(m, 10))
     assert [(k, anchors.tolist(), size, saturated) for k, anchors, size, saturated in walk] == [
         (0, [[24]], m, False), (1, [[0]], m, True)]
@@ -191,24 +205,27 @@ def test_dyadic_generation_tiles_its_cube(dim, m, anchor, cells):
     # seam-crossing and plain cubes: each generation covers q once, cell by cell
     q = Cube(anchor, cells / m)
     for g in range(cells.bit_length()):
-        kids = dyadic_generation(q, g)
+        kids = generation(q, g)
         assert len(kids) == 2 ** (g * dim)
         assert np.array_equal(sum(k.mask(m).astype(int) for k in kids), q.mask(m).astype(int)), g
+        # offset k of generation g: cells >> g cells per axis, at q's anchor plus k of them, mod m
         offsets = itertools.product(range(2 ** g), repeat=dim)
-        assert kids == [descendant(q, g, k) for k in offsets], g
+        side, corner = cells >> g, q.anchor_cells(m)
+        assert [kid.to_row(m) for kid in kids] == [
+            (side, *[(a + ki * side) % m for a, ki in zip(corner, k)]) for k in offsets], g
 
 
 def test_dyadic_children_2d_tile():
     q = Cube((0.0, 0.5), 0.5)
-    kids = dyadic_generation(q, 1)
+    kids = generation(q, 1)
     assert len(kids) == 4
     assert [k.anchor for k in kids] == [(0.0, 0.5), (0.0, 0.75), (0.25, 0.5), (0.25, 0.75)]  # C order
     mask = cell_mask(kids, 16, 2)
-    assert mask.sum() == q.cell_count(16)
+    assert mask.sum() == q.cells_per_axis(16) ** q.dimension
     assert bool(mask[np.ix_(*q.cell_arrays(16))].all())
     for i, a in enumerate(kids):
         for b in kids[i + 1 :]:
-            assert a.disjoint_from(b)
+            assert disjoint(a, b, 16)
         assert q.contains_cube(a)
 
 
@@ -351,7 +368,7 @@ def test_families_reproducible_and_disjoint():
         for i, x in enumerate(members):
             assert q.contains_cube(x)
             for y in members[i + 1 :]:
-                assert x.disjoint_from(y)
+                assert disjoint(x, y, 32)
 
 
 def test_families_stopping_time_strategy():
@@ -365,7 +382,7 @@ def test_families_stopping_time_strategy():
         members = fam.cubes()
         for i, x in enumerate(members):
             for y in members[i + 1 :]:
-                assert x.disjoint_from(y)
+                assert disjoint(x, y, 64)
 
 
 def test_family_count_one_is_singleton():
@@ -388,7 +405,7 @@ def reference_random_packing(q, rng, max_depth):
             if depth >= 1:
                 chosen.append(node)
             return
-        for child in dyadic_generation(node, 1):
+        for child in generation(node, 1):
             if rng.random() < 0.75:
                 walk(child, depth + 1)
 
@@ -411,7 +428,7 @@ def reference_stopping_time_family(q, m, rng, values):
             out.append(node)
             return
         if node.cells_per_axis(m) % 2 == 0:
-            for child in dyadic_generation(node, 1):
+            for child in generation(node, 1):
                 walk(child)
 
     walk(q)
@@ -492,7 +509,7 @@ def test_stopping_time_walk_matches_per_node_walk(dim, m, anchor, cells):
             # after the two canonical families, draws alternate a random
             # packing and a stopping-time family on one sequential generator
             rng = rng_from_seed(seed)
-            want = [[q]] + ([dyadic_generation(q, 1)] if cells % 2 == 0 else [])
+            want = [[q]] + ([generation(q, 1)] if cells % 2 == 0 else [])
             max_depth = min(4, halvings(cells))
             for i in range(10 - len(want)):
                 want.append(reference_stopping_time_family(q, m, rng, values) if i % 2
@@ -527,6 +544,17 @@ def test_node_table_is_in_family_order(dim, m, anchor, cells):
             assert table.nodes[table.rank[heap]].tolist() == [g, *k]
 
 
+class MassRatio(Functional):
+    """a(Q) = l(Q)^0.1 mu(Q) / |Q|: large on small cubes at the spikes of mu."""
+
+    def __init__(self, mu):
+        self.mu, self.resolution = mu, mu.resolution
+
+    def _values(self, c, anchors, m):
+        side = c / m
+        return np.array([side ** 0.1 * self.mu.mass(c, a) / side ** len(a) for a in anchors.tolist()])
+
+
 def reference_ratios(a, m, r, families, mu=None, partner=None):
     """The defining ratio of each family member by member: a(Q) of each
     member and parent from its own one-row ``values`` call, its measure from
@@ -535,7 +563,7 @@ def reference_ratios(a, m, r, families, mu=None, partner=None):
         return f.values(q.cells_per_axis(m), np.array([q.anchor_cells(m)]), m).tolist()[0]
 
     def measure(q):
-        return q.volume if mu is None else mu.mass(q)
+        return q.volume if mu is None else mu.mass(q.cells_per_axis(m), q.anchor_cells(m))
 
     return [sum(term(a, qi) ** r * measure(qi) for qi in fam.cubes()) ** (1.0 / r)
             / (term(partner or a, fam.parent) * measure(fam.parent) ** (1.0 / r)) for fam in families]
@@ -554,7 +582,7 @@ def test_conditions_read_per_node_equal_per_member_reference(dim, m, anchor, cel
     profile = OffDiagonalProfile(alpha={k: 2.0 ** -k for k in range(2, 9)}, beta=None,
                                  exponents=(1.0, math.inf), probe_spec={"kind": "averaging", "dimension": dim})
     tilde = tilde_expand(expanded_poincare(h, 1.0, Coeffs("geometric", sigma=2.0)), profile).collapse()
-    spiky = FractionalFunctional(0.1, 1.0, mu)  # large on small cubes at spikes
+    spiky = MassRatio(mu)
     beaten = []
     for condition, a, r, weight, partner in (("Dr", spiky, 1.0, None, None), ("Dr", spiky, 1.7, mu, None),
                                              ("pair", spiky, 1.5, None, tilde),
@@ -663,7 +691,7 @@ def test_cube_index_matches_ix(dim, m):
         assert np.array_equal(a, b), q
         mask = np.zeros((m,) * dim, dtype=bool)
         mask[index] = True
-        assert int(mask.sum()) == q.cell_count(m), q
+        assert int(mask.sum()) == q.cells_per_axis(m) ** q.dimension, q
         assert np.array_equal(mask, cell_mask([q], m, dim)), q
     assert np.array_equal(field.values, values)
 
@@ -691,7 +719,7 @@ def test_cube_json_roundtrip():
 def test_full_torus_contains_everything():
     t = full_torus(2)
     assert t.contains_cube(Cube((0.3125, 0.0), 0.0625))
-    assert not t.disjoint_from(Cube((0.5, 0.5), 0.25))
+    assert not disjoint(t, Cube((0.5, 0.5), 0.25), 16)
 
 
 @pytest.mark.parametrize("dim, m", [(1, 64), (2, 16)])
@@ -701,11 +729,11 @@ def test_cube_blocks_match_the_per_cube_geometry(dim, m):
     # the order of Cube.index, its dilates are dilate's, with the same
     # saturation, and membership in 2Q is 2Q's mask
     rng = np.random.Generator(np.random.Philox(3))
-    cubes = [q for g in range(m.bit_length()) for q in dyadic_generation(full_torus(dim), g)]
+    cubes = [q for g in range(m.bit_length()) for q in generation(full_torus(dim), g)]
     cubes += [Cube(tuple(int(a) / m for a in rng.integers(0, m, dim)), 2 ** int(rng.integers(0, m.bit_length())) / m)
               for _ in range(40)]
     cells = np.arange(m ** dim).reshape((m,) * dim)
-    blocks = sample_blocks(cubes, m)
+    blocks = cube_blocks(rows_of(cubes, m))
     assert sorted(i for b in blocks for i in b.members.tolist()) == list(range(len(cubes)))
     for block in blocks:
         two_q, two_size, _ = block.dilate(2.0, m)
@@ -731,7 +759,7 @@ def test_block_parts_split_in_order_within_the_row_budget(monkeypatch, dim, widt
     monkeypatch.setattr("osclab.cubes.ROW_CELLS", row_cells)
     rng = np.random.Generator(np.random.Philox(1))
     cubes = [Cube(tuple(int(a) / 16 for a in rng.integers(0, 16, dim)), 0.125) for _ in range(sum(sizes))]
-    block, = sample_blocks(cubes, 16)
+    block, = cube_blocks(rows_of(cubes, 16))
     parts = list(block.parts(width, dim))
     assert [len(p.members) for p in parts] == sizes
     assert all(p.c == block.c for p in parts)

@@ -22,12 +22,10 @@ from osclab.functionals import (
     Coeffs,
     ConstantFunctional,
     DilationSeries,
-    FractionalFunctional,
     Functional,
     PowerFunctional,
     ReducedPoincare,
     bar_expand,
-    cube_values,
     estimate_condition,
     eta_alternative,
     eta_exponential,
@@ -55,7 +53,7 @@ def gauss_profile(rate: float = 1.0, p0: float = 1.0, n: int = 1, kind: str = "s
 
 def value(a: Functional, q: Cube, m: int) -> float:
     """a(q) on one cube of the 1/m lattice."""
-    return cube_values(a, [q], m)[q]
+    return a.values(q.cells_per_axis(m), np.array([q.anchor_cells(m)]), m).tolist()[0]
 
 
 # ---------------------------------------------------------------------------
@@ -77,14 +75,6 @@ def test_reduced_poincare_unit_average():
     assert value(a, q, 32) == pytest.approx(q.side)
 
 
-def test_fractional_functional_value():
-    u = ones_weight(1, 32)
-    a = FractionalFunctional(0.5, 2.0, u)
-    q = Cube((0.0,), 0.25)
-    # u(Q)/|Q| = 1 for the unit weight
-    assert value(a, q, 32) == pytest.approx(0.25 ** 0.5)
-
-
 def test_constant_functional_tilde_is_summed_sequence():
     prof = gauss_profile()
     a = ConstantFunctional(1.0)
@@ -101,15 +91,13 @@ def test_constant_functional_tilde_is_summed_sequence():
 
 def reference(a: Functional, q: Cube, m: int) -> float:
     """a(q) from the definitions, one cube at a time: the exact side for a power
-    or constant base, the cells of ``Cube.index`` (through ``lp_average`` and
-    ``Weight.mass``) for a grid-backed one, and a series summed in k order over
+    or constant base, the cells of ``Cube.index`` (through ``lp_average``) for
+    a grid-backed one, and a series summed in k order over
     ``dilate``'s 2^k q, or over the exact 2^k q when its base has no grid."""
     if isinstance(a, ConstantFunctional):
         return a.value
     if isinstance(a, PowerFunctional):
         return q.side ** a.alpha
-    if isinstance(a, FractionalFunctional):
-        return q.side ** a.alpha * (a.u.mass(q) / q.volume) ** (1.0 / a.s)
     if isinstance(a, ReducedPoincare):
         return q.side * lp_average(a.h, q, a.s, a.weight)
     torus = full_torus(q.dimension)
@@ -139,7 +127,6 @@ def every_kind(dimension: int, m: int) -> dict:
     return {
         "constant": ConstantFunctional(0.7),
         "bmo-lipschitz": power,
-        "fractional": FractionalFunctional(0.5, 2.0, w),
         "reduced-poincare": ReducedPoincare(h, 2.0),
         "weighted reduced-poincare": ReducedPoincare(h, 1.5, w),
         "expanded-poincare": ep,
@@ -168,22 +155,36 @@ def test_block_values_equal_the_definitions(dimension, m, c):
         assert got.tolist() == [reference(a, q, m) for q in cubes], name
 
 
-def test_cube_values_evaluate_each_distinct_cube_once():
-    # the same cube reached by a dilation, by a descent across the seam and
-    # from JSON is one row; repeats of it are not evaluated again
-    rows = []
+def test_conditions_evaluate_each_distinct_cube_once():
+    # the members, the parents and the Dinf pairs are evaluated once per
+    # distinct cube, one values call per size, in (c, anchor) order: the
+    # same cube reached by a dilation, by a descent across the seam and from
+    # JSON is one row, and so is a parent that 16 families share
+    m, rows = 64, []
 
     class Counting(PowerFunctional):
         def _values(self, c, anchors, m):
-            rows.extend(anchors.tolist())
+            rows.extend([c, *anchor] for anchor in anchors.tolist())
             return super()._values(c, anchors, m)
 
-    q = dilate(Cube((0.25, 0.5), 0.125), 2.0, 64).cube
-    built = [q, descendant(Cube((0.9375, 0.1875), 0.5), 1, (1, 1)),
-             Cube.from_dict({"anchor": [0.1875, 0.4375], "side": 0.25}), q, Cube((0.0, 0.0), 0.25)]
-    vals = cube_values(Counting(1.0), built, 64)
-    assert vals == {q: 0.25, Cube((0.0, 0.0), 0.25): 0.25}
-    assert sorted(rows) == [[0, 0], [12, 28]]
+    a = Counting(1.0)
+    same = [dilate(Cube((0.25, 0.5), 0.125), 2.0, m).cube, descendant(Cube((0.9375, 0.1875), 0.5), 1, (1, 1)),
+            Cube.from_dict({"anchor": [0.1875, 0.4375], "side": 0.25})]
+    big = Cube((0.125, 0.375), 0.5)
+    pairs = [(q.to_row(m), big.to_row(m)) for q in same + [Cube((0.125, 0.375), 0.25)]]
+    rep = estimate_condition(a, "Dinf", m, cube_pairs=pairs)
+    assert rows == [[16, 8, 24], [16, 12, 28], [32, 8, 24]]
+    assert rep.measured_constant == 0.5
+    rows.clear()
+    parent = Cube((0.9375, 0.1875), 0.5)
+    fams = sample_disjoint_families(parent, 8, 1, m) + sample_disjoint_families(parent, 8, 2, m)
+    members = [q.to_row(m) for fam in fams for q in fam.cubes()]
+    assert len(members) > len(set(members))
+    for condition, partner in (("Dr", None), ("pair", PowerFunctional(1.0))):
+        estimate_condition(a, condition, m, r=2.0, families=fams, partner=partner)
+        want = sorted(set(members)) + ([parent.to_row(m)] if partner is None else [])
+        assert rows == [list(row) for row in want], condition
+        rows.clear()
 
 
 @pytest.mark.parametrize(
@@ -192,9 +193,6 @@ def test_cube_values_evaluate_each_distinct_cube_once():
         (lambda: ConstantFunctional(math.nan), "value"),
         (lambda: ConstantFunctional(math.inf), "value"),
         (lambda: PowerFunctional(math.nan), "alpha"),
-        (lambda: FractionalFunctional(math.nan, 2.0, ones_weight(1, 16)), "alpha"),
-        (lambda: FractionalFunctional(0.5, math.nan, ones_weight(1, 16)), "s"),
-        (lambda: FractionalFunctional(0.5, math.inf, ones_weight(1, 16)), "s"),
         (lambda: expanded_poincare(make_field("constant", 1, 16, value=1.0), math.nan,
                                    Coeffs("geometric", sigma=2.0)), "s"),
         (lambda: Coeffs("geometric", sigma=math.nan), "sigma"),
@@ -222,7 +220,7 @@ def test_values_reject_nan_and_another_lattice():
         ReducedPoincare(h, 1.0, ones_weight(1, 64))
     # a grid-backed functional is evaluated on its own lattice only
     a = expanded_poincare(h, 1.0, Coeffs("geometric", sigma=2.0))
-    for grid_backed in (a, a.base, FractionalFunctional(0.5, 2.0, ones_weight(1, 32))):
+    for grid_backed in (a, a.base, ReducedPoincare(h, 1.0, ones_weight(1, 32))):
         assert grid_backed.values(2, anchors, 32) >= 0.0
         with pytest.raises(ParameterError, match="1/32 lattice"):
             grid_backed.values(2, anchors, 64)
@@ -422,8 +420,8 @@ def test_constant_functional_dr_is_one():
 def test_bmo_functional_dinf_is_one():
     a = PowerFunctional(0.7)
     pairs = [
-        (Cube((0.0,), 0.125), Cube((0.0,), 0.5)),
-        (Cube((0.25,), 0.25), Cube((0.0,), 0.5)),
+        (Cube((0.0,), 0.125).to_row(64), Cube((0.0,), 0.5).to_row(64)),
+        (Cube((0.25,), 0.25).to_row(64), Cube((0.0,), 0.5).to_row(64)),
     ]
     rep = estimate_condition(a, "Dinf", 64, cube_pairs=pairs)
     assert rep.measured_constant <= 1.0 + 1e-12
@@ -447,7 +445,7 @@ def test_dinf_bounds_dr_on_matched_probes():
     h = Field(np.abs(make_field("random-smooth", 1, m, seed=2, band=3).values) + 0.1)
     a = ReducedPoincare(h, 1.0)
     fams = sample_disjoint_families(Cube((0.0,), 0.5), 8, seed=3, m=m)
-    pairs = [(qi, fam.parent) for fam in fams for qi in fam.cubes()]
+    pairs = [(qi.to_row(m), fam.parent.to_row(m)) for fam in fams for qi in fam.cubes()]
     dinf = estimate_condition(a, "Dinf", m, cube_pairs=pairs).measured_constant
     dr = estimate_condition(a, "Dr", m, r=2.0, families=fams).measured_constant
     assert dr <= dinf * (1 + 1e-12)
@@ -532,7 +530,7 @@ def test_reduced_poincare_quasi_increasing_when_s_at_least_n():
     pairs = []
     for anchor in (0.0, 0.25, 0.5):
         big = Cube((anchor,), 0.25)
-        pairs.append((Cube((anchor,), 0.0625), big))
-        pairs.append((Cube(((anchor + 0.125) % 1.0,), 0.125), big))
+        pairs.append((Cube((anchor,), 0.0625).to_row(m), big.to_row(m)))
+        pairs.append((Cube(((anchor + 0.125) % 1.0,), 0.125).to_row(m), big.to_row(m)))
     rep = estimate_condition(a, "Dinf", m, cube_pairs=pairs)
     assert rep.measured_constant <= 1.0 + 1e-12

@@ -96,7 +96,6 @@ UNREACHED_BY_DESIGN = {
     "u_s_apply": "acceptance criterion 2 checks the time average U_s through it",
     "Cube.contains_cube": "the containment oracle of the cube-geometry tests",
     "Field.integral": "the mean-conservation oracle of the semigroup tests",
-    "FractionalFunctional": "the paper's fractional functional, checked in test_functionals.py",
 }
 
 
@@ -141,6 +140,18 @@ def test_every_definition_is_reached_from_the_package():
                  and qualified not in UNREACHED_BY_DESIGN
                  and not mentioned.get(name, set()) - {(module, line)}]
     assert not unreached, f"defined but never mentioned in src/osclab: {', '.join(unreached)}"
+
+
+@pytest.mark.parametrize("module", ["functionals.py", "weights.py"])
+def test_conditions_and_weights_hold_no_float_cube(module):
+    # below the codec a cube is a lattice row (c, a_1, ..., a_n): these
+    # modules neither import Cube nor name it, so they cannot build one
+    with open(os.path.join(SRC, module)) as fh:
+        tree = ast.parse(fh.read(), filename=module)
+    named = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Name) and node.id == "Cube"
+             or isinstance(node, ast.alias) and "Cube" in (node.name, node.asname)]
+    assert not named, f"{module} names Cube on lines {named}"
 
 
 def test_only_the_cube_codec_defines_to_dict():

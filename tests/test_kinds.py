@@ -6,11 +6,12 @@ import inspect
 import json
 import re
 
+import numpy as np
 import pytest
 
 from osclab._support import ParameterError, dotted
 from osclab.cli import KIND_SECTIONS, OPERATORS, SECTIONS, ExperimentConfig, build_rung, bundled_config_path
-from osclab.cubes import Cube, sample_blocks
+from osclab.cubes import Cube, cube_blocks
 from osclab.functionals import Coeffs, Functional
 from osclab.grid import Field
 from osclab.operators import EllipticOperator
@@ -185,7 +186,7 @@ def test_every_kind_builds(path, kind, dimension, m):
     if isinstance(built, Field):
         assert built.values.shape == (m,) * dimension
     if isinstance(built, Functional):
-        block, = sample_blocks([Cube((0.25,) * dimension, 0.25)], m)
+        block, = cube_blocks(np.array([Cube((0.25,) * dimension, 0.25).to_row(m)]))
         assert built.values(block.c, block.anchors, m) >= 0.0
 
 

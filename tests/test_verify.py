@@ -8,9 +8,9 @@ import math
 import numpy as np
 import pytest
 
-from osclab._support import ParameterError, ratio
-from osclab.cubes import Cube, dilate, sample_disjoint_families, whitney_decompose
-from osclab.functionals import ConstantFunctional, cube_values, estimate_condition, tilde_expand
+from osclab._support import ParameterError, ratio, rng_from_seed
+from osclab.cubes import Cube, descendant, dilate, full_torus, sample_disjoint_families, whitney_decompose
+from osclab.functionals import ConstantFunctional, estimate_condition, tilde_expand
 from osclab.grid import (
     Field,
     exp_luxemburg_norms,
@@ -34,6 +34,16 @@ from osclab.verify import (
     verify_strong,
     verify_weak_improvement,
 )
+
+
+def cubes_of(sample: np.ndarray, m: int) -> list[Cube]:
+    """The cubes of the lattice rows ``sample`` of the 1/m lattice."""
+    return [Cube.from_row(row, m) for row in sample.tolist()]
+
+
+def rows_of(cubes, m: int) -> np.ndarray:
+    """The lattice rows of ``cubes`` on the 1/m lattice."""
+    return np.array([q.to_row(m) for q in cubes])
 
 
 def identity_op(m: int, dim: int = 1) -> EllipticOperator:
@@ -60,7 +70,7 @@ def classical_jn_rung(m: int, scale: float = 1.0) -> tuple[Rung, object]:
 
 
 def dinf_report_for(a) -> object:
-    pairs = [(Cube((0.25,), 0.125), Cube((0.25,), 0.25)), (Cube((0.0,), 0.25), Cube((0.0,), 0.5))]
+    pairs = [((8, 16), (16, 16)), ((16, 0), (32, 0))]  # (1/8 at 1/4, 1/4 at 1/4), (1/4 at 0, 1/2 at 0) of 1/64
     return estimate_condition(a, "Dinf", 64, cube_pairs=pairs)
 
 
@@ -77,14 +87,48 @@ def dq_report_for(a, m: int, r: float) -> object:
 @pytest.mark.parametrize("dim, m, min_cells", [(1, 64, 8), (1, 16, 1), (2, 16, 4)])
 def test_cube_sample_enumerates_the_dyadic_cubes_coarsest_first(dim, m, min_cells):
     # the dyadic part is every node of >= min_cells cells, by generation, each
-    # anchor in C order as i * step / m; the seeded off-dyadic cubes follow
-    want = [Cube(tuple(i * step / m for i in idx), step / m)
+    # anchor in C order as i * step; the seeded off-dyadic cubes follow
+    want = [[step, *(i * step for i in idx)]
             for step in (m >> g for g in range(m.bit_length())) if step >= min_cells
             for idx in np.ndindex(*(m // step,) * dim)]
-    cubes = make_cube_sample(dim, m, min_cells, 5, seed=2)
-    assert cubes[:len(want)] == want
-    assert len(cubes) == len(want) + 5
-    assert all(q.cells_per_axis(m) >= min_cells for q in cubes)
+    rows = make_cube_sample(dim, m, min_cells, 5, seed=2)
+    assert rows.dtype == np.int64 and rows.shape == (len(want) + 5, 1 + dim)
+    assert rows[:len(want)].tolist() == want
+    assert np.all(rows[:, 0] >= min_cells) and np.all((rows[:, 1:] >= 0) & (rows[:, 1:] < m))
+
+
+def float_cube_sample(dimension: int, m: int, min_cells: int, off_dyadic: int, seed: int) -> list[Cube]:
+    """The sample as float cubes: the generations of the torus from
+    ``descendant``, coarsest first, then the seeded off-dyadic cubes, drawn
+    side first and then the anchor axis by axis."""
+    cubes = []
+    torus = full_torus(dimension)
+    for g in range(m.bit_length()):
+        if m >> g < min_cells:
+            break
+        cubes += [descendant(torus, g, k) for k in np.ndindex(*(2 ** g,) * dimension)]
+    rng = rng_from_seed(seed)
+    lo = int(math.log2(min_cells))
+    hi = max(lo + 1, int(math.log2(m)))
+    for _ in range(off_dyadic):
+        c = 2 ** int(rng.integers(lo, hi))
+        anchor = tuple(int(rng.integers(0, m)) / m for _ in range(dimension))
+        cubes.append(Cube(anchor, c / m))
+    return cubes
+
+
+@pytest.mark.parametrize("dim, m", [(1, 2 ** k) for k in range(3, 11)] + [(2, 2 ** k) for k in range(3, 7)])
+def test_integer_sample_writes_the_float_sample(dim, m):
+    # through the codec the rows are the float cubes, the same Python floats
+    # in the same order, for every min_cells, off_dyadic count and seed
+    for min_cells in (1, 2, 4, 8):
+        for off_dyadic in (0, 8, 32):
+            for seed in range(4):
+                rows = make_cube_sample(dim, m, min_cells, off_dyadic, seed)
+                got = [Cube.from_row(row, m).to_dict() for row in rows.tolist()]
+                assert all(type(x) is float for d in got for x in (*d["anchor"], d["side"]))
+                want = [q.to_dict() for q in float_cube_sample(dim, m, min_cells, off_dyadic, seed)]
+                assert got == want, (min_cells, off_dyadic, seed)
 
 
 def test_hypothesis_zero_for_constant_field_semigroup():
@@ -113,7 +157,7 @@ def test_hypothesis_infinite_when_functional_vanishes():
     fam = make_family("classical-average", (1.0, math.inf))
     f = make_field("random-smooth", 1, m, seed=1, band=3)
     zero = ConstantFunctional(0.0)
-    rep = check_hypothesis(Rung(m, f, fam, zero, zero, [Cube((0.0,), 0.25)]), k_max=0)
+    rep = check_hypothesis(Rung(m, f, fam, zero, zero, np.array([[8, 0]])), k_max=0)
     assert math.isinf(rep.constant)
 
 
@@ -137,7 +181,7 @@ def test_replaced_rung_with_other_field_reads_its_own_b_rows():
     assert other.cache is rung.cache and len(rung.cache) == 2
     for block, got in zip(other.blocks(), theirs):
         for j, i in enumerate(block.members.tolist()):
-            q = other.cube_sample[i]
+            q = Cube.from_row(other.cube_sample[i].tolist(), m)
             assert np.array_equal(got[j], fam.apply_B(g, q).restrict(q)), q
     assert all(np.array_equal(x, y) for x, y in zip(rows(rung), own))
     assert not all(np.array_equal(x, y) for x, y in zip(theirs, own))
@@ -318,13 +362,13 @@ def one_row(bf: Field, cube: Cube, weight=None) -> tuple[np.ndarray, np.ndarray]
 
 def per_cube_walk(rung: Rung, k_max: int) -> list:
     """The hypothesis walk one cube at a time, on the field B_Q f of each cube."""
-    rows = []
-    for q in rung.cube_sample:
+    rows, m = [], rung.m
+    for q in cubes_of(rung.cube_sample, m):
         bf = rung.family.apply_B(rung.field, q)
-        for k, cube, saturated in per_cube_dilates(q, rung.m, k_max):
+        for k, cube, saturated in per_cube_dilates(q, m, k_max):
             num = float(power_means(*one_row(bf, cube), rung.family.p0)[0])
-            den = cube_values(rung.hypothesis, [cube], rung.m)[cube]
-            rows.append((q, k, num, den, ratio(num, den), saturated))
+            den = rung.hypothesis.values(cube.cells_per_axis(m), np.array([cube.anchor_cells(m)]), m).tolist()[0]
+            rows.append((q.to_row(m), k, num, den, ratio(num, den), saturated))
     return rows
 
 
@@ -336,7 +380,7 @@ def assert_rows_equal_per_cube(rung: Rung, q: float = 2.0, r: float = 1.5, k_max
     assert rung.hypothesis_rows(k_max) == per_cube_walk(rung, k_max)
     seen = []
     for block in rung.blocks():
-        cubes = [rung.cube_sample[i] for i in block.members.tolist()]
+        cubes = cubes_of(rung.cube_sample[block.members], rung.m)
         ones = [one_row(rung.family.apply_B(rung.field, cube), cube, rung.weight) for cube in cubes]
         vals = np.abs(rung.b_rows(block)(block.anchors, block.c))
         mu = ones[0][1] if rung.weight is None else np.concatenate([one[1] for one in ones])
@@ -352,7 +396,7 @@ def assert_rows_equal_per_cube(rung: Rung, q: float = 2.0, r: float = 1.5, k_max
     _rep, rows = verify_weak_improvement([rung], q, dq_report_for(ConstantFunctional(1.0), rung.m, q))
     assert [row[2] for row in rows] == [
         weak_lq_norms(*one_row(rung.family.apply_B(rung.field, cube), cube, rung.weight), q)[0]
-        for cube in rung.cube_sample]
+        for cube in cubes_of(rung.cube_sample, rung.m)]
 
 
 def bundled_rung(config: str, overrides=(), rung: int = 0) -> Rung:
@@ -388,10 +432,10 @@ def test_block_rows_equal_the_per_cube_path_on_2d_seam_crossing_cubes(monkeypatc
         monkeypatch.setattr("osclab.cubes.ROW_CELLS", row_cells)
     m = 32
     cubes = make_cube_sample(2, m, 4, 16, seed=5)
-    assert any(a + q.side > 1.0 for q in cubes for a in q.anchor)  # some cubes cross the seam
+    assert np.any(cubes[:, 1:] + cubes[:, :1] > m)  # some cubes cross the seam
     f = make_field("random-smooth", 2, m, seed=3, band=3)
     a = measured_oscillation(f, cubes)
-    assert a.value == max(float(np.abs(f.restrict(q) - f.restrict(q).mean()).mean()) for q in cubes)
+    assert a.value == max(float(np.abs(f.restrict(q) - f.restrict(q).mean()).mean()) for q in cubes_of(cubes, m))
     rung = Rung(m, f, make_family(kind, (1.0, math.inf)), a, two_q_functional(a), cubes)
     assert_rows_equal_per_cube(rung, k_max=4)
 
@@ -400,12 +444,12 @@ def test_block_walk_of_a_side_one_cube_off_the_origin():
     # k = 0 is the cube itself, its cells in the order from its anchor across
     # the seam and not saturated; k = 1 is the saturated torus
     m = 64
-    q = Cube((0.375,), 1.0)
+    q = (m, 24)  # side 1 at 0.375
     f = make_field("log-distance", 1, m, center=0.5)
     fam = make_family("extended-average", (1.0, math.inf))
-    rung = Rung(m, f, fam, ConstantFunctional(1.0), ConstantFunctional(1.0), [Cube((0.25,), 0.25), q])
+    rung = Rung(m, f, fam, ConstantFunctional(1.0), ConstantFunctional(1.0), np.array([(16, 16), q]))
     rows = rung.hypothesis_rows(3)
-    assert [(row[1], row[5]) for row in rows if row[0] is q] == [(0, False), (1, True)]
+    assert [(row[1], row[5]) for row in rows if row[0] == q] == [(0, False), (1, True)]
     assert_rows_equal_per_cube(rung)
 
 
@@ -431,7 +475,7 @@ def test_sweep_flags_mark_a_saturated_or_seam_crossing_two_q():
              Cube((0.25, 0.5), 0.125), Cube((0.0, 0.0), 0.25)]
     f = make_field("random-smooth", 2, m, seed=3, band=3)
     a = ConstantFunctional(1.0)
-    rung = Rung(m, f, make_family("extended-average", (1.0, math.inf)), a, a, cubes)
+    rung = Rung(m, f, make_family("extended-average", (1.0, math.inf)), a, a, rows_of(cubes, m))
     _rep, rows = verify_weak_improvement([rung], 2.0, dq_report_for(a, m, 2.0))
     assert [row[5] for row in rows] == [1, 2, 2, 0, 2]
 
@@ -483,7 +527,7 @@ def per_cube_whitney_constant(rung: Rung, q_cube: Cube, rows: list, k_max: int) 
         if branch != "whitney" or not omega.any() or omega.all():
             continue
         for w in whitney_decompose(omega, q_cube):
-            if w.disjoint_from(q_cube):
+            if not (w.mask(m) & q_cube.mask(m)).any():
                 continue
             crossing += any(a + w.side > 1.0 for a in w.anchor)
             for _k, cube, _saturated in per_cube_dilates(w, m, k_max):
