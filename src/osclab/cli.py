@@ -487,7 +487,8 @@ def _hypothesis(ctx: HarnessContext) -> tuple[dict, bool]:
 
 
 def _weak(ctx: HarnessContext) -> tuple[dict, bool]:
-    rep, ctx.rows_weak = verify_weak_improvement(ctx.rungs, ctx.q, ctx.condition)
+    rep, rows = verify_weak_improvement(ctx.rungs, ctx.q, ctx.condition)
+    ctx.rows_weak = [(m, Cube.from_row(q, m).to_dict(), *rest) for m, q, *rest in rows]
     return {"weak": report_tree(rep)}, rep.passed
 
 

@@ -289,8 +289,8 @@ def _sweep(
     the functional).  Per part of each block of the sample: ``norm``, a row
     kernel of ``osclab.grid``, maps |B_Q f| and the cell measures of the
     rung's weight on Q, one row per cube, to the norms, and the
-    denominator's ``values`` give its value at each Q.  Rows (m, cube, num,
-    den, ratio, flags) carry a flag bitmask recording whether the companion
+    denominator's ``values`` give its value at each Q.  Rows (m, the cube's
+    lattice row as a tuple, num, den, ratio, flags) carry a flag bitmask recording whether the companion
     2Q dilation saturated (bit 0) or wrapped around the torus seam (bit 1).  The report
     passes on a finite hypothesis constant and a stable ladder; its warnings
     count each rung's saturated dilations and, on an unstable ladder, name
@@ -321,13 +321,13 @@ def _sweep(
         best = 0.0
         for q, num, den, flag in zip(rung.cube_sample.tolist(), nums.tolist(), dens.tolist(), flags.tolist()):
             val = ratio(num, den)
-            rows.append((m, Cube.from_row(q, m).to_dict(), num, den, val, flag))
+            rows.append((m, tuple(q), num, den, val, flag))
             best = max(best, val)
         per_res[rung.m] = best
     stable = _stable(per_res)
     if not stable and rows:
         worst = max(rows, key=lambda row: row[4] if math.isfinite(row[4]) else math.inf)
-        warnings.append(f"ladder instability; worst cube m={worst[0]} {worst[1]}")
+        warnings.append(f"ladder instability; worst cube m={worst[0]} {Cube.from_row(worst[1], worst[0]).to_dict()}")
     return VerifyReport(
         hypothesis_constant=hyp,
         conclusion_constant=max(per_res.values()),
