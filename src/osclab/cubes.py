@@ -432,10 +432,6 @@ class DisjointFamily:
         return (isinstance(other, DisjointFamily) and self.parent == other.parent
                 and np.array_equal(self.nodes, other.nodes))
 
-    def cubes(self) -> list[Cube]:
-        """The members as cubes, in member order."""
-        return [descendant(self.parent, g, k) for g, *k in self.nodes.tolist()]
-
 
 def descendant(q: Cube, g: int, k: Sequence[int]) -> Cube:
     """Generation-g dyadic descendant of q at per-axis offsets k (each in 0..2^g - 1).

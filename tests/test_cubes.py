@@ -56,6 +56,12 @@ def disjoint(x, y, m) -> bool:
     return not (x.mask(m) & y.mask(m)).any()
 
 
+def family_cubes(fam) -> list:
+    """The members of a disjoint family as cubes, in member order:
+    ``descendant(parent, g, k)`` of each node (g, k) of ``fam.nodes``."""
+    return [descendant(fam.parent, g, k) for g, *k in fam.nodes.tolist()]
+
+
 def cell_mask(cubes, m, dim) -> np.ndarray:
     mask = np.zeros((m,) * dim, dtype=bool)
     for q in cubes:
@@ -351,9 +357,9 @@ def test_whitney_respects_grid_anchor():
 def test_families_first_two_are_canonical():
     q = Cube((0.0,), 0.5)
     fams = sample_disjoint_families(q, 4, seed=5, m=64)
-    assert fams[0].cubes() == [q]
+    assert family_cubes(fams[0]) == [q]
     assert len(fams[1].nodes) == 2  # generation-1 tiling in 1-D
-    mask = cell_mask(fams[1].cubes(), 64, 1)
+    mask = cell_mask(family_cubes(fams[1]), 64, 1)
     assert np.array_equal(mask, cell_mask([q], 64, 1))
 
 
@@ -364,7 +370,7 @@ def test_families_reproducible_and_disjoint():
     assert a == b
     assert a != sample_disjoint_families(q, 6, seed=10, m=32)
     for fam in a:
-        members = fam.cubes()
+        members = family_cubes(fam)
         for i, x in enumerate(members):
             assert q.contains_cube(x)
             for y in members[i + 1 :]:
@@ -379,7 +385,7 @@ def test_families_stopping_time_strategy():
     fams = sample_disjoint_families(q, 5, seed=3, m=64, field_values=vals)
     assert len(fams) == 5
     for fam in fams[2:]:
-        members = fam.cubes()
+        members = family_cubes(fam)
         for i, x in enumerate(members):
             for y in members[i + 1 :]:
                 assert disjoint(x, y, 64)
@@ -389,7 +395,7 @@ def test_family_count_one_is_singleton():
     q = Cube((0.0,), 0.5)
     fams = sample_disjoint_families(q, 1, seed=0, m=16)
     assert fams == [DisjointFamily(q, np.zeros((1, 2), dtype=np.int64))]
-    assert fams[0].cubes() == [q]
+    assert family_cubes(fams[0]) == [q]
 
 
 def reference_random_packing(q, rng, max_depth):
@@ -496,7 +502,7 @@ def stopping_time_cubes(q, table, tau, draws, cells):
     nodes = table.stopping_time(tau)
     if not len(nodes):
         nodes = table.packing(_random_packing(draws, q.dimension, min(2, halvings(cells))))
-    return DisjointFamily(q, nodes).cubes()
+    return family_cubes(DisjointFamily(q, nodes))
 
 
 @pytest.mark.parametrize("dim, m, anchor, cells", WALK_CASES)
@@ -515,7 +521,7 @@ def test_stopping_time_walk_matches_per_node_walk(dim, m, anchor, cells):
                 want.append(reference_stopping_time_family(q, m, rng, values) if i % 2
                             else reference_random_packing(q, rng, max_depth))
             assert all(fam.parent == q for fam in got)
-            assert [fam.cubes() for fam in got] == want, (name, seed)
+            assert [family_cubes(fam) for fam in got] == want, (name, seed)
             # the same draws in the same order: the next draw agrees
             draws, rng_b = _doubles(rng_from_seed(seed)), rng_from_seed(seed)
             means = _generation_means(np.abs(values[q.index(m)]))
@@ -535,7 +541,7 @@ def test_node_table_is_in_family_order(dim, m, anchor, cells):
     table = _node_table(q, m, depth)
     want = sorted((descendant(q, g, k) for g in range(depth + 1)
                    for k in itertools.product(range(2 ** g), repeat=dim)), key=Cube.sort_key)
-    assert DisjointFamily(q, table.nodes).cubes() == want
+    assert family_cubes(DisjointFamily(q, table.nodes)) == want
     for g in range(depth + 1):
         for k in itertools.product(range(2 ** g), repeat=dim):
             heap = 1
@@ -565,7 +571,7 @@ def reference_ratios(a, m, r, families, mu=None, partner=None):
     def measure(q):
         return q.volume if mu is None else mu.mass(q.cells_per_axis(m), q.anchor_cells(m))
 
-    return [sum(term(a, qi) ** r * measure(qi) for qi in fam.cubes()) ** (1.0 / r)
+    return [sum(term(a, qi) ** r * measure(qi) for qi in family_cubes(fam)) ** (1.0 / r)
             / (term(partner or a, fam.parent) * measure(fam.parent) ** (1.0 / r)) for fam in families]
 
 

@@ -51,6 +51,12 @@ def gauss_profile(rate: float = 1.0, p0: float = 1.0, n: int = 1, kind: str = "s
     )
 
 
+def family_cubes(fam) -> list:
+    """The members of a disjoint family as cubes, in member order:
+    ``descendant(parent, g, k)`` of each node (g, k) of ``fam.nodes``."""
+    return [descendant(fam.parent, g, k) for g, *k in fam.nodes.tolist()]
+
+
 def value(a: Functional, q: Cube, m: int) -> float:
     """a(q) on one cube of the 1/m lattice."""
     return a.values(q.cells_per_axis(m), np.array([q.anchor_cells(m)]), m).tolist()[0]
@@ -178,7 +184,7 @@ def test_conditions_evaluate_each_distinct_cube_once():
     rows.clear()
     parent = Cube((0.9375, 0.1875), 0.5)
     fams = sample_disjoint_families(parent, 8, 1, m) + sample_disjoint_families(parent, 8, 2, m)
-    members = [q.to_row(m) for fam in fams for q in fam.cubes()]
+    members = [q.to_row(m) for fam in fams for q in family_cubes(fam)]
     assert len(members) > len(set(members))
     for condition, partner in (("Dr", None), ("pair", PowerFunctional(1.0))):
         estimate_condition(a, condition, m, r=2.0, families=fams, partner=partner)
@@ -445,7 +451,7 @@ def test_dinf_bounds_dr_on_matched_probes():
     h = Field(np.abs(make_field("random-smooth", 1, m, seed=2, band=3).values) + 0.1)
     a = ReducedPoincare(h, 1.0)
     fams = sample_disjoint_families(Cube((0.0,), 0.5), 8, seed=3, m=m)
-    pairs = [(qi.to_row(m), fam.parent.to_row(m)) for fam in fams for qi in fam.cubes()]
+    pairs = [(qi.to_row(m), fam.parent.to_row(m)) for fam in fams for qi in family_cubes(fam)]
     dinf = estimate_condition(a, "Dinf", m, cube_pairs=pairs).measured_constant
     dr = estimate_condition(a, "Dr", m, r=2.0, families=fams).measured_constant
     assert dr <= dinf * (1 + 1e-12)
@@ -460,7 +466,7 @@ def test_d1_implies_d0_chain_on_matched_probes():
     big = Cube((0.0,), 0.25)  # l(big) <= 4 l(small), small inside big
     assert big.contains_cube(small)
     family = DisjointFamily(big, np.array([[1, 1]]))  # generation 1, offset 1
-    assert family.cubes() == [small]
+    assert family_cubes(family) == [small]
     d1 = estimate_condition(a, "Dr", m, r=1.0, families=[family]).measured_constant
     ratio_d0 = value(a, small, m) / value(a, big, m)
     eight_small = Cube((0.0,), 1.0)  # 8 * 0.125 saturates the torus
