@@ -11,17 +11,19 @@ computed when it is built.  Constant coefficient operators act spectrally
 (the exact Fourier multiplier of the continuous generator, restricted to grid
 modes); variable coefficients use a conservative finite-difference stencil,
 one coefficient array per offset, applied by a gather of the neighbouring
-cells.  Functions of the stencil (e^{-tL} and the time average U_s) come from
-a rational shift-and-invert Krylov method in numpy alone: an Arnoldi basis
-of the resolvents (I + gamma_j L)^{-1} for a few shifts gamma_j, solved
-exactly by cyclic reduction in 1-D and by FFT-preconditioned GMRES in 2-D,
-and a small dense exponential of the projected generator (Pade-13 scaling
-and squaring; Van Loan's block form for U_s).  semigroup_apply and
-sharp_maximal take blocks: one basis per field serves every time of a call,
-and the solves of a basis step run on the block of all fields, so the sharp
-maximal sweep of a rung costs one basis per field, not one per scale.  Both
-paths annihilate constants and conserve the mean, because the stencil is in
-flux form; the Krylov path restores the mean exactly.
+cells.  Functions of a small Hermitian stencil (e^{-tL} and the time
+average U_s) are applied exactly in its eigenbasis, taken at construction;
+every other stencil uses a rational shift-and-invert Krylov method in numpy
+alone: an Arnoldi basis of the resolvents (I + gamma_j L)^{-1} for a few
+shifts gamma_j, solved exactly by cyclic reduction in 1-D and by
+FFT-preconditioned GMRES in 2-D, and a small dense exponential of the
+projected generator (Pade-13 scaling and squaring; Van Loan's block form for
+U_s).  semigroup_apply and sharp_maximal take blocks: one basis per field
+serves every time of a call, and the solves of a basis step run on the block
+of all fields, so the sharp maximal sweep of a rung costs one basis per
+field, not one per scale.  Every path annihilates constants and conserves
+the mean, because the stencil is in flux form; both stencil backends
+restore the mean exactly.
 """
 
 from __future__ import annotations
@@ -54,18 +56,23 @@ class EllipticOperator:
     value, so |<A xi, zeta>| <= big_lam |xi| |zeta|.  Coefficients with
     lam <= 0 are not elliptic and raise DataError.
 
-    All of it is computed here.  Constant coefficients get the Fourier
-    multiplier ``symbol`` = 4 pi^2 k.Ak.  Variable ones get the flux-form
-    stencil, L u(x) = sum_o b_o(x) u(x + o) with one coefficient array b_o
-    per offset o (_assemble; they sum to zero, so L annihilates constants),
-    as the rows of ``weights`` and the flat cell indices ``neighbours`` of
-    x + o; the ``shifts`` gamma_j of the Krylov backend, its dimension
+    All of it is computed here, and it selects one of three backends for
+    the functions of L.  Constant coefficients get the Fourier multiplier
+    ``symbol`` = 4 pi^2 k.Ak (the spectral backend).  Variable ones get the
+    flux-form stencil, L u(x) = sum_o b_o(x) u(x + o) with one coefficient
+    array b_o per offset o (_assemble; they sum to zero, so L annihilates
+    constants), as the rows of ``weights`` and the flat cell indices
+    ``neighbours`` of x + o.  A stencil of at most _EIGEN_CELLS cells whose
+    assembled matrix equals its conjugate transpose exactly gets its
+    ``eigenpairs`` (lambda, V) from np.linalg.eigh (the eigenbasis backend)
+    and nothing more.  Any other stencil has ``eigenpairs`` None and gets
+    the data of the Krylov backend: its ``shifts`` gamma_j, its dimension
     ``krylov_dim`` and the ``krylov_cap`` up to which a basis that fails its
-    check grows (twice the dimension); and the inner solve with I + gamma_j L
-    for each shift: in 1-D the cyclic ``reductions`` of that periodic
-    tridiagonal matrix, in higher dimensions the FFT ``preconditioners``
-    1 / (1 + gamma_j sigma), sigma the symbol of the same stencil at the mean
-    coefficient.
+    check grows (twice the dimension); and the inner solve with
+    I + gamma_j L for each shift: in 1-D the cyclic ``reductions`` of that
+    periodic tridiagonal matrix, in higher dimensions the FFT
+    ``preconditioners`` 1 / (1 + gamma_j sigma), sigma the symbol of the
+    same stencil at the mean coefficient.
     """
 
     def __init__(self, coeffs: np.ndarray, dimension: int):
@@ -100,6 +107,9 @@ class EllipticOperator:
         index = np.arange(m ** n).reshape((m,) * n)
         self.neighbours = np.stack([np.roll(index, [-x for x in o], axis=tuple(range(n))).ravel() for o in bands])
         self.weights = np.stack([band.ravel() for band in bands.values()])
+        self.eigenpairs = _eigenpairs(self.weights, self.neighbours)
+        if self.eigenpairs is not None:
+            return
         self.shifts = _shifts(m)
         self.krylov_dim = _STEPS_PER_SHIFT * (len(self.shifts) + 1) + _CHECK_GAP
         self.krylov_cap = 2 * self.krylov_dim
@@ -119,9 +129,36 @@ class EllipticOperator:
     def apply(self, f: Field) -> Field:
         """L f via the operator's own generator (spectral or stencil)."""
         if self.is_constant:
-            return _fourier_apply(self, self.symbol, f)
-        out = _stencil_apply(self, f.values)
-        return Field(out if (self.is_complex or f.is_complex) else out.real)
+            return _fourier_apply(self, [self.symbol], [f])[0][0]
+        return _result(self, f, _stencil_apply(self, f.values))
+
+
+# Stencils of at most this many cells (m^n) whose matrix is Hermitian take
+# their eigenpairs at construction and apply every function of L in that
+# basis.  Measured on the 1-D variable-1d stencil with one BLAS thread,
+# peaks by tracemalloc, against one Krylov call on five fields at the
+# log2(m) + 1 dyadic times: at 256 cells one eigh takes 6 ms and 1.1 MB
+# against 14 ms and 1.2 MB; at 512 cells 37 ms and 4.3 MB against 22 ms and
+# 2.4 MB; at 2048 cells 1.5 s and 68 MB against 59 ms and 8 MB.  So the
+# eigenbasis pays for itself up to 256 cells, and an operator holds at most
+# 256^2 entries of eigenvectors.
+_EIGEN_CELLS = 256
+
+
+def _eigenpairs(weights: np.ndarray, neighbours: np.ndarray) -> Optional[tuple]:
+    """(lambda, V) = np.linalg.eigh of the stencil's matrix, or None when the
+    stencil has more than _EIGEN_CELLS cells (no dense matrix is built) or its
+    matrix differs from its conjugate transpose in any entry.  Row x holds
+    weights[o, x] at column neighbours[o, x]; np.add.at adds the entries of
+    offsets that reach the same cell, as two do at m = 2."""
+    cells = weights.shape[1]
+    if cells > _EIGEN_CELLS:
+        return None
+    dense = np.zeros((cells, cells), dtype=weights.dtype)
+    np.add.at(dense, (np.broadcast_to(np.arange(cells), neighbours.shape), neighbours), weights)
+    if not np.array_equal(dense, np.conj(dense.T)):
+        return None
+    return np.linalg.eigh(dense)
 
 
 def _assemble(coeffs: np.ndarray, h: float) -> dict:
@@ -165,22 +202,62 @@ def _stencil_apply(op: EllipticOperator, u: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _fourier_apply(op: EllipticOperator, multiplier: np.ndarray, f: Field) -> Field:
-    """The Fourier multiplier applied to f; real when op and f are real."""
-    out = np.fft.ifftn(multiplier * np.fft.fftn(f.values))
-    return Field(out if (op.is_complex or f.is_complex) else out.real)
+def _result(op: EllipticOperator, g: Field, values: np.ndarray) -> Field:
+    """A function of L applied to g, as a Field: real when op and g are."""
+    return Field(values if (op.is_complex or g.is_complex) else values.real)
+
+
+def _fourier_apply(op: EllipticOperator, multipliers, fields: Sequence[Field]) -> list[list[Field]]:
+    """Each Fourier multiplier of the iterable ``multipliers`` applied to each
+    field, ``out[i][j]`` for multiplier i and field j: one forward transform
+    per field and one multiplier at a time, the operations of each
+    (multiplier, field) alone."""
+    spectra = [np.fft.fftn(g.values) for g in fields]
+    return [[_result(op, g, np.fft.ifftn(multiplier * spectrum)) for g, spectrum in zip(fields, spectra)]
+            for multiplier in multipliers]
+
+
+def _eigen_apply(op: EllipticOperator, multipliers, fields: Sequence[Field]) -> list[list[Field]]:
+    """phi_i(L) g for each array phi_i(lambda) of the iterable ``multipliers``
+    over the eigenvalues of ``op.eigenpairs`` and each g in ``fields``,
+    ``out[i][j]`` for multiplier i and field j: V (phi_i(lambda) * V^H g_0)
+    on g_0 = g - mean(g), whose own mean is removed before mean(g) is added
+    back, so the output's mean is exactly mean(g).  Each product is a
+    matrix-vector product of one (multiplier, field), whatever else the call
+    holds."""
+    vecs = op.eigenpairs[1]
+    adjoint = np.conj(vecs.T) if op.is_complex else vecs.T
+    means = [np.mean(g.values) for g in fields]
+    coefs = [adjoint @ (g.values - mean).ravel() for g, mean in zip(fields, means)]
+    out = []
+    for multiplier in multipliers:
+        row = []
+        for g, mean, coef in zip(fields, means, coefs):
+            part = vecs @ (multiplier * coef)
+            row.append(_result(op, g, (mean + (part - np.mean(part))).reshape(g.values.shape)))
+        out.append(row)
+    return out
 
 
 def semigroup_apply(op: EllipticOperator, times: Sequence[float],
                     fields: Sequence[Field]) -> list[list[Field]]:
-    """e^{-tL} g for every time t and field g, ``out[i][j]`` for time i and field j:
-    the exact multiplier when A is constant, each result on its own, and the
-    rational Krylov backend (_krylov_apply) on the stencil.  There the fields
-    of a call are independent: each reads its own basis, built with the
-    operator's fixed shifts.  The times of a call share their field's basis
-    and its growth, which stops once the check passes for every time; so a
-    time's result may differ from the one its lone call gives, by no more
-    than the check tolerance, and every result passes the check.
+    """e^{-tL} g for every time t and field g, ``out[i][j]`` for time i and field j,
+    by the operator's backend (EllipticOperator):
+
+    * spectral (A constant): the exact multiplier e^{-t symbol}, each result
+      on its own;
+    * eigenbasis (a Hermitian stencil of at most _EIGEN_CELLS cells):
+      V e^{-t lambda} V^H (_eigen_apply), exact to rounding, each result on
+      its own;
+    * Krylov (any other stencil): the rational Krylov backend
+      (_krylov_apply).  The fields of a call are independent: each reads its
+      own basis, built with the operator's fixed shifts.  The times of a
+      call share their field's basis and its growth, which stops once the
+      check passes for every time; so a time's result may differ from the
+      one its lone call gives, by no more than the check tolerance, and
+      every result passes the check.
+
+    Both stencil backends split off the mean of g and restore it exactly.
     """
     times = [float(t) for t in times]
     for t in times:
@@ -191,7 +268,9 @@ def semigroup_apply(op: EllipticOperator, times: Sequence[float],
     if not times:
         return []
     if op.is_constant:
-        return [[_fourier_apply(op, np.exp(-t * op.symbol), g) for g in fields] for t in times]
+        return _fourier_apply(op, (np.exp(-t * op.symbol) for t in times), fields)
+    if op.eigenpairs is not None:
+        return _eigen_apply(op, [np.exp(-t * op.eigenpairs[0]) for t in times], fields)
     return _krylov_apply(op, fields, lambda small: [e[:, 0] for e in _expm(-small, times)], len(times))
 
 
@@ -205,9 +284,11 @@ def _time_average_multiplier(lam: np.ndarray, s: float, big_n: int) -> np.ndarra
 def u_s_apply(op: EllipticOperator, s: float, big_n: int, f: Field) -> Field:
     """U_s f = M_s(L)^N f, M_s(L) = (1/s) int_0^s e^{-lambda L} d lambda.
 
-    M_s has the closed form (1 - e^{-sL}) / (sL), applied to the Fourier
-    symbol when A is constant.  On the stencil the Krylov backend
-    (_krylov_apply) takes M_s(L_k)^N e_1 of its projected generator L_k, with
+    M_s has the closed form (1 - e^{-sL}) / (sL).  The backends are those of
+    semigroup_apply: the spectral one applies the closed form to the Fourier
+    symbol, the eigenbasis one to the eigenvalues (_eigen_apply), with the
+    mean split off and restored exactly.  The Krylov backend (_krylov_apply)
+    takes M_s(L_k)^N e_1 of its projected generator L_k, with
     M_s(L_k) = int_0^1 e^{-s u L_k} du the top-right block of the exponential
     of [[-s L_k, I], [0, 0]] (Van Loan, IEEE Trans. Automat. Control 23, 1978).
     """
@@ -216,7 +297,9 @@ def u_s_apply(op: EllipticOperator, s: float, big_n: int, f: Field) -> Field:
     if big_n < 1:
         raise ParameterError("N must be >= 1")
     if op.is_constant:
-        return _fourier_apply(op, _time_average_multiplier(op.symbol, s, big_n), f)
+        return _fourier_apply(op, [_time_average_multiplier(op.symbol, s, big_n)], [f])[0][0]
+    if op.eigenpairs is not None:
+        return _eigen_apply(op, [_time_average_multiplier(op.eigenpairs[0], s, big_n)], [f])[0][0]
 
     def column(small):
         k = small.shape[0]
@@ -311,7 +394,7 @@ def _krylov_apply(op: EllipticOperator, fields: Sequence[Field], columns, count:
             else:
                 part = basis.beta * (c @ basis.rows[:basis.dim])
                 values = (mean + (part - np.mean(part))).reshape(shape)
-            out[i][j] = Field(values if (op.is_complex or g.is_complex) else values.real)
+            out[i][j] = _result(op, g, values)
     return out
 
 

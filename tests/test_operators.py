@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import tracemalloc
 import warnings
 from collections import Counter
 
@@ -13,6 +14,7 @@ from scipy.linalg import eigh, expm
 
 from osclab import operators
 from osclab._support import DataError, NumericError, ParameterError
+from osclab.cli import bundled_config_path, run_experiment
 from osclab.cubes import Cube, Dilation, dilate, full_torus
 from osclab.grid import Field, lp_average, make_field
 from osclab.operators import (
@@ -271,22 +273,131 @@ def test_semigroup_where_the_start_degree_underflows_matches_dense_expm(t):
     assert np.max(np.abs(got - want)) / np.max(np.abs(want)) <= 1e-10
 
 
-@pytest.mark.parametrize("t", [0.25, 1.0])
-def test_semigroup_keeps_the_mean_exactly(t):
-    # e^{-tL} conserves the mean, and the backend restores it after the
-    # Krylov part: no drift on the constant mode (a polynomial evaluator
-    # drifted by 2.1e-11 here at t = 1)
-    m = 1024
+@pytest.mark.parametrize("t, m", [pytest.param(t, m, id=str(t) if m == 1024 else f"{m}-{t}")
+                                  for m in (1024, 256) for t in (0.25, 1.0)])
+def test_semigroup_keeps_the_mean_exactly(t, m):
+    # e^{-tL} conserves the mean, and both stencil backends restore it after
+    # the part on g - mean(g): no drift on the constant mode (a polynomial
+    # evaluator drifted by 2.1e-11 at m = 1024, t = 1).  m = 1024 runs on the
+    # Krylov backend, m = 256 on the eigenbasis.
+    op = variable_operator(m)
+    assert (op.eigenpairs is None) == (m > operators._EIGEN_CELLS)
     f = Field(make_field("random-smooth", 1, m, seed=2, band=3).values + 1.0)
-    got = heat(variable_operator(m), t, f).values
+    got = heat(op, t, f).values
     assert abs(np.mean(got) - np.mean(f.values)) <= 1e-15
+
+
+def complex_hermitian_operator_2d(m: int) -> EllipticOperator:
+    # complex A with A_10 = conj(A_01) at every cell: a Hermitian stencil
+    x = (np.arange(m) + 0.5) / m
+    xx, yy = np.meshgrid(x, x, indexing="ij")
+    coeffs = np.zeros((2, 2, m, m), dtype=complex)
+    coeffs[0, 0] = 1.25 + 0.5 * np.cos(2 * np.pi * xx)
+    coeffs[1, 1] = 1.2 + 0.4 * np.sin(2 * np.pi * yy)
+    coeffs[0, 1] = 0.2 * np.cos(2 * np.pi * (xx + yy)) + 0.15j * np.sin(2 * np.pi * xx)
+    coeffs[1, 0] = np.conj(coeffs[0, 1])
+    return EllipticOperator(coeffs, dimension=2)
+
+
+EIGEN_CASES = {
+    "real-1d-64": (1, 64, variable_operator),
+    "real-1d-256": (1, 256, variable_operator),
+    "real-2d-16": (2, 16, variable_operator_2d),
+    "complex-hermitian-2d-16": (2, 16, complex_hermitian_operator_2d),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EIGEN_CASES))
+def test_eigenbasis_matches_dense_expm_at_every_dyadic_time(case):
+    # the eigenbasis backend against scipy's expm of the dense stencil, at
+    # every dyadic time l^2, l = 1, 1/2, ..., 1/m, and U_s at N = 1 and 2.
+    # The reference carries the mean exactly and the rest by dense expm,
+    # whose own error on the mean is 5e-12 at m = 256.  Measured: at most
+    # 7.4e-14 (1-D m = 256), for e^{-tL} and U_s alike.
+    dim, m, build = EIGEN_CASES[case]
+    op = build(m)
+    assert op.eigenpairs is not None and op.eigenpairs[1].shape == (m ** dim,) * 2
+    f = Field(make_field("random-smooth", dim, m, seed=2, band=3).values + 1.0)
+    mean = np.mean(f.values)
+    mat = dense_matrix(op)
+    times = [4.0 ** -k for k in range(m.bit_length())]
+    for t, (got,) in zip(times, semigroup_apply(op, times, [f])):
+        assert np.iscomplexobj(got.values) == op.is_complex
+        want = (mean + expm(-t * mat) @ (f.values - mean).ravel()).reshape(f.values.shape)
+        assert np.max(np.abs(got.values - want)) / np.max(np.abs(want)) <= 2e-13, t
+    for s in (1.0 / m ** 2, 0.01, 0.1, 1.0):
+        average, part = dense_time_average_matrix(op, s), (f.values - mean).ravel()
+        for big_n in (1, 2):
+            part = average @ part
+            got = u_s_apply(op, s, big_n, f).values
+            want = mean + part.reshape(f.values.shape)
+            assert np.max(np.abs(got - want)) / np.max(np.abs(want)) <= 2e-13, (s, big_n)
+
+
+def test_bmo_heat_variable_rungs_take_the_eigenbasis(monkeypatch, tmp_path):
+    # bmo-heat's variable-1d rungs (m = 128, 256) make no inner solve; the
+    # Krylov backend still serves 1-D m = 512, a complex 1-D stencil and a
+    # real non-symmetric 2-D one
+    solves = Counter()
+    shifted_solve = operators._shifted_solve
+
+    def counting_solve(op, j, block):
+        solves[op.dimension, op.resolution, op.is_complex] += 1
+        return shifted_solve(op, j, block)
+
+    stencils = set()
+    apply = operators.semigroup_apply
+
+    def recording_apply(op, times, fields):
+        if not op.is_constant:
+            stencils.add((op.dimension, op.resolution))
+        return apply(op, times, fields)
+
+    monkeypatch.setattr(operators, "_shifted_solve", counting_solve)
+    monkeypatch.setattr(operators, "semigroup_apply", recording_apply)
+    run_experiment(bundled_config_path("bmo-heat"), str(tmp_path / "o"))
+    assert stencils == {(1, 128), (1, 256)}
+    assert not solves
+    x = (np.arange(64) + 0.5) / 64
+    complex_1d = EllipticOperator(1.25 + 0.25 * np.cos(2 * np.pi * x) + 0.2j * np.sin(2 * np.pi * x), dimension=1)
+    for op in (variable_operator(512), complex_1d, nonsymmetric_operator_2d(16)):
+        assert op.eigenpairs is None
+        solves.clear()
+        f = make_field("random-smooth", op.dimension, op.resolution, seed=1, band=3)
+        heat(op, 1e-3, f)
+        u_s_apply(op, 1e-3, 1, f)
+        assert sum(solves.values()) > 0, (op.dimension, op.resolution, op.is_complex)
+
+
+def test_only_small_hermitian_stencils_hold_eigenpairs():
+    # at most _EIGEN_CELLS = 256 cells: eigenpairs of at most 256^2 entries
+    # and no Krylov data.  At m = 2 two offsets reach the same cell, and the
+    # eigenpairs rebuild the matrix op.apply applies.  A larger stencil builds
+    # no dense matrix: constructing 1-D m = 1024 peaks far below the 8 MB
+    # one would take (measured: 0.42 MB).
+    for op in (variable_operator(2), variable_operator(256), variable_operator_2d(16)):
+        vals, vecs = op.eigenpairs
+        assert vecs.shape == (op.resolution ** op.dimension,) * 2
+        assert not hasattr(op, "shifts") and not hasattr(op, "krylov_dim")
+        mat = dense_matrix(op)
+        assert np.max(np.abs((vecs * vals) @ vecs.T - mat)) <= 1e-12 * np.max(np.abs(mat))
+    assert variable_operator(512).eigenpairs is None
+    tracemalloc.start()
+    try:
+        op = variable_operator(1024)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert op.eigenpairs is None
+    assert peak < 1024 ** 2 * 8 / 8
 
 
 def test_an_eigenvector_stops_the_basis_after_one_step(monkeypatch):
     # (I + gamma L)^{-1} maps an eigenvector to a multiple of itself, so the
-    # basis breaks down after one solve and the result is e^{-t mu} v.
-    # Measured: at most 3.0e-16.
-    op = variable_operator(64)
+    # basis breaks down after one solve and the result is e^{-t mu} v.  At
+    # m = 512, the least 1-D resolution on the Krylov backend.  Measured: at
+    # most 7.3e-15.
+    op = variable_operator(512)
     mu, vecs = eigh(dense_matrix(op))
     v = Field(vecs[:, 5])
     solves = Counter()
@@ -427,8 +538,8 @@ def test_us_matches_dense_time_average(s, big_n):
     assert np.max(np.abs(got - want)) / np.max(np.abs(want)) <= 1e-12
 
 
-def dense_time_average_expm(op: EllipticOperator, s: float, big_n: int, f: Field) -> np.ndarray:
-    """U_s f for any stencil from one dense exponential: the top-right block
+def dense_time_average_matrix(op: EllipticOperator, s: float) -> np.ndarray:
+    """M_s(L) for any stencil from one dense exponential: the top-right block
     of expm([[-sL, I], [0, 0]]) is int_0^1 e^{-s u L} du (Van Loan, IEEE
     Trans. Automat. Control 23, 1978)."""
     mat = dense_matrix(op)
@@ -436,7 +547,12 @@ def dense_time_average_expm(op: EllipticOperator, s: float, big_n: int, f: Field
     block = np.zeros((2 * size, 2 * size), dtype=mat.dtype)
     block[:size, :size] = -s * mat
     block[:size, size:] = np.eye(size)
-    average = expm(block)[:size, size:]
+    return expm(block)[:size, size:]
+
+
+def dense_time_average_expm(op: EllipticOperator, s: float, big_n: int, f: Field) -> np.ndarray:
+    """U_s f = M_s(L)^N f for any stencil, M_s(L) from dense_time_average_matrix."""
+    average = dense_time_average_matrix(op, s)
     u = f.values.ravel()
     for _ in range(big_n):
         u = average @ u
@@ -461,10 +577,11 @@ def test_us_non_hermitian_matches_dense_expm(expm_operators, case, s, big_n):
 def test_krylov_check_rejects_a_basis_too_small():
     # 12 steps against the leading 2 of the same basis: they disagree far
     # beyond the check's tolerance, for e^{-tL} and for U_s alike, and a cap
-    # of 12 steps leaves the basis no room to grow
-    op = variable_operator(64)
+    # of 12 steps leaves the basis no room to grow.  At m = 512, the least
+    # 1-D resolution on the Krylov backend.
+    op = variable_operator(512)
     op.krylov_dim = op.krylov_cap = 12
-    f = make_field("random-smooth", 1, 64, seed=6, band=4)
+    f = make_field("random-smooth", 1, 512, seed=6, band=4)
     with pytest.raises(NumericError, match="Krylov dimensions 12 and 2 differ"):
         heat(op, 0.01, f)
     with pytest.raises(NumericError, match="Krylov dimensions 12 and 2 differ"):
@@ -560,11 +677,13 @@ def test_cyclic_reduction_solves_a_column_alone_as_in_a_block(m, complex_):
 
 @pytest.mark.parametrize("build", [variable_operator_2d, complex_variable_operator_2d])
 @pytest.mark.parametrize("m", [16, 32, 64])
-def test_preconditioned_gmres_residual_and_iterations(build, m):
+def test_preconditioned_gmres_residual_and_iterations(monkeypatch, build, m):
     # the FFT inverse at the mean coefficient is spectrally equivalent to
     # I + gamma L, so the count hardly grows with m: measured 17, 19, 20 steps
     # (real) and 21, 26, 29 (complex) at the first shift, fewer at the second,
-    # and residuals at most 7.5e-14
+    # and residuals at most 7.5e-14.  With no eigenbasis bound every stencil
+    # gets the Krylov data, so the symmetric m = 16 case has its shifts too.
+    monkeypatch.setattr(operators, "_EIGEN_CELLS", 0)
     op = build(m)
     b = make_field("random-normal", 2, m, seed=1).values
     for j, gamma in enumerate(op.shifts):
@@ -688,10 +807,11 @@ def test_batched_semigroup_matches_per_call_results_exactly(case, width):
 
 
 def test_sharp_maximal_builds_one_basis_for_all_scales_and_fields(monkeypatch):
-    # bmo-heat's variable-1d rung at m = 128, with its five fields: the sweep
-    # makes as many block solves as one single-scale call on one field (one
-    # per basis step), not one per scale and field
-    m = 128
+    # bmo-heat's variable-1d operator and five fields at m = 512, the least
+    # 1-D resolution on the Krylov backend: the sweep makes as many block
+    # solves as one single-scale call on one field (one per basis step), not
+    # one per scale and field
+    m = 512
     op = variable_operator(m)
     solves = Counter()
     shifted_solve = operators._shifted_solve

@@ -1,9 +1,11 @@
-"""Time the stencil semigroup backend on a ladder of resolutions.
+"""Time the stencil semigroup backends on a ladder of resolutions.
 
 Usage: python tools/semigroup_ladder.py
 
 Prints one line per rung with the seconds of one ``semigroup_apply`` call
-over all dyadic times t = (2^k / m)^2, k = 0..log2 m, and its error:
+over all dyadic times t = (2^k / m)^2, k = 0..log2 m, the backend it ran
+(``eigenbasis``, or ``Krylov k=...`` with the dimension every basis starts
+with), and its error:
 
 * 1-D ``variable-1d`` (a(x) = 1.25 + 0.75 cos 2 pi x) at m = 128 ... 4096 on
   five fields, the log-distance field and four random-smooth fields (band 6),
@@ -20,17 +22,21 @@ over all dyadic times t = (2^k / m)^2, k = 0..log2 m, and its error:
   (``ru_maxrss``) before and after the solve; and ``semigroup_apply`` on
   three fields at m = 32, 64, 128, where a NumericError (the a-posteriori
   check refusing a basis grown to the operator's ``krylov_cap``) is printed
-  as the rung's result.  ``k`` is the dimension every basis starts with; a
-  basis that fails its check grows past it.
+  as the rung's result.  A Krylov basis that fails its check grows past
+  its starting dimension k.
 
 The error is the largest |difference| over times, fields and cells, divided by
-the largest |f|, against the same backend with 20 more basis vectors
-(``vs k+20``), and in 1-D up to m = 1024 also against e^{-tL} from a
-dense eigendecomposition of the symmetric stencil (``vs eigh``), whose own
-error grows with ||L||: its eigenvalues are off by about 1e-16 ||L||, which
-is 1e-9 at m = 1024 and moves e^{-t lambda} by t times that.  The package
-is imported from this checkout's ``src``; run with OPENBLAS_NUM_THREADS=1 for
-single-threaded timings.
+the largest |f|.  An eigenbasis rung (1-D m = 128 and 256) is compared with
+mean(g) + expm(-tL) (g - mean(g)), scipy's dense ``expm`` of the stencil
+(``vs expm``); the stencil annihilates constants and conserves the mean, and
+expm's own error on the mean alone is about 1e-12 at m = 256.  A Krylov rung is
+compared with the same backend with 20 more basis vectors (``vs k+20``), and
+in 1-D up to m = 1024 also with e^{-tL} from a dense eigendecomposition of
+the symmetric stencil (``vs eigh``), whose own error grows with ||L||: its
+eigenvalues are off by about 1e-16 ||L||, which is 1e-9 at m = 1024 and
+moves e^{-t lambda} by t times that.  The package is imported from this
+checkout's ``src``; run with OPENBLAS_NUM_THREADS=1 for single-threaded
+timings.
 """
 
 from __future__ import annotations
@@ -43,6 +49,7 @@ import sys
 import time
 
 import numpy as np
+from scipy.linalg import expm
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
@@ -92,6 +99,11 @@ def error(got: list, want: list, scale: float) -> float:
                for g, w in zip(row_g, row_w)) / scale
 
 
+def backend(op: EllipticOperator) -> str:
+    """The stencil backend semigroup_apply takes on op."""
+    return "eigenbasis" if op.eigenpairs is not None else f"Krylov k={op.krylov_dim}"
+
+
 def rung(label: str, op: EllipticOperator, fields: list[Field], eigh_max: int) -> None:
     m = op.resolution
     times = [(2 ** k / m) ** 2 for k in range(m.bit_length())]
@@ -100,16 +112,22 @@ def rung(label: str, op: EllipticOperator, fields: list[Field], eigh_max: int) -
         got = semigroup_apply(op, times, fields)
     except NumericError as exc:
         print(f"{label:<22} m={m:<5} fields={len(fields)} times={len(times):<3} "
-              f"{time.perf_counter() - start:8.3f} s  k={op.krylov_dim:<3} refused: {exc}", flush=True)
+              f"{time.perf_counter() - start:8.3f} s  {backend(op):<12} refused: {exc}", flush=True)
         return
     seconds = time.perf_counter() - start
     scale = max(float(np.max(np.abs(g.values))) for g in fields)
+    line = f"{label:<22} m={m:<5} fields={len(fields)} times={len(times):<3} {seconds:8.3f} s  {backend(op):<12}"
+    if op.eigenpairs is not None:
+        mat = dense(op)
+        exact = [[np.mean(g.values) + (expm(-t * mat) @ (g.values - np.mean(g.values)).ravel()).reshape(g.values.shape)
+                  for g in fields] for t in times]
+        print(f"{line} vs expm {error(got, exact, scale):.1e}", flush=True)
+        return
     k = op.krylov_dim
     op.krylov_dim = k + 20
     wider = semigroup_apply(op, times, fields)
     op.krylov_dim = k
-    line = (f"{label:<22} m={m:<5} fields={len(fields)} times={len(times):<3} {seconds:8.3f} s  "
-            f"k={k:<3} vs k+20 {error(got, [[g.values for g in row] for row in wider], scale):.1e}")
+    line += f" vs k+20 {error(got, [[g.values for g in row] for row in wider], scale):.1e}"
     if op.dimension == 1 and m <= eigh_max:
         mu, vecs = np.linalg.eigh(dense(op))
         exact = [[vecs @ (np.exp(-t * mu) * (vecs.T @ g.values)) for g in fields] for t in times]
