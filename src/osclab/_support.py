@@ -47,6 +47,23 @@ def ratio(num: float, denom: float) -> float:
     return num / denom
 
 
+def ratios(num: np.ndarray, denom: np.ndarray) -> np.ndarray:
+    """``ratio`` elementwise on float arrays: the same floats, entry by entry
+    (a NaN num or denom gives NaN, and a NaN num over 0 gives inf, as there)."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = num / denom
+    zero = denom == 0.0
+    out[zero] = np.where(num[zero] == 0.0, 0.0, math.inf)
+    return out
+
+
+def fmax(values: np.ndarray) -> float:
+    """The largest of ``values`` (each >= 0 or NaN) and 0.0, skipping NaN, as
+    a running ``best = max(best, value)`` from 0.0 gives it: a NaN is never
+    larger."""
+    return float(np.fmax.reduce(values, initial=0.0))
+
+
 # ---------------------------------------------------------------------------
 # config keys
 # ---------------------------------------------------------------------------

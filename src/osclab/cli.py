@@ -21,7 +21,7 @@ import time
 from dataclasses import asdict, dataclass, field as dc_field, replace
 from operator import index
 from types import SimpleNamespace
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -468,8 +468,8 @@ class HarnessContext:
     and the exponents q and r.
 
     ``condition`` is the summability report shared by the harnesses in
-    ``NEEDS_CONDITION``; the weak harness leaves its per-cube rows in
-    ``rows_weak`` for ``rows_weak.csv``.
+    ``NEEDS_CONDITION``; the weak harness leaves its rows, one
+    ``SweepRows`` per rung, in ``rows_weak`` for ``rows_weak.csv``.
     """
 
     cfg: ExperimentConfig
@@ -487,8 +487,7 @@ def _hypothesis(ctx: HarnessContext) -> tuple[dict, bool]:
 
 
 def _weak(ctx: HarnessContext) -> tuple[dict, bool]:
-    rep, rows = verify_weak_improvement(ctx.rungs, ctx.q, ctx.condition)
-    ctx.rows_weak = [(m, Cube.from_row(q, m).to_dict(), *rest) for m, q, *rest in rows]
+    rep, ctx.rows_weak = verify_weak_improvement(ctx.rungs, ctx.q, ctx.condition)
     return {"weak": report_tree(rep)}, rep.passed
 
 
@@ -581,7 +580,7 @@ def _weighted_identity(ctx: HarnessContext) -> tuple[dict, bool]:
     rep_plain, rows_plain = verify_weak_improvement([r_plain], ctx.q, ctx.condition)
     rep_ones, rows_ones = verify_weak_improvement([r_ones], ctx.q, ctx.condition)
     rows_equal = all(
-        a[2] == b[2] and a[3] == b[3] and a[4] == b[4]
+        np.array_equal(a.num, b.num) and np.array_equal(a.den, b.den) and np.array_equal(a.ratio, b.ratio)
         for a, b in zip(rows_plain, rows_ones)
     )
     bitwise = rows_equal and rep_plain.conclusion_constant == rep_ones.conclusion_constant
@@ -832,6 +831,20 @@ def _write_atomic(path: str, text: str) -> None:
 FORMATS = {"json", "csv", "svg"}
 
 
+def _weak_csv_rows(rows_weak: list) -> Iterator[tuple]:
+    """The rows of ``rows_weak.csv``, rung by rung and cube by cube: m, the cube
+    as ``{"anchor": [a_1/m; ...]; "side": c/m}`` with ``repr`` floats, which
+    is ``json.dumps(Cube.from_row(row, m).to_dict(), sort_keys=True)`` with
+    each comma made a semicolon, then the numerator, denominator, ratio and
+    flags."""
+    for r in rows_weak:
+        cubes = (r.cubes / r.m).tolist()  # exact: m is a power of two
+        for (side, *anchor), num, den, rat, flags in zip(cubes, r.num.tolist(), r.den.tolist(), r.ratio.tolist(),
+                                                         r.flags.tolist()):
+            cube = '{"anchor": [' + "; ".join(map(repr, anchor)) + ']; "side": ' + repr(side) + "}"
+            yield r.m, cube, num, den, rat, flags
+
+
 def emit_outputs(report: dict, out_dir: str, formats: set[str]) -> list[str]:
     """Write artifacts for a finished report; bytes depend only on its content.
 
@@ -859,12 +872,9 @@ def emit_outputs(report: dict, out_dir: str, formats: set[str]) -> list[str]:
                 for k in ks
             ]
             put(f"profile_m{m}.csv", dump_csv(("k", "alpha_k", "beta_k"), rows))
-        if rows_weak:
-            rows = [
-                (m, json.dumps(cube, sort_keys=True).replace(",", ";"), num, den, ratio, sat)
-                for (m, cube, num, den, ratio, sat) in rows_weak
-            ]
-            put("rows_weak.csv", dump_csv(("m", "cube", "numerator", "denominator", "ratio", "sat_wrap_flags"), rows))
+        if rows_weak and any(len(r.num) for r in rows_weak):
+            put("rows_weak.csv", dump_csv(("m", "cube", "numerator", "denominator", "ratio", "sat_wrap_flags"),
+                                          _weak_csv_rows(rows_weak)))
     if "svg" in formats:
         profiles = report.get("profiles", {})
         if profiles:

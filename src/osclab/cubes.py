@@ -120,9 +120,6 @@ class Cube:
                 return False
         return True
 
-    def sort_key(self):
-        return (-self.side, self.anchor)
-
     def to_dict(self) -> dict:
         return {"anchor": list(self.anchor), "side": self.side}
 
@@ -314,6 +311,14 @@ class SummedAreaTable:
         return total
 
 
+def _refined(nodes: np.ndarray) -> np.ndarray:
+    """A boolean array over the dyadic nodes of one generation, repeated onto
+    their children: twice along every axis."""
+    for ax in range(nodes.ndim):
+        nodes = nodes.repeat(2, axis=ax)
+    return nodes
+
+
 def whitney_decompose(omega: np.ndarray, q: Cube) -> list[Cube]:
     """Decompose an open cell-set into disjoint dyadic cubes sized by boundary distance.
 
@@ -326,7 +331,16 @@ def whitney_decompose(omega: np.ndarray, q: Cube) -> list[Cube]:
     remainder.  Phase 2 cubes necessarily have 4Q meeting the complement, so
     every returned cube touches the complement of omega within its concentric
     10-dilation; the union is exactly omega and the cubes are pairwise
-    disjoint.
+    disjoint.  The cubes come sorted by (-side, anchor).
+
+    Generation by generation, every node at once: phase 1 counts each
+    node's 4-dilate on one int64 summed-area table of omega tiled twice per
+    axis, where every box of at most m cells per axis anchored in [0, m) is
+    one inclusion-exclusion over its 2^n corners, wrapped or not; it takes
+    the nodes whose dilate is inside and no ancestor's is, that running OR
+    refined onto the children from one generation to the next.  Phase 2
+    takes the nodes inside the remainder whose parent is not, the remainder
+    coarsened one generation at a time by an AND over the children.
     """
     m = omega.shape[0]
     n = omega.ndim
@@ -343,46 +357,41 @@ def whitney_decompose(omega: np.ndarray, q: Cube) -> list[Cube]:
         raise DomainError("Whitney decomposition undefined for the full torus")
 
     anchor_cells = q.anchor_cells(m)
-    rolled = omega
-    for ax, a in enumerate(anchor_cells):
-        rolled = np.roll(rolled, -a, axis=ax)
-    table = SummedAreaTable(rolled)
-    collected: list[tuple[tuple[int, ...], int]] = []
-
-    def descend(sums: SummedAreaTable, accept, lo: tuple[int, ...], c: int) -> None:
-        """Collect the maximal dyadic cubes below (lo, c) that meet the set and pass ``accept``."""
-        inside = sums.box_sum(lo, c)
-        if inside == 0:
-            return
-        if accept(lo, c, inside):
-            collected.append((lo, c))
-        elif c > 1:
-            half = c // 2
-            for idx in itertools.product((0, 1), repeat=n):
-                descend(sums, accept, tuple(l + half * i for l, i in zip(lo, idx)), half)
-
-    def dilated_inside(lo: tuple[int, ...], c: int, inside: int) -> bool:
+    rolled = np.roll(omega, [-a for a in anchor_cells], axis=tuple(range(n)))
+    table = np.tile(rolled, (2,) * n).astype(np.int64)
+    for ax in range(n):
+        np.cumsum(table, axis=ax, out=table)
+    table = np.pad(table, [(1, 0)] * n)
+    depth = m.bit_length() - 1
+    taken = []  # per generation g, the taken nodes of (2^g,) * n
+    above = np.zeros((1,) * n, dtype=bool)  # per node: some strict ancestor's 4-dilate is inside
+    for g in range(depth + 1):
+        c = m >> g
         first, size = _snapped(c, 4.0)
-        if size >= m:
-            return False
-        return table.box_sum(tuple(l + first for l in lo), size) == size ** n
+        inside = np.zeros((1 << g,) * n, dtype=bool)  # a dilate of m cells or more is never inside
+        if size < m:
+            lo = np.ix_(*[(np.arange(1 << g) * c + first) % m] * n)
+            count = sum((-1) ** (n - sum(corner)) * table[tuple(l + size * i for l, i in zip(lo, corner))]
+                        for corner in itertools.product((0, 1), repeat=n))
+            inside = count == size ** n
+        taken.append(inside & ~above)
+        above = above | inside
+        if g < depth:
+            above = _refined(above)
+    full = [rolled & ~above]  # phase 2: the remainder, from the cells up
+    for g in range(depth, 0, -1):
+        full.append(full[-1].reshape((1 << g - 1, 2) * n).all(axis=tuple(range(1, 2 * n, 2))))
+    full.reverse()
+    for g in range(1, depth + 1):
+        taken[g] |= full[g] & ~_refined(full[g - 1])
 
-    descend(table, dilated_inside, (0,) * n, m)
-
-    covered = np.zeros_like(rolled)
-    for lo, c in collected:
-        covered[tuple(slice(l, l + c) for l in lo)] = True
-    remainder = rolled & ~covered
-    if remainder.any():
-        descend(SummedAreaTable(remainder), lambda lo, c, inside: inside == c ** n, (0,) * n, m)
-
-    h = 1.0 / m
-    cubes = []
-    for lo, c in collected:
-        anchor = tuple(((l + a) % m) * h for l, a in zip(lo, anchor_cells))
-        cubes.append(Cube(anchor, c * h))
-    cubes.sort(key=Cube.sort_key)
-    return cubes
+    rows = []
+    for g, nodes in enumerate(taken):
+        k = np.argwhere(nodes)
+        rows.append(np.column_stack([np.full(len(k), m >> g), (k * (m >> g) + anchor_cells) % m]))
+    rows = np.concatenate(rows)
+    rows = rows[np.lexsort(np.column_stack([-rows[:, 0], rows[:, 1:]]).T[::-1])]
+    return [Cube.from_row(row, m) for row in rows.tolist()]
 
 
 def whitney_check(omega: np.ndarray, cubes: Sequence[Cube], m: int) -> dict:
@@ -390,20 +399,28 @@ def whitney_check(omega: np.ndarray, cubes: Sequence[Cube], m: int) -> dict:
 
     Returns booleans for pairwise disjointness, exact covering and the
     10Q-touches-complement property, plus the count of cubes whose concentric
-    4-dilation stays inside omega (boundary cubes cannot satisfy it).
+    4-dilation stays inside omega (boundary cubes cannot satisfy it).  Each
+    block of equal cubes reads the cells of the cubes and of their dilates
+    as ``cell_rows``.
     """
-    count = np.zeros_like(omega, dtype=np.int64)
+    n, flat = omega.ndim, omega.ravel()
+    rows = np.array([q.to_row(m) for q in cubes], dtype=np.int64).reshape(-1, 1 + n)
+    count = np.zeros(flat.size, dtype=np.int64)
     dilated_inside = 0
     ten_q_ok = True
-    for q in cubes:
-        count[q.index(m)] += 1
-        d4 = dilate(q, 4.0, m)
-        if not d4.saturated and bool(omega[d4.cube.index(m)].all()):
-            dilated_inside += 1
-        if bool(omega[dilate(q, 10.0, m).cube.index(m)].all()):
-            ten_q_ok = False
+    for block in cube_blocks(rows):
+        for part in block.parts(block.c, n):
+            count += np.bincount(cell_rows(part.anchors, part.c, m).ravel(), minlength=flat.size)
+        anchors4, size4, saturated4 = block.dilate(4.0, m)
+        if not saturated4:
+            for part in CubeBlock(size4, block.members, anchors4).parts(size4, n):
+                dilated_inside += int(np.count_nonzero(flat[cell_rows(part.anchors, size4, m)].all(axis=1)))
+        anchors10, size10, _ = block.dilate(10.0, m)
+        for part in CubeBlock(size10, block.members, anchors10).parts(size10, n):
+            if flat[cell_rows(part.anchors, size10, m)].all(axis=1).any():
+                ten_q_ok = False
     disjoint = bool((count <= 1).all())
-    cover = bool(((count == 1) == omega).all())
+    cover = bool(((count == 1) == flat).all())
     return {
         "disjoint": disjoint,
         "cover": cover,
@@ -505,10 +522,10 @@ def _generation_means(block: np.ndarray) -> list[np.ndarray]:
 
 
 class _NodeTable(NamedTuple):
-    """The dyadic nodes of a root from generation 0, in the order
-    ``Cube.sort_key`` gives their cubes: by generation, then by wrapped anchor
-    cells.  ``nodes`` holds their (g, k) rows and ``rank`` the row of each
-    heap id (``_random_packing``'s) down to the packing depth.  With a field,
+    """The dyadic nodes of a root from generation 0, in the (-side, anchor)
+    order of their cubes: by generation, then by wrapped anchor cells.
+    ``nodes`` holds their (g, k) rows and ``rank`` the row of each heap id
+    (``_random_packing``'s) down to the packing depth.  With a field,
     ``means`` holds each node's mean of |values| and ``covered`` the largest
     mean of its strict ancestors of generation >= 1; both read -inf where
     there are none, and at the root, which is never chosen."""
@@ -577,7 +594,7 @@ def sample_disjoint_families(
     tau = mean_q |values| x uniform(1.05, 3), or a random packing two
     generations deep when no node does.  Every draw reads one seeded stream
     in turn, and the families read q's node table; members other than #2's
-    are in ``Cube.sort_key`` order.
+    are sorted by (-side, anchor).
     """
     if count < 1:
         raise ParameterError("count must be >= 1")

@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from osclab._support import ParameterError, ratio, rng_from_seed
+from osclab._support import ParameterError, fmax, ratios, rng_from_seed
 from osclab.cubes import (
     Cube,
     CubeBlock,
@@ -107,6 +107,20 @@ def two_q_functional(a: Functional) -> DilationSeries:
     return DilationSeries(a, Coeffs("table", values=[0.0, 1.0]), start=1)
 
 
+class Walk(NamedTuple):
+    """The hypothesis walk as columns, one entry per (Q, k) in sample order,
+    Q by Q and k by k: ``cube`` the row of Q in the cube sample, ``num`` the
+    L^{p0} average of |B_Q f| on 2^k Q, ``den`` the hypothesis at 2^k Q,
+    ``ratio`` their ``ratios`` and ``saturated`` whether 2^k Q is the torus."""
+
+    cube: np.ndarray
+    k: np.ndarray
+    num: np.ndarray
+    den: np.ndarray
+    ratio: np.ndarray
+    saturated: np.ndarray
+
+
 @dataclass
 class Rung:
     """Everything a harness needs at one grid resolution.
@@ -121,12 +135,12 @@ class Rung:
     rows gather from its B field at each side of the sample, all sides from
     one ``apply_B_scales`` call.  ``cache`` holds one memo per rung material
     (m, field, family, hypothesis, cube_sample), keyed by their identities:
-    the sample's blocks, those B fields and the walk of the hypothesis over
-    the sample (``hypothesis_rows``).  Rungs made from this one by
-    ``dataclasses.replace`` share the cache; one with only another
-    ``denominator`` or ``weight`` reads the same memo, one with other
-    material a memo of its own.  ``cube_sample`` holds the lattice rows
-    (c, a_1, ..., a_n) of the sampled cubes.
+    the sample's blocks, those B fields, |B_Q f| on each Q (``q_values``)
+    and the walk of the hypothesis over the sample (``hypothesis_walk``).
+    Rungs made from this one by ``dataclasses.replace`` share the cache;
+    one with only another ``denominator`` or ``weight`` reads the same memo,
+    one with other material a memo of its own.  ``cube_sample`` holds the
+    lattice rows (c, a_1, ..., a_n) of the sampled cubes.
     """
 
     m: int
@@ -165,49 +179,79 @@ class Rung:
         b = memo.b_fields[block.c]
         return lambda anchors, size: b[cell_rows(anchors, size, self.m)]
 
-    def hypothesis_rows(self, k_max: int) -> list:
-        """The rows (Q, k, num, den, val, saturated) of the hypothesis walk
-        over the cube sample up to the 2^{k_max} dilates, walked once per rung;
-        Q is the cube's lattice row as a tuple of ints.
+    def q_values(self) -> list[tuple[CubeBlock, np.ndarray, np.ndarray]]:
+        """Per part of ``_dilate_parts(blocks, m, n, 0)``: the part, the cell
+        rows of its cubes Q and |B_Q f| on them, one row per cube, gathered
+        once per rung material."""
+        memo = self._memo()
+        if memo.q_values is None:
+            memo.q_values = self._gather()
+        return memo.q_values
+
+    def _gather(self) -> list[tuple[CubeBlock, np.ndarray, np.ndarray]]:
+        """The gather behind ``q_values``."""
+        out = []
+        for part, _dilates in _dilate_parts(self.blocks(), self.m, self.field.dimension, 0):
+            q_rows = cell_rows(part.anchors, part.c, self.m)
+            out.append((part, q_rows, np.abs(self.b_rows(part)(part.anchors, part.c))))
+        return out
+
+    def hypothesis_walk(self, k_max: int) -> Walk:
+        """The hypothesis walk over the cube sample up to the 2^{k_max}
+        dilates, walked once per rung.
 
         The walk is kept at the deepest ``k_max`` asked for so far; a shallower
-        request filters it to k <= k_max, which are the rows a fresh walk gives
-        because ``CubeBlock.dyadic_dilations`` yields the same prefix and stops
-        at the same saturation.
+        request keeps its entries of k <= k_max, which are the entries a fresh
+        walk gives because ``CubeBlock.dyadic_dilations`` yields the same
+        prefix and stops at the same saturation.
         """
         memo = self._memo()
         if memo.walk is None or memo.walk[0] < k_max:
             memo.walk = (k_max, self._walk(k_max))
-        return [row for row in memo.walk[1] if row[1] <= k_max]
+        deepest, walk = memo.walk
+        if deepest == k_max:
+            return walk
+        keep = walk.k <= k_max
+        return Walk(*(column[keep] for column in walk))
 
-    def _walk(self, k_max: int) -> list:
+    def _walk(self, k_max: int) -> Walk:
         """The hypothesis walk up to the 2^{k_max} dilates, part by part of each
         block: on the dyadic dilates 2^k Q of all cubes of a part at once, the
-        L^{p0} averages of |B_Q f| and the hypothesis' ``values``; then the
-        rows in sample order, Q by Q and k by k."""
+        L^{p0} averages of |B_Q f| and the hypothesis' ``values``; each cube's
+        entries then go to its place in sample order."""
         m, n, p0 = self.m, self.field.dimension, self.family.p0
-        walked = [None] * len(self.cube_sample)  # per cube: its (k, num, den, saturated)
+        steps = np.zeros(len(self.cube_sample), dtype=np.int64)  # entries per cube
+        parts = []
         for part, dilates in _dilate_parts(self.blocks(), m, n, k_max):
             b_rows = self.b_rows(part)
-            per_k = []
-            for k, anchors, size, saturated in dilates:
+            nums, dens = [], []
+            for _k, anchors, size, _saturated in dilates:
                 unit = np.full((1, size ** n), self.field.cell_volume)
-                nums = power_means(np.abs(b_rows(anchors, size)), unit, p0).tolist()
-                per_k.append((k, nums, self.hypothesis.values(size, anchors, m).tolist(), saturated))
-            for j, i in enumerate(part.members.tolist()):
-                walked[i] = [(k, nums[j], dens[j], saturated) for k, nums, dens, saturated in per_k]
-        return [(tuple(q), k, num, den, ratio(num, den), saturated)
-                for q, steps in zip(self.cube_sample.tolist(), walked) for k, num, den, saturated in steps]
+                nums.append(power_means(np.abs(b_rows(anchors, size)), unit, p0))
+                dens.append(self.hypothesis.values(size, anchors, m))
+            steps[part.members] = len(dilates)
+            parts.append((part.members, np.column_stack(nums), np.column_stack(dens),
+                          np.array([d[3] for d in dilates])))
+        start = np.cumsum(steps) - steps
+        cube = np.repeat(np.arange(len(steps)), steps)
+        k = np.arange(len(cube)) - start[cube]
+        num, den, saturated = np.empty(len(cube)), np.empty(len(cube)), np.empty(len(cube), dtype=bool)
+        for members, nums, dens, sats in parts:
+            at = start[members, None] + np.arange(nums.shape[1])
+            num[at], den[at], saturated[at] = nums, dens, sats
+        return Walk(cube, k, num, den, ratios(num, den), saturated)
 
 
 class _Memo:
     """What a rung computes once per material: the sample's ``blocks``, a
-    sidelength-only family's flat B fields by cell count (``b_fields``) and
-    the deepest hypothesis ``walk`` so far, as (k_max, rows).  It holds the
-    ``material`` too, so the ids in its key stay unique."""
+    sidelength-only family's flat B fields by cell count (``b_fields``),
+    ``q_values`` and the deepest hypothesis ``walk`` so far, as (k_max,
+    ``Walk``).  It holds the ``material`` too, so the ids in its key stay
+    unique."""
 
     def __init__(self, material: tuple, blocks: list[CubeBlock]):
-        self.material, self.blocks, self.b_fields, self.walk = material, blocks, None, None
+        self.material, self.blocks = material, blocks
+        self.b_fields = self.q_values = self.walk = None
 
 
 def _stable(per_resolution: dict) -> bool:
@@ -229,7 +273,7 @@ def _stable(per_resolution: dict) -> bool:
 class HypothesisReport:
     constant: float
     k0_constant: float
-    rows: int  # how many (Q, k) the walk measured: len(rung.hypothesis_rows(k_max))
+    rows: int  # how many (Q, k) the walk measured: the length of rung.hypothesis_walk(k_max)
     saturated_cubes: int
     side_reduction: bool
 
@@ -241,20 +285,14 @@ def check_hypothesis(rung: Rung, k_max: int) -> HypothesisReport:
     only.  For families depending only on the sidelength the k = 0
     restriction is also reported: together with a summability condition on
     ``a`` it already implies the full hypothesis, so the pair of constants
-    documents the reduction.
+    documents the reduction.  A NaN ratio is skipped (``fmax``).
     """
-    rows = rung.hypothesis_rows(k_max)
-    best = 0.0
-    best_k0 = 0.0
-    for _q, k, _num, _den, val, _saturated in rows:
-        best = max(best, val)
-        if k == 0:
-            best_k0 = max(best_k0, val)
+    walk = rung.hypothesis_walk(k_max)
     return HypothesisReport(
-        constant=best,
-        k0_constant=best_k0,
-        rows=len(rows),
-        saturated_cubes=sum(row[5] for row in rows),
+        constant=fmax(walk.ratio),
+        k0_constant=fmax(walk.ratio[walk.k == 0]),
+        rows=len(walk.k),
+        saturated_cubes=int(np.count_nonzero(walk.saturated)),
         side_reduction=rung.family.sidelength_only,
     )
 
@@ -274,12 +312,27 @@ class VerifyReport:
     extras: dict
 
 
+class SweepRows(NamedTuple):
+    """One rung's rows of a sweep, as columns in sample order: ``cubes`` the
+    lattice rows of the sample at resolution ``m``, ``num`` the conclusion
+    norm of B_Q f, ``den`` the denominator at Q, ``ratio`` their ``ratios``
+    and ``flags`` a bitmask recording whether the companion 2Q dilation
+    saturated (bit 0) or wrapped around the torus seam (bit 1)."""
+
+    m: int
+    cubes: np.ndarray
+    num: np.ndarray
+    den: np.ndarray
+    ratio: np.ndarray
+    flags: np.ndarray
+
+
 def _sweep(
     rungs: Sequence[Rung],
     hyp_k_max: int,
     norm: Callable[[np.ndarray, np.ndarray], np.ndarray],
     extras: dict,
-) -> tuple[VerifyReport, list]:
+) -> tuple[VerifyReport, list[SweepRows]]:
     """The rung loop and pass rule of the weak, strong and exponential harnesses.
 
     Per rung: the hypothesis constant up to the 2^{hyp_k_max} dilates, then
@@ -287,14 +340,13 @@ def _sweep(
     denominator functional at Q (statements whose right-hand side lives on a
     dilate, e.g. the expanded functional at 2Q, wrap that dilation inside
     the functional).  Per part of each block of the sample: ``norm``, a row
-    kernel of ``osclab.grid``, maps |B_Q f| and the cell measures of the
-    rung's weight on Q, one row per cube, to the norms, and the
-    denominator's ``values`` give its value at each Q.  Rows (m, the cube's
-    lattice row as a tuple, num, den, ratio, flags) carry a flag bitmask recording whether the companion
-    2Q dilation saturated (bit 0) or wrapped around the torus seam (bit 1).  The report
+    kernel of ``osclab.grid``, maps the rung's ``q_values`` and the cell
+    measures of the rung's weight on Q, one row per cube, to the norms, and
+    the denominator's ``values`` give its value at each Q.  The report
     passes on a finite hypothesis constant and a stable ladder; its warnings
     count each rung's saturated dilations and, on an unstable ladder, name
-    the worst cube.  Returns the report and the rows.
+    the worst cube (the first of the largest ratio, a non-finite ratio
+    counting as inf).  Returns the report and one ``SweepRows`` per rung.
     """
     hyp = 0.0
     per_res = {}
@@ -305,29 +357,26 @@ def _sweep(
         hyp = max(hyp, hyp_rep.constant)
         if hyp_rep.saturated_cubes:
             warnings.append(f"m={rung.m}: {hyp_rep.saturated_cubes} saturated dilations")
-        m, n, vol = rung.m, rung.field.dimension, rung.field.cell_volume
+        m, vol = rung.m, rung.field.cell_volume
         density = None if rung.weight is None else rung.weight.density.values
         if density is not None and density.shape != rung.field.values.shape:
             raise ParameterError("weight resolution does not match the field")
         nums, dens = np.empty(len(rung.cube_sample)), np.empty(len(rung.cube_sample))
         flags = np.empty(len(rung.cube_sample), dtype=int)
-        for part, _dilates in _dilate_parts(rung.blocks(), m, n, 0):
-            q_rows = cell_rows(part.anchors, part.c, m)
+        for part, q_rows, vals in rung.q_values():
             mu = np.full((1, q_rows.shape[1]), vol) if density is None else density.ravel()[q_rows] * vol
-            nums[part.members] = norm(np.abs(rung.b_rows(part)(part.anchors, part.c)), mu)
+            nums[part.members] = norm(vals, mu)
             dens[part.members] = rung.denominator.values(part.c, part.anchors, m)
             two_q, size, saturated = part.dilate(2.0, m)
             flags[part.members] = 1 if saturated else 2 * np.any(two_q + size > m, axis=1)
-        best = 0.0
-        for q, num, den, flag in zip(rung.cube_sample.tolist(), nums.tolist(), dens.tolist(), flags.tolist()):
-            val = ratio(num, den)
-            rows.append((m, tuple(q), num, den, val, flag))
-            best = max(best, val)
-        per_res[rung.m] = best
+        rows.append(SweepRows(m, rung.cube_sample, nums, dens, ratios(nums, dens), flags))
+        per_res[m] = fmax(rows[-1].ratio)
     stable = _stable(per_res)
-    if not stable and rows:
-        worst = max(rows, key=lambda row: row[4] if math.isfinite(row[4]) else math.inf)
-        warnings.append(f"ladder instability; worst cube m={worst[0]} {Cube.from_row(worst[1], worst[0]).to_dict()}")
+    if not stable and any(len(r.ratio) for r in rows):
+        keys = [np.where(np.isfinite(r.ratio), r.ratio, math.inf) for r in rows]
+        j = max(range(len(rows)), key=lambda j: keys[j].max(initial=-math.inf))
+        worst = Cube.from_row(rows[j].cubes[int(np.argmax(keys[j]))].tolist(), rows[j].m)
+        warnings.append(f"ladder instability; worst cube m={rows[j].m} {worst.to_dict()}")
     return VerifyReport(
         hypothesis_constant=hyp,
         conclusion_constant=max(per_res.values()),
@@ -345,7 +394,7 @@ def verify_weak_improvement(
 ) -> tuple[VerifyReport, list]:
     """Weak-type conclusion constant sup_Q ||B_Q f||_{L^{q,inf},Q} / denom(2Q).
 
-    Returns the report and the sweep's rows, one per rung and sampled cube.
+    Returns the report and the sweep's rows, one ``SweepRows`` per rung.
     """
     if condition_report is None:
         raise ParameterError("a summability condition report is required")
@@ -379,7 +428,7 @@ def verify_strong(
         return strong
 
     rep, rows = _sweep(rungs, 2, strong_norm, {"q": q, "r": r, "kolmogorov_factor": factor})
-    scale = max((row[2] for row in rows), default=1.0) or 1.0
+    scale = max((float(np.max(r.num)) for r in rows if len(r.num)), default=1.0) or 1.0
     kolmogorov_ok = worst_gap <= 1e-10 * scale
     rep.extras["kolmogorov_ok"] = kolmogorov_ok
     rep.passed = rep.passed and kolmogorov_ok

@@ -12,6 +12,7 @@ import pytest
 
 from osclab import cli, operators, verify
 from osclab._support import ParameterError
+from osclab.cubes import Cube
 from osclab.cli import (
     ExperimentConfig,
     bundled_config_path,
@@ -312,6 +313,30 @@ def test_harnesses_walk_each_rung_once_per_deepest_k_max(monkeypatch, config, ov
 
 @pytest.mark.parametrize(
     "config, overrides",
+    [("classical-jn", ["resolution_ladder=[64,128]"]), ("weighted-power", []), ("jn-2d", [])],
+)
+def test_weak_strong_and_exponential_gather_b_on_q_once_per_rung_material(monkeypatch, config, overrides):
+    # the three sweeps (and weighted-identity's two weak sweeps) read |B_Q f|
+    # on Q from the memo of their rung's material, gathered once
+    if config == "jn-2d":
+        config, overrides = "classical-jn", ["dimension=2", "resolution_ladder=[16,32]", "good_lambda.cube=null",
+                                            'harnesses=["hypothesis","weak","strong","exponential"]']
+    gather = verify.Rung._gather
+    calls = Counter()
+
+    def counting_gather(self):
+        calls[(self.m, id(self.field), id(self.family), id(self.hypothesis), id(self.cube_sample))] += 1
+        return gather(self)
+
+    monkeypatch.setattr(verify.Rung, "_gather", counting_gather)
+    cfg = ExperimentConfig.load(bundled_config_path(config), overrides)
+    assert {"weak", "exponential"} <= set(cfg.harnesses)
+    cli.run_pipeline(cfg)
+    assert len(calls) == len(cfg.resolution_ladder) and set(calls.values()) == {1}, calls
+
+
+@pytest.mark.parametrize(
+    "config, overrides",
     [("classical-jn", ["resolution_ladder=[64,128]"]), ("weighted-power", [])],
 )
 def test_a_full_run_leaves_one_memo_per_rung_material(monkeypatch, config, overrides):
@@ -350,8 +375,16 @@ def test_emit_refuses_empty_report(tmp_path):
         emit_outputs({}, str(tmp_path), {"json"})
 
 
+def sweep_rows(m: int, cubes: list) -> verify.SweepRows:
+    """Weak rows of the lattice rows ``cubes`` at resolution m, with
+    numerators 1, 2, ... over denominators 2."""
+    num = np.arange(1.0, len(cubes) + 1)
+    return verify.SweepRows(m, np.array(cubes, dtype=np.int64), num, np.full(len(cubes), 2.0), num / 2,
+                            np.zeros(len(cubes), dtype=int))
+
+
 def test_emit_outputs_leaves_report_intact(tmp_path):
-    report = {"passed": True, "_rows_weak": [(64, {"anchor": [0.0], "side": 0.5}, 1.0, 2.0, 0.5, 0)]}
+    report = {"passed": True, "_rows_weak": [sweep_rows(64, [[32, 0]])]}
     for out in ("first", "second"):
         files = emit_outputs(report, str(tmp_path / out), {"json", "csv"})
         assert sorted(os.path.basename(f) for f in files) == ["report.json", "rows_weak.csv"]
@@ -359,6 +392,26 @@ def test_emit_outputs_leaves_report_intact(tmp_path):
             assert "_rows_weak" not in json.load(fh)
     assert "_rows_weak" in report
     assert read_artifacts(str(tmp_path / "first")) == read_artifacts(str(tmp_path / "second"))
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_rows_weak_cubes_are_the_json_of_their_cube_dicts(tmp_path, dim):
+    # the cube column is json.dumps(Cube.from_row(row, m).to_dict(),
+    # sort_keys=True) with each comma a semicolon, at every m up to 4096,
+    # anchors at 0, m - 1 and between, sides 1 to m
+    rng = np.random.default_rng(dim)
+    rows_weak, want = [], []
+    for m in (2 ** k for k in range(13)):
+        cubes = [[c, *a] for c in (1, m // 2 or 1, m) for a in ([0] * dim, [m - 1] * dim,
+                                                              rng.integers(0, m, size=dim).tolist())]
+        rows_weak.append(sweep_rows(m, cubes))
+        want += [json.dumps(Cube.from_row(row, m).to_dict(), sort_keys=True).replace(",", ";") for row in cubes]
+    emit_outputs({"passed": True, "_rows_weak": rows_weak}, str(tmp_path), {"csv"})
+    with open(tmp_path / "rows_weak.csv") as fh:
+        header, *lines = fh.read().splitlines()
+    assert header == "m,cube,numerator,denominator,ratio,sat_wrap_flags"
+    assert [line.split(",")[1] for line in lines] == want
+    assert lines[1].split(",") == ["1", want[1], "2.0", "2.0", "1.0", "0"]
 
 
 def test_emit_json_only_single_file(tmp_path):

@@ -18,6 +18,7 @@ from osclab.cubes import (
     _generation_means,
     _node_table,
     _random_packing,
+    _snapped,
     cell_membership,
     cell_rows,
     cube_blocks,
@@ -36,9 +37,14 @@ from osclab.functionals import (
     expanded_poincare,
     tilde_expand,
 )
-from osclab.grid import Field
+from osclab.grid import Field, maximal_function
 from osclab.operators import OffDiagonalProfile
 from osclab.weights import Weight
+
+
+def sort_key(q: Cube) -> tuple:
+    """The order of a family's members: coarsest first, then by anchor."""
+    return (-q.side, q.anchor)
 
 
 def generation(q, g) -> list:
@@ -251,8 +257,8 @@ def test_descendants_1d_depth3_cells_match():
 
 @pytest.mark.parametrize("dim, m", [(1, 64), (2, 16)])
 def test_box_sums_match_brute_force(dim, m):
-    # anchors range over [-2m, 2m), as whitney_decompose passes them for
-    # dilated boxes near the seam and Weight.mass for anchors in [0, m)
+    # anchors range over [-2m, 2m): box_sum reads any anchor mod m, and
+    # Weight.mass passes anchors in [0, m)
     rng = np.random.default_rng(dim)
     arrays = {
         "bool": rng.random((m,) * dim) < 0.4,
@@ -349,6 +355,126 @@ def test_whitney_respects_grid_anchor():
         assert rel % c == 0
 
 
+def recursive_whitney(omega: np.ndarray, q: Cube) -> list[Cube]:
+    """The Whitney decomposition by a depth-first walk of the dyadic tree, one
+    ``SummedAreaTable.box_sum`` per visited node: the reference of
+    ``whitney_decompose``, which decides every node of a generation at once."""
+    m, n = omega.shape[0], omega.ndim
+    anchor_cells = q.anchor_cells(m)
+    rolled = omega
+    for ax, a in enumerate(anchor_cells):
+        rolled = np.roll(rolled, -a, axis=ax)
+    table = SummedAreaTable(rolled)
+    collected = []
+
+    def descend(sums, accept, lo, c):
+        inside = sums.box_sum(lo, c)
+        if inside == 0:
+            return
+        if accept(lo, c, inside):
+            collected.append((lo, c))
+        elif c > 1:
+            half = c // 2
+            for idx in itertools.product((0, 1), repeat=n):
+                descend(sums, accept, tuple(l + half * i for l, i in zip(lo, idx)), half)
+
+    def dilated_inside(lo, c, inside):
+        first, size = _snapped(c, 4.0)
+        return size < m and table.box_sum(tuple(l + first for l in lo), size) == size ** n
+
+    descend(table, dilated_inside, (0,) * n, m)
+    covered = np.zeros_like(rolled)
+    for lo, c in collected:
+        covered[tuple(slice(l, l + c) for l in lo)] = True
+    remainder = rolled & ~covered
+    if remainder.any():
+        descend(SummedAreaTable(remainder), lambda lo, c, inside: inside == c ** n, (0,) * n, m)
+    cubes = [Cube(tuple(((l + a) % m) / m for l, a in zip(lo, anchor_cells)), c / m) for lo, c in collected]
+    return sorted(cubes, key=sort_key)
+
+
+def per_cube_whitney_check(omega: np.ndarray, cubes: list, m: int) -> dict:
+    """``whitney_check`` one cube at a time, on ``Cube.index``: its reference."""
+    count = np.zeros_like(omega, dtype=np.int64)
+    dilated_inside, ten_q_ok = 0, True
+    for q in cubes:
+        count[q.index(m)] += 1
+        d4 = dilate(q, 4.0, m)
+        if not d4.saturated and bool(omega[d4.cube.index(m)].all()):
+            dilated_inside += 1
+        if bool(omega[dilate(q, 10.0, m).cube.index(m)].all()):
+            ten_q_ok = False
+    return {"disjoint": bool((count <= 1).all()), "cover": bool(((count == 1) == omega).all()),
+            "cubes": len(cubes), "dilated_inside": dilated_inside, "boundary_cubes": len(cubes) - dilated_inside,
+            "ten_q_touches_complement": ten_q_ok}
+
+
+def assert_whitney_equals_the_recursive_walk(omega: np.ndarray, q: Cube) -> list[Cube]:
+    """The decomposition equals the recursive walk's, as a list in order, and
+    the check equals the per-cube check on it and on a broken cube list."""
+    m = omega.shape[0]
+    got = whitney_decompose(omega, q)
+    assert got == recursive_whitney(omega, q)
+    assert whitney_check(omega, got, m) == per_cube_whitney_check(omega, got, m)
+    broken = got[1:] + got[:2]  # the first cube twice when there are two
+    assert whitney_check(omega, broken, m) == per_cube_whitney_check(omega, broken, m)
+    return got
+
+
+def random_walk_level_sets(dim: int, m: int, seed: int) -> list[np.ndarray]:
+    """Superlevel sets of a periodic-free random walk (summed along each axis)
+    at five quantiles."""
+    walk = np.random.default_rng(seed).normal(size=(m,) * dim)
+    for ax in range(dim):
+        walk = np.cumsum(walk, axis=ax)
+    return [walk > np.quantile(walk, t) for t in (0.05, 0.3, 0.5, 0.8, 0.97)]
+
+
+@pytest.mark.parametrize("dim, ms", [(1, (8, 64, 1024)), (2, (4, 16, 32))])
+def test_whitney_by_generation_equals_the_recursive_walk_on_random_level_sets(dim, ms):
+    # Q anchored so that its dyadic grid crosses the seam, on random-walk level
+    # sets and on random cell sets
+    rng = np.random.default_rng(dim)
+    crossing = 0
+    for m in ms:
+        for seed in range(3):
+            sets = random_walk_level_sets(dim, m, seed) + [rng.random((m,) * dim) < 0.6]
+            for omega in sets:
+                anchor = tuple(int(a) / m for a in rng.integers(0, m, size=dim))
+                q = Cube(anchor, 2.0 ** -int(rng.integers(0, m.bit_length())))
+                if omega.any() and not omega.all():
+                    got = assert_whitney_equals_the_recursive_walk(omega, q)
+                    crossing += any(a + w.side > 1.0 for w in got for a in w.anchor)
+    assert crossing > 0
+
+
+#: the 2-D good-lambda run of ROADMAP item 14 (classical-jn overrides)
+JN_2D = ("dimension=2", "resolution_ladder=[32,64]", 'good_lambda.cube={"anchor":[0.25,0.25],"side":0.25}')
+
+
+@pytest.mark.parametrize("overrides, rung", [((), 0), ((), 1), ((), 2), (JN_2D, 0), (JN_2D, 1)])
+def test_whitney_by_generation_equals_the_recursive_walk_on_good_lambda_level_sets(overrides, rung):
+    # every rung of classical-jn and of the 2-D run, at every t good-lambda
+    # probes there: the level sets {M_{p0} G > t}, G = |B_Q^2 f| on 2Q
+    from osclab.cli import ExperimentConfig, build_rung, bundled_config_path
+    from osclab.verify import verify_good_lambda
+
+    cfg = ExperimentConfig.load(bundled_config_path("classical-jn"), list(overrides))
+    r = build_rung(cfg, cfg.resolution_ladder[rung])[0]
+    q_cube = cfg.good_lambda["cube"]
+    rep = verify_good_lambda(r, q_cube, s_mult=4.0, lam=0.5, q_exp=2.0, t_points=20)
+    bq2 = r.family.apply_B(r.family.apply_B(r.field, q_cube), q_cube)
+    g = np.where(dilate(q_cube, 2.0, r.m).cube.mask(r.m), np.abs(bq2.values), 0.0)
+    mg = maximal_function(Field(g), r.family.p0).values
+    decomposed = 0
+    for t, *_ in rep.rows:
+        omega = mg > t
+        if omega.any() and not omega.all():
+            assert_whitney_equals_the_recursive_walk(omega, q_cube)
+            decomposed += 1
+    assert decomposed >= 10
+
+
 # ---------------------------------------------------------------------------
 # disjoint family sampling
 # ---------------------------------------------------------------------------
@@ -418,7 +544,7 @@ def reference_random_packing(q, rng, max_depth):
     walk(q, 0)
     if not chosen:
         chosen = [q]
-    chosen.sort(key=Cube.sort_key)
+    chosen.sort(key=sort_key)
     return chosen
 
 
@@ -442,7 +568,7 @@ def reference_stopping_time_family(q, m, rng, values):
         # a random packing two generations deep, or as deep as q halves evenly
         cells = q.cells_per_axis(m)
         out = reference_random_packing(q, rng, max_depth=min(2, (cells & -cells).bit_length() - 1))
-    out.sort(key=Cube.sort_key)
+    out.sort(key=sort_key)
     return out
 
 
@@ -534,13 +660,13 @@ def test_stopping_time_walk_matches_per_node_walk(dim, m, anchor, cells):
 
 @pytest.mark.parametrize("dim, m, anchor, cells", WALK_CASES)
 def test_node_table_is_in_family_order(dim, m, anchor, cells):
-    # every node down to the packing depth, sorted as Cube.sort_key sorts the
+    # every node down to the packing depth, sorted as sort_key sorts the
     # cubes, and each heap id (root 1, child id * 2^n + corner) ranks its node
     q = Cube(anchor, cells / m)
     depth = min(4, halvings(cells))
     table = _node_table(q, m, depth)
     want = sorted((descendant(q, g, k) for g in range(depth + 1)
-                   for k in itertools.product(range(2 ** g), repeat=dim)), key=Cube.sort_key)
+                   for k in itertools.product(range(2 ** g), repeat=dim)), key=sort_key)
     assert family_cubes(DisjointFamily(q, table.nodes)) == want
     for g in range(depth + 1):
         for k in itertools.product(range(2 ** g), repeat=dim):

@@ -8,8 +8,16 @@ import math
 import numpy as np
 import pytest
 
-from osclab._support import ParameterError, ratio, rng_from_seed
-from osclab.cubes import Cube, descendant, dilate, full_torus, sample_disjoint_families, whitney_decompose
+from osclab._support import ParameterError, fmax, ratio, ratios, rng_from_seed
+from osclab.cubes import (
+    Cube,
+    cell_rows,
+    descendant,
+    dilate,
+    full_torus,
+    sample_disjoint_families,
+    whitney_decompose,
+)
 from osclab.functionals import ConstantFunctional, estimate_condition, tilde_expand
 from osclab.grid import (
     Field,
@@ -20,9 +28,11 @@ from osclab.grid import (
     weak_lq_norms,
 )
 from osclab.operators import EllipticOperator, make_family, measure_offdiagonal, sharp_maximal
+from osclab import verify
 from osclab.verify import (
     BmoRung,
     Rung,
+    _dilate_parts,
     check_hypothesis,
     exponential_denominator,
     make_cube_sample,
@@ -145,11 +155,11 @@ def test_hypothesis_local_variant_bounded_by_1_plus_2n():
     m = 256
     rung, _ = classical_jn_rung(m)
     rep = check_hypothesis(rung, k_max=1)
-    rows = rung.hypothesis_rows(1)
-    assert rep.rows == len(rows)
-    k1 = [row for row in rows if row[1] == 1]
-    assert k1
-    assert max(row[4] for row in k1) <= (1 + 2) * (1 + 1e-9)
+    walk = rung.hypothesis_walk(1)
+    assert rep.rows == len(walk.k)
+    k1 = walk.ratio[walk.k == 1]
+    assert len(k1)
+    assert k1.max() <= (1 + 2) * (1 + 1e-9)
 
 
 def test_hypothesis_infinite_when_functional_vanishes():
@@ -192,17 +202,17 @@ def test_replaced_rung_with_other_denominator_or_weight_shares_the_memo():
 
     m = 64
     rung, _ = classical_jn_rung(m)
-    walk = rung.hypothesis_rows(3)
+    walk = rung.hypothesis_walk(3)
     for other in (dataclasses.replace(rung, denominator=ConstantFunctional(1.0)),
                   dataclasses.replace(rung, weight=ones_weight(1, m))):
-        assert other.hypothesis_rows(3) is not walk and other.hypothesis_rows(3) == walk
-        assert other.blocks() is rung.blocks()
+        assert other.hypothesis_walk(3) is walk
+        assert other.blocks() is rung.blocks() and other.q_values() is rung.q_values()
     assert len(rung.cache) == 1
 
 
 def hypothesis_walk(rung, k_max) -> tuple:
     rep = check_hypothesis(rung, k_max)
-    return rung.hypothesis_rows(k_max), rep.constant, rep.k0_constant, rep.saturated_cubes
+    return walk_tuples(rung, rung.hypothesis_walk(k_max)), rep.constant, rep.k0_constant, rep.saturated_cubes
 
 
 @pytest.mark.parametrize("first, then", [(3, 2), (1, 3), (3, 0)])
@@ -372,12 +382,93 @@ def per_cube_walk(rung: Rung, k_max: int) -> list:
     return rows
 
 
+def tuple_walk(rung: Rung, k_max: int) -> list:
+    """The hypothesis walk with one tuple per (Q, k), (Q's lattice row as a
+    tuple, k, num, den, ratio, saturated) in sample order, Q by Q and k by
+    k, the ratio by the scalar ``ratio``: the reference of the columns of
+    ``Rung.hypothesis_walk``."""
+    m, n, p0 = rung.m, rung.field.dimension, rung.family.p0
+    walked = [None] * len(rung.cube_sample)
+    for part, dilates in _dilate_parts(rung.blocks(), m, n, k_max):
+        b_rows = rung.b_rows(part)
+        per_k = []
+        for k, anchors, size, saturated in dilates:
+            unit = np.full((1, size ** n), rung.field.cell_volume)
+            nums = power_means(np.abs(b_rows(anchors, size)), unit, p0).tolist()
+            per_k.append((k, nums, rung.hypothesis.values(size, anchors, m).tolist(), saturated))
+        for j, i in enumerate(part.members.tolist()):
+            walked[i] = [(k, nums[j], dens[j], saturated) for k, nums, dens, saturated in per_k]
+    return [(tuple(q), k, num, den, ratio(num, den), saturated)
+            for q, steps in zip(rung.cube_sample.tolist(), walked) for k, num, den, saturated in steps]
+
+
+def walk_tuples(rung: Rung, walk) -> list:
+    """The columns of a ``Walk`` of ``rung`` as ``tuple_walk``'s tuples."""
+    return [(tuple(rung.cube_sample[i].tolist()), k, num, den, val, saturated)
+            for i, k, num, den, val, saturated in zip(*(column.tolist() for column in walk))]
+
+
+def tuple_check(rows: list) -> tuple:
+    """(constant, k0 constant, rows, saturated rows) of ``tuple_walk``'s rows
+    by running maxima from 0.0, which skip a NaN ratio."""
+    best = best_k0 = 0.0
+    for _q, k, _num, _den, val, _saturated in rows:
+        best = max(best, val)
+        if k == 0:
+            best_k0 = max(best_k0, val)
+    return best, best_k0, len(rows), sum(row[5] for row in rows)
+
+
+def loop_sweep(rung: Rung, norm) -> list:
+    """One rung of the sweep with one tuple per cube, (m, the cube's lattice
+    row as a tuple, num, den, ratio, flags) in sample order, |B_Q f| gathered
+    part by part here and the ratio by the scalar ``ratio``: the reference
+    of the sweep's ``SweepRows``."""
+    m, n, vol = rung.m, rung.field.dimension, rung.field.cell_volume
+    density = None if rung.weight is None else rung.weight.density.values
+    nums, dens = np.empty(len(rung.cube_sample)), np.empty(len(rung.cube_sample))
+    flags = np.empty(len(rung.cube_sample), dtype=int)
+    for part, _dilates in _dilate_parts(rung.blocks(), m, n, 0):
+        q_rows = cell_rows(part.anchors, part.c, m)
+        mu = np.full((1, q_rows.shape[1]), vol) if density is None else density.ravel()[q_rows] * vol
+        nums[part.members] = norm(np.abs(rung.b_rows(part)(part.anchors, part.c)), mu)
+        dens[part.members] = rung.denominator.values(part.c, part.anchors, m)
+        two_q, size, saturated = part.dilate(2.0, m)
+        flags[part.members] = 1 if saturated else 2 * np.any(two_q + size > m, axis=1)
+    return [(m, tuple(q), num, den, ratio(num, den), flag)
+            for q, num, den, flag in zip(rung.cube_sample.tolist(), nums.tolist(), dens.tolist(), flags.tolist())]
+
+
+def sweep_tuples(rows: list) -> list:
+    """The columns of the sweep's ``SweepRows`` as ``loop_sweep``'s tuples."""
+    return [(r.m, tuple(q), num, den, val, flag) for r in rows
+            for q, num, den, val, flag in zip(r.cubes.tolist(), r.num.tolist(), r.den.tolist(), r.ratio.tolist(),
+                                              r.flags.tolist())]
+
+
+def assert_columns_equal_the_tuple_paths(rung: Rung, q: float = 2.0, r: float = 1.5, k_max: int = 3) -> None:
+    """The walk's columns and its constants equal the tuple walk's, and the
+    weak, strong and exponential sweeps' columns the sweep loop's, bit for
+    bit."""
+    want = tuple_walk(rung, k_max)
+    assert walk_tuples(rung, rung.hypothesis_walk(k_max)) == want
+    rep = check_hypothesis(rung, k_max)
+    assert (rep.constant, rep.k0_constant, rep.rows, rep.saturated_cubes) == tuple_check(want)
+    cond = dq_report_for(ConstantFunctional(1.0), rung.m, q)
+    _rep, rows = verify_weak_improvement([rung], q, cond)
+    assert sweep_tuples(rows) == loop_sweep(rung, lambda vals, mu: weak_lq_norms(vals, mu, q))
+    for norm in (lambda vals, mu: power_means(vals, mu, r), exp_luxemburg_norms):
+        _rep, rows = verify._sweep([rung], 2, norm, {})
+        assert sweep_tuples(rows) == loop_sweep(rung, norm)
+
+
 def assert_rows_equal_per_cube(rung: Rung, q: float = 2.0, r: float = 1.5, k_max: int = 3) -> None:
     """The block walk and the weak, strong and exponential row kernels on the
     gathered |B_Q f| of each block give, bit for bit, what the kernels give
     on one row of the field B_Q f of each sampled cube; so do the weak
-    sweep's rows."""
-    assert rung.hypothesis_rows(k_max) == per_cube_walk(rung, k_max)
+    sweep's rows.  The columns equal the tuple paths."""
+    assert_columns_equal_the_tuple_paths(rung, q, r, k_max)
+    assert tuple_walk(rung, k_max) == per_cube_walk(rung, k_max)
     seen = []
     for block in rung.blocks():
         cubes = cubes_of(rung.cube_sample[block.members], rung.m)
@@ -393,8 +484,8 @@ def assert_rows_equal_per_cube(rung: Rung, q: float = 2.0, r: float = 1.5, k_max
             assert lux[j] == exp_luxemburg_norms(*one)[0], cube
             seen.append(i)
     assert sorted(seen) == list(range(len(rung.cube_sample)))
-    _rep, rows = verify_weak_improvement([rung], q, dq_report_for(ConstantFunctional(1.0), rung.m, q))
-    assert [row[2] for row in rows] == [
+    _rep, (rows,) = verify_weak_improvement([rung], q, dq_report_for(ConstantFunctional(1.0), rung.m, q))
+    assert rows.num.tolist() == [
         weak_lq_norms(*one_row(rung.family.apply_B(rung.field, cube), cube, rung.weight), q)[0]
         for cube in cubes_of(rung.cube_sample, rung.m)]
 
@@ -448,7 +539,7 @@ def test_block_walk_of_a_side_one_cube_off_the_origin():
     f = make_field("log-distance", 1, m, center=0.5)
     fam = make_family("extended-average", (1.0, math.inf))
     rung = Rung(m, f, fam, ConstantFunctional(1.0), ConstantFunctional(1.0), np.array([(16, 16), q]))
-    rows = rung.hypothesis_rows(3)
+    rows = walk_tuples(rung, rung.hypothesis_walk(3))
     assert [(row[1], row[5]) for row in rows if row[0] == q] == [(0, False), (1, True)]
     assert_rows_equal_per_cube(rung)
 
@@ -476,8 +567,85 @@ def test_sweep_flags_mark_a_saturated_or_seam_crossing_two_q():
     f = make_field("random-smooth", 2, m, seed=3, band=3)
     a = ConstantFunctional(1.0)
     rung = Rung(m, f, make_family("extended-average", (1.0, math.inf)), a, a, rows_of(cubes, m))
-    _rep, rows = verify_weak_improvement([rung], 2.0, dq_report_for(a, m, 2.0))
-    assert [row[5] for row in rows] == [1, 2, 2, 0, 2]
+    _rep, (rows,) = verify_weak_improvement([rung], 2.0, dq_report_for(a, m, 2.0))
+    assert rows.flags.tolist() == [1, 2, 2, 0, 2]
+
+
+def test_ratio_columns_follow_the_scalar_ratio():
+    # 0/0 = 0, x/0 = inf, a NaN over anything but 0 stays NaN, a NaN over 0 is inf
+    vals = [0.0, 1.5, math.inf, math.nan]
+    num, den = (np.array(x) for x in zip(*[(a, b) for a in vals for b in vals]))
+    got = ratios(num, den).tolist()
+    want = [ratio(a, b) for a, b in zip(num.tolist(), den.tolist())]
+    assert [repr(x) for x in got] == [repr(x) for x in want]
+    for column in ([], [math.nan], [0.0, math.nan, 2.0, math.inf, math.nan], [math.nan, 1.0]):
+        best = 0.0
+        for x in column:
+            best = max(best, x)
+        assert fmax(np.array(column)) == best
+
+
+def zero_denominator_rung(m: int) -> Rung:
+    """A rung whose hypothesis and denominator vanish: 0/0 rows where B_Q f
+    is zero (Q and 2Q off the indicator's jumps), x/0 rows elsewhere."""
+    f = make_field("indicator", 1, m, cube={"anchor": [0.25], "side": 0.25})
+    zero = ConstantFunctional(0.0)
+    return Rung(m, f, make_family("extended-average", (1.0, math.inf)), zero, zero, make_cube_sample(1, m, 2, 8, seed=4))
+
+
+def test_zero_denominator_columns_equal_the_tuple_paths():
+    rung = zero_denominator_rung(64)
+    walk = rung.hypothesis_walk(3)
+    assert np.any((walk.num == 0) & (walk.ratio == 0)) and np.any((walk.num > 0) & np.isinf(walk.ratio))
+    assert_columns_equal_the_tuple_paths(rung)
+    assert check_hypothesis(rung, 3).constant == math.inf
+
+
+def loop_instability_warning(rungs: list, norm) -> list:
+    """The instability warning of an unstable ladder, from ``loop_sweep``'s
+    tuples: the first of the largest ratio, a non-finite one counting as inf."""
+    rows = [row for rung in rungs for row in loop_sweep(rung, norm)]
+    worst = max(rows, key=lambda row: row[4] if math.isfinite(row[4]) else math.inf)
+    return [f"ladder instability; worst cube m={worst[0]} {Cube.from_row(worst[1], worst[0]).to_dict()}"]
+
+
+@pytest.mark.parametrize("case", ["x/0", "finite"])
+def test_instability_warning_names_the_worst_cube_as_the_tuple_path(case):
+    norm = exp_luxemburg_norms
+    if case == "x/0":
+        rungs = [zero_denominator_rung(32), zero_denominator_rung(64)]
+    else:  # the denominators differ by a factor 100 between the rungs
+        rungs = [dataclasses.replace(classical_jn_rung(m)[0], denominator=ConstantFunctional(d))
+                 for m, d in ((64, 100.0), (128, 1.0))]
+    rep, _rows = verify._sweep(rungs, 0, norm, {})
+    assert not rep.passed
+    assert [w for w in rep.warnings if w.startswith("ladder")] == loop_instability_warning(rungs, norm)
+
+
+class InfiniteFunctional(ConstantFunctional):
+    """a(Q) = inf on every cube."""
+
+    def __init__(self):
+        self.value = math.inf
+
+
+def test_a_nan_ratio_is_skipped_by_the_constants():
+    # inf / inf is NaN: an overflowed L^2 average over an infinite hypothesis.
+    # check_hypothesis and the sweep skip it, as running maxima from 0.0 do,
+    # so cubes that see the huge cells add nothing to the constants
+    m = 32
+    f = Field(np.where(np.arange(m) < 4, 1e200, 0.0))
+    rung = Rung(m, f, make_family("classical-average", (2.0, math.inf)), InfiniteFunctional(),
+                InfiniteFunctional(), make_cube_sample(1, m, 4, 4, seed=0))
+    with np.errstate(over="ignore"):
+        walk = rung.hypothesis_walk(2)
+        rows = tuple_walk(rung, 2)
+        rep = check_hypothesis(rung, 2)
+        _rep, (swept,) = verify._sweep([rung], 2, lambda vals, mu: power_means(vals, mu, 2.0), {})
+    assert np.isnan(walk.ratio).any() and not np.isnan(walk.ratio).all()
+    assert [repr(x) for x in walk.ratio.tolist()] == [repr(row[4]) for row in rows]
+    assert (rep.constant, rep.k0_constant, rep.rows, rep.saturated_cubes) == tuple_check(rows) == (0.0, 0.0, 53, 10)
+    assert np.isnan(swept.ratio).any() and _rep.per_resolution == {m: 0.0}
 
 
 # ---------------------------------------------------------------------------

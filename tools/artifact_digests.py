@@ -12,6 +12,13 @@ byte-identical for a given (config, seed) on one set of versions, so the
 output is ``tests/artifact_digests.sha256``, which the test suite checks; a
 change that moves bytes on purpose rewrites that file with this command.
 The package is imported from this checkout's ``src``.
+
+Run as a script, the tool sets the BLAS thread variables of
+``perfbench/run.py`` to 1 before numpy loads, as the benchmark does: the
+last bits of ``np.linalg.eigh`` (the eigenbasis semigroup of a small
+stencil) depend on the BLAS thread count, so the eigenbasis reports
+(bmo-heat and the ``semigroup-tilde`` set) would otherwise depend on the
+number of cores.  The header records the thread count with the versions.
 """
 
 from __future__ import annotations
@@ -21,7 +28,11 @@ import os
 import platform
 import sys
 
-import numpy as np
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")  # as perfbench/run.py
+if __name__ == "__main__":
+    os.environ.update({var: "1" for var in BLAS_VARS})
+
+import numpy as np  # noqa: E402
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
@@ -63,8 +74,9 @@ OVERRIDE_SETS = {
 
 
 def versions() -> str:
-    """The header line: the versions the digests hold for."""
-    return f"# python {platform.python_version()}, numpy {np.__version__}"
+    """The header line: the versions and the BLAS thread count the digests hold for."""
+    threads = os.environ.get(BLAS_VARS[0], "unset")
+    return f"# python {platform.python_version()}, numpy {np.__version__}, blas threads {threads}"
 
 
 def digests(out: str) -> list[str]:
